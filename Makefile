@@ -53,7 +53,7 @@ lifetimes-update:
 race:
 	$(GO) test -race ./...
 
-# Codec fuzz smoke: run FuzzCodecRoundTrip — both varint generations,
+# Codec fuzz smoke: run FuzzCodecRoundTrip — group-varint rows,
 # group-skip probes, shard assembly — for a few wall-clock seconds of
 # mutation on top of the seed corpus. Not a soak; just enough for CI to
 # catch an encoder change that breaks round-tripping on shapes the unit
@@ -110,8 +110,7 @@ bench-graph-gate:
 # bytes/edge and MTEPS into BENCH_graph_xl.json — the compressed-CSR
 # acceptance data (docs/GRAPH.md "Compressed CSR") — plus the
 # BenchmarkXLGraphDecode* decode-bandwidth family (GB/s and edges/ns:
-# plain stream vs v1 scalar varint vs group-varint, forward and
-# transpose), which the BenchmarkXLGraph regex picks up so the gate's
+# plain stream vs group-varint, forward and transpose), which the BenchmarkXLGraph regex picks up so the gate's
 # smoke row covers decode too. Building the inputs takes minutes,
 # hence the long timeout; CI runs the gate variant at BENCHTIME=1x as
 # a smoke test. -baseline-add lets a first-appearance benchmark enter

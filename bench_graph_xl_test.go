@@ -29,7 +29,6 @@ import (
 type xlData struct {
 	g, tg    *graph.Graph  // plain CSR, sorted rows + its transpose
 	cg, ctg  *graph.CGraph // compressed CSR + pool-sharing compressed transpose
-	v1       *graph.V1Rows // PR-7 scalar varint encoding: decode-bench baseline
 	wg       *graph.WGraph
 	cw, ctw  *graph.CWGraph // weighted compressed pair, one shared pool
 	bfsWant  []uint32       // sequential oracle levels from vertex 0
@@ -62,7 +61,6 @@ func xlLoad(b *testing.B, input string) *xlData {
 		d.wg = graph.LoadUndirectedWeighted(w, input, graph.ScaleLarge, 0x555)
 		d.cw, d.ctw = graph.LoadUndirectedWeightedCT(w, input, graph.ScaleLarge, 0x555)
 	})
-	d.v1 = graph.EncodeV1(d.g)
 	d.bfsWant = bench.BFSOracle(d.g, 0)
 	xlCache[input] = d
 	return d
@@ -144,7 +142,7 @@ func ssspDistOf(d *xlData) []uint32 {
 // the last neighbor into a sink so the decode cannot be elided. It
 // reports GB/s over the encoded byte mass (how fast the codec turns
 // bytes into neighbors) and edges/ns (decoded edge throughput, the
-// metric the ≥2x group-vs-v1 target is judged on).
+// metric the decode work is judged on).
 func benchXLDecode(b *testing.B, n int32, maxDeg int, streamBytes, edges int64, rowInto func(v int32, buf []int32) []int32) {
 	buf := make([]int32, maxDeg)
 	var sink int32
@@ -172,12 +170,6 @@ func BenchmarkXLGraphDecodeRmatPlain(b *testing.B) {
 	d := xlLoad(b, graph.InputRMAT)
 	g := d.g
 	benchXLDecode(b, g.N, int(g.MaxDegree()), g.NumEdges()*4, g.NumEdges(), g.RowInto)
-}
-
-// v1 scalar codec: one branchy LEB128 varint per gap (the PR-7 layout).
-func BenchmarkXLGraphDecodeRmatV1(b *testing.B) {
-	d := xlLoad(b, graph.InputRMAT)
-	benchXLDecode(b, d.v1.N, int(d.g.MaxDegree()), d.v1.StreamBytes(), d.g.NumEdges(), d.v1.RowInto)
 }
 
 // Group-varint codec: 8-gap groups behind a 2-byte control word,

@@ -163,4 +163,23 @@ func TestCLIRpblint(t *testing.T) {
 		!strings.Contains(string(bad), "undeclared-scared") {
 		t.Errorf("bad-fixture diagnostics missing file:line: %s", bad)
 	}
+
+	// Pass flags combine: every requested pass runs, and two stale
+	// artifacts given together are both reported.
+	staleCerts := filepath.Join(t.TempDir(), "certs.json")
+	staleRaces := filepath.Join(t.TempDir(), "races.json")
+	for _, p := range []string{staleCerts, staleRaces} {
+		if err := os.WriteFile(p, []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	both, err := exec.Command(bin, "-certify", "-races", "-certs", staleCerts, "-races-file", staleRaces).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("stale artifacts: want exit code 1, got %v\n%s", err, both)
+	}
+	for _, p := range []string{staleCerts, staleRaces} {
+		if !strings.Contains(string(both), p+" is stale") {
+			t.Errorf("stale artifact %s not reported:\n%s", p, both)
+		}
+	}
 }

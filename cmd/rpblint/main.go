@@ -7,7 +7,7 @@
 // Usage:
 //
 //	rpblint [-root dir] [-json] [-census] [packages...]
-//	rpblint -certify [-write-certify] [-certify-file file] [packages...]
+//	rpblint -certify [-write-certs] [-certs file] [packages...]
 //	rpblint -races [-write-races] [-races-file file] [packages...]
 //	rpblint -lifetimes [-write-lifetimes] [-lifetimes-file file] [packages...]
 //
@@ -21,9 +21,11 @@
 // arena-checkout confinement (lint-lifetimes.json). Each renders its
 // report, then either rewrites its committed artifact (-write-<pass>)
 // or byte-compares against it and fails when stale; unexplained
-// refusals in enforced directories fail regardless of staleness. Exit
-// status: 0 clean, 1 diagnostics / stale or unexplained certificates,
-// 2 analysis error.
+// refusals in enforced directories fail regardless of staleness. The
+// pass flags combine: every requested pass runs, in the order above,
+// over one parsed and type-checked module, and the exit status is the
+// worst of them. Exit status: 0 clean, 1 diagnostics / stale or
+// unexplained certificates, 2 analysis error.
 package main
 
 import (
@@ -69,36 +71,28 @@ func main() {
 	}
 	cfg := lint.Config{Root: r, Dirs: flag.Args()}
 
-	// The certification passes share one artifact code path; each
-	// contributes only its runner and its refusal count.
-	switch {
-	case *certify:
-		runPass(r, *certsFile, *writeCerts, *asJSON, "-certify -write-certs", func() (passOut, error) {
-			rep, err := lint.Certify(cfg)
-			if err != nil {
-				return passOut{}, err
-			}
-			return passOut{artifact: rep.Marshal(), text: rep.String()}, nil
-		})
-		return
-	case *races:
-		runPass(r, *racesFile, *writeRaces, *asJSON, "-races -write-races", func() (passOut, error) {
-			rep, err := lint.Races(cfg)
-			if err != nil {
-				return passOut{}, err
-			}
-			return passOut{artifact: rep.Marshal(), text: rep.String(), unexplained: rep.Unexplained}, nil
-		})
-		return
-	case *lifetimes:
-		runPass(r, *lifeFile, *writeLife, *asJSON, "-lifetimes -write-lifetimes", func() (passOut, error) {
-			rep, err := lint.Lifetimes(cfg)
-			if err != nil {
-				return passOut{}, err
-			}
-			return passOut{artifact: rep.Marshal(), text: rep.String(), unexplained: rep.Unexplained}, nil
-		})
-		return
+	// The certification passes share one parsed module and one artifact
+	// code path; each contributes only its report and refusal count.
+	if *certify || *races || *lifetimes {
+		certs, rr, lr, err := lint.RunPasses(cfg, *certify, *races, *lifetimes)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "rpblint:", err)
+			os.Exit(2)
+		}
+		status := 0
+		if certs != nil {
+			status = max(status, finishPass(r, *certsFile, *writeCerts, *asJSON, "-certify -write-certs",
+				passOut{artifact: certs.Marshal(), text: certs.String()}))
+		}
+		if rr != nil {
+			status = max(status, finishPass(r, *racesFile, *writeRaces, *asJSON, "-races -write-races",
+				passOut{artifact: rr.Marshal(), text: rr.String(), unexplained: rr.Unexplained}))
+		}
+		if lr != nil {
+			status = max(status, finishPass(r, *lifeFile, *writeLife, *asJSON, "-lifetimes -write-lifetimes",
+				passOut{artifact: lr.Marshal(), text: lr.String(), unexplained: lr.Unexplained}))
+		}
+		os.Exit(status)
 	}
 
 	rep, err := lint.Run(lint.Config{Root: r, Dirs: flag.Args(), CertsFile: certsPath(r, *certsFile)})
@@ -146,26 +140,23 @@ type passOut struct {
 	unexplained int    // unexplained refusals in enforced directories
 }
 
-// runPass executes one certification pass and applies the shared
-// artifact discipline: print the report, then rewrite the committed
-// file (write=true) or byte-compare against it and fail when stale.
-// Unexplained refusals fail the run regardless of staleness.
-func runPass(root, file string, write, asJSON bool, updateHint string, run func() (passOut, error)) {
-	out, err := run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rpblint:", err)
-		os.Exit(2)
-	}
+// finishPass applies the shared artifact discipline to one pass's
+// output: print the report, then rewrite the committed file
+// (write=true) or byte-compare against it. It returns the pass's exit
+// status: 1 when the file is stale or missing, or — regardless of
+// staleness — when unexplained refusals remain; 2 when the file cannot
+// be written.
+func finishPass(root, file string, write, asJSON bool, updateHint string, out passOut) int {
 	if asJSON {
 		os.Stdout.Write(out.artifact)
 	} else {
 		fmt.Print(out.text)
 	}
 
-	fail := false
+	status := 0
 	if out.unexplained > 0 {
 		fmt.Fprintf(os.Stderr, "rpblint: %d unexplained refusals in enforced directories (add //lint:scared markers or fix the sites)\n", out.unexplained)
-		fail = true
+		status = 1
 	}
 
 	path := file
@@ -175,27 +166,23 @@ func runPass(root, file string, write, asJSON bool, updateHint string, run func(
 	if write {
 		if err := os.WriteFile(path, out.artifact, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "rpblint:", err)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Fprintf(os.Stderr, "rpblint: wrote %s\n", path)
-		if fail {
-			os.Exit(1)
-		}
-		return
+		return status
 	}
 	committed, err := os.ReadFile(path)
-	if err != nil {
+	switch {
+	case err != nil:
 		fmt.Fprintf(os.Stderr, "rpblint: no committed certificate file %s (run rpblint %s)\n", path, updateHint)
-		os.Exit(1)
-	}
-	if !bytes.Equal(committed, out.artifact) {
+		return 1
+	case !bytes.Equal(committed, out.artifact):
 		fmt.Fprintf(os.Stderr, "rpblint: %s is stale (run rpblint %s and commit the result)\n", path, updateHint)
-		os.Exit(1)
+		return 1
+	case status == 0:
+		fmt.Fprintf(os.Stderr, "rpblint: %s is current\n", path)
 	}
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "rpblint: %s is current\n", path)
+	return status
 }
 
 // certsPath resolves the -certs flag against the module root. The

@@ -1,4 +1,4 @@
-// Package bench is the RPB reproduction harness: it registers the 14
+// Package bench is the RPB reproduction harness: it registers the 18
 // benchmarks of Table 1, each with two expressions of the same
 // algorithm —
 //

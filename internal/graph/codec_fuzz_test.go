@@ -7,8 +7,7 @@ import (
 )
 
 // FuzzCodecRoundTrip round-trips fuzzer-shaped sorted rows through the
-// group-varint codec and cross-checks the v1 scalar codec on the same
-// row. The row is derived from the raw input: gaps are parsed from
+// group-varint codec. The row is derived from the raw input: gaps are parsed from
 // data with self-describing widths (two low bits of a lead byte pick
 // 1-4 payload bytes), so the fuzzer can reach every control-tag
 // combination — including max-gap groups of 4-byte payloads — and
@@ -50,17 +49,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if got := decodeRow(v, buf, int32(len(row)), out); !slices.Equal(got, row) {
 			t.Fatalf("group codec round-trip: got %v, want %v", got, row)
 		}
-
-		// The v1 scalar codec must agree on the same row: same decoded
-		// neighbors from its own independent encoding.
-		sz1 := encRowSizeV1(v, row)
-		buf1 := make([]byte, sz1)
-		encodeRowV1(v, row, buf1)
-		out1 := make([]int32, len(row))
-		if got := decodeRowV1(v, buf1, int32(len(row)), out1); !slices.Equal(got, row) {
-			t.Fatalf("v1 codec round-trip: got %v, want %v", got, row)
-		}
-		if sz1 > 0 && sz == 0 {
+		if sz == 0 {
 			t.Fatalf("group codec encodes %d-neighbor row to 0 bytes", len(row))
 		}
 	})

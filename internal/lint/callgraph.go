@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"path"
 	"sort"
 	"strings"
@@ -57,6 +58,18 @@ type analysis struct {
 	diags       []Diag
 
 	certs certIndex // proved certificate sites by (file, line)
+
+	loader *typeLoader // typed(): shared by every certification pass of the run
+}
+
+// typed returns the analysis's type loader, created on first use: the
+// syntactic rules (Run) never pay for type checking, and the typed
+// passes share one checked module and one set of summaries.
+func (a *analysis) typed() *typeLoader {
+	if a.loader == nil {
+		a.loader = newTypeLoader(a)
+	}
+	return a.loader
 }
 
 // report appends a diagnostic, honoring the directory filter.
@@ -80,6 +93,16 @@ func (a *analysis) modRel(importPath string) (string, bool) {
 		return rest, true
 	}
 	return "", false
+}
+
+// inModule reports whether a resolved function is declared in the
+// analyzed module.
+func (a *analysis) inModule(fn *types.Func) bool {
+	if fn.Pkg() == nil {
+		return false
+	}
+	_, ok := a.modRel(fn.Pkg().Path())
+	return ok
 }
 
 // sortedPkgs returns packages in deterministic path order.
@@ -136,26 +159,34 @@ func (a *analysis) scanFuncBody(fi *funcInfo) {
 	}
 	sort.Strings(methodPkgs)
 
-	// funcValueRef records a function or method *value* (a bare
-	// identifier or method value passed as an argument or bound to a
-	// variable) as a potential call: the body runs when some callee
-	// invokes the value, so the coverage BFS must traverse it. Names
-	// that resolve to no function declaration are harmless noise.
-	funcValueRef := func(e ast.Expr) {
+	// ref records a potential call edge: the callee of a call, or a
+	// function or method *value* (a bare identifier or method value
+	// passed as an argument or bound to a variable) — the body runs
+	// when some callee invokes the value, so the coverage BFS must
+	// traverse it. Names that resolve to no function declaration are
+	// harmless noise. It returns the selector name of a method or
+	// qualified reference.
+	ref := func(e ast.Expr) string {
 		switch v := e.(type) {
 		case *ast.Ident:
 			fi.calls = append(fi.calls, callRef{name: v.Name, pkgs: []string{fi.pkg.path}})
 		case *ast.SelectorExpr:
+			pkgs := methodPkgs
 			if id, ok := v.X.(*ast.Ident); ok {
 				if imp, isImport := f.imports[id.Name]; isImport {
-					if rel, inModule := a.modRel(imp); inModule {
-						fi.calls = append(fi.calls, callRef{name: v.Sel.Name, pkgs: []string{rel}})
+					rel, inModule := a.modRel(imp)
+					if !inModule {
+						return v.Sel.Name
 					}
-					return
+					pkgs = []string{rel}
 				}
 			}
-			fi.calls = append(fi.calls, callRef{name: v.Sel.Name, pkgs: methodPkgs})
+			// A method on a value resolves by name across the own
+			// package and imported in-module packages.
+			fi.calls = append(fi.calls, callRef{name: v.Sel.Name, pkgs: pkgs})
+			return v.Sel.Name
 		}
+		return ""
 	}
 
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
@@ -167,17 +198,17 @@ func (a *analysis) scanFuncBody(fi *funcInfo) {
 				fi.use(declConstruct(f, v.Type))
 			}
 			for _, val := range v.Values {
-				funcValueRef(val)
+				ref(val)
 			}
 		case *ast.AssignStmt:
 			// f := helper / g := x.Method binds a function value the
 			// callee may invoke later.
 			for _, rhs := range v.Rhs {
-				funcValueRef(rhs)
+				ref(rhs)
 			}
 		case *ast.CallExpr:
 			for _, arg := range v.Args {
-				funcValueRef(arg)
+				ref(arg)
 			}
 			if _, mask, ok := classifyCall(f, v); ok {
 				fi.use(mask)
@@ -192,31 +223,8 @@ func (a *analysis) scanFuncBody(fi *funcInfo) {
 			case *ast.IndexListExpr:
 				fun = inst.X
 			}
-			switch fun := fun.(type) {
-			case *ast.Ident:
-				fi.calls = append(fi.calls, callRef{name: fun.Name, pkgs: []string{fi.pkg.path}})
-			case *ast.SelectorExpr:
-				if id, ok := fun.X.(*ast.Ident); ok {
-					if imp, isImport := f.imports[id.Name]; isImport {
-						if rel, inModule := a.modRel(imp); inModule {
-							fi.calls = append(fi.calls, callRef{name: fun.Sel.Name, pkgs: []string{rel}})
-						}
-						if implied, ok := bodyInterfaceMethods[fun.Sel.Name]; ok {
-							for _, m := range implied {
-								fi.calls = append(fi.calls, callRef{name: m, pkgs: methodPkgs})
-							}
-						}
-						return true
-					}
-				}
-				// Method call on a value: resolve by name across the
-				// own package and imported in-module packages.
-				fi.calls = append(fi.calls, callRef{name: fun.Sel.Name, pkgs: methodPkgs})
-				if implied, ok := bodyInterfaceMethods[fun.Sel.Name]; ok {
-					for _, m := range implied {
-						fi.calls = append(fi.calls, callRef{name: m, pkgs: methodPkgs})
-					}
-				}
+			for _, m := range bodyInterfaceMethods[ref(fun)] {
+				fi.calls = append(fi.calls, callRef{name: m, pkgs: methodPkgs})
 			}
 		}
 		return true

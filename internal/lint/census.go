@@ -300,18 +300,6 @@ func patternArg(f *fileInfo, e ast.Expr) (core.Pattern, bool) {
 	return p, ok
 }
 
-// irregularDeclared reports which irregular patterns a declaration set
-// contains.
-func irregularDeclared(pats []string) map[core.Pattern]bool {
-	m := map[core.Pattern]bool{}
-	for _, name := range pats {
-		if p, ok := patternByName[name]; ok && p.Irregular() {
-			m[p] = true
-		}
-	}
-	return m
-}
-
 // benchesDeclaredIn returns the benches and patterns declared in one
 // file, from the census site list.
 func (c StaticCensus) benchesDeclaredIn(rel string) (benches []string, patterns map[core.Pattern]bool) {

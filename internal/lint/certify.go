@@ -12,10 +12,8 @@ package lint
 // "refused" with the first reason the prover found.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"os"
 	"sort"
 	"strings"
 )
@@ -29,9 +27,7 @@ const (
 
 // CertSite is one examined call site.
 type CertSite struct {
-	File      string   `json:"file"` // relative to the module root
-	Line      int      `json:"line"`
-	Col       int      `json:"col"`
+	sitePos            // File, Line, Col: the leading "file", "line", "col" JSON fields
 	Func      string   `json:"func"`      // enclosing function
 	Primitive string   `json:"primitive"` // core.<name>
 	Pattern   string   `json:"pattern"`   // SngInd | RngInd
@@ -69,90 +65,62 @@ type CertReport struct {
 // Certify runs the certification pass over the module under cfg.Root,
 // restricted by cfg.Dirs.
 func Certify(cfg Config) (*CertReport, error) {
-	a, err := newAnalysis(cfg)
-	if err != nil {
-		return nil, err
-	}
-	a.census = a.extractCensus()
-	return a.certify(), nil
+	rep, _, _, err := RunPasses(cfg, true, false, false)
+	return rep, err
 }
 
 // certify runs the pass over an already-built analysis.
 func (a *analysis) certify() *CertReport {
-	loader := newTypeLoader(a)
+	loader := a.typed()
 	rep := &CertReport{Version: 1, Module: a.mod}
 
-	declIndex := map[*ast.FuncDecl]*funcInfo{}
-	for _, fis := range a.funcs {
-		for _, fi := range fis {
-			declIndex[fi.decl] = fi
-		}
-	}
 	benchCover := a.benchCoverage()
 
 	for _, pkg := range a.sortedPkgs() {
 		if pkg.role == RoleSubstrate || !a.filter.match(pkg.path) {
 			continue
 		}
-		if !pkgHasCertTargets(pkg) {
-			continue
-		}
-		tp := loader.check(pkg.path)
-		typed := tp != nil && tp.tpkg != nil
-		for _, f := range pkg.files {
-			for _, decl := range f.ast.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+		for _, fi := range a.funcs[pkg.path] {
+			sites := collectSites(fi.file, fi.decl)
+			if len(sites) == 0 {
+				continue // only packages that call a certifiable primitive pay for type checking
+			}
+			var pr *prover
+			if tp := loader.check(pkg.path); tp != nil {
+				pr = newProver(a, tp, fi.file, fi.decl, loader)
+			}
+			for _, s := range sites {
+				cs := CertSite{
+					sitePos:   a.sitePos(fi.file, s.call),
+					Func:      fi.decl.Name.Name,
+					Primitive: s.name,
+					Pattern:   s.tgt.pattern.String(),
+					Checked:   s.tgt.checked,
+					Benches:   benchCover[fi],
 				}
-				var pr *prover
-				if typed {
-					pr = newProver(a, tp, f, fd, loader)
+				proof := refusal("package %s failed to type-check", pkg.path)
+				if pr != nil {
+					s.ctx = pr.ctxOf(pr.ff.pathTo(s.call))
+					proof = pr.prove(s)
 				}
-				for _, s := range collectSites(f, fd, pr) {
-					pos := a.fset.Position(s.call.Pos())
-					cs := CertSite{
-						File: f.rel, Line: pos.Line, Col: pos.Column,
-						Func:      fd.Name.Name,
-						Primitive: s.name,
-						Pattern:   s.tgt.pattern.String(),
-						Checked:   s.tgt.checked,
-						Benches:   benchCover[declIndex[fd]],
+				if proof.ok {
+					cs.Status = CertElidable
+					if !s.tgt.checked {
+						cs.Status = CertCertified
 					}
-					var proof siteProof
-					if pr == nil {
-						proof = refusal("package %s failed to type-check", pkg.path)
-					} else {
-						proof = pr.prove(s)
-					}
-					if proof.ok {
-						cs.Status = CertElidable
-						if !s.tgt.checked {
-							cs.Status = CertCertified
-						}
-						cs.Property = proof.property
-						cs.Source = proof.source
-						cs.Proof = proof.chain
-					} else {
-						cs.Status = CertRefused
-						cs.Reason = proof.reason
-					}
-					rep.Sites = append(rep.Sites, cs)
+					cs.Property = proof.property
+					cs.Source = proof.source
+					cs.Proof = proof.chain
+				} else {
+					cs.Status = CertRefused
+					cs.Reason = proof.reason
 				}
+				rep.Sites = append(rep.Sites, cs)
 			}
 		}
 	}
 
-	sort.Slice(rep.Sites, func(i, j int) bool {
-		si, sj := rep.Sites[i], rep.Sites[j]
-		if si.File != sj.File {
-			return si.File < sj.File
-		}
-		if si.Line != sj.Line {
-			return si.Line < sj.Line
-		}
-		return si.Col < sj.Col
-	})
+	sortSites(rep.Sites)
 	for _, s := range rep.Sites {
 		switch s.Status {
 		case CertCertified:
@@ -166,59 +134,28 @@ func (a *analysis) certify() *CertReport {
 	return rep
 }
 
-// collectSites gathers the certifiable call sites in one function. The
-// prover (when available) supplies execution contexts; without type
-// information sites are still listed so they can be refused.
-func collectSites(f *fileInfo, fd *ast.FuncDecl, pr *prover) []*targetSite {
+// collectSites gathers the certifiable call sites in one function,
+// syntactically: sites in a package that fails to type-check are still
+// listed so they can be refused.
+func collectSites(f *fileInfo, fd *ast.FuncDecl) []*targetSite {
 	var sites []*targetSite
-	walkWithPath(fd, func(n ast.Node, path []ast.Node) {
+	ast.Inspect(fd, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return
-		}
-		pathStr, name, isPkg := callTarget(f, call)
-		if !isPkg || !isPath(pathStr, corePath) {
-			return
-		}
-		tgt, isTarget := certTargets[name]
-		if !isTarget {
-			return
-		}
-		if len(call.Args) > 0 && isNilIdent(call.Args[0]) {
-			return // sequential oracle use: no parallel check to certify
-		}
-		s := &targetSite{call: call, name: name, tgt: tgt, pos: call.Pos()}
-		if pr != nil {
-			s.ctx = pr.ctxOf(path)
-		}
-		sites = append(sites, s)
-	})
-	return sites
-}
-
-// pkgHasCertTargets reports whether any file of the package calls a
-// certifiable primitive (cheap syntactic pre-filter before the type
-// checker runs).
-func pkgHasCertTargets(pkg *pkgInfo) bool {
-	for _, f := range pkg.files {
-		found := false
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if pathStr, name, isPkg := callTarget(f, call); isPkg && isPath(pathStr, corePath) {
-				if _, isTarget := certTargets[name]; isTarget {
-					found = true
-				}
-			}
-			return !found
-		})
-		if found {
 			return true
 		}
-	}
-	return false
+		pathStr, name, isPkg := callTarget(f, call)
+		tgt, isTarget := certTargets[name]
+		if !isPkg || !isPath(pathStr, corePath) || !isTarget {
+			return true
+		}
+		if len(call.Args) > 0 && isNilIdent(call.Args[0]) {
+			return true // sequential oracle use: no parallel check to certify
+		}
+		sites = append(sites, &targetSite{call: call, name: name, tgt: tgt, pos: call.Pos()})
+		return true
+	})
+	return sites
 }
 
 // benchCoverage maps each function to the sorted list of benches whose
@@ -260,37 +197,17 @@ func (a *analysis) benchCoverage() map[*funcInfo][]string {
 }
 
 // Marshal renders the report as the canonical lint-certs.json bytes.
-func (r *CertReport) Marshal() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil
-	}
-	return append(b, '\n')
-}
+func (r *CertReport) Marshal() []byte { return marshalArtifact(r) }
 
 // String renders the per-site table and summary rpblint -certify prints.
 func (r *CertReport) String() string {
-	var sb strings.Builder
-	for _, s := range r.Sites {
-		sb.WriteString(s.String())
-		sb.WriteByte('\n')
-	}
-	fmt.Fprintf(&sb, "certify: %d certified, %d elidable-check, %d refused\n",
-		r.Certified, r.Elidable, r.Refused)
-	return sb.String()
+	return renderSites(r.Sites, fmt.Sprintf("certify: %d certified, %d elidable-check, %d refused\n",
+		r.Certified, r.Elidable, r.Refused))
 }
 
 // LoadCerts reads a certificate file.
 func LoadCerts(path string) (*CertReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r CertReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("lint: bad certificate file %s: %w", path, err)
-	}
-	return &r, nil
+	return loadArtifact[CertReport](path, "certificate file")
 }
 
 // certIndex indexes proved sites by (file, line) for the containment

@@ -38,25 +38,6 @@ const cAnySync = cAWHelper | cLocks | cAtomic | cSyncDecl | cGoStmt | cTaskEngin
 // analogs of unsafe blocks.
 const cScared = cUncheckedSng | cUncheckedRng | cAnySync
 
-// patternBit maps a Table 3 pattern to its checked-construct bit.
-func patternBit(p core.Pattern) construct {
-	switch p {
-	case core.RO:
-		return cRO
-	case core.Stride:
-		return cStride
-	case core.Block:
-		return cBlock
-	case core.DC:
-		return cDC
-	case core.SngInd:
-		return cSngInd
-	case core.RngInd:
-		return cRngInd
-	}
-	return 0
-}
-
 // corePath and friends are the import paths resolution keys on. The
 // classifier matches by path suffix so it works from any module name.
 const (

@@ -4,9 +4,9 @@ package lint
 // callee retain a reference to the memory behind one of its
 // parameters past the call? The walk (regionflow.go) asks this for
 // every checkout handed to an in-module helper; the answer is computed
-// once per *types.Func, memoized on the pass, and cycle-guarded
-// optimistically (a recursive chain that never stores a parameter
-// outward retains nothing).
+// once per *types.Func in the loader's summary table (core.go) and
+// cycle-guarded optimistically (a recursive chain that never stores a
+// parameter outward retains nothing).
 //
 // The summary is deliberately coarse in the safe direction:
 //   - returned / resliced-and-returned parameters are aliasRet, not
@@ -26,12 +26,8 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
-
-// escRecv is the parameter index standing for the method receiver.
-const escRecv = -1
 
 // refCarrying reports whether values of a type can carry a reference
 // to checkout memory.
@@ -57,7 +53,7 @@ type escParam struct {
 	why     string
 }
 
-// escEffect is the summary for one function: parameter index (escRecv
+// escEffect is the summary for one function: parameter index (recvIdx
 // for the receiver) to its escape fate. Missing entries retain
 // nothing.
 type escEffect struct {
@@ -83,7 +79,7 @@ func (e *escEffect) retain(i int, why string) {
 // isSubstrate reports whether a resolved callee lives in one of the
 // substrate packages whose primitives are non-retaining by documented
 // contract (they fill out-params for the duration of the call).
-func (lp *lifePass) isSubstrate(fn *types.Func) bool {
+func isSubstrate(fn *types.Func) bool {
 	pkg := fn.Pkg()
 	if pkg == nil {
 		return true // builtins, error methods: no retention possible
@@ -94,62 +90,31 @@ func (lp *lifePass) isSubstrate(fn *types.Func) bool {
 }
 
 // escapeOf returns the memoized escape summary for an in-module
-// function, computing it on first use.
-func (lp *lifePass) escapeOf(fn *types.Func) *escEffect {
-	if eff, ok := lp.escapes[fn]; ok {
+// function, computing it on first use. The cycle answer is nil — no
+// retention proven yet — which is optimistic and safe for the same
+// reason effectOf's is: a store that retains a parameter is seen by the
+// activation walking the body it sits in.
+func (l *typeLoader) escapeOf(fn *types.Func) *escEffect {
+	return l.escapes.get(fn, nil, func() *escEffect {
+		eff := &escEffect{}
+		if d := l.declOf(fn); d != nil && d.fd.Body != nil {
+			l.summarize(d, eff)
+		}
 		return eff
-	}
-	if lp.inEsc[fn] {
-		return nil // cycle: optimistic (no retention proven yet)
-	}
-	lp.inEsc[fn] = true
-	defer delete(lp.inEsc, fn)
-
-	eff := &escEffect{}
-	d := lp.declOf(fn)
-	if d == nil || d.fd.Body == nil {
-		lp.escapes[fn] = eff
-		return eff
-	}
-	lp.summarize(d, eff)
-	lp.escapes[fn] = eff
-	return eff
+	})
 }
 
 // summarize walks one declaration and fills its escape effect.
-func (lp *lifePass) summarize(d *effDecl, eff *escEffect) {
+func (l *typeLoader) summarize(d *funcDecl, eff *escEffect) {
 	tp, fd := d.tp, d.fd
+	paramIdx := tp.paramPositions(fd.Recv, fd.Type.Params)
 
-	// Parameter objects, by index; receiver at escRecv.
-	paramIdx := map[types.Object]int{}
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			for _, n := range f.Names {
-				if o := tp.info.Defs[n]; o != nil {
-					paramIdx[o] = escRecv
-				}
-			}
-		}
-	}
-	i := 0
-	for _, f := range fd.Type.Params.List {
-		if len(f.Names) == 0 {
-			i++
-			continue
-		}
-		for _, n := range f.Names {
-			if o := tp.info.Defs[n]; o != nil {
-				paramIdx[o] = i
-			}
-			i++
-		}
-	}
-
-	// aliasOf: local objects that alias a parameter's memory (direct
-	// assignment, reslice, or &param.field), mapping to the parameter
-	// index. First write wins; rebinding away is not tracked (coarse,
-	// refusal-biased for stores, optimistic for nothing).
-	aliasOf := map[types.Object]int{}
+	// rootParam resolves an expression to the parameter whose memory it
+	// aliases: the parameter itself, or a local defined from one (direct
+	// assignment, reslice, or &param.field). The definition wins;
+	// rebinding away is not tracked (coarse, refusal-biased for stores,
+	// optimistic for nothing).
+	ff := l.factsOf(tp, fd)
 	var rootParam func(e ast.Expr) (int, bool)
 	rootParam = func(e ast.Expr) (int, bool) {
 		// Only reference-carrying values can alias a parameter's
@@ -164,21 +129,13 @@ func (lp *lifePass) summarize(d *effDecl, eff *escEffect) {
 					if pi, ok := paramIdx[o]; ok {
 						return pi, true
 					}
-					if pi, ok := aliasOf[o]; ok {
-						return pi, true
+					if def := ff.of(o).def(); def != nil && def.value() != nil {
+						return rootParam(def.value())
 					}
 				}
 				return 0, false
-			case *ast.SliceExpr:
-				e = v.X
 			case *ast.UnaryExpr:
-				e = v.X
-			case *ast.SelectorExpr:
-				e = v.X
-			case *ast.StarExpr:
-				e = v.X
-			case *ast.IndexExpr:
-				e = v.X
+				e = v.X // &x, and <-ch: a received value may carry the channel's memory
 			case *ast.CallExpr:
 				// EnsureLen-style: a slice-returning call forwarding a
 				// param returns (possibly) the same memory.
@@ -189,13 +146,15 @@ func (lp *lifePass) summarize(d *effDecl, eff *escEffect) {
 				}
 				return 0, false
 			default:
-				return 0, false
+				if e = innerOperand(v); e == nil {
+					return 0, false
+				}
 			}
 		}
 	}
 
-	// Pass 1: collect aliases and the set of fields nil-cleared in
-	// this function (transit evidence).
+	// Pass 1: the set of fields nil-cleared in this function (transit
+	// evidence).
 	clearedHere := map[string]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -203,18 +162,9 @@ func (lp *lifePass) summarize(d *effDecl, eff *escEffect) {
 			return true
 		}
 		for i, lhs := range as.Lhs {
-			if id, ok := unparen(lhs).(*ast.Ident); ok && as.Tok == token.DEFINE {
-				if pi, ok := rootParam(as.Rhs[i]); ok {
-					if o := tp.info.Defs[id]; o != nil {
-						aliasOf[o] = pi
-					}
-				}
-			}
 			if sel, ok := unparen(lhs).(*ast.SelectorExpr); ok && isNilExpr(tp, as.Rhs[i]) {
-				if tv, ok := tp.info.Types[sel.X]; ok && tv.Type != nil {
-					if tn := boxTypeName(tv.Type); tn != "" {
-						clearedHere[tn+"."+sel.Sel.Name] = true
-					}
+				if tn := boxTypeName(tp.typeOf(sel.X)); tn != "" {
+					clearedHere[tn+"."+sel.Sel.Name] = true
 				}
 			}
 		}
@@ -249,30 +199,27 @@ func (lp *lifePass) summarize(d *effDecl, eff *escEffect) {
 				if !isParam {
 					continue
 				}
-				switch l := unparen(lhs).(type) {
+				switch lv := unparen(lhs).(type) {
 				case *ast.Ident:
-					if o := tp.info.Defs[l]; o != nil {
+					if o := tp.info.Defs[lv]; o != nil {
 						continue // local binding: tracked as alias
 					}
-					if o := tp.info.Uses[l]; o != nil {
+					if o := tp.info.Uses[lv]; o != nil {
 						if o.Parent() == tp.tpkg.Scope() {
-							eff.retain(pi, "stored into package-level "+l.Name)
+							eff.retain(pi, "stored into package-level "+lv.Name)
 						}
 					}
 				case *ast.SelectorExpr:
-					tn := ""
-					if tv, ok := tp.info.Types[l.X]; ok && tv.Type != nil {
-						tn = boxTypeName(tv.Type)
-					}
-					key := tn + "." + l.Sel.Name
-					if bpi, baseIsParam := rootParam(l.X); baseIsParam {
+					tn := boxTypeName(tp.typeOf(lv.X))
+					key := tn + "." + lv.Sel.Name
+					if bpi, baseIsParam := rootParam(lv.X); baseIsParam {
 						if bpi == pi {
 							continue // a param stored into its own memory
 						}
 						// Transit through param-reachable memory: fine
 						// iff the field is provably cleared before the
 						// holder is reused.
-						if clearedHere[key] || (lp.boxTypes[tn] && lp.boxCleared[key]) {
+						if clearedHere[key] || (l.boxTypes[tn] && l.boxCleared[key]) {
 							continue
 						}
 						eff.retain(pi, "stored into "+key+", never cleared before reuse")
@@ -283,7 +230,7 @@ func (lp *lifePass) summarize(d *effDecl, eff *escEffect) {
 				}
 			}
 		case *ast.CallExpr:
-			lp.summarizeCall(d, eff, v, rootParam)
+			l.summarizeCall(d, eff, v, rootParam)
 		}
 		return true
 	})
@@ -291,7 +238,7 @@ func (lp *lifePass) summarize(d *effDecl, eff *escEffect) {
 
 // summarizeCall propagates escape effects through a call inside a
 // summarized function.
-func (lp *lifePass) summarizeCall(d *effDecl, eff *escEffect, call *ast.CallExpr,
+func (l *typeLoader) summarizeCall(d *funcDecl, eff *escEffect, call *ast.CallExpr,
 	rootParam func(ast.Expr) (int, bool)) {
 	tp := d.tp
 
@@ -299,7 +246,7 @@ func (lp *lifePass) summarizeCall(d *effDecl, eff *escEffect, call *ast.CallExpr
 	if pathStr, _, isPkg := callTarget(d.f, call); isPkg && isPath(pathStr, arenaPath) {
 		return
 	}
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && isArenaExpr(tp, sel.X) {
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && isNamed(tp.typeOf(sel.X), arenaPath, "Arena") {
 		return
 	}
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
@@ -308,19 +255,20 @@ func (lp *lifePass) summarizeCall(d *effDecl, eff *escEffect, call *ast.CallExpr
 		}
 	}
 
-	fn, delegated := calleeOfTyped(tp, call)
+	c := resolveCall(tp, call, nil)
+	fn := c.fn
 	switch {
-	case fn != nil && lp.isSubstrate(fn):
+	case fn != nil && isSubstrate(fn):
 		return
-	case fn != nil && fn.Pkg() != nil:
-		if _, inMod := lp.a.modRel(fn.Pkg().Path()); !inMod {
+	case fn != nil:
+		if !l.a.inModule(fn) {
 			return // stdlib
 		}
-		sub := lp.escapeOf(fn)
+		sub := l.escapeOf(fn)
 		sig, _ := fn.Type().(*types.Signature)
 		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if pi, isParam := rootParam(sel.X); isParam {
-				if ep := sub.param(escRecv); ep != nil && ep.retains {
+				if ep := sub.param(recvIdx); ep != nil && ep.retains {
 					eff.retain(pi, "via "+fn.Name()+": "+ep.why)
 				}
 			}
@@ -330,15 +278,11 @@ func (lp *lifePass) summarizeCall(d *effDecl, eff *escEffect, call *ast.CallExpr
 			if !isParam {
 				continue
 			}
-			idx := ai
-			if sig != nil && sig.Variadic() && ai >= sig.Params().Len()-1 {
-				idx = sig.Params().Len() - 1
-			}
-			if ep := sub.param(idx); ep != nil && ep.retains {
+			if ep := sub.param(argPosition(sig, ai)); ep != nil && ep.retains {
 				eff.retain(pi, "via "+fn.Name()+": "+ep.why)
 			}
 		}
-	case delegated:
+	case c.delegated:
 		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && lifeMethodContracts[sel.Sel.Name] {
 			return
 		}

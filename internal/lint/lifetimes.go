@@ -45,13 +45,8 @@ package lint
 // contract (lifeMethodContracts) covers them.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/types"
-	"os"
-	"sort"
-	"strings"
 )
 
 // Checkout fate classes.
@@ -72,28 +67,19 @@ var lifeEnforcedDirs = []string{
 	"internal/suffix",
 }
 
-func lifeEnforced(rel string) bool {
-	for _, d := range lifeEnforcedDirs {
-		if strings.HasPrefix(rel, d+"/") {
-			return true
-		}
-	}
-	return false
-}
+func lifeEnforced(rel string) bool { return enforcedIn(lifeEnforcedDirs, rel) }
 
 // LifeSite is one classified arena checkout (or a Release-site
 // violation, Origin "Release").
 type LifeSite struct {
-	File   string `json:"file"` // relative to the module root
-	Line   int    `json:"line"`
-	Col    int    `json:"col"`
-	Func   string `json:"func"`   // enclosing function
-	Origin string `json:"origin"` // Alloc | AllocUninit | AcquireBox | Release
-	Expr   string `json:"expr"`   // the bound carrier ("_" when unbound)
-	Class  string `json:"class"`
-	Detail string `json:"detail,omitempty"` // proof evidence
-	Reason string `json:"reason,omitempty"` // refusal proof chain
-	Marker bool   `json:"marker,omitempty"` // refusal audited by //lint:scared
+	sitePos        // File, Line, Col: the leading "file", "line", "col" JSON fields
+	Func    string `json:"func"`   // enclosing function
+	Origin  string `json:"origin"` // Alloc | AllocUninit | AcquireBox | Release
+	Expr    string `json:"expr"`   // the bound carrier ("_" when unbound)
+	Class   string `json:"class"`
+	Detail  string `json:"detail,omitempty"` // proof evidence
+	Reason  string `json:"reason,omitempty"` // refusal proof chain
+	Marker  bool   `json:"marker,omitempty"` // refusal audited by //lint:scared
 }
 
 func (s LifeSite) String() string {
@@ -129,58 +115,30 @@ type LifeReport struct {
 // Lifetimes runs the arena lifetime certification pass over the module
 // under cfg.Root.
 func Lifetimes(cfg Config) (*LifeReport, error) {
-	a, err := newAnalysis(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return a.lifetimes(), nil
+	_, _, rep, err := RunPasses(cfg, false, false, true)
+	return rep, err
 }
 
 // lifetimes runs the pass over an already-built analysis.
 func (a *analysis) lifetimes() *LifeReport {
-	loader := newTypeLoader(a)
-	lp := &lifePass{
-		a: a, loader: loader,
-		escapes: map[*types.Func]*escEffect{},
-		inEsc:   map[*types.Func]bool{},
-	}
-	lp.prescanBoxes()
+	l := a.typed()
+	l.prescanBoxes()
 	rep := &LifeReport{Version: 1, Module: a.mod}
 
-	for _, pkg := range a.sortedPkgs() {
-		if pkg.path == arenaPath || isPath(pkg.path, arenaPath) {
-			continue // the substrate implementing the checkouts
+	l.eachFunc(func(tp *typedPkg, f *fileInfo, fd *ast.FuncDecl) {
+		if tp == nil || isPath(tp.pkg.path, arenaPath) {
+			return // unloadable, or the substrate implementing the checkouts
 		}
-		tp := loader.check(pkg.path)
-		if tp == nil || tp.tpkg == nil {
-			continue
-		}
-		for _, f := range pkg.files {
-			for _, decl := range f.ast.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				regions := collectRegions(tp, f, fd)
-				rep.Regions += len(regions)
-				lw := newLifeWalk(lp, tp, f, fd, regions)
-				lw.run()
-				rep.Marks += lw.markCount
-				rep.Sites = append(rep.Sites, lw.sites...)
-			}
-		}
-	}
-
-	sort.SliceStable(rep.Sites, func(i, j int) bool {
-		si, sj := rep.Sites[i], rep.Sites[j]
-		if si.File != sj.File {
-			return si.File < sj.File
-		}
-		if si.Line != sj.Line {
-			return si.Line < sj.Line
-		}
-		return si.Col < sj.Col
+		ff := l.factsOf(tp, fd)
+		regions := collectRegions(ff, f)
+		rep.Regions += len(regions)
+		lw := newLifeWalk(l, ff, f, regions)
+		lw.run()
+		rep.Marks += lw.markCount
+		rep.Sites = append(rep.Sites, lw.sites...)
 	})
+
+	sortSites(rep.Sites)
 	for i := range rep.Sites {
 		s := &rep.Sites[i]
 		switch s.Class {
@@ -207,95 +165,18 @@ func (a *analysis) lifetimes() *LifeReport {
 }
 
 // Marshal renders the report as the canonical lint-lifetimes.json bytes.
-func (r *LifeReport) Marshal() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil
-	}
-	return append(b, '\n')
-}
+func (r *LifeReport) Marshal() []byte { return marshalArtifact(r) }
 
 // String renders the per-site table and summary rpblint -lifetimes
 // prints.
 func (r *LifeReport) String() string {
-	var sb strings.Builder
-	for _, s := range r.Sites {
-		sb.WriteString(s.String())
-		sb.WriteByte('\n')
-	}
-	fmt.Fprintf(&sb, "lifetimes: %d regions, %d marks; %d checkouts: %d released-in-scope, %d region-confined, %d worker-confined, %d refused (%d unexplained)\n",
-		r.Regions, r.Marks, r.Checkouts, r.Released, r.RegionConfined, r.WorkerConfined, r.Refused, r.Unexplained)
-	return sb.String()
+	return renderSites(r.Sites, fmt.Sprintf("lifetimes: %d regions, %d marks; %d checkouts: %d released-in-scope, %d region-confined, %d worker-confined, %d refused (%d unexplained)\n",
+		r.Regions, r.Marks, r.Checkouts, r.Released, r.RegionConfined, r.WorkerConfined, r.Refused, r.Unexplained))
 }
 
 // LoadLifetimes reads a lifetime-certificate file.
 func LoadLifetimes(path string) (*LifeReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r LifeReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("lint: bad lifetime report %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// lifePass is the shared state of one -lifetimes run.
-type lifePass struct {
-	a      *analysis
-	loader *typeLoader
-
-	escapes map[*types.Func]*escEffect
-	inEsc   map[*types.Func]bool
-	declIdx map[*types.Func]*effDecl
-	idxDone map[string]bool
-
-	// boxTypes are the named types instantiated in arena.AcquireBox[T]
-	// anywhere in the module, keyed by type name: per-worker reusable
-	// state a checkout may legitimately transit through.
-	boxTypes map[string]bool
-	// boxCleared records "Type.field" pairs assigned nil somewhere in
-	// the module — the clearing half of a box-field handoff. A checkout
-	// stored into a box field of a *parameter* is worker-confined only
-	// when the field is provably cleared before the box is reused.
-	boxCleared map[string]bool
-}
-
-// declOf finds the FuncDecl for an in-module *types.Func, indexing each
-// package's declarations on first use (the raceeffect.go pattern).
-func (lp *lifePass) declOf(fn *types.Func) *effDecl {
-	if lp.declIdx == nil {
-		lp.declIdx = map[*types.Func]*effDecl{}
-		lp.idxDone = map[string]bool{}
-	}
-	if d, ok := lp.declIdx[fn]; ok {
-		return d
-	}
-	if fn.Pkg() == nil {
-		return nil
-	}
-	rel, ok := lp.a.modRel(fn.Pkg().Path())
-	if !ok {
-		return nil
-	}
-	if !lp.idxDone[rel] {
-		lp.idxDone[rel] = true
-		if tp := lp.loader.check(rel); tp != nil {
-			for _, f := range tp.pkg.files {
-				for _, decl := range f.ast.Decls {
-					fd, isFn := decl.(*ast.FuncDecl)
-					if !isFn {
-						continue
-					}
-					if tf, isTF := tp.info.Defs[fd.Name].(*types.Func); isTF {
-						lp.declIdx[tf] = &effDecl{tp: tp, f: f, fd: fd}
-					}
-				}
-			}
-		}
-	}
-	return lp.declIdx[fn]
+	return loadArtifact[LifeReport](path, "lifetime report")
 }
 
 // prescanBoxes walks the whole module once, collecting the AcquireBox
@@ -303,15 +184,15 @@ func (lp *lifePass) declOf(fn *types.Func) *effDecl {
 // base is one of them (boxCleared). The pass needs both globally: a
 // helper may store into a box field its caller clears (core.packCount
 // fills packBody.counts; packWrite clears it).
-func (lp *lifePass) prescanBoxes() {
-	lp.boxTypes = map[string]bool{}
-	lp.boxCleared = map[string]bool{}
+func (l *typeLoader) prescanBoxes() {
+	l.boxTypes = map[string]bool{}
+	l.boxCleared = map[string]bool{}
 
 	type clearRec struct{ base, field string }
 	var clears []clearRec
-	for _, pkg := range lp.a.sortedPkgs() {
-		tp := lp.loader.check(pkg.path)
-		if tp == nil || tp.tpkg == nil {
+	for _, pkg := range l.a.sortedPkgs() {
+		tp := l.check(pkg.path)
+		if tp == nil {
 			continue
 		}
 		for _, f := range pkg.files {
@@ -320,10 +201,8 @@ func (lp *lifePass) prescanBoxes() {
 				case *ast.CallExpr:
 					pathStr, name, isPkg := callTarget(f, v)
 					if isPkg && isPath(pathStr, arenaPath) && name == "AcquireBox" {
-						if tv, ok := tp.info.Types[v]; ok && tv.Type != nil {
-							if name := boxTypeName(tv.Type); name != "" {
-								lp.boxTypes[name] = true
-							}
+						if name := boxTypeName(tp.typeOf(v)); name != "" {
+							l.boxTypes[name] = true
 						}
 					}
 				case *ast.AssignStmt:
@@ -335,10 +214,8 @@ func (lp *lifePass) prescanBoxes() {
 						if !ok || !isNilExpr(tp, v.Rhs[i]) {
 							continue
 						}
-						if tv, ok := tp.info.Types[sel.X]; ok && tv.Type != nil {
-							if name := boxTypeName(tv.Type); name != "" {
-								clears = append(clears, clearRec{name, sel.Sel.Name})
-							}
+						if name := boxTypeName(tp.typeOf(sel.X)); name != "" {
+							clears = append(clears, clearRec{name, sel.Sel.Name})
 						}
 					}
 				}
@@ -347,55 +224,6 @@ func (lp *lifePass) prescanBoxes() {
 		}
 	}
 	for _, c := range clears {
-		lp.boxCleared[c.base+"."+c.field] = true
+		l.boxCleared[c.base+"."+c.field] = true
 	}
-}
-
-// boxTypeName names the struct type behind a (pointer to a) named
-// type, dropping type arguments: *gatherBody[T] -> "gatherBody".
-func boxTypeName(t types.Type) string {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	switch v := t.(type) {
-	case *types.Named:
-		return v.Obj().Name()
-	case *types.Alias:
-		return v.Obj().Name()
-	}
-	return ""
-}
-
-// isNilExpr reports whether e is the predeclared nil.
-func isNilExpr(tp *typedPkg, e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if obj := tp.info.Uses[id]; obj != nil {
-		return obj == types.Universe.Lookup("nil")
-	}
-	return id.Name == "nil"
-}
-
-// isArenaExpr reports whether e's type is (a pointer to) arena.Arena.
-func isArenaExpr(tp *typedPkg, e ast.Expr) bool {
-	tv, ok := tp.info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Name() == "Arena" && obj.Pkg() != nil &&
-		isPath(obj.Pkg().Path(), arenaPath)
 }

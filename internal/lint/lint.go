@@ -178,6 +178,28 @@ func newAnalysis(cfg Config) (*analysis, error) {
 	return a, nil
 }
 
+// RunPasses runs the requested certification passes in turn over one
+// parsed and type-checked module — one analysis, one type loader, one
+// set of def-use facts — and returns each requested pass's report (nil
+// for the others).
+func RunPasses(cfg Config, certify, races, lifetimes bool) (certs *CertReport, rr *RaceReport, lr *LifeReport, err error) {
+	a, err := newAnalysis(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if certify {
+		a.census = a.extractCensus() // bench coverage of each site
+		certs = a.certify()
+	}
+	if races {
+		rr = a.races()
+	}
+	if lifetimes {
+		lr = a.lifetimes()
+	}
+	return certs, rr, lr, nil
+}
+
 // loadCertIndex loads the certificate file the containment rules
 // consult. An explicitly configured path must parse; the default path
 // is best-effort (no certificates simply means no coverage — `make

@@ -16,7 +16,8 @@ package lint
 // assumption set unless unsigned-typed, so a "yes" holds for all
 // inputs; recursion is cut by an inflight set (a back edge answers
 // "no", which is always sound). The result is memoized per *types.Func
-// on the typeLoader, like the slice summaries in summary.go.
+// in the loader's summary table (core.go), like the slice summaries in
+// summary.go.
 
 import (
 	"go/ast"
@@ -25,33 +26,13 @@ import (
 
 // nnSummaryFor reports (memoized) whether fn provably returns only
 // non-negative values regardless of its arguments. false means
-// "unproven", never "negative".
+// "unproven", never "negative" — which is also the cycle answer: there
+// is no induction across back edges, and "no" is always sound.
 func (l *typeLoader) nnSummaryFor(fn *types.Func) bool {
-	if ok, done := l.nnSums[fn]; done {
-		return ok
-	}
-	if l.nnInflight[fn] {
-		return false // recursion: no induction across back edges
-	}
-	l.nnInflight[fn] = true
-	defer delete(l.nnInflight, fn)
-	ok := l.buildNNSummary(fn)
-	l.nnSums[fn] = ok
-	return ok
+	return l.nnSums.get(fn, false, func() bool { return l.buildNNSummary(fn) })
 }
 
 func (l *typeLoader) buildNNSummary(fn *types.Func) bool {
-	if fn.Pkg() == nil {
-		return false
-	}
-	rel, inModule := l.a.modRel(fn.Pkg().Path())
-	if !inModule {
-		return false
-	}
-	tp := l.check(rel)
-	if tp == nil || tp.tpkg == nil {
-		return false
-	}
 	sig, _ := fn.Type().(*types.Signature)
 	if sig == nil || sig.Variadic() || sig.Recv() != nil {
 		return false // receiver state is not modeled
@@ -59,33 +40,15 @@ func (l *typeLoader) buildNNSummary(fn *types.Func) bool {
 	if sig.Results().Len() != 1 || !isIntType(sig.Results().At(0).Type()) {
 		return false
 	}
-
-	// Locate the declaration and its file.
-	var fd *ast.FuncDecl
-	var file *fileInfo
-	for _, f := range tp.pkg.files {
-		for _, decl := range f.ast.Decls {
-			d, ok := decl.(*ast.FuncDecl)
-			if !ok || d.Body == nil {
-				continue
-			}
-			if tp.info.Defs[d.Name] == fn {
-				fd, file = d, f
-				break
-			}
-		}
-		if fd != nil {
-			break
-		}
-	}
-	if fd == nil {
+	d := l.declOf(fn)
+	if d == nil || d.fd.Body == nil {
 		return false
 	}
 
-	sp := newProver(l.a, tp, file, fd, l)
+	sp := newProver(l.a, d.tp, d.f, d.fd, l)
 	sp.ensureNN()
 	returns, allNN := 0, true
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(d.fd.Body, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
 			return false // closure returns are not fn's returns
 		}

@@ -65,25 +65,6 @@ const (
 )
 
 // ---------------------------------------------------------------------
-// AST walking with an ancestor stack.
-
-// walkWithPath visits every node under root with its ancestor chain
-// (outermost first, parent last; root itself is visited with an empty
-// path).
-func walkWithPath(root ast.Node, visit func(n ast.Node, path []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		visit(n, stack)
-		stack = append(stack, n)
-		return true
-	})
-}
-
-// ---------------------------------------------------------------------
 // Execution context of a use: the loops, conditionals, and closures
 // between the enclosing FuncDecl and the node.
 
@@ -186,7 +167,7 @@ func (p *prover) closureCtx(lit *ast.FuncLit, path []ast.Node) (lc loopCtx, tran
 		}
 		lc := loopCtx{node: call}
 		if name == "ForRange" && len(call.Args) == 5 {
-			if obj := p.firstParamObj(lit); obj != nil {
+			if obj := p.tp.paramAt(lit.Type.Params, 0); obj != nil {
 				lc.fill = &fillShape{loopVar: obj, lo: call.Args[1], hi: call.Args[2]}
 			}
 		}
@@ -195,47 +176,13 @@ func (p *prover) closureCtx(lit *ast.FuncLit, path []ast.Node) (lc loopCtx, tran
 	return loopCtx{}, false, false
 }
 
-// firstParamObj returns the object of a closure's first parameter.
-func (p *prover) firstParamObj(lit *ast.FuncLit) types.Object {
-	if lit.Type.Params == nil || len(lit.Type.Params.List) == 0 {
-		return nil
-	}
-	names := lit.Type.Params.List[0].Names
-	if len(names) == 0 {
-		return nil
-	}
-	return p.tp.info.Defs[names[0]]
-}
-
 // seqFill recognizes `for i := lo; i < hi; i++`.
 func (p *prover) seqFill(fs *ast.ForStmt) *fillShape {
-	init, ok := fs.Init.(*ast.AssignStmt)
-	if !ok || init.Tok != token.DEFINE || len(init.Lhs) != 1 || len(init.Rhs) != 1 {
+	obj, shape := p.tp.countedLoop(fs)
+	if shape == nil || shape.hi == nil || !shape.unit {
 		return nil
 	}
-	id, ok := init.Lhs[0].(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := p.tp.info.Defs[id]
-	if obj == nil {
-		return nil
-	}
-	cond, ok := fs.Cond.(*ast.BinaryExpr)
-	if !ok || cond.Op != token.LSS {
-		return nil
-	}
-	if cid, isID := unparen(cond.X).(*ast.Ident); !isID || p.objOf(cid) != obj {
-		return nil
-	}
-	post, ok := fs.Post.(*ast.IncDecStmt)
-	if !ok || post.Tok != token.INC {
-		return nil
-	}
-	if pid, isID := unparen(post.X).(*ast.Ident); !isID || p.objOf(pid) != obj {
-		return nil
-	}
-	return &fillShape{loopVar: obj, lo: init.Rhs[0], hi: cond.Y}
+	return &fillShape{loopVar: obj, lo: shape.lo, hi: shape.hi}
 }
 
 // rangeFill recognizes `for i := range x`.
@@ -255,32 +202,9 @@ func (p *prover) rangeFill(rs *ast.RangeStmt) *fillShape {
 }
 
 // ---------------------------------------------------------------------
-// Per-object facts and uses.
-
-type defKind int
-
-const (
-	defNone   defKind = iota
-	defSimple         // single `x := rhs` or `var x [= rhs]`
-	defOpaque         // tuple define, range variable, redefinition
-)
-
-// objFacts is the per-variable summary the stability and non-negativity
-// checks consult.
-type objFacts struct {
-	kind      defKind
-	def       ast.Expr // defining rhs; nil for a zero-value declaration
-	defPos    token.Pos
-	isParam   bool
-	assigns   int // header/scalar-level reassignments beyond the def
-	addrTaken bool
-	writes    []objWrite // scalar assignment rhs list (for non-negativity)
-}
-
-type objWrite struct {
-	op  token.Token // ASSIGN, ADD_ASSIGN, INC, ...
-	rhs ast.Expr    // nil for ++/--
-}
+// Classified uses. The bindings themselves come from the shared
+// def-use facts (facts.go); the prover adds what each remaining mention
+// of a container means for the proof.
 
 type useKind int
 
@@ -319,121 +243,48 @@ type prover struct {
 	tp     *typedPkg
 	f      *fileInfo
 	fd     *ast.FuncDecl
-	loader *typeLoader // for interprocedural summaries (may be nil)
+	loader *typeLoader // interprocedural summaries and shared facts
 
-	facts map[types.Object]*objFacts
-	uses  map[types.Object][]*use
+	ff   *funcFacts
+	uses map[types.Object][]*use // usesOf's memo
 
 	nn     map[types.Object]bool // non-negativity fixpoint (lazy)
 	nnDone bool
 }
 
 func newProver(a *analysis, tp *typedPkg, f *fileInfo, fd *ast.FuncDecl, loader *typeLoader) *prover {
-	p := &prover{a: a, tp: tp, f: f, fd: fd, loader: loader}
-	p.collect()
-	return p
-}
-
-func (p *prover) objOf(id *ast.Ident) types.Object {
-	if o := p.tp.info.Uses[id]; o != nil {
-		return o
-	}
-	return p.tp.info.Defs[id]
+	return &prover{a: a, tp: tp, f: f, fd: fd, loader: loader,
+		ff: loader.factsOf(tp, fd), uses: map[types.Object][]*use{}}
 }
 
 func (p *prover) pos(pos token.Pos) token.Position { return p.a.fset.Position(pos) }
 func (p *prover) line(pos token.Pos) int           { return p.pos(pos).Line }
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		pe, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = pe.X
+// simpleDef returns obj's definition when it is a single plain one —
+// x := e, var x [= e], or one result of x, y := f() — and nil for
+// parameters, range variables and comma-ok forms.
+func (p *prover) simpleDef(obj types.Object) *binding {
+	if b := p.ff.of(obj).def(); b != nil && b.op == token.DEFINE {
+		return b
 	}
+	return nil
 }
 
-// fact returns (allocating) the facts record for obj.
-func (p *prover) fact(obj types.Object) *objFacts {
-	f := p.facts[obj]
-	if f == nil {
-		f = &objFacts{}
-		p.facts[obj] = f
+// usesOf classifies (memoized) every mention of a variable in the
+// function, in source order.
+func (p *prover) usesOf(obj types.Object) []*use {
+	if us, done := p.uses[obj]; done {
+		return us
 	}
-	return f
-}
-
-// collect walks the function once, building facts and classified uses
-// for every local variable.
-func (p *prover) collect() {
-	p.facts = map[types.Object]*objFacts{}
-	p.uses = map[types.Object][]*use{}
-
-	addParams := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			for _, name := range field.Names {
-				if obj := p.tp.info.Defs[name]; obj != nil {
-					f := p.fact(obj)
-					f.isParam = true
-					f.kind = defOpaque
-				}
-			}
-		}
+	var us []*use
+	for _, oc := range p.ff.of(obj).occs {
+		path := p.ff.pathTo(oc.id)
+		u := p.classifyUse(oc, obj, path)
+		u.pos, u.ctx = oc.id.Pos(), p.ctxOf(path)
+		us = append(us, u)
 	}
-	addParams(p.fd.Recv)
-	addParams(p.fd.Type.Params)
-	addParams(p.fd.Type.Results)
-
-	walkWithPath(p.fd, func(n ast.Node, path []ast.Node) {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj := p.objOf(id)
-		if obj == nil {
-			return
-		}
-		if _, isVar := obj.(*types.Var); !isVar {
-			return
-		}
-		u := p.classifyUse(id, obj, path)
-		if u == nil {
-			return
-		}
-		u.pos = id.Pos()
-		u.ctx = p.ctxOf(path)
-		p.uses[obj] = append(p.uses[obj], u)
-		p.updateFacts(obj, u)
-	})
-}
-
-// updateFacts folds one use into the object's summary.
-func (p *prover) updateFacts(obj types.Object, u *use) {
-	f := p.fact(obj)
-	switch u.kind {
-	case useDef:
-		if f.kind == defNone {
-			f.kind = defSimple
-			f.def = u.rhs
-			f.defPos = u.pos
-		} else {
-			f.kind = defOpaque
-		}
-		if u.op == token.ILLEGAL {
-			f.kind = defOpaque // tuple / range definition
-		}
-	case useAssign:
-		f.assigns++
-		f.writes = append(f.writes, objWrite{op: u.op, rhs: u.rhs})
-	case useOther:
-		if u.why == "address taken" {
-			f.addrTaken = true
-		}
-	}
+	p.uses[obj] = us
+	return us
 }
 
 // isContainer reports whether a variable is a slice or array (the types
@@ -446,105 +297,40 @@ func isContainer(obj types.Object) bool {
 	return false
 }
 
-// classifyUse categorizes one identifier occurrence. Scalars only need
+// classifyUse categorizes one mention. Scalars only need
 // definition/assignment tracking (reads are always benign); containers
 // get the strict treatment — any context not in the model poisons the
 // variable.
-func (p *prover) classifyUse(id *ast.Ident, obj types.Object, path []ast.Node) *use {
-	if len(path) == 0 {
-		return nil
+func (p *prover) classifyUse(oc *occurrence, obj types.Object, path []ast.Node) *use {
+	if b := oc.bind; b != nil {
+		u := &use{kind: useAssign, op: b.op, rhs: b.rhs, resIdx: b.resIdx, tupleLhs: b.lhs}
+		if b.define {
+			u.kind = useDef
+		}
+		if b.op == token.RANGE {
+			u.op, u.rhs = token.ILLEGAL, nil // a range variable has no foldable definition
+		}
+		return u
 	}
 	parent := path[len(path)-1]
-	container := isContainer(obj)
-
 	switch par := parent.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range par.Lhs {
-			if lhs != id {
-				continue
-			}
-			if par.Tok == token.DEFINE && p.tp.info.Defs[id] != nil {
-				u := &use{kind: useDef, op: token.ILLEGAL, resIdx: i}
-				switch {
-				case len(par.Lhs) == len(par.Rhs):
-					u.rhs = par.Rhs[i]
-					u.op = token.DEFINE
-				case len(par.Rhs) == 1:
-					if call, isCall := unparen(par.Rhs[0]).(*ast.CallExpr); isCall {
-						// x, y := f(...): each variable binds one result
-						// of a single call — still a single definition.
-						u.rhs = call
-						u.op = token.DEFINE
-						u.tupleLhs = par.Lhs
-					}
-				}
-				return u
-			}
-			u := &use{kind: useAssign, op: par.Tok}
-			if len(par.Lhs) == len(par.Rhs) {
-				u.rhs = par.Rhs[i]
-			} else {
-				u.op = token.ILLEGAL
-			}
-			return u
-		}
-		if container {
-			for _, rhs := range par.Rhs {
-				if unparen(rhs) == id {
-					return &use{kind: useOther, why: "aliased through a second slice header"}
-				}
-			}
-		}
-		return &use{kind: useRead}
-	case *ast.ValueSpec:
-		for i, nm := range par.Names {
-			if nm != id {
-				continue
-			}
-			u := &use{kind: useDef, op: token.DEFINE}
-			switch {
-			case len(par.Values) == 0:
-				// zero-value declaration: rhs nil.
-			case len(par.Values) == len(par.Names):
-				u.rhs = par.Values[i]
-			default:
-				u.op = token.ILLEGAL
-			}
-			return u
-		}
-		if container {
-			for _, v := range par.Values {
-				if unparen(v) == id {
-					return &use{kind: useOther, why: "aliased through a second slice header"}
-				}
-			}
+	case *ast.AssignStmt, *ast.ValueSpec:
+		if isContainer(obj) {
+			return &use{kind: useOther, why: "aliased through a second slice header"}
 		}
 		return &use{kind: useRead}
 	case *ast.RangeStmt:
-		if par.Key == id || par.Value == id {
-			if par.Tok == token.DEFINE {
-				return &use{kind: useDef, op: token.ILLEGAL}
-			}
-			return &use{kind: useAssign, op: token.ILLEGAL}
-		}
 		return &use{kind: useRead} // range operand: elements are copied
 	case *ast.UnaryExpr:
 		if par.Op == token.AND {
 			return &use{kind: useOther, why: "address taken"}
 		}
 		return &use{kind: useRead}
-	case *ast.IncDecStmt:
-		u := &use{kind: useAssign, op: token.INC}
-		if par.Tok == token.DEC {
-			u.op = token.DEC
-		}
-		return u
 	}
-
-	if !container {
+	if !isContainer(obj) {
 		return &use{kind: useRead}
 	}
-	return p.classifyContainerUse(id, parent, path)
+	return p.classifyContainerUse(oc.id, parent, path)
 }
 
 // classifyContainerUse handles the container-specific contexts: element
@@ -602,8 +388,6 @@ func (p *prover) classifyContainerUse(id *ast.Ident, parent ast.Node, path []ast
 		return &use{kind: useRead} // x == nil and friends
 	case *ast.ReturnStmt:
 		return &use{kind: useRead} // caller mutation happens after fd returns
-	case *ast.AssignStmt, *ast.ValueSpec, *ast.RangeStmt, *ast.UnaryExpr, *ast.IncDecStmt:
-		return &use{kind: useRead} // handled above; unreachable
 	}
 	return &use{kind: useOther, why: "used in an unmodeled context"}
 }
@@ -674,7 +458,7 @@ func (p *prover) builtinName(call *ast.CallExpr) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if b, isB := p.objOf(id).(*types.Builtin); isB {
+	if b, isB := p.tp.objOf(id).(*types.Builtin); isB {
 		return b.Name(), true
 	}
 	return "", false
@@ -695,7 +479,7 @@ func (p *prover) scanResultObj(call *ast.CallExpr, path []ast.Node) types.Object
 		if !ok {
 			return nil
 		}
-		return p.objOf(id)
+		return p.tp.objOf(id)
 	}
 	return nil
 }
@@ -717,15 +501,14 @@ func (p *prover) canon(e ast.Expr) ast.Expr {
 			continue
 		case *ast.CallExpr:
 			if len(v.Args) == 1 {
-				if tv, ok := p.tp.info.Types[v.Fun]; ok && tv.IsType() &&
-					isIntType(tv.Type) && isIntType(p.exprType(v.Args[0])) {
+				if isIntType(p.tp.typeOf(v.Fun)) && isIntType(p.tp.typeOf(v.Args[0])) && p.tp.isConversion(v) {
 					e = v.Args[0]
 					continue
 				}
 			}
 			if name, ok := p.builtinName(v); ok && name == "len" && len(v.Args) == 1 {
 				if id, isID := unparen(v.Args[0]).(*ast.Ident); isID {
-					if L := p.makeLen(p.objOf(id)); L != nil {
+					if L := p.makeLen(p.tp.objOf(id)); L != nil {
 						e = L
 						continue
 					}
@@ -735,21 +518,6 @@ func (p *prover) canon(e ast.Expr) ast.Expr {
 		return e
 	}
 	return e
-}
-
-func isIntType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&(types.IsInteger|types.IsUntyped) != 0
-}
-
-func (p *prover) exprType(e ast.Expr) types.Type {
-	if tv, ok := p.tp.info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
 }
 
 // allocLen recognizes the make-equivalent allocation forms and returns
@@ -785,11 +553,11 @@ func (p *prover) makeLen(obj types.Object) ast.Expr {
 	if obj == nil {
 		return nil
 	}
-	f := p.facts[obj]
-	if f == nil || f.kind != defSimple || f.assigns > 0 || f.addrTaken || f.def == nil {
+	f, def := p.ff.of(obj), p.simpleDef(obj)
+	if def == nil || f.assigns() > 0 || f.addrTaken {
 		return nil
 	}
-	call, ok := unparen(f.def).(*ast.CallExpr)
+	call, ok := unparen(def.rhs).(*ast.CallExpr)
 	if !ok {
 		return nil
 	}
@@ -799,45 +567,23 @@ func (p *prover) makeLen(obj types.Object) ast.Expr {
 	return nil
 }
 
-// constVal returns an expression's compile-time constant value.
-func (p *prover) constVal(e ast.Expr) (constant.Value, bool) {
-	if tv, ok := p.tp.info.Types[e]; ok && tv.Value != nil {
-		return tv.Value, true
-	}
-	return nil, false
-}
-
-// constInt evaluates an integer constant expression.
-func (p *prover) constInt(e ast.Expr) (int64, bool) {
-	v, ok := p.constVal(e)
-	if !ok {
-		return 0, false
-	}
-	return constant.Int64Val(constant.ToInt(v))
-}
-
 // stableObj reports whether a variable provably holds one value for the
 // whole function: a single definition (or parameter), never reassigned,
 // address never taken.
 func (p *prover) stableObj(obj types.Object) bool {
-	f := p.facts[obj]
-	if f == nil {
+	f := p.ff.of(obj)
+	if f.addrTaken || f.assigns() > 0 {
 		return false
 	}
-	if f.addrTaken || f.assigns > 0 {
-		return false
-	}
-	return f.kind == defSimple || f.isParam
+	return f.param || p.simpleDef(obj) != nil
 }
 
 // exprEq is canonical structural equality: constants compare by value,
 // identifiers by object (which must be stable), composites structurally.
 func (p *prover) exprEq(x, y ast.Expr) bool {
 	x, y = p.canon(x), p.canon(y)
-	cx, okx := p.constVal(x)
-	cy, oky := p.constVal(y)
-	if okx || oky {
-		return okx && oky && constant.Compare(constant.ToInt(cx), token.EQL, constant.ToInt(cy))
+	if cx, cy := p.tp.constVal(x), p.tp.constVal(y); cx != nil || cy != nil {
+		return cx != nil && cy != nil && constant.Compare(constant.ToInt(cx), token.EQL, constant.ToInt(cy))
 	}
 	switch xv := x.(type) {
 	case *ast.Ident:
@@ -845,7 +591,7 @@ func (p *prover) exprEq(x, y ast.Expr) bool {
 		if !ok {
 			return false
 		}
-		ox, oy := p.objOf(xv), p.objOf(yv)
+		ox, oy := p.tp.objOf(xv), p.tp.objOf(yv)
 		return ox != nil && ox == oy && p.stableObj(ox)
 	case *ast.BinaryExpr:
 		yv, ok := y.(*ast.BinaryExpr)
@@ -866,46 +612,28 @@ func (p *prover) exprEq(x, y ast.Expr) bool {
 // Affine forms a*i + c.
 
 // affineForm is the result of parsing an expression as a*i + c over one
-// loop variable. When reverse is set the expression is B-1-i for the
-// fill bound B (constant c unavailable).
+// loop variable; hasVar reports that i occurs at all (even with a = 0).
 type affineForm struct {
-	a, c    int64
-	hasVar  bool
-	reverse bool
+	a, c   int64
+	hasVar bool
 }
 
-// parseAffine parses e as a*i + c with constant a and c over loopVar.
+// parseAffine parses e as a*i + c with constant a and c over loopVar:
+// the shared affine parser over canonical expressions, accepted only
+// when the loop variable is the sole atom.
 func (p *prover) parseAffine(e ast.Expr, loopVar types.Object) (affineForm, bool) {
-	e = p.canon(e)
-	if v, ok := p.constInt(e); ok {
-		return affineForm{a: 0, c: v}, true
+	sum, ok := affineEnv{tp: p.tp, norm: p.canon}.parse(e)
+	if !ok {
+		return affineForm{}, false
 	}
-	switch v := e.(type) {
-	case *ast.Ident:
-		if p.objOf(v) == loopVar {
-			return affineForm{a: 1, c: 0, hasVar: true}, true
-		}
-	case *ast.BinaryExpr:
-		l, lok := p.parseAffine(v.X, loopVar)
-		r, rok := p.parseAffine(v.Y, loopVar)
-		if !lok || !rok || l.reverse || r.reverse {
+	f := affineForm{c: sum.k}
+	for _, t := range sum.terms {
+		if t.obj != loopVar {
 			return affineForm{}, false
 		}
-		switch v.Op {
-		case token.ADD:
-			return affineForm{a: l.a + r.a, c: l.c + r.c, hasVar: l.hasVar || r.hasVar}, true
-		case token.SUB:
-			return affineForm{a: l.a - r.a, c: l.c - r.c, hasVar: l.hasVar || r.hasVar}, true
-		case token.MUL:
-			if l.a == 0 {
-				return affineForm{a: l.c * r.a, c: l.c * r.c, hasVar: r.hasVar}, true
-			}
-			if r.a == 0 {
-				return affineForm{a: l.a * r.c, c: l.c * r.c, hasVar: l.hasVar}, true
-			}
-		}
+		f.a, f.hasVar = t.coef, true
 	}
-	return affineForm{}, false
+	return f, true
 }
 
 // parseReverse matches the descending identity B-1-i (or (B-1)-i) for a
@@ -916,17 +644,17 @@ func (p *prover) parseReverse(e ast.Expr, loopVar types.Object, bound ast.Expr) 
 		return false
 	}
 	id, ok := unparen(be.Y).(*ast.Ident)
-	if !ok || p.objOf(id) != loopVar {
+	if !ok || p.tp.objOf(id) != loopVar {
 		return false
 	}
 	lhs, ok := p.canon(be.X).(*ast.BinaryExpr)
 	if ok && lhs.Op == token.SUB {
-		if one, isC := p.constInt(lhs.Y); isC && one == 1 && p.exprEq(lhs.X, bound) {
+		if one, isC := p.tp.constInt(lhs.Y); isC && one == 1 && p.exprEq(lhs.X, bound) {
 			return true
 		}
 	}
-	if cv, isC := p.constInt(be.X); isC {
-		if bv, bIsC := p.constInt(bound); bIsC && cv == bv-1 {
+	if cv, isC := p.tp.constInt(be.X); isC {
+		if bv, bIsC := p.tp.constInt(bound); bIsC && cv == bv-1 {
 			return true
 		}
 	}
@@ -951,20 +679,21 @@ func (p *prover) ensureNN() {
 	p.nn = map[types.Object]bool{}
 	deps := map[types.Object][]ast.Expr{}
 
-	for obj, f := range p.facts {
-		if f.addrTaken || f.isParam || f.kind != defSimple {
+	for obj, f := range p.ff.vars {
+		def := p.simpleDef(obj)
+		if f.addrTaken || f.param || def == nil {
 			continue
 		}
 		if isContainer(obj) {
-			if !isIntElem(obj.Type()) || f.assigns > 0 {
+			if !isIntElem(obj.Type()) || f.assigns() > 0 {
 				continue
 			}
-			if !p.zeroInitContainer(f) {
+			if !p.zeroInitContainer(def.rhs) {
 				continue
 			}
 			ok := true
 			var d []ast.Expr
-			for _, u := range p.uses[obj] {
+			for _, u := range p.usesOf(obj) {
 				switch u.kind {
 				case useDef, useRead, useScanArg, usePermuteArg, useOffsetsArg:
 				case useElemWrite:
@@ -990,10 +719,13 @@ func (p *prover) ensureNN() {
 		}
 		ok := true
 		var d []ast.Expr
-		if f.def != nil {
-			d = append(d, f.def)
+		if def.rhs != nil {
+			d = append(d, def.rhs)
 		}
-		for _, w := range f.writes {
+		for _, w := range f.binds {
+			if w.define {
+				continue
+			}
 			switch w.op {
 			case token.ASSIGN, token.ADD_ASSIGN, token.MUL_ASSIGN:
 				d = append(d, w.rhs)
@@ -1026,11 +758,11 @@ func (p *prover) ensureNN() {
 // contents: make(...), arena.Alloc (which clears its checkout), or a
 // var declaration with no value. arena.AllocUninit fails here — its
 // contents are garbage from earlier arena generations.
-func (p *prover) zeroInitContainer(f *objFacts) bool {
-	if f.def == nil {
+func (p *prover) zeroInitContainer(def ast.Expr) bool {
+	if def == nil {
 		return true // var x [N]T / var x []T
 	}
-	call, ok := unparen(f.def).(*ast.CallExpr)
+	call, ok := unparen(def).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
@@ -1052,22 +784,22 @@ func isIntElem(t types.Type) bool {
 // assumption set.
 func (p *prover) nnExpr(e ast.Expr) bool {
 	e = p.canon(e)
-	if v, ok := p.constVal(e); ok {
+	if v := p.tp.constVal(e); v != nil {
 		return constant.Sign(constant.ToInt(v)) >= 0
 	}
-	if isUnsignedInt(p.exprType(e)) {
+	if isUnsignedInt(p.tp.typeOf(e)) {
 		return true // unsigned values cannot be negative
 	}
 	switch v := e.(type) {
 	case *ast.Ident:
-		obj := p.objOf(v)
+		obj := p.tp.objOf(v)
 		return obj != nil && p.nn[obj]
 	case *ast.IndexExpr:
 		id, ok := unparen(v.X).(*ast.Ident)
 		if !ok {
 			return false
 		}
-		obj := p.objOf(id)
+		obj := p.tp.objOf(id)
 		return obj != nil && p.nn[obj]
 	case *ast.BinaryExpr:
 		switch v.Op {
@@ -1089,7 +821,7 @@ func (p *prover) nnExpr(e ast.Expr) bool {
 				arg = unparen(se.X)
 			}
 			if id, isID := arg.(*ast.Ident); isID {
-				obj := p.objOf(id)
+				obj := p.tp.objOf(id)
 				return obj != nil && p.nn[obj]
 			}
 			return false
@@ -1099,23 +831,11 @@ func (p *prover) nnExpr(e ast.Expr) bool {
 		// (nnsummary.go) — the hook that lets a prefix sum over
 		// `sizes[i] = encRowSize(...)` stay monotone without inlining
 		// the size computation.
-		if p.loader != nil {
-			if fn := p.calleeFunc(v); fn != nil && p.loader.nnSummaryFor(fn) {
-				return true
-			}
+		if fn := resolveCall(p.tp, v, nil).fn; fn != nil && p.loader.nnSummaryFor(fn) {
+			return true
 		}
 	}
 	return false
-}
-
-// isUnsignedInt reports a type whose every value is non-negative by
-// construction.
-func isUnsignedInt(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsUnsigned != 0
 }
 
 // ---------------------------------------------------------------------
@@ -1158,7 +878,7 @@ func (p *prover) denotEq(a, b lenDenot) bool {
 	if call, ok := p.canon(e).(*ast.CallExpr); ok && len(call.Args) == 1 {
 		if nm, isB := p.builtinName(call); isB && nm == "len" {
 			if id, isID := unparen(call.Args[0]).(*ast.Ident); isID {
-				return p.objOf(id) == o && p.stableObj(o)
+				return p.tp.objOf(id) == o && p.stableObj(o)
 			}
 		}
 	}
@@ -1177,7 +897,7 @@ func (p *prover) denotConst(d lenDenot) (int64, bool) {
 	if e == nil {
 		return 0, false
 	}
-	return p.constInt(p.canon(e))
+	return p.tp.constInt(p.canon(e))
 }
 
 // ---------------------------------------------------------------------
@@ -1236,7 +956,7 @@ func (k *siteSink) matchTotal(p *prover, total types.Object) (bool, string) {
 		return false, why
 	}
 	if outLen.expr != nil {
-		if id, isID := p.canon(outLen.expr).(*ast.Ident); isID && p.objOf(id) == total {
+		if id, isID := p.canon(outLen.expr).(*ast.Ident); isID && p.tp.objOf(id) == total {
 			return true, ""
 		}
 	}
@@ -1328,24 +1048,20 @@ func (p *prover) prove(s *targetSite) siteProof {
 // builder (which proves a helper's returned slice at its return
 // statement).
 func (p *prover) proveVar(pt *provePoint, offID *ast.Ident) siteProof {
-	obj := p.objOf(offID)
+	obj := p.tp.objOf(offID)
 	if obj == nil {
 		return refusal("offsets variable does not resolve (type information incomplete)")
 	}
 	if _, isVar := obj.(*types.Var); !isVar {
 		return refusal("offsets argument is not a variable")
 	}
-	facts := p.facts[obj]
-	if facts == nil {
-		return refusal("offsets %q is not declared in this function (provenance is intraprocedural)", offID.Name)
-	}
-	if facts.isParam {
+	if p.ff.of(obj).param {
 		return refusal("offsets %q is a parameter (provenance is intraprocedural)", offID.Name)
 	}
 
 	// Partition every occurrence of the variable.
 	var defs, writes, scans, permutes []*use
-	for _, u := range p.uses[obj] {
+	for _, u := range p.usesOf(obj) {
 		switch u.kind {
 		case useDef:
 			defs = append(defs, u)
@@ -1362,7 +1078,7 @@ func (p *prover) proveVar(pt *provePoint, offID *ast.Ident) siteProof {
 			return refusal("offsets %q %s (line %d)", offID.Name, u.why, p.line(u.pos))
 		}
 	}
-	if len(defs) != 1 || facts.kind != defSimple {
+	if len(defs) != 1 || p.simpleDef(obj) == nil {
 		return refusal("offsets %q has no single recognized definition", offID.Name)
 	}
 	def := defs[0]
@@ -1444,81 +1160,84 @@ func (p *prover) provePackIndex(pt *provePoint, name string, def *use, pack *ast
 	}
 }
 
+// fillFacts describes a validated fill: the one write, the loop around
+// it, the domain bound it covers, and its value as a*i+c — or, with rev
+// set, the descending identity B-1-i.
+type fillFacts struct {
+	w     *use
+	bound lenDenot
+	lc    loopCtx
+	aff   affineForm
+	rev   bool
+}
+
 // checkIdentityFill validates the single complete fill write and
-// classifies its value as identity / reverse / general affine.
-func (p *prover) checkIdentityFill(name string, obj types.Object, writes []*use) (w *use, bound lenDenot, lc loopCtx, aff affineForm, rev bool, sp siteProof) {
+// classifies its value as identity / reverse / general affine. A nil
+// result comes with the refusal.
+func (p *prover) checkIdentityFill(name string, obj types.Object, writes []*use) (*fillFacts, siteProof) {
 	if len(writes) != 1 {
-		sp = refusal("offsets %q has %d writes; the fill proof needs exactly one", name, len(writes))
-		return
+		return nil, refusal("offsets %q has %d writes; the fill proof needs exactly one", name, len(writes))
 	}
-	w = writes[0]
+	w := writes[0]
 	switch {
 	case w.ctx.unbound:
-		sp = refusal("the fill write to %q is inside an unmodeled closure", name)
-		return
+		return nil, refusal("the fill write to %q is inside an unmodeled closure", name)
 	case w.ctx.cond:
-		sp = refusal("the fill write to %q is conditional", name)
-		return
+		return nil, refusal("the fill write to %q is conditional", name)
 	case len(w.ctx.loops) != 1:
-		sp = refusal("the fill write to %q is not inside a single recognized loop", name)
-		return
+		return nil, refusal("the fill write to %q is not inside a single recognized loop", name)
 	}
-	lc = w.ctx.loops[0]
+	lc := w.ctx.loops[0]
 	fill := lc.fill
 	if fill == nil {
-		sp = refusal("the loop filling %q has an unrecognized shape", name)
-		return
+		return nil, refusal("the loop filling %q has an unrecognized shape", name)
 	}
 	idxID, ok := p.canon(w.index).(*ast.Ident)
-	if !ok || p.objOf(idxID) != fill.loopVar {
-		sp = refusal("the fill index into %q is not the loop variable", name)
-		return
+	if !ok || p.tp.objOf(idxID) != fill.loopVar {
+		return nil, refusal("the fill index into %q is not the loop variable", name)
 	}
 	if w.op != token.ASSIGN {
-		sp = refusal("the fill write to %q is not a plain assignment", name)
-		return
+		return nil, refusal("the fill write to %q is not a plain assignment", name)
 	}
-	trackedLen := lenDenot{lenOf: obj}
+	bound, trackedLen := lenDenot{}, lenDenot{lenOf: obj}
 	if fill.rangeOver != nil {
 		ro, isID := unparen(fill.rangeOver).(*ast.Ident)
-		if !isID || p.objOf(ro) != obj {
-			sp = refusal("the fill ranges over a slice other than %q", name)
-			return
+		if !isID || p.tp.objOf(ro) != obj {
+			return nil, refusal("the fill ranges over a slice other than %q", name)
 		}
 		bound = trackedLen
 	} else {
-		if lo, isC := p.constInt(fill.lo); !isC || lo != 0 {
-			sp = refusal("the fill of %q does not start at index 0", name)
-			return
+		if lo, isC := p.tp.constInt(fill.lo); !isC || lo != 0 {
+			return nil, refusal("the fill of %q does not start at index 0", name)
 		}
 		bound = lenDenot{expr: fill.hi}
 		if !p.denotEq(bound, trackedLen) {
-			sp = refusal("the fill does not cover all of %q (loop bound differs from its length)", name)
-			return
+			return nil, refusal("the fill does not cover all of %q (loop bound differs from its length)", name)
 		}
 	}
 	boundExpr := bound.expr
 	if boundExpr == nil {
 		boundExpr = p.makeLen(obj)
 	}
-	if a, ok := p.parseAffine(w.rhs, fill.loopVar); ok && a.hasVar || ok && a.a == 0 {
-		aff = a
-		return
+	fp := &fillFacts{w: w, bound: bound, lc: lc}
+	if a, ok := p.parseAffine(w.rhs, fill.loopVar); ok && (a.hasVar || a.a == 0) {
+		fp.aff = a
+		return fp, siteProof{}
 	}
 	if boundExpr != nil && p.parseReverse(w.rhs, fill.loopVar, boundExpr) {
-		rev = true
-		return
+		fp.rev = true
+		return fp, siteProof{}
 	}
-	sp = refusal("the value stored in %q is not affine in the loop variable", name)
-	return
+	return nil, refusal("the value stored in %q is not affine in the loop variable", name)
 }
 
 // proveAffine discharges P2: a complete affine fill a*i + c, a != 0.
 func (p *prover) proveAffine(pt *provePoint, name string, obj types.Object, writes []*use) siteProof {
-	w, bound, lc, aff, rev, sp := p.checkIdentityFill(name, obj, writes)
-	if sp.reason != "" {
+	fill, sp := p.checkIdentityFill(name, obj, writes)
+	if fill == nil {
 		return sp
 	}
+	w, bound, lc, aff, rev := fill.w, fill.bound, fill.lc, fill.aff, fill.rev
 	if !rev && aff.a == 0 {
 		return refusal("offsets %q fill is affine with stride 0 (a*i+c, a=0): values repeat", name)
 	}
@@ -1575,10 +1294,11 @@ func (p *prover) provePermutation(pt *provePoint, name string, obj types.Object,
 	if pt.pattern == core.RngInd {
 		return refusal("offsets %q is a sorted permutation: unique, but monotonicity is not preserved by later sorts", name)
 	}
-	w, bound, lc, aff, rev, sp := p.checkIdentityFill(name, obj, writes)
-	if sp.reason != "" {
+	fill, sp := p.checkIdentityFill(name, obj, writes)
+	if fill == nil {
 		return sp
 	}
+	w, bound, lc, aff, rev := fill.w, fill.bound, fill.lc, fill.aff, fill.rev
 	if !rev && !(aff.a == 1 && aff.c == 0) {
 		return refusal("offsets %q permutation proof needs an identity fill (found a=%d, c=%d)", name, aff.a, aff.c)
 	}
@@ -1693,7 +1413,7 @@ func (p *prover) proveScan(pt *provePoint, name string, obj types.Object, writes
 // indexAtLeastOne proves a write index >= 1: a constant, or a*i+c with
 // a >= 0, c >= 1 over a loop variable starting at a non-negative bound.
 func (p *prover) indexAtLeastOne(w *use) bool {
-	if v, ok := p.constInt(p.canon(w.index)); ok {
+	if v, ok := p.tp.constInt(p.canon(w.index)); ok {
 		return v >= 1
 	}
 	fill, _, ok := w.ctx.innerFill()
@@ -1701,7 +1421,7 @@ func (p *prover) indexAtLeastOne(w *use) bool {
 		return false
 	}
 	if fill.rangeOver == nil {
-		lo, isC := p.constInt(fill.lo)
+		lo, isC := p.tp.constInt(fill.lo)
 		if !isC || lo < 0 {
 			return false
 		}
@@ -1719,18 +1439,18 @@ func (p *prover) outDenot(s *targetSite) (lenDenot, string) {
 	if !ok {
 		return lenDenot{}, "target slice is not a simple variable; its length cannot be tracked"
 	}
-	obj := p.objOf(id)
+	obj := p.tp.objOf(id)
 	if obj == nil {
 		return lenDenot{}, "target slice does not resolve (type information incomplete)"
 	}
-	f := p.facts[obj]
-	if f == nil || f.addrTaken || f.assigns > 0 {
+	f := p.ff.of(obj)
+	if f.addrTaken || f.assigns() > 0 {
 		return lenDenot{}, fmt.Sprintf("target slice %q does not have a stable header", id.Name)
 	}
 	if M := p.makeLen(obj); M != nil {
 		return lenDenot{expr: M}, ""
 	}
-	if f.isParam {
+	if f.param {
 		return lenDenot{lenOf: obj}, ""
 	}
 	return lenDenot{}, fmt.Sprintf("target slice %q has no trackable length", id.Name)

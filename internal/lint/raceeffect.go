@@ -3,7 +3,7 @@ package lint
 // Interprocedural write-effect summaries for the races pass: when a
 // parallel region calls an in-module function, the region's safety
 // depends on what that function writes. effectOf summarizes a callee
-// once, memoized per pass:
+// once, in the loader's summary table (core.go):
 //
 //	paramPlain   the callee performs plain writes through memory
 //	             reachable from its parameters or receiver — the
@@ -49,10 +49,6 @@ type writeEffect struct {
 	atomicAll bool
 }
 
-// recvIdx is the pseudo-position of a method receiver in the written-
-// parameter sets.
-const recvIdx = -1
-
 // writesPlain reports whether the callee performs plain writes through
 // the parameter at position idx.
 func (e *writeEffect) writesPlain(idx int) bool {
@@ -75,110 +71,30 @@ func (e *writeEffect) writesThrough(idx int) bool {
 	return e.writesPlain(idx) || e.writesAtomic(idx)
 }
 
-// effDecl locates a function's declaration with its type context.
-type effDecl struct {
-	tp *typedPkg
-	f  *fileInfo
-	fd *ast.FuncDecl
-}
-
 // effectOf returns fn's memoized write effect. Recursive cycles
 // resolve optimistically (the first activation summarizes the rest of
-// the body; a cycle participant's own frame contributes nothing extra).
-func (rp *racePass) effectOf(fn *types.Func) *writeEffect {
-	if eff, done := rp.effects[fn]; done {
-		return eff
-	}
-	if rp.inEff == nil {
-		rp.inEff = map[*types.Func]bool{}
-	}
-	if rp.inEff[fn] {
-		return &writeEffect{}
-	}
-	rp.inEff[fn] = true
-	defer delete(rp.inEff, fn)
-
-	eff := rp.computeEffect(fn)
-	rp.effects[fn] = eff
-	return eff
+// the body; a cycle participant's own frame contributes nothing extra):
+// every write in the cycle is still seen by the activation that is
+// walking the body it sits in, so the empty answer hides nothing.
+func (l *typeLoader) effectOf(fn *types.Func) *writeEffect {
+	return l.effects.get(fn, &writeEffect{}, func() *writeEffect { return l.computeEffect(fn) })
 }
 
-func (rp *racePass) computeEffect(fn *types.Func) *writeEffect {
-	d := rp.declOf(fn)
+func (l *typeLoader) computeEffect(fn *types.Func) *writeEffect {
+	d := l.declOf(fn)
 	if d == nil || d.fd.Body == nil {
 		// In-module but undeclared (assembly stub, build-tagged out):
 		// refuse rather than guess.
 		return &writeEffect{shared: "body of " + fn.Name() + " not available to the analysis"}
 	}
 	w := &effWalk{
-		rp: rp, tp: d.tp, f: d.f, fd: d.fd,
+		l: l, tp: d.tp, f: d.f, fd: d.fd,
+		ff:     l.factsOf(d.tp, d.fd),
 		eff:    &writeEffect{},
-		params: map[types.Object]int{},
-		defs:   map[types.Object]*effFact{},
+		params: d.tp.paramPositions(d.fd.Recv, d.fd.Type.Params),
 	}
-	if d.fd.Recv != nil {
-		for _, fld := range d.fd.Recv.List {
-			for _, nm := range fld.Names {
-				if obj := d.tp.info.Defs[nm]; obj != nil {
-					w.params[obj] = recvIdx
-				}
-			}
-		}
-	}
-	if d.fd.Type.Params != nil {
-		idx := 0
-		for _, fld := range d.fd.Type.Params.List {
-			if len(fld.Names) == 0 {
-				idx++ // unnamed parameter still occupies a position
-				continue
-			}
-			for _, nm := range fld.Names {
-				if obj := d.tp.info.Defs[nm]; obj != nil {
-					w.params[obj] = idx
-				}
-				idx++
-			}
-		}
-	}
-	w.collect()
 	ast.Inspect(d.fd.Body, w.visit)
 	return w.eff
-}
-
-// declOf finds the FuncDecl for an in-module *types.Func, indexing each
-// package's declarations on first use.
-func (rp *racePass) declOf(fn *types.Func) *effDecl {
-	if rp.declIdx == nil {
-		rp.declIdx = map[*types.Func]*effDecl{}
-		rp.idxDone = map[string]bool{}
-	}
-	if d, ok := rp.declIdx[fn]; ok {
-		return d
-	}
-	if fn.Pkg() == nil {
-		return nil
-	}
-	rel, ok := rp.a.modRel(fn.Pkg().Path())
-	if !ok {
-		return nil
-	}
-	if !rp.idxDone[rel] {
-		rp.idxDone[rel] = true
-		if tp := rp.loader.check(rel); tp != nil {
-			for _, f := range tp.pkg.files {
-				for _, decl := range f.ast.Decls {
-					fd, isFn := decl.(*ast.FuncDecl)
-					if !isFn {
-						continue
-					}
-					if tf, isTF := tp.info.Defs[fd.Name].(*types.Func); isTF {
-						rp.declIdx[tf] = &effDecl{tp: tp, f: f, fd: fd}
-					}
-				}
-			}
-		}
-	}
-	return rp.declIdx[fn]
 }
 
 // ---------------------------------------------------------------------
@@ -195,115 +111,44 @@ const (
 	effShared
 )
 
-// effFact accumulates every expression a variable was ever bound to;
-// the variable's root is the worst root among them. unknown marks
-// bindings the walk cannot model (tuple results, range clauses).
-type effFact struct {
-	srcs    []ast.Expr
-	unknown bool
-}
-
 type effWalk struct {
-	rp        *racePass
+	l         *typeLoader
 	tp        *typedPkg
 	f         *fileInfo
 	fd        *ast.FuncDecl
 	eff       *writeEffect
-	params    map[types.Object]int // param object -> position (receiver = recvIdx)
-	defs      map[types.Object]*effFact
-	litLocal  map[types.Object]bool     // region-closure params: per-invocation values
+	ff        *funcFacts                // def-use facts: every binding of every local
+	params    map[types.Object]int      // param object -> position (receiver = recvIdx)
 	litHanded map[types.Object]ast.Expr // region-closure handed params -> backing argument
 	inRoot    map[types.Object]bool     // rootOf cycle guard (swap chains)
-	held      int                       // mutex depth: writes under a held lock are the callee's business
+	locks     lockTracker               // writes under a held lock are the callee's business
 }
 
-// collect records every binding of every local for alias resolution.
-func (w *effWalk) collect() {
-	fact := func(obj types.Object) *effFact {
-		fx := w.defs[obj]
-		if fx == nil {
-			fx = &effFact{}
-			w.defs[obj] = fx
+// sources lists every expression obj was ever bound to — its root is
+// the worst root among them. ok=false marks a binding the walk cannot
+// model (tuple results, comma-ok forms) or a variable never bound here
+// (an unclaimed closure parameter).
+func (w *effWalk) sources(obj types.Object) (srcs []ast.Expr, ok bool) {
+	binds := w.ff.of(obj).binds
+	for _, b := range binds {
+		switch {
+		case b.op == token.INC || b.op == token.DEC:
+		case b.op == token.RANGE:
+			// The value variable may alias elements of the ranged
+			// expression; root both through it.
+			srcs = append(srcs, b.rhs)
+		case b.zeroValue():
+			// var x T: no memory.
+		case b.value() == nil:
+			return nil, false
+		case !b.define && selfDerived(w.tp, b.rhs, obj):
+			// x = append(x, ...) and x = x[i:j] rebind x to the same
+			// underlying memory: no new root.
+		default:
+			srcs = append(srcs, b.rhs)
 		}
-		return fx
 	}
-	ast.Inspect(w.fd.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if len(v.Lhs) == len(v.Rhs) {
-				for i, lhs := range v.Lhs {
-					id, ok := unparen(lhs).(*ast.Ident)
-					if !ok {
-						continue
-					}
-					obj := w.objOf(id)
-					if obj == nil {
-						continue
-					}
-					// x = append(x, ...) and x = x[i:j] rebind x to the
-					// same underlying memory: no new root.
-					if v.Tok != token.DEFINE && selfDerived(w.tp, v.Rhs[i], obj) {
-						continue
-					}
-					fact(obj).srcs = append(fact(obj).srcs, v.Rhs[i])
-				}
-				return true
-			}
-			// Tuple call/assertion results: not modeled.
-			for _, lhs := range v.Lhs {
-				if id, ok := unparen(lhs).(*ast.Ident); ok {
-					if obj := w.objOf(id); obj != nil {
-						fact(obj).unknown = true
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i, nm := range v.Names {
-				obj := w.tp.info.Defs[nm]
-				if obj == nil {
-					continue
-				}
-				fx := fact(obj)
-				switch {
-				case len(v.Values) == len(v.Names):
-					fx.srcs = append(fx.srcs, v.Values[i])
-				case len(v.Values) > 0:
-					fx.unknown = true // tuple initializer
-				}
-				// No initializer: zero value, srcs stays empty.
-			}
-		case *ast.RangeStmt:
-			for _, e := range []ast.Expr{v.Key, v.Value} {
-				if id, ok := e.(*ast.Ident); ok {
-					if obj := w.objOf(id); obj != nil {
-						// The value variable may alias elements of the
-						// ranged expression; root both through it.
-						fact(obj).srcs = append(fact(obj).srcs, v.X)
-					}
-				}
-			}
-		case *ast.FuncLit:
-			// Scalar and worker-handle parameters of any closure are
-			// per-invocation values wherever the closure ends up invoked;
-			// claim them so writes rooted at them stay local. Reference
-			// parameters are left unclaimed (conservatively shared)
-			// unless a region call site hands them memory.
-			if v.Type.Params != nil {
-				for _, fld := range v.Type.Params.List {
-					for _, nm := range fld.Names {
-						obj := w.tp.info.Defs[nm]
-						if obj != nil && perInvocationParam(obj.Type()) {
-							if w.litLocal == nil {
-								w.litLocal = map[types.Object]bool{}
-							}
-							w.litLocal[obj] = true
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
+	return srcs, len(binds) > 0
 }
 
 // selfDerived reports whether rhs is append(x, ...) or a reslice of x —
@@ -324,13 +169,6 @@ func selfDerived(tp *typedPkg, rhs ast.Expr, obj types.Object) bool {
 	return false
 }
 
-func (w *effWalk) objOf(id *ast.Ident) types.Object {
-	if o := w.tp.info.Uses[id]; o != nil {
-		return o
-	}
-	return w.tp.info.Defs[id]
-}
-
 // visit is the single-pass effect walk. Statement order is approximate
 // (ast.Inspect order is source order within a function), which is
 // enough for the straight-line Lock/Unlock discipline this module uses.
@@ -346,7 +184,7 @@ func (w *effWalk) visit(n ast.Node) bool {
 	case *ast.IncDecStmt:
 		w.write(v.X)
 	case *ast.DeferStmt:
-		if w.lockOp(v.Call, true) {
+		if w.locks.op(w.tp, v.Call, true) {
 			return false
 		}
 	case *ast.GoStmt:
@@ -371,12 +209,12 @@ func (w *effWalk) write(lhs ast.Expr) {
 	if len(steps) == 0 {
 		return // writing a variable itself: callee-frame storage
 	}
-	obj := w.objOf(base)
+	obj := w.tp.objOf(base)
 	if obj == nil {
 		w.sharedAt(lhs, "writes through unresolved "+types.ExprString(lhs))
 		return
 	}
-	if !w.crosses(obj, steps) {
+	if !crossesStorage(obj.Type(), steps) {
 		return // stays inside a callee-frame variable (array/struct value)
 	}
 	ps := map[int]bool{}
@@ -396,7 +234,7 @@ func (w *effWalk) emit(kind effKind, at ast.Node, atomic bool, ps map[int]bool) 
 				w.eff.atomicAll = true
 			}
 			w.addIdx(&w.eff.atomicIdx, ps)
-		} else if w.held == 0 {
+		} else if !w.locks.locked() {
 			w.eff.paramPlain = true
 			if len(ps) == 0 {
 				w.eff.plainAll = true
@@ -404,7 +242,7 @@ func (w *effWalk) emit(kind effKind, at ast.Node, atomic bool, ps map[int]bool) 
 			w.addIdx(&w.eff.plainIdx, ps)
 		}
 	case effShared:
-		if !atomic && w.held == 0 {
+		if !atomic && !w.locks.locked() {
 			w.sharedAt(at, "writes "+w.describe(at))
 		}
 	}
@@ -433,33 +271,8 @@ func (w *effWalk) sharedAt(at ast.Node, what string) {
 	if w.eff.shared != "" {
 		return
 	}
-	pos := w.rp.a.fset.Position(at.Pos())
+	pos := w.l.a.fset.Position(at.Pos())
 	w.eff.shared = fmt.Sprintf("%s at %s:%d", what, w.f.rel, pos.Line)
-}
-
-// crosses reports whether the access path leaves the variable's own
-// storage (mirrors regionCheck.memClass's crossing analysis).
-func (w *effWalk) crosses(obj types.Object, steps []targetStep) bool {
-	t := obj.Type()
-	for _, st := range steps {
-		switch {
-		case st.star:
-			return true
-		case st.index != nil:
-			if _, isArr := t.Underlying().(*types.Array); !isArr {
-				return true
-			}
-		case st.field != "":
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				return true
-			}
-		}
-		t = stepType(t, st)
-		if t == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // rootOf resolves whose memory a variable's referent is: allocated
@@ -476,7 +289,11 @@ func (w *effWalk) rootOf(obj types.Object, depth int, ps map[int]bool) effKind {
 		}
 		return effParam
 	}
-	if w.litLocal[obj] {
+	if w.ff.of(obj).litParam && perInvocationParam(obj.Type()) {
+		// Scalar and worker-handle parameters of any closure are
+		// per-invocation values wherever the closure ends up invoked.
+		// Reference parameters stay conservatively shared unless a
+		// region call site hands them memory (litHanded).
 		return effLocal
 	}
 	if back, ok := w.litHanded[obj]; ok {
@@ -489,8 +306,8 @@ func (w *effWalk) rootOf(obj types.Object, depth int, ps map[int]bool) effKind {
 	if v.Parent() != nil && v.Parent().Parent() == types.Universe {
 		return effShared // package-level variable
 	}
-	fx := w.defs[obj]
-	if fx == nil || fx.unknown {
+	srcs, ok := w.sources(obj)
+	if !ok {
 		return effShared // untracked local (unclaimed closure param, tuple result)
 	}
 	if w.inRoot[obj] {
@@ -504,7 +321,7 @@ func (w *effWalk) rootOf(obj types.Object, depth int, ps map[int]bool) effKind {
 	}
 	w.inRoot[obj] = true
 	kind := effLocal // no bindings at all: the zero value
-	for _, src := range fx.srcs {
+	for _, src := range srcs {
 		if k := w.aliasRoot(src, depth+1, ps); k > kind {
 			kind = k
 		}
@@ -518,45 +335,31 @@ func (w *effWalk) aliasRoot(e ast.Expr, depth int, ps map[int]bool) effKind {
 	if depth > 8 {
 		return effShared
 	}
-	switch v := unparen(e).(type) {
+	e = unparen(e)
+	if operand, fresh := w.tp.memoryOf(e); fresh {
+		return effLocal
+	} else if operand != nil {
+		return w.aliasRoot(operand, depth+1, ps)
+	}
+	if x := innerOperand(e); x != nil {
+		return w.aliasRoot(x, depth+1, ps)
+	}
+	switch v := e.(type) {
 	case *ast.Ident:
 		if v.Name == "nil" {
 			return effLocal
 		}
-		return w.rootOf(w.objOf(v), depth, ps)
-	case *ast.SelectorExpr:
-		return w.aliasRoot(v.X, depth+1, ps)
-	case *ast.IndexExpr:
-		return w.aliasRoot(v.X, depth+1, ps)
-	case *ast.StarExpr:
-		return w.aliasRoot(v.X, depth+1, ps)
-	case *ast.SliceExpr:
-		return w.aliasRoot(v.X, depth+1, ps)
-	case *ast.UnaryExpr:
-		if v.Op == token.AND {
-			return w.aliasRoot(v.X, depth+1, ps)
-		}
-	case *ast.CompositeLit, *ast.BasicLit, *ast.FuncLit:
+		return w.rootOf(w.tp.objOf(v), depth, ps)
+	case *ast.BasicLit, *ast.FuncLit:
 		return effLocal
 	case *ast.CallExpr:
-		if id, ok := unparen(v.Fun).(*ast.Ident); ok {
-			switch {
-			case id.Name == "make" || id.Name == "new":
-				return effLocal
-			case id.Name == "append" && len(v.Args) > 0:
-				return w.aliasRoot(v.Args[0], depth+1, ps)
-			}
-		}
-		if tv, ok := w.tp.info.Types[v.Fun]; ok && tv.IsType() && len(v.Args) == 1 {
-			return w.aliasRoot(v.Args[0], depth+1, ps)
-		}
 		// A call result is presumed derived from the call's reference
 		// inputs: the receiver and by-reference arguments.
 		kind := effLocal
 		if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
 			isQualifier := false
 			if id, isID := unparen(sel.X).(*ast.Ident); isID {
-				_, isQualifier = w.objOf(id).(*types.PkgName)
+				_, isQualifier = w.tp.objOf(id).(*types.PkgName)
 			}
 			if !isQualifier {
 				if k := w.aliasRoot(sel.X, depth+1, ps); k > kind {
@@ -564,7 +367,7 @@ func (w *effWalk) aliasRoot(e ast.Expr, depth int, ps map[int]bool) effKind {
 				}
 			}
 		}
-		for _, arg := range byRefArgs(w.tp, v) {
+		for _, arg := range byRefArgs(w.tp, v, nil) {
 			if k := w.aliasRoot(arg.expr, depth+1, ps); k > kind {
 				kind = k
 			}
@@ -574,96 +377,33 @@ func (w *effWalk) aliasRoot(e ast.Expr, depth int, ps map[int]bool) effKind {
 	return effShared
 }
 
-// lockOp tracks mutex depth inside the callee.
-func (w *effWalk) lockOp(call *ast.CallExpr, deferred bool) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !isNamedRecv(w.tp, sel.X, syncPath, "Mutex", "RWMutex") {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Lock":
-		if !deferred {
-			w.held++
-		}
-		return true
-	case "Unlock":
-		if !deferred && w.held > 0 {
-			w.held--
-		}
-		return true
-	case "RLock", "RUnlock", "TryLock":
-		return true
-	}
-	return false
-}
-
 // call classifies one call inside the callee. Returns true when the
 // call was fully handled (Inspect should not descend into it).
 func (w *effWalk) call(call *ast.CallExpr) bool {
-	if w.lockOp(call, false) {
+	if w.locks.op(w.tp, call, false) {
 		return true
 	}
 	w.claimRegionLits(call)
-	if pathStr, name, isPkg := callTarget(w.f, call); isPkg {
-		if isPath(pathStr, atomicPath) {
-			if atomicWritePrefix(name) && len(call.Args) > 0 {
-				ps := map[int]bool{}
-				w.emit(w.targetRoot(call.Args[0], ps), call, true, ps)
-			}
-			return true
+	if target, _, ok := syncCall(w.tp, w.f, call); ok {
+		if target != nil {
+			w.emitThrough(target, call, true)
 		}
-		if isPath(pathStr, corePath) && coreAtomicHelpers[name] {
-			if len(call.Args) > 0 {
-				ps := map[int]bool{}
-				w.emit(w.targetRoot(call.Args[0], ps), call, true, ps)
-			}
-			return true
-		}
+		return true
 	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if isAtomicRecv(w.tp, sel.X) {
-			if atomicWriteMethods[sel.Sel.Name] {
-				ps := map[int]bool{}
-				w.emit(w.targetRoot(sel.X, ps), call, true, ps)
-			}
-			return true
-		}
-		if isNamedRecv(w.tp, sel.X, syncPath, "Mutex", "RWMutex", "WaitGroup", "Cond", "Once") {
-			return true // synchronization, not user-state writes
-		}
-	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		switch id.Name {
-		case "copy":
-			if len(call.Args) == 2 {
-				ps := map[int]bool{}
-				w.emit(w.targetRoot(call.Args[0], ps), call, false, ps)
-			}
-			return false // still descend for the source expression
-		case "delete":
-			if len(call.Args) > 0 {
-				ps := map[int]bool{}
-				w.emit(w.targetRoot(call.Args[0], ps), call, false, ps)
-			}
-			return false
-		}
+	if id, ok := unparen(call.Fun).(*ast.Ident); ok && len(call.Args) > 0 && (id.Name == "copy" || id.Name == "delete") {
+		w.emitThrough(call.Args[0], call, false)
+		return false // still descend for the source expression
 	}
 
-	fn, delegated := calleeOfTyped(w.tp, call)
-	var boundRecv ast.Expr
-	if fn == nil {
-		if bf, recv := w.boundCallee(call.Fun); bf != nil {
-			fn, delegated, boundRecv = bf, false, recv
-		}
-	}
-	if delegated || fn == nil || fn.Pkg() == nil {
+	c := resolveCall(w.tp, call, w.ff.soleValue)
+	fn, boundRecv := c.fn, c.recv
+	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	if _, inModule := w.rp.a.modRel(fn.Pkg().Path()); !inModule {
+	if !w.l.a.inModule(fn) {
 		key := fn.Pkg().Name() + "." + fn.Name()
 		if stdlibMutators[key] && len(call.Args) > 0 {
-			ps := map[int]bool{}
-			w.emit(w.targetRoot(call.Args[0], ps), call, false, ps)
+			w.emitThrough(call.Args[0], call, false)
 		}
 		return false
 	}
@@ -671,87 +411,53 @@ func (w *effWalk) call(call *ast.CallExpr) bool {
 	// In-module sub-call: map the callee's summarized parameter writes
 	// through this call's arguments at the written positions only —
 	// read-only positions carry no write effect into this summary.
-	sub := w.rp.effectOf(fn)
-	if sub.shared != "" && w.held == 0 {
+	sub := w.l.effectOf(fn)
+	if sub.shared != "" && !w.locks.locked() {
 		w.sharedAt(call, "calls "+fn.Name()+", which "+sub.shared)
 	}
 	if sub.paramPlain || sub.paramAtomic {
-		refs := byRefArgs(w.tp, call)
-		if boundRecv != nil {
-			if tv, ok := w.tp.info.Types[boundRecv]; !ok || tv.Type == nil || !isWorkerNamed(tv.Type) {
-				refs = append(refs, effArg{expr: boundRecv, idx: recvIdx})
-			}
-		}
-		for _, arg := range refs {
+		for _, arg := range byRefArgs(w.tp, call, boundRecv) {
 			if !sub.writesThrough(arg.idx) {
 				continue
 			}
-			ps := map[int]bool{}
-			root := w.targetRoot(arg.expr, ps)
 			if sub.writesPlain(arg.idx) {
-				w.emit(root, call, false, ps)
+				w.emitThrough(arg.expr, call, false)
 			}
 			if sub.writesAtomic(arg.idx) {
-				w.emit(root, call, true, ps)
+				w.emitThrough(arg.expr, call, true)
 			}
 		}
 	}
 	return false
 }
 
-// targetRoot resolves an argument expression's memory root (through
-// &x wrappers), recording contributing parameter positions in ps.
-func (w *effWalk) targetRoot(e ast.Expr, ps map[int]bool) effKind {
-	return w.aliasRoot(e, 0, ps)
+// emitThrough folds a write through the memory an expression evaluates
+// to (an argument, a receiver, a copy destination) into the summary.
+func (w *effWalk) emitThrough(target ast.Expr, at ast.Node, atomic bool) {
+	ps := map[int]bool{}
+	w.emit(w.aliasRoot(target, 0, ps), at, atomic, ps)
 }
 
-// claimRegionLits registers the parameters of function literals handed
-// to this call, before Inspect descends into the literal bodies. Value
-// scalars and the per-task *Worker handle carry no caller memory, so
-// writes rooted at them are invocation-local; parameters at a core
-// primitive's handed positions alias elements of the primitive's data
-// argument and root through it.
+// claimRegionLits registers, before Inspect descends into the literal
+// bodies, the closure parameters at a core primitive's handed
+// positions: they alias elements of the primitive's data argument and
+// root through it.
 func (w *effWalk) claimRegionLits(call *ast.CallExpr) {
-	handedIdx := map[int]ast.Expr{}
-	primary := -1
-	if pathStr, name, isPkg := callTarget(w.f, call); isPkg && isPath(pathStr, corePath) {
-		if spec, ok := coreRegionSpecs[name]; ok && len(spec.bodyArgs) > 0 {
-			primary = spec.bodyArgs[0]
-			if len(call.Args) > 1 {
-				for _, hi := range spec.handed {
-					handedIdx[hi] = call.Args[1]
-				}
-			}
-		}
+	pathStr, name, isPkg := callTarget(w.f, call)
+	spec, ok := coreRegionSpecs[name]
+	if !isPkg || !isPath(pathStr, corePath) || !ok || len(spec.bodyArgs) == 0 || len(call.Args) <= spec.bodyArgs[0] {
+		return
 	}
-	for ai, arg := range call.Args {
-		lit, ok := unparen(arg).(*ast.FuncLit)
-		if !ok || lit.Type.Params == nil {
-			continue
-		}
-		idx := 0
-		for _, fld := range lit.Type.Params.List {
-			if len(fld.Names) == 0 {
-				idx++
-				continue
+	lit, ok := unparen(call.Args[spec.bodyArgs[0]]).(*ast.FuncLit)
+	if !ok {
+		return
+	}
+	for _, hi := range spec.handed {
+		if obj := w.tp.paramAt(lit.Type.Params, hi); obj != nil {
+			if w.litHanded == nil {
+				w.litHanded = map[types.Object]ast.Expr{}
 			}
-			for _, nm := range fld.Names {
-				obj := w.tp.info.Defs[nm]
-				if obj != nil {
-					if back, isHanded := handedIdx[idx]; isHanded && ai == primary {
-						if w.litHanded == nil {
-							w.litHanded = map[types.Object]ast.Expr{}
-						}
-						w.litHanded[obj] = back
-					} else if perInvocationParam(obj.Type()) {
-						if w.litLocal == nil {
-							w.litLocal = map[types.Object]bool{}
-						}
-						w.litLocal[obj] = true
-					}
-				}
-				idx++
-			}
+			w.litHanded[obj] = call.Args[1]
 		}
 	}
 }
@@ -766,110 +472,6 @@ func perInvocationParam(t types.Type) bool {
 	return isWorkerNamed(t)
 }
 
-// boundCallee resolves a call through a func-typed local that was
-// bound exactly once to a method value or named function. A method
-// value carries its receiver invisibly — f := c.bump; f() writes
-// through c with no receiver in the call syntax — so the resolved
-// binding returns the receiver expression for the caller to classify
-// as by-reference memory. Func-typed parameters stay delegated: their
-// bindings belong to callers the walk cannot see.
-func (w *effWalk) boundCallee(fun ast.Expr) (*types.Func, ast.Expr) {
-	id, ok := unparen(fun).(*ast.Ident)
-	if !ok {
-		return nil, nil
-	}
-	obj := w.objOf(id)
-	if _, isParam := w.params[obj]; obj == nil || isParam {
-		return nil, nil
-	}
-	fx := w.defs[obj]
-	if fx == nil || fx.unknown || len(fx.srcs) != 1 {
-		return nil, nil
-	}
-	return methodValueBinding(w.tp, fx.srcs[0])
-}
-
-// methodValueBinding resolves the expression a func-typed local was
-// bound to: a concrete method value (returning the method and its
-// bound receiver expression) or a named function. Anything else —
-// literals, interface method values, call results — stays unresolved.
-func methodValueBinding(tp *typedPkg, src ast.Expr) (fn *types.Func, recv ast.Expr) {
-	if src == nil {
-		return nil, nil
-	}
-	objOf := func(id *ast.Ident) types.Object {
-		if o := tp.info.Uses[id]; o != nil {
-			return o
-		}
-		return tp.info.Defs[id]
-	}
-	switch v := unparen(src).(type) {
-	case *ast.Ident:
-		if f, ok := objOf(v).(*types.Func); ok {
-			return f, nil
-		}
-	case *ast.SelectorExpr:
-		if selInfo, ok := tp.info.Selections[v]; ok {
-			if selInfo.Kind() == types.MethodVal && !types.IsInterface(selInfo.Recv()) {
-				if f, isF := selInfo.Obj().(*types.Func); isF {
-					return f, v.X
-				}
-			}
-			return nil, nil
-		}
-		if f, ok := objOf(v.Sel).(*types.Func); ok {
-			return f, nil // package-qualified function value
-		}
-	}
-	return nil, nil
-}
-
-// calleeOfTyped is calleeOf without a regionCheck: resolve a call to a
-// declared function or report delegation.
-func calleeOfTyped(tp *typedPkg, call *ast.CallExpr) (fn *types.Func, delegated bool) {
-	fun := unparen(call.Fun)
-	switch v := fun.(type) {
-	case *ast.IndexExpr:
-		fun = v.X
-	case *ast.IndexListExpr:
-		fun = v.X
-	}
-	objOf := func(id *ast.Ident) types.Object {
-		if o := tp.info.Uses[id]; o != nil {
-			return o
-		}
-		return tp.info.Defs[id]
-	}
-	switch v := unparen(fun).(type) {
-	case *ast.Ident:
-		switch obj := objOf(v).(type) {
-		case *types.Func:
-			return obj, false
-		case *types.Var:
-			if _, isSig := obj.Type().Underlying().(*types.Signature); isSig {
-				return nil, true
-			}
-		}
-	case *ast.SelectorExpr:
-		switch obj := objOf(v.Sel).(type) {
-		case *types.Func:
-			if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if types.IsInterface(sig.Recv().Type()) {
-					return nil, true
-				}
-			}
-			return obj, false
-		case *types.Var:
-			if _, isSig := obj.Type().Underlying().(*types.Signature); isSig {
-				return nil, true
-			}
-		}
-	case *ast.FuncLit:
-		return nil, true
-	}
-	return nil, false
-}
-
 // ---------------------------------------------------------------------
 // By-reference arguments
 // ---------------------------------------------------------------------
@@ -880,41 +482,38 @@ type effArg struct {
 }
 
 // byRefArgs lists the expressions a call could write through: the
-// method receiver and every argument whose type carries references
+// method receiver (boundRecv when a method value carries it invisibly)
+// and every argument whose type carries references
 // (pointer, slice, map, interface), each tagged with the callee
 // parameter position it lands in. Function-typed arguments are
 // excluded — they are delegated callees, not written-to memory — and
 // so are *Worker handles: a callee's writes to its worker's scheduling
 // state are the scheduler's synchronized business, not user state.
-func byRefArgs(tp *typedPkg, call *ast.CallExpr) []effArg {
+func byRefArgs(tp *typedPkg, call *ast.CallExpr, boundRecv ast.Expr) []effArg {
 	var out []effArg
 	var sig *types.Signature
-	if tv, ok := tp.info.Types[call.Fun]; ok && tv.Type != nil {
-		sig, _ = tv.Type.Underlying().(*types.Signature)
+	if t := tp.typeOf(call.Fun); t != nil {
+		sig, _ = t.Underlying().(*types.Signature)
 	}
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if selInfo, ok := tp.info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-			if tv, ok := tp.info.Types[sel.X]; !ok || tv.Type == nil || !isWorkerNamed(tv.Type) {
+			if !isWorkerNamed(tp.typeOf(sel.X)) {
 				out = append(out, effArg{expr: sel.X, idx: recvIdx})
 			}
 		}
 	}
 	for ai, arg := range call.Args {
-		tv, ok := tp.info.Types[arg]
-		if !ok || tv.Type == nil {
+		t := tp.typeOf(arg)
+		if t == nil || isWorkerNamed(t) {
 			continue
 		}
-		if isWorkerNamed(tv.Type) {
-			continue
-		}
-		idx := ai
-		if sig != nil && sig.Params().Len() > 0 && ai >= sig.Params().Len() {
-			idx = sig.Params().Len() - 1 // variadic tail shares the last position
-		}
-		switch tv.Type.Underlying().(type) {
+		switch t.Underlying().(type) {
 		case *types.Pointer, *types.Slice, *types.Map, *types.Interface:
-			out = append(out, effArg{expr: arg, idx: idx})
+			out = append(out, effArg{expr: arg, idx: argPosition(sig, ai)})
 		}
+	}
+	if boundRecv != nil && !isWorkerNamed(tp.typeOf(boundRecv)) {
+		out = append(out, effArg{expr: boundRecv, idx: recvIdx})
 	}
 	return out
 }

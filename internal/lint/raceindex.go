@@ -45,13 +45,13 @@ func (rc *regionCheck) classifyIndex(idx ast.Expr) (detail, why string) {
 	if rc.matchWorkerID(idx) {
 		return "worker-owned", ""
 	}
-	terms, _, ok := rc.parseAffine(idx, 0)
+	sum, ok := rc.affine(idx)
 	if !ok {
 		return "", "index " + types.ExprString(idx) + " is not an affine form the analysis models"
 	}
 	var taskDetail string
 	taskCount := 0
-	for _, t := range terms {
+	for _, t := range sum.terms {
 		if t.coef == 0 {
 			continue
 		}
@@ -92,7 +92,7 @@ func (rc *regionCheck) taskDetailUncached(obj types.Object) taskRes {
 	if d, isTask := rc.r.task[obj]; isTask {
 		return taskRes{detail: d, ok: true}
 	}
-	if lv := rc.loops[obj]; lv != nil {
+	if lv := rc.loop(obj); lv != nil {
 		if rc.isRangeOwnerLoop(lv) {
 			return taskRes{detail: "range-owner", ok: true}
 		}
@@ -101,8 +101,8 @@ func (rc *regionCheck) taskDetailUncached(obj types.Object) taskRes {
 		}
 		return taskRes{}
 	}
-	fx := rc.facts[obj]
-	if fx == nil || fx.def == nil || fx.assigns > 0 || !rc.locals[obj] {
+	fx := rc.fact(obj)
+	if fx.def == nil || fx.assigns > 0 || !rc.local(obj) {
 		return taskRes{}
 	}
 	def := fx.def
@@ -112,10 +112,8 @@ func (rc *regionCheck) taskDetailUncached(obj types.Object) taskRes {
 	if rc.matchWorkerID(def) {
 		return taskRes{detail: "worker-owned", ok: true}
 	}
-	if id, ok := rc.unwrapConv(def).(*ast.Ident); ok {
-		if inner := rc.objOf(id); inner != nil && inner != obj {
-			return rc.taskDetail(inner)
-		}
+	if inner := rc.varOf(def); inner != nil && inner != obj {
+		return rc.taskDetail(inner)
 	}
 	return taskRes{}
 }
@@ -123,16 +121,11 @@ func (rc *regionCheck) taskDetailUncached(obj types.Object) taskRes {
 // isRangeOwnerLoop: the loop runs over the invocation's handed
 // subrange [lo, hi) (Worker.For / RunRange contract: subranges handed
 // to concurrent invocations are disjoint).
-func (rc *regionCheck) isRangeOwnerLoop(lv *raceLoop) bool {
-	if rc.r.rangeLo == nil || rc.r.rangeHi == nil || lv.lo == nil || lv.hi == nil {
+func (rc *regionCheck) isRangeOwnerLoop(lv *loopShape) bool {
+	if rc.r.rangeLo == nil || rc.r.rangeHi == nil {
 		return false
 	}
-	loID, ok := rc.unwrapConv(lv.lo).(*ast.Ident)
-	if !ok || rc.objOf(loID) != rc.r.rangeLo {
-		return false
-	}
-	hiID, ok := rc.unwrapConv(lv.hi).(*ast.Ident)
-	return ok && rc.objOf(hiID) == rc.r.rangeHi
+	return rc.varOf(lv.lo) == rc.r.rangeLo && rc.varOf(lv.hi) == rc.r.rangeHi
 }
 
 // isBlockOwnerLoop: the loop runs over [t*B, t*B+B) — possibly capped
@@ -140,8 +133,8 @@ func (rc *regionCheck) isRangeOwnerLoop(lv *raceLoop) bool {
 // own disjoint blocks. Matches both the symbolic two-pass scan shape
 // (blo := ci*s.block; bhi := min(blo+s.block, n)) and the constant
 // shape (base := wi*64; hi := base+64 with a shrink guard).
-func (rc *regionCheck) isBlockOwnerLoop(lv *raceLoop) bool {
-	if lv.lo == nil || lv.hi == nil {
+func (rc *regionCheck) isBlockOwnerLoop(lv *loopShape) bool {
+	if lv.hi == nil {
 		return false
 	}
 	loF := rc.foldIdent(lv.lo, false)
@@ -149,51 +142,34 @@ func (rc *regionCheck) isBlockOwnerLoop(lv *raceLoop) bool {
 	if t == nil {
 		return false
 	}
-	hiF := rc.foldIdent(lv.hi, true)
-	for _, cand := range rc.minCandidates(hiF) {
-		cand = rc.unwrapConv(cand)
-		if add, ok := cand.(*ast.BinaryExpr); ok && add.Op == token.ADD {
-			// hi = lo + S
-			for _, ord := range [][2]ast.Expr{{add.X, add.Y}, {add.Y, add.X}} {
-				base, s2 := ord[0], ord[1]
-				if !exprEq(rc.tp, s2, stride) {
-					continue
-				}
-				if exprEq(rc.tp, base, lv.lo) || exprEq(rc.tp, base, loF) {
-					return true
-				}
+	for _, cand := range rc.minCandidates(rc.foldIdent(lv.hi, true)) {
+		// hi = lo + S
+		for _, ord := range rc.commuted(cand, token.ADD) {
+			if exprEq(rc.tp, ord[1], stride) && (exprEq(rc.tp, ord[0], lv.lo) || exprEq(rc.tp, ord[0], loF)) {
+				return true
 			}
 		}
-		if mul, ok := cand.(*ast.BinaryExpr); ok && mul.Op == token.MUL {
-			// hi = (t+1) * S
-			for _, ord := range [][2]ast.Expr{{mul.X, mul.Y}, {mul.Y, mul.X}} {
-				p, s2 := ord[0], ord[1]
-				if !exprEq(rc.tp, s2, stride) {
-					continue
-				}
-				pT, pK, okP := rc.parseAffine(p, 0)
-				if !okP || pK != 1 || len(pT) != 1 {
-					continue
-				}
-				for _, tm := range pT {
-					if tm.coef == 1 && tm.obj != nil && tm.obj == rc.objOf(t) {
-						return true
-					}
-				}
+		// hi = (t+1) * S
+		for _, ord := range rc.commuted(cand, token.MUL) {
+			if !exprEq(rc.tp, ord[1], stride) {
+				continue
+			}
+			if ps, ok := rc.affine(ord[0]); ok && ps.k == 1 && len(ps.terms) == 1 && ps.terms[0].coef == 1 && ps.terms[0].obj == t {
+				return true
 			}
 		}
 	}
 	// Constant-coefficient fallback: lo and hi affine over the same
 	// single task variable with equal coefficient a and 0 < hi-lo <= a.
-	loT, loK, okLo := rc.parseAffine(lv.lo, 0)
-	hiT, hiK, okHi := rc.parseAffine(rc.foldIdent(lv.hi, true), 0)
-	if !okLo || !okHi || len(loT) != len(hiT) {
+	lo, okLo := rc.affine(lv.lo)
+	hi, okHi := rc.affine(rc.foldIdent(lv.hi, true))
+	if !okLo || !okHi || len(lo.terms) != len(hi.terms) {
 		return false
 	}
 	var coef int64
 	seen := 0
-	for key, t1 := range loT {
-		t2 := hiT[key]
+	for _, t1 := range lo.terms {
+		t2 := hi.find(t1)
 		if t2 == nil || t2.coef != t1.coef {
 			return false
 		}
@@ -209,24 +185,35 @@ func (rc *regionCheck) isBlockOwnerLoop(lv *raceLoop) bool {
 	if seen != 1 || coef <= 0 {
 		return false
 	}
-	d := hiK - loK
+	d := hi.k - lo.k
 	return d > 0 && d <= coef
 }
 
-// matchProduct matches t*S (or S*t) with t task-distinguishing,
-// returning t's identifier and the stride expression.
-func (rc *regionCheck) matchProduct(e ast.Expr) (*ast.Ident, ast.Expr) {
-	mul, ok := rc.unwrapConv(e).(*ast.BinaryExpr)
-	if !ok || mul.Op != token.MUL {
-		return nil, nil
+// varOf resolves an expression that is (a conversion of) a plain
+// variable to its object, nil otherwise.
+func (rc *regionCheck) varOf(e ast.Expr) types.Object {
+	if id, ok := rc.unwrapConv(e).(*ast.Ident); ok {
+		return rc.tp.objOf(id)
 	}
-	for _, ord := range [][2]ast.Expr{{mul.X, mul.Y}, {mul.Y, mul.X}} {
-		id, ok := rc.unwrapConv(ord[0]).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if obj := rc.objOf(id); obj != nil && rc.taskDetail(obj).ok {
-			return id, ord[1]
+	return nil
+}
+
+// commuted returns both operand orders of e when it is (a conversion
+// of) a binary expression with the given commutative operator.
+func (rc *regionCheck) commuted(e ast.Expr, op token.Token) [][2]ast.Expr {
+	be, ok := rc.unwrapConv(e).(*ast.BinaryExpr)
+	if !ok || be.Op != op {
+		return nil
+	}
+	return [][2]ast.Expr{{be.X, be.Y}, {be.Y, be.X}}
+}
+
+// matchProduct matches t*S (or S*t) with t task-distinguishing,
+// returning t and the stride expression.
+func (rc *regionCheck) matchProduct(e ast.Expr) (types.Object, ast.Expr) {
+	for _, ord := range rc.commuted(e, token.MUL) {
+		if obj := rc.varOf(ord[0]); obj != nil && rc.taskDetail(obj).ok {
+			return obj, ord[1]
 		}
 	}
 	return nil, nil
@@ -251,28 +238,14 @@ func (rc *regionCheck) matchResidue(idx ast.Expr) string {
 	if rc.r.extent == nil {
 		return ""
 	}
-	add, ok := rc.unwrapConv(idx).(*ast.BinaryExpr)
-	if !ok || add.Op != token.ADD {
-		return ""
-	}
-	for _, ord := range [][2]ast.Expr{{add.X, add.Y}, {add.Y, add.X}} {
-		tID, ok := rc.unwrapConv(ord[0]).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		obj := rc.objOf(tID)
-		if obj == nil {
-			continue
-		}
-		if _, seed := rc.r.task[obj]; !seed {
+	for _, ord := range rc.commuted(idx, token.ADD) {
+		if _, seed := rc.r.task[rc.varOf(ord[0])]; !seed {
 			continue // the [0, extent) bound holds only for the seed index
 		}
-		mul, ok := rc.unwrapConv(ord[1]).(*ast.BinaryExpr)
-		if !ok || mul.Op != token.MUL {
-			continue
-		}
-		if exprEq(rc.tp, mul.X, rc.r.extent) || exprEq(rc.tp, mul.Y, rc.r.extent) {
-			return "residue-class"
+		for _, mord := range rc.commuted(ord[1], token.MUL) {
+			if exprEq(rc.tp, mord[0], rc.r.extent) {
+				return "residue-class"
+			}
 		}
 	}
 	return ""
@@ -281,39 +254,13 @@ func (rc *regionCheck) matchResidue(idx ast.Expr) string {
 // matchBlockScaled matches t*S + j with t task-distinguishing and j a
 // loop variable over [0, S): task t owns the block [t*S, (t+1)*S).
 func (rc *regionCheck) matchBlockScaled(idx ast.Expr) string {
-	add, ok := rc.unwrapConv(idx).(*ast.BinaryExpr)
-	if !ok || add.Op != token.ADD {
-		return ""
-	}
-	for _, ord := range [][2]ast.Expr{{add.X, add.Y}, {add.Y, add.X}} {
-		jID, ok := rc.unwrapConv(ord[0]).(*ast.Ident)
-		if !ok {
+	for _, ord := range rc.commuted(idx, token.ADD) {
+		lv := rc.loop(rc.varOf(ord[0]))
+		if lv == nil || lv.hi == nil || !isZeroExpr(lv.lo) {
 			continue
 		}
-		jObj := rc.objOf(jID)
-		if jObj == nil {
-			continue
-		}
-		lv := rc.loops[jObj]
-		if lv == nil || lv.lo == nil || lv.hi == nil || !isZeroExpr(lv.lo) {
-			continue
-		}
-		mul, ok := rc.unwrapConv(ord[1]).(*ast.BinaryExpr)
-		if !ok || mul.Op != token.MUL {
-			continue
-		}
-		for _, mord := range [][2]ast.Expr{{mul.X, mul.Y}, {mul.Y, mul.X}} {
-			tID, ok := rc.unwrapConv(mord[0]).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			tObj := rc.objOf(tID)
-			if tObj == nil || !rc.taskDetail(tObj).ok {
-				continue
-			}
-			if exprEq(rc.tp, mord[1], lv.hi) {
-				return "block-scaled"
-			}
+		if t, stride := rc.matchProduct(ord[1]); t != nil && exprEq(rc.tp, stride, lv.hi) {
+			return "block-scaled"
 		}
 	}
 	return ""
@@ -334,7 +281,7 @@ func (rc *regionCheck) matchUniqueHandout(e ast.Expr) bool {
 	var counter ast.Expr
 	var delta ast.Expr
 	if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel && sel.Sel.Name == "Add" &&
-		isAtomicRecv(rc.tp, sel.X) && len(call.Args) == 1 {
+		isNamed(rc.tp.typeOf(sel.X), atomicPath) && len(call.Args) == 1 {
 		counter, delta = sel.X, call.Args[0]
 	} else if pathStr, name, isPkg := callTarget(rc.f, call); isPkg &&
 		isPath(pathStr, atomicPath) && len(name) > 3 && name[:3] == "Add" && len(call.Args) == 2 {
@@ -360,7 +307,7 @@ func (rc *regionCheck) matchUniqueHandout(e ast.Expr) bool {
 			return false
 		}
 	}
-	obj := rc.objOf(base)
+	obj := rc.tp.objOf(base)
 	return obj != nil && rc.memClass(obj, steps) == memShared
 }
 
@@ -380,159 +327,34 @@ func (rc *regionCheck) matchWorkerID(e ast.Expr) bool {
 	if !ok || rc.r.worker == nil {
 		return false
 	}
-	return rc.objOf(id) == rc.r.worker
+	return rc.tp.objOf(id) == rc.r.worker
 }
 
 // ---------------------------------------------------------------------
 // Affine parsing
 // ---------------------------------------------------------------------
 
-// affTerm is one symbolic term of an affine sum.
-type affTerm struct {
-	obj   types.Object // nil for selector/len atoms
-	name  string
-	canon string // canonical key for selector atoms (fieldWr lookups)
-	coef  int64
-}
-
-// parseAffine decomposes e into sum(coef_i * atom_i) + k. Constant
-// subexpressions fold through go/types' constant evaluation;
+// affine decomposes an index expression with the shared parser:
+// conversions are transparent for index arithmetic, and
 // single-definition locals that are not task-distinguishing fold
 // through their definitions.
-func (rc *regionCheck) parseAffine(e ast.Expr, depth int) (map[string]*affTerm, int64, bool) {
-	terms := map[string]*affTerm{}
-	var k int64
-	if !rc.affineInto(e, 1, terms, &k, depth) {
-		return nil, 0, false
-	}
-	return terms, k, true
-}
-
-func (rc *regionCheck) affineInto(e ast.Expr, scale int64, terms map[string]*affTerm, k *int64, depth int) bool {
-	if depth > 12 {
-		return false
-	}
-	e = unparen(e)
-	// Constant fold.
-	if tv, ok := rc.tp.info.Types[e]; ok && tv.Value != nil {
-		if v, exact := constInt64(tv.Value); exact {
-			*k += scale * v
-			return true
-		}
-		return false
-	}
-	switch v := e.(type) {
-	case *ast.Ident:
-		obj := rc.objOf(v)
-		if obj == nil {
-			return false
-		}
+func (rc *regionCheck) affine(e ast.Expr) (*affine, bool) {
+	return affineEnv{tp: rc.tp, norm: rc.unwrapConv, fold: func(obj types.Object) ast.Expr {
 		if !rc.taskDetail(obj).ok && rc.foldable(obj) {
-			return rc.affineInto(rc.facts[obj].def, scale, terms, k, depth+1)
+			return rc.fact(obj).def
 		}
-		addTerm(terms, &affTerm{obj: obj, name: v.Name}, scale)
-		return true
-	case *ast.SelectorExpr:
-		canon := canonString(rc.tp, v)
-		if canon == "" {
-			return false
-		}
-		addTerm(terms, &affTerm{name: types.ExprString(v), canon: canon}, scale)
-		return true
-	case *ast.BinaryExpr:
-		switch v.Op {
-		case token.ADD:
-			return rc.affineInto(v.X, scale, terms, k, depth+1) &&
-				rc.affineInto(v.Y, scale, terms, k, depth+1)
-		case token.SUB:
-			return rc.affineInto(v.X, scale, terms, k, depth+1) &&
-				rc.affineInto(v.Y, -scale, terms, k, depth+1)
-		case token.MUL:
-			if c, ok := rc.constOf(v.X); ok {
-				return rc.affineInto(v.Y, scale*c, terms, k, depth+1)
-			}
-			if c, ok := rc.constOf(v.Y); ok {
-				return rc.affineInto(v.X, scale*c, terms, k, depth+1)
-			}
-			return false
-		}
-		return false
-	case *ast.UnaryExpr:
-		if v.Op == token.SUB {
-			return rc.affineInto(v.X, -scale, terms, k, depth+1)
-		}
-		return false
-	case *ast.CallExpr:
-		// Conversion: transparent for index arithmetic.
-		if tv, ok := rc.tp.info.Types[v.Fun]; ok && tv.IsType() && len(v.Args) == 1 {
-			return rc.affineInto(v.Args[0], scale, terms, k, depth+1)
-		}
-		// len(x) over a stable expression is an invariant atom.
-		if id, ok := unparen(v.Fun).(*ast.Ident); ok && id.Name == "len" && len(v.Args) == 1 {
-			if key := canonString(rc.tp, v.Args[0]); key != "" {
-				addTerm(terms, &affTerm{name: types.ExprString(v)}, scale)
-				return true
-			}
-		}
-		return false
-	}
-	return false
-}
-
-func addTerm(terms map[string]*affTerm, t *affTerm, scale int64) {
-	key := t.name
-	if t.obj != nil {
-		key = t.name + "#" + t.obj.Id()
-	} else if t.canon != "" {
-		key = t.canon
-	}
-	if have := terms[key]; have != nil {
-		have.coef += scale
-		return
-	}
-	t.coef = scale
-	terms[key] = t
-}
-
-func constInt64(v interface{ ExactString() string }) (int64, bool) {
-	// go/constant values: use the exact string for small integers.
-	s := v.ExactString()
-	var n int64
-	neg := false
-	for i, c := range s {
-		if i == 0 && c == '-' {
-			neg = true
-			continue
-		}
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(c-'0')
-		if n < 0 {
-			return 0, false
-		}
-	}
-	if neg {
-		n = -n
-	}
-	return n, true
-}
-
-func (rc *regionCheck) constOf(e ast.Expr) (int64, bool) {
-	if tv, ok := rc.tp.info.Types[unparen(e)]; ok && tv.Value != nil {
-		return constInt64(tv.Value)
-	}
-	return 0, false
+		return nil
+	}}.parse(e)
 }
 
 // foldable reports whether an identifier can be replaced by its
 // single straight-line definition.
 func (rc *regionCheck) foldable(obj types.Object) bool {
-	if !rc.locals[obj] {
+	if !rc.local(obj) {
 		return false
 	}
-	fx := rc.facts[obj]
-	return fx != nil && fx.def != nil && fx.assigns == 0 && !fx.isLoop && !fx.addrTaken
+	fx := rc.fact(obj)
+	return fx.def != nil && fx.assigns == 0 && !fx.isLoop && !fx.addrTaken
 }
 
 // foldIdent resolves an identifier chain through single definitions.
@@ -544,12 +366,12 @@ func (rc *regionCheck) foldIdent(e ast.Expr, allowShrink bool) ast.Expr {
 		if !ok {
 			return e
 		}
-		obj := rc.objOf(id)
-		if obj == nil || !rc.locals[obj] {
+		obj := rc.tp.objOf(id)
+		if !rc.local(obj) {
 			return e
 		}
-		fx := rc.facts[obj]
-		if fx == nil || fx.def == nil || fx.isLoop || fx.addrTaken {
+		fx := rc.fact(obj)
+		if fx.def == nil || fx.isLoop || fx.addrTaken {
 			return e
 		}
 		if fx.assigns > 0 && !(allowShrink && fx.shrinkOnly) {
@@ -564,11 +386,10 @@ func (rc *regionCheck) foldIdent(e ast.Expr, allowShrink bool) ast.Expr {
 // concurrent invocation of the region.
 func (rc *regionCheck) invariantTerm(t *affTerm) bool {
 	if t.obj != nil {
-		if rc.locals[t.obj] {
+		if rc.local(t.obj) {
 			return false // unfoldable local: varies within the region
 		}
-		fx := rc.facts[t.obj]
-		return fx == nil || fx.assigns == 0
+		return rc.fact(t.obj).assigns == 0
 	}
 	// Selector / len atom: invariant unless the region assigns it.
 	return t.canon == "" || !rc.fieldWr[t.canon]
@@ -579,11 +400,7 @@ func (rc *regionCheck) unwrapConv(e ast.Expr) ast.Expr {
 	for depth := 0; depth < 8; depth++ {
 		e = unparen(e)
 		call, ok := e.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return e
-		}
-		tv, ok := rc.tp.info.Types[call.Fun]
-		if !ok || !tv.IsType() {
+		if !ok || !rc.tp.isConversion(call) {
 			return e
 		}
 		e = call.Args[0]

@@ -34,13 +34,10 @@ package lint
 // directories (raceEnforcedDirs) fail the gate.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"sort"
 	"strings"
 )
 
@@ -61,27 +58,18 @@ var raceEnforcedDirs = []string{
 	"internal/graph", "internal/arena", "internal/suffix",
 }
 
-func raceEnforced(rel string) bool {
-	for _, d := range raceEnforcedDirs {
-		if strings.HasPrefix(rel, d+"/") {
-			return true
-		}
-	}
-	return false
-}
+func raceEnforced(rel string) bool { return enforcedIn(raceEnforcedDirs, rel) }
 
 // RaceSite is one classified shared write inside a parallel region.
 type RaceSite struct {
-	File   string `json:"file"` // relative to the module root
-	Line   int    `json:"line"`
-	Col    int    `json:"col"`
-	Func   string `json:"func"`   // enclosing function
-	Region string `json:"region"` // region-creating construct
-	Target string `json:"target"` // written expression
-	Class  string `json:"class"`
-	Detail string `json:"detail,omitempty"` // subrule / evidence
-	Reason string `json:"reason,omitempty"` // refusal explanation
-	Marker bool   `json:"marker,omitempty"` // refusal audited by //lint:scared
+	sitePos        // File, Line, Col: the leading "file", "line", "col" JSON fields
+	Func    string `json:"func"`   // enclosing function
+	Region  string `json:"region"` // region-creating construct
+	Target  string `json:"target"` // written expression
+	Class   string `json:"class"`
+	Detail  string `json:"detail,omitempty"` // subrule / evidence
+	Reason  string `json:"reason,omitempty"` // refusal explanation
+	Marker  bool   `json:"marker,omitempty"` // refusal audited by //lint:scared
 }
 
 func (s RaceSite) String() string {
@@ -114,40 +102,27 @@ type RaceReport struct {
 // Races runs the parallel-write certification pass over the module
 // under cfg.Root.
 func Races(cfg Config) (*RaceReport, error) {
-	a, err := newAnalysis(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return a.races(), nil
+	_, rep, _, err := RunPasses(cfg, false, true, false)
+	return rep, err
 }
 
 // races runs the pass over an already-built analysis.
 func (a *analysis) races() *RaceReport {
-	loader := newTypeLoader(a)
-	rp := &racePass{a: a, loader: loader, effects: map[*types.Func]*writeEffect{}}
+	l := a.typed()
 	rep := &RaceReport{Version: 1, Module: a.mod}
 
-	for _, pkg := range a.sortedPkgs() {
-		tp := loader.check(pkg.path)
-		if tp == nil || tp.tpkg == nil {
-			continue
+	l.eachFunc(func(tp *typedPkg, f *fileInfo, fd *ast.FuncDecl) {
+		if tp == nil {
+			return
 		}
-		for _, f := range pkg.files {
-			for _, decl := range f.ast.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				regions := collectRegions(tp, f, fd)
-				rep.Regions += len(regions)
-				for _, r := range regions {
-					rc := newRegionCheck(rp, tp, f, fd, r)
-					rc.run()
-					rep.Sites = append(rep.Sites, rc.sites...)
-				}
-			}
+		regions := collectRegions(l.factsOf(tp, fd), f)
+		rep.Regions += len(regions)
+		for _, r := range regions {
+			rc := newRegionCheck(l, tp, f, fd, r)
+			rc.run()
+			rep.Sites = append(rep.Sites, rc.sites...)
 		}
-	}
+	})
 
 	rep.Sites = dedupRaceSites(rep.Sites)
 	for i := range rep.Sites {
@@ -176,21 +151,12 @@ func (a *analysis) races() *RaceReport {
 // region and claimed by an inner one); the proved classification wins
 // over a refusal.
 func dedupRaceSites(sites []RaceSite) []RaceSite {
-	sort.SliceStable(sites, func(i, j int) bool {
-		si, sj := sites[i], sites[j]
-		if si.File != sj.File {
-			return si.File < sj.File
-		}
-		if si.Line != sj.Line {
-			return si.Line < sj.Line
-		}
-		return si.Col < sj.Col
-	})
+	sortSites(sites)
 	out := sites[:0]
 	for _, s := range sites {
 		if n := len(out); n > 0 {
 			p := &out[n-1]
-			if p.File == s.File && p.Line == s.Line && p.Col == s.Col {
+			if p.sitePos == s.sitePos {
 				if p.Class == RaceRefused && s.Class != RaceRefused {
 					*p = s
 				}
@@ -203,47 +169,17 @@ func dedupRaceSites(sites []RaceSite) []RaceSite {
 }
 
 // Marshal renders the report as the canonical lint-races.json bytes.
-func (r *RaceReport) Marshal() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil
-	}
-	return append(b, '\n')
-}
+func (r *RaceReport) Marshal() []byte { return marshalArtifact(r) }
 
 // String renders the per-site table and summary rpblint -races prints.
 func (r *RaceReport) String() string {
-	var sb strings.Builder
-	for _, s := range r.Sites {
-		sb.WriteString(s.String())
-		sb.WriteByte('\n')
-	}
-	fmt.Fprintf(&sb, "races: %d regions; %d worker-local, %d atomic, %d lock-guarded, %d index-disjoint, %d refused (%d unexplained)\n",
-		r.Regions, r.WorkerLocal, r.Atomic, r.LockGuarded, r.IndexDisjoint, r.Refused, r.Unexplained)
-	return sb.String()
+	return renderSites(r.Sites, fmt.Sprintf("races: %d regions; %d worker-local, %d atomic, %d lock-guarded, %d index-disjoint, %d refused (%d unexplained)\n",
+		r.Regions, r.WorkerLocal, r.Atomic, r.LockGuarded, r.IndexDisjoint, r.Refused, r.Unexplained))
 }
 
 // LoadRaces reads a race-certificate file.
 func LoadRaces(path string) (*RaceReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r RaceReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("lint: bad race report %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// racePass is the shared state of one -races run.
-type racePass struct {
-	a       *analysis
-	loader  *typeLoader
-	effects map[*types.Func]*writeEffect
-	inEff   map[*types.Func]bool
-	declIdx map[*types.Func]*effDecl
-	idxDone map[string]bool
+	return loadArtifact[RaceReport](path, "race report")
 }
 
 // ---------------------------------------------------------------------
@@ -296,15 +232,15 @@ var mqRegionFuncs = map[string]bool{"Process": true, "ProcessOpt": true, "Proces
 
 // raceRegion is one lexical parallel region.
 type raceRegion struct {
-	kind    string          // display: creating construct
-	at      token.Pos       // position the region is created at
-	body    *ast.BlockStmt  // region body
+	kind    string                  // display: creating construct
+	at      token.Pos               // position the region is created at
+	body    *ast.BlockStmt          // region body
 	task    map[types.Object]string // unique-per-task params -> subrule seed
 	handed  map[types.Object]bool   // params handing exclusively owned memory
-	rangeLo types.Object    // handed subrange bounds (Worker.For, RunRange)
+	rangeLo types.Object            // handed subrange bounds (Worker.For, RunRange)
 	rangeHi types.Object
-	worker  types.Object // the invocation's *Worker param
-	extent  ast.Expr     // task-index space size when the range starts at 0
+	worker  types.Object   // the invocation's *Worker param
+	extent  ast.Expr       // task-index space size when the range starts at 0
 	sibling *ast.BlockStmt // Join: the other branch
 
 	claimed map[*ast.FuncLit]bool // nested region bodies, skipped by this region's walk
@@ -316,58 +252,26 @@ type raceRegion struct {
 // pass (every region's writes are classified) and the lifetimes pass
 // (a checkout's fate is judged against the region that owns it); see
 // regionflow.go for the latter's flow walk.
-func collectRegions(tp *typedPkg, f *fileInfo, fd *ast.FuncDecl) []*raceRegion {
+func collectRegions(ff *funcFacts, f *fileInfo) []*raceRegion {
+	tp, fd := ff.tp, ff.fd
 	var regions []*raceRegion
 	claimed := map[*ast.FuncLit]bool{}
 
-	// Local closures: name := func(...) {...} — primitives are often
-	// handed the closure by name (msf's clearBest/offer/commit).
-	litOf := map[types.Object]*ast.FuncLit{}
-	ast.Inspect(fd, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if lit, ok := unparen(as.Rhs[i]).(*ast.FuncLit); ok {
-				if obj := tp.info.Defs[id]; obj != nil {
-					litOf[obj] = lit
-				}
-			}
-		}
-		return true
-	})
+	// Local closures resolve by name: primitives are often handed
+	// name := func(...) {...} (msf's clearBest/offer/commit).
 	resolveLit := func(arg ast.Expr) *ast.FuncLit {
 		switch v := unparen(arg).(type) {
 		case *ast.FuncLit:
 			return v
 		case *ast.Ident:
 			if obj := tp.info.Uses[v]; obj != nil {
-				return litOf[obj]
+				return ff.litOf(obj)
 			}
 		}
 		return nil
 	}
 	litParam := func(lit *ast.FuncLit, i int) types.Object {
-		idx := 0
-		for _, fld := range lit.Type.Params.List {
-			names := fld.Names
-			if len(names) == 0 {
-				idx++ // unnamed param
-				continue
-			}
-			for _, nm := range names {
-				if idx == i {
-					return tp.info.Defs[nm]
-				}
-				idx++
-			}
-		}
-		return nil
+		return tp.paramAt(lit.Type.Params, i)
 	}
 
 	add := func(r *raceRegion, lit *ast.FuncLit) {
@@ -382,7 +286,7 @@ func collectRegions(tp *typedPkg, f *fileInfo, fd *ast.FuncDecl) []*raceRegion {
 		regions = append(regions, r)
 	}
 
-	walkWithPath(fd, func(n ast.Node, path []ast.Node) {
+	visit := func(n ast.Node) {
 		switch v := n.(type) {
 		case *ast.GoStmt:
 			lit, ok := unparen(v.Call.Fun).(*ast.FuncLit)
@@ -398,7 +302,7 @@ func collectRegions(tp *typedPkg, f *fileInfo, fd *ast.FuncDecl) []*raceRegion {
 					continue
 				}
 				obj := tp.info.Uses[id]
-				if obj == nil || !loopVarOf(tp, path, obj) {
+				if obj == nil || !ff.of(obj).loopVar {
 					continue
 				}
 				if p := litParam(lit, i); p != nil {
@@ -461,59 +365,43 @@ func collectRegions(tp *typedPkg, f *fileInfo, fd *ast.FuncDecl) []*raceRegion {
 				}
 				return
 			}
-			// Worker method fork points.
+			// Worker method fork points: every closure argument is a
+			// region handed the invocation's own worker.
 			sel, ok := v.Fun.(*ast.SelectorExpr)
-			if !ok || !isWorkerExpr(tp, sel.X) {
+			if !ok || !isWorkerNamed(tp.typeOf(sel.X)) {
 				return
 			}
-			switch sel.Sel.Name {
-			case "For":
-				if len(v.Args) != 4 {
-					return
-				}
+			fork := func(lit *ast.FuncLit) *raceRegion {
+				r := &raceRegion{kind: "Worker." + sel.Sel.Name, at: v.Pos(), worker: litParam(lit, 0)}
+				add(r, lit)
+				return r
+			}
+			switch name := sel.Sel.Name; {
+			case name == "For" && len(v.Args) == 4:
 				if lit := resolveLit(v.Args[3]); lit != nil {
-					r := &raceRegion{kind: "Worker.For", at: v.Pos()}
-					r.worker = litParam(lit, 0)
+					r := fork(lit)
 					r.rangeLo, r.rangeHi = litParam(lit, 1), litParam(lit, 2)
-					add(r, lit)
 				}
-			case "Join":
-				if len(v.Args) != 2 {
-					return
-				}
+			case name == "Join" && len(v.Args) == 2:
 				la, lb := resolveLit(v.Args[0]), resolveLit(v.Args[1])
-				if la != nil {
-					r := &raceRegion{kind: "Worker.Join", at: v.Pos(), worker: litParam(la, 0)}
-					if lb != nil {
-						r.sibling = lb.Body
+				for _, pair := range [][2]*ast.FuncLit{{la, lb}, {lb, la}} {
+					if pair[0] == nil {
+						continue
 					}
-					add(r, la)
-				}
-				if lb != nil {
-					r := &raceRegion{kind: "Worker.Join", at: v.Pos(), worker: litParam(lb, 0)}
-					if la != nil {
-						r.sibling = la.Body
+					if r := fork(pair[0]); pair[1] != nil {
+						r.sibling = pair[1].Body
 					}
-					add(r, lb)
 				}
-			case "SpawnTask":
-				if len(v.Args) != 1 {
-					return
-				}
+			case (name == "SpawnTask" || name == "ForEachWorker") && len(v.Args) == 1:
 				if lit := resolveLit(v.Args[0]); lit != nil {
-					r := &raceRegion{kind: "Worker.SpawnTask", at: v.Pos(), worker: litParam(lit, 0)}
-					add(r, lit)
-				}
-			case "ForEachWorker":
-				if len(v.Args) != 1 {
-					return
-				}
-				if lit := resolveLit(v.Args[0]); lit != nil {
-					r := &raceRegion{kind: "Worker.ForEachWorker", at: v.Pos(), worker: litParam(lit, 0)}
-					add(r, lit)
+					fork(lit)
 				}
 			}
 		}
+	}
+	ast.Inspect(fd, func(n ast.Node) bool {
+		visit(n)
+		return true
 	})
 
 	// A RangeBody's RunRange method is itself a region: sched.ForBody
@@ -535,16 +423,7 @@ func runRangeRegion(tp *typedPkg, fd *ast.FuncDecl) *raceRegion {
 	if fd.Recv == nil || fd.Name.Name != "RunRange" || fd.Type.Params == nil {
 		return nil
 	}
-	var params []types.Object
-	for _, fld := range fd.Type.Params.List {
-		if len(fld.Names) == 0 {
-			params = append(params, nil)
-			continue
-		}
-		for _, nm := range fld.Names {
-			params = append(params, tp.info.Defs[nm])
-		}
-	}
+	params := tp.paramObjs(fd.Type.Params)
 	if len(params) != 3 {
 		return nil
 	}
@@ -557,64 +436,4 @@ func runRangeRegion(tp *typedPkg, fd *ast.FuncDecl) *raceRegion {
 		claimed: map[*ast.FuncLit]bool{},
 	}
 	return r
-}
-
-// loopVarOf reports whether obj is the loop variable of a for/range
-// statement on the path (the spawn-loop idiom).
-func loopVarOf(tp *typedPkg, path []ast.Node, obj types.Object) bool {
-	for _, n := range path {
-		switch v := n.(type) {
-		case *ast.ForStmt:
-			if as, ok := v.Init.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
-				for _, lhs := range as.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok && tp.info.Defs[id] == obj {
-						return true
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			for _, e := range []ast.Expr{v.Key, v.Value} {
-				if id, ok := e.(*ast.Ident); ok && tp.info.Defs[id] == obj {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// isWorkerExpr reports whether e's type is (a pointer to) the
-// scheduler's Worker.
-func isWorkerExpr(tp *typedPkg, e ast.Expr) bool {
-	tv, ok := tp.info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	return isWorkerNamed(tv.Type)
-}
-
-func isWorkerNamed(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		if p, ok := t.(*types.Pointer); ok {
-			named, ok = p.Elem().(*types.Named)
-			if !ok {
-				return false
-			}
-		} else {
-			return false
-		}
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Name() == "Worker" && obj.Pkg() != nil &&
-		isPath(obj.Pkg().Path(), schedPath)
-}
-
-// isZeroExpr reports whether e is the integer literal 0.
-func isZeroExpr(e ast.Expr) bool {
-	bl, ok := unparen(e).(*ast.BasicLit)
-	return ok && bl.Value == "0"
 }

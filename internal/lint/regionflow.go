@@ -18,7 +18,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -74,6 +73,14 @@ type checkout struct {
 	marker                bool
 }
 
+// bindName records the first carrier a checkout is bound to, for
+// display.
+func (co *checkout) bindName(name string) {
+	if co.expr == "" || co.expr == "_" {
+		co.expr = name
+	}
+}
+
 // valDesc is what an expression evaluates to, as far as the walk cares.
 type valDesc struct {
 	co   *checkout   // expression aliases this checkout's memory
@@ -94,15 +101,14 @@ func (v *valDesc) all() []*checkout {
 
 // lifeWalk is the per-function walk state.
 type lifeWalk struct {
-	lp *lifePass
+	l  *typeLoader
+	ff *funcFacts // def-use facts; resolves named closures
 	tp *typedPkg
 	f  *fileInfo
 	fd *ast.FuncDecl
 
-	regions      []*raceRegion
 	regionByBody map[*ast.BlockStmt]*raceRegion
 
-	litOf  map[types.Object]*ast.FuncLit // named closures
 	walked map[*ast.FuncLit]bool
 
 	carriers map[types.Object]*checkout
@@ -118,11 +124,10 @@ type lifeWalk struct {
 	markCount int
 }
 
-func newLifeWalk(lp *lifePass, tp *typedPkg, f *fileInfo, fd *ast.FuncDecl, regions []*raceRegion) *lifeWalk {
+func newLifeWalk(l *typeLoader, ff *funcFacts, f *fileInfo, regions []*raceRegion) *lifeWalk {
 	lw := &lifeWalk{
-		lp: lp, tp: tp, f: f, fd: fd, regions: regions,
+		l: l, ff: ff, tp: ff.tp, f: f, fd: ff.fd,
 		regionByBody: map[*ast.BlockStmt]*raceRegion{},
-		litOf:        map[types.Object]*ast.FuncLit{},
 		walked:       map[*ast.FuncLit]bool{},
 		carriers:     map[types.Object]*checkout{},
 		holders:      map[types.Object][]*checkout{},
@@ -132,28 +137,6 @@ func newLifeWalk(lp *lifePass, tp *typedPkg, f *fileInfo, fd *ast.FuncDecl, regi
 	for _, r := range regions {
 		lw.regionByBody[r.body] = r
 	}
-	if rr := runRangeRegion(tp, fd); rr != nil {
-		lw.regions = append(lw.regions, rr)
-	}
-	// Named closures, resolvable when handed to a call or invoked.
-	ast.Inspect(fd, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if lit, ok := unparen(as.Rhs[i]).(*ast.FuncLit); ok {
-				if obj := lw.tp.info.Defs[id]; obj != nil {
-					lw.litOf[obj] = lit
-				}
-			}
-		}
-		return true
-	})
 	return lw
 }
 
@@ -163,28 +146,23 @@ func (lw *lifeWalk) run() {
 	lw.finalize()
 }
 
-func (lw *lifeWalk) pos(n ast.Node) token.Position {
-	return lw.lp.a.fset.Position(n.Pos())
-}
-
 // refuse records a refusal on a checkout, keeping the first reason.
 func (lw *lifeWalk) refuse(co *checkout, n ast.Node, reason string) {
 	if co == nil || co.class == LifeRefused {
 		return
 	}
 	co.class, co.detail, co.reason = LifeRefused, "", reason
-	co.marker = lw.lp.a.markerFor(lw.f, n) || lw.lp.a.markerFor(lw.f, co.node)
+	co.marker = lw.l.a.markerFor(lw.f, n) || lw.l.a.markerFor(lw.f, co.node)
 }
 
 // violation records a refusal site that is not a checkout (a bad
 // Release).
 func (lw *lifeWalk) violation(n ast.Node, expr, reason string) {
-	p := lw.pos(n)
 	lw.sites = append(lw.sites, LifeSite{
-		File: lw.f.rel, Line: p.Line, Col: p.Column,
-		Func: lw.fd.Name.Name, Origin: "Release", Expr: expr,
+		sitePos: lw.l.a.sitePos(lw.f, n),
+		Func:    lw.fd.Name.Name, Origin: "Release", Expr: expr,
 		Class: LifeRefused, Reason: reason,
-		Marker: lw.lp.a.markerFor(lw.f, n),
+		Marker: lw.l.a.markerFor(lw.f, n),
 	})
 }
 
@@ -311,7 +289,7 @@ func (lw *lifeWalk) walkStmt(s ast.Stmt) {
 // deferred handles a defer statement: a deferred Release/ReleaseBox
 // covers panic edges, so it proves release on all paths.
 func (lw *lifeWalk) deferred(call *ast.CallExpr) {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && isArenaExpr(lw.tp, sel.X) {
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && isNamed(lw.tp.typeOf(sel.X), arenaPath, "Arena") {
 		if sel.Sel.Name == "Release" && len(call.Args) == 1 {
 			if mr := lw.markOf(call.Args[0]); mr != nil {
 				mr.deferRel = true
@@ -470,9 +448,7 @@ func (lw *lifeWalk) bindIdent(id *ast.Ident, d *valDesc, at ast.Node) {
 		}
 	}
 	if d.co != nil {
-		if d.co.expr == "" || d.co.expr == "_" {
-			d.co.expr = id.Name
-		}
+		d.co.bindName(id.Name)
 		lw.carriers[obj] = d.co
 		if len(d.held) > 0 {
 			lw.holders[obj] = d.held
@@ -500,10 +476,7 @@ func (lw *lifeWalk) bindField(sel *ast.SelectorExpr, d *valDesc, isNil bool, at 
 		return
 	}
 	// The base's type decides the store's fate.
-	tn := ""
-	if tv, ok := lw.tp.info.Types[base]; ok && tv.Type != nil {
-		tn = boxTypeName(tv.Type)
-	}
+	tn := boxTypeName(lw.tp.typeOf(base))
 	for _, co := range cos {
 		switch {
 		case baseCo != nil && baseCo.isBox:
@@ -513,20 +486,16 @@ func (lw *lifeWalk) bindField(sel *ast.SelectorExpr, d *valDesc, isNil bool, at 
 				baseCo.fields = map[string]*checkout{}
 			}
 			baseCo.fields[field] = co
-			if co.expr == "" || co.expr == "_" {
-				co.expr = tn + "." + field
-			}
-		case tn != "" && lw.lp.boxTypes[tn]:
+			co.bindName(tn + "." + field)
+		case tn != "" && lw.l.boxTypes[tn]:
 			// A box the caller owns (box-typed parameter): the handoff
 			// is worker-confined iff the module provably clears the
 			// field before the box is reused.
-			if lw.lp.boxCleared[tn+"."+field] {
+			if lw.l.boxCleared[tn+"."+field] {
 				if co.workerConf == "" {
 					co.workerConf = "handed off via " + tn + "." + field + ", cleared before box reuse"
 				}
-				if co.expr == "" || co.expr == "_" {
-					co.expr = tn + "." + field
-				}
+				co.bindName(tn + "." + field)
 			} else {
 				lw.refuse(co, at, "stored into "+tn+"."+field+", never cleared before the box is reused")
 			}
@@ -534,11 +503,6 @@ func (lw *lifeWalk) bindField(sel *ast.SelectorExpr, d *valDesc, isNil bool, at 
 			lw.refuse(co, at, "stored into a field of "+types.ExprString(base)+": the pass cannot confine the target")
 		}
 	}
-}
-
-// within reports whether a declaration position falls inside a block.
-func within(p token.Pos, b *ast.BlockStmt) bool {
-	return p >= b.Pos() && p <= b.End()
 }
 
 // ---------------------------------------------------------------------
@@ -612,13 +576,9 @@ func (lw *lifeWalk) eval(e ast.Expr) *valDesc {
 		if obj == nil {
 			return nil
 		}
-		if co := lw.carriers[obj]; co != nil {
-			// Mentioning a released carrier is already a use.
-			lw.useCheck(co, v)
-			return &valDesc{co: co, held: lw.holders[obj]}
-		}
-		if hs := lw.holders[obj]; hs != nil {
-			return &valDesc{held: hs}
+		if d := lw.evalQuiet(v); d != nil {
+			lw.useCheck(d.co, v) // mentioning a released carrier is already a use
+			return d
 		}
 		if mr := lw.marks[obj]; mr != nil {
 			return &valDesc{mark: mr}
@@ -702,7 +662,7 @@ func (lw *lifeWalk) call(call *ast.CallExpr) *valDesc {
 		return lw.arenaCall(call, name)
 	}
 	// Arena methods: Mark / Release / Reset.
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && isArenaExpr(lw.tp, sel.X) {
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && isNamed(lw.tp.typeOf(sel.X), arenaPath, "Arena") {
 		return lw.arenaMethod(call, sel)
 	}
 	// Builtins.
@@ -712,7 +672,8 @@ func (lw *lifeWalk) call(call *ast.CallExpr) *valDesc {
 		}
 	}
 
-	fn, delegated := calleeOfTyped(lw.tp, call)
+	c := resolveCall(lw.tp, call, nil)
+	fn, delegated := c.fn, c.delegated
 
 	// Walk closure arguments at the call (first reference), under the
 	// region the call creates if this argument is its body.
@@ -722,123 +683,98 @@ func (lw *lifeWalk) call(call *ast.CallExpr) *valDesc {
 		}
 	}
 
-	// Receiver + arguments that alias or hold checkouts.
+	// Receiver + arguments that alias or hold checkouts, each with the
+	// callee parameter position it lands in.
 	type carg struct {
 		expr ast.Expr
 		d    *valDesc
+		pos  int
 	}
 	var cargs []carg
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+	var sig *types.Signature
+	if fn != nil {
+		sig, _ = fn.Type().(*types.Signature)
+	}
+	sel, bySel := unparen(call.Fun).(*ast.SelectorExpr)
+	if bySel {
 		if d := lw.evalQuiet(sel.X); d != nil && len(d.all()) > 0 {
-			cargs = append(cargs, carg{sel.X, d})
+			cargs = append(cargs, carg{sel.X, d, recvIdx})
 		}
 	}
-	for _, arg := range call.Args {
+	for i, arg := range call.Args {
 		if lw.resolveLitArg(arg) != nil {
 			continue
 		}
-		d := lw.eval(arg)
-		if d != nil && len(d.all()) > 0 {
-			cargs = append(cargs, carg{arg, d})
+		if d := lw.eval(arg); d != nil && len(d.all()) > 0 {
+			cargs = append(cargs, carg{arg, d, argPosition(sig, i)})
+		}
+	}
+	var named *ast.FuncLit // the local closure a delegated call invokes by name
+	id, byName := unparen(call.Fun).(*ast.Ident)
+	if byName && delegated {
+		if obj := lw.tp.info.Uses[id]; obj != nil {
+			named = lw.ff.litOf(obj)
 		}
 	}
 	if len(cargs) == 0 {
-		// Direct invocation of a named closure with no tracked args.
-		if delegated {
-			if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-				if obj := lw.tp.info.Uses[id]; obj != nil {
-					lw.walkLit(lw.litOf[obj])
-				}
-			}
-		}
+		lw.walkLit(named) // direct invocation of a named closure with no tracked args
 		return nil
 	}
 
-	fill := func() {
+	each := func(visit func(co *checkout, ca carg)) {
 		for _, ca := range cargs {
 			for _, co := range ca.d.all() {
-				fillCheckout(co)
+				visit(co, ca)
 			}
 		}
 	}
-	// aliasRet: a slice-returning call on a single carrier argument
-	// returns an alias of it (EnsureLen, RowInto).
-	aliasRet := func() *valDesc {
-		if tv, ok := lw.tp.info.Types[call]; ok && tv.Type != nil {
-			if _, isSlice := tv.Type.Underlying().(*types.Slice); isSlice {
-				for _, ca := range cargs {
-					if ca.d.co != nil {
-						return &valDesc{co: ca.d.co}
-					}
-				}
-			}
-		}
-		return nil
-	}
-
+	// eff is the callee's retention verdict per argument; a callee that
+	// retains nothing uses the memory for the duration of the call
+	// (filling out-params) and lets go.
+	var eff *escEffect
 	switch {
-	case fn != nil && lw.lp.isSubstrate(fn):
-		// Substrate contract: core/sched/mq/specfor/arena primitives
-		// are documented non-retaining — they use the memory for the
-		// duration of the call (filling out-params) and let go.
-		fill()
-		return aliasRet()
-	case fn != nil && fn.Pkg() != nil:
-		if _, inMod := lw.lp.a.modRel(fn.Pkg().Path()); !inMod {
-			// Outside the module (stdlib): knows nothing of arenas,
-			// treated as use-without-retention.
-			fill()
-			return aliasRet()
-		}
-		// In-module helper: memoized escape summary, per argument.
-		eff := lw.lp.escapeOf(fn)
-		sig, _ := fn.Type().(*types.Signature)
-		for _, ca := range cargs {
-			pi := paramIndexOf(call, sig, ca.expr)
-			ep := eff.param(pi)
-			if ep != nil && ep.retains {
-				for _, co := range ca.d.all() {
-					lw.refuse(co, ca.expr, "retained by "+fn.Name()+": "+ep.why)
-				}
-				continue
-			}
-			for _, co := range ca.d.all() {
-				fillCheckout(co)
-			}
-		}
-		return aliasRet()
-	case delegated:
-		// Interface / func-value callee. A named out-param contract
-		// (RowInto, WRow) fills and aliases; a named closure is walked
-		// inline; anything else is an opaque hand-off.
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && lifeMethodContracts[sel.Sel.Name] {
-			fill()
-			return aliasRet()
-		}
-		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-			if obj := lw.tp.info.Uses[id]; obj != nil {
-				if lit := lw.litOf[obj]; lit != nil {
-					lw.walkLit(lit)
-					fill()
-					return aliasRet()
-				}
-				for _, ca := range cargs {
-					for _, co := range ca.d.all() {
-						lw.refuse(co, call, "handed to dynamic callee "+id.Name+": the pass cannot see where it goes")
-					}
-				}
-				return nil
-			}
-		}
-		for _, ca := range cargs {
-			for _, co := range ca.d.all() {
-				lw.refuse(co, call, "handed to a dynamic callee the pass cannot see through")
-			}
-		}
+	case fn != nil && lw.l.a.inModule(fn) && !isSubstrate(fn):
+		eff = lw.l.escapeOf(fn) // in-module helper: memoized escape summary
+	case fn != nil:
+		// Substrate contract: core/sched/mq/specfor/arena primitives are
+		// documented non-retaining. Outside the module (stdlib) nothing
+		// knows of arenas: use without retention.
+	case !delegated:
+	case bySel && lifeMethodContracts[sel.Sel.Name]:
+		// A named out-param contract (RowInto, WRow) on an interface
+		// callee fills and aliases.
+	case named != nil:
+		lw.walkLit(named) // a named closure is walked inline
+	case byName:
+		each(func(co *checkout, _ carg) {
+			lw.refuse(co, call, "handed to dynamic callee "+id.Name+": the pass cannot see where it goes")
+		})
+		return nil
+	default:
+		each(func(co *checkout, _ carg) {
+			lw.refuse(co, call, "handed to a dynamic callee the pass cannot see through")
+		})
 		return nil
 	}
-	fill()
-	return aliasRet()
+	each(func(co *checkout, ca carg) {
+		if ep := eff.param(ca.pos); ep != nil && ep.retains {
+			lw.refuse(co, ca.expr, "retained by "+fn.Name()+": "+ep.why)
+		} else {
+			fillCheckout(co)
+		}
+	})
+	// A slice-returning call on a carrier argument returns an alias of
+	// it (EnsureLen, RowInto).
+	if t := lw.tp.typeOf(call); t != nil {
+		if _, isSlice := t.Underlying().(*types.Slice); isSlice {
+			for _, ca := range cargs {
+				if ca.d.co != nil {
+					return &valDesc{co: ca.d.co}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // fillCheckout marks a checkout written by a call, including the
@@ -878,27 +814,10 @@ func (lw *lifeWalk) resolveLitArg(arg ast.Expr) *ast.FuncLit {
 		return v
 	case *ast.Ident:
 		if obj := lw.tp.info.Uses[v]; obj != nil {
-			return lw.litOf[obj]
+			return lw.ff.litOf(obj)
 		}
 	}
 	return nil
-}
-
-// paramIndexOf maps a call argument expression back to the callee
-// parameter index (receiver = -1, variadic tail clamped).
-func paramIndexOf(call *ast.CallExpr, sig *types.Signature, arg ast.Expr) int {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && sel.X == arg {
-		return escRecv
-	}
-	for i, a := range call.Args {
-		if a == arg {
-			if sig != nil && sig.Variadic() && i >= sig.Params().Len()-1 {
-				return sig.Params().Len() - 1
-			}
-			return i
-		}
-	}
-	return escRecv
 }
 
 // arenaCall handles the arena package-level API.
@@ -910,31 +829,17 @@ func (lw *lifeWalk) arenaCall(call *ast.CallExpr, name string) *valDesc {
 		}
 		ar := lw.arenaOf(call.Args[0])
 		lw.eval(call.Args[1])
-		co := &checkout{
-			origin: name, node: call, expr: "_", ar: ar,
-			uninit:  name == "AllocUninit",
-			written: name == "Alloc", // Alloc zeroes
-		}
+		co := lw.newCheckout(call, name, ar)
+		co.uninit = name == "AllocUninit"
+		co.written = name == "Alloc" // Alloc zeroes
 		if n := len(ar.stack); n > 0 {
 			co.mark = ar.stack[n-1]
 		}
-		if n := len(lw.regionStack); n > 0 {
-			co.regionBody = lw.regionStack[n-1]
-		}
-		co.goBody = lw.curGo()
-		lw.cos = append(lw.cos, co)
 		return &valDesc{co: co}
 	case "AcquireBox":
-		co := &checkout{origin: name, node: call, expr: "_", isBox: true, written: true}
-		co.ar = &arenaRec{}
-		if tv, ok := lw.tp.info.Types[call]; ok && tv.Type != nil {
-			co.boxType = boxTypeName(tv.Type)
-		}
-		if n := len(lw.regionStack); n > 0 {
-			co.regionBody = lw.regionStack[n-1]
-		}
-		co.goBody = lw.curGo()
-		lw.cos = append(lw.cos, co)
+		co := lw.newCheckout(call, name, &arenaRec{})
+		co.isBox, co.written = true, true
+		co.boxType = boxTypeName(lw.tp.typeOf(call))
 		return &valDesc{co: co}
 	case "ReleaseBox":
 		if len(call.Args) != 2 {
@@ -961,6 +866,17 @@ func (lw *lifeWalk) arenaCall(call *ast.CallExpr, name string) *valDesc {
 		lw.eval(a)
 	}
 	return nil
+}
+
+// newCheckout starts tracking one checkout, owned by the innermost
+// region and goroutine being walked.
+func (lw *lifeWalk) newCheckout(call *ast.CallExpr, origin string, ar *arenaRec) *checkout {
+	co := &checkout{origin: origin, node: call, expr: "_", ar: ar, goBody: lw.curGo()}
+	if n := len(lw.regionStack); n > 0 {
+		co.regionBody = lw.regionStack[n-1]
+	}
+	lw.cos = append(lw.cos, co)
+	return co
 }
 
 // arenaMethod handles Mark / Release / Reset on an arena value.
@@ -1108,10 +1024,9 @@ func (lw *lifeWalk) finalize() {
 }
 
 func (lw *lifeWalk) emit(co *checkout) {
-	p := lw.pos(co.node)
 	lw.sites = append(lw.sites, LifeSite{
-		File: lw.f.rel, Line: p.Line, Col: p.Column,
-		Func: lw.fd.Name.Name, Origin: co.origin, Expr: co.expr,
+		sitePos: lw.l.a.sitePos(lw.f, co.node),
+		Func:    lw.fd.Name.Name, Origin: co.origin, Expr: co.expr,
 		Class: co.class, Detail: co.detail, Reason: co.reason,
 		Marker: co.marker,
 	})

@@ -354,20 +354,7 @@ func capturedScalarWrites(lit *ast.FuncLit) map[string]*ast.Ident {
 			writes[id.Name] = id
 		}
 	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if v.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range v.Lhs {
-				record(lhs)
-			}
-		case *ast.IncDecStmt:
-			record(v.X)
-		}
-		return true
-	})
+	eachWrite(lit.Body, record)
 	return writes
 }
 
@@ -413,20 +400,7 @@ func (a *analysis) checkParallelBody(f *fileInfo, prim string, lit *ast.FuncLit)
 			})
 		}
 	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if v.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range v.Lhs {
-				check(lhs)
-			}
-		case *ast.IncDecStmt:
-			check(v.X)
-		}
-		return true
-	})
+	eachWrite(lit.Body, check)
 }
 
 // closureLocals collects every identifier a closure (or its nested
@@ -477,25 +451,15 @@ func closureLocals(lit *ast.FuncLit) map[string]bool {
 	return locals
 }
 
-// rootIdent unwraps an index/selector/paren/star chain to its base
-// identifier.
+// rootIdent unwraps an access chain to its base identifier.
 func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return v
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		default:
-			return nil
+	for e != nil {
+		if id, ok := unparen(e).(*ast.Ident); ok {
+			return id
 		}
+		e = innerOperand(unparen(e))
 	}
+	return nil
 }
 
 // usesLocal reports whether an expression mentions any closure-local
@@ -569,25 +533,11 @@ func workerIdents(f *fileInfo, fd *ast.FuncDecl) map[string]bool {
 	collect(fd.Type.Params)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			collectLit(f, lit, workers)
+			collect(lit.Type.Params)
 		}
 		return true
 	})
 	return workers
-}
-
-func collectLit(f *fileInfo, lit *ast.FuncLit, workers map[string]bool) {
-	if lit.Type.Params == nil {
-		return
-	}
-	for _, field := range lit.Type.Params.List {
-		if !isWorkerType(f, field.Type) {
-			continue
-		}
-		for _, name := range field.Names {
-			workers[name.Name] = true
-		}
-	}
 }
 
 // isWorkerType recognizes core.Worker / sched.Worker (optionally

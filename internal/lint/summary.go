@@ -58,35 +58,11 @@ type fnSummary struct {
 	source   string // packindex | affine-fill | permutation | scan
 	chain    []string
 	bound    boundRef
-	fnName   string
 	declLine int
 }
 
 func refusedSummary(format string, args ...any) *fnSummary {
 	return &fnSummary{reason: fmt.Sprintf(format, args...)}
-}
-
-// calleeFunc resolves a call expression to the *types.Func it invokes:
-// plain calls, pkg-qualified calls, method calls, and explicit generic
-// instantiations (the ident under f[T](...) resolves to the generic
-// declaration object).
-func (p *prover) calleeFunc(call *ast.CallExpr) *types.Func {
-	fun := unparen(call.Fun)
-	switch v := fun.(type) {
-	case *ast.IndexExpr:
-		fun = unparen(v.X)
-	case *ast.IndexListExpr:
-		fun = unparen(v.X)
-	}
-	switch v := fun.(type) {
-	case *ast.Ident:
-		fn, _ := p.objOf(v).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := p.objOf(v.Sel).(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // proveViaSummary handles the interprocedural dispatch arm of proveVar:
@@ -95,217 +71,158 @@ func (p *prover) calleeFunc(call *ast.CallExpr) *types.Func {
 // summarizable territory (out of module, unresolvable) and the generic
 // refusal applies.
 func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *ast.CallExpr) (siteProof, bool) {
-	if p.loader == nil {
+	fn := resolveCall(p.tp, call, nil).fn
+	if fn == nil || !p.a.inModule(fn) {
 		return siteProof{}, false
 	}
-	fn := p.calleeFunc(call)
-	if fn == nil || fn.Pkg() == nil {
-		return siteProof{}, false
-	}
-	if _, inModule := p.a.modRel(fn.Pkg().Path()); !inModule {
-		return siteProof{}, false
-	}
+	fnName := fn.Name()
 	sum := p.loader.summaryFor(fn, def.resIdx, pt.pattern, pt.property)
-	if sum == nil {
-		return siteProof{}, false
-	}
 	if !sum.ok {
-		return refusal("offsets %q := %s(...): %s", name, sum.fnName, sum.reason), true
+		return refusal("offsets %q := %s(...): %s", name, fnName, sum.reason), true
 	}
 	if !p.dominates(call.End(), pt) {
-		return refusal("call site does not strictly follow the %s call", sum.fnName), true
+		return refusal("call site does not strictly follow the %s call", fnName), true
 	}
 
-	// Map the helper-relative bound into the caller and check it.
-	var boundLine string
-	switch sum.bound.kind {
+	// Map the helper-relative bound into the caller and check it: each
+	// arm names the caller-side bound, what a mismatch means, and the
+	// proof line a match earns.
+	var (
+		ok                       bool
+		why, mismatch, boundLine string
+	)
+	switch k := sum.bound.k; sum.bound.kind {
 	case boundConst:
-		ok, why := pt.sink.matchLen(p, lenDenot{cval: sum.bound.c, hasC: true})
-		if why != "" {
-			return refusal("%s", why), true
-		}
-		if !ok {
-			return refusal("cannot prove len(target) equals %s's constant domain bound %d", sum.fnName, sum.bound.c), true
-		}
-		boundLine = fmt.Sprintf("len(target) == %s's constant domain bound %d: every offset is in bounds", sum.fnName, sum.bound.c)
+		ok, why = pt.sink.matchLen(p, lenDenot{cval: sum.bound.c, hasC: true})
+		mismatch = fmt.Sprintf("cannot prove len(target) equals %s's constant domain bound %d", fnName, sum.bound.c)
+		boundLine = fmt.Sprintf("len(target) == %s's constant domain bound %d: every offset is in bounds", fnName, sum.bound.c)
 	case boundParam:
-		if sum.bound.k >= len(call.Args) {
-			return refusal("the %s call has fewer arguments than its signature expects", sum.fnName), true
+		if k >= len(call.Args) {
+			return refusal("the %s call has fewer arguments than its signature expects", fnName), true
 		}
-		ok, why := pt.sink.matchLen(p, lenDenot{expr: call.Args[sum.bound.k]})
-		if why != "" {
-			return refusal("%s", why), true
-		}
-		if !ok {
-			return refusal("cannot prove len(target) equals the bound passed to %s (argument %d)", sum.fnName, sum.bound.k+1), true
-		}
-		boundLine = fmt.Sprintf("len(target) == the domain bound passed to %s (argument %d): every offset is in bounds", sum.fnName, sum.bound.k+1)
+		ok, why = pt.sink.matchLen(p, lenDenot{expr: call.Args[k]})
+		mismatch = fmt.Sprintf("cannot prove len(target) equals the bound passed to %s (argument %d)", fnName, k+1)
+		boundLine = fmt.Sprintf("len(target) == the domain bound passed to %s (argument %d): every offset is in bounds", fnName, k+1)
 	case boundLenParam:
-		if sum.bound.k >= len(call.Args) {
-			return refusal("the %s call has fewer arguments than its signature expects", sum.fnName), true
+		if k >= len(call.Args) {
+			return refusal("the %s call has fewer arguments than its signature expects", fnName), true
 		}
-		argID, isID := unparen(call.Args[sum.bound.k]).(*ast.Ident)
+		argID, isID := unparen(call.Args[k]).(*ast.Ident)
 		if !isID {
-			return refusal("the slice whose length bounds %s's output (argument %d) is not a simple variable at the call", sum.fnName, sum.bound.k+1), true
+			return refusal("the slice whose length bounds %s's output (argument %d) is not a simple variable at the call", fnName, k+1), true
 		}
-		argObj := p.objOf(argID)
+		argObj := p.tp.objOf(argID)
 		if argObj == nil || !p.stableObj(argObj) {
-			return refusal("the slice whose length bounds %s's output (argument %d) does not have a stable header", sum.fnName, sum.bound.k+1), true
+			return refusal("the slice whose length bounds %s's output (argument %d) does not have a stable header", fnName, k+1), true
 		}
-		ok, why := pt.sink.matchLen(p, lenDenot{lenOf: argObj})
-		if why != "" {
-			return refusal("%s", why), true
-		}
-		if !ok {
-			return refusal("cannot prove len(target) equals len(%s) passed to %s", argID.Name, sum.fnName), true
-		}
-		boundLine = fmt.Sprintf("len(target) == len(%s) passed to %s: every offset is in bounds", argID.Name, sum.fnName)
+		ok, why = pt.sink.matchLen(p, lenDenot{lenOf: argObj})
+		mismatch = fmt.Sprintf("cannot prove len(target) equals len(%s) passed to %s", argID.Name, fnName)
+		boundLine = fmt.Sprintf("len(target) == len(%s) passed to %s: every offset is in bounds", argID.Name, fnName)
 	case boundResult:
-		if def.tupleLhs == nil || sum.bound.k >= len(def.tupleLhs) {
-			return refusal("%s's bounding total (result %d) is discarded at the call", sum.fnName, sum.bound.k+1), true
+		if def.tupleLhs == nil || k >= len(def.tupleLhs) {
+			return refusal("%s's bounding total (result %d) is discarded at the call", fnName, k+1), true
 		}
-		sibID, isID := unparen(def.tupleLhs[sum.bound.k]).(*ast.Ident)
+		sibID, isID := unparen(def.tupleLhs[k]).(*ast.Ident)
 		if !isID {
-			return refusal("%s's bounding total (result %d) is not bound to a simple variable", sum.fnName, sum.bound.k+1), true
+			return refusal("%s's bounding total (result %d) is not bound to a simple variable", fnName, k+1), true
 		}
-		sibObj := p.objOf(sibID)
+		sibObj := p.tp.objOf(sibID)
 		if sibObj == nil || !p.stableObj(sibObj) {
-			return refusal("%s's bounding total %q is not a stable variable", sum.fnName, sibID.Name), true
+			return refusal("%s's bounding total %q is not a stable variable", fnName, sibID.Name), true
 		}
-		ok, why := pt.sink.matchTotal(p, sibObj)
-		if why != "" {
-			return refusal("%s", why), true
-		}
-		if !ok {
-			return refusal("cannot prove len(target) equals %s's returned total %q", sum.fnName, sibID.Name), true
-		}
-		boundLine = fmt.Sprintf("len(target) == %s's returned total %q: boundaries are in bounds", sum.fnName, sibID.Name)
+		ok, why = pt.sink.matchTotal(p, sibObj)
+		mismatch = fmt.Sprintf("cannot prove len(target) equals %s's returned total %q", fnName, sibID.Name)
+		boundLine = fmt.Sprintf("len(target) == %s's returned total %q: boundaries are in bounds", fnName, sibID.Name)
 	default:
-		return refusal("%s's summary has an unmapped bound", sum.fnName), true
+		return refusal("%s's summary has an unmapped bound", fnName), true
+	}
+	if why != "" {
+		return refusal("%s", why), true
+	}
+	if !ok {
+		return refusal("%s", mismatch), true
 	}
 
 	chain := []string{fmt.Sprintf("offsets %q := %s(...) at line %d: certified by the interprocedural summary of %s (declared at line %d)",
-		name, sum.fnName, p.line(def.pos), sum.fnName, sum.declLine)}
+		name, fnName, p.line(def.pos), fnName, sum.declLine)}
 	for _, c := range sum.chain {
-		chain = append(chain, sum.fnName+": "+c)
+		chain = append(chain, fnName+": "+c)
 	}
 	chain = append(chain, "no writes, aliases, or reorderings after the helper returns", boundLine)
 	return siteProof{ok: true, source: sum.source, property: pt.property, chain: chain}, true
 }
 
-// summaryFor computes (memoized) the summary for result res of fn under
-// the given pattern. nil means fn is not summarizable territory at all;
-// a non-ok summary carries the refusal reason.
+// summaryFor computes (memoized) the summary for result res of the
+// in-module function fn under the given pattern; a non-ok summary
+// carries the refusal reason. The cycle answer is a
+// refusal: a proof that leaned on its own conclusion would certify an
+// unchecked scatter, so summaries never cross back edges.
 func (l *typeLoader) summaryFor(fn *types.Func, res int, pattern core.Pattern, property string) *fnSummary {
-	key := sumKey{fn: fn, res: res, pattern: pattern}
-	if s, done := l.sums[key]; done {
-		return s
-	}
-	if l.sumInflight[key] {
-		return refusedSummary("helper %s is recursive; summaries do not cross back edges", fn.Name())
-	}
-	l.sumInflight[key] = true
-	defer delete(l.sumInflight, key)
-	s := l.buildSummary(fn, res, pattern, property)
-	l.sums[key] = s
-	return s
+	return l.sums.get(sumKey{fn: fn, res: res, pattern: pattern},
+		refusedSummary("helper %s is recursive; summaries do not cross back edges", fn.Name()),
+		func() *fnSummary { return l.buildSummary(fn, res, pattern, property) })
 }
 
 func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern, property string) *fnSummary {
-	rel, inModule := l.a.modRel(fn.Pkg().Path())
-	if !inModule {
-		return nil
-	}
-	tp := l.check(rel)
-	if tp == nil || tp.tpkg == nil {
-		return refusedSummary("helper %s's package failed to type-check", fn.Name())
-	}
+	name := fn.Name()
 	sig, _ := fn.Type().(*types.Signature)
 	if sig == nil {
-		return refusedSummary("helper %s has no resolvable signature", fn.Name())
+		return refusedSummary("helper %s has no resolvable signature", name)
 	}
-	s := &fnSummary{fnName: fn.Name()}
 	if sig.Variadic() {
-		s.reason = fmt.Sprintf("helper %s is variadic; argument positions cannot be mapped", s.fnName)
-		return s
+		return refusedSummary("helper %s is variadic; argument positions cannot be mapped", name)
 	}
 	if sig.Results().Len() <= res {
-		s.reason = fmt.Sprintf("helper %s does not return a value at position %d", s.fnName, res+1)
-		return s
+		return refusedSummary("helper %s does not return a value at position %d", name, res+1)
 	}
 	if _, isSlice := sig.Results().At(res).Type().Underlying().(*types.Slice); !isSlice {
-		s.reason = fmt.Sprintf("helper %s's result %d is not a slice", s.fnName, res+1)
-		return s
+		return refusedSummary("helper %s's result %d is not a slice", name, res+1)
 	}
 
-	// Locate the declaration and its file.
-	var fd *ast.FuncDecl
-	var file *fileInfo
-	for _, f := range tp.pkg.files {
-		for _, decl := range f.ast.Decls {
-			d, ok := decl.(*ast.FuncDecl)
-			if !ok || d.Body == nil {
-				continue
-			}
-			if tp.info.Defs[d.Name] == fn {
-				fd, file = d, f
-				break
-			}
-		}
-		if fd != nil {
-			break
-		}
+	d := l.declOf(fn)
+	if d == nil || d.fd.Body == nil {
+		return refusedSummary("helper %s's declaration was not found in the module", name)
 	}
-	if fd == nil {
-		s.reason = fmt.Sprintf("helper %s's declaration was not found in the module", s.fnName)
-		return s
-	}
-	s.declLine = l.a.fset.Position(fd.Name.Pos()).Line
+	tp, fd := d.tp, d.fd
 
-	sp := newProver(l.a, tp, file, fd, l)
+	sp := newProver(l.a, tp, d.f, fd, l)
 
 	// Exactly one return statement, in straight-line context, with the
 	// full result list spelled out.
 	var ret *ast.ReturnStmt
-	var retCtx evCtx
 	returns := 0
-	walkWithPath(fd, func(n ast.Node, path []ast.Node) {
-		r, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return
+	ast.Inspect(fd, func(n ast.Node) bool {
+		if r, ok := n.(*ast.ReturnStmt); ok {
+			returns++
+			ret = r
 		}
-		returns++
-		ret = r
-		retCtx = sp.ctxOf(path)
+		return true
 	})
 	if returns != 1 {
-		s.reason = fmt.Sprintf("helper %s has %d return statements; the summary needs exactly one", s.fnName, returns)
-		return s
+		return refusedSummary("helper %s has %d return statements; the summary needs exactly one", name, returns)
 	}
+	retCtx := sp.ctxOf(sp.ff.pathTo(ret))
 	if !retCtx.straightLine() {
-		s.reason = fmt.Sprintf("helper %s returns from inside a loop, conditional, or closure", s.fnName)
-		return s
+		return refusedSummary("helper %s returns from inside a loop, conditional, or closure", name)
 	}
 	if len(ret.Results) != sig.Results().Len() {
-		s.reason = fmt.Sprintf("helper %s's return does not name its results individually", s.fnName)
-		return s
+		return refusedSummary("helper %s's return does not name its results individually", name)
 	}
 	retID, isID := unparen(ret.Results[res]).(*ast.Ident)
 	if !isID {
-		s.reason = fmt.Sprintf("helper %s returns an expression, not a named local, at position %d", s.fnName, res+1)
-		return s
+		return refusedSummary("helper %s returns an expression, not a named local, at position %d", name, res+1)
 	}
 
 	cap := &captureSink{}
 	pt := &provePoint{pos: ret.Pos(), ctx: retCtx, pattern: pattern, property: property, sink: cap}
 	proof := sp.proveVar(pt, retID)
 	if !proof.ok {
-		s.reason = fmt.Sprintf("inside %s, %s", s.fnName, proof.reason)
-		return s
+		return refusedSummary("inside %s, %s", name, proof.reason)
 	}
 
 	// Express the captured bound against the helper's signature.
-	paramIdx := paramIndexMap(tp, fd)
+	var bound boundRef
+	paramIdx := tp.paramPositions(nil, fd.Type.Params)
 	switch {
 	case cap.total != nil:
 		j := -1
@@ -313,55 +230,27 @@ func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern,
 			if i == res {
 				continue
 			}
-			if id, ok := unparen(r).(*ast.Ident); ok && sp.objOf(id) == cap.total {
+			if id, ok := unparen(r).(*ast.Ident); ok && tp.objOf(id) == cap.total {
 				j = i
 				break
 			}
 		}
 		if j < 0 {
-			s.reason = fmt.Sprintf("helper %s's scan total is not returned alongside the offsets", s.fnName)
-			return s
+			return refusedSummary("helper %s's scan total is not returned alongside the offsets", name)
 		}
-		s.bound = boundRef{kind: boundResult, k: j}
+		bound = boundRef{kind: boundResult, k: j}
 	case cap.hasBound:
 		b, ok := sp.boundToRef(cap.bound, paramIdx)
 		if !ok {
-			s.reason = fmt.Sprintf("helper %s's domain bound is not expressible in its parameters", s.fnName)
-			return s
+			return refusedSummary("helper %s's domain bound is not expressible in its parameters", name)
 		}
-		s.bound = b
+		bound = b
 	default:
-		s.reason = fmt.Sprintf("helper %s's proof produced no domain bound", s.fnName)
-		return s
+		return refusedSummary("helper %s's proof produced no domain bound", name)
 	}
 
-	s.ok = true
-	s.source = proof.source
-	s.chain = proof.chain
-	return s
-}
-
-// paramIndexMap maps each parameter object of fd to its position
-// (receiver excluded — call arguments align with the parameter list).
-func paramIndexMap(tp *typedPkg, fd *ast.FuncDecl) map[types.Object]int {
-	idx := map[types.Object]int{}
-	if fd.Type.Params == nil {
-		return idx
-	}
-	k := 0
-	for _, field := range fd.Type.Params.List {
-		if len(field.Names) == 0 {
-			k++
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := tp.info.Defs[name]; obj != nil {
-				idx[obj] = k
-			}
-			k++
-		}
-	}
-	return idx
+	return &fnSummary{ok: true, source: proof.source, chain: proof.chain, bound: bound,
+		declLine: l.a.fset.Position(fd.Name.Pos()).Line}
 }
 
 // boundToRef rewrites a captured bound denotation against the helper's
@@ -386,7 +275,7 @@ func (p *prover) boundToRef(bound lenDenot, paramIdx map[types.Object]int) (boun
 	}
 	e := p.canon(bound.expr)
 	if id, isID := e.(*ast.Ident); isID {
-		obj := p.objOf(id)
+		obj := p.tp.objOf(id)
 		if obj == nil || !p.stableObj(obj) {
 			return boundRef{}, false
 		}
@@ -398,7 +287,7 @@ func (p *prover) boundToRef(bound lenDenot, paramIdx map[types.Object]int) (boun
 	if call, isCall := e.(*ast.CallExpr); isCall && len(call.Args) == 1 {
 		if nm, isB := p.builtinName(call); isB && nm == "len" {
 			if id, isID := unparen(call.Args[0]).(*ast.Ident); isID {
-				obj := p.objOf(id)
+				obj := p.tp.objOf(id)
 				if obj != nil && p.stableObj(obj) {
 					if k, isParam := paramIdx[obj]; isParam {
 						return boundRef{kind: boundLenParam, k: k}, true

@@ -29,8 +29,9 @@ type typedPkg struct {
 }
 
 // typeLoader memoizes type checking across packages of one analysis,
-// and the interprocedural function summaries built on top of it
-// (summary.go).
+// and carries the interprocedural core built on top of it (core.go,
+// facts.go): the declaration index, the per-function def-use facts, and
+// one summary table per pass.
 type typeLoader struct {
 	a        *analysis
 	std      types.Importer
@@ -38,24 +39,36 @@ type typeLoader struct {
 	inflight map[string]bool
 	stubs    map[string]*types.Package
 
-	sums        map[sumKey]*fnSummary
-	sumInflight map[sumKey]bool
+	decls   map[*types.Func]*funcDecl // declOf's index, filled per package
+	indexed map[string]bool
+	facts   map[*ast.FuncDecl]*funcFacts // factsOf's memo
 
-	nnSums     map[*types.Func]bool
-	nnInflight map[*types.Func]bool
+	sums    summaryTable[sumKey, *fnSummary]        // offset provenance (summary.go)
+	nnSums  summaryTable[*types.Func, bool]         // non-negativity (nnsummary.go)
+	effects summaryTable[*types.Func, *writeEffect] // write effects (raceeffect.go)
+	escapes summaryTable[*types.Func, *escEffect]   // escape/retention (escapesummary.go)
+
+	// The lifetimes pass's module-wide prescan (prescanBoxes). boxTypes
+	// are the named types instantiated in arena.AcquireBox[T] anywhere
+	// in the module, keyed by type name: per-worker reusable state a
+	// checkout may legitimately transit through. boxCleared records
+	// "Type.field" pairs assigned nil somewhere in the module — the
+	// clearing half of a box-field handoff. A checkout stored into a
+	// box field of a *parameter* is worker-confined only when the field
+	// is provably cleared before the box is reused.
+	boxTypes, boxCleared map[string]bool
 }
 
 func newTypeLoader(a *analysis) *typeLoader {
 	return &typeLoader{
-		a:           a,
-		std:         importer.ForCompiler(a.fset, "source", nil),
-		checked:     map[string]*typedPkg{},
-		inflight:    map[string]bool{},
-		stubs:       map[string]*types.Package{},
-		sums:        map[sumKey]*fnSummary{},
-		sumInflight: map[sumKey]bool{},
-		nnSums:      map[*types.Func]bool{},
-		nnInflight:  map[*types.Func]bool{},
+		a:        a,
+		std:      importer.ForCompiler(a.fset, "source", nil),
+		checked:  map[string]*typedPkg{},
+		inflight: map[string]bool{},
+		stubs:    map[string]*types.Package{},
+		decls:    map[*types.Func]*funcDecl{},
+		indexed:  map[string]bool{},
+		facts:    map[*ast.FuncDecl]*funcFacts{},
 	}
 }
 
@@ -64,7 +77,7 @@ func newTypeLoader(a *analysis) *typeLoader {
 // stub fallback.
 func (l *typeLoader) Import(path string) (*types.Package, error) {
 	if rel, ok := l.a.modRel(path); ok {
-		if tp := l.check(rel); tp != nil && tp.tpkg != nil {
+		if tp := l.check(rel); tp != nil {
 			return tp.tpkg, nil
 		}
 		return l.stub(path), nil
@@ -91,7 +104,7 @@ func (l *typeLoader) stub(path string) *types.Package {
 }
 
 // check type-checks one in-module package (memoized; nil for unknown
-// directories and import cycles).
+// directories, import cycles, and packages go/types gave up on).
 func (l *typeLoader) check(rel string) *typedPkg {
 	if tp, done := l.checked[rel]; done {
 		return tp
@@ -128,6 +141,9 @@ func (l *typeLoader) check(rel string) *typedPkg {
 		importPath = l.a.mod + "/" + rel
 	}
 	tp.tpkg, _ = conf.Check(importPath, l.a.fset, files, tp.info)
+	if tp.tpkg == nil {
+		tp = nil
+	}
 	l.checked[rel] = tp
 	return tp
 }

@@ -141,14 +141,11 @@ func xlGraphBlock(w io.Writer, path string) error {
 
 // xlDecodeBlock renders the decode-bandwidth table from the
 // BenchmarkXLGraphDecode* family: single-thread whole-graph row
-// streaming per codec generation (plain int32 CSR, v1 scalar varint,
-// group-varint forward, group-varint transpose from the shared pool's
-// second half), with the group-vs-v1 edges/ns speedup — the ≥2x
-// acceptance line of the batched-decode work — printed underneath.
+// streaming per representation (plain int32 CSR, group-varint forward,
+// group-varint transpose from the shared pool's second half).
 func xlDecodeBlock(w io.Writer, xl map[string]map[string]float64) {
 	rows := []struct{ suffix, label string }{
 		{"Plain", "plain CSR (no decode)"},
-		{"V1", "v1 scalar varint"},
 		{"Group", "group-varint forward"},
 		{"GroupTranspose", "group-varint transpose"},
 	}
@@ -164,10 +161,5 @@ func xlDecodeBlock(w io.Writer, xl map[string]map[string]float64) {
 			header = true
 		}
 		fmt.Fprintf(w, "%-36s %10.2f %12.3f %12.2f\n", r.label, m["GB_s"], m["edges_ns"], m["enc_bytes_edge"])
-	}
-	v1, okV := xl["BenchmarkXLGraphDecodeRmatV1"]
-	grp, okG := xl["BenchmarkXLGraphDecodeRmatGroup"]
-	if okV && okG && v1["edges_ns"] > 0 {
-		fmt.Fprintf(w, "group-varint decode speedup vs v1: %.2fx edges/ns\n", grp["edges_ns"]/v1["edges_ns"])
 	}
 }

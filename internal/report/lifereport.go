@@ -3,8 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
+	"path"
 
 	"repro/internal/lint"
 )
@@ -20,91 +19,30 @@ import (
 // other passes prove writes are exclusive; this one proves the memory
 // they target is still owned when it is touched.
 func LifetimesReport(w io.Writer) error {
-	root, err := findModuleRoot()
-	if err != nil {
-		return err
-	}
-	rep, err := lint.Lifetimes(lint.Config{Root: root})
+	rep, err := lintModule(lint.Lifetimes)
 	if err != nil {
 		return err
 	}
 
-	type row struct {
-		released, region, worker, audited, refused int
-	}
-	rows := map[string]*row{}
-	pkgOf := func(file string) string {
-		if i := strings.LastIndex(file, "/"); i >= 0 {
-			return file[:i]
-		}
-		return file
+	t := siteTally{
+		proved: []string{lint.LifeReleased, lint.LifeRegionConfined, lint.LifeWorkerConfined},
+		heads:  []string{"released", "region", "worker", "audited", "refused"},
+		widths: []int{9, 7, 7, 8, 8},
 	}
 	for _, s := range rep.Sites {
-		r := rows[pkgOf(s.File)]
-		if r == nil {
-			r = &row{}
-			rows[pkgOf(s.File)] = r
-		}
-		switch s.Class {
-		case lint.LifeReleased:
-			r.released++
-		case lint.LifeRegionConfined:
-			r.region++
-		case lint.LifeWorkerConfined:
-			r.worker++
-		case lint.LifeRefused:
-			if s.Marker {
-				r.audited++
-			} else {
-				r.refused++
-			}
-		}
+		t.add(path.Dir(s.File), s.Class, s.Marker,
+			fmt.Sprintf("%s:%d %s %s in %s: %s", s.File, s.Line, s.Origin, s.Expr, s.Func, s.Reason))
 	}
-	var totAudited, totRefused int
-	for _, r := range rows {
-		totAudited += r.audited
-		totRefused += r.refused
-	}
-	pkgs := make([]string, 0, len(rows))
-	for p := range rows {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
 
 	fmt.Fprintf(w, "Arena-lifetime certification: every checkout's ownership proof\n")
 	fmt.Fprintf(w, "(%d regions, %d marks; released = scoped LIFO borrow, region/worker = confinement proof)\n",
 		rep.Regions, rep.Marks)
-	fmt.Fprintf(w, "%-28s %9s %7s %7s %8s %8s\n",
-		"package", "released", "region", "worker", "audited", "refused")
-	for _, p := range pkgs {
-		r := rows[p]
-		fmt.Fprintf(w, "%-28s %9d %7d %7d %8d %8d\n",
-			p, r.released, r.region, r.worker, r.audited, r.refused)
-	}
-	fmt.Fprintf(w, "%-28s %9d %7d %7d %8d %8d\n", "total",
-		rep.Released, rep.RegionConfined, rep.WorkerConfined, totAudited, totRefused)
+	t.print(w, "package", 28, true)
 	if rep.Checkouts > 0 {
 		proved := rep.Released + rep.RegionConfined + rep.WorkerConfined
 		fmt.Fprintf(w, "\n%d/%d checkouts proved confined, %d refused (%d unexplained in enforced packages)\n",
 			proved, rep.Checkouts, rep.Refused, rep.Unexplained)
 	}
-
-	var refusals []lint.LifeSite
-	for _, s := range rep.Sites {
-		if s.Class == lint.LifeRefused {
-			refusals = append(refusals, s)
-		}
-	}
-	if len(refusals) > 0 {
-		fmt.Fprintf(w, "\nRefused checkouts (each needs a //lint:scared audit or a redesign):\n")
-		for _, s := range refusals {
-			mark := " "
-			if s.Marker {
-				mark = "A"
-			}
-			fmt.Fprintf(w, "  [%s] %s:%d %s %s in %s: %s\n", mark, s.File, s.Line, s.Origin, s.Expr, s.Func, s.Reason)
-		}
-		fmt.Fprintln(w, "  ([A] = audited with //lint:scared)")
-	}
+	t.printRefusals(w, "checkouts")
 	return nil
 }

@@ -3,8 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
+	"path"
 
 	"repro/internal/lint"
 )
@@ -20,96 +19,30 @@ import (
 // (synchronization pays for aliasing), and refusals are where a Rust
 // port would need unsafe or a redesign.
 func RacesReport(w io.Writer) error {
-	root, err := findModuleRoot()
-	if err != nil {
-		return err
-	}
-	rep, err := lint.Races(lint.Config{Root: root})
+	rep, err := lintModule(lint.Races)
 	if err != nil {
 		return err
 	}
 
-	type row struct {
-		local, atomic, locked, index, audited, refused int
-	}
-	rows := map[string]*row{}
-	pkgOf := func(file string) string {
-		if i := strings.LastIndex(file, "/"); i >= 0 {
-			return file[:i]
-		}
-		return file
+	t := siteTally{
+		proved: []string{lint.RaceWorkerLocal, lint.RaceAtomic, lint.RaceLockGuarded, lint.RaceIndexDisjoint},
+		heads:  []string{"local", "atomic", "locked", "index", "audited", "refused"},
+		widths: []int{7, 7, 7, 7, 8, 8},
 	}
 	for _, s := range rep.Sites {
-		r := rows[pkgOf(s.File)]
-		if r == nil {
-			r = &row{}
-			rows[pkgOf(s.File)] = r
-		}
-		switch s.Class {
-		case lint.RaceWorkerLocal:
-			r.local++
-		case lint.RaceAtomic:
-			r.atomic++
-		case lint.RaceLockGuarded:
-			r.locked++
-		case lint.RaceIndexDisjoint:
-			r.index++
-		case lint.RaceRefused:
-			if s.Marker {
-				r.audited++
-			} else {
-				r.refused++
-			}
-		}
+		t.add(path.Dir(s.File), s.Class, s.Marker, fmt.Sprintf("%s:%d %s in %s", s.File, s.Line, s.Target, s.Region))
 	}
-	var totAudited, totRefused int
-	for _, r := range rows {
-		totAudited += r.audited
-		totRefused += r.refused
-	}
-	pkgs := make([]string, 0, len(rows))
-	for p := range rows {
-		pkgs = append(pkgs, p)
-	}
-	sort.Strings(pkgs)
 
 	fmt.Fprintf(w, "Parallel-write certification: every shared write in a parallel region\n")
 	fmt.Fprintf(w, "(%d regions; fearless = worker-local + index-disjoint, synchronized = atomic + lock-guarded)\n",
 		rep.Regions)
-	fmt.Fprintf(w, "%-28s %7s %7s %7s %7s %8s %8s\n",
-		"package", "local", "atomic", "locked", "index", "audited", "refused")
-	for _, p := range pkgs {
-		r := rows[p]
-		fmt.Fprintf(w, "%-28s %7d %7d %7d %7d %8d %8d\n",
-			p, r.local, r.atomic, r.locked, r.index, r.audited, r.refused)
-	}
+	t.print(w, "package", 28, true)
 	fearless := rep.WorkerLocal + rep.IndexDisjoint
 	synced := rep.Atomic + rep.LockGuarded
-	total := fearless + synced + rep.Refused
-	fmt.Fprintf(w, "%-28s %7d %7d %7d %7d %8d %8d\n", "total",
-		rep.WorkerLocal, rep.Atomic, rep.LockGuarded, rep.IndexDisjoint,
-		totAudited, totRefused)
-	if total > 0 {
+	if total := fearless + synced + rep.Refused; total > 0 {
 		fmt.Fprintf(w, "\n%d/%d writes proved exclusive (fearless), %d synchronized, %d refused (%d unexplained in enforced packages)\n",
 			fearless, total, synced, rep.Refused, rep.Unexplained)
 	}
-
-	var refusals []lint.RaceSite
-	for _, s := range rep.Sites {
-		if s.Class == lint.RaceRefused {
-			refusals = append(refusals, s)
-		}
-	}
-	if len(refusals) > 0 {
-		fmt.Fprintf(w, "\nRefused writes (each needs a //lint:scared audit or a redesign):\n")
-		for _, s := range refusals {
-			mark := " "
-			if s.Marker {
-				mark = "A"
-			}
-			fmt.Fprintf(w, "  [%s] %s:%d %s in %s\n", mark, s.File, s.Line, s.Target, s.Region)
-		}
-		fmt.Fprintln(w, "  ([A] = audited with //lint:scared)")
-	}
+	t.printRefusals(w, "writes")
 	return nil
 }
