@@ -166,3 +166,67 @@ func BenchmarkMemRadixSortPairs(b *testing.B) {
 		radix.SortPairs(w, keys, vals, 32)
 	})
 }
+
+// BenchmarkMemForBlocks: the Stride engine with a body built once —
+// the call itself rides a per-worker box and must allocate nothing.
+func BenchmarkMemForBlocks(b *testing.B) {
+	xs := make([]int32, memPrimN)
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			xs[i] = int32(i)
+		}
+	}
+	benchMemLoop(b, func(w *core.Worker) { core.ForBlocks(w, 0, memPrimN, 0, body) })
+}
+
+// BenchmarkMemPackMaskInto: the pack engine through its range-bodied
+// entry, verdict bitmask and block counts from the worker's arena.
+// 0 allocs/op once the destination has warmed.
+func BenchmarkMemPackMaskInto(b *testing.B) {
+	var idx []int32
+	mask := func(lo, hi int) uint64 {
+		var m uint64
+		for i := lo; i < hi; i++ {
+			if i%3 == 0 {
+				m |= 1 << uint(i-lo)
+			}
+		}
+		return m
+	}
+	benchMemLoop(b, func(w *core.Worker) {
+		idx = core.PackMaskInto(w, memPrimN, mask, idx)
+		if len(idx) == 0 {
+			panic("empty pack")
+		}
+	})
+}
+
+// memPerm is a fixed permutation of [0, memPrimN): an odd multiplier
+// modulo a power of two.
+func memPerm() []int32 {
+	p := make([]int32, memPrimN)
+	for i := range p {
+		p[i] = int32(uint32(i) * 2654435761 % memPrimN)
+	}
+	return p
+}
+
+// BenchmarkMemScatter: the closure-free SngInd scatter. 0 allocs/op.
+func BenchmarkMemScatter(b *testing.B) {
+	perm, vals, out := memPerm(), make([]int32, memPrimN), make([]int32, memPrimN)
+	benchMemLoop(b, func(w *core.Worker) { core.ScatterUnchecked(w, out, perm, vals) })
+}
+
+// BenchmarkMemIndForEachChecked: the checked SngInd rung. The checker's
+// bitmap lanes are an arena checkout and its loop body rides a box, so
+// a passing check allocates nothing; the one allocation per call is the
+// wrapper closure that carries f through ForBlocks, as before.
+func BenchmarkMemIndForEachChecked(b *testing.B) {
+	perm, out := memPerm(), make([]int32, memPrimN)
+	body := func(i int, slot *int32) { *slot = int32(i) }
+	benchMemLoop(b, func(w *core.Worker) {
+		if err := core.IndForEach(w, out, perm, body); err != nil {
+			panic(err)
+		}
+	})
+}

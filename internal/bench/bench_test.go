@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -214,5 +215,23 @@ func TestMeasureResetCalledPerRep(t *testing.T) {
 	}
 	if resets != 3 {
 		t.Fatalf("Reset called %d times, want 3", resets)
+	}
+}
+
+// TestClassifyMatchesSearch: the branch-free splitter search must agree
+// with sort.Search on every splitter count (odd, even, empty) and on
+// keys below, between, equal to and above duplicated splitters.
+func TestClassifyMatchesSearch(t *testing.T) {
+	for n := 0; n <= 33; n++ {
+		splitters := make([]uint32, n)
+		for i := range splitters {
+			splitters[i] = uint32(10 * (i / 2)) // every value twice
+		}
+		for x := uint32(0); x <= uint32(10*(n/2))+11; x++ {
+			want := sort.Search(n, func(i int) bool { return x < splitters[i] })
+			if got := classify(splitters, x); got != want {
+				t.Fatalf("classify(%d splitters, %d) = %d, want %d", n, x, got, want)
+			}
+		}
 	}
 }

@@ -30,22 +30,23 @@ func (d *dedupInstance) reset() {
 }
 
 func (d *dedupInstance) runLibrary(w *core.Worker) {
-	table := d.table
-	core.ForRange(w, 0, len(d.keys), 0, func(i int) {
-		table.Insert(uint64(d.keys[i]))
+	table, keys := d.table, d.keys
+	core.ForBlocks(w, 0, len(keys), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			table.Insert(uint64(keys[i]))
+		}
 	})
 	// Extract distinct keys with a pack over the table's slots (Block)
 	// into the instance's reused destination buffers.
-	d.idx = core.PackIndexInto(w, table.Capacity(), func(i int) bool {
-		_, ok := table.SlotKey(i)
-		return ok
-	}, d.idx)
+	d.idx = core.PackMaskInto(w, table.Capacity(), table.LiveMask, d.idx)
 	idx := d.idx
 	d.out = core.EnsureLen(d.out, len(idx))
 	out := d.out
-	core.ForRange(w, 0, len(idx), 0, func(i int) {
-		k, _ := table.SlotKey(int(idx[i]))
-		out[i] = k
+	core.ForBlocks(w, 0, len(idx), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k, _ := table.SlotKey(int(idx[i]))
+			out[i] = k
+		}
 	})
 	d.distinct = len(out)
 }
@@ -108,6 +109,15 @@ func (d *dedupInstance) verify() error {
 	return nil
 }
 
+func newDedup(scale Scale) *dedupInstance {
+	keys := seqgen.ExponentialInts(nil, SeqSize(scale), 0xDED)
+	seen := map[uint32]bool{}
+	for _, k := range keys {
+		seen[k] = true
+	}
+	return &dedupInstance{keys: keys, want: len(seen), table: hashtable.NewSet(len(keys))}
+}
+
 func init() {
 	core.DeclareSite("dedup", "insert: keys read", core.RO)
 	core.DeclareSite("dedup", "insert: table slot CAS", core.AW)
@@ -120,14 +130,7 @@ func init() {
 		Long:   "remove duplicates",
 		Inputs: []string{"exponential"},
 		Make: func(input string, scale Scale) *Instance {
-			n := SeqSize(scale)
-			keys := seqgen.ExponentialInts(nil, n, 0xDED)
-			seen := map[uint32]bool{}
-			for _, k := range keys {
-				seen[k] = true
-			}
-			d := &dedupInstance{keys: keys, want: len(seen)}
-			d.table = hashtable.NewSet(len(keys))
+			d := newDedup(scale)
 			return &Instance{
 				RunLibrary: d.runLibrary,
 				RunDirect:  d.runDirect,

@@ -15,10 +15,10 @@ import (
 // array — the SngInd pattern of Listing 6, whose independence follows
 // from positions being a permutation but is invisible to any checker.
 //
-// Modes: unchecked scatters directly (the unsafe analog); checked
-// scatters via core.IndForEach, paying the uniqueness check; synchronized
-// scatters with atomic stores (Listing 6(e) — races undetected but
-// "placated").
+// Modes: core.Scatter scatters directly when unchecked (the unsafe
+// analog) and pays the uniqueness check first when checked;
+// synchronized scatters with atomic stores (Listing 6(e) — races
+// undetected but "placated").
 
 const isortDigitBits = 8
 const isortRadix = 1 << isortDigitBits
@@ -54,6 +54,7 @@ type isortPass struct {
 }
 
 func (p *isortPass) RunRange(_ *core.Worker, blo, bhi int) {
+	keys, pos, counts, nb, shift := p.keys, p.pos, p.counts, p.nb, p.shift
 	for b := blo; b < bhi; b++ {
 		lo, hi := b*isortBlock, (b+1)*isortBlock
 		if hi > p.n {
@@ -62,19 +63,19 @@ func (p *isortPass) RunRange(_ *core.Worker, blo, bhi int) {
 		if p.phase == isortPhaseCount {
 			var local [isortRadix]int32
 			for i := lo; i < hi; i++ {
-				local[(p.keys[i]>>p.shift)&(isortRadix-1)]++
+				local[(keys[i]>>shift)&(isortRadix-1)]++
 			}
 			for d := 0; d < isortRadix; d++ {
-				p.counts[d*p.nb+b] = local[d]
+				counts[d*nb+b] = local[d]
 			}
 		} else {
 			var cursor [isortRadix]int32
 			for d := 0; d < isortRadix; d++ {
-				cursor[d] = p.counts[d*p.nb+b]
+				cursor[d] = counts[d*nb+b]
 			}
 			for i := lo; i < hi; i++ {
-				d := (p.keys[i] >> p.shift) & (isortRadix - 1)
-				p.pos[i] = cursor[d]
+				d := (keys[i] >> shift) & (isortRadix - 1)
+				pos[i] = cursor[d]
 				cursor[d]++
 			}
 		}
@@ -118,24 +119,25 @@ func (s *isortInstance) runLibrary(w *core.Worker) {
 	src, dst := s.keys, buf
 	passes := (s.bits + isortDigitBits - 1) / isortDigitBits
 	mode := core.GetMode()
-	// The scatter bodies capture src/dst by reference, so the same
-	// closures serve every pass of the ping-pong.
-	scatter := func(i int, slot *uint32) { *slot = src[i] }
-	syncScatter := func(i int) { atomic.StoreUint32(&dst[pos[i]], src[i]) }
+	// The synchronized body captures src/dst by reference, so the same
+	// closure serves every pass of the ping-pong.
+	syncScatter := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.StoreUint32(&dst[pos[i]], src[i])
+		}
+	}
 	for p := 0; p < passes; p++ {
 		isortPositions(w, pass, src, uint(p*isortDigitBits))
-		switch mode {
-		case core.ModeChecked:
-			// SngInd through the paper's par_ind_iter_mut analog: the
-			// positions are validated to be a permutation at run time.
-			if err := core.IndForEach(w, dst, pos, scatter); err != nil {
+		if mode != core.ModeSynchronized {
+			// SngInd: under ModeChecked the positions are validated to be
+			// a permutation at run time (the paper's par_ind_iter_mut
+			// analog); otherwise the scatter runs unchecked.
+			if err := core.Scatter(w, dst, pos, src); err != nil {
 				panic(fmt.Sprintf("isort: position check failed: %v", err))
 			}
-		case core.ModeSynchronized:
+		} else {
 			// Atomic stores placate the type system but validate nothing.
-			core.ForRange(w, 0, n, 0, syncScatter)
-		default:
-			core.IndForEachUnchecked(w, dst, pos, scatter)
+			core.ForBlocks(w, 0, n, 0, syncScatter)
 		}
 		src, dst = dst, src
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -212,3 +213,112 @@ func equalF64(a, b []float64) bool {
 	}
 	return true
 }
+
+// The kernels moved onto the range-bodied engines (core.ForBlocks, the
+// bitmask pack, core.Scatter, the range-bodied checker) must produce
+// what they produced before the move, in all three modes, on a pool
+// and sequentially. For isort, sort, sa, lrs and bw the oracle Verify
+// compares against *is* the whole output, so passing it is
+// byte-identity. mis, msf and dedup verify a property of the output
+// (maximal independence, total weight, distinct count), so their full
+// outputs — the status array, the forest's edge set, the extracted
+// key set — are pinned as digests recorded from the commit before the
+// conversion; mm, sf and dr (which reach the engines through
+// specfor.Run) are deterministic-reservation loops pinned by their
+// verifiers.
+func TestConvertedKernelsMatchParent(t *testing.T) {
+	defer core.SetMode(core.ModeUnchecked)
+	pool := core.NewPool(4)
+	defer pool.Close()
+	runs := func(t *testing.T, reset func(), run func(w *core.Worker), check func(how string)) {
+		for _, mode := range []core.Mode{core.ModeUnchecked, core.ModeChecked, core.ModeSynchronized} {
+			core.SetMode(mode)
+			reset()
+			pool.Do(run)
+			check(mode.String() + " pool")
+			reset()
+			run(nil)
+			check(mode.String() + " sequential")
+		}
+	}
+	for _, k := range [][2]string{
+		{"isort", "exponential"}, {"sort", "exponential"}, {"sa", "wiki"}, {"lrs", "wiki"}, {"bw", "wiki"},
+		{"mm", graph.InputRMAT}, {"sf", graph.InputLink}, {"dr", "kuzmin"},
+	} {
+		spec, err := Find(k[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := spec.Make(k[1], ScaleTest)
+		reset := inst.Reset
+		if reset == nil {
+			reset = func() {}
+		}
+		runs(t, reset, inst.RunLibrary, func(how string) {
+			if err := inst.Verify(); err != nil {
+				t.Errorf("%s %s: %v", k[0], how, err)
+			}
+		})
+	}
+
+	digest := func(bytes func(yield func(byte))) uint64 {
+		h := uint64(14695981039346656037) // FNV-1a
+		bytes(func(b byte) { h = (h ^ uint64(b)) * 1099511628211 })
+		return h
+	}
+	pinned := func(name string, want uint64, verify func() error, got func() uint64) func(string) {
+		return func(how string) {
+			if err := verify(); err != nil {
+				t.Errorf("%s %s: %v", name, how, err)
+			}
+			if g := got(); g != want {
+				t.Errorf("%s %s: output digest %#x, the parent commit's is %#x", name, how, g, want)
+			}
+		}
+	}
+
+	mis := newMIS(graph.InputRoad, ScaleTest)
+	runs(t, mis.reset, mis.runLibrary, pinned("mis", misParentDigest, mis.verify, func() uint64 {
+		return digest(func(yield func(byte)) {
+			for _, s := range mis.status {
+				yield(byte(s))
+			}
+		})
+	}))
+
+	msf := newMSF(graph.InputRMAT, ScaleTest)
+	runs(t, msf.reset, msf.runLibrary, pinned("msf", msfParentDigest, msf.verify, func() uint64 {
+		return digest(func(yield func(byte)) {
+			for _, in := range msf.inMSF {
+				b := byte(0)
+				if in {
+					b = 1
+				}
+				yield(b)
+			}
+		})
+	}))
+
+	dedup := newDedup(ScaleTest)
+	runs(t, dedup.reset, dedup.runLibrary, pinned("dedup", dedupParentDigest, dedup.verify, func() uint64 {
+		// Slot order depends on which insert wins a probe race; the key
+		// set does not.
+		keys := append([]uint64(nil), dedup.out...)
+		slices.Sort(keys)
+		return digest(func(yield func(byte)) {
+			for _, k := range keys {
+				for s := 0; s < 64; s += 8 {
+					yield(byte(k >> s))
+				}
+			}
+		})
+	}))
+}
+
+// Output digests of mis (road), msf (rmat) and dedup at ScaleTest,
+// recorded at commit c4ceb91, the parent of the engine conversion.
+const (
+	misParentDigest   = 0xbec45d342bd8e63
+	msfParentDigest   = 0x7088e1e82edc2adf
+	dedupParentDigest = 0x6ee53012f2796422
+)

@@ -29,11 +29,10 @@ type misInstance struct {
 	status []int32 // atomic access
 
 	// Round-persistent scratch (docs/MEMORY.md): the frontier and its
-	// ping-pong partner, plus the pack-index destination. Grown once,
-	// reused every round and every benchmark repetition.
+	// ping-pong partner. Grown once, reused every round and every
+	// benchmark repetition.
 	frontier []int32
 	spare    []int32
-	idx      []int32
 }
 
 func (m *misInstance) reset() {
@@ -60,44 +59,57 @@ func (m *misInstance) beatsAllNeighbors(v int32) bool {
 
 func (m *misInstance) runLibrary(w *core.Worker) {
 	n := int(m.g.N)
-	m.frontier = core.PackIndexInto(w, n, func(int) bool { return true }, m.frontier)
+	if cap(m.spare) > cap(m.frontier) {
+		// The last run may have ended with the buffers swapped; seed
+		// the full frontier into the one that already holds it.
+		m.frontier, m.spare = m.spare, m.frontier
+	}
+	m.frontier = core.EnsureLen(m.frontier, n)
+	frontier := m.frontier
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			frontier[i] = int32(i)
+		}
+	})
 	// The round bodies are built once per run and read the frontier via
 	// the instance, so rounds allocate nothing beyond frontier growth
 	// (and that only until the scratch has warmed).
-	winner := func(i int) {
+	winner := func(lo, hi int) {
 		// Phase A (RO + Stride): winners determine themselves; each task
 		// writes only its own status slot.
-		v := m.frontier[i]
-		if atomic.LoadInt32(&m.status[v]) != misLive {
-			return
-		}
-		if m.beatsAllNeighbors(v) {
-			atomic.StoreInt32(&m.status[v], misIn)
+		for _, v := range m.frontier[lo:hi] {
+			if atomic.LoadInt32(&m.status[v]) == misLive && m.beatsAllNeighbors(v) {
+				atomic.StoreInt32(&m.status[v], misIn)
+			}
 		}
 	}
-	knock := func(i int) {
+	knock := func(lo, hi int) {
 		// Phase B (AW): winners knock out neighbors — overlapping
 		// same-value stores, synchronized with atomics.
-		v := m.frontier[i]
-		if atomic.LoadInt32(&m.status[v]) != misIn {
-			return
-		}
-		for _, u := range m.g.Neighbors(v) {
-			atomic.StoreInt32(&m.status[u], misOut)
+		for _, v := range m.frontier[lo:hi] {
+			if atomic.LoadInt32(&m.status[v]) != misIn {
+				continue
+			}
+			for _, u := range m.g.Neighbors(v) {
+				atomic.StoreInt32(&m.status[u], misOut)
+			}
 		}
 	}
-	live := func(i int) bool {
-		return atomic.LoadInt32(&m.status[m.frontier[i]]) == misLive
+	live := func(lo, hi int) uint64 {
+		var mask uint64
+		for k, v := range m.frontier[lo:hi] {
+			if atomic.LoadInt32(&m.status[v]) == misLive {
+				mask |= 1 << uint(k)
+			}
+		}
+		return mask
 	}
 	for len(m.frontier) > 0 {
-		core.ForRange(w, 0, len(m.frontier), 0, winner)
-		core.ForRange(w, 0, len(m.frontier), 0, knock)
-		// Shrink the frontier (pack) into the ping-pong partner.
-		m.idx = core.PackIndexInto(w, len(m.frontier), live, m.idx)
-		m.spare = core.EnsureLen(m.spare, len(m.idx))
-		for j, i := range m.idx {
-			m.spare[j] = m.frontier[i]
-		}
+		core.ForBlocks(w, 0, len(m.frontier), 0, winner)
+		core.ForBlocks(w, 0, len(m.frontier), 0, knock)
+		// Shrink the frontier: pack the live vertices straight into the
+		// ping-pong partner.
+		m.spare = core.PackInto(w, m.frontier, live, m.spare)
 		m.frontier, m.spare = m.spare, m.frontier
 	}
 }
@@ -170,6 +182,17 @@ func (m *misInstance) verify() error {
 	return nil
 }
 
+func newMIS(input string, scale Scale) *misInstance {
+	g := graph.LoadUndirected(nil, input, scale, 0x315)
+	r := seqgen.NewRng(0x315315)
+	pri := core.Tabulate(nil, int(g.N), func(i int) uint32 {
+		return uint32(r.U64(uint64(i)))
+	})
+	m := &misInstance{g: g, pri: pri, status: make([]int32, g.N)}
+	m.reset()
+	return m
+}
+
 func init() {
 	core.DeclareSite("mis", "win: priorities read", core.RO)
 	core.DeclareSite("mis", "win: neighbor list read", core.RO)
@@ -184,13 +207,7 @@ func init() {
 		Long:   "maximal independent set",
 		Inputs: []string{graph.InputLink, graph.InputRoad},
 		Make: func(input string, scale Scale) *Instance {
-			g := graph.LoadUndirected(nil, input, scale, 0x315)
-			r := seqgen.NewRng(0x315315)
-			pri := core.Tabulate(nil, int(g.N), func(i int) uint32 {
-				return uint32(r.U64(uint64(i)))
-			})
-			m := &misInstance{g: g, pri: pri, status: make([]int32, g.N)}
-			m.reset()
+			m := newMIS(input, scale)
 			return &Instance{
 				RunLibrary: m.runLibrary,
 				RunDirect:  m.runDirect,

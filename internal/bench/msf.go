@@ -24,11 +24,10 @@ type msfInstance struct {
 	inMSF []bool
 	want  uint64 // oracle total weight
 
-	// Round-persistent scratch (docs/MEMORY.md): the live-edge frontier,
-	// its ping-pong partner, and the pack-index destination.
+	// Round-persistent scratch (docs/MEMORY.md): the live-edge frontier
+	// and its ping-pong partner.
 	live  []int32
 	spare []int32
-	idx   []int32
 }
 
 const msfNone = ^uint64(0)
@@ -44,58 +43,74 @@ func msfKey(w uint32, ei int) uint64 { return uint64(w)<<32 | uint64(uint32(ei))
 
 func (m *msfInstance) runLibrary(w *core.Worker) {
 	uf := m.uf
-	m.live = core.PackIndexInto(w, len(m.edges), func(int) bool { return true }, m.live)
+	if cap(m.spare) > cap(m.live) {
+		// The last run may have ended with the buffers swapped; seed
+		// the full frontier into the one that already holds it.
+		m.live, m.spare = m.spare, m.live
+	}
+	m.live = core.EnsureLen(m.live, len(m.edges))
+	live := m.live
+	core.ForBlocks(w, 0, len(live), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			live[i] = int32(i)
+		}
+	})
 	// Round bodies are built once per run and read the frontier via the
 	// instance, so rounds allocate nothing beyond scratch warm-up.
 	// The reset sweep needs no atomics: the races certificate proves
-	// best[v] task-affine in this region (lint-races.json, class
+	// best[v] range-owned in this region (lint-races.json, class
 	// index-disjoint), and the pool's fork/join edges publish the
 	// stores to the offer round that follows.
-	clearBest := func(v int) {
-		m.best[v] = msfNone
+	clearBest := func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			m.best[v] = msfNone
+		}
 	}
-	offer := func(i int) {
+	offer := func(lo, hi int) {
 		// Offer every live edge to both endpoint components (AW).
-		ei := m.live[i]
-		e := m.edges[ei]
-		ru, rv := uf.Find(e.From), uf.Find(e.To)
-		if ru == rv {
-			return
+		for _, ei := range m.live[lo:hi] {
+			e := m.edges[ei]
+			ru, rv := uf.Find(e.From), uf.Find(e.To)
+			if ru == rv {
+				continue
+			}
+			k := msfKey(e.W, int(ei))
+			core.WriteMinU64(&m.best[ru], k)
+			core.WriteMinU64(&m.best[rv], k)
 		}
-		k := msfKey(e.W, int(ei))
-		core.WriteMinU64(&m.best[ru], k)
-		core.WriteMinU64(&m.best[rv], k)
 	}
-	commit := func(i int) {
+	commit := func(lo, hi int) {
 		// Commit: the winning edge of each component unions and joins.
-		ei := m.live[i]
-		e := m.edges[ei]
-		ru, rv := uf.Find(e.From), uf.Find(e.To)
-		if ru == rv {
-			return
-		}
-		k := msfKey(e.W, int(ei))
-		if atomic.LoadUint64(&m.best[ru]) == k || atomic.LoadUint64(&m.best[rv]) == k {
-			if uf.Union(e.From, e.To) {
-				m.inMSF[ei] = true
+		for _, ei := range m.live[lo:hi] {
+			e := m.edges[ei]
+			ru, rv := uf.Find(e.From), uf.Find(e.To)
+			if ru == rv {
+				continue
+			}
+			k := msfKey(e.W, int(ei))
+			if atomic.LoadUint64(&m.best[ru]) == k || atomic.LoadUint64(&m.best[rv]) == k {
+				if uf.Union(e.From, e.To) {
+					m.inMSF[ei] = true
+				}
 			}
 		}
 	}
-	external := func(i int) bool {
-		e := m.edges[m.live[i]]
-		return !uf.SameSet(e.From, e.To)
+	external := func(lo, hi int) uint64 {
+		var mask uint64
+		for k, ei := range m.live[lo:hi] {
+			if e := m.edges[ei]; !uf.SameSet(e.From, e.To) {
+				mask |= 1 << uint(k)
+			}
+		}
+		return mask
 	}
 	for len(m.live) > 0 {
-		core.ForRange(w, 0, int(m.n), 0, clearBest)
-		core.ForRange(w, 0, len(m.live), 0, offer)
-		core.ForRange(w, 0, len(m.live), 0, commit)
-		// Drop edges now internal to one component (pack into the
-		// ping-pong partner).
-		m.idx = core.PackIndexInto(w, len(m.live), external, m.idx)
-		m.spare = core.EnsureLen(m.spare, len(m.idx))
-		for j, i := range m.idx {
-			m.spare[j] = m.live[i]
-		}
+		core.ForBlocks(w, 0, int(m.n), 0, clearBest)
+		core.ForBlocks(w, 0, len(m.live), 0, offer)
+		core.ForBlocks(w, 0, len(m.live), 0, commit)
+		// Drop edges now internal to one component: pack the survivors
+		// straight into the ping-pong partner.
+		m.spare = core.PackInto(w, m.live, external, m.spare)
 		m.live, m.spare = m.spare, m.live
 	}
 }
@@ -213,6 +228,19 @@ func kruskalOracle(edges []graph.WEdge, n int32) uint64 {
 	return total
 }
 
+func newMSF(input string, scale Scale) *msfInstance {
+	edgesPlain, n := graph.UndirectedEdgeList(nil, input, scale, 0x35f)
+	edges := graph.AddWeights(nil, edgesPlain, 1<<16, 0x35f+1)
+	return &msfInstance{
+		edges: edges,
+		n:     n,
+		best:  make([]uint64, n),
+		uf:    unionfind.New(n),
+		inMSF: make([]bool, len(edges)),
+		want:  kruskalOracle(edges, n),
+	}
+}
+
 func init() {
 	core.DeclareSite("msf", "offer: edges/weights read", core.RO)
 	core.DeclareSite("msf", "offer: find parent chase read", core.AW)
@@ -229,16 +257,7 @@ func init() {
 		Long:   "minimum spanning forest",
 		Inputs: []string{graph.InputRMAT, graph.InputRoad},
 		Make: func(input string, scale Scale) *Instance {
-			edgesPlain, n := graph.UndirectedEdgeList(nil, input, scale, 0x35f)
-			edges := graph.AddWeights(nil, edgesPlain, 1<<16, 0x35f+1)
-			m := &msfInstance{
-				edges: edges,
-				n:     n,
-				best:  make([]uint64, n),
-				uf:    unionfind.New(n),
-				inMSF: make([]bool, len(edges)),
-				want:  kruskalOracle(edges, n),
-			}
+			m := newMSF(input, scale)
 			return &Instance{
 				RunLibrary: m.runLibrary,
 				RunDirect:  m.runDirect,

@@ -30,10 +30,12 @@ func (s *sfInstance) reset() {
 
 func (s *sfInstance) runLibrary(w *core.Worker) {
 	uf := s.uf
-	core.ForRange(w, 0, len(s.edges), 0, func(i int) {
-		e := s.edges[i]
-		if uf.Union(e.From, e.To) {
-			s.inForest[i] = true
+	core.ForBlocks(w, 0, len(s.edges), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := s.edges[i]
+			if uf.Union(e.From, e.To) {
+				s.inForest[i] = true
+			}
 		}
 	})
 }

@@ -130,8 +130,10 @@ func ceilPow2Int(v int) int {
 // remains Scared: duplicate offsets silently lose updates.
 func ScatterAtomic32[I IndexInt](w *Worker, out []atomic.Uint32, offsets []I, vals []uint32) {
 	countDyn(SngInd)
-	ForRange(w, 0, len(offsets), 0, func(i int) {
-		out[offsets[i]].Store(vals[i])
+	forBlocks(w, 0, len(offsets), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[offsets[i]].Store(vals[i])
+		}
 	})
 }
 

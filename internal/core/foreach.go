@@ -6,18 +6,50 @@ package core
 // needed — the Go analog of Rayon's par_iter_mut / par_chunks_mut
 // zero-cost abstractions.
 
-// ForRange invokes f(i) for every i in [lo, hi), in parallel. It is the
-// index-space workhorse under the Stride pattern: typical bodies write
-// out[i] for distinct arrays out. grain <= 0 selects an automatic grain.
-func ForRange(w *Worker, lo, hi, grain int, f func(i int)) {
+import "repro/internal/arena"
+
+// blocksBody carries a range body through sched.ForBody. It lives in a
+// per-worker box, so a ForBlocks call builds no closure of its own.
+type blocksBody struct {
+	f func(lo, hi int)
+}
+
+func (b *blocksBody) RunRange(_ *Worker, lo, hi int) { b.f(lo, hi) }
+
+// ForBlocks invokes f(l, h) over disjoint subranges [l, h) that together
+// cover [lo, hi) exactly once, in parallel. It is the one engine under
+// the Stride pattern: f runs a plain loop over its subrange, so the
+// per-element work is compiled into the loop instead of reached through
+// a call, and ForRange, ForEachIdx, CopyInto, Fill and Tabulate are
+// wrappers over it. Subranges are at most grain long; grain <= 0
+// selects an automatic grain.
+func ForBlocks(w *Worker, lo, hi, grain int, f func(lo, hi int)) {
 	countDyn(Stride)
-	if w == nil || hi-lo <= 1 {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
+	forBlocks(w, lo, hi, grain, f)
+}
+
+func forBlocks(w *Worker, lo, hi, grain int, f func(lo, hi int)) {
+	if hi <= lo {
 		return
 	}
-	w.For(lo, hi, grain, func(_ *Worker, l, h int) {
+	if w == nil || hi-lo == 1 {
+		f(lo, hi)
+		return
+	}
+	b := arena.AcquireBox[blocksBody](w)
+	b.f = f
+	w.ForBody(lo, hi, grain, b)
+	b.f = nil
+	arena.ReleaseBox(w, b)
+}
+
+// ForRange invokes f(i) for every i in [lo, hi), in parallel: the
+// per-element form of ForBlocks, for bodies too irregular to gain from
+// a range loop. Typical bodies write out[i] for distinct arrays out.
+// grain <= 0 selects an automatic grain.
+func ForRange(w *Worker, lo, hi, grain int, f func(i int)) {
+	countDyn(Stride)
+	forBlocks(w, lo, hi, grain, func(l, h int) {
 		for i := l; i < h; i++ {
 			f(i)
 		}
@@ -29,13 +61,7 @@ func ForRange(w *Worker, lo, hi, grain int, f func(i int)) {
 // task may mutate only the element passed to it.
 func ForEachIdx[T any](w *Worker, xs []T, grain int, f func(i int, x *T)) {
 	countDyn(Stride)
-	if w == nil || len(xs) <= 1 {
-		for i := range xs {
-			f(i, &xs[i])
-		}
-		return
-	}
-	w.For(0, len(xs), grain, func(_ *Worker, lo, hi int) {
+	forBlocks(w, 0, len(xs), grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f(i, &xs[i])
 		}
@@ -52,37 +78,33 @@ func Chunks[T any](w *Worker, xs []T, size int, f func(ci int, chunk []T)) {
 	}
 	countDyn(Block)
 	n := (len(xs) + size - 1) / size
-	body := func(ci int) {
-		lo := ci * size
-		hi := lo + size
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		f(ci, xs[lo:hi])
-	}
-	if w == nil || n <= 1 {
-		for ci := 0; ci < n; ci++ {
-			body(ci)
-		}
-		return
-	}
-	w.For(0, n, 1, func(_ *Worker, lo, hi int) {
+	forBlocks(w, 0, n, 1, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
-			body(ci)
+			f(ci, xs[ci*size:min(ci*size+size, len(xs))])
 		}
 	})
 }
 
 // Fill sets every element of xs to v, in parallel (Stride).
 func Fill[T any](w *Worker, xs []T, v T) {
-	ForEachIdx(w, xs, 0, func(_ int, x *T) { *x = v })
+	countDyn(Stride)
+	forBlocks(w, 0, len(xs), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			xs[i] = v
+		}
+	})
 }
 
 // Tabulate builds a slice of length n whose i-th element is f(i),
 // computed in parallel (Stride writes into a fresh slice).
 func Tabulate[T any](w *Worker, n int, f func(i int) T) []T {
 	out := make([]T, n)
-	ForEachIdx(w, out, 0, func(i int, x *T) { *x = f(i) })
+	countDyn(Stride)
+	forBlocks(w, 0, n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = f(i)
+		}
+	})
 	return out
 }
 
@@ -92,7 +114,8 @@ func CopyInto[T any](w *Worker, dst, src []T) {
 	if len(dst) < len(src) {
 		panic("core.CopyInto: dst shorter than src")
 	}
-	ForRange(w, 0, len(src), 0, func(i int) { dst[i] = src[i] })
+	countDyn(Stride)
+	forBlocks(w, 0, len(src), 0, func(lo, hi int) { copy(dst[lo:hi], src[lo:hi]) })
 }
 
 // Stencil2D computes one step of a two-dimensional stencil: for every
@@ -118,21 +141,11 @@ func Stencil2D[T any](w *Worker, src, dst []T, width int, f func(src []T, x, y i
 	}
 	height := len(src) / width
 	countDyn(Block)
-	body := func(y int) {
-		row := dst[y*width : (y+1)*width]
-		for x := range row {
-			row[x] = f(src, x, y)
-		}
-	}
-	if w == nil || height <= 1 {
-		for y := 0; y < height; y++ {
-			body(y)
-		}
-		return
-	}
-	w.For(0, height, 0, func(_ *Worker, lo, hi int) {
+	forBlocks(w, 0, height, 0, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			body(y)
+			for x := 0; x < width; x++ {
+				dst[y*width+x] = f(src, x, y)
+			}
 		}
 	})
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
+
+	"repro/internal/arena"
 )
 
 // This file reproduces the paper's central library contribution: the two
@@ -87,48 +90,146 @@ func IndForEachUnchecked[T any, I IndexInt](w *Worker, out []T, offsets []I, f f
 }
 
 func indForEachBody[T any, I IndexInt](w *Worker, out []T, offsets []I, f func(i int, slot *T)) {
-	if w == nil {
-		for i := range offsets {
-			f(i, &out[offsets[i]])
-		}
-		return
-	}
-	w.For(0, len(offsets), 0, func(_ *Worker, lo, hi int) {
+	forBlocks(w, 0, len(offsets), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f(i, &out[offsets[i]])
 		}
 	})
 }
 
-// checkUniqueOffsets validates offsets in parallel using a shared atomic
-// bitmap over the target index space. It returns the first violation
+// uniqueCheck is the range-bodied offset validator. Each worker claims
+// offsets in a bitmap lane of its own — a bounds test, a bit test and a
+// plain store per offset, no atomics — so a duplicate the same worker
+// sees twice is caught on the spot; a second pass over the lanes then
+// finds any offset claimed on two of them. The shared error slot is
+// polled once per range and holds the first violation claimed. The
+// lanes cost workers × len(out) bits of arena scratch, at most a 32nd
+// of an int32 offsets array per worker.
+type uniqueCheck[I IndexInt] struct {
+	offsets []I
+	lanes   []uint64 // lane k = lanes[k*words : (k+1)*words], written by worker k only
+	used    []bool   // lane k has been zeroed and claimed into
+	words   int      // bitmap words per lane
+	outLen  int
+	merging bool // second pass: RunRange ranges over words, not offsets
+	err     atomic.Pointer[error]
+}
+
+func (c *uniqueCheck[I]) fail(e error) { c.err.CompareAndSwap(nil, &e) }
+
+func (c *uniqueCheck[I]) RunRange(w *Worker, lo, hi int) {
+	if c.err.Load() != nil {
+		return
+	}
+	if c.merging {
+		c.mergeRange(lo, hi)
+		return
+	}
+	// The lane is this worker's alone: rows of c.lanes are indexed by
+	// the executing worker's ID, and a worker runs one range at a time.
+	id := w.ID()
+	lane := c.lanes[id*c.words : (id+1)*c.words]
+	if !c.used[id] {
+		clear(lane)
+		c.used[id] = true
+	}
+	c.claim(lane, lo, hi)
+}
+
+// claim marks offsets[lo:hi] in lane, failing on the first offset that
+// is out of range or already marked there.
+func (c *uniqueCheck[I]) claim(lane []uint64, lo, hi int) {
+	n := uint64(c.outLen)
+	for i := lo; i < hi; i++ {
+		// One unsigned compare covers both ends: a negative offset
+		// converts to a value past any slice length.
+		off := uint64(c.offsets[i])
+		if off >= n {
+			c.fail(&OffsetRangeError{Index: i, Offset: int(c.offsets[i]), Len: c.outLen})
+			return
+		}
+		word, bit := off>>6, uint64(1)<<(off&63)
+		if lane[word]&bit != 0 {
+			c.fail(&DuplicateOffsetError{Index: i, Offset: int(off)})
+			return
+		}
+		lane[word] |= bit
+	}
+}
+
+// mergeRange looks for a bit set on two lanes among words [lo, hi).
+func (c *uniqueCheck[I]) mergeRange(lo, hi int) {
+	for wi := lo; wi < hi; wi++ {
+		var seen uint64
+		for k, used := range c.used {
+			if !used {
+				continue
+			}
+			m := c.lanes[k*c.words+wi]
+			if both := seen & m; both != 0 {
+				c.failDuplicate(wi*64 + bits.TrailingZeros64(both))
+				return
+			}
+			seen |= m
+		}
+	}
+}
+
+// failDuplicate reports the second occurrence of off in offsets.
+func (c *uniqueCheck[I]) failDuplicate(off int) {
+	first := true
+	for i, o := range c.offsets {
+		if uint64(o) != uint64(off) {
+			continue
+		}
+		if !first {
+			c.fail(&DuplicateOffsetError{Index: i, Offset: off})
+			return
+		}
+		first = false
+	}
+}
+
+// checkUniqueOffsets validates, in parallel, that offsets are in
+// [0, outLen) and mutually distinct. It returns the first violation
 // found (by atomic claim, so exactly one error survives a racy run).
 func checkUniqueOffsets[I IndexInt](w *Worker, outLen int, offsets []I) error {
-	bitmap := make([]atomic.Uint32, (outLen+31)/32)
-	var errSlot atomic.Pointer[error]
-	setErr := func(e error) { errSlot.CompareAndSwap(nil, &e) }
-	ForRange(w, 0, len(offsets), 0, func(i int) {
-		if errSlot.Load() != nil {
-			return
-		}
-		off := int64(offsets[i])
-		if off < 0 || off >= int64(outLen) {
-			setErr(&OffsetRangeError{Index: i, Offset: int(off), Len: outLen})
-			return
-		}
-		word, bit := off/32, uint32(1)<<(off%32)
-		for {
-			old := bitmap[word].Load()
-			if old&bit != 0 {
-				setErr(&DuplicateOffsetError{Index: i, Offset: int(off)})
-				return
+	if len(offsets) == 0 {
+		return nil
+	}
+	workers := 1
+	if w != nil {
+		workers = w.Pool().Workers()
+	}
+	a := arena.Of(w)
+	m := a.Mark()
+	c := arena.AcquireBox[uniqueCheck[I]](w)
+	c.offsets, c.outLen, c.words = offsets, outLen, (outLen+63)/64
+	c.lanes = arena.AllocUninit[uint64](a, workers*c.words)
+	c.used = arena.Alloc[bool](a, workers)
+	c.merging = false
+	c.err.Store(nil)
+	if w == nil {
+		clear(c.lanes)
+		c.claim(c.lanes, 0, len(offsets))
+	} else {
+		w.ForBody(0, len(offsets), 0, c)
+		lanesUsed := 0
+		for _, used := range c.used {
+			if used {
+				lanesUsed++
 			}
-			if bitmap[word].CompareAndSwap(old, old|bit) {
-				return
-			}
 		}
-	})
-	if ep := errSlot.Load(); ep != nil {
+		if lanesUsed > 1 {
+			c.merging = true
+			w.ForBody(0, c.words, 0, c)
+		}
+	}
+	ep := c.err.Load()
+	c.offsets, c.lanes, c.used = nil, nil, nil
+	arena.ReleaseBox(w, c)
+	a.Release(m)
+	if ep != nil {
 		return *ep
 	}
 	return nil
@@ -147,11 +248,14 @@ func IndChunks[T any, I IndexInt](w *Worker, out []T, offsets []I, f func(i int,
 		return nil
 	}
 	var errSlot atomic.Pointer[error]
-	ForRange(w, 0, len(offsets)-1, 0, func(i int) {
-		lo, hi := int64(offsets[i]), int64(offsets[i+1])
-		if lo > hi || lo < 0 || hi > int64(len(out)) {
-			e := error(&NonMonotoneError{Index: i, Lo: int(lo), Hi: int(hi), Len: len(out)})
-			errSlot.CompareAndSwap(nil, &e)
+	ForBlocks(w, 0, len(offsets)-1, 0, func(blo, bhi int) {
+		for i := blo; i < bhi; i++ {
+			lo, hi := int64(offsets[i]), int64(offsets[i+1])
+			if lo > hi || lo < 0 || hi > int64(len(out)) {
+				e := error(&NonMonotoneError{Index: i, Lo: int(lo), Hi: int(hi), Len: len(out)})
+				errSlot.CompareAndSwap(nil, &e)
+				return
+			}
 		}
 	})
 	if ep := errSlot.Load(); ep != nil {
@@ -181,31 +285,75 @@ func IndChunksUnchecked[T any, I IndexInt](w *Worker, out []T, offsets []I, f fu
 }
 
 func indChunksBody[T any, I IndexInt](w *Worker, out []T, offsets []I, f func(i int, chunk []T)) {
-	k := len(offsets) - 1
-	if w == nil {
-		for i := 0; i < k; i++ {
-			f(i, out[offsets[i]:offsets[i+1]])
-		}
-		return
-	}
-	w.For(0, k, 1, func(_ *Worker, lo, hi int) {
+	forBlocks(w, 0, len(offsets)-1, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f(i, out[offsets[i]:offsets[i+1]])
 		}
 	})
 }
 
-// Scatter writes vals[i] into out[offsets[i]] using the expression
-// selected by the suite-wide Mode: unchecked (Scared, fast), checked
-// (Comfortable, paying the uniqueness check), or synchronized. It is the
-// convenience wrapper benchmarks use for plain SngInd scatters
-// (Listing 6's out[offsets[i]] = input[i]).
-func Scatter[T any, I IndexInt](w *Worker, out []T, offsets []I, vals []T) error {
-	switch GetMode() {
-	case ModeChecked:
-		return IndForEach(w, out, offsets, func(i int, slot *T) { *slot = vals[i] })
-	default:
-		IndForEachUnchecked(w, out, offsets, func(i int, slot *T) { *slot = vals[i] })
-		return nil
+// scatterBody is the closure-free SngInd loop: out[offsets[i]] = vals[i].
+type scatterBody[T any, I IndexInt] struct {
+	out, vals []T
+	offsets   []I
+}
+
+func (s *scatterBody[T, I]) RunRange(_ *Worker, lo, hi int) {
+	out, offsets, vals := s.out, s.offsets[lo:hi], s.vals[lo:hi]
+	for i, off := range offsets {
+		out[off] = vals[i] //lint:scared SngInd scatter: targets are distinct by the caller's contract — validated first by ScatterChecked, certified or declared at ScatterUnchecked sites
 	}
+}
+
+// ScatterUnchecked writes vals[i] into out[offsets[i]] for every i, in
+// parallel, as one tight loop per subrange — no per-element call. It is
+// IndForEachUnchecked for the plain value scatter of Listing 6
+// (out[offsets[i]] = input[i]) and carries the same certificate
+// obligation: the caller asserts the offsets are in range and mutually
+// distinct (Scared).
+func ScatterUnchecked[T any, I IndexInt](w *Worker, out []T, offsets []I, vals []T) {
+	countDyn(SngInd)
+	scatter(w, out, offsets, vals)
+}
+
+func scatter[T any, I IndexInt](w *Worker, out []T, offsets []I, vals []T) {
+	if len(vals) < len(offsets) {
+		panic("core.Scatter: vals shorter than offsets")
+	}
+	b := arena.AcquireBox[scatterBody[T, I]](w)
+	b.out, b.offsets, b.vals = out, offsets, vals
+	if w == nil {
+		b.RunRange(nil, 0, len(offsets))
+	} else {
+		w.ForBody(0, len(offsets), 0, b)
+	}
+	b.out, b.offsets, b.vals = nil, nil, nil
+	arena.ReleaseBox(w, b)
+}
+
+// ScatterChecked is the Comfortable form of ScatterUnchecked: it
+// validates the offsets exactly as IndForEach does and scatters only
+// when they are in range and mutually distinct; on failure it returns
+// the error without writing.
+func ScatterChecked[T any, I IndexInt](w *Worker, out []T, offsets []I, vals []T) error {
+	countDyn(SngInd)
+	if err := checkUniqueOffsets(w, len(out), offsets); err != nil {
+		return err
+	}
+	scatter(w, out, offsets, vals)
+	return nil
+}
+
+// Scatter writes vals[i] into out[offsets[i]] using the expression the
+// suite-wide Mode selects: ScatterChecked under ModeChecked
+// (Comfortable, paying the uniqueness check), ScatterUnchecked
+// otherwise (Scared, fast). Element types are arbitrary, so there is no
+// synchronized form; kernels that want atomic stores (isort under
+// ModeSynchronized, ScatterAtomic32) spell them out.
+func Scatter[T any, I IndexInt](w *Worker, out []T, offsets []I, vals []T) error {
+	if GetMode() == ModeChecked {
+		return ScatterChecked(w, out, offsets, vals)
+	}
+	ScatterUnchecked(w, out, offsets, vals)
+	return nil
 }

@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"unsafe"
 
 	"repro/internal/arena"
@@ -270,60 +271,94 @@ func ScanExclusiveOp[T any](w *Worker, xs []T, identity T, op func(a, b T) T) T 
 	return total
 }
 
-// packBody is the reusable loop body for the two block passes of an
-// index pack: count matches per block, then (after the offsets scan)
-// write matching indices into disjoint output ranges.
+// packWord is the pack engine's unit of marking: a block is a run of
+// whole 64-index mask words, so concurrent blocks never share one.
+const packWord = 64
+
+// packBody is the reusable loop body for the two block passes of a
+// pack, ranging over blocks of `block` mask words. The marking pass
+// evaluates the predicate once per index, recording the verdicts as a
+// bitmask (one word per 64 indices) and a per-block match count; after
+// the offsets scan, the writing pass walks the set bits into disjoint
+// output ranges. The predicate comes either per index (keep) or per
+// word (mask, the range-bodied form); the emitted value is the index
+// itself or, with src set, src[index].
 type packBody struct {
 	n, block int
 	keep     func(i int) bool
-	counts   []int32 // per-block match counts, then exclusive offsets
+	mask     func(lo, hi int) uint64
+	src      []int32
+	bits     []uint64 // verdicts: bit i%64 of bits[i/64]
+	counts   []int32  // per-block match counts, then exclusive offsets
 	out      []int32
 	phase    uint8
 }
 
 func (p *packBody) RunRange(_ *Worker, lo, hi int) {
+	words, out, src := p.bits, p.out, p.src
 	for ci := lo; ci < hi; ci++ {
-		blo := ci * p.block
-		bhi := min(blo+p.block, p.n)
+		wlo := ci * p.block
+		whi := min(wlo+p.block, len(words))
 		if p.phase == phaseCount {
-			var c int32
-			for i := blo; i < bhi; i++ {
-				if p.keep(i) {
-					c++
+			c := 0
+			for wi := wlo; wi < whi; wi++ {
+				base := wi * packWord
+				top := min(base+packWord, p.n)
+				var m uint64
+				if p.mask != nil {
+					// Bits past the word's extent would name indices
+					// outside [0, n); drop them.
+					m = p.mask(base, top) & (^uint64(0) >> uint(packWord-(top-base)))
+				} else {
+					for i := base; i < top; i++ {
+						if p.keep(i) {
+							m |= 1 << uint(i-base)
+						}
+					}
 				}
+				words[wi] = m
+				c += bits.OnesCount64(m)
 			}
-			p.counts[ci] = c
-		} else {
-			at := p.counts[ci]
-			for i := blo; i < bhi; i++ {
-				if p.keep(i) {
-					p.out[at] = int32(i) //lint:scared pack cursor: at walks [counts[ci], counts[ci+1]), this chunk's slots by the exclusive-scan invariant
-					at++
+			p.counts[ci] = int32(c)
+			continue
+		}
+		at := p.counts[ci]
+		for wi := wlo; wi < whi; wi++ {
+			for m := words[wi]; m != 0; m &= m - 1 {
+				v := int32(wi*packWord + bits.TrailingZeros64(m))
+				if src != nil {
+					v = src[v]
 				}
+				out[at] = v //lint:scared pack cursor: at walks [counts[ci], counts[ci+1]), this chunk's slots by the exclusive-scan invariant
+				at++
 			}
 		}
 	}
 }
 
-// packCount runs the counting pass and offset scan for an index pack
-// over [0, n), leaving b.counts holding exclusive block offsets.
-// Returns the total match count. The caller owns releasing b and m.
-func packCount(w *Worker, a *arena.Arena, b *packBody, n int, keep func(i int) bool) int32 {
+// packBlockWords is the pack's block size in mask words: the scan
+// grain for the int32 output, rounded up to whole words.
+func packBlockWords() int {
+	return (scanBlockFor(unsafe.Sizeof(int32(0))) + packWord - 1) / packWord
+}
+
+// packMark runs the marking pass and offset scan of a pack over [0, n)
+// with the predicate already set on b, leaving b.bits holding the
+// verdicts and b.counts the exclusive block offsets. Returns the total
+// match count. The caller owns releasing b and the arena mark.
+func packMark(w *Worker, a *arena.Arena, b *packBody, n int) int32 {
 	if int64(n) > packIndexLimit {
 		panic(fmt.Sprintf("core.PackIndex: index space %d exceeds int32 packed-index limit %d; indices would overflow", n, packIndexLimit))
 	}
-	block := scanBlockFor(unsafe.Sizeof(int32(0)))
-	nblocks := (n + block - 1) / block
-	b.n, b.block, b.keep = n, block, keep
-	b.counts = arena.AllocUninit[int32](a, nblocks)
+	block := packBlockWords()
+	nwords := (n + packWord - 1) / packWord
+	b.n, b.block = n, block
+	b.bits = arena.AllocUninit[uint64](a, nwords)
+	b.counts = arena.AllocUninit[int32](a, (nwords+block-1)/block)
 	b.phase = phaseCount
 	countDyn(Block)
 	countDyn(Block)
-	if w == nil || nblocks <= 1 {
-		b.RunRange(nil, 0, nblocks)
-	} else {
-		w.ForBody(0, nblocks, 1, b)
-	}
+	packPass(w, b)
 	var total int32
 	for ci := range b.counts {
 		c := b.counts[ci]
@@ -333,37 +368,64 @@ func packCount(w *Worker, a *arena.Arena, b *packBody, n int, keep func(i int) b
 	return total
 }
 
-// packWrite runs the writing pass of an index pack into out.
+// packWrite runs the writing pass of a pack into out and clears b.
 func packWrite(w *Worker, b *packBody, out []int32) {
-	nblocks := len(b.counts)
 	b.out = out
 	b.phase = phaseWrite
-	if w == nil || nblocks <= 1 {
+	packPass(w, b)
+	b.keep, b.mask, b.src, b.bits, b.counts, b.out = nil, nil, nil, nil, nil, nil
+}
+
+func packPass(w *Worker, b *packBody) {
+	if nblocks := len(b.counts); w == nil || nblocks <= 1 {
 		b.RunRange(nil, 0, nblocks)
 	} else {
 		w.ForBody(0, nblocks, 1, b)
 	}
-	b.keep, b.counts, b.out = nil, nil, nil
 }
 
-// PackIndexInto writes, in order, every index i in [0, n) for which
-// keep(i) is true into dst (reusing its backing array when capacity
-// allows) and returns the packed slice. Steady state with a warmed
-// destination: 0 allocs. It is the destination-passing form of the
-// paper's "pack" pattern.
-func PackIndexInto(w *Worker, n int, keep func(i int) bool, dst []int32) []int32 {
+// pack is the engine behind every index/value pack: mark, scan, write.
+func pack(w *Worker, n int, keep func(i int) bool, mask func(lo, hi int) uint64, src, dst []int32) []int32 {
 	if n <= 0 {
 		return dst[:0]
 	}
 	a := arena.Of(w)
 	m := a.Mark()
 	b := arena.AcquireBox[packBody](w)
-	total := packCount(w, a, b, n, keep)
+	b.keep, b.mask, b.src = keep, mask, src
+	total := packMark(w, a, b, n)
 	dst = ensureLen(dst, int(total))
 	packWrite(w, b, dst)
 	arena.ReleaseBox(w, b)
 	a.Release(m)
 	return dst
+}
+
+// PackIndexInto writes, in order, every index i in [0, n) for which
+// keep(i) is true into dst (reusing its backing array when capacity
+// allows) and returns the packed slice. keep is called exactly once per
+// index. Steady state with a warmed destination: 0 allocs. It is the
+// destination-passing form of the paper's "pack" pattern, and the
+// per-element form of PackMaskInto.
+func PackIndexInto(w *Worker, n int, keep func(i int) bool, dst []int32) []int32 {
+	return pack(w, n, keep, nil, nil, dst)
+}
+
+// PackMaskInto is PackIndexInto with a range-bodied predicate: mask(lo,
+// hi) is called once per word of at most 64 consecutive indices and
+// returns their verdicts, bit k set when index lo+k is kept. The test
+// then runs as a plain loop inside mask rather than as a call per
+// index.
+func PackMaskInto(w *Worker, n int, mask func(lo, hi int) uint64, dst []int32) []int32 {
+	return pack(w, n, nil, mask, nil, dst)
+}
+
+// PackInto is PackMaskInto over the positions of src, emitting the kept
+// elements src[i] instead of their positions — the frontier-shrinking
+// step of round-based kernels, written straight into dst. dst must not
+// alias src.
+func PackInto(w *Worker, src []int32, mask func(lo, hi int) uint64, dst []int32) []int32 {
+	return pack(w, len(src), nil, mask, src, dst)
 }
 
 // PackIndex returns, in order, every index i in [0, n) for which
@@ -399,7 +461,8 @@ func FilterInto[T any](w *Worker, xs []T, keep func(x T) bool, dst []T) []T {
 	a := arena.Of(w)
 	m := a.Mark()
 	b := arena.AcquireBox[packBody](w)
-	total := packCount(w, a, b, len(xs), func(i int) bool { return keep(xs[i]) })
+	b.keep = func(i int) bool { return keep(xs[i]) }
+	total := packMark(w, a, b, len(xs))
 	idx := arena.AllocUninit[int32](a, total)
 	packWrite(w, b, idx)
 	arena.ReleaseBox(w, b)

@@ -119,6 +119,20 @@ func (s *Set) SlotKey(i int) (uint64, bool) {
 	return decode(v), true
 }
 
+// LiveMask reports which of the slots [lo, hi), at most 64 of them, are
+// occupied: bit k is set when slot lo+k holds a key. It is SlotKey's
+// occupancy test for a whole word of slots at once — the mask form
+// core.PackMaskInto takes.
+func (s *Set) LiveMask(lo, hi int) uint64 {
+	var m uint64
+	for k := range s.slots[lo:hi] {
+		if s.slots[lo+k].Load() != emptyKey {
+			m |= 1 << uint(k)
+		}
+	}
+	return m
+}
+
 // CountMap is a concurrent map from uint64 keys to int64 counters, used
 // by histogram-style kernels: InsertAdd finds-or-creates the key's slot
 // and atomically adds to its counter.

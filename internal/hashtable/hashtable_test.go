@@ -70,6 +70,41 @@ func TestSetSlotKeyEnumeration(t *testing.T) {
 	}
 }
 
+// LiveMask must agree with SlotKey bit for bit, on full words and on a
+// short final word, and drive core.PackMaskInto to the occupied slots.
+func TestSetLiveMaskMatchesSlotKey(t *testing.T) {
+	s := NewSet(100)
+	for k := uint64(0); k < 100; k++ {
+		s.Insert(k * k)
+	}
+	var want []int32
+	for lo := 0; lo < s.Capacity(); lo += 50 {
+		hi := min(lo+50, s.Capacity())
+		m := s.LiveMask(lo, hi)
+		for i := lo; i < hi; i++ {
+			_, ok := s.SlotKey(i)
+			if ok != (m>>uint(i-lo)&1 == 1) {
+				t.Fatalf("slot %d: SlotKey says %v, LiveMask(%d, %d) = %#x", i, ok, lo, hi, m)
+			}
+			if ok {
+				want = append(want, int32(i))
+			}
+		}
+		if m>>uint(hi-lo) != 0 {
+			t.Fatalf("LiveMask(%d, %d) = %#x sets bits past its range", lo, hi, m)
+		}
+	}
+	got := core.PackMaskInto(nil, s.Capacity(), s.LiveMask, nil)
+	if len(got) != 100 || len(want) != 100 {
+		t.Fatalf("packed %d live slots, enumerated %d, want 100", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("packed slot %d = %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
 func TestSetConcurrentInsertExactDedup(t *testing.T) {
 	const n = 30000
 	s := NewSet(n)

@@ -38,8 +38,8 @@ func TestCertifyClean(t *testing.T) {
 	}
 	checkGolden(t, "certify-clean.golden", rep.String())
 
-	if rep.Certified != 6 || rep.Elidable != 1 || rep.Refused != 1 {
-		t.Errorf("counts = %d certified, %d elidable, %d refused; want 6/1/1",
+	if rep.Certified != 7 || rep.Elidable != 2 || rep.Refused != 1 {
+		t.Errorf("counts = %d certified, %d elidable, %d refused; want 7/2/1",
 			rep.Certified, rep.Elidable, rep.Refused)
 	}
 	sources := map[string]bool{}
@@ -76,6 +76,7 @@ func TestCertifyBad(t *testing.T) {
 		"re-ordered (sorted) around the scan",
 		"aliased through a second slice header",
 		"non-negative",
+		"not inside a single recognized loop",
 	} {
 		found := false
 		for _, s := range rep.Sites {

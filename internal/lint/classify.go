@@ -17,9 +17,9 @@ const (
 	cStride
 	cBlock
 	cDC
-	cSngInd       // checked: IndForEach, Scatter
+	cSngInd       // checked: IndForEach, Scatter, ScatterChecked
 	cRngInd       // checked: IndChunks
-	cUncheckedSng // IndForEachUnchecked, ScatterAtomic32
+	cUncheckedSng // IndForEachUnchecked, ScatterUnchecked, ScatterAtomic32
 	cUncheckedRng // IndChunksUnchecked
 	cAWHelper     // WriteMin*/WriteMax*/CASLoop*
 	cLocks        // NewShardedLocks
@@ -83,7 +83,9 @@ var coreCalls = map[string]coreCall{
 	"SegReduce": {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
 	"IsSorted":  {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
 
-	// Stride — array[i] = f(): each task owns index i.
+	// Stride — array[i] = f(): each task owns index i. ForBlocks is the
+	// range-bodied engine; the others are its per-element wrappers.
+	"ForBlocks":  {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
 	"ForRange":   {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
 	"ForEachIdx": {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
 	"Fill":       {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
@@ -102,6 +104,8 @@ var coreCalls = map[string]coreCall{
 	"ScanInclusiveInto": {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
 	"PackIndex":         {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
 	"PackIndexInto":     {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
+	"PackMaskInto":      {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
+	"PackInto":          {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
 	"Filter":            {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
 	"FilterInto":        {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
 	"Flatten":           {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
@@ -117,7 +121,9 @@ var coreCalls = map[string]coreCall{
 	// uniqueness check, scared unchecked.
 	"IndForEach":          {pattern: core.SngInd, fear: core.Comfortable, mask: cSngInd, worker: true},
 	"Scatter":             {pattern: core.SngInd, fear: core.Comfortable, mask: cSngInd, worker: true},
+	"ScatterChecked":      {pattern: core.SngInd, fear: core.Comfortable, mask: cSngInd, worker: true},
 	"IndForEachUnchecked": {pattern: core.SngInd, fear: core.Scared, mask: cUncheckedSng, worker: true},
+	"ScatterUnchecked":    {pattern: core.SngInd, fear: core.Scared, mask: cUncheckedSng, worker: true},
 	"ScatterAtomic32":     {pattern: core.SngInd, fear: core.Scared, mask: cUncheckedSng, worker: true},
 
 	// RngInd — array[B[i]..B[i+1]] = f(): comfortable via the run-time
@@ -141,6 +147,7 @@ var coreCalls = map[string]coreCall{
 // the argument index of that closure. These are the "Fearless
 // primitive body" positions the race heuristics inspect.
 var parallelBodyArg = map[string][]int{
+	"ForBlocks":           {4},
 	"ForRange":            {4},
 	"ForEachIdx":          {3},
 	"Chunks":              {3},
@@ -154,6 +161,8 @@ var parallelBodyArg = map[string][]int{
 	"SegReduce":           {4, 5},
 	"PackIndex":           {2},
 	"PackIndexInto":       {2},
+	"PackMaskInto":        {2},
+	"PackInto":            {2},
 	"Filter":              {2},
 	"FilterInto":          {2},
 	"SortBy":              {2},

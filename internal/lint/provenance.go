@@ -54,7 +54,9 @@ type certTarget struct {
 var certTargets = map[string]certTarget{
 	"IndForEach":          {core.SngInd, true, "unique+bounds"},
 	"Scatter":             {core.SngInd, true, "unique+bounds"},
+	"ScatterChecked":      {core.SngInd, true, "unique+bounds"},
 	"IndForEachUnchecked": {core.SngInd, false, "unique+bounds"},
+	"ScatterUnchecked":    {core.SngInd, false, "unique+bounds"},
 	"IndChunks":           {core.RngInd, true, "monotone+bounds"},
 	"IndChunksUnchecked":  {core.RngInd, false, "monotone+bounds"},
 }
@@ -79,8 +81,34 @@ type fillShape struct {
 // loopCtx is one loop enclosing a node; fill is non-nil when the loop
 // is a recognized fill shape.
 type loopCtx struct {
-	node ast.Node // *ast.ForStmt, *ast.RangeStmt, or the ForRange *ast.CallExpr
+	node ast.Node // *ast.ForStmt, *ast.RangeStmt, or the ForRange/ForBlocks *ast.CallExpr
 	fill *fillShape
+	// handedLo/handedHi are a ForBlocks body's subrange parameters. The
+	// body's `for i := lo; i < hi; i++` is not a loop of its own: with
+	// the call it iterates i over the call's whole [lo, hi), and absorb
+	// folds it into this context as the fill.
+	handedLo, handedHi types.Object
+}
+
+// absorb folds a ForStmt over the handed subrange into the ForBlocks
+// context around it, reporting whether fs was that loop.
+func (l *loopCtx) absorb(p *prover, fs *ast.ForStmt) bool {
+	inner := p.seqFill(fs)
+	if l.handedLo == nil || l.fill != nil || inner == nil ||
+		p.identObj(inner.lo) != l.handedLo || p.identObj(inner.hi) != l.handedHi {
+		return false
+	}
+	call := l.node.(*ast.CallExpr)
+	l.fill = &fillShape{loopVar: inner.loopVar, lo: call.Args[1], hi: call.Args[2]}
+	return true
+}
+
+// identObj resolves a plain identifier to its object, nil otherwise.
+func (p *prover) identObj(e ast.Expr) types.Object {
+	if id, ok := unparen(e).(*ast.Ident); ok {
+		return p.tp.objOf(id)
+	}
+	return nil
 }
 
 func (l loopCtx) begin() token.Pos { return l.node.Pos() }
@@ -107,13 +135,17 @@ func (c evCtx) innerFill() (*fillShape, loopCtx, bool) {
 // ctxOf computes the execution context for a node from its ancestor
 // path. Closures are resolved against the modeled primitives:
 // core.Run's body runs once (transparent), per-task bodies of ForRange
-// and friends count as loops (ForRange's with a fill shape), anything
-// else is unbound.
+// and friends count as loops (ForRange's with a fill shape, ForBlocks'
+// once the loop over its handed subrange is absorbed), anything else is
+// unbound.
 func (p *prover) ctxOf(path []ast.Node) evCtx {
 	var c evCtx
 	for i, n := range path {
 		switch v := n.(type) {
 		case *ast.ForStmt:
+			if n := len(c.loops); n > 0 && c.loops[n-1].absorb(p, v) {
+				continue
+			}
 			c.loops = append(c.loops, loopCtx{node: v, fill: p.seqFill(v)})
 		case *ast.RangeStmt:
 			c.loops = append(c.loops, loopCtx{node: v, fill: p.rangeFill(v)})
@@ -166,10 +198,13 @@ func (p *prover) closureCtx(lit *ast.FuncLit, path []ast.Node) (lc loopCtx, tran
 			continue
 		}
 		lc := loopCtx{node: call}
-		if name == "ForRange" && len(call.Args) == 5 {
+		switch {
+		case name == "ForRange" && len(call.Args) == 5:
 			if obj := p.tp.paramAt(lit.Type.Params, 0); obj != nil {
 				lc.fill = &fillShape{loopVar: obj, lo: call.Args[1], hi: call.Args[2]}
 			}
+		case name == "ForBlocks" && len(call.Args) == 5:
+			lc.handedLo, lc.handedHi = p.tp.paramAt(lit.Type.Params, 0), p.tp.paramAt(lit.Type.Params, 1)
 		}
 		return lc, false, true
 	}

@@ -461,6 +461,13 @@ func (rc *regionCheck) classifyBuiltin(name string, call *ast.CallExpr) {
 
 // classifyBulkWrite classifies a whole-slice write (copy destination).
 func (rc *regionCheck) classifyBulkWrite(at ast.Node, dst ast.Expr, what string) {
+	// xs[lo:hi] over the invocation's handed subrange is its own window
+	// of xs: the subranges handed to concurrent invocations are disjoint.
+	if sl, isSlice := unparen(dst).(*ast.SliceExpr); isSlice && rc.r.rangeLo != nil && sl.Max == nil &&
+		sl.Low != nil && rc.varOf(sl.Low) == rc.r.rangeLo && sl.High != nil && rc.varOf(sl.High) == rc.r.rangeHi {
+		rc.site(RaceIndexDisjoint, "range-owner", at, types.ExprString(dst))
+		return
+	}
 	base, steps, ok := peelTarget(dst)
 	if !ok {
 		rc.refuse(at, types.ExprString(dst), "%s into unresolved destination %s", what, types.ExprString(dst))

@@ -232,15 +232,21 @@ func (rc *regionCheck) minCandidates(e ast.Expr) []ast.Expr {
 }
 
 // matchResidue matches t + j*extent (either operand order, either
-// factor order): with t the region's per-task index in [0, extent),
+// factor order): with t the region's per-task index in [0, extent), or
+// a loop variable over the handed subrange of a region ranging [0, extent),
 // all writes of task t land in the residue class t mod extent.
 func (rc *regionCheck) matchResidue(idx ast.Expr) string {
 	if rc.r.extent == nil {
 		return ""
 	}
 	for _, ord := range rc.commuted(idx, token.ADD) {
-		if _, seed := rc.r.task[rc.varOf(ord[0])]; !seed {
-			continue // the [0, extent) bound holds only for the seed index
+		// The [0, extent) bound holds for the seed index and for a loop
+		// over the invocation's handed subrange of [0, extent).
+		t := rc.varOf(ord[0])
+		if _, seed := rc.r.task[t]; !seed {
+			if lv := rc.loop(t); lv == nil || !rc.isRangeOwnerLoop(lv) {
+				continue
+			}
 		}
 		for _, mord := range rc.commuted(ord[1], token.MUL) {
 			if exprEq(rc.tp, mord[0], rc.r.extent) {

@@ -192,6 +192,7 @@ type coreRegionSpec struct {
 	bodyArgs []int // closure argument positions
 	task     []int // closure params invoked with a unique value per task
 	handed   []int // closure params handing the task its own memory
+	ranged   bool  // closure params (0, 1) are a handed disjoint subrange [lo, hi), as in Worker.For
 	loArg    int   // range lower bound argument (-1: none / implicit 0)
 	hiArg    int   // range upper bound / extent argument (-1: none)
 }
@@ -201,6 +202,7 @@ type coreRegionSpec struct {
 // which closure parameters are guaranteed unique per concurrent
 // invocation, and which hand the invocation exclusively owned memory.
 var coreRegionSpecs = map[string]coreRegionSpec{
+	"ForBlocks":           {bodyArgs: []int{4}, ranged: true, loArg: 1, hiArg: 2},
 	"ForRange":            {bodyArgs: []int{4}, task: []int{0}, loArg: 1, hiArg: 2},
 	"ForEachIdx":          {bodyArgs: []int{3}, task: []int{0}, handed: []int{1}, loArg: -1, hiArg: -1},
 	"Chunks":              {bodyArgs: []int{3}, task: []int{0}, handed: []int{1}, loArg: -1, hiArg: -1},
@@ -213,6 +215,8 @@ var coreRegionSpecs = map[string]coreRegionSpec{
 	"SegReduce":           {bodyArgs: []int{4, 5}, loArg: -1, hiArg: -1},
 	"PackIndex":           {bodyArgs: []int{2}, task: []int{0}, loArg: -1, hiArg: 1},
 	"PackIndexInto":       {bodyArgs: []int{2}, task: []int{0}, loArg: -1, hiArg: 1},
+	"PackMaskInto":        {bodyArgs: []int{2}, ranged: true, loArg: -1, hiArg: 1},
+	"PackInto":            {bodyArgs: []int{2}, ranged: true, loArg: -1, hiArg: -1},
 	"Filter":              {bodyArgs: []int{2}, loArg: -1, hiArg: -1},
 	"FilterInto":          {bodyArgs: []int{2}, loArg: -1, hiArg: -1},
 	"SortBy":              {bodyArgs: []int{2}, loArg: -1, hiArg: -1},
@@ -312,7 +316,13 @@ func collectRegions(ff *funcFacts, f *fileInfo) []*raceRegion {
 			add(r, lit)
 
 		case *ast.CallExpr:
-			if pathStr, name, isPkg := callTarget(f, v); isPkg {
+			pathStr, name, isPkg := callTarget(f, v)
+			if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "forBlocks" && isPath(f.pkg.path, corePath) {
+				// The engine's own callers: core's wrappers reach
+				// ForBlocks through its uncounted form, unqualified.
+				pathStr, name, isPkg = corePath, "ForBlocks", true
+			}
+			if isPkg {
 				switch {
 				case isPath(pathStr, corePath):
 					spec, ok := coreRegionSpecs[name]
@@ -341,6 +351,9 @@ func collectRegions(ff *funcFacts, f *fileInfo) []*raceRegion {
 								if p := litParam(lit, hi); p != nil {
 									r.handed[p] = true
 								}
+							}
+							if spec.ranged {
+								r.rangeLo, r.rangeHi = litParam(lit, 0), litParam(lit, 1)
 							}
 							if spec.hiArg >= 0 && spec.hiArg < len(v.Args) &&
 								(spec.loArg < 0 || isZeroExpr(v.Args[spec.loArg])) {

@@ -29,7 +29,7 @@ func TestRacesFixtureClean(t *testing.T) {
 	for _, want := range []string{
 		"task-affine", "atomic.Add", "guarded by mu", "handed slot",
 		"block-owner", "block-scaled", "unique-handout", "worker-owned",
-		"range-owner", "join-branch-exclusive", "join-disjoint-slices",
+		"range-owner", "residue-class", "join-branch-exclusive", "join-disjoint-slices",
 	} {
 		found := false
 		for d := range details {
@@ -59,8 +59,8 @@ func TestRacesFixtureBad(t *testing.T) {
 			t.Errorf("bad-fixture site %s:%d classified %s, want refused", s.File, s.Line, s.Class)
 		}
 	}
-	if rep.Unexplained != 3 {
-		t.Errorf("bad fixtures: %d unexplained, want 3 (only the audited site is exempt)", rep.Unexplained)
+	if rep.Unexplained != 4 {
+		t.Errorf("bad fixtures: %d unexplained, want 4 (only the audited site is exempt)", rep.Unexplained)
 	}
 	for _, s := range rep.Sites {
 		if s.Marker && s.Func != "Audited" {

@@ -245,6 +245,8 @@ func checkedVariant(name string) string {
 	switch name {
 	case "IndForEachUnchecked", "ScatterAtomic32":
 		return "IndForEach"
+	case "ScatterUnchecked":
+		return "ScatterChecked"
 	case "IndChunksUnchecked":
 		return "IndChunks"
 	}

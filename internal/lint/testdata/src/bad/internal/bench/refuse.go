@@ -88,6 +88,21 @@ func signedCost(row []uint32) int {
 	return len(row)
 }
 
+// refuseBlocksPartial: a ForBlocks body whose loop skips the first
+// index of every handed subrange — not the loop over [lo, hi) that
+// makes the call a complete fill, so off keeps unwritten zeros.
+func refuseBlocksPartial(w *core.Worker, n int) []uint32 {
+	dst := make([]uint32, n)
+	off := make([]int32, n)
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		for i := lo + 1; i < hi; i++ {
+			off[i] = int32(i)
+		}
+	})
+	core.IndForEachUnchecked(w, dst, off, func(i int, slot *uint32) { *slot = uint32(i) })
+	return dst
+}
+
 func init() {
 	core.DeclareSite("refuse", "pack offsets build", core.Block)
 	core.DeclareSite("refuse", "affine-ish fills", core.Stride)

@@ -32,6 +32,12 @@ func ForRange(w *Worker, lo, hi, grain int, f func(i int)) {
 	}
 }
 
+func ForBlocks(w *Worker, lo, hi, grain int, f func(lo, hi int)) {
+	if lo < hi {
+		f(lo, hi)
+	}
+}
+
 // IndexInt mirrors the real substrate's offset element constraint.
 type IndexInt interface {
 	~int | ~int32 | ~int64 | ~uint32

@@ -113,6 +113,26 @@ func itemWidth(u uint64) int {
 	return n
 }
 
+// certBlocks — proof form P2 through the range-bodied engine: the loop
+// over a ForBlocks body's handed subrange fills off[i] = i over the
+// call's whole [0, n), and the closure-free scatters take the proof
+// exactly as the per-element forms do.
+func certBlocks(w *core.Worker, vals []uint32) []uint32 {
+	n := len(vals)
+	dst := make([]uint32, n)
+	off := make([]int32, n)
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			off[i] = int32(i)
+		}
+	})
+	if err := core.ScatterChecked(w, dst, off, vals); err != nil {
+		panic(err)
+	}
+	core.ScatterUnchecked(w, dst, off, vals)
+	return dst
+}
+
 func init() {
 	core.DeclareSite("cert", "pack offsets build", core.Block)
 	core.DeclareSite("cert", "affine fill", core.Stride)

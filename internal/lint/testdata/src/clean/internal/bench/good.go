@@ -14,6 +14,12 @@ func goodKernel(w *core.Worker, dst, src []uint32, pos []int) {
 	core.IndForEachUnchecked(w, dst, pos, func(i int, slot *uint32) {
 		*slot = src[i]
 	})
+	// The range-bodied form of the same copy: the body owns [lo, hi).
+	core.ForBlocks(w, 0, len(src), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = src[i]
+		}
+	})
 }
 
 func init() {

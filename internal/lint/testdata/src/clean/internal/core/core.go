@@ -32,6 +32,12 @@ func ForRange(w *Worker, lo, hi, grain int, f func(i int)) {
 	}
 }
 
+func ForBlocks(w *Worker, lo, hi, grain int, f func(lo, hi int)) {
+	if lo < hi {
+		f(lo, hi)
+	}
+}
+
 // IndexInt mirrors the real substrate's offset element constraint.
 type IndexInt interface {
 	~int | ~int32 | ~int64 | ~uint32
@@ -52,6 +58,17 @@ func IndForEach[T any, I IndexInt](w *Worker, out []T, offsets []I, f func(i int
 func IndForEachUnchecked[T any, I IndexInt](w *Worker, out []T, offsets []I, f func(i int, slot *T)) {
 	for i := range offsets {
 		f(i, &out[offsets[i]])
+	}
+}
+
+func ScatterChecked[T any, I IndexInt](w *Worker, out []T, offsets []I, vals []T) error {
+	ScatterUnchecked(w, out, offsets, vals)
+	return nil
+}
+
+func ScatterUnchecked[T any, I IndexInt](w *Worker, out []T, offsets []I, vals []T) {
+	for i := range offsets {
+		out[offsets[i]] = vals[i]
 	}
 }
 

@@ -15,6 +15,12 @@ func ForRange(w *Worker, lo, hi, grain int, f func(i int)) {
 	}
 }
 
+func ForBlocks(w *Worker, lo, hi, grain int, f func(lo, hi int)) {
+	if lo < hi {
+		f(lo, hi)
+	}
+}
+
 func ForEachIdx[T any](w *Worker, xs []T, grain int, f func(i int, x *T)) {
 	for i := range xs {
 		f(i, &xs[i])

@@ -46,6 +46,14 @@ func AliasedOwner(w *core.Worker, out []int32, n int) {
 	})
 }
 
+// BlocksFixedSlot: a ForBlocks body owns its subrange, not slot 0 —
+// every invocation writes the same element.
+func BlocksFixedSlot(w *core.Worker, out []int32, n int) {
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		out[0] = int32(hi - lo)
+	})
+}
+
 // Audited: a data-dependent scatter the analysis cannot prove, audited
 // with a marker — refused, but not unexplained.
 func Audited(w *core.Worker, out []int32, idx []int32, n int) {

@@ -92,6 +92,36 @@ func RangeOwner(w *core.Worker, out []int) {
 	})
 }
 
+// BlocksRangeOwner: a ForBlocks body owns exactly its handed subrange,
+// like a For body, without being handed a worker.
+func BlocksRangeOwner(w *core.Worker, out []int32, n int) {
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = int32(i)
+		}
+	})
+}
+
+// BlocksWindowCopy: copy into the window of dst the handed subrange
+// names is a bulk write to the body's own elements.
+func BlocksWindowCopy(w *core.Worker, dst, src []int32) {
+	core.ForBlocks(w, 0, len(src), 0, func(lo, hi int) {
+		copy(dst[lo:hi], src[lo:hi])
+	})
+}
+
+// BlocksResidue: a loop over the handed subrange of [0, nd) owns the
+// residue classes of its indices, as the per-task index would.
+func BlocksResidue(w *core.Worker, counts []int32, nd, nb int) {
+	core.ForBlocks(w, 0, nd, 1, func(dlo, dhi int) {
+		for d := dlo; d < dhi; d++ {
+			for b := 0; b < nb; b++ {
+				counts[b*nd+d]++
+			}
+		}
+	})
+}
+
 // JoinBranches: each Join branch writes a variable the other never
 // touches.
 func JoinBranches(w *core.Worker, xs []int) (int, int) {

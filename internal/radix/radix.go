@@ -119,6 +119,7 @@ type passBody struct {
 }
 
 func (p *passBody) RunRange(_ *core.Worker, lo, hi int) {
+	srcK, dstK, srcV, dstV, counts, nb, shift := p.srcK, p.dstK, p.srcV, p.dstV, p.counts, p.nb, p.shift
 	for b := lo; b < hi; b++ {
 		blo := b * p.bs
 		bhi := blo + p.bs
@@ -128,23 +129,23 @@ func (p *passBody) RunRange(_ *core.Worker, lo, hi int) {
 		if p.phase == passCount {
 			var local [radixSize]int32
 			for i := blo; i < bhi; i++ {
-				local[(p.srcK[i]>>p.shift)&(radixSize-1)]++
+				local[(srcK[i]>>shift)&(radixSize-1)]++
 			}
 			for d := 0; d < radixSize; d++ {
-				p.counts[d*p.nb+b] = local[d]
+				counts[d*nb+b] = local[d]
 			}
 		} else {
 			var cursor [radixSize]int32
 			for d := 0; d < radixSize; d++ {
-				cursor[d] = p.counts[d*p.nb+b]
+				cursor[d] = counts[d*nb+b]
 			}
 			for i := blo; i < bhi; i++ {
-				d := (p.srcK[i] >> p.shift) & (radixSize - 1)
+				d := (srcK[i] >> shift) & (radixSize - 1)
 				at := cursor[d]
 				cursor[d]++
-				p.dstK[at] = p.srcK[i]
-				if p.srcV != nil {
-					p.dstV[at] = p.srcV[i]
+				dstK[at] = srcK[i]
+				if srcV != nil {
+					dstV[at] = srcV[i]
 				}
 			}
 		}
@@ -193,9 +194,17 @@ func SortU32(w *core.Worker, keys []uint32, bits int) {
 	a := arena.Of(w)
 	m := a.Mark()
 	wide := arena.AllocUninit[uint64](a, n)
-	core.ForRange(w, 0, n, 0, func(i int) { wide[i] = uint64(keys[i]) })
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			wide[i] = uint64(keys[i])
+		}
+	})
 	SortPairs(w, wide, nil, bits)
-	core.ForRange(w, 0, n, 0, func(i int) { keys[i] = uint32(wide[i]) })
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			keys[i] = uint32(wide[i])
+		}
+	})
 	a.Release(m)
 }
 

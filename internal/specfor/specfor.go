@@ -80,25 +80,34 @@ func Run(w *core.Worker, n, granularity int, loop Loop) Stats {
 			status = append(status, stDropped)
 		}
 		// Phase 1: reserve (AW priority writes inside loop.Reserve).
-		core.ForRange(w, 0, len(round), 0, func(k int) {
-			if loop.Reserve(int(round[k])) {
-				status[k] = stReserved
+		core.ForBlocks(w, 0, len(round), 0, func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				if loop.Reserve(int(round[k])) {
+					status[k] = stReserved
+				}
 			}
 		})
-		// Phase 2: commit winners.
+		// Phase 2: commit winners. Each subrange tallies locally and
+		// folds into the shared counters once.
 		var committed, conflicted, dropped atomic.Int64
-		core.ForRange(w, 0, len(round), 0, func(k int) {
-			switch status[k] {
-			case stReserved:
-				if loop.Commit(int(round[k])) {
-					status[k] = stDone
-					committed.Add(1)
-				} else {
-					conflicted.Add(1)
+		core.ForBlocks(w, 0, len(round), 0, func(lo, hi int) {
+			var nc, nx, nd int64
+			for k := lo; k < hi; k++ {
+				switch status[k] {
+				case stReserved:
+					if loop.Commit(int(round[k])) {
+						status[k] = stDone
+						nc++
+					} else {
+						nx++
+					}
+				case stDropped:
+					nd++
 				}
-			case stDropped:
-				dropped.Add(1)
 			}
+			committed.Add(nc)
+			conflicted.Add(nx)
+			dropped.Add(nd)
 		})
 		stats.Committed += int(committed.Load())
 		stats.Conflicts += int(conflicted.Load())

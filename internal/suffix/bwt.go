@@ -20,8 +20,8 @@ func BWTDecode(w *core.Worker, bwt []byte) []byte {
 
 // BWTDecodeOpts is BWTDecode with the SngInd expression switch: when
 // checked is true the final scatter through the walk-position
-// permutation goes through core.IndForEach (run-time uniqueness check,
-// Fig 5a); otherwise it is the unchecked unsafe-analog scatter.
+// permutation goes through core.ScatterChecked (run-time uniqueness
+// check, Fig 5a); otherwise it is the unchecked unsafe-analog scatter.
 func BWTDecodeOpts(w *core.Worker, bwt []byte, checked bool) []byte {
 	n1 := len(bwt) // n+1 including sentinel
 	if n1 <= 1 {
@@ -33,21 +33,26 @@ func BWTDecodeOpts(w *core.Worker, bwt []byte, checked bool) []byte {
 	const nilNode = int32(-1)
 	nxt := make([]int32, n1)
 	dst := make([]int32, n1)
-	core.ForRange(w, 0, n1, 0, func(i int) {
-		if bwt[i] == 0 {
-			nxt[i] = nilNode
-			dst[i] = 0
-		} else {
-			nxt[i] = lf[i]
-			dst[i] = 1
+	core.ForBlocks(w, 0, n1, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if bwt[i] == 0 {
+				nxt[i] = nilNode
+				dst[i] = 0
+			} else {
+				nxt[i] = lf[i]
+				dst[i] = 1
+			}
 		}
 	})
 	// Pointer doubling: after ceil(log2(n1)) rounds every node points at
-	// NIL and dst holds its distance to the chain end.
+	// NIL and dst holds its distance to the chain end. The round body
+	// reads the ping-pong buffers through the captured variables, so one
+	// closure serves every round.
 	nxtB := make([]int32, n1)
 	dstB := make([]int32, n1)
-	for span := 1; span < n1; span *= 2 {
-		core.ForRange(w, 0, n1, 0, func(i int) {
+	double := func(lo, hi int) {
+		nxt, dst, nxtB, dstB := nxt, dst, nxtB, dstB // this round's buffers, out of the captured cells
+		for i := lo; i < hi; i++ {
 			if nx := nxt[i]; nx != nilNode {
 				dstB[i] = dst[i] + dst[nx]
 				nxtB[i] = nxt[nx]
@@ -55,7 +60,10 @@ func BWTDecodeOpts(w *core.Worker, bwt []byte, checked bool) []byte {
 				dstB[i] = dst[i]
 				nxtB[i] = nilNode
 			}
-		})
+		}
+	}
+	for span := 1; span < n1; span *= 2 {
+		core.ForBlocks(w, 0, n1, 0, double)
 		nxt, nxtB = nxtB, nxt
 		dst, dstB = dstB, dst
 	}
@@ -66,11 +74,11 @@ func BWTDecodeOpts(w *core.Worker, bwt []byte, checked bool) []byte {
 	// the algorithm knows.
 	buf := make([]byte, n1)
 	if checked {
-		if err := core.IndForEach(w, buf, dst, func(i int, slot *byte) { *slot = bwt[i] }); err != nil {
+		if err := core.ScatterChecked(w, buf, dst, bwt); err != nil {
 			panic("suffix: decode positions not a permutation: " + err.Error())
 		}
 	} else {
-		core.IndForEachUnchecked(w, buf, dst, func(i int, slot *byte) { *slot = bwt[i] })
+		core.ScatterUnchecked(w, buf, dst, bwt)
 	}
 	return buf[1 : n+1]
 }
@@ -88,34 +96,38 @@ func lfMapping(w *core.Worker, bwt []byte) []int32 {
 	}
 	nb := (n + bs - 1) / bs
 	counts := make([]int32, 256*nb)
-	core.ForRange(w, 0, nb, 1, func(b int) {
-		lo, hi := b*bs, (b+1)*bs
-		if hi > n {
-			hi = n
-		}
-		var local [256]int32
-		for i := lo; i < hi; i++ {
-			local[bwt[i]]++
-		}
-		for c := 0; c < 256; c++ {
-			counts[c*nb+b] = local[c]
+	core.ForBlocks(w, 0, nb, 1, func(blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			lo, hi := b*bs, (b+1)*bs
+			if hi > n {
+				hi = n
+			}
+			var local [256]int32
+			for i := lo; i < hi; i++ {
+				local[bwt[i]]++
+			}
+			for c := 0; c < 256; c++ {
+				counts[c*nb+b] = local[c]
+			}
 		}
 	})
 	core.ScanExclusive(w, counts)
 	lf := make([]int32, n)
-	core.ForRange(w, 0, nb, 1, func(b int) {
-		lo, hi := b*bs, (b+1)*bs
-		if hi > n {
-			hi = n
-		}
-		var cursor [256]int32
-		for c := 0; c < 256; c++ {
-			cursor[c] = counts[c*nb+b]
-		}
-		for i := lo; i < hi; i++ {
-			c := bwt[i]
-			lf[i] = cursor[c]
-			cursor[c]++
+	core.ForBlocks(w, 0, nb, 1, func(blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			lo, hi := b*bs, (b+1)*bs
+			if hi > n {
+				hi = n
+			}
+			var cursor [256]int32
+			for c := 0; c < 256; c++ {
+				cursor[c] = counts[c*nb+b]
+			}
+			for i := lo; i < hi; i++ {
+				c := bwt[i]
+				lf[i] = cursor[c]
+				cursor[c]++
+			}
 		}
 	})
 	return lf

@@ -25,7 +25,7 @@ func Array(w *core.Worker, s []byte) []int32 { return ArrayOpts(w, s, false) }
 // ArrayOpts is Array with the suite's SngInd expression switch: when
 // checked is true the per-round rank scatter — whose targets are the sa
 // permutation, independent by algorithmic guarantee only — goes through
-// core.IndForEach and pays the paper's run-time uniqueness check
+// core.ScatterChecked and pays the paper's run-time uniqueness check
 // (Fig 5a); otherwise it uses the unchecked (unsafe-analog) scatter.
 func ArrayOpts(w *core.Worker, s []byte, checked bool) []int32 {
 	n := len(s)
@@ -37,9 +37,11 @@ func ArrayOpts(w *core.Worker, s []byte, checked bool) []int32 {
 	keys := make([]uint64, n)
 	rvals := make([]int32, n)
 	// Round 0: sort suffix indices by first byte.
-	core.ForRange(w, 0, n, 0, func(i int) {
-		sa[i] = int32(i)
-		keys[i] = uint64(s[i])
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sa[i] = int32(i)
+			keys[i] = uint64(s[i])
+		}
 	})
 	radix.SortPairs(w, keys, sa, 8)
 	distinct := rankValues(w, keys, rvals)
@@ -50,33 +52,35 @@ func ArrayOpts(w *core.Worker, s []byte, checked bool) []int32 {
 	// exactly {0..n-1} and the unchecked scatter is Fearless under
 	// certificate.
 	if checked {
-		if err := core.IndForEach(w, rank, sa, func(j int, slot *int32) { *slot = rvals[j] }); err != nil {
+		if err := core.ScatterChecked(w, rank, sa, rvals); err != nil {
 			panic("suffix: sa permutation violated: " + err.Error())
 		}
 	} else {
-		core.IndForEachUnchecked(w, rank, sa, func(j int, slot *int32) { *slot = rvals[j] })
+		core.ScatterUnchecked(w, rank, sa, rvals)
 	}
 	rankBits := radix.BitsFor(uint64(n))
 	for k := 1; k < n && !distinct; k *= 2 {
 		// Build combined keys (rank, rank+k) for the suffixes in current
 		// order, then re-sort. rank+1 biases so "past end" sorts lowest.
-		core.ForRange(w, 0, n, 0, func(j int) {
-			i := int(sa[j])
-			hi := uint64(rank[i]) + 1
-			var lo uint64
-			if i+k < n {
-				lo = uint64(rank[i+k]) + 1
+		core.ForBlocks(w, 0, n, 0, func(jlo, jhi int) {
+			for j := jlo; j < jhi; j++ {
+				i := int(sa[j])
+				hi := uint64(rank[i]) + 1
+				var lo uint64
+				if i+k < n {
+					lo = uint64(rank[i+k]) + 1
+				}
+				keys[j] = hi<<(rankBits+1) | lo
 			}
-			keys[j] = hi<<(rankBits+1) | lo
 		})
 		radix.SortPairs(w, keys, sa, 2*(rankBits+1))
 		distinct = rankValues(w, keys, rvals)
 		if checked {
-			if err := core.IndForEach(w, rank, sa, func(j int, slot *int32) { *slot = rvals[j] }); err != nil {
+			if err := core.ScatterChecked(w, rank, sa, rvals); err != nil {
 				panic("suffix: sa permutation violated: " + err.Error())
 			}
 		} else {
-			core.IndForEachUnchecked(w, rank, sa, func(j int, slot *int32) { *slot = rvals[j] })
+			core.ScatterUnchecked(w, rank, sa, rvals)
 		}
 	}
 	return sa
@@ -92,21 +96,22 @@ func ArrayOpts(w *core.Worker, s []byte, checked bool) []int32 {
 func rankValues(w *core.Worker, keys []uint64, rvals []int32) bool {
 	n := len(keys)
 	flags := rvals
-	boundaries := int64(1) // position 0
-	if n > 1 {
-		boundaries += core.MapReduce(w, n-1, int64(0), func(j int) int64 {
-			if keys[j+1] != keys[j] {
-				return 1
+	// Flag every boundary (a position whose key differs from its
+	// predecessor's) with its own index, counting them on the way: one
+	// local tally per subrange, folded into the shared total once.
+	var boundaries atomic.Int64
+	boundaries.Store(1) // position 0
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		var found int64
+		for j := lo; j < hi; j++ {
+			if j > 0 && keys[j] != keys[j-1] {
+				flags[j] = int32(j)
+				found++
+			} else {
+				flags[j] = 0
 			}
-			return 0
-		}, func(a, b int64) int64 { return a + b })
-	}
-	core.ForRange(w, 0, n, 0, func(j int) {
-		if j > 0 && keys[j] != keys[j-1] {
-			flags[j] = int32(j)
-		} else {
-			flags[j] = 0
 		}
+		boundaries.Add(found)
 	})
 	// rank of position j = max flag at or before j: a running-max scan.
 	core.ScanExclusiveOp(w, flags, int32(0), func(a, b int32) int32 {
@@ -116,14 +121,16 @@ func rankValues(w *core.Worker, keys []uint64, rvals []int32) bool {
 		return b
 	})
 	// flags[j] now holds the max over [0, j); fold in j's own flag.
-	core.ForRange(w, 0, n, 0, func(j int) {
-		if j > 0 && keys[j] != keys[j-1] {
-			rvals[j] = int32(j)
+	// rvals aliases flags, so the exclusive-scan value is already in
+	// place for non-boundary positions.
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			if j > 0 && keys[j] != keys[j-1] {
+				rvals[j] = int32(j)
+			}
 		}
-		// rvals aliases flags, so the exclusive-scan value is already in
-		// place for non-boundary positions.
 	})
-	return boundaries == int64(n)
+	return boundaries.Load() == int64(n)
 }
 
 // NaiveArray computes the suffix array by direct comparison sorting —
@@ -184,12 +191,13 @@ func BWTEncode(w *core.Worker, s []byte) []byte {
 	copy(t, s) // t[n] = 0 sentinel
 	sa := Array(w, t)
 	bwt := make([]byte, n+1)
-	core.ForRange(w, 0, n+1, 0, func(j int) {
-		i := sa[j]
-		if i == 0 {
-			bwt[j] = t[n]
-		} else {
-			bwt[j] = t[i-1]
+	core.ForBlocks(w, 0, n+1, 0, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			if i := sa[j]; i == 0 {
+				bwt[j] = t[n]
+			} else {
+				bwt[j] = t[i-1]
+			}
 		}
 	})
 	return bwt
@@ -205,8 +213,10 @@ func BWTEncode(w *core.Worker, s []byte) []byte {
 // deterministic.
 func DistinctBytes(w *core.Worker, s []byte) [256]bool {
 	var present [256]atomic.Bool
-	core.ForRange(w, 0, len(s), 0, func(i int) {
-		present[s[i]].Store(true) // same-value racy store, made atomic
+	core.ForBlocks(w, 0, len(s), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			present[s[i]].Store(true) // same-value racy store, made atomic
+		}
 	})
 	var out [256]bool
 	for c := range out {
