@@ -91,18 +91,22 @@ bench-mem-gate:
 
 # Graph-kernel wall-clock benchmarks (bench_graph_test.go): hybrid BFS,
 # batched delta-stepping SSSP, and the degree-aware CSR builder at
-# small scale, exported to BENCH_graph.json. The committed
+# small scale, plus the triangle-counting hub sweep of internal/bench
+# (BenchmarkGraphTCHubs: it sets the unexported hub count), exported to
+# BENCH_graph.json. The committed
 # BENCH_graph_before.json is the pre-batching snapshot that `rpbreport
 # -what graph` diffs against (docs/GRAPH.md). bench-graph-gate reruns
 # into a scratch file and gates ns/op-adjacent allocs against the
 # committed BENCH_graph.json, the same regression discipline as
-# bench-mem-gate.
+# bench-mem-gate. Both graph tiers run at -cpu 1, where the committed
+# baselines were taken: with more workers every steal adds closure and
+# frame allocations, and a one-iteration gate run counts them all.
 GRAPH_BENCH = BenchmarkGraph
 bench-graph:
-	$(GO) test -run xxx -bench '$(GRAPH_BENCH)' -benchmem -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson -out BENCH_graph.json
+	$(GO) test -run xxx -bench '$(GRAPH_BENCH)' -benchmem -benchtime $(BENCHTIME) -cpu 1 . ./internal/bench/ | $(GO) run ./cmd/benchjson -out BENCH_graph.json
 
 bench-graph-gate:
-	$(GO) test -run xxx -bench '$(GRAPH_BENCH)' -benchmem -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson -out BENCH_graph.gate.json -gate BENCH_graph.json
+	$(GO) test -run xxx -bench '$(GRAPH_BENCH)' -benchmem -benchtime $(BENCHTIME) -cpu 1 . ./internal/bench/ | $(GO) run ./cmd/benchjson -out BENCH_graph.gate.json -gate BENCH_graph.json
 	rm -f BENCH_graph.gate.json
 
 # Beyond-LLC graph benchmarks (bench_graph_xl_test.go): the same BFS /
@@ -117,10 +121,10 @@ bench-graph-gate:
 # the committed baseline instead of failing the gate.
 XLGRAPH_BENCH = BenchmarkXLGraph
 bench-graph-xl:
-	$(GO) test -run xxx -bench '$(XLGRAPH_BENCH)' -benchmem -benchtime $(BENCHTIME) -timeout 90m . | $(GO) run ./cmd/benchjson -out BENCH_graph_xl.json
+	$(GO) test -run xxx -bench '$(XLGRAPH_BENCH)' -benchmem -benchtime $(BENCHTIME) -cpu 1 -timeout 90m . | $(GO) run ./cmd/benchjson -out BENCH_graph_xl.json
 
 bench-graph-xl-gate:
-	$(GO) test -run xxx -bench '$(XLGRAPH_BENCH)' -benchmem -benchtime $(BENCHTIME) -timeout 90m . | $(GO) run ./cmd/benchjson -out BENCH_graph_xl.gate.json -gate BENCH_graph_xl.json -baseline-add
+	$(GO) test -run xxx -bench '$(XLGRAPH_BENCH)' -benchmem -benchtime $(BENCHTIME) -cpu 1 -timeout 90m . | $(GO) run ./cmd/benchjson -out BENCH_graph_xl.gate.json -gate BENCH_graph_xl.json -baseline-add
 	rm -f BENCH_graph_xl.gate.json
 
 # Regenerate every table and figure at small scale.

@@ -35,8 +35,12 @@ type kcoreInstance[A graph.Adjacency] struct {
 	seeds    []mq.Item // staged level batch
 	dscratch [][]int32 // per-MQ-worker decode rows
 	maxDeg   int
-	mqStats  mq.Stats
+	q        *mq.MultiQueue // one queue for every level of every run
+	mqStats  mq.Stats       // counters of the last run, all levels
 }
+
+// kcoreQueuesPerWorker is mq.Options' default queue factor.
+const kcoreQueuesPerWorker = 4
 
 func newKCore[A graph.Adjacency](g A) *kcoreInstance[A] {
 	n := int(g.NumVertices())
@@ -77,49 +81,58 @@ func (k *kcoreInstance[A]) runLibrary(w *core.Worker) {
 func (k *kcoreInstance[A]) runLevels(w *core.Worker, nWorkers int) {
 	n := int(k.g.NumVertices())
 	scratch := k.scratchFor(nWorkers)
+	// One MultiQueue serves every level: each cascade drains it, so the
+	// next level finds it empty with its heaps and worker buffers grown.
+	if k.q == nil || k.q.NQueues() != kcoreQueuesPerWorker*nWorkers {
+		k.q = mq.New(kcoreQueuesPerWorker * nWorkers)
+	}
+	k.q.Reset()
 	var peeled atomic.Int64
+	// The level's closures are built once and read kc, which only moves
+	// between cascades, when nothing else runs.
+	var kc uint32
+	remaining := func(v int) uint32 {
+		if k.cn[v] != distInf {
+			return distInf
+		}
+		return k.rd[v]
+	}
+	lower := func(a, b uint32) uint32 { return min(a, b) }
+	atLevel := func(v int) bool { return k.cn[v] == distInf && k.rd[v] <= kc }
+	peel := func(wi int, it mq.Item, push mq.Pusher) {
+		// The level rides in on the item: a cascade must not read the
+		// shared kc, which would sit on the cache line peeled's
+		// fetch-adds keep dirtying.
+		v, kc := int32(it.Val), uint32(it.Pri)
+		// Seeds arrive pre-claimed; cascade pushes claim here. No
+		// CAS needed: the unique crossing means exactly one push
+		// per vertex per level.
+		if atomic.LoadUint32(&k.cn[v]) == distInf {
+			atomic.StoreUint32(&k.cn[v], kc)
+			peeled.Add(1)
+		}
+		for _, u := range k.g.RowInto(v, scratch[wi]) {
+			if atomic.AddUint32(&k.rd[u], ^uint32(0)) == kc {
+				push.Push(mq.Item{Pri: uint64(kc), Val: uint64(u)})
+			}
+		}
+	}
 	for int(peeled.Load()) < n {
 		// Next level: minimum remaining degree over unpeeled vertices.
 		// The arrays are quiescent between cascades, so plain reads.
-		kc := core.MapReduce(w, n, distInf, func(v int) uint32 {
-			if k.cn[v] != distInf {
-				return distInf
-			}
-			return k.rd[v]
-		}, func(a, b uint32) uint32 {
-			if a < b {
-				return a
-			}
-			return b
-		})
+		kc = core.MapReduce(w, n, distInf, remaining, lower)
 		// Seeds: every unpeeled vertex at the level. The predicate is
 		// read-only (PackIndexInto may evaluate it twice); the claim —
 		// writing the coreness — happens in the sequential staging loop
 		// below, before any cascade runs.
-		seedIdx := core.PackIndexInto(w, n, func(v int) bool {
-			return k.cn[v] == distInf && k.rd[v] <= kc
-		}, k.seedBuf)
+		seedIdx := core.PackIndexInto(w, n, atLevel, k.seedBuf)
 		items := k.seeds[:0]
 		for _, v := range seedIdx {
 			k.cn[v] = kc
 			items = append(items, mq.Item{Pri: uint64(kc), Val: uint64(v)})
 		}
 		peeled.Add(int64(len(seedIdx)))
-		k.mqStats = mq.ProcessBatch(nWorkers, items, mq.Options{}, func(wi int, it mq.Item, push mq.Pusher) {
-			v := int32(it.Val)
-			// Seeds arrive pre-claimed; cascade pushes claim here. No
-			// CAS needed: the unique crossing means exactly one push
-			// per vertex per level.
-			if atomic.LoadUint32(&k.cn[v]) == distInf {
-				atomic.StoreUint32(&k.cn[v], kc)
-				peeled.Add(1)
-			}
-			for _, u := range k.g.RowInto(v, scratch[wi]) {
-				if atomic.AddUint32(&k.rd[u], ^uint32(0)) == kc {
-					push.Push(mq.Item{Pri: uint64(kc), Val: uint64(u)})
-				}
-			}
-		})
+		k.mqStats = mq.ProcessBatchOn(k.q, nWorkers, items, mq.Options{}, peel)
 	}
 }
 

@@ -106,9 +106,33 @@ func TestPRCompressedMatchesPlain(t *testing.T) {
 	}
 }
 
+// tcCheckAll runs one instance through every execution mode — T
+// workers, one worker, sequential library (w == nil) and the direct
+// variant — and checks each count against want.
+func tcCheckAll[A graph.Adjacency](t *testing.T, name string, pools []*core.Pool, k *tcInstance[A], want int64) {
+	t.Helper()
+	k.want = want
+	check := func(mode string) {
+		t.Helper()
+		if err := k.verify(); err != nil {
+			t.Fatalf("%s, %d hubs, %s: %v", name, len(k.hubs.list), mode, err)
+		}
+		k.count = -1
+	}
+	for _, pool := range pools {
+		pool.Do(func(w *core.Worker) { k.runLibrary(w) })
+		check(fmt.Sprintf("pool of %d", pool.Workers()))
+	}
+	k.runLibrary(nil)
+	check("sequential")
+	k.runDirect(4)
+	check("direct")
+}
+
 func TestTCCompressedMatchesPlain(t *testing.T) {
-	pool := core.NewPool(4)
-	defer pool.Close()
+	pools := []*core.Pool{core.NewPool(4), core.NewPool(1)}
+	defer pools[0].Close()
+	defer pools[1].Close()
 	for _, input := range []string{graph.InputLink, graph.InputRMAT, graph.InputRoad} {
 		for _, scale := range equivScales(t) {
 			t.Run(fmt.Sprintf("%s/scale%d", input, scale), func(t *testing.T) {
@@ -122,24 +146,32 @@ func TestTCCompressedMatchesPlain(t *testing.T) {
 				if cwant := tcOracle(cdag); cwant != want {
 					t.Fatalf("sequential oracle differs: %d vs %d", cwant, want)
 				}
-				p := newTC(dag)
-				c := newTC(cdag)
-				p.want, c.want = want, want
-				pool.Do(func(w *core.Worker) { p.runLibrary(w) })
-				if err := p.verify(); err != nil {
-					t.Fatalf("plain pool: %v", err)
+				// The instance as registered (hubs only where they pay), then
+				// the hub count forced: none, a word's worth, the derived H
+				// (below n on every input) and, where n x n bits are a
+				// small matrix, H = n: every row a matrix row.
+				tcCheckAll(t, "plain", pools, newTC(dag), want)
+				tcCheckAll(t, "cgraph", pools, newTC(cdag), want)
+				derived := tcHubCount(int(n), dag.NumEdges())
+				if derived >= int(n) {
+					t.Fatalf("derived hub count %d does not stay below n = %d", derived, n)
 				}
-				pool.Do(func(w *core.Worker) { c.runLibrary(w) })
-				if err := c.verify(); err != nil {
-					t.Fatalf("cgraph pool: %v", err)
+				hs := []int{0, 64, derived}
+				if scale == ScaleTest {
+					hs = append(hs, int(n))
 				}
-				c.runLibrary(nil)
-				if err := c.verify(); err != nil {
-					t.Fatalf("cgraph sequential: %v", err)
-				}
-				c.runDirect(4)
-				if err := c.verify(); err != nil {
-					t.Fatalf("cgraph direct: %v", err)
+				for _, h := range hs {
+					p, c := newTCHubbed(dag, h), newTCHubbed(cdag, h)
+					if !slices.Equal(p.hubs.list, c.hubs.list) {
+						t.Fatalf("%d hubs: plain and compressed DAG pick different hubs", h)
+					}
+					hm := make([]uint64, h*((h+63)/64))
+					c.fillHubRows(hm, 0, h, make([]int32, c.maxDeg))
+					if !c.hubsClosed(hm) {
+						t.Fatalf("%d hubs: the top of a degree-ordered DAG is not closed under out-neighbors", h)
+					}
+					tcCheckAll(t, "plain", pools, p, want)
+					tcCheckAll(t, "cgraph", pools, c, want)
 				}
 			})
 		}

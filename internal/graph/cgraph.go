@@ -185,11 +185,9 @@ func (c *CGraph) RowInto(v int32, buf []int32) []int32 {
 // neighbor set in bm or -1. The early exit matters: on a dense frontier
 // the probe usually hits within the first few gaps, so most of the row
 // is never decoded. Reconstruction advances group-at-a-time through
-// the same unrolled masked-load stanzas as decodeRow — the control
-// word prices a whole group's payload up front, and the running
-// neighbor value (sorted rows make it the running maximum) is probed
-// as each gap lands, so a miss skips to the next control word without
-// per-byte continuation branches.
+// decodeGroup — the stanza decodeRow and CountIn run — and probes the
+// group's eight neighbors in order, so a miss skips to the next control
+// word without per-byte continuation branches.
 func (c *CGraph) FindFirstIn(v int32, bm []uint64) int32 {
 	deg := c.Degree(v)
 	if deg == 0 {
@@ -202,25 +200,14 @@ func (c *CGraph) FindFirstIn(v int32, bm []uint64) int32 {
 		return u
 	}
 	i := int32(1)
+	var g [gvGroup]int32
 	for ; i+gvGroup <= deg; i += gvGroup {
-		c0, c1 := buf[k], buf[k+1]
-		k += gvCtrl
-		m, f := &gvMasks[c0], &gvOffs[c0]
-		for j := 0; j < 4; j++ {
-			u += int32(load32(buf, k+int(f[j])) & m[j])
-			if bm[uint32(u)>>6]&(1<<(uint32(u)&63)) != 0 {
-				return u
+		k, u = decodeGroup(buf, k, u, &g)
+		for _, x := range &g {
+			if bm[uint32(x)>>6]&(1<<(uint32(x)&63)) != 0 {
+				return x
 			}
 		}
-		k += int(gvTot[c0])
-		m, f = &gvMasks[c1], &gvOffs[c1]
-		for j := 0; j < 4; j++ {
-			u += int32(load32(buf, k+int(f[j])) & m[j])
-			if bm[uint32(u)>>6]&(1<<(uint32(u)&63)) != 0 {
-				return u
-			}
-		}
-		k += int(gvTot[c1])
 	}
 	for ; i < deg; i++ {
 		var gap uint64
@@ -234,10 +221,11 @@ func (c *CGraph) FindFirstIn(v int32, bm []uint64) int32 {
 }
 
 // CountIn counts the neighbors of v whose bit is set in bm,
-// reconstructing the row through the same unrolled group stanzas as
-// FindFirstIn but folding a branch-free membership bit per gap instead
-// of exiting on the first hit — the whole row always decodes, since an
-// intersection needs every element.
+// reconstructing the row through decodeGroup like FindFirstIn but
+// folding a branch-free membership bit per neighbor instead of exiting
+// on the first hit — the whole row always decodes, since an
+// intersection needs every element, but only ever eight neighbors at a
+// time into a stack array, never the row.
 func (c *CGraph) CountIn(v int32, bm []uint64) int64 {
 	deg := c.Degree(v)
 	if deg == 0 {
@@ -248,21 +236,12 @@ func (c *CGraph) CountIn(v int32, bm []uint64) int64 {
 	u := int32(int64(v) + unzigzag(first))
 	n := int64(bm[uint32(u)>>6] >> (uint32(u) & 63) & 1)
 	i := int32(1)
+	var g [gvGroup]int32
 	for ; i+gvGroup <= deg; i += gvGroup {
-		c0, c1 := buf[k], buf[k+1]
-		k += gvCtrl
-		m, f := &gvMasks[c0], &gvOffs[c0]
-		for j := 0; j < 4; j++ {
-			u += int32(load32(buf, k+int(f[j])) & m[j])
-			n += int64(bm[uint32(u)>>6] >> (uint32(u) & 63) & 1)
+		k, u = decodeGroup(buf, k, u, &g)
+		for _, x := range &g {
+			n += int64(bm[uint32(x)>>6] >> (uint32(x) & 63) & 1)
 		}
-		k += int(gvTot[c0])
-		m, f = &gvMasks[c1], &gvOffs[c1]
-		for j := 0; j < 4; j++ {
-			u += int32(load32(buf, k+int(f[j])) & m[j])
-			n += int64(bm[uint32(u)>>6] >> (uint32(u) & 63) & 1)
-		}
-		k += int(gvTot[c1])
 	}
 	for ; i < deg; i++ {
 		var gap uint64

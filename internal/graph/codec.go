@@ -256,13 +256,74 @@ func encodeRow(v int32, row []int32, dst []byte) {
 	_ = k
 }
 
+// decodeGroup is the one group stanza every row consumer shares —
+// decodeRow stores its eight neighbors straight into the caller's row,
+// CountIn and FindFirstIn into a stack array they then probe. It reads
+// the control word at buf[k], adds the group's eight gaps to the running
+// neighbor u one by one, stores the running values in o, and returns
+// the position after the payload and the last neighbor. Three paths,
+// cheapest first: a zero control word (eight 1-byte gaps) is one 8-byte
+// load cut at constant shifts, no table touched; a half-group whose
+// payload fits 8 bytes (gvTot <= 8) is one load cut by the gvShift and
+// gvMasks rows of its control byte; anything wider falls back to four
+// masked 4-byte loads at gvOffs.
+func decodeGroup(buf []byte, k int, u int32, o *[gvGroup]int32) (int, int32) {
+	ctrl := [2]uint8{buf[k], buf[k+1]}
+	k += gvCtrl
+	if ctrl[0]|ctrl[1] == 0 {
+		s := load64(buf, k)
+		u += int32(uint8(s))
+		o[0] = u
+		u += int32(uint8(s >> 8))
+		o[1] = u
+		u += int32(uint8(s >> 16))
+		o[2] = u
+		u += int32(uint8(s >> 24))
+		o[3] = u
+		u += int32(uint8(s >> 32))
+		o[4] = u
+		u += int32(uint8(s >> 40))
+		o[5] = u
+		u += int32(uint8(s >> 48))
+		o[6] = u
+		u += int32(uint8(s >> 56))
+		o[7] = u
+		return k + gvGroup, u
+	}
+	for half, c := range ctrl {
+		o := (*[4]int32)(o[4*half:])
+		m, t := &gvMasks[c], int(gvTot[c])
+		if t <= 8 {
+			s, h := load64(buf, k), &gvShift[c]
+			u += int32(uint32(s) & m[0])
+			o[0] = u
+			u += int32(uint32(s>>h[1]) & m[1])
+			o[1] = u
+			u += int32(uint32(s>>h[2]) & m[2])
+			o[2] = u
+			u += int32(uint32(s>>h[3]) & m[3])
+			o[3] = u
+		} else {
+			f := &gvOffs[c]
+			u += int32(load32(buf, k) & m[0])
+			o[0] = u
+			u += int32(load32(buf, k+int(f[1])) & m[1])
+			o[1] = u
+			u += int32(load32(buf, k+int(f[2])) & m[2])
+			o[2] = u
+			u += int32(load32(buf, k+int(f[3])) & m[3])
+			o[3] = u
+		}
+		k += t
+	}
+	return k, u
+}
+
 // decodeRow decodes vertex v's row from buf into out, which must have
 // room for deg entries, and returns out[:deg]. buf is the row's byte
 // stream starting at its first byte (Bytes[BOffs[v]:]) and must extend
 // at least codecSlack bytes past the row's encoding — the pool pad, or
-// the caller's own slack for standalone buffers. The group loop is
-// unrolled by hand (eight masked-load stanzas per control word) so the
-// hot path carries no per-gap branches and no call overhead.
+// the caller's own slack for standalone buffers.
 func decodeRow(v int32, buf []byte, deg int32, out []int32) []int32 {
 	if deg == 0 {
 		return out[:0]
@@ -272,57 +333,7 @@ func decodeRow(v int32, buf []byte, deg int32, out []int32) []int32 {
 	out[0] = u
 	i := int32(1)
 	for ; i+gvGroup <= deg; i += gvGroup {
-		c0, c1 := buf[k], buf[k+1]
-		k += gvCtrl
-		o := out[i : i+gvGroup : i+gvGroup]
-		m := &gvMasks[c0]
-		if t := int(gvTot[c0]); t <= 8 {
-			s, h := load64(buf, k), &gvShift[c0]
-			u += int32(uint32(s) & m[0])
-			o[0] = u
-			u += int32(uint32(s>>h[1]) & m[1])
-			o[1] = u
-			u += int32(uint32(s>>h[2]) & m[2])
-			o[2] = u
-			u += int32(uint32(s>>h[3]) & m[3])
-			o[3] = u
-			k += t
-		} else {
-			f := &gvOffs[c0]
-			u += int32(load32(buf, k) & m[0])
-			o[0] = u
-			u += int32(load32(buf, k+int(f[1])) & m[1])
-			o[1] = u
-			u += int32(load32(buf, k+int(f[2])) & m[2])
-			o[2] = u
-			u += int32(load32(buf, k+int(f[3])) & m[3])
-			o[3] = u
-			k += t
-		}
-		m = &gvMasks[c1]
-		if t := int(gvTot[c1]); t <= 8 {
-			s, h := load64(buf, k), &gvShift[c1]
-			u += int32(uint32(s) & m[0])
-			o[4] = u
-			u += int32(uint32(s>>h[1]) & m[1])
-			o[5] = u
-			u += int32(uint32(s>>h[2]) & m[2])
-			o[6] = u
-			u += int32(uint32(s>>h[3]) & m[3])
-			o[7] = u
-			k += t
-		} else {
-			f := &gvOffs[c1]
-			u += int32(load32(buf, k) & m[0])
-			o[4] = u
-			u += int32(load32(buf, k+int(f[1])) & m[1])
-			o[5] = u
-			u += int32(load32(buf, k+int(f[2])) & m[2])
-			o[6] = u
-			u += int32(load32(buf, k+int(f[3])) & m[3])
-			o[7] = u
-			k += t
-		}
+		k, u = decodeGroup(buf, k, u, (*[gvGroup]int32)(out[i:i+gvGroup]))
 	}
 	for ; i < deg; i++ {
 		gap, k2 := getVarint(buf, k)

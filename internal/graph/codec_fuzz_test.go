@@ -12,7 +12,8 @@ import (
 // 1-4 payload bytes), so the fuzzer can reach every control-tag
 // combination — including max-gap groups of 4-byte payloads — and
 // first/v are arbitrary int32s, covering adversarial first-neighbor
-// deltas in both directions.
+// deltas in both directions. Every row also goes through the other two
+// consumers of the decoder's group stanza (codec_diff_test.go).
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(int32(5), int32(7), []byte{})                                                 // single-neighbor row
 	f.Add(int32(1<<30), int32(0), []byte{0, 1, 0, 2})                                   // huge negative first delta
@@ -51,6 +52,24 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		if sz == 0 {
 			t.Fatalf("group codec encodes %d-neighbor row to 0 bytes", len(row))
+		}
+
+		// The other two consumers of the group stanza, on the same row:
+		// CountIn and FindFirstIn against a scan of the decoded row. They
+		// index per-vertex offsets and a bitmap over the ids, so the row
+		// sits at a small vertex and only rows of moderate ids take part.
+		if last := row[len(row)-1]; last < 1<<24 {
+			vg := int32(uint32(v) % 512)
+			bm := make([]uint64, last/64+1)
+			seed := uint64(len(data))*0x9e3779b97f4a7c15 + uint64(uint32(first)) | 1
+			for i := range bm {
+				seed ^= seed << 13
+				seed ^= seed >> 7
+				seed ^= seed << 17
+				bm[i] = seed
+			}
+			checkRowConsumers(t, rowGraph(vg, row, nil), vg, row, bm)
+			checkRowConsumers(t, rowGraph(vg, row, []int32{vg}), vg, row, bm)
 		}
 	})
 }

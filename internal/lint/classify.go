@@ -236,7 +236,7 @@ func classifyCall(f *fileInfo, call *ast.CallExpr) (cc coreCall, mask construct,
 		return cc, cc.mask, true
 	case path == atomicPath:
 		return coreCall{}, cAtomic, true
-	case isPath(path, mqPath) && (name == "Process" || name == "ProcessOpt" || name == "ProcessBatch"),
+	case isPath(path, mqPath) && mqRegionFuncs[name],
 		isPath(path, specforPath) && name == "Run":
 		return coreCall{}, cTaskEngine, true
 	}

@@ -232,7 +232,7 @@ var coreRegionSpecs = map[string]coreRegionSpec{
 // mqRegionFuncs are the mq drivers whose task closures run on
 // long-lived worker goroutines. The closure's first parameter is the
 // worker id, unique per goroutine.
-var mqRegionFuncs = map[string]bool{"Process": true, "ProcessOpt": true, "ProcessBatch": true}
+var mqRegionFuncs = map[string]bool{"Process": true, "ProcessOpt": true, "ProcessBatch": true, "ProcessBatchOn": true}
 
 // raceRegion is one lexical parallel region.
 type raceRegion struct {

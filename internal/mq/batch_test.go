@@ -268,3 +268,68 @@ func TestBatchingCutsLockAcquires(t *testing.T) {
 		t.Fatalf("batching should cut locks/item by ~%dx: single=%.3f batched=%.3f", k, sl, bl)
 	}
 }
+
+// TestResetEmptiesAndZeroes: after Reset a used queue holds nothing,
+// reports zero counters, and takes pushes and pops like a new one.
+func TestResetEmptiesAndZeroes(t *testing.T) {
+	m := New(8)
+	for i := 0; i < 300; i++ {
+		m.Push(Item{Pri: uint64(i % 17), Val: uint64(i)})
+	}
+	m.PopBatch(make([]Item, 40))
+	m.Reset()
+	if m.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", m.Len())
+	}
+	if it, ok := m.Pop(); ok {
+		t.Fatalf("Pop after Reset returned %+v", it)
+	}
+	m.Reset() // the failed Pop counted an attempt
+	if st := m.Stats(); st != (Stats{}) {
+		t.Fatalf("Stats after Reset = %+v", st)
+	}
+	m.PushBatch([]Item{{Pri: 3, Val: 30}, {Pri: 1, Val: 10}})
+	if it, ok := m.Pop(); !ok || it.Val != 10 {
+		t.Fatalf("first Pop after Reset = %+v, %v; want Val 10", it, ok)
+	}
+}
+
+// TestProcessBatchOnReusesQueue drives one queue many times, as k-core
+// does once per level: every drive runs its whole task tree and leaves
+// the queue empty, the counters accumulate from drive to drive until a
+// Reset, and a drive on a warmed queue allocates per worker goroutine
+// only, not per queue, heap or buffer.
+func TestProcessBatchOnReusesQueue(t *testing.T) {
+	const workers, tree = 4, 1023 // full binary tree of depth 9
+	m := New(4 * workers)
+	var count atomic.Int64
+	task := func(_ int, it Item, push Pusher) {
+		count.Add(1)
+		if it.Val > 0 {
+			push.Push(Item{Pri: it.Pri + 1, Val: it.Val - 1})
+			push.Push(Item{Pri: it.Pri + 1, Val: it.Val - 1})
+		}
+	}
+	seeds := []Item{{Pri: 0, Val: 9}}
+	for drive := 1; drive <= 5; drive++ {
+		st := ProcessBatchOn(m, workers, seeds, Options{BatchSize: 16}, task)
+		if got := count.Load(); got != int64(drive*tree) {
+			t.Fatalf("drive %d: %d tasks ran in all, want %d", drive, got, drive*tree)
+		}
+		if st.PoppedItems != uint64(drive*tree) || st.PushedItems != st.PoppedItems {
+			t.Fatalf("drive %d: counters %+v do not add up to %d items", drive, st, drive*tree)
+		}
+		if m.Len() != 0 {
+			t.Fatalf("drive %d left %d items queued", drive, m.Len())
+		}
+	}
+	m.Reset()
+	if st := ProcessBatchOn(m, workers, seeds, Options{BatchSize: 16}, task); st.PoppedItems != tree {
+		t.Fatalf("after Reset the counters restart: popped %d, want %d", st.PoppedItems, tree)
+	}
+	if perDrive := testing.AllocsPerRun(20, func() {
+		ProcessBatchOn(m, workers, seeds, Options{BatchSize: 16}, task)
+	}); perDrive > 2*workers {
+		t.Fatalf("a drive on a warmed queue allocates %.0f times, want at most %d", perDrive, 2*workers)
+	}
+}

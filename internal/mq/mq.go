@@ -244,6 +244,11 @@ type MultiQueue struct {
 	rng    seqgen.Rng
 	seq    atomic.Uint64
 	stats  counters
+
+	// ProcessBatchOn's state (process.go), kept from one drive to the next.
+	workers  []*batchWorker
+	inFlight atomic.Int64 // tasks pushed whose execution has not finished
+	wg       sync.WaitGroup
 }
 
 // New creates a MultiQueue with c queues per expected thread (the
@@ -261,6 +266,22 @@ func New(nQueues int) *MultiQueue {
 		m.queues[i].top.Store(emptyTop)
 	}
 	return m
+}
+
+// Reset empties the queue and zeroes its counters, keeping the heaps'
+// capacity and the drivers' per-worker buffers, so a kernel's next run
+// starts from a queue as good as new without allocating one (the same
+// contract as hashtable.Set.Reset and unionfind.UF.Reset). The random
+// sequence carries on rather than restarting. The queue must be idle.
+func (m *MultiQueue) Reset() {
+	for i := range m.queues {
+		q := &m.queues[i]
+		q.h = q.h[:0]
+		q.top.Store(emptyTop)
+	}
+	m.size.Store(0)
+	m.inFlight.Store(0)
+	m.stats = counters{}
 }
 
 // NQueues returns the number of internal queues.

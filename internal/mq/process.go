@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/arena"
 )
 
 // Pusher hands tasks back to the scheduler from inside a running task.
@@ -82,9 +80,9 @@ func processWith(m *MultiQueue, nWorkers int, seeds []Item, stickiness int, task
 }
 
 // batchCtx is the Pusher handed to ProcessBatch tasks: pushes land in a
-// per-worker staging buffer (arena-backed, fixed capacity = BatchSize)
-// and reach the shared queue in batches — one lock acquisition per
-// flush instead of one per task.
+// per-worker staging buffer (fixed capacity = BatchSize) and reach the
+// shared queue in batches — one lock acquisition per flush instead of
+// one per task.
 //
 // In-flight accounting: staged items are invisible to the global
 // counter until flush, which is safe because the worker only decrements
@@ -114,9 +112,19 @@ func (c *batchCtx) flush() {
 	c.buf = c.buf[:0]
 }
 
+// batchWorker is one ProcessBatch worker's state: its sticky handle, the
+// pop batch and the push staging buffer. The queue keeps one per worker
+// id, each its own allocation, and a driver run again on the same queue
+// finds them ready.
+type batchWorker struct {
+	pop   Popper
+	ctx   batchCtx
+	batch []Item
+}
+
 // ProcessBatch is the batched form of ProcessOpt: each worker pops up
 // to opt.BatchSize items per lock acquisition, runs them back to back,
-// and stages their pushes in an arena-backed buffer flushed in batches.
+// and stages their pushes in a buffer flushed in batches.
 // The relaxed-priority contract weakens accordingly — a popped batch is
 // processed in order, but its tail may rank behind items surfacing
 // elsewhere meanwhile — which is exactly the relaxation the bfs/sssp
@@ -127,52 +135,66 @@ func ProcessBatch(nWorkers int, seeds []Item, opt Options, task func(workerID in
 		nWorkers = runtime.GOMAXPROCS(0)
 	}
 	opt.fill()
-	m := New(opt.QueueFactor * nWorkers)
-	var inFlight atomic.Int64
+	return ProcessBatchOn(New(opt.QueueFactor*nWorkers), nWorkers, seeds, opt, task)
+}
+
+// ProcessBatchOn is ProcessBatch over a queue the caller keeps: a
+// kernel that drives one queue many times over (k-core, once per level)
+// pays for the queue, its heaps' capacity and the per-worker buffers
+// once. m must be empty and idle — a finished driver leaves it so, and
+// Reset makes it so. opt.QueueFactor does not apply. The counters
+// returned are the queue's, so they accumulate over every drive since
+// New or the last Reset.
+func ProcessBatchOn(m *MultiQueue, nWorkers int, seeds []Item, opt Options, task func(workerID int, it Item, push Pusher)) Stats {
+	if nWorkers <= 0 {
+		nWorkers = runtime.GOMAXPROCS(0)
+	}
+	opt.fill()
+	for len(m.workers) < nWorkers {
+		m.workers = append(m.workers, new(batchWorker))
+	}
 	if len(seeds) > 0 {
-		inFlight.Add(int64(len(seeds)))
+		m.inFlight.Add(int64(len(seeds)))
 		m.PushBatch(seeds)
 	}
-	var wg sync.WaitGroup
-	wg.Add(nWorkers)
+	m.wg.Add(nWorkers)
 	for wid := 0; wid < nWorkers; wid++ {
-		go func(wid int) {
-			defer wg.Done()
-			pop := m.NewPopper(opt.Stickiness)
-			defer pop.FlushStats()
-			a := arena.Standalone()
-			batch := arena.AllocUninit[Item](a, opt.BatchSize)
-			// The stage buffer reaches the user's task callback through
-			// ctx, which the lifetimes pass cannot see through. Safe
-			// because ctx.Push only appends into stage's own capacity
-			// and ctx.flush republishes items by value before the next
-			// PopBatch reuses the memory; the standalone arena lives as
-			// long as this worker goroutine.
-			//lint:scared stage transits through ctx into the dynamic task callback; items leave by value in flush, memory never outlives the worker
-			stage := arena.AllocUninit[Item](a, opt.BatchSize)
-			ctx := &batchCtx{p: pop, inFlight: &inFlight, buf: stage[:0], max: opt.BatchSize}
-			idle := 0
-			for {
-				n := pop.PopBatch(batch)
-				if n == 0 {
-					if inFlight.Load() == 0 {
-						return
-					}
-					idle++
-					if idle > 16 {
-						runtime.Gosched()
-					}
-					continue
-				}
-				idle = 0
-				for i := 0; i < n; i++ {
-					task(wid, batch[i], ctx)
-				}
-				ctx.flush()
-				inFlight.Add(-int64(n))
-			}
-		}(wid)
+		go m.batchLoop(wid, opt, task)
 	}
-	wg.Wait()
+	m.wg.Wait()
 	return m.Stats()
+}
+
+// batchLoop is one ProcessBatch worker: pop a batch, run it, flush what
+// it staged, until no task is queued, staged or running anywhere.
+func (m *MultiQueue) batchLoop(wid int, opt Options, task func(workerID int, it Item, push Pusher)) {
+	defer m.wg.Done()
+	w := m.workers[wid]
+	if cap(w.batch) != opt.BatchSize {
+		w.batch = make([]Item, opt.BatchSize)
+		w.ctx.buf = make([]Item, 0, opt.BatchSize)
+	}
+	w.pop = Popper{m: m, stick: opt.Stickiness}
+	w.ctx.p, w.ctx.inFlight, w.ctx.max = &w.pop, &m.inFlight, opt.BatchSize
+	defer w.pop.FlushStats()
+	idle := 0
+	for {
+		n := w.pop.PopBatch(w.batch)
+		if n == 0 {
+			if m.inFlight.Load() == 0 {
+				return
+			}
+			idle++
+			if idle > 16 {
+				runtime.Gosched()
+			}
+			continue
+		}
+		idle = 0
+		for i := 0; i < n; i++ {
+			task(wid, w.batch[i], &w.ctx)
+		}
+		w.ctx.flush()
+		m.inFlight.Add(-int64(n))
+	}
 }
