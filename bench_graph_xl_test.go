@@ -1,16 +1,15 @@
-// Beyond-LLC graph benchmarks: the data source behind
-// BENCH_graph_xl.json (`make bench-graph-xl`, docs/GRAPH.md "Compressed
-// CSR"). Every BenchmarkXLGraph* runs the same hybrid BFS /
-// delta-stepping SSSP kernels as BenchmarkGraph*, but at ScaleLarge —
-// tens of millions of edges, sized so one traversal direction of the
-// plain CSR exceeds last-level cache — and instantiated over both
-// representations, plain and compressed. Each benchmark reports
-// bytes/edge (the representation's adjacency footprint over its edge
-// count) and MTEPS (millions of traversed edges per second, |E| over
-// the per-round wall clock), the two columns `rpbreport -what graph`
-// renders as the beyond-LLC table. The name prefix is deliberately
-// XLGraph, not Graph: the bench-graph tier's regex must not pick these
-// up at default benchtime.
+// Beyond-LLC graph benchmarks (`make bench-graph-xl`, docs/GRAPH.md
+// "Compressed CSR"). Every BenchmarkXLGraph* runs a graph kernel of the
+// suite — hybrid BFS, delta-stepping SSSP, PageRank, triangle counting —
+// at ScaleLarge: tens of millions of edges, sized so one traversal
+// direction of the plain CSR exceeds last-level cache, instantiated
+// over both representations, plain and compressed. Each benchmark
+// reports bytes/edge (the representation's adjacency footprint over its
+// edge count) and MTEPS (millions of traversed edges per second, |E|
+// over the per-round wall clock). This tier is deliberately not a
+// workload of the repository benchmark (benchmark/README.md): building
+// its inputs takes minutes. CI runs one iteration so the code cannot
+// rot; nothing reads the output.
 package repro
 
 import (

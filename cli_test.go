@@ -116,6 +116,27 @@ func TestCLIRpbreportArtifacts(t *testing.T) {
 	if !strings.Contains(out, "checked") {
 		t.Errorf("fig5a output wrong: %s", out)
 	}
+
+	// Every artifact renders from live runs alone: the checkout holds no
+	// measurement file for any of them to read.
+	out = run(t, bin, "-what", "all", "-scale", "test", "-threads", "2", "-reps", "1")
+	for _, block := range []string{"Table 1", "Fig 6", "MultiQueue discipline", "steal%"} {
+		if !strings.Contains(out, block) {
+			t.Errorf("-what all missing %q block", block)
+		}
+	}
+
+	// An unknown artifact is an error that names the valid ones, not a
+	// silent empty success.
+	bad, err := exec.Command(bin, "-what", "mem").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("-what mem: want exit code 2, got %v\n%s", err, bad)
+	}
+	for _, name := range []string{"table1", "graph", "lifetimes", "all"} {
+		if !strings.Contains(string(bad), name) {
+			t.Errorf("-what mem does not list %s: %s", name, bad)
+		}
+	}
 }
 
 func TestCLIRpblint(t *testing.T) {

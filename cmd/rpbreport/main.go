@@ -1,11 +1,12 @@
 // rpbreport regenerates the paper's tables and figures from live runs:
 //
-//	rpbreport -what table1|table2|table3|fig3|fig4|fig5a|fig5b|fig6|all
+//	rpbreport -what <artifact>|all
 //	          [-scale test|small|default] [-threads N] [-reps N]
 //	          [-benches sort,hist,...]
 //
-// Each output block names the paper artifact it reproduces and, where
-// the paper reports a headline number, quotes it for comparison.
+// `rpbreport -h` lists the artifact names; an unknown one exits 2. Each
+// output block names the paper artifact it reproduces and, where the
+// paper reports a headline number, quotes it for comparison.
 package main
 
 import (
@@ -21,15 +22,62 @@ import (
 
 func main() {
 	var (
-		what    = flag.String("what", "all", "artifact: table1, table2, table3, fig3, fig4, fig5a, fig5b, fig6, dyncensus, fearreport, sched, mem, graph, coverage, certs, races, lifetimes, all")
 		scale   = flag.String("scale", "small", "input scale: test, small, or default")
 		threads = flag.Int("threads", runtime.GOMAXPROCS(0), "parallel thread count (the paper's 24-core point)")
 		reps    = flag.Int("reps", 3, "repetitions per measurement")
 		benches = flag.String("benches", "", "comma-separated benchmark subset for fig4 (default: all)")
+
+		sc     bench.Scale
+		subset []string
+		out    = os.Stdout
 	)
+	fig5 := func() report.Fig5Config {
+		return report.Fig5Config{Scale: sc, Threads: *threads, Reps: *reps}
+	}
+	// The one list of artifacts: -what's help text, its validation and
+	// the order of `-what all` all come from here.
+	artifacts := []struct {
+		name string
+		run  func() error
+	}{
+		{"table1", func() error { report.Table1(out); return nil }},
+		{"table2", func() error { report.Table2(out, sc); return nil }},
+		{"table3", func() error { report.Table3(out); return nil }},
+		{"fig3", func() error { report.Fig3(out); return nil }},
+		{"fig4", func() error {
+			return report.Fig4(out, report.Fig4Config{
+				Scale: sc, Threads: *threads, Reps: *reps, Benches: subset,
+			})
+		}},
+		{"fig5a", func() error { return report.Fig5a(out, fig5()) }},
+		{"fig5b", func() error { return report.Fig5b(out, fig5()) }},
+		{"fig6", func() error {
+			report.Fig6(out, report.Fig6Config{Threads: *threads, Reps: *reps})
+			return nil
+		}},
+		{"dyncensus", func() error { return report.DynCensus(out, sc, *threads) }},
+		{"fearreport", func() error { return report.FearReport(out, "") }},
+		{"sched", func() error {
+			counts := []int{1, 2, 4, 8}
+			if *threads > 8 {
+				counts = append(counts, *threads)
+			}
+			return report.SchedReport(out, sc, "sort", counts)
+		}},
+		{"graph", func() error { return report.GraphReport(out, sc, *threads) }},
+		{"coverage", func() error { report.Coverage(out); return nil }},
+		{"certs", func() error { return report.Certs(out, fig5()) }},
+		{"races", func() error { return report.RacesReport(out) }},
+		{"lifetimes", func() error { return report.LifetimesReport(out) }},
+	}
+	var names string
+	for _, a := range artifacts {
+		names += a.name + ", "
+	}
+	names += "all"
+	what := flag.String("what", "all", "artifact: "+names)
 	flag.Parse()
 
-	var sc bench.Scale
 	switch *scale {
 	case "test":
 		sc = bench.ScaleTest
@@ -41,59 +89,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rpbreport: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	var subset []string
 	if *benches != "" {
 		subset = strings.Split(*benches, ",")
 	}
 
-	out := os.Stdout
-	run := func(name string, f func() error) {
-		if *what != name && *what != "all" {
-			return
+	matched := false
+	for _, a := range artifacts {
+		if *what != a.name && *what != "all" {
+			continue
 		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "rpbreport: %s: %v\n", name, err)
+		matched = true
+		if err := a.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "rpbreport: %s: %v\n", a.name, err)
 			os.Exit(1)
 		}
 		fmt.Fprintln(out)
 	}
-
-	run("table1", func() error { report.Table1(out); return nil })
-	run("table2", func() error { report.Table2(out, sc); return nil })
-	run("table3", func() error { report.Table3(out); return nil })
-	run("fig3", func() error { report.Fig3(out); return nil })
-	run("fig4", func() error {
-		return report.Fig4(out, report.Fig4Config{
-			Scale: sc, Threads: *threads, Reps: *reps, Benches: subset,
-		})
-	})
-	run("fig5a", func() error {
-		return report.Fig5a(out, report.Fig5Config{Scale: sc, Threads: *threads, Reps: *reps})
-	})
-	run("fig5b", func() error {
-		return report.Fig5b(out, report.Fig5Config{Scale: sc, Threads: *threads, Reps: *reps})
-	})
-	run("fig6", func() error {
-		report.Fig6(out, report.Fig6Config{Threads: *threads, Reps: *reps})
-		return nil
-	})
-	run("dyncensus", func() error {
-		return report.DynCensus(out, sc, *threads)
-	})
-	run("fearreport", func() error { return report.FearReport(out, "") })
-	run("sched", func() error {
-		counts := []int{1, 2, 4, 8}
-		if *threads > 8 {
-			counts = append(counts, *threads)
-		}
-		return report.SchedReport(out, sc, "sort", counts)
-	})
-	run("mem", func() error { return report.MemReport(out, "", "") })
-	run("graph", func() error { return report.GraphReport(out, "", "", sc, *threads) })
-	run("coverage", func() error { report.Coverage(out); return nil })
-	run("certs", func() error {
-		return report.Certs(out, report.Fig5Config{Scale: sc, Threads: *threads, Reps: *reps})
-	})
-	run("races", func() error { return report.RacesReport(out) })
-	run("lifetimes", func() error { return report.LifetimesReport(out) })
+	if !matched {
+		fmt.Fprintf(os.Stderr, "rpbreport: unknown -what %q (valid: %s)\n", *what, names)
+		os.Exit(2)
+	}
 }

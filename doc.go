@@ -6,6 +6,7 @@
 //
 // See README.md for the layout, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured
-// results. The root package exists to host the suite-level benchmarks
-// in bench_test.go; the implementation lives under internal/.
+// results. The root package hosts the end-to-end CLI tests and the
+// beyond-LLC graph benchmarks; the implementation lives under internal/
+// and the repository's benchmark under benchmark/.
 package repro

@@ -295,10 +295,15 @@ type pkgInfo struct {
 	files []*fileInfo
 }
 
+// skipDirs are directory base names no Go package lives under.
 var skipDirs = map[string]bool{
 	".git": true, ".github": true, "testdata": true,
-	"docs": true, "inputs": true,
+	"docs": true,
 }
+
+// skipPath is the one package skipped, by its slash-separated path from
+// the module root: a package elsewhere named inputs is still analysed.
+const skipPath = "benchmark/inputs"
 
 // parseModule parses every non-test .go file under root, grouped by
 // directory.
@@ -309,8 +314,13 @@ func parseModule(root string) (map[string]*pkgInfo, *token.FileSet, error) {
 		if err != nil {
 			return err
 		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
 		if d.IsDir() {
-			if skipDirs[d.Name()] || strings.HasPrefix(d.Name(), ".") && path != root {
+			if skipDirs[d.Name()] || rel == skipPath || strings.HasPrefix(d.Name(), ".") && path != root {
 				return filepath.SkipDir
 			}
 			return nil
@@ -318,11 +328,6 @@ func parseModule(root string) (map[string]*pkgInfo, *token.FileSet, error) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return fmt.Errorf("lint: %w", err)

@@ -73,6 +73,20 @@ func TestFixtureBad(t *testing.T) {
 	}
 }
 
+// TestSkipIsByPathNotBaseName: the fixture holds the same unmarked
+// goroutine in benchmark/inputs (the one skipped path) and in
+// internal/bench/inputs (a package that merely shares the base name).
+// Only the second is analysed, and it is reported.
+func TestSkipIsByPathNotBaseName(t *testing.T) {
+	rep, err := Run(Config{Root: filepath.Join("testdata", "src", "inputs-dir")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Diags) != 1 || rep.Diags[0].File != "internal/bench/inputs/gen.go" || rep.Diags[0].Rule != "undeclared-scared" {
+		t.Errorf("want one undeclared-scared in internal/bench/inputs/gen.go, got %v", rep.Diags)
+	}
+}
+
 // TestDirFilter pins the package-pattern normalization the CLI relies
 // on ("./...", "internal/bench", "examples/...").
 func TestDirFilter(t *testing.T) {

@@ -136,6 +136,34 @@ func TestBitsFor(t *testing.T) {
 	}
 }
 
+// A warmed SortPairs allocates nothing: the counting passes and the
+// ping-pong buffers live in the worker's Scratch box. One worker, so no
+// steal can add a frame and the count is exact.
+func TestSortPairsSteadyStateZeroAllocs(t *testing.T) {
+	const n = 1 << 18
+	keys := make([]uint64, n)
+	vals := make([]int32, n)
+	pool := core.NewPool(1)
+	defer pool.Close()
+	pool.Do(func(w *core.Worker) {
+		allocs := testing.AllocsPerRun(5, func() {
+			for i := range keys {
+				keys[i] = uint64(uint32(i * 2654435761))
+				vals[i] = int32(i)
+			}
+			SortPairs(w, keys, vals, 32)
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state SortPairs allocated %.0f per run, want 0", allocs)
+		}
+	})
+	for i := 1; i < n; i++ {
+		if keys[i-1] > keys[i] {
+			t.Fatalf("keys out of order at %d", i)
+		}
+	}
+}
+
 func BenchmarkSortPairs1M(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(3))
