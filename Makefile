@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build check test lint certify certify-update races races-update lifetimes lifetimes-update race fuzz-smoke bench bench-graph-xl report figures inputs clean
+.PHONY: build check test lint certs certify-update races-update lifetimes-update race fuzz-smoke bench bench-graph-xl report figures inputs clean
 
 build:
 	$(GO) build ./...
@@ -13,39 +13,29 @@ test: lint
 # Everything the merge gate needs in one target: build, the full fear
 # checker (vet + census), all three certification passes against their
 # committed artifacts, then the test suite. CI runs exactly this.
-check: build lint certify races lifetimes test
+check: build lint certs test
 
-# Source-level fear checker: static census + containment + race
-# heuristics (docs/LINT.md). Shared by CI.
+# Source-level fear checker: static census + containment + worker-escape
+# (docs/LINT.md). Shared by CI.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rpblint ./...
 
-# Offset-provenance certification (docs/LINT.md "Certification"):
-# re-derives every proof and fails if the committed lint-certs.json is
-# stale. Shared by CI; certify-update regenerates the file.
-certify:
-	$(GO) run ./cmd/rpblint -certify
+# The three certification passes over one type-checked module
+# (docs/LINT.md): offset provenance ("Certification"), parallel-body
+# writes ("Write certification"), arena-checkout lifetimes ("Lifetime
+# certification"). Each re-derives its report and fails on a stale
+# committed lint-{certs,races,lifetimes}.json or on a refusal anywhere
+# in the module that no //lint:scared marker audits. Shared by CI; the
+# three *-update targets regenerate one file each.
+certs:
+	$(GO) run ./cmd/rpblint -certify -races -lifetimes
 
 certify-update:
 	$(GO) run ./cmd/rpblint -certify -write-certs
 
-# Parallel-write certification (docs/LINT.md "Write certification"):
-# classifies every shared write in every parallel region and fails on
-# unexplained refusals in the enforced packages or a stale committed
-# lint-races.json. Shared by CI; races-update regenerates the file.
-races:
-	$(GO) run ./cmd/rpblint -races
-
 races-update:
 	$(GO) run ./cmd/rpblint -races -write-races
-
-# Arena-lifetime certification (docs/LINT.md "Lifetime certification"):
-# classifies every arena checkout's lifetime and fails on unexplained
-# refusals in the enforced packages or a stale committed
-# lint-lifetimes.json. Shared by CI; lifetimes-update regenerates it.
-lifetimes:
-	$(GO) run ./cmd/rpblint -lifetimes
 
 lifetimes-update:
 	$(GO) run ./cmd/rpblint -lifetimes -write-lifetimes

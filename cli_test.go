@@ -203,4 +203,17 @@ func TestCLIRpblint(t *testing.T) {
 			t.Errorf("stale artifact %s not reported:\n%s", p, both)
 		}
 	}
+
+	// A pass describes the whole module, so it takes no package filter:
+	// one used to truncate the certificate file to the filtered sites.
+	filtered, err := exec.Command(bin, "-certify", "./internal/graph").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(filtered), "usage:") {
+		t.Fatalf("-certify with a package: want exit code 2 and a usage line, got %v\n%s", err, filtered)
+	}
+	written := filepath.Join(t.TempDir(), "certs.json")
+	run(t, bin, "-certify", "-write-certs", "-certs", written)
+	got, err := os.ReadFile(written)
+	if n := strings.Count(string(got), `"primitive"`); err != nil || n != 16 {
+		t.Errorf("-certify -write-certs wrote %d sites (err %v), want the module's 16", n, err)
+	}
 }

@@ -1,31 +1,35 @@
-// Command rpblint is the suite's source-level fear checker: it
-// re-derives the pattern census from source, cross-checks it against
-// the DeclareSite registry, audits scared-construct containment, and
-// runs race and lifetime heuristics over parallel bodies. See
-// docs/LINT.md.
+// Command rpblint is the suite's source-level fear checker. Run plain,
+// it re-derives the pattern census from source, cross-checks it against
+// the DeclareSite registry, audits scared-construct containment and
+// flags workers escaping into raw goroutines. Run with a pass flag, it
+// certifies: offset provenance, parallel-body writes, arena-checkout
+// lifetimes. See docs/LINT.md.
 //
 // Usage:
 //
-//	rpblint [-root dir] [-json] [-census] [packages...]
-//	rpblint -certify [-write-certs] [-certs file] [packages...]
-//	rpblint -races [-write-races] [-races-file file] [packages...]
-//	rpblint -lifetimes [-write-lifetimes] [-lifetimes-file file] [packages...]
+//	rpblint [-root dir] [-json] [-census] [-certs file] [packages...]
+//	rpblint -certify [-write-certs] [-certs file]
+//	rpblint -races [-write-races] [-races-file file]
+//	rpblint -lifetimes [-write-lifetimes] [-lifetimes-file file]
 //
 // Packages are directory patterns relative to the module root
 // ("./...", "./internal/bench", "examples/..."); with none given the
-// whole module is checked.
+// whole module is checked. They restrict which directories the plain
+// run reports on. A certification pass takes none: its artifact
+// describes the whole module, so it always analyses the whole module.
 //
 // The three certification passes share one artifact discipline:
 // -certify proves offset provenance (lint-certs.json), -races proves
 // parallel-write exclusivity (lint-races.json), -lifetimes proves
 // arena-checkout confinement (lint-lifetimes.json). Each renders its
 // report, then either rewrites its committed artifact (-write-<pass>)
-// or byte-compares against it and fails when stale; unexplained
-// refusals in enforced directories fail regardless of staleness. The
-// pass flags combine: every requested pass runs, in the order above,
-// over one parsed and type-checked module, and the exit status is the
-// worst of them. Exit status: 0 clean, 1 diagnostics / stale or
-// unexplained certificates, 2 analysis error.
+// or byte-compares against it and fails when stale; an unexplained
+// refusal (no //lint:scared marker) anywhere in the module fails
+// regardless of staleness. The pass flags combine: every requested pass
+// runs, in the order above, over one parsed and type-checked module,
+// and the exit status is the worst of them. Exit status: 0 clean, 1
+// diagnostics / stale or unexplained certificates, 2 usage or analysis
+// error.
 package main
 
 import (
@@ -69,12 +73,15 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	cfg := lint.Config{Root: r, Dirs: flag.Args()}
 
 	// The certification passes share one parsed module and one artifact
 	// code path; each contributes only its report and refusal count.
 	if *certify || *races || *lifetimes {
-		certs, rr, lr, err := lint.RunPasses(cfg, *certify, *races, *lifetimes)
+		if flag.NArg() > 0 {
+			fmt.Fprintln(os.Stderr, "rpblint: -certify, -races and -lifetimes analyse the whole module and take no packages\nusage: rpblint -certify|-races|-lifetimes [-write-<pass>] [-root dir]")
+			os.Exit(2)
+		}
+		certs, rr, lr, err := lint.RunPasses(lint.Config{Root: r}, *certify, *races, *lifetimes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rpblint:", err)
 			os.Exit(2)
@@ -137,7 +144,7 @@ func main() {
 type passOut struct {
 	artifact    []byte // canonical committed-file bytes
 	text        string // human rendering
-	unexplained int    // unexplained refusals in enforced directories
+	unexplained int    // refusals no //lint:scared marker audits
 }
 
 // finishPass applies the shared artifact discipline to one pass's
@@ -155,7 +162,7 @@ func finishPass(root, file string, write, asJSON bool, updateHint string, out pa
 
 	status := 0
 	if out.unexplained > 0 {
-		fmt.Fprintf(os.Stderr, "rpblint: %d unexplained refusals in enforced directories (add //lint:scared markers or fix the sites)\n", out.unexplained)
+		fmt.Fprintf(os.Stderr, "rpblint: %d unexplained refusals (add //lint:scared markers or fix the sites)\n", out.unexplained)
 		status = 1
 	}
 

@@ -197,7 +197,7 @@ func (b *bfsInstance[A]) runHybrid(w *core.Worker) {
 						if core.WriteMinU32(&b.dist[u], nd) {
 							// Level-synchronous: exactly one claimer wins each
 							// vertex, so the parent write has a single writer.
-							b.parent[u] = v
+							b.parent[u] = v //lint:scared single writer: WriteMinU32 on dist[u] returns true for exactly one claimer of u, in the one level that lowers it from distInf
 							//lint:scared frontier append: the atomic fetch-add hands each winner a unique slot
 							nxt[nextCnt.Add(1)-1] = u
 							nextEdges.Add(int64(b.g.Degree(u)))

@@ -54,13 +54,13 @@ func (h *histInstance) runLibrary(w *core.Worker) {
 			v := int64(h.keys[i])
 			h.locks.With(b, func() {
 				bb := &h.big[b]
-				bb.Count++
-				bb.Sum += v
+				bb.Count++  //lint:scared bb is &h.big[b], written only inside h.locks.With(b, ...): every writer of bucket b holds b's shard lock
+				bb.Sum += v //lint:scared bb is &h.big[b], written only inside h.locks.With(b, ...): every writer of bucket b holds b's shard lock
 				if v < bb.Min {
-					bb.Min = v
+					bb.Min = v //lint:scared bb is &h.big[b], written only inside h.locks.With(b, ...): every writer of bucket b holds b's shard lock
 				}
 				if v > bb.Max {
-					bb.Max = v
+					bb.Max = v //lint:scared bb is &h.big[b], written only inside h.locks.With(b, ...): every writer of bucket b holds b's shard lock
 				}
 			})
 		})
@@ -82,7 +82,7 @@ func (h *histInstance) runLibrary(w *core.Worker) {
 		local := locals[ci*histBuckets : (ci+1)*histBuckets]
 		clear(local)
 		for _, k := range chunk {
-			local[int(k)%histBuckets]++
+			local[int(k)%histBuckets]++ //lint:scared local is locals[ci*histBuckets:(ci+1)*histBuckets], chunk ci's own segment of the checkout; the index stays below histBuckets
 		}
 	})
 	core.ForRange(w, 0, histBuckets, 0, func(b int) {

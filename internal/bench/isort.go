@@ -66,7 +66,7 @@ func (p *isortPass) RunRange(_ *core.Worker, blo, bhi int) {
 				local[(keys[i]>>shift)&(isortRadix-1)]++
 			}
 			for d := 0; d < isortRadix; d++ {
-				counts[d*nb+b] = local[d]
+				counts[d*nb+b] = local[d] //lint:scared digit-major matrix: b lies in this invocation's own [blo, bhi) and b < nb, so d*nb+b is distinct for every (d, b)
 			}
 		} else {
 			var cursor [isortRadix]int32

@@ -90,7 +90,7 @@ func (m *msfInstance) runLibrary(w *core.Worker) {
 			k := msfKey(e.W, int(ei))
 			if atomic.LoadUint64(&m.best[ru]) == k || atomic.LoadUint64(&m.best[rv]) == k {
 				if uf.Union(e.From, e.To) {
-					m.inMSF[ei] = true
+					m.inMSF[ei] = true //lint:scared ei is read from m.live[lo:hi], and live holds each edge id at most once (identity fill, then packed subsequences): one writer per ei
 				}
 			}
 		}

@@ -134,7 +134,7 @@ func (s *sortInstance) runLibrary(w *core.Worker) {
 			}
 			for i := lo; i < hi; i++ {
 				d := bucketOf[i]
-				buf[cursor[d]] = keys[i]
+				buf[cursor[d]] = keys[i] //lint:scared counting-sort scatter: cursor[d] starts at the exclusive scan of counts[d*nb+b], so block b owns a segment of bucket d no other block's cursor enters
 				cursor[d]++
 			}
 		}

@@ -238,8 +238,8 @@ func (m *Mesh) RefineParallel(w *core.Worker, opt RefineOptions) RefineStats {
 					}
 				}
 			}
-			pIdx := m.AllocPointParallel(pl.center)
-			m.InsertWithCavity(pIdx, pl.cavity, m.AllocTriParallel)
+			pIdx := m.AllocPointParallel(pl.center)                 //lint:scared unique handout: ptCursor.Add gives each caller its own slot of m.Pts
+			m.InsertWithCavity(pIdx, pl.cavity, m.AllocTriParallel) //lint:scared deterministic reservations: this candidate holds reserve[t] == pri for every cavity triangle and outside neighbor (checked above), which is all InsertWithCavity writes besides fresh slots from the atomic triangle cursor
 			inserted.Add(1)
 		})
 		stats.Inserted += int(inserted.Load())

@@ -18,7 +18,7 @@ import (
 //
 // All intermediate and output buffers live in the Builder and are
 // grown with core.EnsureLen, so repeated builds of same-shaped graphs
-// allocate nothing: the steady state measured by BenchmarkGraphBuildCSR.
+// allocate nothing: TestKernelsSteadyStateAllocs pins it (row BuildCSR).
 // A Build invalidates the Graph returned by the previous Build on the
 // same Builder.
 type Builder struct {

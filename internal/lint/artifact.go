@@ -3,8 +3,8 @@ package lint
 // The artifact discipline the three certification passes share: every
 // site leads with its source position, reports are sorted by it, the
 // committed lint-*.json files are the canonical indented JSON of the
-// report, and an unexplained refusal counts against the gate only in
-// the pass's enforced directories.
+// report, and an unexplained refusal (no //lint:scared marker) counts
+// against the gate wherever in the module it sits.
 
 import (
 	"encoding/json"
@@ -75,16 +75,4 @@ func loadArtifact[R any](path, what string) (*R, error) {
 		return nil, fmt.Errorf("lint: bad %s %s: %w", what, path, err)
 	}
 	return &r, nil
-}
-
-// enforcedIn reports whether a file sits under one of a pass's
-// enforced directories, where an unexplained refusal (no //lint:scared
-// marker) fails the gate. The census still covers the whole module.
-func enforcedIn(dirs []string, rel string) bool {
-	for _, d := range dirs {
-		if strings.HasPrefix(rel, d+"/") {
-			return true
-		}
-	}
-	return false
 }

@@ -210,7 +210,7 @@ func (a *analysis) scanFuncBody(fi *funcInfo) {
 			for _, arg := range v.Args {
 				ref(arg)
 			}
-			if _, mask, ok := classifyCall(f, v); ok {
+			if _, _, mask := classifyCall(f, v); mask != 0 {
 				fi.use(mask)
 				return true
 			}

@@ -62,8 +62,7 @@ type CertReport struct {
 	Sites     []CertSite `json:"sites"`
 }
 
-// Certify runs the certification pass over the module under cfg.Root,
-// restricted by cfg.Dirs.
+// Certify runs the certification pass over the module under cfg.Root.
 func Certify(cfg Config) (*CertReport, error) {
 	rep, _, _, err := RunPasses(cfg, true, false, false)
 	return rep, err
@@ -77,7 +76,7 @@ func (a *analysis) certify() *CertReport {
 	benchCover := a.benchCoverage()
 
 	for _, pkg := range a.sortedPkgs() {
-		if pkg.role == RoleSubstrate || !a.filter.match(pkg.path) {
+		if pkg.role == RoleSubstrate {
 			continue
 		}
 		for _, fi := range a.funcs[pkg.path] {
@@ -94,8 +93,8 @@ func (a *analysis) certify() *CertReport {
 					sitePos:   a.sitePos(fi.file, s.call),
 					Func:      fi.decl.Name.Name,
 					Primitive: s.name,
-					Pattern:   s.tgt.pattern.String(),
-					Checked:   s.tgt.checked,
+					Pattern:   s.prim.pattern().String(),
+					Checked:   s.prim.checked(),
 					Benches:   benchCover[fi],
 				}
 				proof := refusal("package %s failed to type-check", pkg.path)
@@ -105,7 +104,7 @@ func (a *analysis) certify() *CertReport {
 				}
 				if proof.ok {
 					cs.Status = CertElidable
-					if !s.tgt.checked {
+					if !s.prim.checked() {
 						cs.Status = CertCertified
 					}
 					cs.Property = proof.property
@@ -144,15 +143,14 @@ func collectSites(f *fileInfo, fd *ast.FuncDecl) []*targetSite {
 		if !ok {
 			return true
 		}
-		pathStr, name, isPkg := callTarget(f, call)
-		tgt, isTarget := certTargets[name]
-		if !isPkg || !isPath(pathStr, corePath) || !isTarget {
+		name, prim := primitiveOf(f, call)
+		if prim == nil || prim.offsets == 0 {
 			return true
 		}
 		if len(call.Args) > 0 && isNilIdent(call.Args[0]) {
 			return true // sequential oracle use: no parallel check to certify
 		}
-		sites = append(sites, &targetSite{call: call, name: name, tgt: tgt, pos: call.Pos()})
+		sites = append(sites, &targetSite{call: call, name: name, prim: prim, pos: call.Pos()})
 		return true
 	})
 	return sites

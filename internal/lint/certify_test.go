@@ -119,7 +119,7 @@ func TestCertifyRepo(t *testing.T) {
 	}
 
 	// The committed certificate file must match what the pass derives —
-	// the same staleness contract `make certify` enforces in CI.
+	// the same staleness contract `make certs` enforces in CI.
 	committed, err := os.ReadFile(filepath.Join("..", "..", "lint-certs.json"))
 	if err != nil {
 		t.Fatalf("missing committed lint-certs.json: %v (run make certify-update)", err)

@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-
-	"repro/internal/core"
-)
+import "go/ast"
 
 // construct is a bitmask of the pattern-relevant constructs a piece of
 // code uses. The low bits mirror the Table 3 taxonomy for recommended
@@ -55,125 +51,6 @@ func isPath(imported, want string) bool {
 			imported[len(imported)-len(want):] == want)
 }
 
-// coreCall describes one classified call of a core primitive.
-type coreCall struct {
-	name    string
-	pattern core.Pattern
-	fear    core.Fear
-	mask    construct
-	// worker reports whether the primitive's first argument is the
-	// worker; such calls are skipped when that argument is a literal
-	// nil (sequential use — not a parallel access site).
-	worker bool
-}
-
-// coreCalls classifies every exported core primitive into the paper's
-// taxonomy (the "Parallel expression" column of Table 3, extended to
-// the whole library surface).
-var coreCalls = map[string]coreCall{
-	// RO — read-only operators: reductions never share an accumulator.
-	"Reduce":    {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
-	"MapReduce": {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
-	"Sum":       {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
-	"Max":       {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
-	"Min":       {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
-	"MaxIndex":  {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
-	"Count":     {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
-	"All":       {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
-	"SegReduce": {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
-	"IsSorted":  {pattern: core.RO, fear: core.Fearless, mask: cRO, worker: true},
-
-	// Stride — array[i] = f(): each task owns index i. ForBlocks is the
-	// range-bodied engine; the others are its per-element wrappers.
-	"ForBlocks":  {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
-	"ForRange":   {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
-	"ForEachIdx": {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
-	"Fill":       {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
-	"Tabulate":   {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
-	"CopyInto":   {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
-	"Stencil2D":  {pattern: core.Stride, fear: core.Fearless, mask: cStride, worker: true},
-
-	// Block — array[i*s..(i+1)*s] = f(): disjoint chunks, scans, packs.
-	// The *Into forms are the destination-passing variants
-	// (docs/MEMORY.md): same access pattern, caller-owned output.
-	"Chunks":            {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"ScanExclusive":     {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"ScanInclusive":     {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"ScanExclusiveOp":   {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"ScanExclusiveInto": {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"ScanInclusiveInto": {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"PackIndex":         {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"PackIndexInto":     {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"PackMaskInto":      {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"PackInto":          {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"Filter":            {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"FilterInto":        {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"Flatten":           {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-	"FlattenInto":       {pattern: core.Block, fear: core.Fearless, mask: cBlock, worker: true},
-
-	// D&C — divide and conquer: fork/join recursion.
-	"Sort":     {pattern: core.DC, fear: core.Fearless, mask: cDC, worker: true},
-	"SortBy":   {pattern: core.DC, fear: core.Fearless, mask: cDC, worker: true},
-	"Async":    {pattern: core.DC, fear: core.Fearless, mask: cDC, worker: true},
-	"Pipeline": {pattern: core.DC, fear: core.Fearless, mask: cDC, worker: true},
-
-	// SngInd — array[B[i]] = f(): comfortable via the run-time
-	// uniqueness check, scared unchecked.
-	"IndForEach":          {pattern: core.SngInd, fear: core.Comfortable, mask: cSngInd, worker: true},
-	"Scatter":             {pattern: core.SngInd, fear: core.Comfortable, mask: cSngInd, worker: true},
-	"ScatterChecked":      {pattern: core.SngInd, fear: core.Comfortable, mask: cSngInd, worker: true},
-	"IndForEachUnchecked": {pattern: core.SngInd, fear: core.Scared, mask: cUncheckedSng, worker: true},
-	"ScatterUnchecked":    {pattern: core.SngInd, fear: core.Scared, mask: cUncheckedSng, worker: true},
-	"ScatterAtomic32":     {pattern: core.SngInd, fear: core.Scared, mask: cUncheckedSng, worker: true},
-
-	// RngInd — array[B[i]..B[i+1]] = f(): comfortable via the run-time
-	// monotonicity check, scared unchecked.
-	"IndChunks":          {pattern: core.RngInd, fear: core.Comfortable, mask: cRngInd, worker: true},
-	"IndChunksUnchecked": {pattern: core.RngInd, fear: core.Scared, mask: cUncheckedRng, worker: true},
-
-	// AW — arbitrary reads and writes: the library's synchronization
-	// helpers; always scared, declaration-only in the census.
-	"WriteMin32":      {pattern: core.AW, fear: core.Scared, mask: cAWHelper},
-	"WriteMin64":      {pattern: core.AW, fear: core.Scared, mask: cAWHelper},
-	"WriteMax32":      {pattern: core.AW, fear: core.Scared, mask: cAWHelper},
-	"WriteMinU32":     {pattern: core.AW, fear: core.Scared, mask: cAWHelper},
-	"WriteMinU64":     {pattern: core.AW, fear: core.Scared, mask: cAWHelper},
-	"CASLoop32":       {pattern: core.AW, fear: core.Scared, mask: cAWHelper},
-	"SetBit":          {pattern: core.AW, fear: core.Scared, mask: cAWHelper},
-	"NewShardedLocks": {pattern: core.AW, fear: core.Scared, mask: cLocks},
-}
-
-// parallelBodyArg gives, for primitives that take a per-task closure,
-// the argument index of that closure. These are the "Fearless
-// primitive body" positions the race heuristics inspect.
-var parallelBodyArg = map[string][]int{
-	"ForBlocks":           {4},
-	"ForRange":            {4},
-	"ForEachIdx":          {3},
-	"Chunks":              {3},
-	"Tabulate":            {2},
-	"Fill":                nil,
-	"Stencil2D":           {4},
-	"Reduce":              {3, 4},
-	"MapReduce":           {3, 4},
-	"Count":               {2},
-	"All":                 {2},
-	"SegReduce":           {4, 5},
-	"PackIndex":           {2},
-	"PackIndexInto":       {2},
-	"PackMaskInto":        {2},
-	"PackInto":            {2},
-	"Filter":              {2},
-	"FilterInto":          {2},
-	"SortBy":              {2},
-	"IsSorted":            {2},
-	"ScanExclusiveOp":     {3},
-	"IndForEach":          {3},
-	"IndForEachUnchecked": {3},
-	"IndChunks":           {3},
-	"IndChunksUnchecked":  {3},
-}
-
 // syncDeclTypes are the raw-synchronization types whose declaration
 // counts as a scared construct.
 var syncDeclTypes = map[string]bool{
@@ -214,33 +91,25 @@ func callTarget(f *fileInfo, call *ast.CallExpr) (path, name string, ok bool) {
 	return path, sel.Sel.Name, true
 }
 
-// classifyCall classifies one call expression. It returns the matched
-// coreCall (for core primitives) and/or a construct mask for the other
-// scared building blocks. ok is false for unclassified calls.
-func classifyCall(f *fileInfo, call *ast.CallExpr) (cc coreCall, mask construct, ok bool) {
-	path, name, isPkgCall := callTarget(f, call)
-	if !isPkgCall {
-		return coreCall{}, 0, false
-	}
+// classifyCall classifies one call expression: a core primitive yields
+// its name, table row and class; the other scared building blocks only
+// a construct mask. mask is 0 for unclassified calls.
+func classifyCall(f *fileInfo, call *ast.CallExpr) (string, *primitive, construct) {
+	path, name, ok := callTarget(f, call)
 	switch {
+	case !ok:
 	case isPath(path, corePath):
-		cc, found := coreCalls[name]
-		if !found {
-			return coreCall{}, 0, false
+		p := primitives[name]
+		if p == nil || p.class == 0 || p.worker() && len(call.Args) > 0 && isNilIdent(call.Args[0]) {
+			break // not censused, or sequential use (nil worker): not a parallel access site
 		}
-		cc.name = name
-		if cc.worker && len(call.Args) > 0 && isNilIdent(call.Args[0]) {
-			// Sequential use (nil worker): not a parallel access site.
-			return coreCall{}, 0, false
-		}
-		return cc, cc.mask, true
+		return name, p, p.class
 	case path == atomicPath:
-		return coreCall{}, cAtomic, true
-	case isPath(path, mqPath) && mqRegionFuncs[name],
-		isPath(path, specforPath) && name == "Run":
-		return coreCall{}, cTaskEngine, true
+		return "", nil, cAtomic
+	case isTaskEngine(path, name):
+		return "", nil, cTaskEngine
 	}
-	return coreCall{}, 0, false
+	return "", nil, 0
 }
 
 // declConstruct classifies a variable/field declaration type as a

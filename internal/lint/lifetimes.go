@@ -37,8 +37,8 @@ package lint
 // is refused as a read of uninitialized memory.
 //
 // Like -certify and -races, the result is lint-lifetimes.json,
-// staleness-gated in CI; unexplained refusals in lifeEnforcedDirs fail
-// the gate. The pass is lexical and refusal-biased: statement order
+// staleness-gated in CI; an unexplained refusal anywhere in the module
+// fails the gate. The pass is lexical and refusal-biased: statement order
 // approximates dominance, calls into the substrate packages are
 // non-retaining by documented contract, in-module helpers get real
 // escape summaries, and dynamic callees refuse unless an out-param
@@ -56,18 +56,6 @@ const (
 	LifeWorkerConfined = "worker-confined"
 	LifeRefused        = "refused"
 )
-
-// lifeEnforcedDirs are the directories where an unexplained refusal
-// (no //lint:scared marker) fails the lifetimes gate. Unlike the races
-// pass, internal/bench is enforced too: the kernels' checkout
-// discipline is exactly what the census is about.
-var lifeEnforcedDirs = []string{
-	"internal/core", "internal/sched", "internal/mq",
-	"internal/graph", "internal/arena", "internal/bench",
-	"internal/suffix",
-}
-
-func lifeEnforced(rel string) bool { return enforcedIn(lifeEnforcedDirs, rel) }
 
 // LifeSite is one classified arena checkout (or a Release-site
 // violation, Origin "Release").
@@ -156,7 +144,7 @@ func (a *analysis) lifetimes() *LifeReport {
 				rep.Checkouts++
 			}
 			rep.Refused++
-			if !s.Marker && lifeEnforced(s.File) {
+			if !s.Marker {
 				rep.Unexplained++
 			}
 		}

@@ -26,17 +26,23 @@
 //     and raw atomics/mutexes in internal/bench must be covered by an
 //     irregular site declaration or an explicit "//lint:scared <reason>"
 //     marker — the Go analog of an audited unsafe block. Unchecked
-//     primitives are forbidden outright in examples/.
-//  4. Race heuristics. Closures passed to Fearless primitives that
-//     write a captured slice at an index unrelated to the task index,
-//     writes to captured shared variables without atomics, and *Worker
-//     values escaping into raw goroutines are all flagged.
+//     primitives are forbidden outright in examples/, and a *Worker
+//     escaping into a raw goroutine is flagged everywhere.
+//  4. Certification. Three typed passes over the whole module, each
+//     with a committed, staleness-gated artifact: offset provenance
+//     (certify.go: the uniqueness/monotonicity a run-time check would
+//     test, proved), parallel-body writes (races.go: every write a
+//     parallel region makes is exclusive, synchronized, or refused) and
+//     arena lifetimes (lifetimes.go: every checkout dies before its
+//     memory is reused). A refusal needs a //lint:scared audit.
 //
-// The package is stdlib-only (go/ast, go/parser, go/token): no type
-// checker, no module loader. Resolution is syntactic — import aliases
-// are honored, method calls resolve by name across imported in-module
-// packages — which is exactly as strong as the repo's disciplined style
-// needs and keeps the checker dependency-free.
+// What the passes know about each core primitive is one table
+// (primitives.go). The package is stdlib-only. Items 1–3 resolve
+// syntactically (go/ast: import aliases are honored, method calls
+// resolve by name across imported in-module packages); item 4
+// type-checks the module's packages with go/types from the same parsed
+// files (typecheck.go), the standard library through go/importer's
+// source importer.
 package lint
 
 import (
@@ -62,14 +68,14 @@ const (
 	// scared code the substrate contains) but not linted.
 	RoleSubstrate Role = "substrate"
 	// RoleBench packages declare census sites and are fully checked:
-	// census cross-checks, containment, and race heuristics.
+	// census cross-checks, containment, and worker-escape.
 	RoleBench Role = "bench"
 	// RoleKernel packages (suffix, geom, graph, ...) hold algorithm
-	// kernels benches delegate to: race heuristics apply, and their
+	// kernels benches delegate to: worker-escape applies, and their
 	// constructs serve as evidence for the benches that call them.
 	RoleKernel Role = "kernel"
 	// RoleExample packages are end-user documentation: unchecked
-	// primitives are forbidden outright, race heuristics apply.
+	// primitives are forbidden outright, worker-escape applies.
 	RoleExample Role = "example"
 )
 
@@ -141,8 +147,9 @@ type Report struct {
 type Config struct {
 	// Root is the module root (the directory holding go.mod).
 	Root string
-	// Dirs restricts analysis to these directories (relative to Root).
-	// Empty means the whole module.
+	// Dirs restricts which directories (relative to Root) Run reports
+	// diagnostics for; empty means the whole module. The certification
+	// passes ignore it: an artifact describes the whole module.
 	Dirs []string
 	// CertsFile points at a lint-certs.json whose proved sites the
 	// containment rules accept. Empty means <Root>/lint-certs.json,

@@ -11,8 +11,8 @@ import (
 var update = flag.Bool("update", false, "rewrite the bad-fixture golden file")
 
 // TestFixtureClean runs the analyzer over a fixture module that obeys
-// every rule: declared patterns, marker-contained mutex, task-indexed
-// writes. Any diagnostic is a false positive.
+// every rule: declared patterns, marker-contained mutex. Any diagnostic
+// is a false positive.
 func TestFixtureClean(t *testing.T) {
 	rep, err := Run(Config{Root: filepath.Join("testdata", "src", "clean")})
 	if err != nil {
@@ -64,8 +64,7 @@ func TestFixtureBad(t *testing.T) {
 	// Every rule class the fixture seeds must appear at least once.
 	for _, rule := range []string{
 		"undeclared-pattern", "undeclared-scared", "pattern-mismatch",
-		"stale-declaration", "captured-write-nonindex", "captured-scalar-write",
-		"worker-escape", "unchecked-in-example", "bad-marker",
+		"stale-declaration", "worker-escape", "unchecked-in-example", "bad-marker",
 	} {
 		if !strings.Contains(got, rule) {
 			t.Errorf("rule %s never fired:\n%s", rule, got)

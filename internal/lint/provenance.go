@@ -37,29 +37,10 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"repro/internal/core"
 )
-
-// certTarget describes one certifiable primitive: its Table 3 pattern,
-// whether the call pays a run-time check (making a proof an
-// "elidable-check" instead of a certificate), and the property the
-// proof must establish.
-type certTarget struct {
-	pattern  core.Pattern
-	checked  bool
-	property string
-}
-
-var certTargets = map[string]certTarget{
-	"IndForEach":          {core.SngInd, true, "unique+bounds"},
-	"Scatter":             {core.SngInd, true, "unique+bounds"},
-	"ScatterChecked":      {core.SngInd, true, "unique+bounds"},
-	"IndForEachUnchecked": {core.SngInd, false, "unique+bounds"},
-	"ScatterUnchecked":    {core.SngInd, false, "unique+bounds"},
-	"IndChunks":           {core.RngInd, true, "monotone+bounds"},
-	"IndChunksUnchecked":  {core.RngInd, false, "monotone+bounds"},
-}
 
 const (
 	radixPath = "internal/radix"
@@ -81,13 +62,15 @@ type fillShape struct {
 // loopCtx is one loop enclosing a node; fill is non-nil when the loop
 // is a recognized fill shape.
 type loopCtx struct {
-	node ast.Node // *ast.ForStmt, *ast.RangeStmt, or the ForRange/ForBlocks *ast.CallExpr
+	node ast.Node // *ast.ForStmt, *ast.RangeStmt, or a primitive's *ast.CallExpr
 	fill *fillShape
-	// handedLo/handedHi are a ForBlocks body's subrange parameters. The
+	// handedLo/handedHi are a ranged body's subrange parameters (a
+	// ForBlocks body's) and lo/hi the call's bounds arguments. The
 	// body's `for i := lo; i < hi; i++` is not a loop of its own: with
 	// the call it iterates i over the call's whole [lo, hi), and absorb
 	// folds it into this context as the fill.
 	handedLo, handedHi types.Object
+	lo, hi             ast.Expr
 }
 
 // absorb folds a ForStmt over the handed subrange into the ForBlocks
@@ -98,8 +81,7 @@ func (l *loopCtx) absorb(p *prover, fs *ast.ForStmt) bool {
 		p.identObj(inner.lo) != l.handedLo || p.identObj(inner.hi) != l.handedHi {
 		return false
 	}
-	call := l.node.(*ast.CallExpr)
-	l.fill = &fillShape{loopVar: inner.loopVar, lo: call.Args[1], hi: call.Args[2]}
+	l.fill = &fillShape{loopVar: inner.loopVar, lo: l.lo, hi: l.hi}
 	return true
 }
 
@@ -186,29 +168,30 @@ func (p *prover) closureCtx(lit *ast.FuncLit, path []ast.Node) (lc loopCtx, tran
 	if argIdx < 0 {
 		return loopCtx{}, false, false
 	}
-	pathStr, name, isPkg := callTarget(p.f, call)
-	if !isPkg || !isPath(pathStr, corePath) {
+	_, prim := primitiveOf(p.f, call)
+	switch {
+	case prim == nil:
+		return loopCtx{}, false, false
+	case prim.once && argIdx == 0:
+		return loopCtx{}, true, true
+	case !slices.Contains(prim.bodies, argIdx):
 		return loopCtx{}, false, false
 	}
-	if name == "Run" && argIdx == 0 {
-		return loopCtx{}, true, true
-	}
-	for _, bodyIdx := range parallelBodyArg[name] {
-		if bodyIdx != argIdx {
-			continue
-		}
-		lc := loopCtx{node: call}
+	lc = loopCtx{node: call}
+	// Only a body whose index space the call spells out in full, lo and
+	// hi both (ForRange, ForBlocks), can be a complete fill.
+	if prim.lo > 0 && prim.hi < len(call.Args) {
+		lc.lo, lc.hi = call.Args[prim.lo], call.Args[prim.hi]
 		switch {
-		case name == "ForRange" && len(call.Args) == 5:
-			if obj := p.tp.paramAt(lit.Type.Params, 0); obj != nil {
-				lc.fill = &fillShape{loopVar: obj, lo: call.Args[1], hi: call.Args[2]}
-			}
-		case name == "ForBlocks" && len(call.Args) == 5:
+		case prim.ranged:
 			lc.handedLo, lc.handedHi = p.tp.paramAt(lit.Type.Params, 0), p.tp.paramAt(lit.Type.Params, 1)
+		case len(prim.task) > 0:
+			if obj := p.tp.paramAt(lit.Type.Params, prim.task[0]); obj != nil {
+				lc.fill = &fillShape{loopVar: obj, lo: lc.lo, hi: lc.hi}
+			}
 		}
-		return lc, false, true
 	}
-	return loopCtx{}, false, false
+	return lc, false, true
 }
 
 // seqFill recognizes `for i := lo; i < hi; i++`.
@@ -463,20 +446,19 @@ func (p *prover) classifyCallUse(argNode ast.Expr, id *ast.Ident, from1 bool, ca
 	}
 	switch {
 	case isPath(pathStr, corePath):
-		switch {
-		case (name == "ScanInclusive" || name == "ScanExclusive") && argIdx == 1:
-			return &use{kind: useScanArg, from1: from1, callName: name,
-				scanLHS: p.scanResultObj(call, path)}
-		case (name == "Sort" || name == "SortBy") && argIdx == 1 && !from1:
-			return &use{kind: usePermuteArg, callName: name}
-		case name == "CopyInto" && argIdx == 2:
-			return &use{kind: useRead} // CopyInto source: read-only by contract
-		}
-		if _, isTarget := certTargets[name]; isTarget && !from1 {
-			if argIdx == 2 {
+		// A role the row leaves at 0 must not match an argument there.
+		if prim := primitives[name]; prim != nil && argIdx > 0 {
+			switch {
+			case argIdx == prim.scans:
+				return &use{kind: useScanArg, from1: from1, callName: name,
+					scanLHS: p.scanResultObj(call, path)}
+			case argIdx == prim.permutes && !from1:
+				return &use{kind: usePermuteArg, callName: name}
+			case argIdx == prim.reads:
+				return &use{kind: useRead}
+			case argIdx == prim.offsets && !from1:
 				return &use{kind: useOffsetsArg, callName: name}
-			}
-			if argIdx == 1 {
+			case argIdx == prim.out && prim.offsets > 0 && !from1:
 				return &use{kind: useOther, why: "written through core." + name + " (it is the scatter target)"}
 			}
 		}
@@ -849,9 +831,8 @@ func (p *prover) nnExpr(e ast.Expr) bool {
 		if name, ok := p.builtinName(v); ok && (name == "len" || name == "cap") {
 			return true
 		}
-		if pathStr, name, ok := callTarget(p.f, v); ok && isPath(pathStr, corePath) &&
-			(name == "ScanInclusive" || name == "ScanExclusive") && len(v.Args) == 2 {
-			arg := unparen(v.Args[1])
+		if _, prim := primitiveOf(p.f, v); prim != nil && prim.scans > 0 && prim.scans < len(v.Args) {
+			arg := unparen(v.Args[prim.scans])
 			if se, isSE := arg.(*ast.SliceExpr); isSE {
 				arg = unparen(se.X)
 			}
@@ -943,7 +924,7 @@ func (p *prover) denotConst(d lenDenot) (int64, bool) {
 type targetSite struct {
 	call *ast.CallExpr
 	name string
-	tgt  certTarget
+	prim *primitive
 	ctx  evCtx
 	pos  token.Pos
 }
@@ -1060,19 +1041,19 @@ func (p *prover) dominates(after token.Pos, pt *provePoint) bool {
 
 // prove runs the provenance analysis for one call site.
 func (p *prover) prove(s *targetSite) siteProof {
-	if len(s.call.Args) < 3 {
+	if len(s.call.Args) <= s.prim.offsets {
 		return refusal("call has too few arguments to locate the offsets")
 	}
 	if s.ctx.unbound {
 		return refusal("call site is inside a closure the analysis cannot bind to a primitive")
 	}
-	offID, ok := unparen(s.call.Args[2]).(*ast.Ident)
+	offID, ok := unparen(s.call.Args[s.prim.offsets]).(*ast.Ident)
 	if !ok {
 		return refusal("offsets argument is not a simple local variable")
 	}
 	pt := &provePoint{
 		pos: s.pos, ctx: s.ctx,
-		pattern: s.tgt.pattern, property: s.tgt.property,
+		pattern: s.prim.pattern(), property: s.prim.property(),
 		sink: &siteSink{s: s},
 	}
 	return p.proveVar(pt, offID)
@@ -1130,7 +1111,7 @@ func (p *prover) proveVar(pt *provePoint, offID *ast.Ident) siteProof {
 	// Dispatch on the defining expression.
 	if def.rhs != nil {
 		if call, isCall := unparen(def.rhs).(*ast.CallExpr); isCall {
-			if pathStr, name, isPkg := callTarget(p.f, call); isPkg && isPath(pathStr, corePath) && name == "PackIndex" {
+			if _, prim := primitiveOf(p.f, call); prim != nil && prim.packs {
 				return p.provePackIndex(pt, offID.Name, def, call, writes, scans, permutes)
 			}
 			if _, zeroed, isAlloc := p.allocLen(call); isAlloc {
@@ -1467,10 +1448,10 @@ func (p *prover) indexAtLeastOne(w *use) bool {
 
 // outDenot resolves the length denotation of the call's target slice.
 func (p *prover) outDenot(s *targetSite) (lenDenot, string) {
-	if len(s.call.Args) < 2 {
+	if len(s.call.Args) <= s.prim.out {
 		return lenDenot{}, "call has no target argument"
 	}
-	id, ok := unparen(s.call.Args[1]).(*ast.Ident)
+	id, ok := unparen(s.call.Args[s.prim.out]).(*ast.Ident)
 	if !ok {
 		return lenDenot{}, "target slice is not a simple variable; its length cannot be tracked"
 	}

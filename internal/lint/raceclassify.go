@@ -13,14 +13,6 @@ import (
 	"go/types"
 )
 
-// coreAtomicHelpers are the core package's AW primitives: every write
-// they perform goes through sync/atomic.
-var coreAtomicHelpers = map[string]bool{
-	"WriteMin32": true, "WriteMin64": true, "WriteMax32": true,
-	"WriteMinU32": true, "WriteMinU64": true, "CASLoop32": true,
-	"SetBit": true, "ScatterAtomic32": true,
-}
-
 // atomicWriteMethods are the mutating methods of sync/atomic types (and
 // of the atomic package itself, by prefix).
 var atomicWriteMethods = map[string]bool{
@@ -41,9 +33,10 @@ func syncCall(tp *typedPkg, f *fileInfo, call *ast.CallExpr) (target ast.Expr, l
 			return call.Args[0], "sync/atomic." + name, true
 		case isPath(pathStr, atomicPath):
 			return nil, "", true
-		case isPath(pathStr, corePath) && coreAtomicHelpers[name] && len(call.Args) > 0:
-			return call.Args[0], "core." + name, true
 		}
+	}
+	if name, prim := primitiveOf(f, call); prim != nil && prim.atomic && prim.out < len(call.Args) {
+		return call.Args[prim.out], "core." + name, true
 	}
 	if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
 		switch t := tp.typeOf(sel.X); {
@@ -390,15 +383,13 @@ func (rc *regionCheck) classifyCall(call *ast.CallExpr) {
 		}
 		return
 	}
-	if pathStr, name, isPkg := callTarget(rc.f, call); isPkg {
-		if _, isRegion := coreRegionSpecs[name]; isRegion && isPath(pathStr, corePath) {
-			return // nested primitive: its body is a region of its own
-		}
-		if isPath(pathStr, mqPath) && mqRegionFuncs[name] {
-			return
-		}
-		// Other package calls fall through to the effect engine.
+	if _, prim := primitiveOf(rc.f, call); prim != nil && len(prim.bodies) > 0 {
+		return // nested primitive: its body is a region of its own
 	}
+	if pathStr, name, isPkg := callTarget(rc.f, call); isPkg && isMQDriver(pathStr, name) {
+		return
+	}
+	// Other package calls fall through to the effect engine.
 
 	// Worker fork points.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {

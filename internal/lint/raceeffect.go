@@ -440,24 +440,23 @@ func (w *effWalk) emitThrough(target ast.Expr, at ast.Node, atomic bool) {
 
 // claimRegionLits registers, before Inspect descends into the literal
 // bodies, the closure parameters at a core primitive's handed
-// positions: they alias elements of the primitive's data argument and
+// positions: they alias elements of the primitive's out argument and
 // root through it.
 func (w *effWalk) claimRegionLits(call *ast.CallExpr) {
-	pathStr, name, isPkg := callTarget(w.f, call)
-	spec, ok := coreRegionSpecs[name]
-	if !isPkg || !isPath(pathStr, corePath) || !ok || len(spec.bodyArgs) == 0 || len(call.Args) <= spec.bodyArgs[0] {
+	_, prim := primitiveOf(w.f, call)
+	if prim == nil || len(prim.handed) == 0 || len(call.Args) <= prim.bodies[0] {
 		return
 	}
-	lit, ok := unparen(call.Args[spec.bodyArgs[0]]).(*ast.FuncLit)
+	lit, ok := unparen(call.Args[prim.bodies[0]]).(*ast.FuncLit)
 	if !ok {
 		return
 	}
-	for _, hi := range spec.handed {
+	for _, hi := range prim.handed {
 		if obj := w.tp.paramAt(lit.Type.Params, hi); obj != nil {
 			if w.litHanded == nil {
 				w.litHanded = map[types.Object]ast.Expr{}
 			}
-			w.litHanded[obj] = call.Args[1]
+			w.litHanded[obj] = call.Args[prim.out]
 		}
 	}
 }

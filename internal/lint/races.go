@@ -30,8 +30,8 @@ package lint
 // anything unproven is refused with a reason.
 //
 // The result is lint-races.json, staleness-gated in CI the same way
-// lint-certs.json is. Refusals without markers in the enforced
-// directories (raceEnforcedDirs) fail the gate.
+// lint-certs.json is. A refusal without a marker, anywhere in the
+// module, fails the gate.
 
 import (
 	"fmt"
@@ -49,16 +49,6 @@ const (
 	RaceIndexDisjoint = "index-disjoint"
 	RaceRefused       = "refused"
 )
-
-// raceEnforcedDirs are the directories where an unexplained refusal
-// (no //lint:scared marker) fails the races gate. The census still
-// covers the whole module.
-var raceEnforcedDirs = []string{
-	"internal/core", "internal/sched", "internal/mq",
-	"internal/graph", "internal/arena", "internal/suffix",
-}
-
-func raceEnforced(rel string) bool { return enforcedIn(raceEnforcedDirs, rel) }
 
 // RaceSite is one classified shared write inside a parallel region.
 type RaceSite struct {
@@ -138,7 +128,7 @@ func (a *analysis) races() *RaceReport {
 			rep.IndexDisjoint++
 		default:
 			rep.Refused++
-			if !s.Marker && raceEnforced(s.File) {
+			if !s.Marker {
 				rep.Unexplained++
 			}
 		}
@@ -185,54 +175,6 @@ func LoadRaces(path string) (*RaceReport, error) {
 // ---------------------------------------------------------------------
 // Region enumeration
 // ---------------------------------------------------------------------
-
-// coreRegionSpec describes how one core primitive turns its closure
-// arguments into parallel regions.
-type coreRegionSpec struct {
-	bodyArgs []int // closure argument positions
-	task     []int // closure params invoked with a unique value per task
-	handed   []int // closure params handing the task its own memory
-	ranged   bool  // closure params (0, 1) are a handed disjoint subrange [lo, hi), as in Worker.For
-	loArg    int   // range lower bound argument (-1: none / implicit 0)
-	hiArg    int   // range upper bound / extent argument (-1: none)
-}
-
-// coreRegionSpecs maps core primitives to their region shapes. The
-// task/handed columns encode each primitive's documented body contract:
-// which closure parameters are guaranteed unique per concurrent
-// invocation, and which hand the invocation exclusively owned memory.
-var coreRegionSpecs = map[string]coreRegionSpec{
-	"ForBlocks":           {bodyArgs: []int{4}, ranged: true, loArg: 1, hiArg: 2},
-	"ForRange":            {bodyArgs: []int{4}, task: []int{0}, loArg: 1, hiArg: 2},
-	"ForEachIdx":          {bodyArgs: []int{3}, task: []int{0}, handed: []int{1}, loArg: -1, hiArg: -1},
-	"Chunks":              {bodyArgs: []int{3}, task: []int{0}, handed: []int{1}, loArg: -1, hiArg: -1},
-	"Tabulate":            {bodyArgs: []int{2}, task: []int{0}, loArg: -1, hiArg: 1},
-	"Stencil2D":           {bodyArgs: []int{4}, loArg: -1, hiArg: -1},
-	"Reduce":              {bodyArgs: []int{3, 4}, loArg: -1, hiArg: -1},
-	"MapReduce":           {bodyArgs: []int{3}, task: []int{0}, loArg: -1, hiArg: 1},
-	"Count":               {bodyArgs: []int{2}, loArg: -1, hiArg: -1},
-	"All":                 {bodyArgs: []int{2}, loArg: -1, hiArg: -1},
-	"SegReduce":           {bodyArgs: []int{4, 5}, loArg: -1, hiArg: -1},
-	"PackIndex":           {bodyArgs: []int{2}, task: []int{0}, loArg: -1, hiArg: 1},
-	"PackIndexInto":       {bodyArgs: []int{2}, task: []int{0}, loArg: -1, hiArg: 1},
-	"PackMaskInto":        {bodyArgs: []int{2}, ranged: true, loArg: -1, hiArg: 1},
-	"PackInto":            {bodyArgs: []int{2}, ranged: true, loArg: -1, hiArg: -1},
-	"Filter":              {bodyArgs: []int{2}, loArg: -1, hiArg: -1},
-	"FilterInto":          {bodyArgs: []int{2}, loArg: -1, hiArg: -1},
-	"SortBy":              {bodyArgs: []int{2}, loArg: -1, hiArg: -1},
-	"IsSorted":            {bodyArgs: []int{2}, loArg: -1, hiArg: -1},
-	"ScanExclusiveOp":     {bodyArgs: []int{3}, loArg: -1, hiArg: -1},
-	"IndForEach":          {bodyArgs: []int{3}, task: []int{0}, handed: []int{1}, loArg: -1, hiArg: -1},
-	"IndForEachUnchecked": {bodyArgs: []int{3}, task: []int{0}, handed: []int{1}, loArg: -1, hiArg: -1},
-	"IndChunks":           {bodyArgs: []int{3}, task: []int{0}, handed: []int{1}, loArg: -1, hiArg: -1},
-	"IndChunksUnchecked":  {bodyArgs: []int{3}, task: []int{0}, handed: []int{1}, loArg: -1, hiArg: -1},
-	"Async":               {bodyArgs: []int{1}, loArg: -1, hiArg: -1},
-}
-
-// mqRegionFuncs are the mq drivers whose task closures run on
-// long-lived worker goroutines. The closure's first parameter is the
-// worker id, unique per goroutine.
-var mqRegionFuncs = map[string]bool{"Process": true, "ProcessOpt": true, "ProcessBatch": true, "ProcessBatchOn": true}
 
 // raceRegion is one lexical parallel region.
 type raceRegion struct {
@@ -316,65 +258,51 @@ func collectRegions(ff *funcFacts, f *fileInfo) []*raceRegion {
 			add(r, lit)
 
 		case *ast.CallExpr:
-			pathStr, name, isPkg := callTarget(f, v)
-			if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "forBlocks" && isPath(f.pkg.path, corePath) {
-				// The engine's own callers: core's wrappers reach
-				// ForBlocks through its uncounted form, unqualified.
-				pathStr, name, isPkg = corePath, "ForBlocks", true
-			}
-			if isPkg {
-				switch {
-				case isPath(pathStr, corePath):
-					spec, ok := coreRegionSpecs[name]
-					if !ok {
-						return
+			if name, prim := regionPrimitiveOf(f, v); prim != nil {
+				for _, ai := range prim.bodies {
+					if ai >= len(v.Args) {
+						continue
 					}
-					for _, ai := range spec.bodyArgs {
-						if ai >= len(v.Args) {
-							continue
+					lit := resolveLit(v.Args[ai])
+					if lit == nil {
+						continue
+					}
+					r := &raceRegion{kind: "core." + name, at: v.Pos(),
+						task: map[types.Object]string{}, handed: map[types.Object]bool{}}
+					// Task/handed params only apply to the per-task
+					// body, the first in bodies.
+					if ai == prim.bodies[0] {
+						for _, ti := range prim.task {
+							if p := litParam(lit, ti); p != nil {
+								r.task[p] = "task-affine"
+							}
 						}
-						lit := resolveLit(v.Args[ai])
-						if lit == nil {
-							continue
+						for _, hi := range prim.handed {
+							if p := litParam(lit, hi); p != nil {
+								r.handed[p] = true
+							}
 						}
-						r := &raceRegion{kind: "core." + name, at: v.Pos(),
-							task: map[types.Object]string{}, handed: map[types.Object]bool{}}
-						// Task/handed params only apply to the primary
-						// (per-task) body arg, the first in bodyArgs.
-						if ai == spec.bodyArgs[0] {
-							for _, ti := range spec.task {
-								if p := litParam(lit, ti); p != nil {
-									r.task[p] = "task-affine"
-								}
-							}
-							for _, hi := range spec.handed {
-								if p := litParam(lit, hi); p != nil {
-									r.handed[p] = true
-								}
-							}
-							if spec.ranged {
-								r.rangeLo, r.rangeHi = litParam(lit, 0), litParam(lit, 1)
-							}
-							if spec.hiArg >= 0 && spec.hiArg < len(v.Args) &&
-								(spec.loArg < 0 || isZeroExpr(v.Args[spec.loArg])) {
-								r.extent = v.Args[spec.hiArg]
-							}
+						if prim.ranged {
+							r.rangeLo, r.rangeHi = litParam(lit, 0), litParam(lit, 1)
+						}
+						if prim.hi > 0 && prim.hi < len(v.Args) &&
+							(prim.lo == 0 || isZeroExpr(v.Args[prim.lo])) {
+							r.extent = v.Args[prim.hi]
+						}
+					}
+					add(r, lit)
+				}
+				return
+			}
+			if pathStr, name, isPkg := callTarget(f, v); isPkg {
+				if isMQDriver(pathStr, name) && len(v.Args) > 0 {
+					if lit := resolveLit(v.Args[len(v.Args)-1]); lit != nil {
+						r := &raceRegion{kind: "mq." + name, at: v.Pos(), task: map[types.Object]string{}}
+						if p := litParam(lit, 0); p != nil {
+							r.task[p] = "task-affine"
 						}
 						add(r, lit)
 					}
-				case isPath(pathStr, mqPath) && mqRegionFuncs[name]:
-					if len(v.Args) == 0 {
-						return
-					}
-					lit := resolveLit(v.Args[len(v.Args)-1])
-					if lit == nil {
-						return
-					}
-					r := &raceRegion{kind: "mq." + name, at: v.Pos(), task: map[types.Object]string{}}
-					if p := litParam(lit, 0); p != nil {
-						r.task[p] = "task-affine"
-					}
-					add(r, lit)
 				}
 				return
 			}

@@ -3,17 +3,19 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 
 	"repro/internal/core"
 )
 
 // checkFiles runs the role-scoped rules over every parsed file:
 //
-//	bench    census cross-checks + containment + race heuristics
-//	example  unchecked-in-example + race heuristics
-//	kernel   race heuristics (constructs feed bench evidence)
+//	bench    census cross-checks + containment + worker-escape
+//	example  unchecked-in-example + worker-escape
+//	kernel   worker-escape (constructs feed bench evidence)
 //	substrate censused only, never linted
+//
+// What a parallel body may write is not checked here: the races pass
+// (races.go) classifies every such write with types, module-wide.
 func (a *analysis) checkFiles() {
 	for _, pkg := range a.sortedPkgs() {
 		if pkg.role == RoleSubstrate {
@@ -27,7 +29,11 @@ func (a *analysis) checkFiles() {
 			case RoleExample:
 				a.checkExampleFile(f)
 			}
-			a.checkRaces(f)
+			for _, decl := range f.ast.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					a.checkWorkerEscape(f, fd)
+				}
+			}
 		}
 	}
 }
@@ -132,25 +138,20 @@ func (a *analysis) checkBenchFile(f *fileInfo) {
 				}
 			}
 		case *ast.CallExpr:
-			cc, mask, ok := classifyCall(f, v)
-			if !ok {
-				return true
-			}
+			name, prim, mask := classifyCall(f, v)
 			switch {
+			case mask&cScared != 0 && prim == nil:
+				scared(v, "sync/atomic use", 0)
 			case mask&cScared != 0:
-				what := "sync/atomic use"
-				if cc.name != "" {
-					what = "core." + cc.name + " call"
-				}
-				scared(v, what, cc.pattern)
-			case cc.pattern != 0 && !declared[cc.pattern]:
+				scared(v, "core."+name+" call", prim.pattern())
+			case prim != nil && !declared[prim.pattern()]:
 				pos := a.fset.Position(v.Pos())
 				a.report(Diag{
 					File: f.rel, Line: pos.Line, Col: pos.Column,
 					Rule: "undeclared-pattern", Bench: bench,
-					Pattern: cc.pattern.String(), Fear: cc.fear.String(),
+					Pattern: prim.pattern().String(), Fear: prim.fear().String(),
 					Msg: fmt.Sprintf("core.%s is a %s-pattern site but this file declares no %s DeclareSite",
-						cc.name, cc.pattern, cc.pattern),
+						name, prim.pattern(), prim.pattern()),
 				})
 			}
 		}
@@ -220,8 +221,8 @@ func (a *analysis) checkExampleFile(f *fileInfo) {
 		if !ok {
 			return true
 		}
-		cc, mask, ok := classifyCall(f, call)
-		if !ok || mask&(cUncheckedSng|cUncheckedRng) == 0 {
+		name, prim, mask := classifyCall(f, call)
+		if mask&(cUncheckedSng|cUncheckedRng) == 0 {
 			return true
 		}
 		pos := a.fset.Position(call.Pos())
@@ -231,250 +232,12 @@ func (a *analysis) checkExampleFile(f *fileInfo) {
 		a.report(Diag{
 			File: f.rel, Line: pos.Line, Col: pos.Column,
 			Rule:    "unchecked-in-example",
-			Pattern: cc.pattern.String(), Fear: core.Scared.String(),
+			Pattern: prim.pattern().String(), Fear: core.Scared.String(),
 			Msg: fmt.Sprintf("core.%s is forbidden in examples; use core.%s (Comfortable) instead",
-				cc.name, checkedVariant(cc.name)),
+				name, prim.twin),
 		})
 		return true
 	})
-}
-
-// checkedVariant names the checked primitive an unchecked call should
-// use instead.
-func checkedVariant(name string) string {
-	switch name {
-	case "IndForEachUnchecked", "ScatterAtomic32":
-		return "IndForEach"
-	case "ScatterUnchecked":
-		return "ScatterChecked"
-	case "IndChunksUnchecked":
-		return "IndChunks"
-	}
-	return name
-}
-
-// checkRaces runs the race heuristics over one file: writes inside
-// Fearless/Comfortable primitive bodies that cannot be tied to the task
-// index, and Worker values escaping into raw goroutines.
-func (a *analysis) checkRaces(f *fileInfo) {
-	ast.Inspect(f.ast, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		path, name, ok := callTarget(f, call)
-		if !ok || !isPath(path, corePath) {
-			return true
-		}
-		argIdxs, hasBody := parallelBodyArg[name]
-		if !hasBody || (len(call.Args) > 0 && isNilIdent(call.Args[0])) {
-			return true
-		}
-		for _, idx := range argIdxs {
-			if idx >= len(call.Args) {
-				continue
-			}
-			if lit, ok := call.Args[idx].(*ast.FuncLit); ok {
-				a.checkParallelBody(f, name, lit)
-			}
-		}
-		return true
-	})
-
-	for _, decl := range f.ast.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		a.checkWorkerEscape(f, fd)
-		a.checkJoinSharedWrites(f, fd)
-	}
-}
-
-// checkJoinSharedWrites flags a captured scalar written in both branches
-// of one Worker.Join call. The branches may run concurrently on
-// different workers, so such a write races — the hand-rolled "join
-// latch" anti-pattern the scheduler's internal join frames exist to
-// encapsulate (frames pair the flag with an atomic latch; see
-// docs/SCHED.md). Disjoint per-branch accumulators (x in one branch, y
-// in the other) are the fearless D&C shape and pass untouched.
-func (a *analysis) checkJoinSharedWrites(f *fileInfo, fd *ast.FuncDecl) {
-	workers := workerIdents(f, fd)
-	if len(workers) == 0 {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 2 {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Join" {
-			return true
-		}
-		recv, ok := sel.X.(*ast.Ident)
-		if !ok || !workers[recv.Name] {
-			return true
-		}
-		la, aok := call.Args[0].(*ast.FuncLit)
-		lb, bok := call.Args[1].(*ast.FuncLit)
-		if !aok || !bok {
-			return true
-		}
-		first := capturedScalarWrites(la)
-		second := capturedScalarWrites(lb)
-		for name, id := range second {
-			if _, both := first[name]; !both {
-				continue
-			}
-			if a.markerFor(f, id) {
-				continue
-			}
-			pos := a.fset.Position(id.Pos())
-			a.report(Diag{
-				File: f.rel, Line: pos.Line, Col: pos.Column,
-				Rule: "join-branch-shared-write", Fear: core.Scared.String(),
-				Msg: fmt.Sprintf("captured variable %q is written by both branches of %s.Join; the branches may run concurrently (use per-branch accumulators or an atomic)",
-					name, recv.Name),
-			})
-		}
-		return true
-	})
-}
-
-// capturedScalarWrites collects the non-local scalar identifiers a
-// closure assigns to, keyed by name with one representative site.
-func capturedScalarWrites(lit *ast.FuncLit) map[string]*ast.Ident {
-	locals := closureLocals(lit)
-	writes := map[string]*ast.Ident{}
-	record := func(lhs ast.Expr) {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" || locals[id.Name] {
-			return
-		}
-		if _, seen := writes[id.Name]; !seen {
-			writes[id.Name] = id
-		}
-	}
-	eachWrite(lit.Body, record)
-	return writes
-}
-
-// checkParallelBody inspects one closure passed as a primitive's
-// per-task body. Writes to captured state are suspect unless the target
-// index depends on a closure-local value (the task index or something
-// derived from it).
-func (a *analysis) checkParallelBody(f *fileInfo, prim string, lit *ast.FuncLit) {
-	locals := closureLocals(lit)
-	check := func(lhs ast.Expr) {
-		switch t := lhs.(type) {
-		case *ast.Ident:
-			if t.Name == "_" || locals[t.Name] {
-				return
-			}
-			if a.markerFor(f, t) {
-				return
-			}
-			pos := a.fset.Position(t.Pos())
-			a.report(Diag{
-				File: f.rel, Line: pos.Line, Col: pos.Column,
-				Rule: "captured-scalar-write", Fear: core.Scared.String(),
-				Msg: fmt.Sprintf("write to captured variable %q inside a core.%s body races across tasks; use a reduction or an atomic",
-					t.Name, prim),
-			})
-		case *ast.IndexExpr:
-			root := rootIdent(t.X)
-			if root == nil || locals[root.Name] {
-				return
-			}
-			if usesLocal(t.Index, locals) {
-				return
-			}
-			if a.markerFor(f, t) {
-				return
-			}
-			pos := a.fset.Position(t.Pos())
-			a.report(Diag{
-				File: f.rel, Line: pos.Line, Col: pos.Column,
-				Rule: "captured-write-nonindex", Fear: core.Scared.String(),
-				Msg: fmt.Sprintf("write to captured slice %q at an index unrelated to the task index inside a core.%s body; tasks may collide",
-					root.Name, prim),
-			})
-		}
-	}
-	eachWrite(lit.Body, check)
-}
-
-// closureLocals collects every identifier a closure (or its nested
-// closures) declares: parameters, :=, var, and range variables. An
-// index expression touching any of these is treated as task-derived.
-func closureLocals(lit *ast.FuncLit) map[string]bool {
-	locals := map[string]bool{}
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			for _, name := range field.Names {
-				locals[name.Name] = true
-			}
-		}
-	}
-	addFields(lit.Type.Params)
-	addFields(lit.Type.Results)
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.AssignStmt:
-			if v.Tok == token.DEFINE {
-				for _, lhs := range v.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok {
-						locals[id.Name] = true
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for _, name := range v.Names {
-				locals[name.Name] = true
-			}
-		case *ast.RangeStmt:
-			if v.Tok == token.DEFINE {
-				for _, e := range []ast.Expr{v.Key, v.Value} {
-					if id, ok := e.(*ast.Ident); ok {
-						locals[id.Name] = true
-					}
-				}
-			}
-		case *ast.FuncLit:
-			addFields(v.Type.Params)
-			addFields(v.Type.Results)
-		}
-		return true
-	})
-	return locals
-}
-
-// rootIdent unwraps an access chain to its base identifier.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for e != nil {
-		if id, ok := unparen(e).(*ast.Ident); ok {
-			return id
-		}
-		e = innerOperand(unparen(e))
-	}
-	return nil
-}
-
-// usesLocal reports whether an expression mentions any closure-local
-// identifier.
-func usesLocal(e ast.Expr, locals map[string]bool) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && locals[id.Name] {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // checkWorkerEscape flags *core.Worker values crossing into raw

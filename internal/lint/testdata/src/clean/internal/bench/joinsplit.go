@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"sync/atomic"
-
 	"fixture/internal/core"
 )
 
@@ -24,30 +22,4 @@ func joinSplit(w *core.Worker, src []uint32) uint32 {
 		},
 	)
 	return left + right
-}
-
-// joinSharedAtomic folds into one counter from both branches, which the
-// shared-write heuristic cannot see is atomic; the marker records the
-// audit.
-//
-//lint:scared fixture: both branches fold via atomic.AddUint32 on cnt
-func joinSharedAtomic(w *core.Worker, src []uint32) uint32 {
-	var cnt atomic.Uint32
-	var spill uint32
-	w.Join(
-		func(w *core.Worker) {
-			for _, v := range src[:len(src)/2] {
-				cnt.Add(v)
-			}
-			spill = 0
-		},
-		func(w *core.Worker) {
-			for _, v := range src[len(src)/2:] {
-				cnt.Add(v)
-			}
-			spill = 0
-		},
-	)
-	_ = spill
-	return cnt.Load()
 }

@@ -15,7 +15,3 @@ func raceKernel(w *core.Worker, out, src []uint32) {
 		out[0] = src[lo]
 	})
 }
-
-func init() {
-	core.DeclareSite("race", "copy write", core.Stride)
-}

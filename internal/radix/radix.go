@@ -132,7 +132,7 @@ func (p *passBody) RunRange(_ *core.Worker, lo, hi int) {
 				local[(srcK[i]>>shift)&(radixSize-1)]++
 			}
 			for d := 0; d < radixSize; d++ {
-				counts[d*nb+b] = local[d]
+				counts[d*nb+b] = local[d] //lint:scared digit-major matrix: b lies in this invocation's own [lo, hi) and b < nb, so d*nb+b is distinct for every (d, b)
 			}
 		} else {
 			var cursor [radixSize]int32
@@ -143,9 +143,9 @@ func (p *passBody) RunRange(_ *core.Worker, lo, hi int) {
 				d := (srcK[i] >> shift) & (radixSize - 1)
 				at := cursor[d]
 				cursor[d]++
-				dstK[at] = srcK[i]
+				dstK[at] = srcK[i] //lint:scared counting-sort scatter: cursor[d] starts at the exclusive scan of counts[d*nb+b], so block b owns a segment of digit d no other block's cursor enters
 				if srcV != nil {
-					dstV[at] = srcV[i]
+					dstV[at] = srcV[i] //lint:scared same slot as dstK[at] above: block b's own segment of digit d
 				}
 			}
 		}

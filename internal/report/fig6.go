@@ -56,7 +56,7 @@ func perTaskHash(v []uint64) {
 	for i := range v {
 		go func(e *uint64) {
 			defer wg.Done()
-			seqgen.HashTask(e)
+			seqgen.HashTask(e) //lint:scared paper Listing 13: goroutine i is handed &v[i] alone, and wg.Wait joins them all
 		}(&v[i])
 	}
 	wg.Wait()
@@ -79,7 +79,7 @@ func perCoreHash(v []uint64, nThreads int) {
 		go func(part []uint64) {
 			defer wg.Done()
 			for i := range part {
-				seqgen.HashTask(&part[i])
+				seqgen.HashTask(&part[i]) //lint:scared paper Listing 14: part is v[lo:hi] of thread t's static chunk, disjoint from every other thread's
 			}
 		}(v[lo:hi])
 	}
@@ -110,7 +110,7 @@ func jobQueueHash(v []uint64, nThreads int) {
 					hi = len(v)
 				}
 				for i := lo; i < hi; i++ {
-					seqgen.HashTask(&v[i])
+					seqgen.HashTask(&v[i]) //lint:scared paper Listing 15: [lo, hi) was claimed under mu by advancing next, so each job range has one owner
 				}
 			}
 		}()
