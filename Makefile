@@ -43,14 +43,16 @@ lifetimes-update:
 race:
 	$(GO) test -race ./...
 
-# Codec fuzz smoke: run FuzzCodecRoundTrip — group-varint rows,
-# group-skip probes, shard assembly — for a few wall-clock seconds of
-# mutation on top of the seed corpus. Not a soak; just enough for CI to
-# catch an encoder change that breaks round-tripping on shapes the unit
-# tests don't enumerate.
+# Fuzz smoke: run FuzzCodecRoundTrip — group-varint rows, group-skip
+# probes, shard assembly — and FuzzSymmetrize — the integer-sort
+# Symmetrize against its comparison-sort reference — for a few
+# wall-clock seconds of mutation each on top of the seed corpus. Not a
+# soak; just enough for CI to catch an encoder or key-packing change
+# that breaks on shapes the unit tests don't enumerate.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run xxx -fuzz FuzzSymmetrize -fuzztime $(FUZZTIME) ./internal/graph/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

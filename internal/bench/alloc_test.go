@@ -120,5 +120,5 @@ func TestKernelsSteadyStateAllocs(t *testing.T) {
 			}
 			return nil
 		},
-	}, 42)
+	}, 11)
 }

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Parallel stable merge sort — the divide-and-conquer (D&C) pattern of
 // paper Listing 9: split, recursively sort halves via Join, then merge
@@ -22,11 +25,24 @@ func SortBy[T any](w *Worker, xs []T, less func(a, b T) bool) {
 		return
 	}
 	if w == nil || len(xs) <= sortSeqThreshold {
-		sort.SliceStable(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
+		sortLeaf(xs, less)
 		return
 	}
 	buf := make([]T, len(xs))
 	mergeSortInto(w, xs, buf, false, less)
+}
+
+// sortLeaf is the sequential stable sort under SortBy's threshold.
+func sortLeaf[T any](xs []T, less func(a, b T) bool) {
+	slices.SortStableFunc(xs, func(a, b T) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // mergeSortInto sorts src; if toBuf is true the sorted output lands in
@@ -35,7 +51,7 @@ func SortBy[T any](w *Worker, xs []T, less func(a, b T) bool) {
 func mergeSortInto[T any](w *Worker, src, buf []T, toBuf bool, less func(a, b T) bool) {
 	n := len(src)
 	if n <= sortSeqThreshold {
-		sort.SliceStable(src, func(i, j int) bool { return less(src[i], src[j]) })
+		sortLeaf(src, less)
 		if toBuf {
 			copy(buf, src)
 		}

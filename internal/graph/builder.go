@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 )
 
@@ -16,11 +17,16 @@ import (
 // exclusive scan of the offsets (core.ScanExclusiveInto), and an AW
 // cursor scatter of edges into their slots.
 //
+// Before them one range-bodied pass validates the endpoints
+// (validateEdges), and the Sorted variants canonicalize every row after
+// them: slices.Sort for plain rows, sortRowW for weighted ones.
+//
 // All intermediate and output buffers live in the Builder and are
 // grown with core.EnsureLen, so repeated builds of same-shaped graphs
-// allocate nothing: TestKernelsSteadyStateAllocs pins it (row BuildCSR).
-// A Build invalidates the Graph returned by the previous Build on the
-// same Builder.
+// allocate no buffer, only a fixed handful of loop closures:
+// TestKernelsSteadyStateAllocs pins the count (row BuildCSR). A Build
+// invalidates the Graph returned by the previous Build on the same
+// Builder.
 type Builder struct {
 	degs []int32 // per-vertex out-degree, then scanned into offs
 	cur  []int32 // per-vertex fill cursor during the scatter
@@ -41,29 +47,21 @@ var edgeLimit = int64(math.MaxInt32)
 // validateEdges panics with a message naming the first edge whose
 // endpoint falls outside [0, n) — instead of an index-out-of-range
 // deep inside the counting-sort scatter — and enforces edgeLimit.
-func validateEdges(w *core.Worker, n int32, m int, endpoints func(i int) (int32, int32)) {
+// firstBad scans edges [lo, hi) in a plain loop and returns the index
+// of the first such edge, or -1; ends returns edge i's endpoints for
+// the message.
+func validateEdges(w *core.Worker, n int32, m int, firstBad func(lo, hi int) int, ends func(i int) (int32, int32)) {
 	if int64(m) > edgeLimit {
 		panic(fmt.Sprintf("graph: edge list has %d edges, exceeding the int32 CSR offset limit %d; offsets would overflow", m, edgeLimit))
 	}
-	bad := core.MapReduce(w, m, -1, func(i int) int {
-		from, to := endpoints(i)
-		if uint32(from) >= uint32(n) || uint32(to) >= uint32(n) {
-			return i
+	bad := uint64(math.MaxUint64)
+	core.ForBlocks(w, 0, m, 0, func(lo, hi int) {
+		if i := firstBad(lo, hi); i >= 0 {
+			core.WriteMinU64(&bad, uint64(i))
 		}
-		return -1
-	}, func(a, b int) int {
-		switch {
-		case a < 0:
-			return b
-		case b < 0:
-			return a
-		case a < b:
-			return a
-		}
-		return b
 	})
-	if bad >= 0 {
-		from, to := endpoints(bad)
+	if bad != math.MaxUint64 {
+		from, to := ends(int(bad))
 		panic(fmt.Sprintf("graph: edge %d (%d -> %d) has an endpoint outside [0, %d)", bad, from, to, n))
 	}
 }
@@ -93,7 +91,14 @@ func (b *Builder) countAndScan(w *core.Worker, n int32, deg func(i int) int32, m
 // and is valid until the next Build/BuildW on this Builder. Endpoints
 // are validated up front; an out-of-range edge panics naming it.
 func (b *Builder) Build(w *core.Worker, n int32, edges []Edge) *Graph {
-	validateEdges(w, n, len(edges), func(i int) (int32, int32) { return edges[i].From, edges[i].To })
+	validateEdges(w, n, len(edges), func(lo, hi int) int {
+		for i, e := range edges[lo:hi] {
+			if uint32(e.From) >= uint32(n) || uint32(e.To) >= uint32(n) {
+				return lo + i
+			}
+		}
+		return -1
+	}, func(i int) (int32, int32) { return edges[i].From, edges[i].To })
 	total := b.countAndScan(w, n, func(i int) int32 { return edges[i].From }, len(edges))
 	b.g.N = n
 	b.g.Adj = core.EnsureLen(b.g.Adj, int(total))
@@ -110,7 +115,14 @@ func (b *Builder) Build(w *core.Worker, n int32, edges []Edge) *Graph {
 // the Builder's reusable buffers. The returned *WGraph aliases those
 // buffers and is valid until the next Build/BuildW on this Builder.
 func (b *Builder) BuildW(w *core.Worker, n int32, edges []WEdge) *WGraph {
-	validateEdges(w, n, len(edges), func(i int) (int32, int32) { return edges[i].From, edges[i].To })
+	validateEdges(w, n, len(edges), func(lo, hi int) int {
+		for i, e := range edges[lo:hi] {
+			if uint32(e.From) >= uint32(n) || uint32(e.To) >= uint32(n) {
+				return lo + i
+			}
+		}
+		return -1
+	}, func(i int) (int32, int32) { return edges[i].From, edges[i].To })
 	total := b.countAndScan(w, n, func(i int) int32 { return edges[i].From }, len(edges))
 	b.g.N = n
 	b.g.Adj = core.EnsureLen(b.g.Adj, int(total))
@@ -138,8 +150,8 @@ func (b *Builder) BuildSorted(w *core.Worker, n int32, edges []Edge) *Graph {
 	return g
 }
 
-// BuildWSorted is BuildW with every row sorted by neighbor id and the
-// weights permuted alongside.
+// BuildWSorted is BuildW with every row sorted by (neighbor id, weight),
+// the weights permuted alongside.
 func (b *Builder) BuildWSorted(w *core.Worker, n int32, edges []WEdge) *WGraph {
 	wg := b.BuildW(w, n, edges)
 	SortAdjacencyW(w, wg)
@@ -156,45 +168,67 @@ func SortAdjacency(w *core.Worker, g *Graph) {
 	})
 }
 
-// SortAdjacencyW sorts every neighbor row of wg by neighbor id with the
-// weight entries co-permuted, keeping Wgt[i] attached to Adj[i].
+// SortAdjacencyW sorts every neighbor row of wg by (neighbor id,
+// weight) with the weight entries co-permuted, keeping Wgt[i] attached
+// to Adj[i].
 func SortAdjacencyW(w *core.Worker, wg *WGraph) {
 	adj, wgt, offs := wg.Adj, wg.Wgt, wg.Offs
-	core.ForRange(w, 0, int(wg.N), 0, func(v int) {
-		sortRowW(adj[offs[v]:offs[v+1]], wgt[offs[v]:offs[v+1]]) //lint:scared per-row sort: row segments [offs[v], offs[v+1]) are disjoint per task v
-	})
+	rows := func(ww *core.Worker, lo, hi int) {
+		a := arena.Of(ww)
+		for v := lo; v < hi; v++ {
+			sortRowW(a, adj[offs[v]:offs[v+1]], wgt[offs[v]:offs[v+1]]) //lint:scared per-row sort: row segments [offs[v], offs[v+1]) are disjoint per vertex v, and v lies in this invocation's own [lo, hi)
+		}
+	}
+	core.CountDynamic(core.Stride)
+	if w == nil {
+		rows(nil, 0, int(wg.N))
+	} else {
+		w.For(0, int(wg.N), 0, rows)
+	}
 }
 
-// sortRowW co-sorts one (neighbor, weight) row by neighbor id: an
-// in-place heapsort, allocation-free and O(d log d) even on hub rows.
-func sortRowW(adj []int32, wgt []uint32) {
+// rowInsertionMax is the longest row sortRowW sorts by insertion.
+const rowInsertionMax = 24
+
+// rowKey is entry i of a (neighbor, weight) row as one integer that
+// orders by neighbor id, then weight. Neighbor ids are non-negative.
+func rowKey(adj []int32, wgt []uint32, i int) uint64 {
+	return uint64(uint32(adj[i]))<<32 | uint64(wgt[i])
+}
+
+// sortRowW co-sorts one (neighbor, weight) row by rowKey. A Build of a
+// sorted edge list leaves a row out of order only where the scatter's
+// atomic cursors interleaved, so most rows return from the first scan;
+// short rows are sorted by insertion, and longer ones as packed keys in
+// scratch checked out of a (the executing worker's arena).
+func sortRowW(a *arena.Arena, adj []int32, wgt []uint32) {
 	n := len(adj)
-	for root := n/2 - 1; root >= 0; root-- {
-		siftRowW(adj, wgt, root, n)
+	sorted := true
+	for i := 1; i < n && sorted; i++ {
+		sorted = rowKey(adj, wgt, i-1) <= rowKey(adj, wgt, i)
 	}
-	for end := n - 1; end > 0; end-- {
-		adj[0], adj[end] = adj[end], adj[0]
-		wgt[0], wgt[end] = wgt[end], wgt[0]
-		siftRowW(adj, wgt, 0, end)
+	if sorted {
+		return
 	}
-}
-
-func siftRowW(adj []int32, wgt []uint32, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
+	if n <= rowInsertionMax {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && rowKey(adj, wgt, j-1) > rowKey(adj, wgt, j); j-- {
+				adj[j-1], adj[j] = adj[j], adj[j-1]
+				wgt[j-1], wgt[j] = wgt[j], wgt[j-1]
+			}
 		}
-		if child+1 < end && adj[child+1] > adj[child] {
-			child++
-		}
-		if adj[root] >= adj[child] {
-			return
-		}
-		adj[root], adj[child] = adj[child], adj[root]
-		wgt[root], wgt[child] = wgt[child], wgt[root]
-		root = child
+		return
 	}
+	m := a.Mark()
+	keys := arena.AllocUninit[uint64](a, n)
+	for i := range keys {
+		keys[i] = rowKey(adj, wgt, i)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		adj[i], wgt[i] = int32(k>>32), uint32(k)
+	}
+	a.Release(m)
 }
 
 // Transpose builds the reverse graph of g (every edge u->v becomes

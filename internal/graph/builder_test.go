@@ -1,8 +1,14 @@
 package graph
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
+	"repro/internal/seqgen"
 )
 
 func TestTransposeSmallDirected(t *testing.T) {
@@ -102,6 +108,88 @@ func TestBuilderBuildWMatchesBuildWCSR(t *testing.T) {
 		}
 		if sum != rsum || len(adj) != len(radj) {
 			t.Fatalf("vertex %d: adjacency mismatch", v)
+		}
+	}
+}
+
+// TestSortRowWMatchesPairSort co-sorts random (neighbor, weight) rows
+// in each of sortRowW's regimes — already ascending, short enough for
+// insertion, and packed into arena scratch — and compares with a sort
+// of the pairs. Ids repeat within a row, so the weight tie-break counts.
+func TestSortRowWMatchesPairSort(t *testing.T) {
+	rng := seqgen.NewRng(0x50a7)
+	type pair struct {
+		adj int32
+		wgt uint32
+	}
+	var offs []int32
+	var adj []int32
+	var wgt []uint32
+	var want []pair
+	draw := uint64(0)
+	for _, n := range []int{0, 1, 2, 3, rowInsertionMax - 1, rowInsertionMax, rowInsertionMax + 1, 100, 1000, 5000} {
+		for _, ascending := range []bool{false, true} {
+			row := make([]pair, n)
+			for i := range row {
+				row[i] = pair{int32(rng.Intn(draw, n/2+1)), uint32(rng.Intn(draw+1, 1<<16))}
+				draw += 2
+			}
+			sorted := slices.Clone(row)
+			slices.SortFunc(sorted, func(a, b pair) int {
+				return cmp.Or(cmp.Compare(a.adj, b.adj), cmp.Compare(a.wgt, b.wgt))
+			})
+			if ascending {
+				row = sorted
+			}
+			offs = append(offs, int32(len(adj)))
+			for _, p := range row {
+				adj, wgt = append(adj, p.adj), append(wgt, p.wgt)
+			}
+			want = append(want, sorted...)
+		}
+	}
+	offs = append(offs, int32(len(adj)))
+	check := func(name string, w *core.Worker) {
+		wg := &WGraph{Graph: Graph{N: int32(len(offs) - 1), Offs: offs, Adj: slices.Clone(adj)}, Wgt: slices.Clone(wgt)}
+		SortAdjacencyW(w, wg)
+		for i, p := range want {
+			if wg.Adj[i] != p.adj || wg.Wgt[i] != p.wgt {
+				v, _ := slices.BinarySearch(offs, int32(i+1))
+				t.Fatalf("%s: row %d (length %d) differs from the sorted pairs at entry %d", name, v-1, offs[v]-offs[v-1], int32(i)-offs[v-1])
+			}
+		}
+	}
+	check("nil worker", nil)
+	for _, p := range symPools {
+		p.pool.Do(func(w *core.Worker) { check(p.name, w) })
+	}
+}
+
+// TestBuilderNamesFirstBadEdgeInParallel plants two out-of-range edges
+// far enough apart to land in different subranges of the validation
+// pass: the panic must name the earlier one at every worker count.
+func TestBuilderNamesFirstBadEdgeInParallel(t *testing.T) {
+	const n = 1 << 10
+	edges := RMAT(nil, 10, 32, 5)
+	edges[len(edges)-3].From = n
+	edges[9000].To = -7
+	wedges := AddWeights(nil, edges, 8, 1)
+	want := fmt.Sprintf("graph: edge 9000 (%d -> -7) has an endpoint outside [0, %d)", edges[9000].From, n)
+	for _, p := range symPools {
+		for _, weighted := range []bool{false, true} {
+			p.pool.Do(func(w *core.Worker) {
+				defer func() {
+					if msg, _ := recover().(string); msg != want {
+						t.Errorf("%s, weighted %v: panic %q, want %q", p.name, weighted, msg, want)
+					}
+				}()
+				var b Builder
+				if weighted {
+					b.BuildW(w, n, wedges)
+				} else {
+					b.Build(w, n, edges)
+				}
+			})
 		}
 	}
 }

@@ -8,8 +8,11 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/radix"
 	"repro/internal/seqgen"
 )
 
@@ -71,28 +74,92 @@ func BuildWCSR(w *core.Worker, n int32, edges []WEdge) *WGraph {
 
 // Symmetrize returns the undirected edge list of edges: each (u,v) with
 // u != v contributes (u,v) and (v,u), with exact duplicates removed.
+// The result is sorted by (From, To), duplicate-free and exactly sized.
+// Vertex ids must be non-negative; a negative endpoint panics naming
+// the first such edge.
+//
+// It is an integer sort (docs/GRAPH.md "Symmetrize"): both directions
+// of every edge are packed into keys from<<vb | to, vb the bit width of
+// the largest endpoint, radix-sorted on 2*vb bits, and the sorted keys
+// are counted per block, scanned, and unpacked without self-loops and
+// repeats. The sort scratch is local to the call, so nothing the size
+// of the edge list outlives it.
 func Symmetrize(w *core.Worker, edges []Edge) []Edge {
-	both := make([]Edge, 0, 2*len(edges))
-	for _, e := range edges {
-		if e.From == e.To {
-			continue
+	m := len(edges)
+	// A negative id reads as >= 2^31 through uint32, so the maximum
+	// that sizes the keys also detects one.
+	var top atomic.Uint32
+	core.ForBlocks(w, 0, m, 0, func(lo, hi int) {
+		var mx uint32
+		for _, e := range edges[lo:hi] {
+			mx = max(mx, uint32(e.From), uint32(e.To))
 		}
-		both = append(both, e, Edge{From: e.To, To: e.From})
-	}
-	core.SortBy(w, both, func(a, b Edge) bool {
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
+		core.WriteMax32(&top, mx)
 	})
-	out := both[:0]
-	for i, e := range both {
-		if i > 0 && e == both[i-1] {
-			continue
+	if top.Load() > math.MaxInt32 {
+		for i, e := range edges {
+			if e.From < 0 || e.To < 0 {
+				panic(fmt.Sprintf("graph: edge %d (%d -> %d) has a negative endpoint", i, e.From, e.To))
+			}
 		}
-		out = append(out, e)
 	}
+	vb := uint(radix.BitsFor(uint64(top.Load())))
+
+	keys := make([]uint64, 2*m)
+	fwd, rev := keys[:m], keys[m:]
+	core.ForBlocks(w, 0, m, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			from, to := uint64(edges[i].From), uint64(edges[i].To)
+			fwd[i] = from<<vb | to
+			rev[i] = to<<vb | from
+		}
+	})
+	var scratch radix.Scratch
+	radix.SortPairsScratch(w, keys, nil, int(2*vb), &scratch)
+
+	// Count, scan, write, a block of symBlock sorted keys per task.
+	nb := (len(keys) + symBlock - 1) / symBlock
+	starts := make([]int, nb)
+	core.ForBlocks(w, 0, nb, 1, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			starts[b] = symPackBlock(keys, b, vb, nil)
+		}
+	})
+	out := make([]Edge, core.ScanExclusive(w, starts))
+	core.ForBlocks(w, 0, nb, 1, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			symPackBlock(keys, b, vb, out[starts[b]:]) //lint:scared pack cursor: block b fills [starts[b], starts[b]+its kept count), its own slots by the exclusive scan of the counts the same function returned
+		}
+	})
 	return out
+}
+
+// symBlock is the number of sorted keys one task of Symmetrize's count
+// and write passes owns.
+const symBlock = 1 << 14
+
+// symPackBlock walks block b of the sorted keys and returns how many
+// survive: a key is dropped when it is a self-loop or repeats its
+// predecessor (block 0's first key has none). With out non-nil the
+// survivors are unpacked into out[0:count].
+func symPackBlock(keys []uint64, b int, vb uint, out []Edge) int {
+	lo := b * symBlock
+	prev := ^keys[lo]
+	if lo > 0 {
+		prev = keys[lo-1]
+	}
+	low := uint64(1)<<vb - 1
+	c := 0
+	for _, k := range keys[lo:min(lo+symBlock, len(keys))] {
+		if from, to := k>>vb, k&low; k != prev && from != to {
+			if out != nil {
+				out[c] = Edge{From: int32(from), To: int32(to)}
+			}
+			c++
+		}
+		prev = k
+	}
+	return c
 }
 
 // Stats summarizes a generated input for the Table 2 reproduction.
