@@ -16,8 +16,10 @@ test: lint
 check: build lint certs test
 
 # Source-level fear checker: static census + containment + worker-escape
-# (docs/LINT.md). Shared by CI.
+# (docs/LINT.md), behind a formatting gate: gofmt -l must print nothing,
+# testdata fixtures included. Shared by CI.
 lint:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: unformatted files:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/rpblint ./...
 

@@ -206,11 +206,7 @@ func (b *bfsInstance[A]) runHybrid(w *core.Worker) {
 				}
 				a.Release(am)
 			}
-			if w == nil {
-				expand(nil, 0, len(fr))
-			} else {
-				w.For(0, len(fr), 0, expand)
-			}
+			w.For(0, len(fr), 0, expand)
 			spare = cur[:cap(cur)]
 			cur = nxt[:nextCnt.Load()]
 			frontierVerts, frontierEdges = int64(len(cur)), nextEdges.Load()
@@ -265,7 +261,7 @@ func (b *bfsInstance[A]) run(nWorkers int) {
 	scratch := b.scratchFor(nWorkers)
 	atomic.StoreUint32(&b.dist[b.src], 0)
 	seeds := []mq.Item{{Pri: 0, Val: uint64(b.src)}}
-	b.mqStats = mq.ProcessOpt(nWorkers, seeds, mq.Options{}, func(wi int, it mq.Item, push mq.Pusher) {
+	b.mqStats = mq.Process(nWorkers, seeds, func(wi int, it mq.Item, push mq.Pusher) {
 		v := int32(it.Val)
 		d := uint32(it.Pri)
 		if atomic.LoadUint32(&b.dist[v]) < d {

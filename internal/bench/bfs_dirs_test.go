@@ -179,3 +179,22 @@ func TestDeltaSteppingMatchesOracleAcrossShifts(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphQueueTelemetry pins what `rpbreport -what graph` and the
+// benchmark's mq.sssp_locks_per_item probe print: sssp through Process
+// pays the classic two locks per popped vertex (less only by the one
+// seed push), and delta-stepping on the batched queue an order of
+// magnitude fewer. Both runs are oracle-verified inside.
+func TestGraphQueueTelemetry(t *testing.T) {
+	single, batched, err := GraphQueueTelemetry(ScaleTest, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, bl := single.LocksPerItem(), batched.LocksPerItem()
+	if sl < 1.9 {
+		t.Errorf("single-item discipline: %.3f locks per item, want >= 1.9 (%+v)", sl, single)
+	}
+	if bl <= 0 || bl >= sl/8 {
+		t.Errorf("batched discipline: %.3f locks per item, want in (0, %.3f) (%+v)", bl, sl/8, batched)
+	}
+}

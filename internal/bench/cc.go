@@ -120,11 +120,7 @@ func (c *ccInstance[A]) runLibrary(w *core.Worker) {
 		}
 		a.Release(am)
 	}
-	if w == nil {
-		sampleStep(nil, 0, n)
-	} else {
-		w.For(0, n, 0, sampleStep)
-	}
+	w.For(0, n, 0, sampleStep)
 
 	// Phase 2 — probe for the giant component, then mark it in the
 	// skip bitmap. Each task owns one 64-vertex bitmap word, the same
@@ -165,11 +161,7 @@ func (c *ccInstance[A]) runLibrary(w *core.Worker) {
 		}
 		a.Release(am)
 	}
-	if w == nil {
-		finishStep(nil, 0, n)
-	} else {
-		w.For(0, n, 0, finishStep)
-	}
+	w.For(0, n, 0, finishStep)
 
 	// Phase 4 — labels: the forest is quiescent, every Find lands on
 	// the component's minimum id.

@@ -39,9 +39,6 @@ type kcoreInstance[A graph.Adjacency] struct {
 	mqStats  mq.Stats       // counters of the last run, all levels
 }
 
-// kcoreQueuesPerWorker is mq.Options' default queue factor.
-const kcoreQueuesPerWorker = 4
-
 func newKCore[A graph.Adjacency](g A) *kcoreInstance[A] {
 	n := int(g.NumVertices())
 	return &kcoreInstance[A]{
@@ -83,8 +80,8 @@ func (k *kcoreInstance[A]) runLevels(w *core.Worker, nWorkers int) {
 	scratch := k.scratchFor(nWorkers)
 	// One MultiQueue serves every level: each cascade drains it, so the
 	// next level finds it empty with its heaps and worker buffers grown.
-	if k.q == nil || k.q.NQueues() != kcoreQueuesPerWorker*nWorkers {
-		k.q = mq.New(kcoreQueuesPerWorker * nWorkers)
+	if k.q == nil || k.q.NQueues() != mq.QueuesPerWorker*nWorkers {
+		k.q = mq.New(mq.QueuesPerWorker * nWorkers)
 	}
 	k.q.Reset()
 	var peeled atomic.Int64

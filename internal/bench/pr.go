@@ -128,11 +128,7 @@ func (p *prInstance[A]) runLibrary(w *core.Worker) {
 				moved.Add(m)
 			}
 		}
-		if w == nil {
-			gather(nil, 0, n)
-		} else {
-			w.For(0, n, 0, gather)
-		}
+		w.For(0, n, 0, gather)
 		p.rank, p.next = p.next, p.rank
 		p.rounds++
 		if moved.Load() == 0 {

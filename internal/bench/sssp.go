@@ -148,7 +148,7 @@ func (s *ssspInstance[A]) run(nWorkers int) {
 	scratch := s.scratchFor(nWorkers)
 	atomic.StoreUint32(&s.dist[s.src], 0)
 	seeds := []mq.Item{{Pri: 0, Val: uint64(s.src)}}
-	s.mqStats = mq.ProcessOpt(nWorkers, seeds, mq.Options{}, func(wi int, it mq.Item, push mq.Pusher) {
+	s.mqStats = mq.Process(nWorkers, seeds, func(wi int, it mq.Item, push mq.Pusher) {
 		v := int32(it.Val)
 		d := uint32(it.Pri)
 		if atomic.LoadUint32(&s.dist[v]) < d {
@@ -222,11 +222,7 @@ func (s *ssspInstance[A]) runPull(w *core.Worker) {
 				changed.Add(improved)
 			}
 		}
-		if w == nil {
-			relax(nil, 0, n)
-		} else {
-			w.For(0, n, 0, relax)
-		}
+		w.For(0, n, 0, relax)
 		if changed.Load() == 0 {
 			return
 		}

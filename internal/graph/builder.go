@@ -180,11 +180,7 @@ func SortAdjacencyW(w *core.Worker, wg *WGraph) {
 		}
 	}
 	core.CountDynamic(core.Stride)
-	if w == nil {
-		rows(nil, 0, int(wg.N))
-	} else {
-		w.For(0, int(wg.N), 0, rows)
-	}
+	w.For(0, int(wg.N), 0, rows)
 }
 
 // rowInsertionMax is the longest row sortRowW sorts by insertion.

@@ -181,7 +181,7 @@ func regionPrimitiveOf(f *fileInfo, call *ast.CallExpr) (string, *primitive) {
 // mqDrivers are the mq entry points whose last argument is a task
 // closure run on long-lived worker goroutines; the closure's first
 // parameter is the worker id, unique per goroutine.
-var mqDrivers = map[string]bool{"Process": true, "ProcessOpt": true, "ProcessBatch": true, "ProcessBatchOn": true}
+var mqDrivers = map[string]bool{"Process": true, "ProcessBatch": true, "ProcessBatchOn": true}
 
 func isMQDriver(path, name string) bool { return isPath(path, mqPath) && mqDrivers[name] }
 

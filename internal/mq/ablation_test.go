@@ -64,73 +64,6 @@ func BenchmarkAblationQueueCount(b *testing.B) {
 	}
 }
 
-func TestStickyPopperDrainsEverything(t *testing.T) {
-	m := New(8)
-	const n = 20000
-	for i := uint64(0); i < n; i++ {
-		m.Push(Item{Pri: i, Val: i})
-	}
-	p := m.NewPopper(8)
-	seen := make([]bool, n)
-	for i := 0; i < n; i++ {
-		it, ok := p.Pop()
-		if !ok {
-			t.Fatalf("pop %d failed with items remaining", i)
-		}
-		if seen[it.Val] {
-			t.Fatalf("item %d popped twice", it.Val)
-		}
-		seen[it.Val] = true
-	}
-	if _, ok := p.Pop(); ok {
-		t.Fatal("pop on drained queue succeeded")
-	}
-}
-
-func TestStickyPushPopRoundTrip(t *testing.T) {
-	m := New(4)
-	p := m.NewPopper(4)
-	for i := uint64(0); i < 100; i++ {
-		p.Push(Item{Pri: i, Val: i})
-	}
-	if m.Len() != 100 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	count := 0
-	for {
-		if _, ok := p.Pop(); !ok {
-			break
-		}
-		count++
-	}
-	if count != 100 {
-		t.Fatalf("popped %d", count)
-	}
-}
-
-func TestNewPopperClampsStickiness(t *testing.T) {
-	m := New(4)
-	p := m.NewPopper(0)
-	if p.stick != 1 {
-		t.Fatalf("stickiness = %d, want clamped to 1", p.stick)
-	}
-}
-
-func TestProcessOptStickyCompletesDynamicWork(t *testing.T) {
-	var count atomic.Int64
-	ProcessOpt(4, []Item{{Pri: 0, Val: 12}}, Options{Stickiness: 8, QueueFactor: 2},
-		func(_ int, it Item, push Pusher) {
-			count.Add(1)
-			if it.Val > 0 {
-				push.Push(Item{Pri: it.Pri + 1, Val: it.Val - 1})
-				push.Push(Item{Pri: it.Pri + 1, Val: it.Val - 1})
-			}
-		})
-	if count.Load() != 8191 { // full binary tree of depth 12
-		t.Fatalf("executed %d tasks, want 8191", count.Load())
-	}
-}
-
 // TestAblationBatchSizeLocksPerItem quantifies the batching knob the
 // graph kernels depend on (docs/GRAPH.md): locks per item must fall
 // roughly linearly in the batch size.
@@ -181,23 +114,6 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 					b.Fatalf("executed %d tasks, want 32767", count.Load())
 				}
 			}
-		})
-	}
-}
-
-func BenchmarkAblationStickiness(b *testing.B) {
-	for _, stick := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("stick-%d", stick), func(b *testing.B) {
-			m := New(8)
-			b.RunParallel(func(pb *testing.PB) {
-				p := m.NewPopper(stick)
-				i := uint64(0)
-				for pb.Next() {
-					p.Push(Item{Pri: i, Val: i})
-					p.Pop()
-					i++
-				}
-			})
 		})
 	}
 }

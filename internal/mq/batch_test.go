@@ -152,40 +152,6 @@ func TestBatchSingleInterleaveConcurrent(t *testing.T) {
 	}
 }
 
-func TestPopperBatchOpsDrainEverything(t *testing.T) {
-	m := New(8)
-	const n = 20000
-	p := m.NewPopper(4)
-	buf := make([]Item, 0, 64)
-	for i := uint64(0); i < n; i++ {
-		buf = append(buf, Item{Pri: i, Val: i})
-		if len(buf) == cap(buf) {
-			p.PushBatch(buf)
-			buf = buf[:0]
-		}
-	}
-	p.PushBatch(buf)
-	seen := make([]bool, n)
-	dst := make([]Item, 64)
-	got := 0
-	for {
-		c := p.PopBatch(dst)
-		if c == 0 {
-			break
-		}
-		for _, it := range dst[:c] {
-			if seen[it.Val] {
-				t.Fatalf("item %d popped twice", it.Val)
-			}
-			seen[it.Val] = true
-		}
-		got += c
-	}
-	if got != n {
-		t.Fatalf("popped %d of %d", got, n)
-	}
-}
-
 func TestProcessBatchRunsAllSeeds(t *testing.T) {
 	var count atomic.Int64
 	seeds := make([]Item, 500)
@@ -217,6 +183,41 @@ func TestProcessBatchDynamicSpawning(t *testing.T) {
 			})
 		if count.Load() != 8191 { // full binary tree of depth 12
 			t.Fatalf("workers=%d: executed %d tasks, want 8191", workers, count.Load())
+		}
+	}
+}
+
+// TestProcessIsClassicDiscipline pins Process as the one loop at
+// BatchSize 1: every locked operation moves exactly one item, so a task
+// costs its push and its pop — the two locks per vertex docs/GRAPH.md
+// quotes as the baseline — plus only the probes that found a queue
+// already drained.
+func TestProcessIsClassicDiscipline(t *testing.T) {
+	const tree = 8191 // full binary tree of depth 12
+	for _, workers := range []int{1, 2, 8} {
+		ran := make([]atomic.Int32, tree)
+		// Val is the node's heap index, so each task is identifiable.
+		st := Process(workers, []Item{{Pri: 0, Val: 0}}, func(_ int, it Item, push Pusher) {
+			ran[it.Val].Add(1)
+			if l := 2*it.Val + 1; l < tree {
+				push.Push(Item{Pri: it.Pri + 1, Val: l})
+				push.Push(Item{Pri: it.Pri + 1, Val: l + 1})
+			}
+		})
+		for i := range ran {
+			if c := ran[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: task %d ran %d times", workers, i, c)
+			}
+		}
+		if st.PoppedItems != tree || st.PushedItems != tree {
+			t.Fatalf("workers=%d: counters %+v do not add up to %d items", workers, st, tree)
+		}
+		if st.PushOps != st.PushedItems || st.PopOps != st.PoppedItems {
+			t.Fatalf("workers=%d: a locked operation moved more than one item: %+v", workers, st)
+		}
+		lpi, hi := st.LocksPerItem(), 2+float64(st.EmptyPops)/float64(st.PoppedItems)
+		if lpi < 2 || lpi > hi {
+			t.Fatalf("workers=%d: %.4f locks per item, want within [2, %.4f]", workers, lpi, hi)
 		}
 	}
 }

@@ -1,20 +1,30 @@
 // Package mq implements the MultiQueue relaxed concurrent priority
 // scheduler of Rihani, Sanders & Dementiev (SPAA 2015), as used by the
-// paper's bfs and sssp benchmarks (Sec 6): a vector of c*P sequential
-// binary heaps, each guarded by a mutex. Push locks a random queue; Pop
-// examines two random queues and pops the one whose top has higher
-// priority (smaller key), giving probabilistic rank guarantees that in
-// practice keep priority inversions small while scaling far better than
-// a single concurrent heap.
+// paper's bfs and sssp benchmarks (Sec 6): a vector of QueuesPerWorker*P
+// sequential 4-ary heaps, each guarded by a mutex. A push locks one
+// random queue; a pop compares the cached tops of two random queues and
+// locks only the one whose top has higher priority (smaller key), giving
+// probabilistic rank guarantees that in practice keep priority
+// inversions small while scaling far better than a single concurrent
+// heap.
 //
-// On top of the classic single-item operations the package provides
-// batched transfers (PushBatch/PopBatch): one lock acquisition and at
-// most one cached-top update amortized over a whole batch, the
-// optimization that turns the graph kernels' hot loop from lock traffic
-// into edge relaxation (docs/GRAPH.md). Batching relaxes priority order
-// further — a popped batch is ordered, but its tail may rank behind
-// items left in other queues — which relaxed-priority drivers already
-// tolerate by construction.
+// There is one engine. Every locked queue operation moves a batch:
+// pushBatchInto is the only function that locks a queue to push,
+// popBatchInto the only one that locks to pop, and batchLoop
+// (process.go) the only worker loop. Push, Pop, PushBatch and PopBatch
+// are length-1 and length-n wrappers over the two. What a driver chooses
+// is Options.BatchSize, and two values are in use:
+//
+//   - 1 is the classic discipline of the paper's bfs/sssp baseline
+//     (Process): a pushed task reaches the queue at once and a pop takes
+//     one, two lock acquisitions per executed task.
+//   - 64 (the default) amortizes one lock acquisition and at most one
+//     cached-top update over a whole batch, the optimization that turns
+//     the graph kernels' hot loop from lock traffic into edge relaxation
+//     (docs/GRAPH.md). Batching relaxes priority order further — a
+//     popped batch is ordered, but its tail may rank behind items left
+//     in other queues — which relaxed-priority drivers already tolerate
+//     by construction.
 //
 // The paper's fear analysis of this code (Observation 6): implementing
 // the scheduler is "Scared" work — mutexes rule out unsynchronized
@@ -37,18 +47,18 @@ type Item struct {
 	Val uint64
 }
 
-// localQueue is one mutex-guarded sequential binary min-heap, padded so
+// localQueue is one mutex-guarded sequential 4-ary min-heap, padded so
 // adjacent queues in the MultiQueue's vector never share a cache line:
 // without the padding every lock handoff on queue i invalidates the
-// cached top of queues i-1 and i+1, which Pop reads lock-free on its
+// cached top of queues i-1 and i+1, which a pop reads lock-free on its
 // best-of-two probes.
 type localQueue struct {
 	mu sync.Mutex
 	h  []Item
-	// top caches the current minimum priority (^0 when empty) so Pop can
-	// compare two queues without taking both locks. It is only stored
-	// when the minimum actually changed (see push/pop), so mid-heap
-	// inserts cost no cross-core invalidation at all.
+	// top caches the current minimum priority (^0 when empty) so a pop
+	// can compare two queues without taking both locks. It is only stored
+	// when the minimum actually changed (see syncTop), so mid-heap inserts
+	// cost no cross-core invalidation at all.
 	top atomic.Uint64
 	// 8 (mutex) + 24 (slice) + 8 (top) = 40 bytes of fields; pad to two
 	// cache lines to also defeat the adjacent-line prefetcher.
@@ -65,10 +75,8 @@ const emptyTop = ^uint64(0)
 const heapArity = 4
 
 // insert sifts a new item into the heap without touching the cached
-// top. It reports whether the item came to rest at the root — which,
-// because sift-up stops on equal priorities, happens exactly when the
-// minimum strictly decreased (or the heap was empty).
-func (q *localQueue) insert(it Item) bool {
+// top.
+func (q *localQueue) insert(it Item) {
 	q.h = append(q.h, it)
 	i := len(q.h) - 1
 	for i > 0 {
@@ -79,7 +87,6 @@ func (q *localQueue) insert(it Item) bool {
 		q.h[parent], q.h[i] = q.h[i], q.h[parent]
 		i = parent
 	}
-	return i == 0
 }
 
 // removeMin extracts a minimum-priority item without touching the
@@ -135,12 +142,7 @@ func (q *localQueue) syncTop(prev uint64) {
 	}
 }
 
-func (q *localQueue) push(it Item) {
-	if q.insert(it) {
-		q.top.Store(q.h[0].Pri)
-	}
-}
-
+// pushAll inserts items with a single top update.
 func (q *localQueue) pushAll(items []Item) {
 	prev := emptyTop
 	if len(q.h) > 0 {
@@ -150,15 +152,6 @@ func (q *localQueue) pushAll(items []Item) {
 		q.insert(it)
 	}
 	q.syncTop(prev)
-}
-
-func (q *localQueue) pop() (Item, bool) {
-	if len(q.h) == 0 {
-		return Item{}, false
-	}
-	it := q.removeMin()
-	q.syncTop(it.Pri)
-	return it, true
 }
 
 // popUpTo extracts up to len(dst) items in priority order with a single
@@ -213,10 +206,11 @@ func (c *counters) add(s Stats) {
 	c.poppedItems.Add(s.PoppedItems)
 }
 
-// counters is the shared atomic form of Stats. Single-item Push/Pop on
-// the MultiQueue update it directly; Poppers accumulate locally and
-// flush once per worker (FlushStats), keeping the hot path free of
-// shared-counter traffic.
+// counters is the shared atomic form of Stats. The two engines count
+// into a caller-supplied Stats: Push/Pop/PushBatch/PopBatch fold theirs
+// in once per call, a driver's worker accumulates locally and folds once
+// at loop exit (batchLoop), keeping the hot path free of shared-counter
+// traffic.
 type counters struct {
 	lockAcquires atomic.Uint64
 	pushOps      atomic.Uint64
@@ -237,6 +231,10 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
+// QueuesPerWorker is the number of internal queues a driver gives each
+// worker (the literature's c, 2..4 there).
+const QueuesPerWorker = 4
+
 // MultiQueue is the relaxed concurrent priority queue.
 type MultiQueue struct {
 	queues []localQueue
@@ -246,14 +244,13 @@ type MultiQueue struct {
 	stats  counters
 
 	// ProcessBatchOn's state (process.go), kept from one drive to the next.
-	workers  []*batchWorker
+	workers  []*batchCtx
 	inFlight atomic.Int64 // tasks pushed whose execution has not finished
 	wg       sync.WaitGroup
 }
 
-// New creates a MultiQueue with c queues per expected thread (the
-// literature's default is c=2..4; we use the given product directly).
-// nQueues is clamped to at least 2.
+// New creates a MultiQueue of nQueues internal queues (drivers pass
+// QueuesPerWorker per worker), clamped to at least 2.
 func New(nQueues int) *MultiQueue {
 	if nQueues < 2 {
 		nQueues = 2
@@ -291,19 +288,15 @@ func (m *MultiQueue) NQueues() int { return len(m.queues) }
 func (m *MultiQueue) Len() int { return int(m.size.Load()) }
 
 // Stats returns a snapshot of the operation counters, including
-// everything flushed by Poppers so far.
+// everything the workers of finished drives folded in.
 func (m *MultiQueue) Stats() Stats { return m.stats.snapshot() }
 
 func (m *MultiQueue) rand() uint64 { return m.rng.U64(m.seq.Add(1)) }
 
 // Push inserts an item into a random queue.
 func (m *MultiQueue) Push(it Item) {
-	q := &m.queues[m.rand()%uint64(len(m.queues))]
-	q.mu.Lock()
-	q.push(it)
-	q.mu.Unlock()
-	m.size.Add(1)
-	m.stats.add(Stats{LockAcquires: 1, PushOps: 1, PushedItems: 1})
+	one := [1]Item{it}
+	m.PushBatch(one[:])
 }
 
 // PushBatch inserts all items into one random queue under a single lock
@@ -314,24 +307,20 @@ func (m *MultiQueue) PushBatch(items []Item) {
 	if len(items) == 0 {
 		return
 	}
-	q := &m.queues[m.rand()%uint64(len(m.queues))]
-	q.mu.Lock()
-	q.pushAll(items)
-	q.mu.Unlock()
-	m.size.Add(int64(len(items)))
-	m.stats.add(Stats{LockAcquires: 1, PushOps: 1, PushedItems: uint64(len(items))})
+	var st Stats
+	m.pushBatchInto(&st, items)
+	m.stats.add(st)
 }
 
 // Pop removes the better-topped of two random queues and returns its
 // minimum item. It returns ok=false when it finds no item; because the
 // queue is relaxed, a false return during concurrent pushes is not a
 // linearizable emptiness guarantee — drivers combine it with their own
-// in-flight accounting (see Process).
+// in-flight accounting (see ProcessBatchOn).
 func (m *MultiQueue) Pop() (Item, bool) {
-	var st Stats
-	it, ok := m.popInto(&st, nil)
-	m.stats.add(st)
-	return it, ok
+	var one [1]Item
+	ok := m.PopBatch(one[:]) == 1
+	return one[0], ok
 }
 
 // PopBatch removes up to len(dst) items from the better-topped of two
@@ -343,81 +332,57 @@ func (m *MultiQueue) PopBatch(dst []Item) int {
 		return 0
 	}
 	var st Stats
-	_, n := m.popBatchInto(&st, dst)
+	n := m.popBatchInto(&st, dst)
 	m.stats.add(st)
 	return n
 }
 
-// popInto is the single-item pop engine, accumulating counters into st.
-func (m *MultiQueue) popInto(st *Stats, _ []Item) (Item, bool) {
-	n := uint64(len(m.queues))
-	// A few best-of-two attempts, then a full sweep to rule out misses.
-	for attempt := 0; attempt < 4; attempt++ {
-		i := m.rand() % n
-		j := m.rand() % n
-		if i == j {
-			j = (j + 1) % n
-		}
-		qi, qj := &m.queues[i], &m.queues[j]
-		// Compare cached tops without locks, then lock only the winner.
-		ti, tj := qi.top.Load(), qj.top.Load()
-		if ti == emptyTop && tj == emptyTop {
-			continue
-		}
-		win := qi
-		if tj < ti {
-			win = qj
-		}
-		win.mu.Lock()
-		it, ok := win.pop()
-		win.mu.Unlock()
-		st.LockAcquires++
-		if ok {
-			st.PopOps++
-			st.PoppedItems++
-			m.size.Add(-1)
-			return it, true
-		}
-		st.EmptyPops++
-	}
-	// Sweep all queues once.
-	for i := range m.queues {
-		q := &m.queues[i]
-		if q.top.Load() == emptyTop {
-			continue
-		}
-		q.mu.Lock()
-		it, ok := q.pop()
-		q.mu.Unlock()
-		st.LockAcquires++
-		if ok {
-			st.PopOps++
-			st.PoppedItems++
-			m.size.Add(-1)
-			return it, true
-		}
-		st.EmptyPops++
-	}
-	return Item{}, false
+// pushBatchInto is the push engine, the only function that locks a
+// queue to push: all of items (non-empty) into one random queue,
+// counters accumulated into st.
+func (m *MultiQueue) pushBatchInto(st *Stats, items []Item) {
+	q := &m.queues[m.rand()%uint64(len(m.queues))]
+	q.mu.Lock()
+	q.pushAll(items)
+	q.mu.Unlock()
+	m.size.Add(int64(len(items)))
+	st.LockAcquires++
+	st.PushOps++
+	st.PushedItems += uint64(len(items))
 }
 
-// popBatchInto is the batch pop engine over randomly probed queues.
-func (m *MultiQueue) popBatchInto(st *Stats, dst []Item) (Item, int) {
+// popAttempts is how many best-of-two probes a pop makes before it
+// sweeps every queue once to rule out misses.
+const popAttempts = 4
+
+// popBatchInto is the pop engine, the only function that locks a queue
+// to pop: up to len(dst) items (dst non-empty) from one queue, counters
+// accumulated into st.
+func (m *MultiQueue) popBatchInto(st *Stats, dst []Item) int {
 	n := uint64(len(m.queues))
-	for attempt := 0; attempt < 4; attempt++ {
-		i := m.rand() % n
-		j := m.rand() % n
-		if i == j {
-			j = (j + 1) % n
-		}
-		qi, qj := &m.queues[i], &m.queues[j]
-		ti, tj := qi.top.Load(), qj.top.Load()
-		if ti == emptyTop && tj == emptyTop {
-			continue
-		}
-		win := qi
-		if tj < ti {
-			win = qj
+	for a := 0; a < popAttempts+len(m.queues); a++ {
+		var win *localQueue
+		if a < popAttempts {
+			i := m.rand() % n
+			j := m.rand() % n
+			if i == j {
+				j = (j + 1) % n
+			}
+			qi, qj := &m.queues[i], &m.queues[j]
+			// Compare cached tops without locks, then lock only the winner.
+			ti, tj := qi.top.Load(), qj.top.Load()
+			if ti == emptyTop && tj == emptyTop {
+				continue
+			}
+			win = qi
+			if tj < ti {
+				win = qj
+			}
+		} else {
+			win = &m.queues[a-popAttempts]
+			if win.top.Load() == emptyTop {
+				continue
+			}
 		}
 		win.mu.Lock()
 		got := win.popUpTo(dst)
@@ -427,26 +392,9 @@ func (m *MultiQueue) popBatchInto(st *Stats, dst []Item) (Item, int) {
 			st.PopOps++
 			st.PoppedItems += uint64(got)
 			m.size.Add(-int64(got))
-			return Item{}, got
+			return got
 		}
 		st.EmptyPops++
 	}
-	for i := range m.queues {
-		q := &m.queues[i]
-		if q.top.Load() == emptyTop {
-			continue
-		}
-		q.mu.Lock()
-		got := q.popUpTo(dst)
-		q.mu.Unlock()
-		st.LockAcquires++
-		if got > 0 {
-			st.PopOps++
-			st.PoppedItems += uint64(got)
-			m.size.Add(-int64(got))
-			return Item{}, got
-		}
-		st.EmptyPops++
-	}
-	return Item{}, 0
+	return 0
 }

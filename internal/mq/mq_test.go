@@ -10,18 +10,29 @@ import (
 
 func TestLocalQueueHeapOrder(t *testing.T) {
 	var q localQueue
+	var items []Item
 	for _, p := range []uint64{5, 1, 9, 3, 7} {
-		q.push(Item{Pri: p, Val: p * 10})
+		items = append(items, Item{Pri: p, Val: p * 10})
+	}
+	q.pushAll(items[:3])
+	q.pushAll(items[3:])
+	if q.top.Load() != 1 {
+		t.Fatalf("top cache = %d after pushes, want 1", q.top.Load())
+	}
+	// Two at a time, so a pop both fills dst and comes up short.
+	dst := make([]Item, 2)
+	var got []Item
+	for n := q.popUpTo(dst); n > 0; n = q.popUpTo(dst) {
+		got = append(got, dst[:n]...)
 	}
 	want := []uint64{1, 3, 5, 7, 9}
-	for _, w := range want {
-		it, ok := q.pop()
-		if !ok || it.Pri != w || it.Val != w*10 {
-			t.Fatalf("pop = %+v ok=%v, want pri %d", it, ok, w)
-		}
+	if len(got) != len(want) {
+		t.Fatalf("popped %d items, want %d", len(got), len(want))
 	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("pop on empty queue succeeded")
+	for i, w := range want {
+		if got[i].Pri != w || got[i].Val != w*10 {
+			t.Fatalf("pop %d = %+v, want pri %d", i, got[i], w)
+		}
 	}
 	if q.top.Load() != emptyTop {
 		t.Fatal("top cache not reset on empty")
@@ -31,19 +42,20 @@ func TestLocalQueueHeapOrder(t *testing.T) {
 func TestLocalQueuePropertySortedDrain(t *testing.T) {
 	f := func(pris []uint32) bool {
 		var q localQueue
-		for _, p := range pris {
-			q.push(Item{Pri: uint64(p)})
+		items := make([]Item, len(pris))
+		for i, p := range pris {
+			items[i] = Item{Pri: uint64(p)}
 		}
+		q.pushAll(items)
 		want := append([]uint32(nil), pris...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		one := make([]Item, 1)
 		for _, w := range want {
-			it, ok := q.pop()
-			if !ok || it.Pri != uint64(w) {
+			if q.popUpTo(one) != 1 || one[0].Pri != uint64(w) {
 				return false
 			}
 		}
-		_, ok := q.pop()
-		return !ok
+		return q.popUpTo(one) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

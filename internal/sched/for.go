@@ -1,54 +1,40 @@
 package sched
 
-// This file holds the demand-driven parallel loop. The paper's Fig 4/6
-// claim — a pattern library costing ≈1x over hand-rolled code at one
-// thread — rests on the scheduler's uncontended path being near-free, so
-// For splits lazily, Rayon-style: run the range as a sequential chunk
-// loop and carve off the upper half only when a demand signal (a parked
-// worker, or a thief raiding this worker's deque) indicates idle
-// capacity. An uncontended For therefore executes O(steals) tasks
-// instead of the O(n/grain) an eager splitter creates.
+// This file holds the closure form of the demand-driven parallel loop
+// and the demand hint behind it. The paper's Fig 4/6 claim — a pattern
+// library costing ≈1x over hand-rolled code at one thread — rests on the
+// scheduler's uncontended path being near-free, so loops split lazily,
+// Rayon-style: run the range as a sequential chunk loop and carve off
+// the upper half only when a demand signal (a parked worker, or a thief
+// raiding this worker's deque) indicates idle capacity. An uncontended
+// loop therefore executes O(steals) tasks instead of the O(n/grain) an
+// eager splitter creates. The splitter itself is forBodyAdaptive
+// (forbody.go), the one split engine; For is an adapter onto it.
+
+// rangeFunc adapts a loop-body closure to RangeBody. A func value is
+// pointer-shaped, so the interface conversion allocates nothing beyond
+// the closure the caller already built.
+type rangeFunc func(w *Worker, lo, hi int)
+
+func (f rangeFunc) RunRange(w *Worker, lo, hi int) { f(w, lo, hi) }
 
 // For executes body over [lo, hi), lazily splitting off stealable
 // subranges while idle workers exist, and running grain-sized chunks
-// sequentially otherwise. Ranges passed to body are at most grain
-// elements. grain <= 0 selects an automatic grain (about 8 tasks per
-// worker under full subdivision). body may be invoked concurrently on
-// disjoint subranges and must be safe under that concurrency.
+// sequentially otherwise: ForBody with a closure for a body. Ranges
+// passed to body are at most grain elements. grain <= 0 selects an
+// automatic grain (about 8 tasks per worker under full subdivision).
+// body may be invoked concurrently on disjoint subranges and must be
+// safe under that concurrency. A nil w runs body(nil, lo, hi) inline,
+// the sequential contract every core primitive has.
 func (w *Worker) For(lo, hi, grain int, body func(w *Worker, lo, hi int)) {
 	if hi <= lo {
 		return
 	}
-	if grain <= 0 {
-		grain = grainFor(hi-lo, w.pool.Workers())
+	if w == nil {
+		body(nil, lo, hi)
+		return
 	}
-	w.forAdaptive(lo, hi, grain, body)
-}
-
-// forAdaptive is the lazy splitter: between grain-sized sequential
-// chunks it consults shouldSplit, and on demand forks the remaining
-// range's upper half through Join (whose frame is allocation-free when
-// the half is not stolen). Each stolen half re-enters forAdaptive on the
-// thief, so subdivision recursively tracks the number of idle workers.
-func (w *Worker) forAdaptive(lo, hi, grain int, body func(w *Worker, lo, hi int)) {
-	for hi-lo > grain {
-		if w.shouldSplit() {
-			mid := lo + (hi-lo)/2
-			lo1, mid2, hi2 := lo, mid, hi
-			w.nSplits.Add(1)
-			w.Join(
-				func(w *Worker) { w.forAdaptive(lo1, mid, grain, body) },
-				func(w *Worker) { w.forAdaptive(mid2, hi2, grain, body) },
-			)
-			return
-		}
-		next := lo + grain
-		body(w, lo, next)
-		lo = next
-	}
-	if hi > lo {
-		body(w, lo, hi)
-	}
+	w.ForBody(lo, hi, grain, rangeFunc(body))
 }
 
 // shouldSplit is the demand hint behind lazy splitting: split when idle

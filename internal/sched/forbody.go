@@ -2,14 +2,13 @@ package sched
 
 import "runtime/debug"
 
-// This file holds the allocation-free variant of the demand-driven
-// parallel loop. For (for.go) takes its body as a closure, which Go
-// heap-allocates at every call site: the split path stores the body in
-// a stealable frame, so escape analysis pins the closure (and the two
-// subrange closures built at each split) to the heap. That fixed cost
-// is invisible under a kernel that allocates O(n) scratch, but it is
-// exactly what stands between the scan/pack hot paths and 0 allocs/op
-// once their scratch comes from per-worker arenas.
+// This file holds the demand-driven parallel loop's one split engine,
+// in its allocation-free form. A body passed as a closure (For, for.go)
+// is heap-allocated by Go at every call site: the split path stores the
+// body in a stealable frame, so escape analysis pins the closure to the
+// heap. That fixed cost is invisible under a kernel that allocates O(n)
+// scratch, but it is exactly what stands between the scan/pack hot
+// paths and 0 allocs/op once their scratch comes from per-worker arenas.
 //
 // ForBody removes it by taking the body as an interface. Callers keep
 // the body state in a reusable per-worker box (internal/arena's box
@@ -26,11 +25,11 @@ type RangeBody interface {
 	RunRange(w *Worker, lo, hi int)
 }
 
-// ForBody executes body.RunRange over [lo, hi) with the same lazy
-// demand-driven splitting as For, but without allocating: the body
-// travels as an interface value and splits ride reusable per-worker
-// frames. grain <= 0 selects the automatic grain. Subranges passed to
-// RunRange are at most grain elements.
+// ForBody executes body.RunRange over [lo, hi) with lazy demand-driven
+// splitting (for.go says why) and without allocating: the body travels
+// as an interface value and splits ride reusable per-worker frames.
+// grain <= 0 selects the automatic grain. Subranges passed to RunRange
+// are at most grain elements.
 func (w *Worker) ForBody(lo, hi, grain int, body RangeBody) {
 	if hi <= lo {
 		return
@@ -41,9 +40,11 @@ func (w *Worker) ForBody(lo, hi, grain int, body RangeBody) {
 	w.forBodyAdaptive(lo, hi, grain, body)
 }
 
-// forBodyAdaptive mirrors forAdaptive for interface bodies: sequential
-// grain-sized chunks between demand checks, splitting the remaining
-// upper half on demand through a cached frame pair.
+// forBodyAdaptive is the lazy splitter: between grain-sized sequential
+// chunks it consults shouldSplit, and on demand forks the remaining
+// range's upper half through a cached frame pair. Each stolen half
+// re-enters forBodyAdaptive on the thief, so subdivision recursively
+// tracks the number of idle workers.
 func (w *Worker) forBodyAdaptive(lo, hi, grain int, body RangeBody) {
 	for hi-lo > grain {
 		if w.shouldSplit() {

@@ -187,23 +187,32 @@ func TestJoinNestedFibonacci(t *testing.T) {
 }
 
 func TestForCoversRangeOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		p := NewPool(workers)
+	// workers 0 is the nil receiver: the whole range, inline, in one call.
+	for _, workers := range []int{0, 1, 2, 4, 8} {
 		const n = 100000
 		counts := make([]atomic.Int32, n)
-		p.Do(func(w *Worker) {
-			w.For(0, n, 0, func(_ *Worker, lo, hi int) {
+		loop := func(w *Worker) {
+			w.For(0, n, 0, func(w2 *Worker, lo, hi int) {
+				if w == nil && (w2 != nil || lo != 0 || hi != n) {
+					t.Errorf("nil receiver: body(%v, %d, %d), want (nil, 0, %d)", w2, lo, hi, n)
+				}
 				for i := lo; i < hi; i++ {
 					counts[i].Add(1)
 				}
 			})
-		})
+		}
+		if workers == 0 {
+			loop(nil)
+		} else {
+			p := NewPool(workers)
+			p.Do(loop)
+			p.Close()
+		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
 			}
 		}
-		p.Close()
 	}
 }
 
@@ -215,6 +224,9 @@ func TestForEmptyAndReversedRange(t *testing.T) {
 		w.For(5, 5, 1, func(*Worker, int, int) { called = true })
 		w.For(7, 3, 1, func(*Worker, int, int) { called = true })
 	})
+	var none *Worker
+	none.For(5, 5, 1, func(*Worker, int, int) { called = true })
+	none.For(7, 3, 1, func(*Worker, int, int) { called = true })
 	if called {
 		t.Fatal("body called on empty/reversed range")
 	}
