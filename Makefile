@@ -46,15 +46,20 @@ race:
 	$(GO) test -race ./...
 
 # Fuzz smoke: run FuzzCodecRoundTrip — group-varint rows, group-skip
-# probes, shard assembly — and FuzzSymmetrize — the integer-sort
-# Symmetrize against its comparison-sort reference — for a few
-# wall-clock seconds of mutation each on top of the seed corpus. Not a
-# soak; just enough for CI to catch an encoder or key-packing change
-# that breaks on shapes the unit tests don't enumerate.
+# probes, shard assembly — FuzzSymmetrize — the integer-sort
+# Symmetrize against its comparison-sort reference — FuzzArrayAgainstNaive
+# — the packed-key prefix-doubling suffix array, sequential and on a
+# pool, unchecked and checked, against DC3 and a comparison sort — and
+# FuzzBWTRoundTrip for a few wall-clock seconds of mutation each on top
+# of the seed corpus. Not a soak; just enough for CI to catch an
+# encoder or key-packing change that breaks on shapes the unit tests
+# don't enumerate.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run xxx -fuzz FuzzSymmetrize -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run xxx -fuzz FuzzArrayAgainstNaive -fuzztime $(FUZZTIME) ./internal/suffix/
+	$(GO) test -run xxx -fuzz FuzzBWTRoundTrip -fuzztime $(FUZZTIME) ./internal/suffix/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

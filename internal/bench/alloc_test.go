@@ -67,7 +67,7 @@ func TestKernelsSteadyStateAllocs(t *testing.T) {
 		{"mis", graph.InputLink, ScaleTest, 4},
 		{"msf", graph.InputRMAT, ScaleTest, 5},
 		{"sf", graph.InputLink, ScaleTest, 1},
-		{"sa", "wiki", ScaleTest, 54},
+		{"sa", "wiki", ScaleTest, 42},
 		{"bfs", graph.InputRMAT, ScaleTest, 12},
 		{"bfs", graph.InputLink, ScaleTest, 11},
 		// The all-top-down traversal allocates nothing, but only a grid

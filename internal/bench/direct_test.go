@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/seqgen"
 	"repro/internal/suffix"
+	"repro/internal/suffix/suffixtest"
 )
 
 func TestDirectForCoversRange(t *testing.T) {
@@ -103,6 +104,25 @@ func TestDirectSuffixArrayMatchesLibrary(t *testing.T) {
 	}
 }
 
+// The hand-rolled suffix array runs the same edge-case table as
+// suffix.ArrayOpts, against DC3, on one, two and eight threads.
+func TestDirectSuffixArrayMatchesDC3Table(t *testing.T) {
+	for _, c := range suffixtest.Cases() {
+		want := suffix.ArrayDC3(c.Text)
+		for _, threads := range []int{1, 2, 8} {
+			got := directSuffixArray(threads, c.Text)
+			if len(got) != len(want) {
+				t.Fatalf("%s (%d threads): length %d, want %d", c.Name, threads, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s (%d threads): sa[%d] = %d, want %d", c.Name, threads, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestDirectBWTDecodeMatchesLibrary(t *testing.T) {
 	text := seqgen.Text(nil, 20000, 5)
 	bwt := suffix.BWTEncode(nil, text)
@@ -124,7 +144,7 @@ func TestDirectSortPairsStable(t *testing.T) {
 		keys[i] = uint64(rng.Intn(64))
 		vals[i] = int32(i)
 	}
-	directSortPairs(3, keys, vals, 8)
+	directSortPairs(3, keys, vals, 8, make([]uint64, n), make([]int32, n))
 	for i := 1; i < n; i++ {
 		if keys[i-1] > keys[i] {
 			t.Fatalf("not sorted at %d", i)

@@ -51,7 +51,9 @@ func directCountingPass(nThreads int, srcK, dstK []uint64, srcV, dstV []int32, s
 	})
 }
 
-func directSortPairs(nThreads int, keys []uint64, vals []int32, bits int) {
+// directSortPairs is the LSD radix sort over directCountingPass, with
+// the caller's ping-pong buffers (at least len(keys) long).
+func directSortPairs(nThreads int, keys []uint64, vals []int32, bits int, kBuf []uint64, vBuf []int32) {
 	n := len(keys)
 	if n < 2 {
 		return
@@ -60,9 +62,7 @@ func directSortPairs(nThreads int, keys []uint64, vals []int32, bits int) {
 	if passes == 0 {
 		passes = 1
 	}
-	kBuf := make([]uint64, n)
-	vBuf := make([]int32, n)
-	srcK, dstK, srcV, dstV := keys, kBuf, vals, vBuf
+	srcK, dstK, srcV, dstV := keys, kBuf[:n], vals, vBuf[:n]
 	for p := 0; p < passes; p++ {
 		directCountingPass(nThreads, srcK, dstK, srcV, dstV, uint(p*8))
 		srcK, dstK = dstK, srcK
@@ -88,100 +88,197 @@ func bitsFor(max uint64) int {
 	return b
 }
 
-// directSuffixArray is prefix doubling with hand-rolled radix passes.
+// directSuffixArray is suffix.ArrayOpts' algorithm with hand-rolled
+// passes: one radix sort of packed first-h-character keys, then rounds
+// that re-sort only the positions still tied, each ending in a
+// full-length rank write. Every buffer is allocated once per call.
 func directSuffixArray(nThreads int, s []byte) []int32 {
 	n := len(s)
 	if n == 0 {
 		return nil
 	}
-	sa := make([]int32, n)
-	rank := make([]int32, n)
-	keys := make([]uint64, n)
-	directFor(nThreads, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sa[i] = int32(i)
-			keys[i] = uint64(s[i])
+	nb := (n + dtxBlock - 1) / dtxBlock
+	seen := make([][256]bool, nb)
+	directFor(nThreads, nb, func(blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			for _, c := range s[b*dtxBlock : min((b+1)*dtxBlock, n)] {
+				seen[b][c] = true
+			}
 		}
 	})
-	directSortPairs(nThreads, keys, sa, 8)
-	rankBits := bitsFor(uint64(n))
-	distinct := directAssignRanks(nThreads, keys, sa, rank)
-	for k := 1; k < n && !distinct; k *= 2 {
+	var code [256]uint64
+	sigma := uint64(0)
+	for c := range code {
+		for b := range seen {
+			if seen[b][c] {
+				sigma++
+				code[c] = sigma
+				break
+			}
+		}
+	}
+	cb := bitsFor(sigma)
+	h := 64 / cb
+	keyBits := h * cb
+	keyMask := ^uint64(0) >> (64 - keyBits)
+	sa := make([]int32, n)
+	rank := make([]int32, n)
+	grp := make([]int32, n)
+	at := make([]int32, n)
+	spare := make([]int32, n)
+	gathered := make([]int32, n)
+	vBuf := make([]int32, n)
+	keys := make([]uint64, n)
+	kBuf := make([]uint64, n)
+	writeRanks := func() {
 		directFor(nThreads, n, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
-				i := int(sa[j])
-				hi64 := uint64(rank[i]) + 1
-				var lo64 uint64
-				if i+k < n {
-					lo64 = uint64(rank[i+k]) + 1
-				}
-				keys[j] = hi64<<(rankBits+1) | lo64
+				rank[sa[j]] = grp[j]
 			}
 		})
-		directSortPairs(nThreads, keys, sa, 2*(rankBits+1))
-		distinct = directAssignRanks(nThreads, keys, sa, rank)
+	}
+	directFor(nThreads, n, func(lo, hi int) {
+		var key uint64
+		for t := lo; t < lo+h; t++ {
+			key <<= cb
+			if t < n {
+				key |= code[s[t]]
+			}
+		}
+		for i := lo; i < hi; i++ {
+			sa[i] = int32(i)
+			keys[i] = key
+			key <<= cb
+			if i+h < n {
+				key |= code[s[i+h]]
+			}
+			key &= keyMask
+		}
+	})
+	directSortPairs(nThreads, keys, sa, keyBits, kBuf, vBuf)
+	directGroupStarts(nThreads, keys, nil, grp, grp)
+	writeRanks()
+	at = directPackTied(nThreads, keys, nil, at)
+	rankBits := bitsFor(uint64(n))
+	for k := h; len(at) > 0; k *= 2 {
+		m := len(at)
+		ck, g := keys[:m], gathered[:m]
+		directFor(nThreads, m, func(lo, hi int) {
+			for t := lo; t < hi; t++ {
+				j := at[t]
+				i := int(sa[j])
+				var next uint64
+				if i+k < n {
+					next = uint64(rank[i+k]) + 1
+				}
+				ck[t] = uint64(grp[j])<<rankBits | next
+				g[t] = int32(i)
+			}
+		})
+		directSortPairs(nThreads, ck, g, 2*rankBits, kBuf, vBuf)
+		directFor(nThreads, m, func(lo, hi int) {
+			for t := lo; t < hi; t++ {
+				sa[at[t]] = g[t]
+			}
+		})
+		directGroupStarts(nThreads, ck, at, spare[:m], grp)
+		writeRanks()
+		at, spare = directPackTied(nThreads, ck, at, spare), at
 	}
 	return sa
 }
 
-func directAssignRanks(nThreads int, keys []uint64, sa, rank []int32) bool {
-	n := len(keys)
-	flags := make([]int32, n)
-	boundaries := directReduce(nThreads, n-1, 1, func(j int) int64 {
-		if keys[j+1] != keys[j] {
-			return 1
+// directGroupStarts writes into grp, at each sorted key t's position
+// (at[t], or t when at is nil), the position where its run of equal
+// keys starts: boundary flags, then a chunked two-pass running max.
+// flags (len(keys) long) may alias grp when at is nil.
+func directGroupStarts(nThreads int, keys []uint64, at, flags, grp []int32) {
+	m := len(keys)
+	pos := func(t int) int32 {
+		if at == nil {
+			return int32(t)
 		}
-		return 0
-	}, func(a, b int64) int64 { return a + b })
-	directFor(nThreads, n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if j > 0 && keys[j] != keys[j-1] {
-				flags[j] = int32(j)
+		return at[t]
+	}
+	directFor(nThreads, m, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			flags[t] = 0
+			if t == 0 || keys[t] != keys[t-1] {
+				flags[t] = pos(t)
 			}
 		}
 	})
-	// Running max via chunked two-pass (max-scan).
-	nb := (n + dtxBlock - 1) / dtxBlock
+	nb := (m + dtxBlock - 1) / dtxBlock
 	maxes := make([]int32, nb)
 	directFor(nThreads, nb, func(blo, bhi int) {
 		for b := blo; b < bhi; b++ {
-			lo, hi := b*dtxBlock, (b+1)*dtxBlock
-			if hi > n {
-				hi = n
-			}
-			var m int32
-			for i := lo; i < hi; i++ {
-				if flags[i] > m {
-					m = flags[i]
+			var mx int32
+			for _, f := range flags[b*dtxBlock : min((b+1)*dtxBlock, m)] {
+				if f > mx {
+					mx = f
 				}
 			}
-			maxes[b] = m
+			maxes[b] = mx
 		}
 	})
 	var running int32
-	for b := 0; b < nb; b++ {
-		m := maxes[b]
+	for b := range maxes {
+		mx := maxes[b]
 		maxes[b] = running
-		if m > running {
-			running = m
+		if mx > running {
+			running = mx
 		}
 	}
 	directFor(nThreads, nb, func(blo, bhi int) {
 		for b := blo; b < bhi; b++ {
-			lo, hi := b*dtxBlock, (b+1)*dtxBlock
-			if hi > n {
-				hi = n
-			}
 			acc := maxes[b]
-			for j := lo; j < hi; j++ {
-				if flags[j] > acc {
-					acc = flags[j]
+			for t := b * dtxBlock; t < min((b+1)*dtxBlock, m); t++ {
+				if flags[t] > acc {
+					acc = flags[t]
 				}
-				rank[sa[j]] = acc
+				grp[pos(t)] = acc
 			}
 		}
 	})
-	return boundaries == int64(n)
+}
+
+// directPackTied writes, in order, the position (at[t], or t when at is
+// nil) of every sorted key t equal to a neighbour's into dst and
+// returns the packed prefix: the positions still tied. dst must not
+// alias at.
+func directPackTied(nThreads int, keys []uint64, at, dst []int32) []int32 {
+	m := len(keys)
+	tied := func(t int) bool {
+		return (t > 0 && keys[t] == keys[t-1]) || (t+1 < m && keys[t+1] == keys[t])
+	}
+	nb := (m + dtxBlock - 1) / dtxBlock
+	counts := make([]int32, nb)
+	directFor(nThreads, nb, func(blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			for t := b * dtxBlock; t < min((b+1)*dtxBlock, m); t++ {
+				if tied(t) {
+					counts[b]++
+				}
+			}
+		}
+	})
+	total := directScanExclusive(nThreads, counts)
+	directFor(nThreads, nb, func(blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			cur := counts[b]
+			for t := b * dtxBlock; t < min((b+1)*dtxBlock, m); t++ {
+				if tied(t) {
+					if at == nil {
+						dst[cur] = int32(t)
+					} else {
+						dst[cur] = at[t]
+					}
+					cur++
+				}
+			}
+		}
+	})
+	return dst[:total]
 }
 
 // directBWTDecode inverts a BWT with hand-rolled LF mapping and pointer

@@ -121,10 +121,10 @@ func init() {
 	declareSuffixArraySites := func(b string) {
 		core.DeclareSite(b, "init: text read", core.RO)
 		core.DeclareSite(b, "init: sa identity write", core.Stride)
-		core.DeclareSite(b, "init: first-byte key write", core.Stride)
-		core.DeclareSite(b, "doubling: rank read at i", core.RO)
-		core.DeclareSite(b, "doubling: rank read at i+k", core.AW)
-		core.DeclareSite(b, "doubling: combined key write", core.Stride)
+		core.DeclareSite(b, "init: packed-prefix key write", core.Stride)
+		core.DeclareSite(b, "refine: group-start read", core.RO)
+		core.DeclareSite(b, "refine: rank read at i+k", core.AW)
+		core.DeclareSite(b, "refine: (group, rank) key write", core.Stride)
 		core.DeclareSite(b, "radix: src key read", core.RO)
 		core.DeclareSite(b, "radix: block count write", core.Block)
 		core.DeclareSite(b, "radix: count scan", core.Block)
@@ -132,7 +132,7 @@ func init() {
 		core.DeclareSite(b, "radix: pass recursion", core.DC)
 		core.DeclareSite(b, "ranks: boundary flag write", core.Stride)
 		core.DeclareSite(b, "ranks: flag max-scan", core.Block)
-		core.DeclareSite(b, "ranks: rvals write", core.Stride)
+		core.DeclareSite(b, "ranks: group-start write", core.Stride)
 		core.DeclareSite(b, "ranks: scatter rank[sa[j]]", core.SngInd)
 	}
 	declareSuffixArraySites("sa")

@@ -81,7 +81,7 @@ func IndForEach[T any, I IndexInt](w *Worker, out []T, offsets []I, f func(i int
 // pairwise-distinct values in [0, len(out)) at the call — accepted
 // proof sources are a core.PackIndex result used unmodified, a
 // complete affine fill offsets[i] = a*i+c with constant a != 0, or an
-// identity fill permuted only by core.Sort/SortBy/radix.SortPairs.
+// identity fill permuted only by core.Sort/SortBy/radix.SortPairs/SortPairsAt.
 // Sites without a current certificate must carry a DeclareSite entry
 // or a //lint:scared marker.
 func IndForEachUnchecked[T any, I IndexInt](w *Worker, out []T, offsets []I, f func(i int, slot *T)) {

@@ -27,8 +27,8 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestCertifyClean pins the positive fixtures: every proof form the
-// prover accepts (packindex, affine-fill, permutation, scan) certifies
-// its unchecked site, the checked affine scatter is elidable-check, and
+// prover accepts (packindex, affine-fill, permutation — through a sort
+// or radix.SortPairsAt — and scan) certifies its unchecked site, the checked affine scatter is elidable-check, and
 // the one intraprocedurally-invisible site (offsets arriving as a
 // parameter) is refused, not guessed at.
 func TestCertifyClean(t *testing.T) {
@@ -38,8 +38,8 @@ func TestCertifyClean(t *testing.T) {
 	}
 	checkGolden(t, "certify-clean.golden", rep.String())
 
-	if rep.Certified != 7 || rep.Elidable != 2 || rep.Refused != 1 {
-		t.Errorf("counts = %d certified, %d elidable, %d refused; want 7/2/1",
+	if rep.Certified != 8 || rep.Elidable != 2 || rep.Refused != 1 {
+		t.Errorf("counts = %d certified, %d elidable, %d refused; want 8/2/1",
 			rep.Certified, rep.Elidable, rep.Refused)
 	}
 	sources := map[string]bool{}
@@ -77,6 +77,7 @@ func TestCertifyBad(t *testing.T) {
 		"aliased through a second slice header",
 		"non-negative",
 		"not inside a single recognized loop",
+		"the fill proof needs exactly one",
 	} {
 		found := false
 		for _, s := range rep.Sites {

@@ -18,7 +18,8 @@ package lint
 //	                [0, len(offsets)), no other writes. Injective.
 //	P3 permutation  identity fill as in P2, subsequently mutated ONLY by
 //	                permutation-preserving operations (core.Sort,
-//	                core.SortBy, radix.SortPairs): the slice stays a
+//	                core.SortBy, radix.SortPairs, and radix.SortPairsAt
+//	                as its vals argument): the slice stays a
 //	                permutation of [0, len(offsets)).
 //	P4 scan         offsets := make(...) (zero), every element write
 //	                before the scan stores a provably non-negative
@@ -465,6 +466,10 @@ func (p *prover) classifyCallUse(argNode ast.Expr, id *ast.Ident, from1 bool, ca
 		return &use{kind: useOther, why: "passed to core." + name}
 	case isPath(pathStr, radixPath) && name == "SortPairs" && (argIdx == 1 || argIdx == 2) && !from1:
 		return &use{kind: usePermuteArg, callName: "SortPairs"}
+	case isPath(pathStr, radixPath) && name == "SortPairsAt" && argIdx == 2 && !from1:
+		// vals: permuted among the positions at lists, which SortPairsAt
+		// validates as strictly increasing before it writes.
+		return &use{kind: usePermuteArg, callName: "SortPairsAt"}
 	}
 	return &use{kind: useOther, why: fmt.Sprintf("passed to %s.%s", pathStr, name)}
 }

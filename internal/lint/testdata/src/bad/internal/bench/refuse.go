@@ -7,6 +7,7 @@ package bench
 
 import (
 	"fixture/internal/core"
+	"fixture/internal/radix"
 )
 
 // refusePackMutated: a PackIndex result is no longer trustworthy after
@@ -101,6 +102,24 @@ func refuseBlocksPartial(w *core.Worker, n int) []uint32 {
 	})
 	core.IndForEachUnchecked(w, dst, off, func(i int, slot *uint32) { *slot = uint32(i) })
 	return dst
+}
+
+// refusePermutedAtWritten: certPermutedAt's shape plus one plain
+// element write after the sort — sa[p] = x can duplicate a value, so
+// sa is no longer a permutation.
+func refusePermutedAtWritten(w *core.Worker, keys []uint64, at []int32, vals []uint32, p int, x int32) []uint32 {
+	n := len(vals)
+	out := make([]uint32, n)
+	sa := make([]int32, n)
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sa[i] = int32(i)
+		}
+	})
+	radix.SortPairsAt(w, keys, sa, at, 16)
+	sa[p] = x
+	core.ScatterUnchecked(w, out, sa, vals)
+	return out
 }
 
 func init() {

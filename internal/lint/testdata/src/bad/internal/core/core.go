@@ -104,3 +104,9 @@ func ScanInclusive[T Number](w *Worker, xs []T) T {
 func Sort[T Number](w *Worker, xs []T) {}
 
 func SortBy[T any](w *Worker, xs []T, less func(a, b T) bool) {}
+
+func ScatterUnchecked[T any, I IndexInt](w *Worker, out []T, offsets []I, vals []T) {
+	for i := range offsets {
+		out[offsets[i]] = vals[i]
+	}
+}

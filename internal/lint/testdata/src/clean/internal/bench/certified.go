@@ -6,6 +6,7 @@ package bench
 
 import (
 	"fixture/internal/core"
+	"fixture/internal/radix"
 )
 
 // certPack — proof form P1: offsets are a core.PackIndex result used
@@ -39,6 +40,24 @@ func certPermuted(w *core.Worker, n int) []uint32 {
 	core.ForRange(w, 0, n, 0, func(i int) { perm[i] = int32(i) })
 	core.SortBy(w, perm, func(a, b int32) bool { return a&7 < b&7 })
 	core.IndForEachUnchecked(w, out, perm, func(i int, slot *uint32) { *slot = uint32(i) })
+	return out
+}
+
+// certPermutedAt — proof form P3 through radix.SortPairsAt, the suffix
+// array's shape: an identity fill, a sort of the entries at some
+// positions among themselves, then the scatter. SortPairsAt permutes
+// its vals argument, so sa stays a permutation of [0, n).
+func certPermutedAt(w *core.Worker, keys []uint64, at []int32, vals []uint32) []uint32 {
+	n := len(vals)
+	out := make([]uint32, n)
+	sa := make([]int32, n)
+	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sa[i] = int32(i)
+		}
+	})
+	radix.SortPairsAt(w, keys, sa, at, 16)
+	core.ScatterUnchecked(w, out, sa, vals)
 	return out
 }
 

@@ -16,6 +16,8 @@
 package radix
 
 import (
+	"sync/atomic"
+
 	"repro/internal/arena"
 	"repro/internal/core"
 )
@@ -36,14 +38,17 @@ func blockSizeFor(n int) int {
 }
 
 // Scratch holds the reusable memory of SortPairs: the ping-pong key and
-// value buffers, the (digit, chunk) count matrix, and the pass body.
+// value buffers, the (digit, chunk) count matrix, and the pass body —
+// plus, for SortPairsAt, the gathered values and their loop body.
 // A Scratch grows to the largest sort it has served and is reused
 // without shrinking. It is single-owner: one sort at a time.
 type Scratch struct {
-	keyBuf []uint64
-	valBuf []int32
-	counts []int32
-	body   passBody
+	keyBuf   []uint64
+	valBuf   []int32
+	counts   []int32
+	body     passBody
+	gathered []int32
+	at       atBody
 }
 
 // SortPairs sorts keys (and vals along with it) by ascending key,
@@ -182,6 +187,99 @@ func countingPass(w *core.Worker, s *Scratch, srcK []uint64, srcV []int32, dstK 
 		w.ForBody(0, nb, 1, b)
 	}
 	b.srcK, b.srcV, b.dstK, b.dstV, b.counts = nil, nil, nil, nil, nil
+}
+
+// SortPairsAt sorts the entries vals[at[0]], ..., vals[at[m-1]] among
+// those positions by the compact keys keys[0:m] (keys[t] belongs to
+// vals[at[t]]), stably: afterwards keys is sorted and vals[at[t]] holds
+// the value of the t-th smallest key. Every other entry of vals is
+// untouched. The sort runs the counting passes of SortPairs on a
+// gathered copy and writes the result back through at — a scatter
+// whose targets are distinct only if at is strictly increasing, so at
+// is checked for that (and for lying inside vals) in O(m) first, and a
+// violation panics before anything is written. Scratch comes from the
+// worker's box stack as in SortPairs.
+func SortPairsAt(w *core.Worker, keys []uint64, vals, at []int32, bits int) {
+	m := len(at)
+	if len(keys) != m {
+		panic("radix.SortPairsAt: keys/at length mismatch")
+	}
+	var s *Scratch
+	if w == nil {
+		s = new(Scratch)
+	} else {
+		s = arena.AcquireBox[Scratch](w)
+	}
+	b := &s.at
+	b.vals, b.at = vals, at
+	b.run(w, atCheck)
+	bad := b.bad.Swap(false)
+	if !bad && m >= 2 {
+		s.gathered = core.EnsureLen(s.gathered, m)
+		b.g = s.gathered
+		b.run(w, atGather)
+		SortPairsScratch(w, keys, s.gathered, bits, s)
+		b.run(w, atWrite)
+	}
+	b.vals, b.at, b.g = nil, nil, nil
+	if w != nil {
+		arena.ReleaseBox(w, s)
+	}
+	if bad {
+		panic("radix.SortPairsAt: positions not strictly increasing inside vals")
+	}
+}
+
+// Phases of atBody.
+const (
+	atCheck uint8 = iota
+	atGather
+	atWrite
+)
+
+// atBody is the loop body of SortPairsAt over compact indices t: phase
+// atCheck validates the positions, atGather copies vals[at[t]] into
+// g[t], atWrite copies the sorted g[t] back to vals[at[t]].
+type atBody struct {
+	vals, at, g []int32
+	phase       uint8
+	bad         atomic.Bool
+}
+
+func (b *atBody) run(w *core.Worker, phase uint8) {
+	b.phase = phase
+	switch phase {
+	case atGather:
+		core.CountDynamic(core.Stride)
+	case atWrite:
+		core.CountDynamic(core.SngInd)
+	}
+	if w == nil || len(b.at) <= 1 {
+		b.RunRange(nil, 0, len(b.at))
+	} else {
+		w.ForBody(0, len(b.at), 0, b)
+	}
+}
+
+func (b *atBody) RunRange(_ *core.Worker, lo, hi int) {
+	vals, at, g := b.vals, b.at, b.g
+	switch b.phase {
+	case atCheck:
+		for t := lo; t < hi; t++ {
+			if p := at[t]; p < 0 || int(p) >= len(vals) || (t > 0 && at[t-1] >= p) {
+				b.bad.Store(true)
+				return
+			}
+		}
+	case atGather:
+		for t := lo; t < hi; t++ {
+			g[t] = vals[at[t]]
+		}
+	default:
+		for t := lo; t < hi; t++ {
+			vals[at[t]] = g[t] //lint:scared write-back: the atCheck phase proved at strictly increasing inside vals before this phase runs, so the targets are distinct (TestSortPairsAtRejectsBadPositions fails if the check lets a duplicate through)
+		}
+	}
 }
 
 // SortU32 sorts keys ascending, examining only the low `bits` bits. The

@@ -164,6 +164,125 @@ func TestSortPairsSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// sortAtInput builds an m-of-n position vector (every index whose hash
+// picks it), random keys for those positions, and vals[i] = i.
+func sortAtInput(n int, seed int64) (keys []uint64, vals, at []int32) {
+	rng := rand.New(rand.NewSource(seed))
+	vals = make([]int32, n)
+	for i := range vals {
+		vals[i] = int32(i)
+		if rng.Intn(3) == 0 {
+			at = append(at, int32(i))
+		}
+	}
+	keys = make([]uint64, len(at))
+	for t := range keys {
+		keys[t] = uint64(rng.Intn(500))
+	}
+	return keys, vals, at
+}
+
+// SortPairsAt equals a stable sort of the gathered values, and leaves
+// every position outside at untouched — sequentially and on a pool
+// large enough to split every phase.
+func TestSortPairsAtMatchesStableSortOfGathered(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 60000} {
+		for _, pooled := range []bool{false, true} {
+			keys, vals, at := sortAtInput(n, int64(n))
+			type kv struct {
+				k uint64
+				v int32
+			}
+			want := make([]kv, len(at))
+			for c, p := range at {
+				want[c] = kv{keys[c], vals[p]}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return want[i].k < want[j].k })
+			if pooled {
+				on(func(w *core.Worker) { SortPairsAt(w, keys, vals, at, 9) })
+			} else {
+				SortPairsAt(nil, keys, vals, at, 9)
+			}
+			inAt := make([]bool, n)
+			for c, p := range at {
+				inAt[p] = true
+				if keys[c] != want[c].k || vals[p] != want[c].v {
+					t.Fatalf("n=%d pooled=%v: entry %d = (%d, %d), want (%d, %d)", n, pooled, c, keys[c], vals[p], want[c].k, want[c].v)
+				}
+			}
+			for i := range vals {
+				if !inAt[i] && vals[i] != int32(i) {
+					t.Fatalf("n=%d pooled=%v: vals[%d] = %d outside at was written", n, pooled, i, vals[i])
+				}
+			}
+		}
+	}
+}
+
+// A position vector that is not strictly increasing inside vals makes
+// the write-back a racy or out-of-range scatter, so SortPairsAt must
+// panic on it before writing anything.
+func TestSortPairsAtRejectsBadPositions(t *testing.T) {
+	for name, at := range map[string][]int32{
+		"duplicate":    {1, 4, 4, 9},
+		"decreasing":   {1, 9, 4, 12},
+		"out-of-range": {1, 4, 9, 16},
+		"negative":     {-1, 4, 9, 12},
+	} {
+		for _, pooled := range []bool{false, true} {
+			vals := make([]int32, 16)
+			for i := range vals {
+				vals[i] = int32(100 + i)
+			}
+			keys := []uint64{3, 2, 1, 0}
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				if pooled {
+					on(func(w *core.Worker) { SortPairsAt(w, keys, vals, at, 8) })
+				} else {
+					SortPairsAt(nil, keys, vals, at, 8)
+				}
+				return false
+			}()
+			if !panicked {
+				t.Errorf("%s (pooled %v): no panic", name, pooled)
+			}
+			for i, v := range vals {
+				if v != int32(100+i) {
+					t.Errorf("%s (pooled %v): vals[%d] written before the panic", name, pooled, i)
+				}
+			}
+			if keys[0] != 3 || keys[3] != 0 {
+				t.Errorf("%s (pooled %v): keys sorted before the panic", name, pooled)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("keys/at length mismatch: no panic")
+		}
+	}()
+	SortPairsAt(nil, []uint64{1}, []int32{0, 1}, []int32{0, 1}, 8)
+}
+
+// A warmed SortPairsAt allocates nothing: the gathered copy and its
+// loop body live in the same Scratch box as SortPairs'.
+func TestSortPairsAtSteadyStateZeroAllocs(t *testing.T) {
+	keys, vals, at := sortAtInput(1<<17, 5)
+	src := append([]uint64(nil), keys...)
+	pool := core.NewPool(1)
+	defer pool.Close()
+	pool.Do(func(w *core.Worker) {
+		allocs := testing.AllocsPerRun(5, func() {
+			copy(keys, src)
+			SortPairsAt(w, keys, vals, at, 9)
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state SortPairsAt allocated %.0f per run, want 0", allocs)
+		}
+	})
+}
+
 func BenchmarkSortPairs1M(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(3))

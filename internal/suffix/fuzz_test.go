@@ -3,32 +3,51 @@ package suffix
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Native fuzz targets. Under plain `go test` the seed corpus runs as
 // regression tests; `go test -fuzz=FuzzX` explores further.
+
+var fuzzPool = core.NewPool(2)
 
 func FuzzArrayAgainstNaive(f *testing.F) {
 	f.Add([]byte("banana"))
 	f.Add([]byte("mississippi"))
 	f.Add([]byte{1, 1, 1, 2, 1, 1})
 	f.Add([]byte{})
+	f.Add([]byte("banana\x00"))
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0})
+	// Every byte value (σ = 256: 9-bit codes, 7 per packed key), then a
+	// repeat of the first 144 so groups stay tied past the first sort.
+	all := make([]byte, 400)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	f.Add(all)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 400 {
 			raw = raw[:400]
 		}
-		got := Array(nil, raw)
-		dc3 := ArrayDC3(raw)
 		want := NaiveArray(raw)
-		if len(got) != len(want) || len(dc3) != len(want) {
-			t.Fatalf("length mismatch: %d/%d vs %d", len(got), len(dc3), len(want))
+		legs := map[string][]int32{
+			"doubling":         Array(nil, raw),
+			"doubling-checked": ArrayOpts(nil, raw, true),
+			"dc3":              ArrayDC3(raw),
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("doubling sa[%d] = %d, want %d", i, got[i], want[i])
+		fuzzPool.Do(func(w *core.Worker) {
+			legs["doubling-2w"] = ArrayOpts(w, raw, false)
+			legs["doubling-2w-checked"] = ArrayOpts(w, raw, true)
+		})
+		for name, got := range legs {
+			if len(got) != len(want) {
+				t.Fatalf("%s: length %d, want %d", name, len(got), len(want))
 			}
-			if dc3[i] != want[i] {
-				t.Fatalf("dc3 sa[%d] = %d, want %d", i, dc3[i], want[i])
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: sa[%d] = %d, want %d", name, i, got[i], want[i])
+				}
 			}
 		}
 	})

@@ -1,13 +1,14 @@
 // Package suffix provides the text-index substrate under the sa, lrs
 // and bw benchmarks: parallel suffix-array construction by prefix
-// doubling (rank pairs sorted with the radix kernel each round), LCP
-// computation (Kasai), and Burrows–Wheeler transform encode/decode.
+// doubling, LCP computation (Kasai), and Burrows–Wheeler transform
+// encode/decode.
 //
 // Construction mirrors PBBS's suffixArray in pattern terms: Stride key
 // building, D&C/Block radix sorting, and SngInd rank scatters whose
 // independence is guaranteed by the suffix array being a permutation —
 // exactly the "algorithmically independent, unprovable to the compiler"
-// situation of the paper's Sec 5.1.
+// situation of the paper's Sec 5.1. Like PBBS, it sorts all suffixes
+// once and afterwards re-sorts only the groups still tied.
 package suffix
 
 import (
@@ -27,110 +28,164 @@ func Array(w *core.Worker, s []byte) []int32 { return ArrayOpts(w, s, false) }
 // permutation, independent by algorithmic guarantee only — goes through
 // core.ScatterChecked and pays the paper's run-time uniqueness check
 // (Fig 5a); otherwise it uses the unchecked (unsafe-analog) scatter.
+//
+// The first sort orders the suffixes by their first h characters at
+// once: each byte present in s is coded 1..σ (0 is "past the end"), and
+// h = 64/BitsFor(σ) codes pack into one radix key — 12 characters of
+// a 26-letter text, 7 of arbitrary bytes. Suffixes tied on those h
+// characters form groups of adjacent sa positions, and each group's
+// rank is its start position. Each later round k = h, 2h, 4h, ...
+// re-sorts only the positions still in a group of two or more, by
+// (group start, rank of the suffix k further on), in place inside sa
+// through radix.SortPairsAt; it ends when no such position is left.
+// The rank scatter stays full-length every round, so checked mode
+// re-validates the whole permutation each time, as Fig 5a measures.
 func ArrayOpts(w *core.Worker, s []byte, checked bool) []int32 {
 	n := len(s)
 	if n == 0 {
 		return nil
 	}
+	var code [256]uint64
+	sigma := uint64(0)
+	for c, ok := range DistinctBytes(w, s) {
+		if ok {
+			sigma++
+			code[c] = sigma
+		}
+	}
+	cb := radix.BitsFor(sigma)
+	h := 64 / cb
+	keyBits := h * cb
+	keyMask := ^uint64(0) >> (64 - keyBits)
 	sa := make([]int32, n)
 	rank := make([]int32, n)
+	grp := make([]int32, n)
 	keys := make([]uint64, n)
-	rvals := make([]int32, n)
-	// Round 0: sort suffix indices by first byte.
+	at := make([]int32, n)
+	spare := make([]int32, n)
+	// Packed first sort: key i holds the codes of s[i : i+h], rolled
+	// forward one character per suffix.
 	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
+		var key uint64
+		for t := lo; t < lo+h; t++ {
+			key <<= cb
+			if t < n {
+				key |= code[s[t]]
+			}
+		}
 		for i := lo; i < hi; i++ {
 			sa[i] = int32(i)
-			keys[i] = uint64(s[i])
+			keys[i] = key
+			key <<= cb
+			if i+h < n {
+				key |= code[s[i+h]]
+			}
+			key &= keyMask
 		}
 	})
-	radix.SortPairs(w, keys, sa, 8)
-	distinct := rankValues(w, keys, rvals)
+	radix.SortPairs(w, keys, sa, keyBits)
+	groupStarts(w, keys, nil, grp, grp)
 	// Scatter ranks through the sa permutation — SngInd: independence is
 	// an algorithmic guarantee no dynamic checker sees cheaply (paper
 	// Sec 5.1), but the certifier proves it from provenance: sa is an
-	// identity fill permuted only by radix.SortPairs, so its elements are
-	// exactly {0..n-1} and the unchecked scatter is Fearless under
-	// certificate.
+	// identity fill permuted only by radix.SortPairs/SortPairsAt, so its
+	// elements are exactly {0..n-1} and the unchecked scatter is
+	// Fearless under certificate.
 	if checked {
-		if err := core.ScatterChecked(w, rank, sa, rvals); err != nil {
+		if err := core.ScatterChecked(w, rank, sa, grp); err != nil {
 			panic("suffix: sa permutation violated: " + err.Error())
 		}
 	} else {
-		core.ScatterUnchecked(w, rank, sa, rvals)
+		core.ScatterUnchecked(w, rank, sa, grp)
 	}
+	at = core.PackMaskInto(w, n, tied(keys), at)
 	rankBits := radix.BitsFor(uint64(n))
-	for k := 1; k < n && !distinct; k *= 2 {
-		// Build combined keys (rank, rank+k) for the suffixes in current
-		// order, then re-sort. rank+1 biases so "past end" sorts lowest.
-		core.ForBlocks(w, 0, n, 0, func(jlo, jhi int) {
-			for j := jlo; j < jhi; j++ {
+	for k := h; len(at) > 0; k *= 2 {
+		// Key each unresolved position by (group start, rank k further
+		// on); rank+1 biases so "past end" sorts lowest.
+		ck := keys[:len(at)]
+		core.ForBlocks(w, 0, len(at), 0, func(lo, hi int) {
+			for t := lo; t < hi; t++ {
+				j := at[t]
 				i := int(sa[j])
-				hi := uint64(rank[i]) + 1
-				var lo uint64
+				var next uint64
 				if i+k < n {
-					lo = uint64(rank[i+k]) + 1
+					next = uint64(rank[i+k]) + 1
 				}
-				keys[j] = hi<<(rankBits+1) | lo
+				ck[t] = uint64(grp[j])<<rankBits | next
 			}
 		})
-		radix.SortPairs(w, keys, sa, 2*(rankBits+1))
-		distinct = rankValues(w, keys, rvals)
+		radix.SortPairsAt(w, ck, sa, at, 2*rankBits)
+		groupStarts(w, ck, at, spare[:len(at)], grp)
 		if checked {
-			if err := core.ScatterChecked(w, rank, sa, rvals); err != nil {
+			if err := core.ScatterChecked(w, rank, sa, grp); err != nil {
 				panic("suffix: sa permutation violated: " + err.Error())
 			}
 		} else {
-			core.ScatterUnchecked(w, rank, sa, rvals)
+			core.ScatterUnchecked(w, rank, sa, grp)
 		}
+		at, spare = core.PackInto(w, at, tied(ck), spare), at
 	}
 	return sa
 }
 
-// rankValues computes, into rvals, the rank value for each sorted
-// position j: equal keys share a rank equal to the position of their
-// first occurrence. It reports whether all ranks came out distinct
-// (every position is a boundary). The caller scatters rvals through
-// the sa permutation into rank order; keeping that scatter at the call
-// site (rather than passing sa here) is what lets the certifier see
-// sa's provenance whole.
-func rankValues(w *core.Worker, keys []uint64, rvals []int32) bool {
-	n := len(keys)
-	flags := rvals
-	// Flag every boundary (a position whose key differs from its
-	// predecessor's) with its own index, counting them on the way: one
-	// local tally per subrange, folded into the shared total once.
-	var boundaries atomic.Int64
-	boundaries.Store(1) // position 0
-	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
-		var found int64
-		for j := lo; j < hi; j++ {
-			if j > 0 && keys[j] != keys[j-1] {
-				flags[j] = int32(j)
-				found++
-			} else {
-				flags[j] = 0
+// tied is the PackMaskInto predicate over sorted keys: bit t-lo is set
+// when key t equals a neighbour's, i.e. its suffix is still in a group
+// of two or more.
+func tied(keys []uint64) func(lo, hi int) uint64 {
+	return func(lo, hi int) uint64 {
+		var word uint64
+		for t := lo; t < hi; t++ {
+			if (t > 0 && keys[t] == keys[t-1]) || (t+1 < len(keys) && keys[t+1] == keys[t]) {
+				word |= 1 << (t - lo)
 			}
 		}
-		boundaries.Add(found)
+		return word
+	}
+}
+
+// groupStarts writes, for each sorted key t, the sa position where its
+// run of equal keys starts into grp at t's own position: at[t], or t
+// itself when at is nil. at must be strictly increasing (it is the
+// SortPairsAt position vector), so a running max over the boundary
+// positions finds each run's start. flags is scratch of len(keys); it
+// may alias grp when at is nil. The caller scatters grp through the sa
+// permutation into rank order; keeping that scatter at the call site
+// (rather than passing sa here) is what lets the certifier see sa's
+// provenance whole.
+func groupStarts(w *core.Worker, keys []uint64, at, flags, grp []int32) {
+	m := len(keys)
+	core.ForBlocks(w, 0, m, 0, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			if t > 0 && keys[t] == keys[t-1] {
+				flags[t] = 0
+			} else if at == nil {
+				flags[t] = int32(t)
+			} else {
+				flags[t] = at[t]
+			}
+		}
 	})
-	// rank of position j = max flag at or before j: a running-max scan.
+	// flags[t] becomes the max boundary position over [0, t).
 	core.ScanExclusiveOp(w, flags, int32(0), func(a, b int32) int32 {
 		if a > b {
 			return a
 		}
 		return b
 	})
-	// flags[j] now holds the max over [0, j); fold in j's own flag.
-	// rvals aliases flags, so the exclusive-scan value is already in
-	// place for non-boundary positions.
-	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if j > 0 && keys[j] != keys[j-1] {
-				rvals[j] = int32(j)
+	core.ForBlocks(w, 0, m, 0, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			p := int32(t)
+			if at != nil {
+				p = at[t]
 			}
+			start := flags[t]
+			if t == 0 || keys[t] != keys[t-1] {
+				start = p
+			}
+			grp[p] = start //lint:scared group-start update: p is t or at[t], and radix.SortPairsAt has just panicked unless at is strictly increasing, so each t writes its own slot (TestArrayMatchesDC3Table fails if two t share one)
 		}
 	})
-	return boundaries.Load() == int64(n)
 }
 
 // NaiveArray computes the suffix array by direct comparison sorting —
@@ -149,8 +204,8 @@ func NaiveArray(s []byte) []int32 {
 
 // LCP computes, via Kasai's algorithm, lcp[j] = length of the longest
 // common prefix of suffixes sa[j] and sa[j+1] (length n-1 for an
-// n-suffix array). The pass is sequential O(n); the benchmarks' use of
-// it is dominated by Array.
+// n-suffix array). The pass is sequential O(n); on the lrs benchmark
+// text it takes about a seventh of the time of the Array call before it.
 func LCP(s []byte, sa []int32) []int32 {
 	n := len(s)
 	if n == 0 {

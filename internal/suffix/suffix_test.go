@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/seqgen"
+	"repro/internal/suffix/suffixtest"
 )
 
 var testPool = core.NewPool(4)
@@ -105,6 +106,41 @@ func TestArrayOnGeneratedText(t *testing.T) {
 	for j := 1; j < len(sa); j += 997 { // spot-check ordering
 		if bytes.Compare(txt[sa[j-1]:], txt[sa[j]:]) >= 0 {
 			t.Fatalf("suffixes out of order at %d", j)
+		}
+	}
+}
+
+// TestArrayMatchesDC3Table runs ArrayOpts over the shared edge-case
+// table — lengths around the pack width, periodic texts, a repeat to
+// the end, every byte value — sequentially and on pools of 1, 2 and 8
+// workers, in both scatter modes, against the independent DC3
+// construction.
+func TestArrayMatchesDC3Table(t *testing.T) {
+	cases := suffixtest.Cases()
+	want := make([][]int32, len(cases))
+	for i, c := range cases {
+		want[i] = ArrayDC3(c.Text)
+	}
+	for _, workers := range []int{0, 1, 2, 8} {
+		run := func(f func(w *core.Worker)) { f(nil) }
+		if workers > 0 {
+			pool := core.NewPool(workers)
+			defer pool.Close()
+			run = func(f func(w *core.Worker)) { pool.Do(f) }
+		}
+		for _, checked := range []bool{false, true} {
+			for i, c := range cases {
+				var got []int32
+				run(func(w *core.Worker) { got = ArrayOpts(w, c.Text, checked) })
+				if len(got) != len(want[i]) {
+					t.Fatalf("%s (workers %d, checked %v): length %d, want %d", c.Name, workers, checked, len(got), len(want[i]))
+				}
+				for j := range got {
+					if got[j] != want[i][j] {
+						t.Fatalf("%s (workers %d, checked %v): sa[%d] = %d, want %d", c.Name, workers, checked, j, got[j], want[i][j])
+					}
+				}
+			}
 		}
 	}
 }
