@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build check test lint certs certify-update races-update lifetimes-update race fuzz-smoke bench bench-graph-xl report figures inputs clean
+.PHONY: build check test lint certs certify-update races-update lifetimes-update race fuzz-smoke bench report figures inputs clean
 
 build:
 	$(GO) build ./...
@@ -63,19 +63,6 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Beyond-LLC graph benchmarks (bench_graph_xl_test.go): BFS, SSSP,
-# PageRank and triangle counting at ScaleLarge over plain and compressed
-# CSR, reporting bytes/edge and MTEPS (docs/GRAPH.md "Compressed CSR"),
-# plus the BenchmarkXLGraphDecode* decode-bandwidth family (GB/s and
-# edges/ns). Building the inputs takes minutes, hence the long timeout;
-# CI runs it at BENCHTIME=1x so the ScaleLarge code cannot rot. -cpu 1
-# is where the dated numbers in docs/GRAPH.md were taken. Not a workload
-# of the repository benchmark (benchmark/README.md says why): nothing
-# reads its output, committed numbers come from `go run ./benchmark`.
-BENCHTIME ?= 1s
-bench-graph-xl:
-	$(GO) test -run xxx -bench BenchmarkXLGraph -benchmem -benchtime $(BENCHTIME) -cpu 1 -timeout 90m .
 
 # Regenerate every table and figure at small scale.
 report:

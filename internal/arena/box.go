@@ -70,17 +70,3 @@ func ReleaseBox[T any](w *sched.Worker, b *T) {
 	key := reflect.TypeFor[*T]()
 	s.boxes[key] = append(s.boxes[key], b)
 }
-
-// ResetAll resets every worker arena in the pool. It must only be
-// called while the pool is quiescent (no Do in flight): it walks the
-// workers' scratch slots, which are owner-private during execution.
-// Between-round resets inside a Do should instead Reset the arenas of
-// the workers that hold round-persistent checkouts (typically just the
-// driving worker, via Of(w).Reset()).
-func ResetAll(p *sched.Pool) {
-	for _, s := range p.Scratches() {
-		if ws, ok := s.(*wscratch); ok {
-			ws.arena.Reset()
-		}
-	}
-}

@@ -96,8 +96,8 @@ func TestKernelsSteadyStateAllocs(t *testing.T) {
 		check(r.kernel+"-"+r.input, spec.Make(r.input, r.scale), r.max)
 	}
 
-	// The same pull iteration over the shared-pool compressed transpose:
-	// row decode must not add an allocation to the plain pr-rmat row.
+	// The same pull iteration over the compressed transpose: row decode
+	// must not add an allocation to the plain pr-rmat row.
 	g := graph.LoadUndirectedSorted(nil, graph.InputRMAT, ScaleTest, 0x9a6)
 	var cb graph.Builder
 	cg := cb.Compress(nil, g)

@@ -93,24 +93,33 @@ func TestHybridBFSForcedDirections(t *testing.T) {
 	pool := core.NewPool(4)
 	defer pool.Close()
 
+	// Every case is symmetric, so it runs over a built transpose and,
+	// under "self", over g as its own transpose: what the registered bfs
+	// runs.
 	for _, c := range cases {
 		g, _ := c.graph()
 		var tb graph.Builder
-		tg := tb.Transpose(nil, g)
+		transposes := []struct {
+			prefix string
+			tg     *graph.Graph
+		}{{"", tb.Transpose(nil, g)}, {"self/", g}}
 		want := bfsOracle(g, 0)
-		for _, m := range modes {
-			t.Run(fmt.Sprintf("%s/%s", c.name, m.name), func(t *testing.T) {
-				b := newBFS(g, tg, 0)
-				b.want = want
-				b.alpha, b.beta = m.alpha, m.beta
-				pool.Do(func(w *core.Worker) { b.runHybrid(w) })
-				if err := b.verify(); err != nil {
-					t.Fatal(err)
-				}
-				if err := b.verifyParents(); err != nil {
-					t.Fatal(err)
-				}
-			})
+		for _, tr := range transposes {
+			tg := tr.tg
+			for _, m := range modes {
+				t.Run(fmt.Sprintf("%s/%s%s", c.name, tr.prefix, m.name), func(t *testing.T) {
+					b := newBFS(g, tg, 0)
+					b.want = want
+					b.alpha, b.beta = m.alpha, m.beta
+					pool.Do(func(w *core.Worker) { b.runHybrid(w) })
+					if err := b.verify(); err != nil {
+						t.Fatal(err)
+					}
+					if err := b.verifyParents(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -34,15 +35,6 @@ func TestBFSCompressedMatchesPlain(t *testing.T) {
 				var cb graph.Builder
 				cg := cb.Compress(nil, g)
 				ctg := cb.CompressTranspose(nil, tg)
-				// Shared-pool invariants: both directions alias one byte
-				// pool, transpose rows starting where the forward stream
-				// ends.
-				if &cg.Bytes[0] != &ctg.Bytes[0] {
-					t.Fatal("forward and transpose do not share a byte pool")
-				}
-				if ctg.BOffs[0] != cg.BOffs[cg.N] {
-					t.Fatalf("transpose base %d != forward end %d", ctg.BOffs[0], cg.BOffs[cg.N])
-				}
 				want := bfsOracle(g, 0)
 				if cwant := bfsOracle(cg, 0); !equalU32(want, cwant) {
 					t.Fatal("sequential oracle differs between representations")
@@ -96,13 +88,15 @@ func TestSSSPCompressedMatchesPlain(t *testing.T) {
 		for _, scale := range equivScales(t) {
 			t.Run(fmt.Sprintf("%s/scale%d", input, scale), func(t *testing.T) {
 				wg := graph.LoadUndirectedWeighted(nil, input, scale, 0x555)
-				var ptb graph.Builder
-				twg := ptb.TransposeW(nil, wg)
-				graph.SortAdjacencyW(nil, twg)
-				cw, ctw := graph.LoadUndirectedWeightedCT(nil, input, scale, 0x555)
-				if &cw.Bytes[0] != &ctw.Bytes[0] {
-					t.Fatal("weighted forward and transpose do not share a byte pool")
+				// CompressW needs sorted rows: encode a sorted copy, so the
+				// plain run keeps wg's build order.
+				sorted := &graph.WGraph{
+					Graph: graph.Graph{N: wg.N, Offs: wg.Offs, Adj: slices.Clone(wg.Adj)},
+					Wgt:   slices.Clone(wg.Wgt),
 				}
+				graph.SortAdjacencyW(nil, sorted)
+				var cb graph.Builder
+				cw := cb.CompressW(nil, sorted)
 				want := dijkstraOracle(wg, 0)
 				if cwant := dijkstraOracle(cw, 0); !equalU32(want, cwant) {
 					t.Fatal("sequential oracle differs between representations")
@@ -125,27 +119,6 @@ func TestSSSPCompressedMatchesPlain(t *testing.T) {
 				c.run(4)
 				if err := c.verify(); err != nil {
 					t.Fatalf("cgraph direct: %v", err)
-				}
-				// Pull mode: synchronous Bellman-Ford rounds gathering over
-				// the weighted transpose — plain and compressed (the latter
-				// streaming the pool-sharing compressed transpose), parallel
-				// and sequential.
-				p.reset()
-				p.setTranspose(twg)
-				pool.Do(func(w *core.Worker) { p.runPull(w) })
-				if err := p.verify(); err != nil {
-					t.Fatalf("plain pull: %v", err)
-				}
-				c.reset()
-				c.setTranspose(ctw)
-				pool.Do(func(w *core.Worker) { c.runPull(w) })
-				if err := c.verify(); err != nil {
-					t.Fatalf("cgraph pull: %v", err)
-				}
-				c.reset()
-				c.runPull(nil)
-				if err := c.verify(); err != nil {
-					t.Fatalf("cgraph pull sequential: %v", err)
 				}
 			})
 		}

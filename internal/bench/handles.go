@@ -5,11 +5,10 @@ import (
 	"repro/internal/graph"
 )
 
-// Exported handles on the generic BFS/SSSP instances for callers
-// outside this package: the bench-graph-xl tier (bench_graph_xl_test.go
-// at the repo root) runs the same kernels the registered "bfs"/"sssp"
-// benchmarks use, but instantiated over both plain and compressed CSR
-// at ScaleLarge, and rpbreport derives bytes/edge and MTEPS from them.
+// Exported handles on the generic graph-kernel instances for callers
+// outside this package: the repository benchmark (benchmark/graphstack.go)
+// runs the same kernels the registered "bfs"/"sssp"/"pr"/"tc"
+// benchmarks use, instantiated over both plain and compressed CSR.
 
 // BFSKernel is a hybrid direction-optimizing BFS over any adjacency
 // representation (g and its transpose tg).
@@ -56,34 +55,18 @@ func (k *SSSPKernel[A]) Reset() { k.s.reset() }
 // Run executes one delta-stepping run at the given worker count.
 func (k *SSSPKernel[A]) Run(threads int) { k.s.runDelta(threads) }
 
-// SetTranspose installs the weighted in-edge view for pull mode. For a
-// compressed configuration, pass the pool-sharing compressed transpose
-// (graph.Builder.CompressTransposeW) so pull rounds stream compressed
-// rows.
-func (k *SSSPKernel[A]) SetTranspose(tg A) { k.s.setTranspose(tg) }
-
-// RunPull executes synchronous Bellman-Ford pull rounds over the
-// transpose installed by SetTranspose, on w's pool (sequential if w is
-// nil).
-func (k *SSSPKernel[A]) RunPull(w *core.Worker) { k.s.runPull(w) }
-
 // SetWant installs the oracle distances Verify checks against.
 func (k *SSSPKernel[A]) SetWant(want []uint32) { k.s.want = want }
 
 // Verify checks distances against the oracle.
 func (k *SSSPKernel[A]) Verify() error { return k.s.verify() }
 
-// Dist exposes the distance array of the last run (callers must not
-// mutate it) — the reference another representation's run verifies
-// against when a sequential oracle is too slow at scale.
-func (k *SSSPKernel[A]) Dist() []uint32 { return k.s.dist }
-
 // DijkstraOracle computes exact shortest-path distances sequentially.
 func DijkstraOracle[A graph.WAdjacency](g A, src int32) []uint32 { return dijkstraOracle(g, src) }
 
 // PRKernel is a synchronous pull-mode PageRank over any adjacency pair
 // (forward g for out-degrees, transpose tg for the gathers). For a
-// compressed configuration, pass the pool-sharing compressed transpose
+// compressed configuration, pass a compressed transpose
 // (graph.Builder.CompressTranspose) so every gather streams compressed
 // rows.
 type PRKernel[A graph.Adjacency] struct{ p *prInstance[A] }
@@ -93,8 +76,8 @@ func NewPRKernel[A graph.Adjacency](g, tg A) *PRKernel[A] {
 	return &PRKernel[A]{p: newPR(g, tg)}
 }
 
-// SetIters caps the round count — the XL tier pins a fixed number of
-// rounds so plain and compressed runs do identical work.
+// SetIters caps the round count — benchmark/graphstack.go pins a fixed
+// number of rounds so plain and compressed runs do identical work.
 func (k *PRKernel[A]) SetIters(n int) { k.p.iters = n }
 
 // Reset restores the uniform initial rank vector.
@@ -102,10 +85,6 @@ func (k *PRKernel[A]) Reset() { k.p.reset() }
 
 // Run executes the pull iteration on w's pool (sequential if w is nil).
 func (k *PRKernel[A]) Run(w *core.Worker) { k.p.runLibrary(w) }
-
-// Ranks exposes the rank vector of the last run (callers must not
-// mutate it).
-func (k *PRKernel[A]) Ranks() []float64 { return k.p.rank }
 
 // SetWant installs the oracle ranks Verify checks against, bit-exact.
 func (k *PRKernel[A]) SetWant(want []float64) { k.p.want = want }

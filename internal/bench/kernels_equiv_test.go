@@ -63,14 +63,11 @@ func TestPRCompressedMatchesPlain(t *testing.T) {
 		for _, scale := range equivScales(t) {
 			t.Run(fmt.Sprintf("%s/scale%d", input, scale), func(t *testing.T) {
 				g := graph.LoadUndirectedSorted(nil, input, scale, 0x9a6)
-				// The compressed pull gathers over the pool-sharing
-				// compressed transpose, exactly the XL configuration.
+				// The compressed pull gathers over the compressed
+				// transpose, as benchmark/graphstack.go runs it.
 				var cb graph.Builder
 				cg := cb.Compress(nil, g)
 				ctg := cb.CompressTranspose(nil, g)
-				if &cg.Bytes[0] != &ctg.Bytes[0] {
-					t.Fatal("forward and transpose do not share a byte pool")
-				}
 				want := prOracle(g, g, prMaxIters)
 				if cwant := prOracle(cg, ctg, prMaxIters); !equalF64(want, cwant) {
 					t.Fatal("sequential oracle differs between representations")

@@ -14,10 +14,10 @@ import (
 // write), folds the dangling mass (rank parked on zero-out-degree
 // vertices) through fixed-size block-owner partials, then gathers: each
 // vertex pulls its in-neighbors' contributions through the transpose
-// adjacency — the runPull shape from SSSP, with the row decoding into
-// per-chunk arena scratch so the same gather runs over the plain
-// transpose and the shared-pool compressed transpose. Convergence is
-// tracked with a fetch-add round counter, the kernel's scared AW site.
+// adjacency, with the row decoding into per-chunk arena scratch so the
+// same gather runs over the plain and the compressed transpose.
+// Convergence is tracked with a fetch-add round counter, the kernel's
+// scared AW site.
 //
 // The result is bit-identical across schedules and representations:
 // every float64 sum is either an owner-sequential row gather (row order
@@ -288,9 +288,7 @@ func init() {
 		Make: func(input string, scale Scale) *Instance {
 			// Sorted rows: the gather order is part of the float64
 			// determinism contract. The symmetrized inputs are their
-			// own transpose, so the forward graph serves both roles;
-			// the compressed variants (equivalence tests, XL tier) pull
-			// through a real shared-pool compressed transpose.
+			// own transpose, so the forward graph serves both roles.
 			g := graph.LoadUndirectedSorted(nil, input, scale, 0x9a6)
 			p := newPR(g, g)
 			p.want = prOracle(g, g, prMaxIters)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mq"
@@ -36,12 +35,6 @@ type ssspInstance[A graph.WAdjacency] struct {
 	dist       []uint32 // atomic access during runs
 	qb         []uint32 // bucket each vertex is queued at (distInf: not queued)
 	want       []uint32
-
-	// Pull-mode state (SetTranspose): the weighted in-edge view the
-	// synchronous Bellman-Ford rounds of runPull gather from.
-	tg      A
-	hasTG   bool
-	tmaxDeg int
 
 	maxDeg   int
 	dscratch [][]int32 // per-MultiQueue-worker decode rows
@@ -164,71 +157,6 @@ func (s *ssspInstance[A]) run(nWorkers int) {
 	})
 }
 
-// setTranspose installs the weighted in-edge view runPull gathers
-// from. For the undirected standard inputs the transpose carries the
-// same edges as the graph, but pull mode streams it — a compressed
-// transpose (graph.CWGraph, pool-sharing with the forward graph) makes
-// the whole pull round run over compressed rows.
-func (s *ssspInstance[A]) setTranspose(tg A) {
-	s.tg = tg
-	s.hasTG = true
-	s.tmaxDeg = int(tg.MaxDegree())
-}
-
-// runPull is the synchronous pull expression: Bellman-Ford rounds over
-// the in-edge view. Each round, every vertex decodes its transpose row
-// and gathers min(dist[u] + w(u,v)) over its in-neighbors; rounds
-// repeat until no distance improves. Writes are per-vertex — each task
-// stores only its own dist[v] — while the gathered neighbor distances
-// are racy atomic loads that may see same-round improvements early;
-// like the push relaxation, a stale read only delays convergence by a
-// round (the distance array is monotone non-increasing and bounded by
-// the true distances), never corrupts it. Rows decode into per-chunk
-// arena scratch, Mark/Release bracketed like the BFS expansion, so the
-// steady state allocates nothing.
-func (s *ssspInstance[A]) runPull(w *core.Worker) {
-	if !s.hasTG {
-		panic("bench: sssp runPull needs setTranspose first")
-	}
-	atomic.StoreUint32(&s.dist[s.src], 0)
-	n := int(s.tg.NumVertices())
-	for {
-		var changed atomic.Int64
-		relax := func(ww *core.Worker, lo, hi int) {
-			a := arena.Of(ww)
-			am := a.Mark()
-			buf := arena.AllocUninit[int32](a, s.tmaxDeg)
-			var improved int64
-			for v := lo; v < hi; v++ {
-				d0 := atomic.LoadUint32(&s.dist[v])
-				best := d0
-				adj, wgt := s.tg.WRow(int32(v), buf)
-				for i, u := range adj {
-					du := atomic.LoadUint32(&s.dist[u])
-					if du == distInf {
-						continue
-					}
-					if nd := du + wgt[i]; nd < best {
-						best = nd
-					}
-				}
-				if best < d0 {
-					atomic.StoreUint32(&s.dist[v], best)
-					improved++
-				}
-			}
-			a.Release(am)
-			if improved > 0 {
-				changed.Add(improved)
-			}
-		}
-		w.For(0, n, 0, relax)
-		if changed.Load() == 0 {
-			return
-		}
-	}
-}
-
 func (s *ssspInstance[A]) runLibrary(w *core.Worker) {
 	n := 1
 	if w != nil {
@@ -343,8 +271,6 @@ func init() {
 	core.DeclareSite("sssp", "task: neighbor/weight read", core.AW)
 	core.DeclareSite("sssp", "relax: neighbor distance WriteMin", core.AW)
 	core.DeclareSite("sssp", "push: batched bucket re-queue", core.AW)
-	core.DeclareSite("sssp", "pull: in-neighbor distance gather", core.AW)
-	core.DeclareSite("sssp", "pull: own distance store + changed counter", core.AW)
 
 	Register(Spec{
 		Name:   "sssp",

@@ -34,8 +34,7 @@ type Builder struct {
 	wg   WGraph
 	cg   CGraph  // compressed form (Compress / BuildC)
 	cwg  CWGraph // weighted compressed form (CompressW / BuildWC)
-	ctg  CGraph  // compressed transpose, pool-sharing with cg (CompressTranspose)
-	ctwg CWGraph // weighted compressed transpose (CompressTransposeW)
+	ctg  CGraph  // compressed transpose, its own stream (CompressTranspose)
 }
 
 // edgeLimit bounds the edge count a Builder accepts: CSR offsets are
@@ -248,28 +247,4 @@ func (b *Builder) Transpose(w *core.Worker, g *Graph) *Graph {
 		}
 	})
 	return &b.g
-}
-
-// TransposeW builds the weighted reverse graph of wg (edge u->v with
-// weight x becomes v->u with weight x) — the in-edge view an SSSP pull
-// round relaxes. Same counting-sort pipeline and aliasing rules as
-// Transpose: wg must not alias this Builder's own buffers.
-func (b *Builder) TransposeW(w *core.Worker, wg *WGraph) *WGraph {
-	adjIn, wgtIn := wg.Adj, wg.Wgt
-	b.countAndScan(w, wg.N, func(i int) int32 { return adjIn[i] }, int(wg.M()))
-	b.g.N = wg.N
-	b.g.Adj = core.EnsureLen(b.g.Adj, int(wg.M()))
-	b.wg.Wgt = core.EnsureLen(b.wg.Wgt, int(wg.M()))
-	adj, wgt, cur := b.g.Adj, b.wg.Wgt, b.cur
-	offsIn := wg.Offs
-	core.ForRange(w, 0, int(wg.N), 0, func(u int) {
-		for i := offsIn[u]; i < offsIn[u+1]; i++ {
-			v := adjIn[i]
-			slot := atomic.AddInt32(&cur[v], 1) - 1
-			adj[slot] = int32(u) //lint:scared counting-sort scatter: cur[v] starts at the exclusive-scan offset, so slots are unique within v's segment
-			wgt[slot] = wgtIn[i]
-		}
-	})
-	b.wg.Graph = b.g
-	return &b.wg
 }

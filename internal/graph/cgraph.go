@@ -12,26 +12,21 @@ import (
 // Bytes[BOffs[v]:BOffs[v+1]] in the group-varint codec of codec.go.
 // EOffs keeps the plain edge-rank offsets so Degree stays O(1) and
 // weighted variants can index an uncompressed weight array; BOffs is
-// int64 because the byte stream of a beyond-LLC graph does not fit
-// int32 arithmetic headroom. Shards partitions the vertices into
-// cache-blocked, 64-aligned ranges of roughly equal byte mass so a
-// traversal can hand each worker one contiguous byte segment to
-// stream.
+// int64 so a stream past 2 GiB still indexes. Shards partitions the
+// vertices into cache-blocked, 64-aligned ranges of roughly equal byte
+// mass so a traversal can hand each worker one contiguous byte segment
+// to stream.
 //
-// Bytes is a *pool*, not necessarily this graph's exclusive stream:
-// Builder.CompressTranspose appends a second direction's rows to the
-// forward graph's pool, and both CGraphs then alias the same backing
-// array with absolute BOffs (forward rows at [BOffs[0], BOffs[N]) =
-// [0, fwd), transpose rows at [fwd, fwd+rev)). Whoever owns the pool,
-// its last codecSlack bytes are a zero pad past every encoded row —
-// the over-read headroom the group decoder's masked 4-byte loads
-// require (codec.go), which is why row decodes slice Bytes[BOffs[v]:]
-// rather than the exact segment.
+// Each CGraph owns its stream: its first row starts at byte 0 and
+// Bytes ends exactly codecSlack zero bytes past the last row — the
+// over-read headroom the group decoder's masked 4-byte loads require
+// (codec.go), which is why row decodes slice Bytes[BOffs[v]:] rather
+// than the exact segment.
 type CGraph struct {
 	N      int32
 	EOffs  []int32 // length N+1: edge-rank offsets (degrees, weight indexing)
-	BOffs  []int64 // length N+1: byte offsets into Bytes; BOffs[0] > 0 for a pool-sharing transpose
-	Bytes  []byte  // shared byte pool: encoded rows + codecSlack zero pad
+	BOffs  []int64 // length N+1: byte offsets into Bytes, from 0
+	Bytes  []byte  // encoded rows + codecSlack zero pad
 	MaxDeg int32   // decode scratch sizing
 	Shards []Shard // 64-aligned vertex ranges of ~shardTargetBytes each
 }
@@ -88,7 +83,7 @@ type Adjacency interface {
 	ByteOffset(v int32) int64
 	// FootprintBytes is the resident size of the adjacency structure
 	// (offset arrays plus edge stream) — the numerator of the
-	// bytes/edge metric reported by the bench-graph-xl tier.
+	// benchmark's graph.bytes_per_edge_* metrics.
 	FootprintBytes() int64
 }
 
@@ -175,7 +170,7 @@ func (c *CGraph) Degree(v int32) int32 { return c.EOffs[v+1] - c.EOffs[v] }
 func (c *CGraph) MaxDegree() int32 { return c.MaxDeg }
 
 // RowInto decodes v's row into buf and returns buf[:Degree(v)]. The
-// suffix slice (not the exact segment) hands the decoder the pool's
+// suffix slice (not the exact segment) hands the decoder the stream's
 // slack pad for its fixed-width group loads.
 func (c *CGraph) RowInto(v int32, buf []int32) []int32 {
 	return decodeRow(v, c.Bytes[c.BOffs[v]:], c.Degree(v), buf)
@@ -256,12 +251,11 @@ func (c *CGraph) CountIn(v int32, bm []uint64) int64 {
 func (c *CGraph) ByteOffset(v int32) int64 { return c.BOffs[v] }
 
 // FootprintBytes is the compressed CSR's resident size: both offset
-// arrays (int32 edge ranks + int64 byte offsets) plus this direction's
-// span of the encoded byte pool — the honest accounting that charges
-// the compression its extra offset array, and charges a pool-sharing
-// pair each direction exactly once.
+// arrays (int32 edge ranks + int64 byte offsets) plus the encoded rows
+// — the honest accounting that charges the compression its extra
+// offset array.
 func (c *CGraph) FootprintBytes() int64 {
-	return int64(c.N+1)*4 + int64(c.N+1)*8 + (c.BOffs[c.N] - c.BOffs[0])
+	return int64(c.N+1)*4 + int64(c.N+1)*8 + c.BOffs[c.N]
 }
 
 // WRow decodes v's neighbors into buf and returns them with the
@@ -281,18 +275,12 @@ func (c *CGraph) Validate() error {
 	if len(c.EOffs) != int(c.N)+1 || len(c.BOffs) != int(c.N)+1 {
 		return fmt.Errorf("graph: CGraph offset arrays have length %d/%d, want %d", len(c.EOffs), len(c.BOffs), c.N+1)
 	}
-	if c.BOffs[0] < 0 || c.BOffs[c.N] < c.BOffs[0] || c.BOffs[c.N]+codecSlack > int64(len(c.Bytes)) {
-		return fmt.Errorf("graph: CGraph byte extent [%d,%d)+%d slack exceeds pool of %d bytes", c.BOffs[0], c.BOffs[c.N], codecSlack, len(c.Bytes))
+	if c.BOffs[0] != 0 || c.BOffs[c.N] < 0 || c.BOffs[c.N]+codecSlack != int64(len(c.Bytes)) {
+		return fmt.Errorf("graph: CGraph byte extent [%d,%d)+%d slack does not span its %d bytes", c.BOffs[0], c.BOffs[c.N], codecSlack, len(c.Bytes))
 	}
-	if c.BOffs[c.N]+codecSlack == int64(len(c.Bytes)) {
-		// This graph's rows end the pool, so the next codecSlack bytes are
-		// its zero pad. (A pool-sharing forward graph is followed by
-		// transpose rows instead — those checked by the transpose's own
-		// Validate — so only the tail owner vets the pad.)
-		for j := int64(0); j < codecSlack; j++ {
-			if c.Bytes[c.BOffs[c.N]+j] != 0 {
-				return fmt.Errorf("graph: CGraph slack byte %d past offset %d is %#x, want 0", j, c.BOffs[c.N], c.Bytes[c.BOffs[c.N]+j])
-			}
+	for j := int64(0); j < codecSlack; j++ {
+		if c.Bytes[c.BOffs[c.N]+j] != 0 {
+			return fmt.Errorf("graph: CGraph slack byte %d past offset %d is %#x, want 0", j, c.BOffs[c.N], c.Bytes[c.BOffs[c.N]+j])
 		}
 	}
 	for v := int32(0); v < c.N; v++ {
@@ -403,16 +391,42 @@ func maxDegreeOf(w *core.Worker, g *Graph) int32 {
 
 // Compress encodes a plain CSR graph, whose rows must already be
 // sorted (BuildSorted / SortAdjacency), into this Builder's reusable
-// compressed buffers. The pipeline is the certified two-pass encoder:
-// a size pass fills a zeroed per-vertex byte-size array, one inclusive
-// scan turns sizes into byte offsets, and a range scatter encodes each
-// row into its byte segment. The scatter's boundaries are exactly the
-// scan's output, the monotone byte-offset provenance `rpblint -certify`
-// proves (docs/LINT.md), so ModeUnchecked runs the scatter — and skips
-// the Validate decode pass — with no run-time check. The returned
-// *CGraph aliases g's Offs as EOffs and the Builder's buffers; it is
-// valid until the next compressed build on this Builder.
+// compressed buffers. The returned *CGraph aliases g's Offs as EOffs
+// and the Builder's buffers; it is valid until the next Compress on
+// this Builder.
 func (b *Builder) Compress(w *core.Worker, g *Graph) *CGraph {
+	compressInto(w, g, &b.cg)
+	return &b.cg
+}
+
+// CompressW encodes a weighted CSR graph whose rows are sorted with
+// weights permuted alongside (SortAdjacencyW). The weight array is not
+// compressed: CWGraph.Wgt aliases wg.Wgt, already in sorted row order.
+func (b *Builder) CompressW(w *core.Worker, wg *WGraph) *CWGraph {
+	compressInto(w, &wg.Graph, &b.cwg.CGraph)
+	b.cwg.Wgt = wg.Wgt
+	return &b.cwg
+}
+
+// CompressTranspose is Compress for the transpose tg of a graph, into
+// the Builder's second compressed slot, so a Builder holds both
+// directions of one graph at once. Each direction owns its stream; the
+// result is valid until the next CompressTranspose on this Builder.
+func (b *Builder) CompressTranspose(w *core.Worker, tg *Graph) *CGraph {
+	compressInto(w, tg, &b.ctg)
+	return &b.ctg
+}
+
+// compressInto is the certified two-pass encoder behind every
+// compressed build: a size pass fills a zeroed per-vertex byte-size
+// array, one inclusive scan turns sizes into byte offsets, and a range
+// scatter encodes each row into its byte segment. The scatter's
+// boundaries are exactly the scan's output, the monotone byte-offset
+// provenance `rpblint -certify` proves (docs/LINT.md), so ModeUnchecked
+// runs the scatter — and skips the Validate decode pass — with no
+// run-time check. dst's stream starts at byte 0 and ends in its own
+// codecSlack zero pad; dst.EOffs aliases g.Offs.
+func compressInto(w *core.Worker, g *Graph, dst *CGraph) {
 	n := int(g.N)
 	adj, offs := g.Adj, g.Offs
 	a := arena.Of(w)
@@ -423,7 +437,7 @@ func (b *Builder) Compress(w *core.Worker, g *Graph) *CGraph {
 	})
 	total := core.ScanInclusive(w, offsets[1:])
 	buf := arena.AllocUninit[byte](a, total)
-	encode := func(v int, dst []byte) { encodeRow(int32(v), adj[offs[v]:offs[v+1]], dst) }
+	encode := func(v int, seg []byte) { encodeRow(int32(v), adj[offs[v]:offs[v+1]], seg) }
 	if core.GetMode() == core.ModeChecked {
 		if err := core.IndChunks(w, buf, offsets, encode); err != nil {
 			panic(fmt.Sprintf("graph: Compress boundary check failed: %v", err))
@@ -431,118 +445,23 @@ func (b *Builder) Compress(w *core.Worker, g *Graph) *CGraph {
 	} else {
 		core.IndChunksUnchecked(w, buf, offsets, encode)
 	}
-	b.cg.N = g.N
-	b.cg.EOffs = g.Offs
-	b.cg.BOffs = core.EnsureLen(b.cg.BOffs, n+1)
-	core.CopyInto(w, b.cg.BOffs, offsets)
-	b.cg.Bytes = core.EnsureLen(b.cg.Bytes, int(total)+codecSlack)
-	core.CopyInto(w, b.cg.Bytes[:total], buf)
+	dst.N = g.N
+	dst.EOffs = g.Offs
+	dst.BOffs = core.EnsureLen(dst.BOffs, n+1)
+	core.CopyInto(w, dst.BOffs, offsets)
+	dst.Bytes = core.EnsureLen(dst.Bytes, int(total)+codecSlack)
+	core.CopyInto(w, dst.Bytes[:total], buf)
 	for j := 0; j < codecSlack; j++ {
-		b.cg.Bytes[int(total)+j] = 0
+		dst.Bytes[int(total)+j] = 0
 	}
 	a.Release(am)
-	b.cg.MaxDeg = maxDegreeOf(w, g)
-	b.cg.Shards = ShardsOf(&b.cg, b.cg.Shards)
+	dst.MaxDeg = maxDegreeOf(w, g)
+	dst.Shards = ShardsOf(dst, dst.Shards)
 	if core.GetMode() == core.ModeChecked {
-		if err := b.cg.Validate(); err != nil {
+		if err := dst.Validate(); err != nil {
 			panic(fmt.Sprintf("graph: Compress produced an invalid stream: %v", err))
 		}
 	}
-	return &b.cg
-}
-
-// CompressW encodes a weighted CSR graph whose rows are sorted with
-// weights permuted alongside (SortAdjacencyW). The weight array is not
-// compressed: CWGraph.Wgt aliases wg.Wgt, already in sorted row order.
-func (b *Builder) CompressW(w *core.Worker, wg *WGraph) *CWGraph {
-	b.cwg.CGraph = *b.Compress(w, &wg.Graph)
-	b.cwg.Wgt = wg.Wgt
-	return &b.cwg
-}
-
-// CompressTranspose encodes tg — the transpose of the graph most
-// recently passed to Compress/CompressW on this Builder — and appends
-// its rows to the forward CGraph's byte pool, so both directions
-// stream from one arena (one allocation, one slack pad, contiguous for
-// the beyond-LLC tier). The returned transpose CGraph aliases that
-// shared pool with absolute byte offsets: its BOffs[0] is the forward
-// stream's end, and the forward graph's Bytes is re-aliased to the
-// grown pool (the *CGraph returned by the earlier Compress stays
-// valid; a CWGraph from CompressW needs CompressTransposeW, which
-// re-syncs its embedded struct copy). The encoder is the same
-// certified two-pass pipeline as Compress — the base offset is added
-// after the scan, outside the certified scatter, so the certificate is
-// unchanged. Must be called after Compress; like Compress, the result
-// is valid until the next compressed build on this Builder.
-func (b *Builder) CompressTranspose(w *core.Worker, tg *Graph) *CGraph {
-	n := int(tg.N)
-	adj, offs := tg.Adj, tg.Offs
-	a := arena.Of(w)
-	am := a.Mark()
-	offsets := arena.Alloc[int64](a, n+1)
-	core.ForRange(w, 0, n, 0, func(v int) {
-		offsets[v+1] = int64(encRowSize(int32(v), adj[offs[v]:offs[v+1]]))
-	})
-	total := core.ScanInclusive(w, offsets[1:])
-	buf := arena.AllocUninit[byte](a, total)
-	encode := func(v int, dst []byte) { encodeRow(int32(v), adj[offs[v]:offs[v+1]], dst) }
-	if core.GetMode() == core.ModeChecked {
-		if err := core.IndChunks(w, buf, offsets, encode); err != nil {
-			panic(fmt.Sprintf("graph: CompressTranspose boundary check failed: %v", err))
-		}
-	} else {
-		core.IndChunksUnchecked(w, buf, offsets, encode)
-	}
-	base := b.cg.BOffs[b.cg.N] // forward stream end: transpose rows start here
-	b.ctg.N = tg.N
-	b.ctg.EOffs = tg.Offs
-	b.ctg.BOffs = core.EnsureLen(b.ctg.BOffs, n+1)
-	bo := b.ctg.BOffs
-	bo[0] = base
-	core.ForRange(w, 0, n, 0, func(v int) { bo[v+1] = base + offsets[v+1] })
-	// Grow the pool by hand: EnsureLen does not preserve contents across
-	// a reallocation, and the forward rows must survive the append. The
-	// transpose rows start at base, overwriting the forward stream's old
-	// slack pad; a fresh pad goes after the last transpose row.
-	pool := b.cg.Bytes
-	need := int(base+total) + codecSlack
-	if need <= cap(pool) {
-		pool = pool[:need]
-	} else {
-		grown := make([]byte, need)
-		core.CopyInto(w, grown[:base], pool[:base])
-		pool = grown
-	}
-	core.CopyInto(w, pool[base:base+total], buf)
-	for j := 0; j < codecSlack; j++ {
-		pool[int(base+total)+j] = 0
-	}
-	a.Release(am)
-	b.cg.Bytes = pool
-	b.ctg.Bytes = pool
-	b.ctg.MaxDeg = maxDegreeOf(w, tg)
-	b.ctg.Shards = ShardsOf(&b.ctg, b.ctg.Shards)
-	if core.GetMode() == core.ModeChecked {
-		if err := b.ctg.Validate(); err != nil {
-			panic(fmt.Sprintf("graph: CompressTranspose produced an invalid stream: %v", err))
-		}
-		if err := b.cg.Validate(); err != nil {
-			panic(fmt.Sprintf("graph: CompressTranspose corrupted the forward stream: %v", err))
-		}
-	}
-	return &b.ctg
-}
-
-// CompressTransposeW is CompressTranspose for a weighted transpose
-// (Builder.TransposeW): weights stay uncompressed, aliasing twg.Wgt in
-// sorted row order. It also re-syncs the CWGraph returned by the
-// preceding CompressW, whose embedded CGraph is a struct *copy* of the
-// Builder's and would otherwise keep aliasing the pre-append pool.
-func (b *Builder) CompressTransposeW(w *core.Worker, twg *WGraph) *CWGraph {
-	b.ctwg.CGraph = *b.CompressTranspose(w, &twg.Graph)
-	b.ctwg.Wgt = twg.Wgt
-	b.cwg.CGraph = b.cg
-	return &b.ctwg
 }
 
 // BuildC builds the compressed CSR form of a directed edge list: a

@@ -237,12 +237,12 @@ func TestFindFirstInGroupBoundaries(t *testing.T) {
 	}
 }
 
-// TestCompressTransposeSharedPool pins the pool-sharing contract:
-// after CompressTranspose, forward and transpose alias one byte pool,
-// the transpose's offsets are absolute (based at the forward stream's
-// end), both validate, the forward rows decode exactly as before the
-// append, and FootprintBytes charges each direction only its own span.
-func TestCompressTransposeSharedPool(t *testing.T) {
+// TestCompressTransposeSeparateStreams pins that a Builder's two
+// compressed slots own separate streams: after Compress then
+// CompressTranspose, neither aliases the other's bytes, both validate
+// and decode to their plain rows, the forward stream is exactly a solo
+// BuildC's, and each FootprintBytes charges only its own rows.
+func TestCompressTransposeSeparateStreams(t *testing.T) {
 	edges, n := edgesFor(nil, InputRMAT, ScaleTest, 0x9e)
 	sym := Symmetrize(nil, edges)
 	var b, tb, solo Builder
@@ -253,34 +253,25 @@ func TestCompressTransposeSharedPool(t *testing.T) {
 	SortAdjacency(nil, tg)
 	ctg := b.CompressTranspose(nil, tg)
 
-	if &cg.Bytes[0] != &ctg.Bytes[0] || len(cg.Bytes) != len(ctg.Bytes) {
-		t.Fatal("forward and transpose do not alias one pool")
-	}
-	if ctg.BOffs[0] != cg.BOffs[cg.N] {
-		t.Fatalf("transpose base %d, want forward end %d", ctg.BOffs[0], cg.BOffs[cg.N])
-	}
-	wantLen := int(ctg.BOffs[ctg.N]) + codecSlack
-	if len(cg.Bytes) != wantLen {
-		t.Fatalf("pool has %d bytes, want %d (transpose end + slack)", len(cg.Bytes), wantLen)
+	if &cg.Bytes[0] == &ctg.Bytes[0] {
+		t.Fatal("forward and transpose share a byte stream")
 	}
 	if err := cg.Validate(); err != nil {
-		t.Fatalf("forward after append: %v", err)
+		t.Fatalf("forward: %v", err)
 	}
 	if err := ctg.Validate(); err != nil {
 		t.Fatalf("transpose: %v", err)
 	}
 	checkCompressedEquivalence(t, g, cg)
 	checkCompressedEquivalence(t, tg, ctg)
-	// The append must not disturb the forward encoding.
-	if !bytes.Equal(cg.Bytes[:cg.BOffs[cg.N]], ref.Bytes[:ref.BOffs[ref.N]]) {
-		t.Fatal("forward stream changed by the transpose append")
+	if !bytes.Equal(cg.Bytes, ref.Bytes) || !slices.Equal(cg.BOffs, ref.BOffs) {
+		t.Fatal("forward stream differs from a solo BuildC")
 	}
-	// Footprint: each direction charges its own byte span, so the pair's
-	// stream mass sums to the pool minus the single slack pad.
 	offsBytes := int64(n+1)*4 + int64(n+1)*8
-	sum := (cg.FootprintBytes() - offsBytes) + (ctg.FootprintBytes() - offsBytes)
-	if sum != int64(len(cg.Bytes)-codecSlack) {
-		t.Fatalf("direction spans sum to %d, pool holds %d", sum, len(cg.Bytes)-codecSlack)
+	for name, c := range map[string]*CGraph{"forward": cg, "transpose": ctg} {
+		if got, want := c.FootprintBytes(), offsBytes+int64(len(c.Bytes)-codecSlack); got != want {
+			t.Fatalf("%s footprint %d, want %d", name, got, want)
+		}
 	}
 }
 
@@ -322,7 +313,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 		offs, adj []int32
 		boffs     []int64
 		tboffs    []int64
-		enc       []byte
+		enc, tenc []byte
 	}
 	build := func(workers int) snap {
 		pool := core.NewPool(workers)
@@ -339,7 +330,8 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 			s.offs = slices.Clone(c.EOffs)
 			s.boffs = slices.Clone(c.BOffs)
 			s.tboffs = slices.Clone(ct.BOffs)
-			s.enc = slices.Clone(c.Bytes) // the whole shared pool, both directions
+			s.enc = slices.Clone(c.Bytes)
+			s.tenc = slices.Clone(ct.Bytes)
 			s.adj = slices.Clone(b.g.Adj)
 		})
 		return s
@@ -353,8 +345,8 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 		if !slices.Equal(base.boffs, got.boffs) || !bytes.Equal(base.enc, got.enc) {
 			t.Fatalf("CGraph bytes differ between 1 and %d workers", workers)
 		}
-		if !slices.Equal(base.tboffs, got.tboffs) {
-			t.Fatalf("transpose byte offsets differ between 1 and %d workers", workers)
+		if !slices.Equal(base.tboffs, got.tboffs) || !bytes.Equal(base.tenc, got.tenc) {
+			t.Fatalf("transpose bytes differ between 1 and %d workers", workers)
 		}
 	}
 }
@@ -425,6 +417,29 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	trunc.BOffs[n]++
 	if err := trunc.Validate(); err == nil {
 		t.Fatal("inflated byte-offset total passed validation")
+	}
+	// A stream that does not start at byte 0.
+	shifted := *c
+	shifted.BOffs = slices.Clone(c.BOffs)
+	for v := range shifted.BOffs {
+		shifted.BOffs[v]++
+	}
+	shifted.Bytes = append([]byte{0}, c.Bytes...)
+	if err := shifted.Validate(); err == nil {
+		t.Fatal("stream starting past byte 0 passed validation")
+	}
+	// Bytes past the pad, zero or not.
+	long := *c
+	long.Bytes = append(slices.Clone(c.Bytes), 0)
+	if err := long.Validate(); err == nil {
+		t.Fatal("bytes past the slack pad passed validation")
+	}
+	// A nonzero pad byte with Bytes one byte longer than the stream.
+	dirty := *c
+	dirty.Bytes = append(slices.Clone(c.Bytes), 0)
+	dirty.Bytes[c.BOffs[n]] = 1
+	if err := dirty.Validate(); err == nil {
+		t.Fatal("nonzero slack byte passed validation")
 	}
 	// Corrupt a gap into an out-of-range id: pick the last byte of a
 	// nonempty row and blow up its payload.

@@ -18,7 +18,7 @@ package graph
 // continuation-bit branches — and FindFirstIn advances group-at-a-time
 // (the control word gives the payload size up front) instead of
 // gap-at-a-time. The price is a fixed-width over-read: payload loads
-// always read 4 bytes and mask, so every byte pool carries codecSlack
+// always read 4 bytes and mask, so every byte stream carries codecSlack
 // zero bytes past its last encoded byte and decoders receive suffix
 // slices (Bytes[BOffs[v]:], not exact segments).
 //
@@ -42,7 +42,7 @@ const (
 	// row's last encoded byte: group payload loads are unconditional
 	// 4-byte little-endian reads masked to the tagged length, so the
 	// final 1-byte gap of a stream may pull in up to 3 bytes beyond it.
-	// Every encoded byte pool ends with codecSlack zero bytes (zero also
+	// Every encoded byte stream ends with codecSlack zero bytes (zero also
 	// terminates any varint a corrupt stream walks into the pad), and
 	// every buffer handed to decodeRow must include them.
 	codecSlack = 4
@@ -103,7 +103,7 @@ func load32(buf []byte, k int) uint32 {
 // load64 reads 8 little-endian bytes at buf[k:] — the whole payload of
 // a gvTot<=8 control byte in one load. Safe anywhere inside a group:
 // the shorter a half-group's payload, the more bytes follow it (the
-// other half's payload is at least 4 bytes, and the pool's codecSlack
+// other half's payload is at least 4 bytes, and the stream's codecSlack
 // pad covers a final all-ones half exactly).
 func load64(buf []byte, k int) uint64 {
 	b := buf[k : k+8]
@@ -322,7 +322,7 @@ func decodeGroup(buf []byte, k int, u int32, o *[gvGroup]int32) (int, int32) {
 // decodeRow decodes vertex v's row from buf into out, which must have
 // room for deg entries, and returns out[:deg]. buf is the row's byte
 // stream starting at its first byte (Bytes[BOffs[v]:]) and must extend
-// at least codecSlack bytes past the row's encoding — the pool pad, or
+// at least codecSlack bytes past the row's encoding — the stream's pad, or
 // the caller's own slack for standalone buffers.
 func decodeRow(v int32, buf []byte, deg int32, out []int32) []int32 {
 	if deg == 0 {

@@ -15,11 +15,6 @@ const (
 	ScaleSmall
 	// ScaleDefault is the evaluation scale: millions of edges.
 	ScaleDefault
-	// ScaleLarge is the beyond-LLC tier (make bench-graph-xl): tens of
-	// millions of edges, sized so the plain CSR working set of one
-	// traversal direction exceeds last-level cache while the compressed
-	// form (docs/GRAPH.md "Compressed CSR") stays resident.
-	ScaleLarge
 )
 
 // Input names the three standard graph inputs of Table 2.
@@ -42,8 +37,6 @@ func edgesFor(w *core.Worker, name string, scale InputScale, seed uint64) ([]Edg
 			n, deg = 500, 8
 		case ScaleSmall:
 			n, deg = 20_000, 20
-		case ScaleLarge:
-			n, deg = 600_000, 40
 		default:
 			n, deg = 100_000, 20
 		}
@@ -55,10 +48,6 @@ func edgesFor(w *core.Worker, name string, scale InputScale, seed uint64) ([]Edg
 			sc, ef = 9, 6
 		case ScaleSmall:
 			sc, ef = 14, 6
-		case ScaleLarge:
-			// Dense: the average gap between sorted neighbors stays in
-			// varint one-to-two-byte range, the regime the codec targets.
-			sc, ef = 18, 128
 		default:
 			sc, ef = 17, 6
 		}
@@ -70,8 +59,6 @@ func edgesFor(w *core.Worker, name string, scale InputScale, seed uint64) ([]Edg
 			gw, gh = 30, 20
 		case ScaleSmall:
 			gw, gh = 160, 150
-		case ScaleLarge:
-			gw, gh = 3200, 3200
 		default:
 			gw, gh = 500, 400
 		}
@@ -106,74 +93,6 @@ func LoadUndirectedSorted(w *core.Worker, name string, scale InputScale, seed ui
 	sym := Symmetrize(w, edges)
 	var b Builder
 	return b.BuildSorted(w, n, sym)
-}
-
-// loadCompressed is the one compress-after-load pipeline behind every
-// compressed loader: generate, symmetrize, weight (when weighted),
-// build sorted, compress — and, when withTranspose is set, build the
-// sorted transpose in a second Builder and append it to the forward
-// graph's byte pool via CompressTranspose. This is the single place
-// the transpose-sharing option is applied, so every loader variant
-// gets the same pool layout. Exactly one of (cg, ctg) or (cw, ctw) is
-// populated, by weighted; the transpose results are nil unless
-// withTranspose.
-func loadCompressed(w *core.Worker, name string, scale InputScale, seed uint64, weighted, withTranspose bool) (cg, ctg *CGraph, cw, ctw *CWGraph) {
-	edges, n := edgesFor(w, name, scale, seed)
-	sym := Symmetrize(w, edges)
-	var b, tb Builder
-	if !weighted {
-		g := b.BuildSorted(w, n, sym)
-		cg = b.Compress(w, g)
-		if withTranspose {
-			tg := tb.Transpose(w, g)
-			SortAdjacency(w, tg)
-			ctg = b.CompressTranspose(w, tg)
-		}
-		return
-	}
-	wedges := AddWeights(w, sym, 1<<16, seed+1)
-	wg := b.BuildWSorted(w, n, wedges)
-	cw = b.CompressW(w, wg)
-	if withTranspose {
-		twg := tb.TransposeW(w, wg)
-		SortAdjacencyW(w, twg)
-		ctw = b.CompressTransposeW(w, twg)
-	}
-	return
-}
-
-// LoadUndirectedC builds the compressed CSR form of a named input. The
-// returned CGraph owns its (Builder-backed) buffers for the caller's
-// lifetime.
-func LoadUndirectedC(w *core.Worker, name string, scale InputScale, seed uint64) *CGraph {
-	cg, _, _, _ := loadCompressed(w, name, scale, seed, false, false)
-	return cg
-}
-
-// LoadUndirectedCT is LoadUndirectedC plus the compressed transpose,
-// sharing one byte pool with the forward graph — the pair the hybrid
-// BFS traverses. The inputs are symmetric, so the transpose carries
-// the same rows; building it for real keeps the bottom-up path honest
-// about its second direction's byte mass.
-func LoadUndirectedCT(w *core.Worker, name string, scale InputScale, seed uint64) (*CGraph, *CGraph) {
-	cg, ctg, _, _ := loadCompressed(w, name, scale, seed, false, true)
-	return cg, ctg
-}
-
-// LoadUndirectedWeightedC builds the compressed weighted form with the
-// same weights as LoadUndirectedWeighted (AddWeights keys on the edge,
-// not the row order, so the two loaders agree per edge).
-func LoadUndirectedWeightedC(w *core.Worker, name string, scale InputScale, seed uint64) *CWGraph {
-	_, _, cw, _ := loadCompressed(w, name, scale, seed, true, false)
-	return cw
-}
-
-// LoadUndirectedWeightedCT is LoadUndirectedWeightedC plus the
-// compressed weighted transpose (pool-sharing, weights aliased in
-// sorted in-edge order) — the pair the SSSP pull rounds relax.
-func LoadUndirectedWeightedCT(w *core.Worker, name string, scale InputScale, seed uint64) (*CWGraph, *CWGraph) {
-	_, _, cw, ctw := loadCompressed(w, name, scale, seed, true, true)
-	return cw, ctw
 }
 
 // UndirectedEdgeList returns the symmetrized edge list with each

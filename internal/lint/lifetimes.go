@@ -162,11 +162,6 @@ func (r *LifeReport) String() string {
 		r.Regions, r.Marks, r.Checkouts, r.Released, r.RegionConfined, r.WorkerConfined, r.Refused, r.Unexplained))
 }
 
-// LoadLifetimes reads a lifetime-certificate file.
-func LoadLifetimes(path string) (*LifeReport, error) {
-	return loadArtifact[LifeReport](path, "lifetime report")
-}
-
 // prescanBoxes walks the whole module once, collecting the AcquireBox
 // instantiation types (boxTypes) and every "x.field = nil" clear whose
 // base is one of them (boxCleared). The pass needs both globally: a

@@ -167,11 +167,6 @@ func (r *RaceReport) String() string {
 		r.Regions, r.WorkerLocal, r.Atomic, r.LockGuarded, r.IndexDisjoint, r.Refused, r.Unexplained))
 }
 
-// LoadRaces reads a race-certificate file.
-func LoadRaces(path string) (*RaceReport, error) {
-	return loadArtifact[RaceReport](path, "race report")
-}
-
 // ---------------------------------------------------------------------
 // Region enumeration
 // ---------------------------------------------------------------------

@@ -282,30 +282,6 @@ func (b *atBody) RunRange(_ *core.Worker, lo, hi int) {
 	}
 }
 
-// SortU32 sorts keys ascending, examining only the low `bits` bits. The
-// widened copy lives in the worker's arena.
-func SortU32(w *core.Worker, keys []uint32, bits int) {
-	n := len(keys)
-	if n < 2 {
-		return
-	}
-	a := arena.Of(w)
-	m := a.Mark()
-	wide := arena.AllocUninit[uint64](a, n)
-	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			wide[i] = uint64(keys[i])
-		}
-	})
-	SortPairs(w, wide, nil, bits)
-	core.ForBlocks(w, 0, n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = uint32(wide[i])
-		}
-	})
-	a.Release(m)
-}
-
 // BitsFor returns the number of bits needed to represent max.
 func BitsFor(max uint64) int {
 	b := 0

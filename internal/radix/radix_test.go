@@ -111,22 +111,6 @@ func TestSortPairsPropertyMatchesStdlib(t *testing.T) {
 	}
 }
 
-func TestSortU32(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	keys := make([]uint32, 40000)
-	for i := range keys {
-		keys[i] = rng.Uint32() % 100000
-	}
-	want := append([]uint32(nil), keys...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	on(func(w *core.Worker) { SortU32(w, keys, BitsFor(100000)) })
-	for i := range keys {
-		if keys[i] != want[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-}
-
 func TestBitsFor(t *testing.T) {
 	cases := map[uint64]int{0: 1, 1: 1, 2: 2, 3: 2, 255: 8, 256: 9, 1 << 40: 41}
 	for in, want := range cases {

@@ -64,9 +64,7 @@ type Worker struct {
 
 	// scratch is an opaque per-worker scratch slot, reserved for
 	// higher layers (internal/arena hangs its per-worker bump arena
-	// and typed box stacks here). Owner-only during execution; Pool
-	// readers (Scratches) may inspect it only while the pool is
-	// quiescent.
+	// and typed box stacks here). Owner-only.
 	scratch any
 
 	// forFrame cache: forFrames[d] is the reusable split frame for a
@@ -254,18 +252,6 @@ func (w *Worker) Scratch() any { return w.scratch }
 // SetScratch installs the worker's scratch slot, typically a lazily
 // created per-worker arena. Owner-only.
 func (w *Worker) SetScratch(s any) { w.scratch = s }
-
-// Scratches snapshots every worker's scratch slot. It must only be
-// called while the pool is quiescent (no Do in flight): the slots are
-// owner-written without synchronization. It exists so harnesses can
-// reset or inspect per-worker arenas between benchmark rounds.
-func (p *Pool) Scratches() []any {
-	out := make([]any, len(p.workers))
-	for i, w := range p.workers {
-		out[i] = w.scratch
-	}
-	return out
-}
 
 // Spawn schedules t to run asynchronously on the pool. The caller is
 // responsible for tracking completion (Join does this automatically).
