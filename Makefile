@@ -49,17 +49,19 @@ race:
 # probes, shard assembly — FuzzSymmetrize — the integer-sort
 # Symmetrize against its comparison-sort reference — FuzzArrayAgainstNaive
 # — the packed-key prefix-doubling suffix array, sequential and on a
-# pool, unchecked and checked, against DC3 and a comparison sort — and
-# FuzzBWTRoundTrip for a few wall-clock seconds of mutation each on top
-# of the seed corpus. Not a soak; just enough for CI to catch an
-# encoder or key-packing change that breaks on shapes the unit tests
-# don't enumerate.
+# pool, unchecked and checked, against DC3 and a comparison sort —
+# FuzzBWTRoundTrip and FuzzSortAgainstSlices — the branch-free
+# quicksort leaf against slices.Sort — for a few wall-clock seconds of
+# mutation each on top of the seed corpus. Not a soak; just enough for
+# CI to catch an encoder, key-packing or partition change that breaks
+# on shapes the unit tests don't enumerate.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run xxx -fuzz FuzzSymmetrize -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run xxx -fuzz FuzzArrayAgainstNaive -fuzztime $(FUZZTIME) ./internal/suffix/
 	$(GO) test -run xxx -fuzz FuzzBWTRoundTrip -fuzztime $(FUZZTIME) ./internal/suffix/
+	$(GO) test -run xxx -fuzz FuzzSortAgainstSlices -fuzztime $(FUZZTIME) ./internal/qsort/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -68,6 +68,13 @@ func TestKernelsSteadyStateAllocs(t *testing.T) {
 		{"msf", graph.InputRMAT, ScaleTest, 5},
 		{"sf", graph.InputLink, ScaleTest, 1},
 		{"sa", "wiki", ScaleTest, 42},
+		{"lrs", "wiki", ScaleTest, 110},
+		{"bw", "wiki", ScaleTest, 15},
+		{"mm", graph.InputRMAT, ScaleTest, 48},
+		{"mm", graph.InputRoad, ScaleTest, 42},
+		// Reset rebuilds the Delaunay triangulation, and the check
+		// counts Reset with the run.
+		{"dr", "kuzmin", ScaleTest, 7166},
 		{"bfs", graph.InputRMAT, ScaleTest, 12},
 		{"bfs", graph.InputLink, ScaleTest, 11},
 		// The all-top-down traversal allocates nothing, but only a grid

@@ -235,3 +235,38 @@ func TestClassifyMatchesSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestKCoreWithoutResetPanics runs each k-core variant a second time
+// without Reset: every vertex is already peeled, so the level loop has
+// nothing to seed and must stop with a panic naming Reset instead of
+// driving empty batches forever.
+func TestKCoreWithoutResetPanics(t *testing.T) {
+	spec, err := Find("kcore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := []struct {
+		name string
+		run  func(*Instance)
+	}{
+		{"library", func(inst *Instance) { inst.RunLibrary(nil) }},
+		{"direct", func(inst *Instance) { inst.RunDirect(1) }},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			inst := spec.Make(spec.Inputs[0], ScaleTest)
+			inst.Reset()
+			v.run(inst)
+			if err := inst.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Reset") {
+					t.Fatalf("second run without Reset: recovered %q, want a panic naming Reset", msg)
+				}
+			}()
+			v.run(inst)
+		})
+	}
+}

@@ -177,3 +177,19 @@ func TestVariantsAgreeOnMISStatus(t *testing.T) {
 		t.Fatal("empty MIS on a non-empty graph")
 	}
 }
+
+// TestDirectSortMatchesOracle runs the hand-rolled sample sort at one,
+// two and four threads; it takes the sample-sort path at every count,
+// so the one-thread run is not a whole-array sort.
+func TestDirectSortMatchesOracle(t *testing.T) {
+	spec, err := Find("sort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := spec.Make("exponential", ScaleTest)
+	for _, threads := range []int{1, 2, 4} {
+		if _, err := Measure(inst, VariantDirect, threads, 1); err != nil {
+			t.Fatalf("threads=%d: %v", threads, err)
+		}
+	}
+}

@@ -123,6 +123,12 @@ func (k *kcoreInstance[A]) runLevels(w *core.Worker, nWorkers int) {
 		// writing the coreness — happens in the sequential staging loop
 		// below, before any cascade runs.
 		seedIdx := core.PackIndexInto(w, n, atLevel, k.seedBuf)
+		if len(seedIdx) == 0 {
+			// The minimum vertex is always a seed, so every vertex is
+			// already peeled: without this the loop would drive empty
+			// batches forever.
+			panic("kcore: no unpeeled vertex left at the start of a run; call Reset before each RunLibrary")
+		}
 		items := k.seeds[:0]
 		for _, v := range seedIdx {
 			k.cn[v] = kc
@@ -154,6 +160,9 @@ func (k *kcoreInstance[A]) runDirect(nThreads int) {
 				k.cn[v] = kc
 				frontier = append(frontier, int32(v))
 			}
+		}
+		if len(frontier) == 0 {
+			panic("kcore: no unpeeled vertex left at the start of a run; call Reset before each RunDirect")
 		}
 		peeled += int64(len(frontier))
 		for len(frontier) > 0 {

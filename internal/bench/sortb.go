@@ -2,10 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/qsort"
 	"repro/internal/seqgen"
 )
 
@@ -16,7 +16,9 @@ import (
 // the RngInd adapter — exactly the paper's observation that "sort only
 // has RngInd, so is comfortable to express but not fearless". Modes:
 // checked uses core.IndChunks (cheap monotonicity validation), others
-// use the unchecked variant.
+// use the unchecked variant. Both variants sort a bucket with
+// qsort.Sort, a branch-free quicksort, as RPB's leaf is Rust's
+// sort_unstable.
 
 const sortBuckets = 256
 const sortOversample = 16
@@ -140,7 +142,7 @@ func (s *sortInstance) runLibrary(w *core.Worker) {
 		}
 	})
 	// Sort each bucket through the RngInd adapter.
-	sortChunk := func(_ int, chunk []uint32) { slices.Sort(chunk) }
+	sortChunk := func(_ int, chunk []uint32) { qsort.Sort(chunk) }
 	if core.GetMode() == core.ModeChecked {
 		if err := core.IndChunks(w, buf, offsets, sortChunk); err != nil {
 			panic(fmt.Sprintf("sort: boundary check failed: %v", err))
@@ -152,10 +154,14 @@ func (s *sortInstance) runLibrary(w *core.Worker) {
 	a.Release(am)
 }
 
+// runDirect is the same sample sort on plain goroutines, at every
+// thread count, one included: the one-thread baseline is the library's
+// algorithm without the pattern layer (PBBS's and the paper's
+// same-code-fewer-threads method; see dr's runDirect).
 func (s *sortInstance) runDirect(nThreads int) {
 	n := len(s.keys)
-	if n <= sortBlock || nThreads <= 1 {
-		slices.Sort(s.keys)
+	if n <= sortBlock {
+		qsort.Sort(s.keys)
 		return
 	}
 	r := seqgen.NewRng(0x5a5a)
@@ -163,7 +169,7 @@ func (s *sortInstance) runDirect(nThreads int) {
 	for i := range samples {
 		samples[i] = s.keys[r.Intn(uint64(i), n)]
 	}
-	slices.Sort(samples)
+	qsort.Sort(samples)
 	splitters := make([]uint32, sortBuckets-1)
 	for i := range splitters {
 		splitters[i] = samples[(i+1)*sortOversample]
@@ -214,8 +220,7 @@ func (s *sortInstance) runDirect(nThreads int) {
 			if d+1 < sortBuckets {
 				end = counts[(d+1)*nb]
 			}
-			chunk := buf[start:end]
-			slices.Sort(chunk)
+			qsort.Sort(buf[start:end])
 		}
 	})
 	copy(s.keys, buf)
