@@ -50,11 +50,13 @@ race:
 # Symmetrize against its comparison-sort reference — FuzzArrayAgainstNaive
 # — the packed-key prefix-doubling suffix array, sequential and on a
 # pool, unchecked and checked, against DC3 and a comparison sort —
-# FuzzBWTRoundTrip and FuzzSortAgainstSlices — the branch-free
-# quicksort leaf against slices.Sort — for a few wall-clock seconds of
-# mutation each on top of the seed corpus. Not a soak; just enough for
-# CI to catch an encoder, key-packing or partition change that breaks
-# on shapes the unit tests don't enumerate.
+# FuzzBWTRoundTrip, FuzzSortAgainstSlices — the branch-free quicksort
+# leaf against slices.Sort — and FuzzReduceBlocks — float reductions on
+# a pool and sequentially against a blocked reference, bit for bit —
+# for a few wall-clock seconds of mutation each on top of the seed
+# corpus. Not a soak; just enough for CI to catch an encoder,
+# key-packing, partition or combine-order change that breaks on shapes
+# the unit tests don't enumerate.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/graph/
@@ -62,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzArrayAgainstNaive -fuzztime $(FUZZTIME) ./internal/suffix/
 	$(GO) test -run xxx -fuzz FuzzBWTRoundTrip -fuzztime $(FUZZTIME) ./internal/suffix/
 	$(GO) test -run xxx -fuzz FuzzSortAgainstSlices -fuzztime $(FUZZTIME) ./internal/qsort/
+	$(GO) test -run xxx -fuzz FuzzReduceBlocks -fuzztime $(FUZZTIME) ./internal/core/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -20,8 +20,8 @@ import (
 // rows carry 2 of headroom: mq.ProcessBatchOn starts goroutines of its
 // own, and under -race the runtime's randomised scheduling now and then
 // costs one more descriptor. What the remaining allocations are
-// (join-tree closures of MapReduce, escaping per-level counters, SSSP's
-// bucket growth) is in docs/MEMORY.md and docs/GRAPH.md.
+// (closures that carry a wrapper's arguments, SSSP's bucket growth) is
+// in docs/MEMORY.md and docs/GRAPH.md.
 func TestKernelsSteadyStateAllocs(t *testing.T) {
 	core.SetMode(core.ModeUnchecked)
 	pool := core.NewPool(1)
@@ -68,15 +68,15 @@ func TestKernelsSteadyStateAllocs(t *testing.T) {
 		{"msf", graph.InputRMAT, ScaleTest, 5},
 		{"sf", graph.InputLink, ScaleTest, 1},
 		{"sa", "wiki", ScaleTest, 42},
-		{"lrs", "wiki", ScaleTest, 110},
+		{"lrs", "wiki", ScaleTest, 45},
 		{"bw", "wiki", ScaleTest, 15},
-		{"mm", graph.InputRMAT, ScaleTest, 48},
-		{"mm", graph.InputRoad, ScaleTest, 42},
+		{"mm", graph.InputRMAT, ScaleTest, 23},
+		{"mm", graph.InputRoad, ScaleTest, 22},
 		// Reset rebuilds the Delaunay triangulation, and the check
 		// counts Reset with the run.
 		{"dr", "kuzmin", ScaleTest, 7166},
-		{"bfs", graph.InputRMAT, ScaleTest, 12},
-		{"bfs", graph.InputLink, ScaleTest, 11},
+		{"bfs", graph.InputRMAT, ScaleTest, 10},
+		{"bfs", graph.InputLink, ScaleTest, 9},
 		// The all-top-down traversal allocates nothing, but only a grid
 		// too large for the bottom-up switch stays top-down throughout.
 		{"bfs", graph.InputRoad, ScaleSmall, 0},
@@ -92,9 +92,9 @@ func TestKernelsSteadyStateAllocs(t *testing.T) {
 		{"tc", graph.InputRMAT, ScaleTest, 0},
 		{"tc", graph.InputLink, ScaleTest, 0},
 		{"tc", graph.InputRoad, ScaleTest, 0},
-		{"kcore", graph.InputRMAT, ScaleTest, 54 + 2},
-		{"kcore", graph.InputLink, ScaleTest, 27 + 2},
-		{"kcore", graph.InputRoad, ScaleTest, 12 + 2},
+		{"kcore", graph.InputRMAT, ScaleTest, 21 + 2},
+		{"kcore", graph.InputLink, ScaleTest, 12 + 2},
+		{"kcore", graph.InputRoad, ScaleTest, 7 + 2},
 	} {
 		spec, err := Find(r.kernel)
 		if err != nil {

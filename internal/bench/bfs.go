@@ -55,7 +55,45 @@ type bfsInstance[A graph.Adjacency] struct {
 	// tests can force either direction; newBFS sets the defaults.
 	alpha, beta int64
 
+	td bfsTopDown[A] // the parallel top-down step's body, reused every level
+
 	mqStats mq.Stats // counters from the last direct (MultiQueue) run
+}
+
+// bfsTopDown is a parallel top-down step in object form (sched.RangeBody)
+// kept in the instance, so a level allocates nothing: it expands the
+// frontier fr at depth nd into nxt and counts the next frontier's
+// vertices and edges.
+type bfsTopDown[A graph.Adjacency] struct {
+	b       *bfsInstance[A]
+	fr, nxt []int32
+	nd      uint32
+	cnt     atomic.Int32
+	edges   atomic.Int64
+}
+
+// RunRange decodes rows into its worker's arena scratch — Mark/Release
+// bracketed, so repeated levels reuse the same slab. The fields are read
+// once: cnt and edges share their cache line, and every winner's
+// fetch-add invalidates it.
+func (t *bfsTopDown[A]) RunRange(w *core.Worker, lo, hi int) {
+	b, nxt, nd := t.b, t.nxt, t.nd
+	a := arena.Of(w)
+	am := a.Mark()
+	buf := arena.AllocUninit[int32](a, b.maxDeg)
+	for _, v := range t.fr[lo:hi] {
+		for _, u := range b.g.RowInto(v, buf) {
+			if core.WriteMinU32(&b.dist[u], nd) {
+				// Level-synchronous: exactly one claimer wins each
+				// vertex, so the parent write has a single writer.
+				b.parent[u] = v //lint:scared single writer: WriteMinU32 on dist[u] returns true for exactly one claimer of u, in the one level that lowers it from distInf
+				//lint:scared frontier append: the atomic fetch-add hands each winner a unique slot
+				nxt[t.cnt.Add(1)-1] = u
+				t.edges.Add(int64(b.g.Degree(u)))
+			}
+		}
+	}
+	a.Release(am)
 }
 
 const distInf = ^uint32(0)
@@ -92,6 +130,7 @@ func newBFS[A graph.Adjacency](g, tg A, src int32) *bfsInstance[A] {
 		alpha:  bfsAlpha,
 		beta:   bfsBeta,
 	}
+	b.td.b = b
 	b.reset()
 	return b
 }
@@ -142,9 +181,9 @@ func (b *bfsInstance[A]) runHybrid(w *core.Worker) {
 			// Dense enough: switch to bottom-up over a bitmap frontier.
 			bottomUp = true
 			core.Fill(w, b.curBM, 0)
-			fr := cur
-			core.ForRange(w, 0, len(fr), 0, func(i int) {
-				core.SetBit(b.curBM, fr[i])
+			front := cur
+			core.ForRange(w, 0, len(front), 0, func(i int) {
+				core.SetBit(b.curBM, front[i])
 			})
 		}
 
@@ -165,51 +204,34 @@ func (b *bfsInstance[A]) runHybrid(w *core.Worker) {
 		} else if frontierVerts+frontierEdges <= bfsSerialCutoff {
 			// Tiny frontier: expand sequentially. The step is exclusive
 			// (no parallel tasks in flight), so plain claims suffice.
-			nxt := spare[:0]
+			out := spare[:0]
 			var edges int64
 			for _, v := range cur {
 				for _, u := range b.g.RowInto(v, b.row) {
 					if b.dist[u] == distInf {
 						b.dist[u] = nd
 						b.parent[u] = v
-						nxt = append(nxt, u)
+						out = append(out, u)
 						edges += int64(b.g.Degree(u))
 					}
 				}
 			}
 			spare = cur[:cap(cur)]
-			cur = nxt
-			frontierVerts, frontierEdges = int64(len(nxt)), edges
+			cur = out
+			frontierVerts, frontierEdges = int64(len(out)), edges
 		} else {
-			var nextCnt atomic.Int32
-			var nextEdges atomic.Int64
-			fr, nxt := cur, spare
-			// Each chunk decodes rows into its worker's arena scratch —
-			// Mark/Release bracketed, so repeated levels reuse the same
-			// slab and the steady state stays allocation-free.
-			expand := func(ww *core.Worker, lo, hi int) {
-				a := arena.Of(ww)
-				am := a.Mark()
-				buf := arena.AllocUninit[int32](a, b.maxDeg)
-				for i := lo; i < hi; i++ {
-					v := fr[i]
-					for _, u := range b.g.RowInto(v, buf) {
-						if core.WriteMinU32(&b.dist[u], nd) {
-							// Level-synchronous: exactly one claimer wins each
-							// vertex, so the parent write has a single writer.
-							b.parent[u] = v //lint:scared single writer: WriteMinU32 on dist[u] returns true for exactly one claimer of u, in the one level that lowers it from distInf
-							//lint:scared frontier append: the atomic fetch-add hands each winner a unique slot
-							nxt[nextCnt.Add(1)-1] = u
-							nextEdges.Add(int64(b.g.Degree(u)))
-						}
-					}
-				}
-				a.Release(am)
+			td := &b.td
+			td.fr, td.nxt, td.nd = cur, spare, nd
+			td.cnt.Store(0)
+			td.edges.Store(0)
+			if w == nil {
+				td.RunRange(nil, 0, len(cur))
+			} else {
+				w.ForBody(0, len(cur), 0, td)
 			}
-			w.For(0, len(fr), 0, expand)
 			spare = cur[:cap(cur)]
-			cur = nxt[:nextCnt.Load()]
-			frontierVerts, frontierEdges = int64(len(cur)), nextEdges.Load()
+			cur = td.nxt[:td.cnt.Load()]
+			frontierVerts, frontierEdges = int64(len(cur)), td.edges.Load()
 		}
 		level = nd
 	}

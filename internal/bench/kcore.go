@@ -88,11 +88,14 @@ func (k *kcoreInstance[A]) runLevels(w *core.Worker, nWorkers int) {
 	// The level's closures are built once and read kc, which only moves
 	// between cascades, when nothing else runs.
 	var kc uint32
-	remaining := func(v int) uint32 {
-		if k.cn[v] != distInf {
-			return distInf
+	lowest := func(lo, hi int) uint32 {
+		m := distInf
+		for v := lo; v < hi; v++ {
+			if k.cn[v] == distInf && k.rd[v] < m {
+				m = k.rd[v]
+			}
 		}
-		return k.rd[v]
+		return m
 	}
 	lower := func(a, b uint32) uint32 { return min(a, b) }
 	atLevel := func(v int) bool { return k.cn[v] == distInf && k.rd[v] <= kc }
@@ -117,7 +120,7 @@ func (k *kcoreInstance[A]) runLevels(w *core.Worker, nWorkers int) {
 	for int(peeled.Load()) < n {
 		// Next level: minimum remaining degree over unpeeled vertices.
 		// The arrays are quiescent between cascades, so plain reads.
-		kc = core.MapReduce(w, n, distInf, remaining, lower)
+		kc = core.ReduceBlocks(w, n, distInf, lowest, lower)
 		// Seeds: every unpeeled vertex at the level. The predicate is
 		// read-only (PackIndexInto may evaluate it twice); the claim —
 		// writing the coreness — happens in the sequential staging loop

@@ -42,10 +42,10 @@ const (
 	prDamping  = 0.85
 	prTol      = 1e-9 // per-vertex |delta| under which a vertex counts converged
 	prMaxIters = 20
-	// prBlock is the dangling-fold block size. The fold must not use
-	// MapReduce: its combine tree follows the schedule, which would
-	// make the float64 sum schedule-dependent. Fixed blocks + one
-	// sequential fold over the partials keeps it deterministic.
+	// prBlock is the dangling-fold block size. pr keeps its own fold —
+	// fixed blocks, then one sequential fold over the partials, the
+	// same order core.ReduceBlocks fixes by n — because the fold is a
+	// declared Block site, and moving it would change the census.
 	prBlock = 1024
 )
 

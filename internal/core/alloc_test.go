@@ -34,6 +34,17 @@ func TestPrimitivesSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	store := func(i int, slot *int32) { *slot = int32(i) }
+	sumOnes := func(lo, hi int) int {
+		s := 0
+		for _, x := range ones[lo:hi] {
+			s += int(x)
+		}
+		return s
+	}
+	add := func(a, b int) int { return a + b }
+	widen := func(x int32) int { return int(x) }
+	one := func(int) int { return 1 }
+	less := func(a, b int32) bool { return a < b }
 
 	rows := []struct {
 		name string
@@ -67,6 +78,15 @@ func TestPrimitivesSteadyStateAllocs(t *testing.T) {
 		// The checker's bitmap lanes are an arena checkout; the one
 		// allocation is the closure that carries f through ForBlocks.
 		{"IndForEach checked", 1, func(w *Worker) bool { return IndForEach(w, out, perm, store) == nil }},
+		// The partials are an arena checkout and the fold rides a box.
+		{"ReduceBlocks", 0, func(w *Worker) bool { return ReduceBlocks(w, n, 0, sumOnes, add) == n }},
+		// Each wrapper's one allocation is the range fold that carries
+		// its arguments through ReduceBlocks.
+		{"Reduce", 1, func(w *Worker) bool { return Reduce(w, ones, 0, widen, add) == n }},
+		{"MapReduce", 1, func(w *Worker) bool { return MapReduce(w, n, 0, one, add) == n }},
+		{"Sum", 1, func(w *Worker) bool { return Sum(w, ones) == n }},
+		{"MaxIndex", 1, func(w *Worker) bool { return MaxIndex(w, ones) == 0 }},
+		{"IsSorted", 1, func(w *Worker) bool { return IsSorted(w, ones, less) }},
 	}
 
 	pool := NewPool(1)

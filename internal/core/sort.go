@@ -139,7 +139,13 @@ func IsSorted[T any](w *Worker, xs []T, less func(a, b T) bool) bool {
 	if len(xs) < 2 {
 		return true
 	}
-	return MapReduce(w, len(xs)-1, true,
-		func(i int) bool { return !less(xs[i+1], xs[i]) },
-		func(a, b bool) bool { return a && b })
+	// Block [lo, hi) checks the pairs (i, i+1) for i in [lo, hi).
+	return ReduceBlocks(w, len(xs)-1, true, func(lo, hi int) bool {
+		for i := lo; i < hi; i++ {
+			if less(xs[i+1], xs[i]) {
+				return false
+			}
+		}
+		return true
+	}, func(a, b bool) bool { return a && b })
 }

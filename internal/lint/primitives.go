@@ -86,8 +86,10 @@ func (p *primitive) property() string {
 }
 
 var primitives = map[string]*primitive{
-	// RO — reductions never share an accumulator.
-	"Reduce": {class: cRO, bodies: []int{3, 4}},
+	// RO — reductions never share an accumulator. ReduceBlocks is the
+	// range-bodied engine; the others are wrappers over it.
+	"ReduceBlocks": {class: cRO, bodies: []int{3, 4}, ranged: true, hi: 1},
+	"Reduce":       {class: cRO, bodies: []int{3, 4}},
 	"MapReduce": {class: cRO, bodies: []int{3}, task: []int{0}, hi: 1,
 		unmodeled: "comb (argument 4) is not walked as a region, unlike Reduce's: its writes to captured state are not classified"},
 	"Sum":       {class: cRO},

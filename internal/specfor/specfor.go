@@ -63,6 +63,37 @@ func Run(w *core.Worker, n, granularity int, loop Loop) Stats {
 		stDone     = int8(2)
 	)
 	round := make([]int32, 0, granularity*2)
+	// The phase bodies and tallies are built once per run; the bodies
+	// read round and status, which only move between rounds.
+	reserve := func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			if loop.Reserve(int(round[k])) {
+				status[k] = stReserved
+			}
+		}
+	}
+	// Each subrange tallies locally and folds into the shared counters
+	// once.
+	var committed, conflicted, dropped atomic.Int64
+	commit := func(lo, hi int) {
+		var nc, nx, nd int64
+		for k := lo; k < hi; k++ {
+			switch status[k] {
+			case stReserved:
+				if loop.Commit(int(round[k])) {
+					status[k] = stDone
+					nc++
+				} else {
+					nx++
+				}
+			case stDropped:
+				nd++
+			}
+		}
+		committed.Add(nc)
+		conflicted.Add(nx)
+		dropped.Add(nd)
+	}
 	for cursor < n || len(retry) > 0 {
 		stats.Rounds++
 		round = round[:0]
@@ -80,35 +111,12 @@ func Run(w *core.Worker, n, granularity int, loop Loop) Stats {
 			status = append(status, stDropped)
 		}
 		// Phase 1: reserve (AW priority writes inside loop.Reserve).
-		core.ForBlocks(w, 0, len(round), 0, func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				if loop.Reserve(int(round[k])) {
-					status[k] = stReserved
-				}
-			}
-		})
-		// Phase 2: commit winners. Each subrange tallies locally and
-		// folds into the shared counters once.
-		var committed, conflicted, dropped atomic.Int64
-		core.ForBlocks(w, 0, len(round), 0, func(lo, hi int) {
-			var nc, nx, nd int64
-			for k := lo; k < hi; k++ {
-				switch status[k] {
-				case stReserved:
-					if loop.Commit(int(round[k])) {
-						status[k] = stDone
-						nc++
-					} else {
-						nx++
-					}
-				case stDropped:
-					nd++
-				}
-			}
-			committed.Add(nc)
-			conflicted.Add(nx)
-			dropped.Add(nd)
-		})
+		core.ForBlocks(w, 0, len(round), 0, reserve)
+		// Phase 2: commit winners.
+		committed.Store(0)
+		conflicted.Store(0)
+		dropped.Store(0)
+		core.ForBlocks(w, 0, len(round), 0, commit)
 		stats.Committed += int(committed.Load())
 		stats.Conflicts += int(conflicted.Load())
 		stats.Dropped += int(dropped.Load())
