@@ -51,12 +51,14 @@ race:
 # — the packed-key prefix-doubling suffix array, sequential and on a
 # pool, unchecked and checked, against DC3 and a comparison sort —
 # FuzzBWTRoundTrip, FuzzSortAgainstSlices — the branch-free quicksort
-# leaf against slices.Sort — and FuzzReduceBlocks — float reductions on
+# leaf against slices.Sort — FuzzReduceBlocks — float reductions on
 # a pool and sequentially against a blocked reference, bit for bit —
-# for a few wall-clock seconds of mutation each on top of the seed
-# corpus. Not a soak; just enough for CI to catch an encoder,
-# key-packing, partition or combine-order change that breaks on shapes
-# the unit tests don't enumerate.
+# and FuzzTriangulate — duplicates, collinear runs and cocircular rings
+# triangulated and refined on a two-worker pool, mesh invariants after
+# each — for a few wall-clock seconds of mutation each on top of the
+# seed corpus. Not a soak; just enough for CI to catch an encoder,
+# key-packing, partition, combine-order or mesh change that breaks on
+# shapes the unit tests don't enumerate.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/graph/
@@ -65,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBWTRoundTrip -fuzztime $(FUZZTIME) ./internal/suffix/
 	$(GO) test -run xxx -fuzz FuzzSortAgainstSlices -fuzztime $(FUZZTIME) ./internal/qsort/
 	$(GO) test -run xxx -fuzz FuzzReduceBlocks -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzTriangulate -fuzztime $(FUZZTIME) ./internal/geom/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -38,10 +38,12 @@ func (d *drInstance) runLibrary(w *core.Worker) {
 func (d *drInstance) runDirect(nThreads int) {
 	// dr's baseline shares the mesh engine (as PBBS's C++ variants share
 	// theirs): the reservation loop on a dedicated pool of the requested
-	// size, mirroring the paper's same-code-fewer-threads methodology.
-	// geom.RefineSequential remains the test oracle.
-	if nThreads < 1 {
-		nThreads = 1
+	// size, mirroring the paper's same-code-fewer-threads methodology,
+	// and at one thread on a nil worker, sequentially, with no pool to
+	// build. geom.RefineSequential remains the test oracle.
+	if nThreads <= 1 {
+		d.stats = d.mesh.RefineParallel(nil, d.opt)
+		return
 	}
 	p := core.NewPool(nThreads)
 	defer p.Close()

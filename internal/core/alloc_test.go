@@ -34,6 +34,12 @@ func TestPrimitivesSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	store := func(i int, slot *int32) { *slot = int32(i) }
+	setIdx := func(i int) { xs[i] = int32(i) }
+	setChunk := func(ci int, chunk []int32) {
+		for j := range chunk {
+			chunk[j] = int32(ci)
+		}
+	}
 	sumOnes := func(lo, hi int) int {
 		s := 0
 		for _, x := range ones[lo:hi] {
@@ -52,6 +58,13 @@ func TestPrimitivesSteadyStateAllocs(t *testing.T) {
 		call func(w *Worker) bool // reports whether the result is right
 	}{
 		{"ForBlocks", 0, func(w *Worker) bool { ForBlocks(w, 0, n, 0, fill); return xs[n-1] == n-1 }},
+		// The per-element wrappers carry their arguments in a box, so a
+		// prebuilt body costs nothing per call.
+		{"ForRange", 0, func(w *Worker) bool { ForRange(w, 0, n, 0, setIdx); return xs[n-1] == n-1 }},
+		{"ForEachIdx", 0, func(w *Worker) bool { ForEachIdx(w, out, 0, store); return out[n-1] == n-1 }},
+		{"Chunks", 0, func(w *Worker) bool { Chunks(w, xs, 1000, setChunk); return xs[n-1] == (n-1)/1000 }},
+		{"Fill", 0, func(w *Worker) bool { Fill(w, xs, 7); return xs[n-1] == 7 }},
+		{"CopyInto", 0, func(w *Worker) bool { CopyInto(w, out, ones); return out[n-1] == 1 }},
 		{"ScanExclusive", 0, func(w *Worker) bool {
 			copy(xs, ones)
 			return ScanExclusive(w, xs) == n

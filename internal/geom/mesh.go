@@ -181,11 +181,18 @@ func (m *Mesh) anyLive() int32 {
 
 // Cavity collects, by breadth-first search from start, the connected
 // set of live triangles whose circumcircles contain p. It returns
-// (nil, false) when the cavity exceeds maxSize. The search only reads
-// mesh state.
+// (nil, false) when the cavity exceeds maxSize or p does not see every
+// edge of its boundary from inside. The search only reads mesh state.
 func (m *Mesh) Cavity(p Point, start int32, maxSize int) ([]int32, bool) {
-	cav := make([]int32, 0, 8)
-	cav = append(cav, start)
+	return m.cavityInto(make([]int32, 0, 8), p, start, maxSize)
+}
+
+// cavityInto is Cavity appending into dst[:0]: the cavity never grows
+// past maxSize, so a dst with that capacity is never reallocated, and
+// a caller can hand each concurrent search its own window of one
+// buffer.
+func (m *Mesh) cavityInto(dst []int32, p Point, start int32, maxSize int) ([]int32, bool) {
+	cav := append(dst[:0], start)
 	inCav := func(t int32) bool {
 		for _, c := range cav {
 			if c == t {
@@ -198,15 +205,26 @@ func (m *Mesh) Cavity(p Point, start int32, maxSize int) ([]int32, bool) {
 		tr := &m.Tris[cav[qi]]
 		for e := 0; e < 3; e++ {
 			nb := tr.N[e]
-			if nb == NoTri || m.Tris[nb].Dead || inCav(nb) {
+			if nb != NoTri && inCav(nb) {
 				continue
 			}
-			a, b, c := m.TriPoints(nb)
-			if InCircle(a, b, c, p) > 0 {
-				if len(cav) >= maxSize {
-					return nil, false
+			if nb != NoTri && !m.Tris[nb].Dead {
+				a, b, c := m.TriPoints(nb)
+				if InCircle(a, b, c, p) > 0 {
+					if len(cav) >= maxSize {
+						return nil, false
+					}
+					cav = append(cav, nb)
+					continue
 				}
-				cav = append(cav, nb)
+			}
+			// A boundary edge. Round-off can leave the mesh locally
+			// non-Delaunay, and then the circumcircle test can carve a
+			// cavity p does not see whole: an edge with p on or right of
+			// it would give a fan triangle that is not counterclockwise.
+			// Such a cavity is refused.
+			if Orient2D(m.Pts[tr.V[(e+1)%3]], m.Pts[tr.V[(e+2)%3]], p) <= 0 {
+				return nil, false
 			}
 		}
 	}
@@ -219,6 +237,13 @@ type boundaryEdge struct {
 	A, B int32
 	Out  int32
 }
+
+// fanStack is how many boundary edges InsertWithCavity keeps on its
+// stack. A cavity of k triangles has k+2 boundary edges, so every
+// cavity RefineParallel's default MaxCavity admits fits; only the
+// sequential paths, with their unbounded cavities, can spill to the
+// heap.
+const fanStack = 128
 
 // InsertWithCavity retriangulates the cavity around new vertex pIdx:
 // cavity triangles die and a fan of len(boundary) new triangles around
@@ -234,7 +259,8 @@ func (m *Mesh) InsertWithCavity(pIdx int32, cavity []int32, alloc func() int32) 
 		}
 		return false
 	}
-	var boundary []boundaryEdge
+	var boundaryStack [fanStack]boundaryEdge
+	boundary := boundaryStack[:0]
 	for _, ct := range cavity {
 		tr := &m.Tris[ct]
 		for e := 0; e < 3; e++ {
@@ -251,7 +277,11 @@ func (m *Mesh) InsertWithCavity(pIdx int32, cavity []int32, alloc func() int32) 
 	}
 	// Create the fan: triangle (A, B, pIdx) per boundary edge, CCW
 	// because the cavity interior (where p lies) is left of A->B.
-	newTris := make([]int32, len(boundary))
+	var newStack [fanStack]int32
+	newTris := newStack[:]
+	if len(boundary) > fanStack {
+		newTris = make([]int32, len(boundary))
+	}
 	for i, be := range boundary {
 		nt := alloc()
 		m.Tris[nt] = Tri{
@@ -308,6 +338,14 @@ func inCavT(t int32, cavity []int32) bool {
 	return false
 }
 
+// atCorner reports whether p is exactly a corner of triangle t: a
+// point located there duplicates a vertex, and inserting it would
+// build degenerate triangles.
+func (m *Mesh) atCorner(t int32, p Point) bool {
+	tr := &m.Tris[t]
+	return m.Pts[tr.V[0]] == p || m.Pts[tr.V[1]] == p || m.Pts[tr.V[2]] == p
+}
+
 // InsertPoint inserts point index pIdx (already stored in Pts)
 // sequentially: locate, carve cavity, retriangulate. It returns false
 // when the point could not be located (outside the super-triangle) or
@@ -318,14 +356,11 @@ func (m *Mesh) InsertPoint(pIdx int32, hint int32) (int32, bool) {
 	if t == NoTri {
 		return hint, false
 	}
-	// Reject exact duplicates of the containing triangle's corners.
-	tr := &m.Tris[t]
-	for _, v := range tr.V {
-		if m.Pts[v] == p {
-			return t, false
-		}
+	if m.atCorner(t, p) {
+		return t, false
 	}
-	cav, ok := m.Cavity(p, t, 1<<20)
+	var cavStack [64]int32
+	cav, ok := m.cavityInto(cavStack[:0], p, t, 1<<20)
 	if !ok {
 		return t, false
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 )
 
@@ -74,13 +75,11 @@ func (m *Mesh) RefineSequential(opt RefineOptions) int {
 			continue
 		}
 		loc := m.Locate(cc, bad)
-		if loc == NoTri {
+		if loc == NoTri || m.atCorner(loc, cc) {
 			continue
 		}
-		if dup := &m.Tris[loc]; m.Pts[dup.V[0]] == cc || m.Pts[dup.V[1]] == cc || m.Pts[dup.V[2]] == cc {
-			continue
-		}
-		cav, ok := m.Cavity(cc, loc, 1<<20)
+		var cavStack [64]int32
+		cav, ok := m.cavityInto(cavStack[:0], cc, loc, 1<<20)
 		if !ok {
 			continue
 		}
@@ -115,6 +114,15 @@ type RefineStats struct {
 // noCandidate is the reservation value meaning "unreserved".
 const noCandidate = ^uint32(0)
 
+// plan is one candidate's speculation. Its cavity is the first cavLen
+// entries of the candidate's window of the run's cavity buffer, so a
+// plan holds no pointer and the plans array is an arena checkout.
+type plan struct {
+	center Point
+	cavLen int32
+	ok     bool
+}
+
 // RefineParallel refines the mesh with rounds of speculative parallel
 // insertions. Each round: (1) collect skinny triangles; (2) each
 // candidate — in parallel — locates its circumcenter, computes the
@@ -122,36 +130,138 @@ const noCandidate = ^uint32(0)
 // the per-triangle reservation word; (3) candidates that hold all their
 // reservations commit their cavities in parallel (provably disjoint);
 // (4) losers retry in a later round.
+//
+// The run's scratch is checked out of w's arena once (made, for a nil
+// worker) and its loop bodies are built once, so a round allocates
+// nothing: candidate ci carves its cavity into the window
+// [ci*MaxCavity, (ci+1)*MaxCavity) of one buffer, and the worklist
+// ping-pongs between two buffers as long as the triangle storage.
 func (m *Mesh) RefineParallel(w *core.Worker, opt RefineOptions) RefineStats {
 	var stats RefineStats
-	reserve := make([]atomic.Uint32, cap(m.Tris))
-	core.ForRange(w, 0, len(reserve), 0, func(i int) {
-		reserve[i].Store(noCandidate)
-	})
+	ar := arena.Of(w)
+	mark := ar.Mark()
+	defer ar.Release(mark)
+	// No round takes more candidates than the batch, the Steiner cap or
+	// the point storage left allows. A cavity always holds its first
+	// triangle, so a window is at least one long. The worklist holds
+	// distinct triangle ids, so it never outgrows the triangle storage;
+	// if that storage grows mid-run, the worklists' appends outgrow
+	// their checkouts onto the heap.
+	maxCav := max(opt.MaxCavity, 1)
+	batch := max(0, min(opt.BatchSize, opt.MaxSteiner, len(m.Pts)-int(m.PointCount())))
+	plans := arena.AllocUninit[plan](ar, batch)
+	cavBuf := arena.AllocUninit[int32](ar, batch*maxCav)
+	// The reservation words are filled with atomic stores, which the
+	// lifetimes pass does not count as a fill: check them out zeroed.
+	reserve := arena.Alloc[atomic.Uint32](ar, cap(m.Tris))
+	work := arena.AllocUninit[int32](ar, cap(m.Tris))
+	cand := arena.AllocUninit[int32](ar, cap(m.Tris))
+	keep := arena.AllocUninit[int32](ar, cap(m.Tris))
+	var badIdx []int32
+	var inserted, conflicts atomic.Int64
+
+	clearSlot := func(t int) {
+		reserve[t].Store(noCandidate)
+	}
+	skinnyAt := func(t int) bool {
+		return m.skinny(int32(t), opt.Bound)
+	}
+	stillSkinny := func(i int) bool {
+		return m.skinny(work[i], opt.Bound)
+	}
+	gather := func(i int) {
+		cand[i] = work[keep[i]]
+	}
+	// (2) Speculate and reserve.
+	speculate := func(ci int) {
+		plans[ci] = plan{}
+		t := badIdx[ci]
+		a, b, c := m.TriPoints(t)
+		cc := Circumcenter(a, b, c)
+		if !insertable(cc) {
+			return
+		}
+		loc := m.Locate(cc, t)
+		if loc == NoTri || m.atCorner(loc, cc) {
+			return
+		}
+		cav, ok := m.cavityInto(cavBuf[ci*maxCav:ci*maxCav:(ci+1)*maxCav], cc, loc, maxCav)
+		if !ok {
+			return
+		}
+		// Reserve the cavity and its outside neighbors with the
+		// candidate's priority (its index; lower wins).
+		pri := uint32(ci)
+		for _, ct := range cav {
+			core.WriteMin32(&reserve[ct], pri)
+			for _, nb := range m.Tris[ct].N {
+				if nb != NoTri && !m.Tris[nb].Dead {
+					core.WriteMin32(&reserve[nb], pri)
+				}
+			}
+		}
+		plans[ci] = plan{center: cc, cavLen: int32(len(cav)), ok: true}
+	}
+	// (3) Winners commit. A candidate wins when it still holds every
+	// reservation it needs.
+	commit := func(ci int) {
+		pl := &plans[ci]
+		if !pl.ok {
+			return
+		}
+		cav := cavBuf[ci*maxCav : ci*maxCav+int(pl.cavLen)]
+		pri := uint32(ci)
+		for _, ct := range cav {
+			if reserve[ct].Load() != pri {
+				conflicts.Add(1)
+				return
+			}
+			for _, nb := range m.Tris[ct].N {
+				if nb != NoTri && !m.Tris[nb].Dead && reserve[nb].Load() != pri {
+					conflicts.Add(1)
+					return
+				}
+			}
+		}
+		pIdx := m.AllocPointParallel(pl.center)           //lint:scared unique handout: ptCursor.Add gives each caller its own slot of m.Pts
+		m.InsertWithCavity(pIdx, cav, m.AllocTriParallel) //lint:scared deterministic reservations: this candidate holds reserve[t] == pri for every cavity triangle and outside neighbor (checked above), which is all InsertWithCavity writes besides fresh slots from the atomic triangle cursor
+		inserted.Add(1)
+	}
+	// Reset the reservations a plan touched: its cavity and their
+	// neighbors.
+	unreserve := func(ci int) {
+		pl := &plans[ci]
+		if !pl.ok {
+			return
+		}
+		for _, ct := range cavBuf[ci*maxCav : ci*maxCav+int(pl.cavLen)] {
+			reserve[ct].Store(noCandidate)
+			for _, nb := range m.Tris[ct].N {
+				if nb != NoTri {
+					reserve[nb].Store(noCandidate)
+				}
+			}
+		}
+	}
+
+	core.ForRange(w, 0, len(reserve), 0, clearSlot)
 	// The worklist holds candidate triangle ids: seeded with all current
 	// skinny triangles, then fed per round with losers and freshly
 	// created triangles, so rounds cost O(|worklist|), not O(|mesh|).
-	work := core.PackIndex(w, int(m.TriCount()), func(t int) bool {
-		return m.skinny(int32(t), opt.Bound)
-	})
+	work = core.PackIndexInto(w, int(m.TriCount()), skinnyAt, work)
 	for {
 		if stats.Inserted >= opt.MaxSteiner {
 			return stats
 		}
 		// (1) Re-validate the worklist (RO + pack): committed cavities
 		// kill or fix many queued triangles.
-		prev := work
-		keep := core.PackIndex(w, len(prev), func(i int) bool {
-			return m.skinny(prev[i], opt.Bound)
-		})
-		cand := make([]int32, len(keep))
-		core.ForRange(w, 0, len(keep), 0, func(i int) {
-			cand[i] = prev[keep[i]]
-		})
+		keep = core.PackIndexInto(w, len(work), stillSkinny, keep)
+		cand = core.EnsureLen(cand, len(keep))
+		core.ForRange(w, 0, len(keep), 0, gather)
 		if len(cand) == 0 {
 			return stats
 		}
-		badIdx := cand
+		badIdx = cand
 		if len(badIdx) > opt.BatchSize {
 			badIdx = badIdx[:opt.BatchSize]
 		}
@@ -173,109 +283,41 @@ func (m *Mesh) RefineParallel(w *core.Worker, opt RefineOptions) RefineStats {
 		// round cost stays proportional to the batch, not the mesh.
 		m.EnsureTriCapacity(len(badIdx)*(opt.MaxCavity+2) + 8)
 		if len(reserve) < len(m.Tris) {
-			grown := make([]atomic.Uint32, len(m.Tris)+len(m.Tris)/2)
-			core.ForRange(w, 0, len(grown), 0, func(i int) {
-				grown[i].Store(noCandidate)
-			})
-			reserve = grown
+			reserve = arena.Alloc[atomic.Uint32](ar, len(m.Tris)+len(m.Tris)/2)
+			core.ForRange(w, 0, len(reserve), 0, clearSlot)
 		}
 
-		// (2) Speculate and reserve.
-		type plan struct {
-			cavity []int32
-			center Point
-			ok     bool
-		}
-		plans := make([]plan, len(badIdx))
-		core.ForRange(w, 0, len(badIdx), 1, func(ci int) {
-			t := int32(badIdx[ci])
-			a, b, c := m.TriPoints(t)
-			cc := Circumcenter(a, b, c)
-			if !insertable(cc) {
-				return
-			}
-			loc := m.Locate(cc, t)
-			if loc == NoTri {
-				return
-			}
-			cav, ok := m.Cavity(cc, loc, opt.MaxCavity)
-			if !ok {
-				return
-			}
-			// Reserve the cavity and its outside neighbors with the
-			// candidate's priority (its index; lower wins).
-			pri := uint32(ci)
-			for _, ct := range cav {
-				core.WriteMin32(&reserve[ct], pri)
-				for _, nb := range m.Tris[ct].N {
-					if nb != NoTri && !m.Tris[nb].Dead {
-						core.WriteMin32(&reserve[nb], pri)
-					}
-				}
-			}
-			plans[ci] = plan{cavity: cav, center: cc, ok: true}
-		})
-
-		// (3) Winners commit. A candidate wins when it still holds every
-		// reservation it needs.
+		core.ForRange(w, 0, len(badIdx), 1, speculate)
 		cursorBefore := m.TriCount()
-		var inserted, conflicts atomic.Int64
-		core.ForRange(w, 0, len(badIdx), 1, func(ci int) {
-			pl := &plans[ci]
-			if !pl.ok {
-				return
-			}
-			pri := uint32(ci)
-			for _, ct := range pl.cavity {
-				if reserve[ct].Load() != pri {
-					conflicts.Add(1)
-					return
-				}
-				for _, nb := range m.Tris[ct].N {
-					if nb != NoTri && !m.Tris[nb].Dead && reserve[nb].Load() != pri {
-						conflicts.Add(1)
-						return
-					}
-				}
-			}
-			pIdx := m.AllocPointParallel(pl.center)                 //lint:scared unique handout: ptCursor.Add gives each caller its own slot of m.Pts
-			m.InsertWithCavity(pIdx, pl.cavity, m.AllocTriParallel) //lint:scared deterministic reservations: this candidate holds reserve[t] == pri for every cavity triangle and outside neighbor (checked above), which is all InsertWithCavity writes besides fresh slots from the atomic triangle cursor
-			inserted.Add(1)
-		})
+		inserted.Store(0)
+		conflicts.Store(0)
+		core.ForRange(w, 0, len(badIdx), 1, commit)
 		stats.Inserted += int(inserted.Load())
 		stats.Conflicts += int(conflicts.Load())
-		if inserted.Load() == 0 && conflicts.Load() == 0 && len(badIdx) == len(cand) {
-			// Every remaining candidate failed structurally (not by a
-			// reservation race): nothing will change next round either.
-			return stats
+		if inserted.Load() == 0 && conflicts.Load() == 0 {
+			// Every candidate of the batch failed structurally (not by a
+			// reservation race) and the mesh did not change, so they
+			// would fail again: the run ends, or, when candidates wait
+			// behind a batch the caps cut short, the batch leaves the
+			// worklist so the next round reaches them.
+			if len(badIdx) == len(cand) {
+				return stats
+			}
+			work, cand = cand[len(badIdx):], work
+			continue
 		}
 		// Reset the reservations this round touched (plans' cavities and
 		// their neighbors, plus freshly created triangles — which start
 		// at the zero value, not noCandidate).
-		core.ForRange(w, 0, len(badIdx), 1, func(ci int) {
-			pl := &plans[ci]
-			if !pl.ok {
-				return
-			}
-			for _, ct := range pl.cavity {
-				reserve[ct].Store(noCandidate)
-				for _, nb := range m.Tris[ct].N {
-					if nb != NoTri {
-						reserve[nb].Store(noCandidate)
-					}
-				}
-			}
-		})
+		core.ForRange(w, 0, len(badIdx), 1, unreserve)
 		cursorAfter := m.TriCount()
-		core.ForRange(w, int(cursorBefore), int(cursorAfter), 0, func(t int) {
-			reserve[t].Store(noCandidate)
-		})
+		core.ForRange(w, int(cursorBefore), int(cursorAfter), 0, clearSlot)
 		// Next round's worklist: all surviving candidates (winners died
 		// and will be filtered) plus the triangles created this round.
-		work = cand
 		for t := cursorBefore; t < cursorAfter; t++ {
-			work = append(work, t)
+			cand = append(cand, t)
 		}
+		work, cand = cand, work
 	}
 }
 

@@ -523,6 +523,10 @@ func (rc *regionCheck) classifyEffectCall(fn *types.Func, call *ast.CallExpr, bo
 			rc.site(RaceWorkerLocal, "join-disjoint-slices", arg.expr, types.ExprString(arg.expr))
 			continue
 		}
+		if rc.matchBlockWindow(arg.expr) {
+			rc.site(RaceIndexDisjoint, "block-scaled", arg.expr, types.ExprString(arg.expr))
+			continue
+		}
 		base, steps, ok := peelTarget(arg.expr)
 		if !ok {
 			rc.refuse(arg.expr, types.ExprString(arg.expr),

@@ -390,7 +390,10 @@ func (w *effWalk) call(call *ast.CallExpr) bool {
 		}
 		return true
 	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok && len(call.Args) > 0 && (id.Name == "copy" || id.Name == "delete") {
+	// append(x, ...) writes into x's backing array whenever x has spare
+	// capacity, wherever the result is bound: it writes through x's
+	// root (reslices peeled), like copy's destination.
+	if id, ok := unparen(call.Fun).(*ast.Ident); ok && len(call.Args) > 0 && (id.Name == "copy" || id.Name == "delete" || id.Name == "append") {
 		w.emitThrough(call.Args[0], call, false)
 		return false // still descend for the source expression
 	}

@@ -143,20 +143,8 @@ func (rc *regionCheck) isBlockOwnerLoop(lv *loopShape) bool {
 		return false
 	}
 	for _, cand := range rc.minCandidates(rc.foldIdent(lv.hi, true)) {
-		// hi = lo + S
-		for _, ord := range rc.commuted(cand, token.ADD) {
-			if exprEq(rc.tp, ord[1], stride) && (exprEq(rc.tp, ord[0], lv.lo) || exprEq(rc.tp, ord[0], loF)) {
-				return true
-			}
-		}
-		// hi = (t+1) * S
-		for _, ord := range rc.commuted(cand, token.MUL) {
-			if !exprEq(rc.tp, ord[1], stride) {
-				continue
-			}
-			if ps, ok := rc.affine(ord[0]); ok && ps.k == 1 && len(ps.terms) == 1 && ps.terms[0].coef == 1 && ps.terms[0].obj == t {
-				return true
-			}
+		if rc.blockEnd(cand, lv.lo, loF, t, stride) {
+			return true
 		}
 	}
 	// Constant-coefficient fallback: lo and hi affine over the same
@@ -187,6 +175,26 @@ func (rc *regionCheck) isBlockOwnerLoop(lv *loopShape) bool {
 	}
 	d := hi.k - lo.k
 	return d > 0 && d <= coef
+}
+
+// blockEnd reports whether hi closes the block that lo = t*S opens
+// (loF is lo folded through its definitions): hi = lo + S or
+// hi = (t+1) * S.
+func (rc *regionCheck) blockEnd(hi, lo, loF ast.Expr, t types.Object, stride ast.Expr) bool {
+	for _, ord := range rc.commuted(hi, token.ADD) {
+		if exprEq(rc.tp, ord[1], stride) && (exprEq(rc.tp, ord[0], lo) || exprEq(rc.tp, ord[0], loF)) {
+			return true
+		}
+	}
+	for _, ord := range rc.commuted(hi, token.MUL) {
+		if !exprEq(rc.tp, ord[1], stride) {
+			continue
+		}
+		if ps, ok := rc.affine(ord[0]); ok && ps.k == 1 && len(ps.terms) == 1 && ps.terms[0].coef == 1 && ps.terms[0].obj == t {
+			return true
+		}
+	}
+	return false
 }
 
 // varOf resolves an expression that is (a conversion of) a plain
@@ -270,6 +278,39 @@ func (rc *regionCheck) matchBlockScaled(idx ast.Expr) string {
 		}
 	}
 	return ""
+}
+
+// matchBlockWindow matches the window handout buf[t*S : h : (t+1)*S]
+// with t task-distinguishing and S region-invariant: the three-index
+// slice caps the window's capacity, so a callee that writes through it,
+// append included, reaches only [t*S, (t+1)*S) of buf, the block task t
+// owns.
+func (rc *regionCheck) matchBlockWindow(e ast.Expr) bool {
+	sl, ok := unparen(e).(*ast.SliceExpr)
+	if !ok || !sl.Slice3 {
+		return false
+	}
+	loF := rc.foldIdent(sl.Low, false)
+	t, stride := rc.matchProduct(loF)
+	if t == nil || !rc.invariantExpr(stride) {
+		return false
+	}
+	return rc.blockEnd(rc.foldIdent(sl.Max, false), sl.Low, loF, t, stride)
+}
+
+// invariantExpr reports whether e has the same value in every
+// concurrent invocation of the region.
+func (rc *regionCheck) invariantExpr(e ast.Expr) bool {
+	sum, ok := rc.affine(e)
+	if !ok {
+		return false
+	}
+	for _, t := range sum.terms {
+		if t.obj != nil && rc.taskDetail(t.obj).ok || !rc.invariantTerm(t) {
+			return false
+		}
+	}
+	return true
 }
 
 // matchUniqueHandout matches C.Add(d)-d / atomic.AddX(&C, d)-d for a

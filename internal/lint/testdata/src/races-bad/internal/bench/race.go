@@ -15,3 +15,15 @@ func raceKernel(w *core.Worker, out, src []uint32) {
 		out[0] = src[lo]
 	})
 }
+
+// sharedWindow hands every task the same window: the callee's appends
+// all land in buf[0:s].
+func sharedWindow(w *core.Worker, buf []int32, n, s int) {
+	core.ForRange(w, 0, n, 0, func(i int) {
+		collect(buf[:0:s], i)
+	})
+}
+
+func collect(dst []int32, v int) []int32 {
+	return append(dst[:0], int32(v))
+}

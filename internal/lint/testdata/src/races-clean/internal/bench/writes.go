@@ -152,6 +152,19 @@ func CallsClean(w *core.Worker, res [][]int, n int) {
 	})
 }
 
+// WindowHandout: each task appends into its own capped window of one
+// buffer, [i*s, (i+1)*s); the three-index slice keeps the callee's
+// appends inside the block the task owns.
+func WindowHandout(w *core.Worker, buf []int32, n, s int) {
+	core.ForRange(w, 0, n, 0, func(i int) {
+		collect(buf[i*s:i*s:(i+1)*s], i)
+	})
+}
+
+func collect(dst []int32, v int) []int32 {
+	return append(dst[:0], int32(v))
+}
+
 func sum(xs []int) int {
 	t := 0
 	for _, x := range xs {
