@@ -44,9 +44,8 @@ type Integer interface {
 const minSlab = 256 << 10
 
 // Arena is a generation-stamped bump allocator over garbage-collector-
-// opaque byte slabs. It is owner-only: exactly one worker (or one
-// goroutine, for a standalone arena) may call its methods. Zero value
-// is ready to use.
+// opaque byte slabs. It is owner-only: exactly one worker may call its
+// methods. Zero value is ready to use.
 type Arena struct {
 	cur   []byte   // current slab; bump allocations come from here
 	off   int      // bump offset into cur
@@ -68,13 +67,6 @@ type Mark struct {
 	full int // len(a.full) at mark time
 	off  int
 }
-
-// Standalone returns a free-standing arena owned by the calling
-// goroutine rather than hung off a pool worker. Long-running goroutines
-// outside the scheduler (the mq worker loops staging push/pop batches)
-// use it to get the same checkout discipline and steady-state reuse as
-// pool workers.
-func Standalone() *Arena { return new(Arena) }
 
 // Of returns the per-worker arena for w, creating it on first use. A
 // nil worker yields a nil arena, for which every checkout transparently

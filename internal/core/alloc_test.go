@@ -73,7 +73,6 @@ func TestPrimitivesSteadyStateAllocs(t *testing.T) {
 			copy(xs, ones)
 			return ScanInclusive(w, xs) == n
 		}},
-		{"ScanInclusiveInto", 0, func(w *Worker) bool { return ScanInclusiveInto(w, out, ones) == n }},
 		{"PackIndexInto", 0, func(w *Worker) bool {
 			idx = PackIndexInto(w, n, third, idx)
 			return len(idx) == (n+2)/3

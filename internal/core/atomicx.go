@@ -29,20 +29,6 @@ func WriteMin32(a *atomic.Uint32, v uint32) bool {
 	}
 }
 
-// WriteMin64 is WriteMin32 for 64-bit values.
-func WriteMin64(a *atomic.Uint64, v uint64) bool {
-	countDyn(AW)
-	for {
-		old := a.Load()
-		if v >= old {
-			return false
-		}
-		if a.CompareAndSwap(old, v) {
-			return true
-		}
-	}
-}
-
 // WriteMax32 atomically raises *a to v if v is larger, returning true
 // when this call performed the update.
 func WriteMax32(a *atomic.Uint32, v uint32) bool {
@@ -54,23 +40,6 @@ func WriteMax32(a *atomic.Uint32, v uint32) bool {
 		}
 		if a.CompareAndSwap(old, v) {
 			return true
-		}
-	}
-}
-
-// CASLoop32 applies f to the current value of a until a compare-and-swap
-// installs the result, returning the final (old, new) pair. If f returns
-// (x, false) the loop stops without writing and returns (x, x).
-func CASLoop32(a *atomic.Uint32, f func(old uint32) (uint32, bool)) (uint32, uint32) {
-	countDyn(AW)
-	for {
-		old := a.Load()
-		nw, write := f(old)
-		if !write {
-			return old, old
-		}
-		if a.CompareAndSwap(old, nw) {
-			return old, nw
 		}
 	}
 }
@@ -122,19 +91,6 @@ func ceilPow2Int(v int) int {
 		n <<= 1
 	}
 	return n
-}
-
-// ScatterAtomic32 stores vals[i] into out[offsets[i]] with atomic stores
-// — the "placate the type system with atomics" expression of paper
-// Listing 6(e). It synchronizes each store but validates nothing, so it
-// remains Scared: duplicate offsets silently lose updates.
-func ScatterAtomic32[I IndexInt](w *Worker, out []atomic.Uint32, offsets []I, vals []uint32) {
-	countDyn(SngInd)
-	forBlocks(w, 0, len(offsets), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[offsets[i]].Store(vals[i])
-		}
-	})
 }
 
 // WriteMinU32 is WriteMin32 over a plain uint32 slot, for kernels that

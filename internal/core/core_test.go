@@ -179,18 +179,6 @@ func TestMinMaxCountAll(t *testing.T) {
 		if m := Max(w, xs); m != 9 {
 			t.Errorf("Max = %d", m)
 		}
-		if m := Min(w, xs); m != -3 {
-			t.Errorf("Min = %d", m)
-		}
-		if c := Count(w, xs, func(x int) bool { return x < 0 }); c != 2 {
-			t.Errorf("Count = %d", c)
-		}
-		if All(w, xs, func(x int) bool { return x >= -3 }) != true {
-			t.Error("All false")
-		}
-		if All(w, xs, func(x int) bool { return x > 0 }) != false {
-			t.Error("All true")
-		}
 	})
 }
 
@@ -214,7 +202,6 @@ func TestMaxIndexTiesSmallest(t *testing.T) {
 func TestMaxPanicsEmpty(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Max":      func() { Max(nil, []int{}) },
-		"Min":      func() { Min(nil, []int{}) },
 		"MaxIndex": func() { MaxIndex(nil, []int{}) },
 	} {
 		func() {
@@ -268,143 +255,5 @@ func TestDynamicCountsTrackInvocations(t *testing.T) {
 	ResetDynamicCounts()
 	if DynamicCounts()[Stride] != 0 {
 		t.Fatal("reset did not zero counters")
-	}
-}
-
-func TestSegReduce(t *testing.T) {
-	xs := []int{1, 2, 3, 4, 5, 6}
-	offsets := []int32{0, 2, 2, 5, 6}
-	var got []int
-	var err error
-	on(func(w *Worker) {
-		got, err = SegReduce(w, xs, offsets, 0,
-			func(x int) int { return x },
-			func(a, b int) int { return a + b })
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{3, 0, 12, 6}
-	if len(got) != len(want) {
-		t.Fatalf("SegReduce = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SegReduce = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSegReduceValidatesBoundaries(t *testing.T) {
-	_, err := SegReduce(nil, []int{1, 2}, []int32{0, 3}, 0,
-		func(x int) int { return x }, func(a, b int) int { return a + b })
-	if err == nil {
-		t.Fatal("out-of-range boundary accepted")
-	}
-	_, err = SegReduce(nil, []int{1, 2}, []int32{1, 0}, 0,
-		func(x int) int { return x }, func(a, b int) int { return a + b })
-	if err == nil {
-		t.Fatal("decreasing boundary accepted")
-	}
-	got, err := SegReduce(nil, []int{1}, []int32{}, 0,
-		func(x int) int { return x }, func(a, b int) int { return a + b })
-	if err != nil || got != nil {
-		t.Fatalf("empty offsets: %v %v", got, err)
-	}
-}
-
-func TestSegReducePropertyMatchesSequential(t *testing.T) {
-	f := func(raw []uint8, cuts []uint8) bool {
-		xs := make([]int, len(raw))
-		for i, r := range raw {
-			xs[i] = int(r)
-		}
-		offsets := []int32{0}
-		for _, c := range cuts {
-			next := offsets[len(offsets)-1] + int32(c%5)
-			if next > int32(len(xs)) {
-				next = int32(len(xs))
-			}
-			offsets = append(offsets, next)
-		}
-		var got []int
-		var err error
-		on(func(w *Worker) {
-			got, err = SegReduce(w, xs, offsets, 0,
-				func(x int) int { return x }, func(a, b int) int { return a + b })
-		})
-		if err != nil {
-			return false
-		}
-		for i := 0; i+1 < len(offsets); i++ {
-			want := 0
-			for _, v := range xs[offsets[i]:offsets[i+1]] {
-				want += v
-			}
-			if got[i] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStencil2DHeatStep(t *testing.T) {
-	const w0, h0 = 64, 32
-	src := make([]float64, w0*h0)
-	src[15*w0+20] = 100 // a hot spot
-	avg := func(g []float64, x, y int) float64 {
-		get := func(xx, yy int) float64 {
-			if xx < 0 || xx >= w0 || yy < 0 || yy >= h0 {
-				return 0
-			}
-			return g[yy*w0+xx]
-		}
-		return (get(x, y) + get(x-1, y) + get(x+1, y) + get(x, y-1) + get(x, y+1)) / 5
-	}
-	// Parallel result vs sequential oracle, over several steps.
-	par := append([]float64(nil), src...)
-	seq := append([]float64(nil), src...)
-	parBuf := make([]float64, len(src))
-	seqBuf := make([]float64, len(src))
-	for step := 0; step < 5; step++ {
-		on(func(wk *Worker) { Stencil2D(wk, par, parBuf, w0, avg) })
-		Stencil2D(nil, seq, seqBuf, w0, avg)
-		par, parBuf = parBuf, par
-		seq, seqBuf = seqBuf, seq
-	}
-	var totalPar, totalSeq float64
-	for i := range par {
-		if par[i] != seq[i] {
-			t.Fatalf("cell %d: parallel %v != sequential %v", i, par[i], seq[i])
-		}
-		totalPar += par[i]
-		totalSeq += seq[i]
-	}
-	if totalPar == 0 {
-		t.Fatal("heat vanished entirely")
-	}
-}
-
-func TestStencil2DGuards(t *testing.T) {
-	for name, f := range map[string]func(){
-		"zero width": func() { Stencil2D(nil, []int{1}, []int{0}, 0, nil) },
-		"mismatched": func() { Stencil2D(nil, []int{1, 2}, []int{0}, 1, nil) },
-		"aliased": func() {
-			g := []int{1, 2}
-			Stencil2D(nil, g, g, 2, func([]int, int, int) int { return 0 })
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }

@@ -113,7 +113,7 @@ func TestForBlocksCoversRangeOnceUnderSteals(t *testing.T) {
 	}
 	const lo, hi = 37, 37 + 1<<15
 	before := stolen()
-	for attempt := 0; attempt < 50 && stolen() == before; attempt++ {
+	for attempt := 0; attempt < 500 && stolen() == before; attempt++ {
 		visits := make([]int32, hi+64)
 		var longest atomic.Int64
 		p.Do(func(w *Worker) {
@@ -146,7 +146,7 @@ func TestForBlocksCoversRangeOnceUnderSteals(t *testing.T) {
 		}
 	}
 	if stolen() == before {
-		t.Skip("no steal happened in 50 runs; coverage was still checked on every run")
+		t.Skip("no steal happened in 500 runs; coverage was still checked on every run")
 	}
 }
 

@@ -217,35 +217,3 @@ func CopyInto[T any](w *Worker, dst, src []T) {
 	}
 	forBoxed(w, 0, len(src), 0, b)
 }
-
-// Stencil2D computes one step of a two-dimensional stencil: for every
-// cell (x, y) of an height x width grid it writes
-// dst[y*width+x] = f(src, x, y), parallelized over rows. src and dst
-// are distinct buffers, so tasks read freely and write disjoint rows —
-// the "stencil" entry of the paper's Sec 7.1 present-pattern list,
-// classified (like all regular local read-write operators on structured
-// data) as Fearless. f receives the whole src grid; neighbor indexing
-// and boundary policy stay with the caller.
-func Stencil2D[T any](w *Worker, src, dst []T, width int, f func(src []T, x, y int) T) {
-	if width <= 0 {
-		panic("core.Stencil2D: width must be positive")
-	}
-	if len(src) != len(dst) {
-		panic("core.Stencil2D: src and dst lengths differ")
-	}
-	if len(src) == 0 {
-		return
-	}
-	if &src[0] == &dst[0] {
-		panic("core.Stencil2D: src and dst must not alias")
-	}
-	height := len(src) / width
-	countDyn(Block)
-	forBlocks(w, 0, height, 0, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			for x := 0; x < width; x++ {
-				dst[y*width+x] = f(src, x, y)
-			}
-		}
-	})
-}

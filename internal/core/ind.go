@@ -349,7 +349,7 @@ func ScatterChecked[T any, I IndexInt](w *Worker, out []T, offsets []I, vals []T
 // (Comfortable, paying the uniqueness check), ScatterUnchecked
 // otherwise (Scared, fast). Element types are arbitrary, so there is no
 // synchronized form; kernels that want atomic stores (isort under
-// ModeSynchronized, ScatterAtomic32) spell them out.
+// ModeSynchronized) spell them out.
 func Scatter[T any, I IndexInt](w *Worker, out []T, offsets []I, vals []T) error {
 	if GetMode() == ModeChecked {
 		return ScatterChecked(w, out, offsets, vals)

@@ -96,27 +96,9 @@ func TestWriteMinConcurrentConverges(t *testing.T) {
 }
 
 func TestWriteMin64AndMax32(t *testing.T) {
-	var a atomic.Uint64
-	a.Store(10)
-	if !WriteMin64(&a, 3) || a.Load() != 3 || WriteMin64(&a, 5) {
-		t.Fatal("WriteMin64 misbehaved")
-	}
 	var b atomic.Uint32
 	if !WriteMax32(&b, 7) || b.Load() != 7 || WriteMax32(&b, 2) {
 		t.Fatal("WriteMax32 misbehaved")
-	}
-}
-
-func TestCASLoop32(t *testing.T) {
-	var a atomic.Uint32
-	a.Store(5)
-	old, nw := CASLoop32(&a, func(v uint32) (uint32, bool) { return v * 2, true })
-	if old != 5 || nw != 10 || a.Load() != 10 {
-		t.Fatalf("CASLoop32 = (%d, %d), value %d", old, nw, a.Load())
-	}
-	old, nw = CASLoop32(&a, func(v uint32) (uint32, bool) { return 0, false })
-	if old != 10 || nw != 10 || a.Load() != 10 {
-		t.Fatal("CASLoop32 no-write case wrote")
 	}
 }
 
@@ -152,14 +134,10 @@ func TestShardedLocksRoundsUp(t *testing.T) {
 	}
 }
 
-func TestScatterAtomic32(t *testing.T) {
-	out := make([]atomic.Uint32, 4)
-	on(func(w *Worker) {
-		ScatterAtomic32(w, out, []int32{3, 1, 0, 2}, []uint32{30, 10, 0, 20})
-	})
-	for i := range out {
-		if out[i].Load() != uint32(i*10) {
-			t.Fatalf("out[%d] = %d", i, out[i].Load())
+func TestCeilPow2Int(t *testing.T) {
+	for in, want := range map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024} {
+		if got := ceilPow2Int(in); got != want {
+			t.Fatalf("ceilPow2Int(%d) = %d, want %d", in, got, want)
 		}
 	}
 }

@@ -122,27 +122,6 @@ func Max[T Number](w *Worker, xs []T) T {
 	})
 }
 
-// Min returns the minimum element of xs; it panics on an empty slice.
-func Min[T Number](w *Worker, xs []T) T {
-	if len(xs) == 0 {
-		panic("core.Min: empty slice")
-	}
-	return ReduceBlocks(w, len(xs), xs[0], func(lo, hi int) T {
-		m := xs[lo]
-		for _, x := range xs[lo+1 : hi] {
-			if x < m {
-				m = x
-			}
-		}
-		return m
-	}, func(a, b T) T {
-		if b < a {
-			return b
-		}
-		return a
-	})
-}
-
 // MaxIndex returns the index of the maximum element of xs, taking the
 // smallest index among ties; it panics on an empty slice.
 func MaxIndex[T Number](w *Worker, xs []T) int {
@@ -165,55 +144,4 @@ func MaxIndex[T Number](w *Worker, xs []T) int {
 		}
 		return a
 	})
-}
-
-// Count returns the number of elements satisfying pred (RO).
-func Count[T any](w *Worker, xs []T, pred func(T) bool) int {
-	return ReduceBlocks(w, len(xs), 0, func(lo, hi int) int {
-		c := 0
-		for _, x := range xs[lo:hi] {
-			if pred(x) {
-				c++
-			}
-		}
-		return c
-	}, func(a, b int) int { return a + b })
-}
-
-// All reports whether pred holds for every element (RO).
-func All[T any](w *Worker, xs []T, pred func(T) bool) bool {
-	return ReduceBlocks(w, len(xs), true, func(lo, hi int) bool {
-		for _, x := range xs[lo:hi] {
-			if !pred(x) {
-				return false
-			}
-		}
-		return true
-	}, func(a, b bool) bool { return a && b })
-}
-
-// SegReduce performs a segmented reduction — the "segmentation" pattern
-// of the paper's Sec 7.1 inventory: offsets holds k+1 segment
-// boundaries into xs, and the result's i-th element is the map/combine
-// fold of segment xs[offsets[i]:offsets[i+1]]. Segments are reduced in
-// parallel with each other (each output slot written by exactly one
-// task — Stride on the output, RO on the input), sequentially within.
-// Boundaries are validated as in IndChunks; invalid boundaries return
-// a NonMonotoneError.
-func SegReduce[T, R any, I IndexInt](w *Worker, xs []T, offsets []I, identity R, mapf func(T) R, comb func(R, R) R) ([]R, error) {
-	if len(offsets) == 0 {
-		return nil, nil
-	}
-	out := make([]R, len(offsets)-1)
-	err := IndChunks(w, xs, offsets, func(i int, seg []T) {
-		acc := identity
-		for j := range seg {
-			acc = comb(acc, mapf(seg[j]))
-		}
-		out[i] = acc
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -51,7 +51,7 @@ func scanGrain[T any]() int {
 	return scanBlockFor(unsafe.Sizeof(*new(T)))
 }
 
-// packIndexLimit bounds the index space of PackIndex/Filter: packed
+// packIndexLimit bounds the index space of the packs: packed
 // indices are int32, so n past this limit would overflow silently.
 // A var (not const) so the guard path is testable with a small
 // injected limit instead of a 2^31-element input.
@@ -186,13 +186,6 @@ func ScanExclusiveInto[T Number](w *Worker, dst, xs []T) T {
 // returns the total sum.
 func ScanInclusive[T Number](w *Worker, xs []T) T {
 	return sumScan(w, xs, xs, true)
-}
-
-// ScanInclusiveInto writes the inclusive prefix sums of xs into dst
-// (len(dst) >= len(xs)), leaving xs intact, and returns the total.
-// Steady state: 0 allocs.
-func ScanInclusiveInto[T Number](w *Worker, dst, xs []T) T {
-	return sumScan(w, dst[:len(xs)], xs, true)
 }
 
 // opScanBody is sumScanBody for a caller-supplied combiner.
@@ -436,85 +429,4 @@ func PackIndex(w *Worker, n int, keep func(i int) bool) []int32 {
 		return nil
 	}
 	return PackIndexInto(w, n, keep, nil)
-}
-
-// gatherBody copies src[idx[i]] into dst[i] — the writing half of
-// Filter, as a box so the steady-state FilterInto builds no closures.
-type gatherBody[T any] struct {
-	idx      []int32
-	src, dst []T
-}
-
-func (g *gatherBody[T]) RunRange(_ *Worker, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		g.dst[i] = g.src[g.idx[i]]
-	}
-}
-
-// FilterInto writes, in order, the elements of xs satisfying keep into
-// dst (reusing its backing array when capacity allows) and returns the
-// filtered slice. The packed-index scratch lives in the worker's arena.
-func FilterInto[T any](w *Worker, xs []T, keep func(x T) bool, dst []T) []T {
-	if len(xs) == 0 {
-		return dst[:0]
-	}
-	a := arena.Of(w)
-	m := a.Mark()
-	b := arena.AcquireBox[packBody](w)
-	b.keep = func(i int) bool { return keep(xs[i]) }
-	total := packMark(w, a, b, len(xs))
-	idx := arena.AllocUninit[int32](a, total)
-	packWrite(w, b, idx)
-	arena.ReleaseBox(w, b)
-	dst = ensureLen(dst, int(total))
-	g := arena.AcquireBox[gatherBody[T]](w)
-	g.idx, g.src, g.dst = idx, xs, dst
-	countDyn(Stride)
-	if w == nil || len(idx) <= 1 {
-		g.RunRange(nil, 0, len(idx))
-	} else {
-		w.ForBody(0, len(idx), 0, g)
-	}
-	g.idx, g.src, g.dst = nil, nil, nil
-	arena.ReleaseBox(w, g)
-	a.Release(m)
-	return dst
-}
-
-// Filter returns, in order, the elements of xs satisfying keep.
-func Filter[T any](w *Worker, xs []T, keep func(x T) bool) []T {
-	return FilterInto(w, xs, keep, nil)
-}
-
-// FlattenInto concatenates nested into dst (reusing its backing array
-// when capacity allows), in parallel: a Stride pass collects lengths,
-// a scan turns them into offsets, and each task copies its sub-slice
-// into its own output range — RngInd with monotonicity guaranteed by
-// the scan itself, so the unchecked traversal is safe by construction
-// (the situation where PBBS's flatten needs no run-time check).
-//
-// Offsets are int64, so a total past math.MaxInt32 concatenates
-// correctly instead of wrapping (the scatter target length is checked
-// against the address space by make itself). The offsets scratch lives
-// in the worker's arena.
-func FlattenInto[T any](w *Worker, nested [][]T, dst []T) []T {
-	a := arena.Of(w)
-	m := a.Mark()
-	offsets := arena.Alloc[int64](a, len(nested)+1)
-	ForRange(w, 0, len(nested), 0, func(i int) {
-		offsets[i+1] = int64(len(nested[i]))
-	})
-	ScanInclusive(w, offsets[1:])
-	total := offsets[len(nested)]
-	dst = ensureLen(dst, int(total))
-	IndChunksUnchecked(w, dst, offsets, func(i int, chunk []T) {
-		copy(chunk, nested[i])
-	})
-	a.Release(m)
-	return dst
-}
-
-// Flatten concatenates nested into one freshly allocated slice.
-func Flatten[T any](w *Worker, nested [][]T) []T {
-	return FlattenInto(w, nested, nil)
 }

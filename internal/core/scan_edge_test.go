@@ -24,37 +24,29 @@ func TestScanIntoLeavesSourceIntact(t *testing.T) {
 			src[i] = int64(i%7) - 3
 		}
 		orig := append([]int64(nil), src...)
-		wantEx := make([]int64, n)
-		wantIn := make([]int64, n)
+		want := make([]int64, n)
 		var acc int64
 		for i, v := range src {
-			wantEx[i] = acc
+			want[i] = acc
 			acc += v
-			wantIn[i] = acc
 		}
 		for _, par := range []bool{false, true} {
-			dstEx := make([]int64, n)
-			dstIn := make([]int64, n)
-			var totEx, totIn int64
-			run := func(w *Worker) {
-				totEx = ScanExclusiveInto(w, dstEx, src)
-				totIn = ScanInclusiveInto(w, dstIn, src)
-			}
+			dst := make([]int64, n)
+			var total int64
 			if par {
-				on(run)
+				on(func(w *Worker) { total = ScanExclusiveInto(w, dst, src) })
 			} else {
-				run(nil)
+				total = ScanExclusiveInto(nil, dst, src)
 			}
-			if totEx != acc || totIn != acc {
-				t.Fatalf("n=%d par=%v: totals %d/%d, want %d", n, par, totEx, totIn, acc)
+			if total != acc {
+				t.Fatalf("n=%d par=%v: total %d, want %d", n, par, total, acc)
 			}
 			for i := range src {
 				if src[i] != orig[i] {
 					t.Fatalf("n=%d par=%v: source modified at %d", n, par, i)
 				}
-				if dstEx[i] != wantEx[i] || dstIn[i] != wantIn[i] {
-					t.Fatalf("n=%d par=%v: dst[%d] = %d/%d, want %d/%d",
-						n, par, i, dstEx[i], dstIn[i], wantEx[i], wantIn[i])
+				if dst[i] != want[i] {
+					t.Fatalf("n=%d par=%v: dst[%d] = %d, want %d", n, par, i, dst[i], want[i])
 				}
 			}
 		}
@@ -93,25 +85,21 @@ func TestScanExclusiveOpBlockBoundaries(t *testing.T) {
 	}
 }
 
-func TestFilterBlockBoundaries(t *testing.T) {
-	keep := func(x int32) bool { return x%3 == 0 }
+func TestPackIndexBlockBoundaries(t *testing.T) {
+	keep := func(i int) bool { return i%3 == 0 }
 	for _, n := range edgeLengths(scanBlockFor(4)) {
-		xs := make([]int32, n)
-		for i := range xs {
-			xs[i] = int32(i)
-		}
 		var want []int32
-		for _, x := range xs {
-			if keep(x) {
-				want = append(want, x)
+		for i := 0; i < n; i++ {
+			if keep(i) {
+				want = append(want, int32(i))
 			}
 		}
 		for _, par := range []bool{false, true} {
 			var got []int32
 			if par {
-				on(func(w *Worker) { got = Filter(w, xs, keep) })
+				on(func(w *Worker) { got = PackIndex(w, n, keep) })
 			} else {
-				got = Filter(nil, xs, keep)
+				got = PackIndex(nil, n, keep)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("n=%d par=%v: len = %d, want %d", n, par, len(got), len(want))
@@ -119,49 +107,6 @@ func TestFilterBlockBoundaries(t *testing.T) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d par=%v: got[%d] = %d, want %d", n, par, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestFlattenBlockBoundaries(t *testing.T) {
-	g := scanGrain[int32]()
-	cases := [][]int{
-		{},            // no sub-slices at all
-		{0},           // one empty sub-slice
-		{0, 0, 0},     // all empty
-		{1},           // single element
-		{g},           // one exact block
-		{g, 0, g},     // empties between blocks
-		{g - 1, 1, g}, // boundary straddle
-		{3, 2*g + 1, 5},
-	}
-	for ci, lens := range cases {
-		nested := make([][]int32, len(lens))
-		var want []int32
-		next := int32(0)
-		for i, l := range lens {
-			nested[i] = make([]int32, l)
-			for j := range nested[i] {
-				nested[i][j] = next
-				want = append(want, next)
-				next++
-			}
-		}
-		for _, par := range []bool{false, true} {
-			var got []int32
-			if par {
-				on(func(w *Worker) { got = Flatten(w, nested) })
-			} else {
-				got = Flatten(nil, nested)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("case %d par=%v: len = %d, want %d", ci, par, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("case %d par=%v: got[%d] = %d, want %d", ci, par, i, got[i], want[i])
 				}
 			}
 		}
@@ -182,14 +127,10 @@ func TestIntoFormsReuseDestination(t *testing.T) {
 	for i := range xs {
 		xs[i] = int32(i)
 	}
-	fdst := make([]int32, n)
-	fgot := FilterInto(nil, xs, func(x int32) bool { return x%2 == 0 }, fdst)
-	if &fgot[0] != &fdst[0] {
-		t.Fatal("FilterInto reallocated despite sufficient capacity")
-	}
-	flat := FlattenInto(nil, [][]int32{xs[:10], xs[10:20]}, fdst)
-	if &flat[0] != &fdst[0] {
-		t.Fatal("FlattenInto reallocated despite sufficient capacity")
+	pdst := make([]int32, n)
+	pgot := PackInto(nil, xs, func(lo, hi int) uint64 { return 0x5555555555555555 }, pdst)
+	if &pgot[0] != &pdst[0] {
+		t.Fatal("PackInto reallocated despite sufficient capacity")
 	}
 	// Too small: must grow, leaving the original untouched beyond its use.
 	small := make([]int32, 1)

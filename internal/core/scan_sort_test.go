@@ -115,17 +115,6 @@ func TestPackIndexAndFilter(t *testing.T) {
 				t.Fatalf("idx = %v, want %v", idx, want)
 			}
 		}
-		xs := []int{5, 2, 8, 1, 9, 3}
-		got := Filter(w, xs, func(x int) bool { return x > 4 })
-		wantF := []int{5, 8, 9}
-		if len(got) != len(wantF) {
-			t.Fatalf("Filter = %v", got)
-		}
-		for i := range wantF {
-			if got[i] != wantF[i] {
-				t.Fatalf("Filter = %v, want %v", got, wantF)
-			}
-		}
 	})
 }
 
@@ -238,58 +227,5 @@ func TestSeqMerge(t *testing.T) {
 		if out[i] != want[i] {
 			t.Fatalf("merge = %v, want %v", out, want)
 		}
-	}
-}
-
-func TestFlatten(t *testing.T) {
-	nested := [][]int{{1, 2}, {}, {3}, {4, 5, 6}}
-	var got []int
-	on(func(w *Worker) { got = Flatten(w, nested) })
-	want := []int{1, 2, 3, 4, 5, 6}
-	if len(got) != len(want) {
-		t.Fatalf("Flatten = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Flatten = %v, want %v", got, want)
-		}
-	}
-	if out := Flatten[int](nil, nil); len(out) != 0 {
-		t.Fatalf("Flatten(nil) = %v", out)
-	}
-}
-
-func TestFlattenPropertyMatchesAppend(t *testing.T) {
-	f := func(raw []uint8) bool {
-		// Build nested slices with lengths from raw.
-		var nested [][]int
-		next := 0
-		for _, r := range raw {
-			l := int(r % 7)
-			s := make([]int, l)
-			for i := range s {
-				s[i] = next
-				next++
-			}
-			nested = append(nested, s)
-		}
-		var want []int
-		for _, s := range nested {
-			want = append(want, s...)
-		}
-		var got []int
-		on(func(w *Worker) { got = Flatten(w, nested) })
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -326,18 +326,6 @@ func (m *Mesh) InsertWithCavity(pIdx int32, cavity []int32, alloc func() int32) 
 	}
 }
 
-func inCavT(t int32, cavity []int32) bool {
-	if t == NoTri {
-		return false
-	}
-	for _, c := range cavity {
-		if c == t {
-			return true
-		}
-	}
-	return false
-}
-
 // atCorner reports whether p is exactly a corner of triangle t: a
 // point located there duplicates a vertex, and inserting it would
 // build degenerate triangles.

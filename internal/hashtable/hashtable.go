@@ -99,16 +99,6 @@ func (s *Set) Len() int { return int(s.count.Load()) }
 // Capacity returns the number of slots.
 func (s *Set) Capacity() int { return len(s.slots) }
 
-// Keys appends all present keys to dst and returns it. Quiescent use.
-func (s *Set) Keys(dst []uint64) []uint64 {
-	for i := range s.slots {
-		if v := s.slots[i].Load(); v != emptyKey {
-			dst = append(dst, decode(v))
-		}
-	}
-	return dst
-}
-
 // SlotKey returns the key at slot i and whether it is occupied; it
 // exposes the layout for parallel extraction (pack over slots).
 func (s *Set) SlotKey(i int) (uint64, bool) {

@@ -15,9 +15,9 @@ const (
 	cDC
 	cSngInd       // checked: IndForEach, Scatter, ScatterChecked
 	cRngInd       // checked: IndChunks
-	cUncheckedSng // IndForEachUnchecked, ScatterUnchecked, ScatterAtomic32
+	cUncheckedSng // IndForEachUnchecked, ScatterUnchecked
 	cUncheckedRng // IndChunksUnchecked
-	cAWHelper     // WriteMin*/WriteMax*/CASLoop*
+	cAWHelper     // WriteMin*/WriteMax32/SetBit
 	cLocks        // NewShardedLocks
 	cAtomic       // sync/atomic call or declaration
 	cSyncDecl     // sync.Mutex / RWMutex / WaitGroup / Cond declaration

@@ -147,7 +147,7 @@ func isNamed(t types.Type, pkgPath string, names ...string) bool {
 func isWorkerNamed(t types.Type) bool { return isNamed(t, schedPath, "Worker") }
 
 // boxTypeName names the struct type behind a (pointer to a) named
-// type, dropping type arguments: *gatherBody[T] -> "gatherBody".
+// type, dropping type arguments: *reduceBody[R] -> "reduceBody".
 func boxTypeName(t types.Type) string {
 	if tn := namedType(t); tn != nil {
 		return tn.Name()

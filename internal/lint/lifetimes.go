@@ -22,8 +22,7 @@ package lint
 //	                   arena owner's Reset reclaims it
 //	worker-confined    the checkout escapes its region but only into
 //	                   per-worker state that is cleared before reuse
-//	                   (a box field nil'ed before ReleaseBox, or a
-//	                   Standalone arena owned by one worker goroutine)
+//	                   (a box field nil'ed before ReleaseBox)
 //	refused            the analysis cannot prove confinement: the
 //	                   checkout is returned, sent on a channel, stored
 //	                   into a captured/global location, crosses a

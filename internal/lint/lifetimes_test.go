@@ -32,7 +32,7 @@ func TestLifetimesFixtureClean(t *testing.T) {
 	}
 	for _, want := range []string{
 		"deferred", "ReleaseBox", "never leaves the region body",
-		"standalone worker-lifetime arena", "cleared before box reuse",
+		"cleared before box reuse",
 	} {
 		found := false
 		for d := range details {

@@ -92,14 +92,10 @@ var primitives = map[string]*primitive{
 	"Reduce":       {class: cRO, bodies: []int{3, 4}},
 	"MapReduce": {class: cRO, bodies: []int{3}, task: []int{0}, hi: 1,
 		unmodeled: "comb (argument 4) is not walked as a region, unlike Reduce's: its writes to captured state are not classified"},
-	"Sum":       {class: cRO},
-	"Max":       {class: cRO},
-	"Min":       {class: cRO},
-	"MaxIndex":  {class: cRO},
-	"Count":     {class: cRO, bodies: []int{2}},
-	"All":       {class: cRO, bodies: []int{2}},
-	"SegReduce": {class: cRO, bodies: []int{4, 5}},
-	"IsSorted":  {class: cRO, bodies: []int{2}},
+	"Sum":      {class: cRO},
+	"Max":      {class: cRO},
+	"MaxIndex": {class: cRO},
+	"IsSorted": {class: cRO, bodies: []int{2}},
 
 	// Stride — array[i] = f(): each task owns index i. ForBlocks is the
 	// range-bodied engine; the others are its per-element wrappers.
@@ -109,7 +105,6 @@ var primitives = map[string]*primitive{
 	"Fill":       {class: cStride},
 	"Tabulate":   {class: cStride, bodies: []int{2}, task: []int{0}, hi: 1},
 	"CopyInto":   {class: cStride, reads: 2},
-	"Stencil2D":  {class: cStride, bodies: []int{4}},
 
 	// Block — array[i*s..(i+1)*s] = f(): disjoint chunks, scans, packs.
 	// The *Into forms are the destination-passing variants
@@ -119,15 +114,10 @@ var primitives = map[string]*primitive{
 	"ScanInclusive":     {class: cBlock, scans: 1},
 	"ScanExclusiveOp":   {class: cBlock, bodies: []int{3}},
 	"ScanExclusiveInto": {class: cBlock},
-	"ScanInclusiveInto": {class: cBlock},
 	"PackIndex":         {class: cBlock, bodies: []int{2}, task: []int{0}, hi: 1, packs: true},
 	"PackIndexInto":     {class: cBlock, bodies: []int{2}, task: []int{0}, hi: 1},
 	"PackMaskInto":      {class: cBlock, bodies: []int{2}, ranged: true, hi: 1},
 	"PackInto":          {class: cBlock, bodies: []int{2}, ranged: true},
-	"Filter":            {class: cBlock, bodies: []int{2}},
-	"FilterInto":        {class: cBlock, bodies: []int{2}},
-	"Flatten":           {class: cBlock},
-	"FlattenInto":       {class: cBlock},
 
 	// D&C — fork/join recursion.
 	"Sort":   {class: cDC, permutes: 1},
@@ -142,7 +132,6 @@ var primitives = map[string]*primitive{
 	"ScatterChecked":      {class: cSngInd, out: 1, offsets: 2},
 	"IndForEachUnchecked": {class: cUncheckedSng, bodies: []int{3}, task: []int{0}, handed: []int{1}, out: 1, offsets: 2, twin: "IndForEach"},
 	"ScatterUnchecked":    {class: cUncheckedSng, out: 1, offsets: 2, twin: "ScatterChecked"},
-	"ScatterAtomic32":     {class: cUncheckedSng, out: 1, atomic: true, twin: "IndForEach"},
 
 	// RngInd — array[B[i]..B[i+1]] = f(): likewise.
 	"IndChunks":          {class: cRngInd, bodies: []int{3}, task: []int{0}, handed: []int{1}, out: 1, offsets: 2},
@@ -150,11 +139,9 @@ var primitives = map[string]*primitive{
 
 	// AW — the library's synchronization helpers; no worker argument.
 	"WriteMin32":      {class: cAWHelper, atomic: true},
-	"WriteMin64":      {class: cAWHelper, atomic: true},
 	"WriteMax32":      {class: cAWHelper, atomic: true},
 	"WriteMinU32":     {class: cAWHelper, atomic: true},
 	"WriteMinU64":     {class: cAWHelper, atomic: true},
-	"CASLoop32":       {class: cAWHelper, atomic: true},
 	"SetBit":          {class: cAWHelper, atomic: true},
 	"NewShardedLocks": {class: cLocks},
 

@@ -2,6 +2,9 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -125,8 +128,7 @@ func tableProblems(table map[string]*primitive, sigs map[string]*types.Signature
 		if p.twin != "" && (table[p.twin] == nil || !table[p.twin].checked()) {
 			bad(name, "twin %q is not a checked primitive", p.twin)
 		}
-		// Only a worker-taking function runs closures in parallel; an
-		// atomic helper's (CASLoop32) runs in place on its caller.
+		// Only a worker-taking function runs closures in parallel.
 		unwalked := false
 		for i, k := range kinds {
 			if p.worker() && (k == "func" || k == "funcs") && !slices.Contains(p.bodies, i) {
@@ -197,5 +199,64 @@ func TestPrimitiveTableMatchesCore(t *testing.T) {
 				t.Errorf("%s: core.%s has parameter kinds %v, the library's has %v", fixtureRoot, name, got, want)
 			}
 		}
+	}
+}
+
+// calledPrimitives returns the rows of primitives that some non-test
+// file outside internal/core and outside testdata calls, in the module
+// under root. benchmark/inputs counts, though the passes skip it.
+func calledPrimitives(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	called := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			rel, _ := filepath.Rel(root, path)
+			if d.Name() == "testdata" || filepath.ToSlash(rel) == corePath || strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		fi := &fileInfo{ast: f, imports: importMap(f)}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if name, p := primitiveOf(fi, call); p != nil {
+					called[name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return called
+}
+
+// TestEveryPrimitiveHasACaller keeps the library surface from growing
+// back: a row no kernel, example, command or benchmark calls is an
+// entry point every pass models for nobody but core's own tests.
+func TestEveryPrimitiveHasACaller(t *testing.T) {
+	called := calledPrimitives(t, filepath.Join("..", ".."))
+	var idle []string
+	for name := range primitives {
+		if !called[name] {
+			idle = append(idle, name)
+		}
+	}
+	sort.Strings(idle)
+	if len(idle) > 0 {
+		t.Errorf("primitive rows with no call site outside internal/core: %s", strings.Join(idle, ", "))
 	}
 }

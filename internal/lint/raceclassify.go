@@ -118,7 +118,7 @@ func (rc *regionCheck) run() {
 			}
 		}
 	})
-	rc.walkStmts(rc.r.body.List)
+	walkStmts(rc, rc.r.body.List)
 }
 
 // local reports whether obj lives inside one invocation of the region:
@@ -200,13 +200,10 @@ func (rc *regionCheck) isShrinkAssign(b *binding, obj types.Object) bool {
 // Statement walk
 // ---------------------------------------------------------------------
 
-func (rc *regionCheck) walkStmts(list []ast.Stmt) {
-	for _, s := range list {
-		rc.walkStmt(s)
-	}
-}
+func (rc *regionCheck) expr(e ast.Expr) { rc.scanExpr(e) }
 
-func (rc *regionCheck) walkStmt(s ast.Stmt) {
+// stmt classifies one simple statement of the region (walkStmt).
+func (rc *regionCheck) stmt(s ast.Stmt) {
 	switch v := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := unparen(v.X).(*ast.CallExpr); ok && rc.locks.op(rc.tp, call, false) {
@@ -249,26 +246,6 @@ func (rc *regionCheck) walkStmt(s ast.Stmt) {
 		}
 		rc.refuse(v, types.ExprString(v.Call.Fun),
 			"goroutine launch through %s: the spawned code is not a lexical region this pass can certify", types.ExprString(v.Call.Fun))
-	case *ast.IfStmt:
-		if v.Init != nil {
-			rc.walkStmt(v.Init)
-		}
-		rc.scanExpr(v.Cond)
-		rc.walkStmts(v.Body.List)
-		if v.Else != nil {
-			rc.walkStmt(v.Else)
-		}
-	case *ast.ForStmt:
-		if v.Init != nil {
-			rc.walkStmt(v.Init)
-		}
-		if v.Cond != nil {
-			rc.scanExpr(v.Cond)
-		}
-		if v.Post != nil {
-			rc.walkStmt(v.Post)
-		}
-		rc.walkStmts(v.Body.List)
 	case *ast.RangeStmt:
 		rc.scanExpr(v.X)
 		if v.Tok == token.ASSIGN {
@@ -277,44 +254,6 @@ func (rc *regionCheck) walkStmt(s ast.Stmt) {
 				rc.classifyWrite(v.Value)
 			}
 		}
-		rc.walkStmts(v.Body.List)
-	case *ast.SwitchStmt:
-		if v.Init != nil {
-			rc.walkStmt(v.Init)
-		}
-		if v.Tag != nil {
-			rc.scanExpr(v.Tag)
-		}
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					rc.scanExpr(e)
-				}
-				rc.walkStmts(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if v.Init != nil {
-			rc.walkStmt(v.Init)
-		}
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				rc.walkStmts(cc.Body)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					rc.walkStmt(cc.Comm)
-				}
-				rc.walkStmts(cc.Body)
-			}
-		}
-	case *ast.BlockStmt:
-		rc.walkStmts(v.List)
-	case *ast.LabeledStmt:
-		rc.walkStmt(v.Stmt)
 	case *ast.ReturnStmt:
 		for _, e := range v.Results {
 			rc.scanExpr(e)
@@ -362,7 +301,7 @@ func (rc *regionCheck) scanExpr(e ast.Expr) {
 			}
 			saved := rc.locks
 			rc.locks = lockTracker{}
-			rc.walkStmts(v.Body.List)
+			walkStmts(rc, v.Body.List)
 			rc.locks = saved
 			return false
 		case *ast.CallExpr:
@@ -442,6 +381,23 @@ func (rc *regionCheck) classifyBuiltin(name string, call *ast.CallExpr) {
 		if len(call.Args) == 2 {
 			rc.classifyBulkWrite(call, call.Args[0], "copy")
 		}
+	case "append":
+		// append(x, ...) writes into x's backing array whenever x has
+		// spare capacity, wherever the result is bound. Unless x is a
+		// window capped to the task, that array is x's root, reslices
+		// peeled: append(xs[lo:hi], v) writes xs[hi].
+		if len(call.Args) == 0 {
+			return
+		}
+		dst := unparen(call.Args[0])
+		if rc.matchBlockWindow(dst) {
+			rc.site(RaceIndexDisjoint, "block-scaled", call, types.ExprString(dst))
+			return
+		}
+		for sl, ok := dst.(*ast.SliceExpr); ok; sl, ok = dst.(*ast.SliceExpr) {
+			dst = unparen(sl.X)
+		}
+		rc.classifyBulkWrite(call, dst, "append")
 	case "delete":
 		if len(call.Args) > 0 {
 			rc.refuse(call, types.ExprString(call.Args[0]),
@@ -450,7 +406,8 @@ func (rc *regionCheck) classifyBuiltin(name string, call *ast.CallExpr) {
 	}
 }
 
-// classifyBulkWrite classifies a whole-slice write (copy destination).
+// classifyBulkWrite classifies a whole-slice write (a copy or append
+// destination).
 func (rc *regionCheck) classifyBulkWrite(at ast.Node, dst ast.Expr, what string) {
 	// xs[lo:hi] over the invocation's handed subrange is its own window
 	// of xs: the subranges handed to concurrent invocations are disjoint.
@@ -687,7 +644,7 @@ func (rc *regionCheck) freshExpr(e ast.Expr, depth int) freshKind {
 			switch name {
 			case "Alloc", "AllocUninit", "AcquireBox":
 				return freshCheckout
-			case "Standalone", "Of":
+			case "Of":
 				return freshLocal
 			}
 		}
@@ -697,6 +654,9 @@ func (rc *regionCheck) freshExpr(e ast.Expr, depth int) freshKind {
 
 // classifyWrite classifies one write target and emits its site.
 func (rc *regionCheck) classifyWrite(lhs ast.Expr) {
+	if id, ok := unparen(lhs).(*ast.Ident); ok && id.Name == "_" {
+		return // the blank identifier stores nothing
+	}
 	target := types.ExprString(lhs)
 	base, steps, ok := peelTarget(lhs)
 	if !ok {

@@ -32,9 +32,8 @@ var lifeMethodContracts = map[string]bool{
 
 // arenaRec is one tracked arena identity.
 type arenaRec struct {
-	standalone bool // arena.Standalone(): owned by the creating goroutine
-	gen        int  // bumped by Reset
-	stack      []*markRec
+	gen   int // bumped by Reset
+	stack []*markRec
 }
 
 // markRec is one live Mark checkout point.
@@ -142,7 +141,7 @@ func newLifeWalk(l *typeLoader, ff *funcFacts, f *fileInfo, regions []*raceRegio
 
 // run walks the function body and classifies every checkout.
 func (lw *lifeWalk) run() {
-	lw.walkStmts(lw.fd.Body.List)
+	walkStmts(lw, lw.fd.Body.List)
 	lw.finalize()
 }
 
@@ -178,15 +177,11 @@ func settle(co *checkout, class, detail string) {
 // Statements
 // ---------------------------------------------------------------------
 
-func (lw *lifeWalk) walkStmts(list []ast.Stmt) {
-	for _, s := range list {
-		lw.walkStmt(s)
-	}
-}
+func (lw *lifeWalk) expr(e ast.Expr) { lw.eval(e) }
 
-func (lw *lifeWalk) walkStmt(s ast.Stmt) {
+// stmt tracks checkouts through one simple statement (walkStmt).
+func (lw *lifeWalk) stmt(s ast.Stmt) {
 	switch v := s.(type) {
-	case nil:
 	case *ast.AssignStmt:
 		lw.assign(v)
 	case *ast.ExprStmt:
@@ -205,55 +200,10 @@ func (lw *lifeWalk) walkStmt(s ast.Stmt) {
 				}
 			}
 		}
-	case *ast.IfStmt:
-		lw.walkStmt(v.Init)
-		lw.eval(v.Cond)
-		lw.walkStmts(v.Body.List)
-		lw.walkStmt(v.Else)
-	case *ast.ForStmt:
-		lw.walkStmt(v.Init)
-		if v.Cond != nil {
-			lw.eval(v.Cond)
-		}
-		lw.walkStmts(v.Body.List)
-		lw.walkStmt(v.Post)
 	case *ast.RangeStmt:
 		d := lw.eval(v.X)
 		if d != nil && d.co != nil && v.Value != nil {
 			lw.readCheck(d.co, v.X) // range-with-value reads elements
-		}
-		lw.walkStmts(v.Body.List)
-	case *ast.BlockStmt:
-		lw.walkStmts(v.List)
-	case *ast.LabeledStmt:
-		lw.walkStmt(v.Stmt)
-	case *ast.SwitchStmt:
-		lw.walkStmt(v.Init)
-		if v.Tag != nil {
-			lw.eval(v.Tag)
-		}
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					lw.eval(e)
-				}
-				lw.walkStmts(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		lw.walkStmt(v.Init)
-		lw.walkStmt(v.Assign)
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				lw.walkStmts(cc.Body)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range v.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				lw.walkStmt(cc.Comm)
-				lw.walkStmts(cc.Body)
-			}
 		}
 	case *ast.SendStmt:
 		lw.eval(v.Chan)
@@ -337,7 +287,7 @@ func (lw *lifeWalk) walkLit(lit *ast.FuncLit) {
 	if isRegion {
 		lw.regionStack = append(lw.regionStack, lit.Body)
 	}
-	lw.walkStmts(lit.Body.List)
+	walkStmts(lw, lit.Body.List)
 	if isRegion {
 		lw.regionStack = lw.regionStack[:len(lw.regionStack)-1]
 	}
@@ -859,8 +809,6 @@ func (lw *lifeWalk) arenaCall(call *ast.CallExpr, name string) *valDesc {
 		return nil
 	case "Of":
 		return &valDesc{ar: &arenaRec{}}
-	case "Standalone":
-		return &valDesc{ar: &arenaRec{standalone: true}}
 	}
 	for _, a := range call.Args {
 		lw.eval(a)
@@ -1010,8 +958,6 @@ func (lw *lifeWalk) finalize() {
 		switch {
 		case co.workerConf != "":
 			co.class, co.detail = LifeWorkerConfined, co.workerConf
-		case co.ar != nil && co.ar.standalone && co.mark == nil:
-			co.class, co.detail = LifeWorkerConfined, "standalone worker-lifetime arena"
 		case co.regionBody != nil:
 			co.class, co.detail = LifeRegionConfined, "never leaves the region body"
 		case co.mark != nil:

@@ -1,7 +1,7 @@
 // Package arena is a type-checkable stand-in for the real arena
 // substrate: the lifetimes fixtures need go/types to resolve the
 // checkout API (Alloc/AllocUninit/AcquireBox, Mark/Release/Reset,
-// Of/Standalone). Bodies are plain heap semantics; only the
+// Of). Bodies are plain heap semantics; only the
 // signatures and the package path suffix matter to the pass.
 package arena
 
@@ -12,8 +12,6 @@ type Arena struct{ gen int }
 type Mark struct{ gen int }
 
 func Of(w *sched.Worker) *Arena { return &Arena{} }
-
-func Standalone() *Arena { return &Arena{} }
 
 func (a *Arena) Mark() Mark { return Mark{gen: a.gen} }
 

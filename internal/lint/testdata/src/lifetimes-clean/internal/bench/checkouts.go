@@ -43,19 +43,6 @@ func RegionConfined(w *core.Worker, a *arena.Arena, src, dst []int32) {
 	})
 }
 
-// WorkerConfined: a standalone arena is owned by the goroutine that
-// created it; its checkouts live exactly as long as the worker.
-func WorkerConfined(n int, done chan struct{}) {
-	go func() {
-		a := arena.Standalone()
-		buf := arena.AllocUninit[int32](a, n)
-		for i := 0; i < n; i++ {
-			buf[i] = int32(i)
-		}
-		done <- struct{}{}
-	}()
-}
-
 // BoxTransit: a checkout transits through a local box's field, is
 // cleared before ReleaseBox, and the box itself is a released
 // checkout.

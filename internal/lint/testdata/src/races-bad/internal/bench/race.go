@@ -27,3 +27,12 @@ func sharedWindow(w *core.Worker, buf []int32, n, s int) {
 func collect(dst []int32, v int) []int32 {
 	return append(dst[:0], int32(v))
 }
+
+// appendShared appends into one shared buffer from every task: each
+// append writes buf[0], whatever its result is bound to.
+func appendShared(w *core.Worker, buf []int32, n int) {
+	core.ForRange(w, 0, n, 0, func(i int) {
+		tmp := append(buf[:0], int32(i))
+		_ = tmp
+	})
+}

@@ -186,3 +186,19 @@ func derive(n int) []int {
 	}
 	return out
 }
+
+// blankRead discards a read: the blank identifier stores nothing.
+func blankRead(w *core.Worker, src []int32) {
+	core.ForRange(w, 0, len(src), 0, func(i int) {
+		_ = src[i]
+	})
+}
+
+// appendWindow appends inside the window capped to its task: with no
+// spare capacity past (i+1)*s, the append stays in task i's block.
+func appendWindow(w *core.Worker, buf []int32, n, s int) {
+	core.ForRange(w, 0, n, 0, func(i int) {
+		tmp := append(buf[i*s:i*s:(i+1)*s], int32(i))
+		_ = tmp
+	})
+}

@@ -24,16 +24,16 @@ type PatternCoverage struct {
 var McCoolPatterns = []PatternCoverage{
 	{"fork-join", true, "sched.Worker.Join; every benchmark"},
 	{"map", true, "core.ForEachIdx/Tabulate; Stride sites suite-wide"},
-	{"stencil", true, "core.Stencil2D; geom mesh neighborhoods (dr)"},
+	{"stencil", true, "geom mesh neighborhoods (dr)"},
 	{"reduction", true, "core.Reduce/Sum; hist, mis win-checks"},
 	{"scan", true, "core.ScanExclusive; radix, sort, isort, bw"},
 	{"recurrence", true, "suffix prefix doubling (rank recurrences)"},
-	{"pack", true, "core.PackIndex/Filter; frontier packs in mis/mm/msf"},
+	{"pack", true, "core.PackIndex/PackInto; frontier packs in mis/mm/msf"},
 	{"geometric decomposition", true, "core.Chunks; blocked counting passes"},
 	{"gather", true, "indirect reads: rank[sa[j]+k] in sa, edges in graphs"},
 	{"scatter", true, "core.IndForEach*; isort/sa/bw scatters"},
 	{"search", true, "bfs/sssp; sort's splitter binary search"},
-	{"segmentation", true, "core.IndChunks/SegReduce; sort buckets"},
+	{"segmentation", true, "core.IndChunks; sort buckets"},
 	{"category reduction", true, "hist bucket merge; dedup hash table"},
 	{"workpile", true, "mq.Process worker loops (bfs, sssp)"},
 	{"pipeline", false, "extension: core.Pipeline (extras.go)"},

@@ -12,7 +12,6 @@
 package sched
 
 import (
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -430,12 +429,4 @@ func grainFor(n, workers int) int {
 		g = 1
 	}
 	return g
-}
-
-// ceilPow2 returns the smallest power of two >= v (v > 0).
-func ceilPow2(v int) int {
-	if v <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(v-1))
 }

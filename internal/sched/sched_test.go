@@ -308,15 +308,6 @@ func TestGrainFor(t *testing.T) {
 	}
 }
 
-func TestCeilPow2(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024}
-	for in, want := range cases {
-		if got := ceilPow2(in); got != want {
-			t.Fatalf("ceilPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestSplitmix64NonZero(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
 		if splitmix64(i) == 0 {

@@ -67,12 +67,6 @@ func UniformU64(w *core.Worker, n int, seed uint64) []uint64 {
 	return core.Tabulate(w, n, func(i int) uint64 { return r.U64(uint64(i)) })
 }
 
-// UniformInts fills a length-n slice with uniform values in [0, max).
-func UniformInts(w *core.Worker, n, max int, seed uint64) []uint32 {
-	r := NewRng(seed)
-	return core.Tabulate(w, n, func(i int) uint32 { return uint32(r.Intn(uint64(i), max)) })
-}
-
 // ExponentialInts generates PBBS's "exponential" key distribution: keys
 // concentrate near zero with a long tail, producing the duplicate-heavy
 // inputs sort/dedup/hist/isort are evaluated on. The mean of the
