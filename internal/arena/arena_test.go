@@ -237,7 +237,7 @@ func TestPerWorkerLifecycleConcurrent(t *testing.T) {
 	p := sched.NewPool(4)
 	defer p.Close()
 	p.Do(func(w *sched.Worker) {
-		w.ForEachWorker(func(w *sched.Worker) {
+		w.For(0, 4, 1, func(w *sched.Worker, _, _ int) {
 			a := Of(w)
 			for round := 0; round < 50; round++ {
 				a.Reset()

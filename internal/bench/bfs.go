@@ -46,7 +46,7 @@ type bfsInstance[A graph.Adjacency] struct {
 	curBM, nextBM []uint64
 
 	// Decode scratch: row holds one MaxDegree row for the sequential
-	// paths; dscratch grows one row per MultiQueue worker on demand.
+	// paths; dscratch grows one row per MultiQueue slot on demand.
 	maxDeg   int
 	row      []int32
 	dscratch [][]int32
@@ -142,13 +142,15 @@ func (b *bfsInstance[A]) reset() {
 	}
 }
 
-// scratchFor returns per-worker decode rows for nWorkers MultiQueue
-// workers, growing the persistent table on first use.
-func (b *bfsInstance[A]) scratchFor(nWorkers int) [][]int32 {
-	for len(b.dscratch) < nWorkers {
-		b.dscratch = append(b.dscratch, make([]int32, b.maxDeg))
+// slotRows returns a decode row of maxDeg for each MultiQueue slot of a
+// drive on n workers, indexed by the slot id a task gets. It grows
+// *rows on first use, so later runs allocate nothing: a row per slot,
+// not an arena checkout per task, keeps Mark/Release off the hot path.
+func slotRows(rows *[][]int32, n, maxDeg int) [][]int32 {
+	for len(*rows) < n {
+		*rows = append(*rows, make([]int32, maxDeg))
 	}
-	return b.dscratch[:nWorkers]
+	return *rows
 }
 
 // bfsCnt carries a bottom-up step's (vertices, frontier edges) totals
@@ -276,21 +278,20 @@ func (b *bfsInstance[A]) bottomUpStep(w *core.Worker, nd uint32) bfsCnt {
 }
 
 // run is the MultiQueue expression (direct mode): one vertex per queue
-// operation, kept as the paper's Sec 6 baseline. Each worker decodes
-// into its own persistent scratch row, indexed by the handler's worker
-// id.
+// operation, kept as the paper's Sec 6 baseline. Each slot decodes into
+// its own persistent scratch row, indexed by the task's slot id.
 func (b *bfsInstance[A]) run(nWorkers int) {
-	scratch := b.scratchFor(nWorkers)
+	scratch := slotRows(&b.dscratch, nWorkers, b.maxDeg)
 	atomic.StoreUint32(&b.dist[b.src], 0)
 	seeds := []mq.Item{{Pri: 0, Val: uint64(b.src)}}
-	b.mqStats = mq.Process(nWorkers, seeds, func(wi int, it mq.Item, push mq.Pusher) {
+	b.mqStats = mq.Process(nWorkers, seeds, func(slot int, it mq.Item, push mq.Pusher) {
 		v := int32(it.Val)
 		d := uint32(it.Pri)
 		if atomic.LoadUint32(&b.dist[v]) < d {
 			return // stale task
 		}
 		nd := d + 1
-		for _, u := range b.g.RowInto(v, scratch[wi]) {
+		for _, u := range b.g.RowInto(v, scratch[slot]) {
 			if core.WriteMinU32(&b.dist[u], nd) {
 				push.Push(mq.Item{Pri: uint64(nd), Val: uint64(u)})
 			}

@@ -33,7 +33,7 @@ type kcoreInstance[A graph.Adjacency] struct {
 	want     []uint32
 	seedBuf  []int32   // PackIndexInto destination
 	seeds    []mq.Item // staged level batch
-	dscratch [][]int32 // per-MQ-worker decode rows
+	dscratch [][]int32 // per-MultiQueue-slot decode rows
 	maxDeg   int
 	q        *mq.MultiQueue // one queue for every level of every run
 	mqStats  mq.Stats       // counters of the last run, all levels
@@ -48,6 +48,7 @@ func newKCore[A graph.Adjacency](g A) *kcoreInstance[A] {
 		seedBuf: make([]int32, n),
 		seeds:   make([]mq.Item, 0, n),
 		maxDeg:  int(g.MaxDegree()),
+		q:       mq.New(0),
 	}
 }
 
@@ -58,31 +59,15 @@ func (k *kcoreInstance[A]) reset() {
 	}
 }
 
-// scratchFor returns per-worker decode rows for nWorkers MultiQueue
-// workers, grown once and reused across runs.
-func (k *kcoreInstance[A]) scratchFor(nWorkers int) [][]int32 {
-	for len(k.dscratch) < nWorkers {
-		k.dscratch = append(k.dscratch, make([]int32, k.maxDeg))
-	}
-	return k.dscratch
-}
-
 func (k *kcoreInstance[A]) runLibrary(w *core.Worker) {
-	nWorkers := 1
-	if w != nil {
-		nWorkers = w.Pool().Workers()
-	}
-	k.runLevels(w, nWorkers)
-}
-
-func (k *kcoreInstance[A]) runLevels(w *core.Worker, nWorkers int) {
 	n := int(k.g.NumVertices())
-	scratch := k.scratchFor(nWorkers)
-	// One MultiQueue serves every level: each cascade drains it, so the
-	// next level finds it empty with its heaps and worker buffers grown.
-	if k.q == nil || k.q.NQueues() != mq.QueuesPerWorker*nWorkers {
-		k.q = mq.New(mq.QueuesPerWorker * nWorkers)
+	slots := 1
+	if w != nil {
+		slots = w.Pool().Workers()
 	}
+	scratch := slotRows(&k.dscratch, slots, k.maxDeg)
+	// One MultiQueue serves every level: each cascade drains it, so the
+	// next level finds it empty with its heaps and slot buffers grown.
 	k.q.Reset()
 	var peeled atomic.Int64
 	// The level's closures are built once and read kc, which only moves
@@ -99,7 +84,7 @@ func (k *kcoreInstance[A]) runLevels(w *core.Worker, nWorkers int) {
 	}
 	lower := func(a, b uint32) uint32 { return min(a, b) }
 	atLevel := func(v int) bool { return k.cn[v] == distInf && k.rd[v] <= kc }
-	peel := func(wi int, it mq.Item, push mq.Pusher) {
+	peel := func(slot int, it mq.Item, push mq.Pusher) {
 		// The level rides in on the item: a cascade must not read the
 		// shared kc, which would sit on the cache line peeled's
 		// fetch-adds keep dirtying.
@@ -111,7 +96,7 @@ func (k *kcoreInstance[A]) runLevels(w *core.Worker, nWorkers int) {
 			atomic.StoreUint32(&k.cn[v], kc)
 			peeled.Add(1)
 		}
-		for _, u := range k.g.RowInto(v, scratch[wi]) {
+		for _, u := range k.g.RowInto(v, scratch[slot]) {
 			if atomic.AddUint32(&k.rd[u], ^uint32(0)) == kc {
 				push.Push(mq.Item{Pri: uint64(kc), Val: uint64(u)})
 			}
@@ -138,7 +123,7 @@ func (k *kcoreInstance[A]) runLevels(w *core.Worker, nWorkers int) {
 			items = append(items, mq.Item{Pri: uint64(kc), Val: uint64(v)})
 		}
 		peeled.Add(int64(len(seedIdx)))
-		k.mqStats = mq.ProcessBatchOn(k.q, nWorkers, items, mq.Options{}, peel)
+		k.mqStats = mq.ProcessBatchOn(w, k.q, items, mq.Options{}, peel)
 	}
 }
 

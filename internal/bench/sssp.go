@@ -13,8 +13,8 @@ import (
 // delta-stepping (Meyer & Sanders) layered on the batched MultiQueue
 // (docs/GRAPH.md): task priority is the distance bucket floor(d/delta),
 // workers pop whole buckets of vertices per lock acquisition
-// (mq.ProcessBatch), relax out-edges with WriteMin (AW), and stage the
-// improved vertices in per-worker buffers that flush to the queue in
+// (mq.ProcessBatchOn), relax out-edges with WriteMin (AW), and stage the
+// improved vertices in per-slot buffers that flush to the queue in
 // batches. The direct expression keeps the paper's relaxed Dijkstra
 // (Sec 6 / Postnikova et al.): one vertex per queue operation, priority
 // = exact tentative distance. In both, priority inversions from the
@@ -24,8 +24,8 @@ import (
 //
 // The instance is generic over graph.WAdjacency: the plain *graph.WGraph
 // relaxation reads its interior row slices, while the compressed
-// *graph.CWGraph decodes each popped vertex's row into the worker's
-// persistent scratch (indexed by the MultiQueue worker id) and reads
+// *graph.CWGraph decodes each popped vertex's row into the slot's
+// persistent scratch (indexed by the MultiQueue slot id) and reads
 // the uncompressed weight slice alongside.
 
 type ssspInstance[A graph.WAdjacency] struct {
@@ -37,7 +37,8 @@ type ssspInstance[A graph.WAdjacency] struct {
 	want       []uint32
 
 	maxDeg   int
-	dscratch [][]int32 // per-MultiQueue-worker decode rows
+	dscratch [][]int32      // per-MultiQueue-slot decode rows
+	q        *mq.MultiQueue // the library's queue, kept from run to run
 
 	mqStats mq.Stats // counters from the last run (either mode)
 }
@@ -51,6 +52,7 @@ func newSSSP[A graph.WAdjacency](g A, src int32) *ssspInstance[A] {
 		dist:       make([]uint32, n),
 		qb:         make([]uint32, n),
 		maxDeg:     int(g.MaxDegree()),
+		q:          mq.New(0),
 	}
 	s.reset()
 	return s
@@ -61,13 +63,6 @@ func (s *ssspInstance[A]) reset() {
 		s.dist[i] = distInf
 		s.qb[i] = distInf
 	}
-}
-
-func (s *ssspInstance[A]) scratchFor(nWorkers int) [][]int32 {
-	for len(s.dscratch) < nWorkers {
-		s.dscratch = append(s.dscratch, make([]int32, s.maxDeg))
-	}
-	return s.dscratch[:nWorkers]
 }
 
 // deltaFor picks the bucket width: maxW/avgDeg (the classic heuristic —
@@ -99,14 +94,19 @@ func deltaFor[A graph.WAdjacency](g A) uint32 {
 	return shift
 }
 
-// runDelta is the delta-stepping library expression over the batched
-// queue.
-func (s *ssspInstance[A]) runDelta(nWorkers int) {
-	scratch := s.scratchFor(nWorkers)
+// runDeltaOn is the delta-stepping library expression: it drives the
+// instance's batched queue on w's pool.
+func (s *ssspInstance[A]) runDeltaOn(w *core.Worker) {
+	slots := 1
+	if w != nil {
+		slots = w.Pool().Workers()
+	}
+	scratch := slotRows(&s.dscratch, slots, s.maxDeg)
 	atomic.StoreUint32(&s.dist[s.src], 0)
 	shift := s.deltaShift
 	seeds := []mq.Item{{Pri: 0, Val: uint64(s.src)}}
-	s.mqStats = mq.ProcessBatch(nWorkers, seeds, mq.Options{}, func(wi int, it mq.Item, push mq.Pusher) {
+	s.q.Reset()
+	s.mqStats = mq.ProcessBatchOn(w, s.q, seeds, mq.Options{}, func(slot int, it mq.Item, push mq.Pusher) {
 		v := int32(it.Val)
 		// Leave the bucket BEFORE reading the distance: Go atomics are
 		// sequentially consistent, so a relaxer that observed our old
@@ -118,7 +118,7 @@ func (s *ssspInstance[A]) runDelta(nWorkers int) {
 		if uint64(d>>shift) < it.Pri {
 			return // superseded: v moved to an earlier bucket
 		}
-		adj, wgt := s.g.WRow(v, scratch[wi])
+		adj, wgt := s.g.WRow(v, scratch[slot])
 		for i, u := range adj {
 			nd := d + wgt[i]
 			if core.WriteMinU32(&s.dist[u], nd) {
@@ -135,19 +135,27 @@ func (s *ssspInstance[A]) runDelta(nWorkers int) {
 	})
 }
 
+// runDelta runs the library expression on a pool of nWorkers workers of
+// its own, for callers that hold no worker.
+func (s *ssspInstance[A]) runDelta(nWorkers int) {
+	p := core.NewPool(nWorkers)
+	defer p.Close()
+	p.Do(s.runDeltaOn)
+}
+
 // run is the relaxed-Dijkstra direct expression: exact distances as
 // priorities, one vertex per queue operation.
 func (s *ssspInstance[A]) run(nWorkers int) {
-	scratch := s.scratchFor(nWorkers)
+	scratch := slotRows(&s.dscratch, nWorkers, s.maxDeg)
 	atomic.StoreUint32(&s.dist[s.src], 0)
 	seeds := []mq.Item{{Pri: 0, Val: uint64(s.src)}}
-	s.mqStats = mq.Process(nWorkers, seeds, func(wi int, it mq.Item, push mq.Pusher) {
+	s.mqStats = mq.Process(nWorkers, seeds, func(slot int, it mq.Item, push mq.Pusher) {
 		v := int32(it.Val)
 		d := uint32(it.Pri)
 		if atomic.LoadUint32(&s.dist[v]) < d {
 			return // superseded by a shorter path
 		}
-		adj, wgt := s.g.WRow(v, scratch[wi])
+		adj, wgt := s.g.WRow(v, scratch[slot])
 		for i, u := range adj {
 			nd := d + wgt[i]
 			if core.WriteMinU32(&s.dist[u], nd) {
@@ -155,14 +163,6 @@ func (s *ssspInstance[A]) run(nWorkers int) {
 			}
 		}
 	})
-}
-
-func (s *ssspInstance[A]) runLibrary(w *core.Worker) {
-	n := 1
-	if w != nil {
-		n = w.Pool().Workers()
-	}
-	s.runDelta(n)
 }
 
 func (s *ssspInstance[A]) runDirect(nThreads int) { s.run(nThreads) }
@@ -281,7 +281,7 @@ func init() {
 			s := newSSSP(g, 0)
 			s.want = dijkstraOracle(g, 0)
 			return &Instance{
-				RunLibrary: s.runLibrary,
+				RunLibrary: s.runDeltaOn,
 				RunDirect:  s.runDirect,
 				Verify:     s.verify,
 				Reset:      s.reset,

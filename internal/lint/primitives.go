@@ -168,8 +168,8 @@ func regionPrimitiveOf(f *fileInfo, call *ast.CallExpr) (string, *primitive) {
 }
 
 // mqDrivers are the mq entry points whose last argument is a task
-// closure run on long-lived worker goroutines; the closure's first
-// parameter is the worker id, unique per goroutine.
+// closure run by a drive's slot loops; the closure's first parameter is
+// the slot id, which one slot loop at a time owns.
 var mqDrivers = map[string]bool{"Process": true, "ProcessBatch": true, "ProcessBatchOn": true}
 
 func isMQDriver(path, name string) bool { return isPath(path, mqPath) && mqDrivers[name] }

@@ -334,7 +334,7 @@ func (rc *regionCheck) classifyCall(call *ast.CallExpr) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if isWorkerNamed(rc.tp.typeOf(sel.X)) {
 			switch sel.Sel.Name {
-			case "For", "ForBody", "Join", "SpawnTask", "ForEachWorker":
+			case "For", "ForBody", "Join", "SpawnTask":
 				return // fork points: bodies are regions of their own
 			case "Spawn":
 				tgt := ""

@@ -1,9 +1,13 @@
 package mq
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/sched"
 )
 
 // Tests for the batched operations (PushBatch / PopBatch /
@@ -295,42 +299,139 @@ func TestResetEmptiesAndZeroes(t *testing.T) {
 	}
 }
 
-// TestProcessBatchOnReusesQueue drives one queue many times, as k-core
-// does once per level: every drive runs its whole task tree and leaves
-// the queue empty, the counters accumulate from drive to drive until a
-// Reset, and a drive on a warmed queue allocates per worker goroutine
-// only, not per queue, heap or buffer.
-func TestProcessBatchOnReusesQueue(t *testing.T) {
-	const workers, tree = 4, 1023 // full binary tree of depth 9
-	m := New(4 * workers)
-	var count atomic.Int64
-	task := func(_ int, it Item, push Pusher) {
+// treeTask runs a full binary tree of tasks: a task with Val v > 0
+// pushes two children with v-1, so seed Val d makes 2^(d+1)-1 tasks.
+func treeTask(count *atomic.Int64) func(int, Item, Pusher) {
+	return func(_ int, it Item, push Pusher) {
 		count.Add(1)
 		if it.Val > 0 {
 			push.Push(Item{Pri: it.Pri + 1, Val: it.Val - 1})
 			push.Push(Item{Pri: it.Pri + 1, Val: it.Val - 1})
 		}
 	}
+}
+
+// TestProcessBatchOnReusesQueue drives one queue many times on a pool,
+// as k-core does once per level: every drive runs its whole task tree
+// and leaves the queue empty, the counters accumulate from drive to
+// drive until a Reset, and a drive on a warmed queue allocates only the
+// Join tree's stolen branches (one per slot after the first), not per
+// queue, heap or buffer.
+func TestProcessBatchOnReusesQueue(t *testing.T) {
+	const tree = 1023 // full binary tree of depth 9
 	seeds := []Item{{Pri: 0, Val: 9}}
-	for drive := 1; drive <= 5; drive++ {
-		st := ProcessBatchOn(m, workers, seeds, Options{BatchSize: 16}, task)
-		if got := count.Load(); got != int64(drive*tree) {
-			t.Fatalf("drive %d: %d tasks ran in all, want %d", drive, got, drive*tree)
-		}
-		if st.PoppedItems != uint64(drive*tree) || st.PushedItems != st.PoppedItems {
-			t.Fatalf("drive %d: counters %+v do not add up to %d items", drive, st, drive*tree)
-		}
-		if m.Len() != 0 {
-			t.Fatalf("drive %d left %d items queued", drive, m.Len())
-		}
+	for _, workers := range []int{1, 2, 4} {
+		p := sched.NewPool(workers)
+		m := New(0)
+		var count atomic.Int64
+		task := treeTask(&count)
+		// t.Fatalf would end a pool worker, not the test: report with
+		// t.Errorf and leave the drive loop.
+		p.Do(func(w *sched.Worker) {
+			for drive := 1; drive <= 5; drive++ {
+				st := ProcessBatchOn(w, m, seeds, Options{BatchSize: 16}, task)
+				if got := count.Load(); got != int64(drive*tree) {
+					t.Errorf("workers=%d drive %d: %d tasks ran in all, want %d", workers, drive, got, drive*tree)
+					return
+				}
+				if st.PoppedItems != uint64(drive*tree) || st.PushedItems != st.PoppedItems {
+					t.Errorf("workers=%d drive %d: counters %+v do not add up to %d items", workers, drive, st, drive*tree)
+					return
+				}
+				if m.Len() != 0 {
+					t.Errorf("workers=%d drive %d left %d items queued", workers, drive, m.Len())
+					return
+				}
+			}
+			if len(m.queues) != queuesPerWorker*workers {
+				t.Errorf("workers=%d: the drive sized the queue to %d queues, want %d", workers, len(m.queues), queuesPerWorker*workers)
+			}
+			m.Reset()
+			if st := ProcessBatchOn(w, m, seeds, Options{BatchSize: 16}, task); st.PoppedItems != tree {
+				t.Errorf("workers=%d: after Reset the counters restart: popped %d, want %d", workers, st.PoppedItems, tree)
+			}
+			if perDrive := testing.AllocsPerRun(20, func() {
+				ProcessBatchOn(w, m, seeds, Options{BatchSize: 16}, task)
+			}); perDrive > float64(workers-1) {
+				t.Errorf("workers=%d: a drive on a warmed queue allocates %.0f times, want at most %d", workers, perDrive, workers-1)
+			}
+		})
+		p.Close()
 	}
+}
+
+// TestProcessBatchOnStartsNoGoroutines: a drive runs on the pool's own
+// workers, so no task ever sees more goroutines than existed before the
+// drive started.
+func TestProcessBatchOnStartsNoGoroutines(t *testing.T) {
+	p := sched.NewPool(4)
+	defer p.Close()
+	var count, most atomic.Int64
+	tree := treeTask(&count)
+	task := func(slot int, it Item, push Pusher) {
+		for n := int64(runtime.NumGoroutine()); ; {
+			old := most.Load()
+			if n <= old || most.CompareAndSwap(old, n) {
+				break
+			}
+		}
+		tree(slot, it, push)
+	}
+	var before int
+	p.Do(func(w *sched.Worker) {
+		before = runtime.NumGoroutine()
+		ProcessBatchOn(w, New(0), []Item{{Pri: 0, Val: 12}}, Options{}, task)
+	})
+	if count.Load() != 8191 {
+		t.Fatalf("executed %d tasks, want 8191", count.Load())
+	}
+	if most.Load() > int64(before) {
+		t.Fatalf("tasks saw up to %d goroutines, %d before the drive", most.Load(), before)
+	}
+}
+
+// TestProcessBatchOnTaskPanic: a task that panics partway through a
+// task tree ends the drive — the other slots stop rather than spin on
+// an in-flight count that can no longer reach zero — and the panic
+// reaches the caller of Pool.Do as a *sched.TaskPanic. After Reset the
+// same queue runs a whole tree again with exact counters.
+func TestProcessBatchOnTaskPanic(t *testing.T) {
+	p := sched.NewPool(4)
+	defer p.Close()
+	m := New(0)
+	var count atomic.Int64
+	var fired atomic.Bool
+	tree := treeTask(&count)
+	boom := func(slot int, it Item, push Pusher) {
+		if count.Load() >= 500 && fired.CompareAndSwap(false, true) {
+			panic("boom")
+		}
+		tree(slot, it, push)
+	}
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		p.Do(func(w *sched.Worker) {
+			ProcessBatchOn(w, m, []Item{{Pri: 0, Val: 12}}, Options{BatchSize: 16}, boom)
+		})
+	}()
+	select {
+	case r := <-done:
+		tp, ok := r.(*sched.TaskPanic)
+		if !ok || tp.Value != "boom" {
+			t.Fatalf("Pool.Do raised %v, want a *sched.TaskPanic of \"boom\"", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the drive did not end within 10s of a task panic")
+	}
+
 	m.Reset()
-	if st := ProcessBatchOn(m, workers, seeds, Options{BatchSize: 16}, task); st.PoppedItems != tree {
-		t.Fatalf("after Reset the counters restart: popped %d, want %d", st.PoppedItems, tree)
-	}
-	if perDrive := testing.AllocsPerRun(20, func() {
-		ProcessBatchOn(m, workers, seeds, Options{BatchSize: 16}, task)
-	}); perDrive > 2*workers {
-		t.Fatalf("a drive on a warmed queue allocates %.0f times, want at most %d", perDrive, 2*workers)
+	count.Store(0)
+	var st Stats
+	p.Do(func(w *sched.Worker) {
+		st = ProcessBatchOn(w, m, []Item{{Pri: 0, Val: 12}}, Options{BatchSize: 16}, tree)
+	})
+	if count.Load() != 8191 || st.PoppedItems != 8191 || st.PushedItems != 8191 {
+		t.Fatalf("after Reset: %d tasks ran, counters %+v; want 8191 of each", count.Load(), st)
 	}
 }

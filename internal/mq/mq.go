@@ -1,6 +1,6 @@
 // Package mq implements the MultiQueue relaxed concurrent priority
 // scheduler of Rihani, Sanders & Dementiev (SPAA 2015), as used by the
-// paper's bfs and sssp benchmarks (Sec 6): a vector of QueuesPerWorker*P
+// paper's bfs and sssp benchmarks (Sec 6): a vector of queuesPerWorker*P
 // sequential 4-ary heaps, each guarded by a mutex. A push locks one
 // random queue; a pop compares the cached tops of two random queues and
 // locks only the one whose top has higher priority (smaller key), giving
@@ -11,7 +11,7 @@
 // There is one engine. Every locked queue operation moves a batch:
 // pushBatchInto is the only function that locks a queue to push,
 // popBatchInto the only one that locks to pop, and batchLoop
-// (process.go) the only worker loop. Push, Pop, PushBatch and PopBatch
+// (process.go) the only slot loop. Push, Pop, PushBatch and PopBatch
 // are length-1 and length-n wrappers over the two. What a driver chooses
 // is Options.BatchSize, and two values are in use:
 //
@@ -25,6 +25,13 @@
 //     popped batch is ordered, but its tail may rank behind items left
 //     in other queues — which relaxed-priority drivers already tolerate
 //     by construction.
+//
+// There is one runtime too. A drive (ProcessBatchOn) runs on the
+// workers of the caller's sched.Pool, one slot loop per worker spread
+// by a Join tree; it starts no goroutine of its own, so its work shows
+// in sched.WorkerStats and a task's panic reaches the caller. Only
+// ProcessBatch and Process, the adapters for callers without a worker,
+// start a pool of their own around one drive.
 //
 // The paper's fear analysis of this code (Observation 6): implementing
 // the scheduler is "Scared" work — mutexes rule out unsynchronized
@@ -208,7 +215,7 @@ func (c *counters) add(s Stats) {
 
 // counters is the shared atomic form of Stats. The two engines count
 // into a caller-supplied Stats: Push/Pop/PushBatch/PopBatch fold theirs
-// in once per call, a driver's worker accumulates locally and folds once
+// in once per call, a drive's slot accumulates locally and folds once
 // at loop exit (batchLoop), keeping the hot path free of shared-counter
 // traffic.
 type counters struct {
@@ -231,9 +238,9 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// QueuesPerWorker is the number of internal queues a driver gives each
-// worker (the literature's c, 2..4 there).
-const QueuesPerWorker = 4
+// queuesPerWorker is the number of internal queues a drive gives each
+// slot (the literature's c, 2..4 there).
+const queuesPerWorker = 4
 
 // MultiQueue is the relaxed concurrent priority queue.
 type MultiQueue struct {
@@ -244,51 +251,56 @@ type MultiQueue struct {
 	stats  counters
 
 	// ProcessBatchOn's state (process.go), kept from one drive to the next.
-	workers  []*batchCtx
+	slots    []*batchCtx
 	inFlight atomic.Int64 // tasks pushed whose execution has not finished
-	wg       sync.WaitGroup
+	aborted  atomic.Bool  // a task panicked; the drive's slots stop
 }
 
-// New creates a MultiQueue of nQueues internal queues (drivers pass
-// QueuesPerWorker per worker), clamped to at least 2.
+// New creates a MultiQueue of nQueues internal queues, clamped to at
+// least 2. A drive resizes it to queuesPerWorker per slot, so a queue
+// built only to be driven can start at New(0).
 func New(nQueues int) *MultiQueue {
-	if nQueues < 2 {
-		nQueues = 2
-	}
-	m := &MultiQueue{
-		queues: make([]localQueue, nQueues),
-		rng:    seqgen.NewRng(0xABCD),
-	}
-	for i := range m.queues {
-		m.queues[i].top.Store(emptyTop)
-	}
+	m := &MultiQueue{rng: seqgen.NewRng(0xABCD)}
+	m.setQueues(max(nQueues, 2))
 	return m
 }
 
+// setQueues replaces the queues with n empty ones. The queue must be
+// empty and idle.
+func (m *MultiQueue) setQueues(n int) {
+	m.queues = make([]localQueue, n)
+	for i := range m.queues {
+		m.queues[i].top.Store(emptyTop)
+	}
+}
+
 // Reset empties the queue and zeroes its counters, keeping the heaps'
-// capacity and the drivers' per-worker buffers, so a kernel's next run
+// capacity and the drivers' per-slot buffers, so a kernel's next run
 // starts from a queue as good as new without allocating one (the same
-// contract as hashtable.Set.Reset and unionfind.UF.Reset). The random
-// sequence carries on rather than restarting. The queue must be idle.
+// contract as hashtable.Set.Reset and unionfind.UF.Reset). It also
+// clears what an aborted drive left behind: staged pushes and the abort
+// flag. The random sequence carries on rather than restarting. The
+// queue must be idle.
 func (m *MultiQueue) Reset() {
 	for i := range m.queues {
 		q := &m.queues[i]
 		q.h = q.h[:0]
 		q.top.Store(emptyTop)
 	}
+	for _, c := range m.slots {
+		c.buf = c.buf[:0]
+	}
 	m.size.Store(0)
 	m.inFlight.Store(0)
+	m.aborted.Store(false)
 	m.stats = counters{}
 }
-
-// NQueues returns the number of internal queues.
-func (m *MultiQueue) NQueues() int { return len(m.queues) }
 
 // Len returns the approximate number of queued items.
 func (m *MultiQueue) Len() int { return int(m.size.Load()) }
 
 // Stats returns a snapshot of the operation counters, including
-// everything the workers of finished drives folded in.
+// everything the slots of finished drives folded in.
 func (m *MultiQueue) Stats() Stats { return m.stats.snapshot() }
 
 func (m *MultiQueue) rand() uint64 { return m.rng.U64(m.seq.Add(1)) }

@@ -152,10 +152,10 @@ func TestMultiQueueConcurrent(t *testing.T) {
 }
 
 func TestNewClampsQueues(t *testing.T) {
-	if New(0).NQueues() != 2 || New(-5).NQueues() != 2 {
+	if len(New(0).queues) != 2 || len(New(-5).queues) != 2 {
 		t.Fatal("queue count not clamped")
 	}
-	if New(7).NQueues() != 7 {
+	if len(New(7).queues) != 7 {
 		t.Fatal("queue count not respected")
 	}
 }

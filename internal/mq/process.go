@@ -1,6 +1,10 @@
 package mq
 
-import "runtime"
+import (
+	"runtime"
+
+	"repro/internal/sched"
+)
 
 // Pusher hands tasks back to the scheduler from inside a running task.
 type Pusher interface {
@@ -10,7 +14,7 @@ type Pusher interface {
 // Options configures the drivers.
 type Options struct {
 	// BatchSize bounds the items moved per locked queue operation (pop
-	// batches and the per-worker push staging buffer); default 64. At 1
+	// batches and the per-slot push staging buffer); default 64. At 1
 	// the driver is the classic single-item MultiQueue (see Process).
 	BatchSize int
 }
@@ -22,26 +26,17 @@ func (o Options) batchSize() int {
 	return o.BatchSize
 }
 
-// workerCount is the drivers' one rule for nWorkers <= 0 (see
-// ProcessBatchOn).
-func workerCount(nWorkers int) int {
-	if nWorkers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return nWorkers
-}
-
-// batchCtx is one worker's state and the Pusher handed to its tasks:
+// batchCtx is one slot's state and the Pusher handed to its tasks:
 // pushes land in a staging buffer (fixed capacity = BatchSize) and reach
 // the shared queue in batches — one lock acquisition per flush instead
-// of one per task — and the worker's operation counters stay local until
-// its loop exits. The queue keeps one per worker id, each its own
+// of one per task — and the slot's operation counters stay local until
+// its loop exits. The queue keeps one per slot, each its own
 // allocation, and a driver run again on the same queue finds them ready.
 //
 // In-flight accounting: staged items are invisible to the global
-// counter until flush, which is safe because the worker only decrements
+// counter until flush, which is safe because the slot only decrements
 // the counter for the popped batch *after* flushing everything those
-// tasks staged. A worker observing inFlight==0 therefore proves no task
+// tasks staged. A slot observing inFlight==0 therefore proves no task
 // is running, queued, or staged anywhere.
 type batchCtx struct {
 	m     *MultiQueue
@@ -66,7 +61,7 @@ func (c *batchCtx) flush() {
 	c.buf = c.buf[:0]
 }
 
-// foldStats moves the worker's local counters into the queue's.
+// foldStats moves the slot's local counters into the queue's.
 func (c *batchCtx) foldStats() {
 	c.m.stats.add(c.st)
 	c.st = Stats{}
@@ -76,71 +71,106 @@ func (c *batchCtx) foldStats() {
 // classic MultiQueue discipline: ProcessBatch at BatchSize 1, where a
 // pushed task is staged and flushed at once and a pop takes one task —
 // two lock acquisitions per executed task.
-func Process(nWorkers int, seeds []Item, task func(workerID int, it Item, push Pusher)) Stats {
+func Process(nWorkers int, seeds []Item, task func(slot int, it Item, push Pusher)) Stats {
 	return ProcessBatch(nWorkers, seeds, Options{BatchSize: 1}, task)
 }
 
-// ProcessBatch drives a fresh queue of QueuesPerWorker queues per worker
-// with ProcessBatchOn.
-func ProcessBatch(nWorkers int, seeds []Item, opt Options, task func(workerID int, it Item, push Pusher)) Stats {
-	nWorkers = workerCount(nWorkers)
-	return ProcessBatchOn(New(QueuesPerWorker*nWorkers), nWorkers, seeds, opt, task)
+// ProcessBatch is the adapter for callers that hold no worker: it starts
+// a pool of nWorkers workers (sched.NewPool's default when nWorkers <= 0),
+// drives a fresh queue on it with ProcessBatchOn, and closes the pool.
+func ProcessBatch(nWorkers int, seeds []Item, opt Options, task func(slot int, it Item, push Pusher)) (st Stats) {
+	p := sched.NewPool(nWorkers)
+	defer p.Close()
+	p.Do(func(w *sched.Worker) { st = ProcessBatchOn(w, New(0), seeds, opt, task) })
+	return st
 }
 
-// ProcessBatchOn drives m with nWorkers long-running worker goroutines
-// (GOMAXPROCS of them when nWorkers <= 0): each repeatedly pops up to
-// opt.BatchSize tasks per lock acquisition, runs them back to back —
-// tasks may push new tasks, staged and flushed in batches — until the
-// queue is globally empty. The relaxed-priority contract weakens with
-// the batch size — a popped batch is processed in order, but its tail
-// may rank behind items surfacing elsewhere meanwhile — which is exactly
-// the relaxation the bfs/sssp kernels already tolerate (docs/GRAPH.md).
+// ProcessBatchOn drives m on the workers of w's pool, or on the caller
+// alone when w is nil. The drive has one slot per pool worker, each a
+// loop that repeatedly pops up to opt.BatchSize tasks per lock
+// acquisition and runs them back to back — tasks may push new tasks,
+// staged and flushed in batches — until the queue is globally empty. A
+// task gets its slot id, in [0, w.Pool().Workers()), and one slot runs
+// on one worker at a time, so per-slot scratch needs no lock. The
+// relaxed-priority contract weakens with the batch size — a popped batch
+// is processed in order, but its tail may rank behind items surfacing
+// elsewhere meanwhile — which is exactly the relaxation the bfs/sssp
+// kernels already tolerate (docs/GRAPH.md).
 //
-// Termination uses an in-flight counter: it counts tasks that have been
-// pushed but whose execution has not finished. Workers that observe an
-// empty queue spin (yielding) until either work appears or the counter
-// reaches zero, at which point no task exists and none can be created —
-// the loop exits everywhere.
+// The slots run as a Join tree (drive), so the scheduler spreads them
+// the way it spreads any fork: the caller runs slot 0, and a spinning
+// thief or a woken parked worker picks up each other one. Termination
+// uses an in-flight counter: it counts tasks that have been pushed but
+// whose execution has not finished. Slots that observe an empty queue
+// spin (yielding) until either work appears or the counter reaches
+// zero, at which point no task exists and none can be created — the
+// loop exits everywhere, and a slot that starts only after that returns
+// at once. A task that panics aborts the drive: the other slots stop,
+// and the panic is re-raised from Join (and from Pool.Do) as a
+// *sched.TaskPanic. An aborted queue is left dirty; Reset cleans it.
 //
 // The caller keeps m: a kernel that drives one queue many times over
 // (k-core, once per level) pays for the queue, its heaps' capacity and
-// the per-worker buffers once. m must be empty and idle — a finished
-// driver leaves it so, and Reset makes it so. The counters returned are
-// the queue's, so they accumulate over every drive since New or the last
-// Reset.
-func ProcessBatchOn(m *MultiQueue, nWorkers int, seeds []Item, opt Options, task func(workerID int, it Item, push Pusher)) Stats {
-	nWorkers = workerCount(nWorkers)
-	for len(m.workers) < nWorkers {
-		m.workers = append(m.workers, &batchCtx{m: m})
+// the per-slot buffers once. The drive sizes m to queuesPerWorker
+// queues per slot. m must be empty and idle — a finished driver leaves
+// it so, and Reset makes it so. The counters returned are the queue's,
+// so they accumulate over every drive since New or the last Reset.
+func ProcessBatchOn(w *sched.Worker, m *MultiQueue, seeds []Item, opt Options, task func(slot int, it Item, push Pusher)) Stats {
+	slots := 1
+	if w != nil {
+		slots = w.Pool().Workers()
+	}
+	if n := queuesPerWorker * slots; len(m.queues) != n {
+		m.setQueues(n)
+	}
+	for len(m.slots) < slots {
+		m.slots = append(m.slots, &batchCtx{m: m})
 	}
 	if len(seeds) > 0 {
 		m.inFlight.Add(int64(len(seeds)))
 		m.PushBatch(seeds)
 	}
-	m.wg.Add(nWorkers)
-	for wid := 0; wid < nWorkers; wid++ {
-		go m.batchLoop(wid, opt.batchSize(), task)
-	}
-	m.wg.Wait()
+	m.drive(w, 0, slots, opt.batchSize(), task)
 	return m.Stats()
 }
 
-// batchLoop is the one worker loop: pop a batch, run it, flush what it
-// staged, until no task is queued, staged or running anywhere.
-func (m *MultiQueue) batchLoop(wid, batchSize int, task func(workerID int, it Item, push Pusher)) {
-	defer m.wg.Done()
-	c := m.workers[wid]
+// drive runs slots [lo, hi) of one drive as a balanced Join tree.
+//
+//lint:scared implementing the MultiQueue is Scared work (Observation 6): the Join branches share m, but only through its mutex-guarded queues, its atomics and one batchCtx per slot, which one slot loop owns; TestProcessBatchOnReusesQueue, TestProcessBatchOnStartsNoGoroutines and TestProcessBatchOnTaskPanic drive it under -race
+func (m *MultiQueue) drive(w *sched.Worker, lo, hi, batchSize int, task func(slot int, it Item, push Pusher)) {
+	if hi-lo == 1 {
+		m.batchLoop(lo, batchSize, task)
+		return
+	}
+	mid := (lo + hi) / 2
+	w.Join(func(w *sched.Worker) { m.drive(w, lo, mid, batchSize, task) },
+		func(w *sched.Worker) { m.drive(w, mid, hi, batchSize, task) })
+}
+
+// batchLoop is the one slot loop: pop a batch, run it, flush what it
+// staged, until no task is queued, staged or running anywhere, or a
+// task panicked in some slot.
+func (m *MultiQueue) batchLoop(slot, batchSize int, task func(slot int, it Item, push Pusher)) {
+	c := m.slots[slot]
 	if len(c.batch) != batchSize {
 		c.batch = make([]Item, batchSize)
 		c.buf = make([]Item, 0, batchSize)
 	}
-	defer c.foldStats()
+	// A task's panic skips finished = true: the deferred call flags the
+	// abort without recovering, so the panic and its stack go on to Join.
+	finished := false
+	defer func() {
+		if !finished {
+			m.aborted.Store(true)
+		}
+		c.foldStats()
+	}()
 	idle := 0
-	for {
+	for !m.aborted.Load() {
 		n := m.popBatchInto(&c.st, c.batch)
 		if n == 0 {
 			if m.inFlight.Load() == 0 {
-				return
+				break
 			}
 			idle++
 			if idle > 16 {
@@ -150,9 +180,10 @@ func (m *MultiQueue) batchLoop(wid, batchSize int, task func(workerID int, it It
 		}
 		idle = 0
 		for i := 0; i < n; i++ {
-			task(wid, c.batch[i], c)
+			task(slot, c.batch[i], c)
 		}
 		c.flush()
 		m.inFlight.Add(-int64(n))
 	}
+	finished = true
 }

@@ -56,17 +56,3 @@ func (w *Worker) shouldSplit() bool {
 	}
 	return false
 }
-
-// ForEachWorker runs body once per pool worker, in parallel, passing each
-// invocation its worker. It is useful for initializing or reducing
-// per-worker scratch state. Invocations are not guaranteed to land on
-// distinct workers; bodies needing per-worker effects should key off
-// w.ID().
-func (w *Worker) ForEachWorker(body func(w *Worker)) {
-	n := w.pool.Workers()
-	w.For(0, n, 1, func(w *Worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(w)
-		}
-	})
-}

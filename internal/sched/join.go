@@ -150,10 +150,6 @@ func (w *Worker) waitFrame(f *joinFrame) {
 	}
 }
 
-// Sequential reports whether the pool has a single worker, in which case
-// callers may prefer cheaper sequential code paths.
-func (w *Worker) Sequential() bool { return w.pool.Workers() == 1 }
-
 // SpawnTask schedules f to run asynchronously on the pool (a closure
 // convenience over Spawn).
 func (w *Worker) SpawnTask(f func(w *Worker)) {

@@ -135,9 +135,6 @@ func TestPoolDoSequentialPool(t *testing.T) {
 	defer p.Close()
 	var sum int
 	p.Do(func(w *Worker) {
-		if !w.Sequential() {
-			t.Error("1-worker pool should report Sequential")
-		}
 		w.For(0, 100, 10, func(_ *Worker, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				sum += i

@@ -76,23 +76,6 @@ func TestDeeplyNestedFor(t *testing.T) {
 	}
 }
 
-func TestForEachWorkerRuns(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	var calls atomic.Int64
-	p.Do(func(w *Worker) {
-		w.ForEachWorker(func(w *Worker) {
-			if w.ID() < 0 || w.ID() >= 3 {
-				t.Errorf("bad worker id %d", w.ID())
-			}
-			calls.Add(1)
-		})
-	})
-	if calls.Load() != 3 {
-		t.Fatalf("ForEachWorker ran %d times, want 3", calls.Load())
-	}
-}
-
 func TestPoolSurvivesWorkBursts(t *testing.T) {
 	// Alternating bursts and idle periods exercise parking/unparking.
 	p := NewPool(3)
