@@ -53,12 +53,14 @@ race:
 # FuzzBWTRoundTrip, FuzzSortAgainstSlices — the branch-free quicksort
 # leaf against slices.Sort — FuzzReduceBlocks — float reductions on
 # a pool and sequentially against a blocked reference, bit for bit —
-# and FuzzTriangulate — duplicates, collinear runs and cocircular rings
+# FuzzTriangulate — duplicates, collinear runs and cocircular rings
 # triangulated and refined on a two-worker pool, mesh invariants after
-# each — for a few wall-clock seconds of mutation each on top of the
-# seed corpus. Not a soak; just enough for CI to catch an encoder,
-# key-packing, partition, combine-order or mesh change that breaks on
-# shapes the unit tests don't enumerate.
+# each — and FuzzReadAdjacencyGraph — the one reader of outside input
+# (rpbgen -in) on arbitrary bytes — for a few wall-clock seconds of
+# mutation each on top of the seed corpus. Not a soak; just enough for
+# CI to catch an encoder, key-packing, partition, combine-order, mesh
+# or parser change that breaks on shapes the unit tests don't
+# enumerate.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/graph/
@@ -68,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSortAgainstSlices -fuzztime $(FUZZTIME) ./internal/qsort/
 	$(GO) test -run xxx -fuzz FuzzReduceBlocks -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzTriangulate -fuzztime $(FUZZTIME) ./internal/geom/
+	$(GO) test -run xxx -fuzz FuzzReadAdjacencyGraph -fuzztime $(FUZZTIME) ./internal/pbbsio/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

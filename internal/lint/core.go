@@ -1,9 +1,10 @@
 package lint
 
-// The interprocedural core the four typed passes share. Offset
-// provenance (summary.go), non-negativity (nnsummary.go), write effects
-// (raceeffect.go) and escape/retention (escapesummary.go) each answer a
-// different question about a callee, but they need the same four things
+// The interprocedural core the typed passes share. Offset provenance
+// (summary.go), non-negativity (nnsummary.go) and the callee summary
+// (raceeffect.go: write effects for races, retention for lifetimes)
+// each answer a different question about a callee, but they need the
+// same four things
 // to ask it: where the callee is declared (declOf), a memo that cuts
 // recursion (summaryTable), which function a call expression invokes
 // (resolveCall), and where its parameters sit (paramObjs). A pass

@@ -180,9 +180,9 @@ func TestSummaryTable(t *testing.T) {
 // TestCycleAnswers runs each pass's summary over a recursive fixture
 // and checks its documented cycle answer: the provenance and
 // non-negativity summaries refuse at the back edge (a proof may not
-// lean on itself), the write-effect and escape summaries answer
-// optimistically and still report the write / store that sits inside
-// the cycle. Repeated queries return the memoized summary.
+// lean on itself), the callee summary answers optimistically and still
+// reports the write and the retaining store that sit inside the cycle.
+// Repeated queries return the memoized summary.
 func TestCycleAnswers(t *testing.T) {
 	l, tp := coreFixture(t)
 	fn := func(name string) *types.Func { return fixtureFunc(t, tp, name) }
@@ -210,12 +210,12 @@ func TestCycleAnswers(t *testing.T) {
 		t.Error("write effect recomputed on the second query")
 	}
 
-	esc := l.escapeOf(fn("keepA"))
-	if p := esc.param(0); p == nil || !p.retains || esc.param(1) != nil {
-		t.Errorf("escape summary of keepA = %+v; want parameter 0 retained (keepB's store, inside the cycle)", esc.params)
+	keep := l.effectOf(fn("keepA"))
+	if keep.kept(0) == "" || keep.kept(1) != "" {
+		t.Errorf("callee summary of keepA keeps %v; want parameter 0 only (keepB's store, inside the cycle)", keep.keeps)
 	}
-	if l.escapeOf(fn("keepA")) != esc {
-		t.Error("escape summary recomputed on the second query")
+	if l.effectOf(fn("keepA")) != keep {
+		t.Error("callee summary of keepA recomputed on the second query")
 	}
 }
 

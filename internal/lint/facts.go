@@ -2,7 +2,7 @@ package lint
 
 // Per-function def-use facts, built once per declaration and queried by
 // every typed pass: the provenance prover's use classification, the
-// races pass's region facts and alias roots, the escape summaries'
+// races pass's region facts and alias roots, the callee summary's
 // parameter aliases, and the named-closure tables of the region
 // enumerators all start from "which statements give this variable a
 // value, and where else is it mentioned". One walk records that; each

@@ -9,9 +9,10 @@ package lint
 // Every value originating from arena.Alloc / AllocUninit / AcquireBox
 // (and every slice re-derived from one by slicing, aliasing, RowInto-
 // style out-params, or struct field stores) is tracked through an
-// intraprocedural dataflow (regionflow.go) with memoized
-// interprocedural escape summaries (escapesummary.go), and each
-// checkout's fate is classified:
+// intraprocedural dataflow (regionflow.go) that asks the memoized
+// callee summary the races pass also reads (raceeffect.go) whether a
+// helper keeps what it is handed, and each checkout's fate is
+// classified:
 //
 //	released-in-scope  a covering Mark is Released (LIFO, on all
 //	                   paths — a deferred Release covers panic edges)
@@ -40,7 +41,7 @@ package lint
 // fails the gate. The pass is lexical and refusal-biased: statement order
 // approximates dominance, calls into the substrate packages are
 // non-retaining by documented contract, in-module helpers get real
-// escape summaries, and dynamic callees refuse unless an out-param
+// retention summaries, and dynamic callees refuse unless an out-param
 // contract (lifeMethodContracts) covers them.
 
 import (
@@ -163,15 +164,17 @@ func (r *LifeReport) String() string {
 
 // prescanBoxes walks the whole module once, collecting the AcquireBox
 // instantiation types (boxTypes) and every "x.field = nil" clear whose
-// base is one of them (boxCleared). The pass needs both globally: a
+// base is a named type (boxCleared). Retention needs both globally: a
 // helper may store into a box field its caller clears (core.packCount
-// fills packBody.counts; packWrite clears it).
+// fills packBody.counts; packWrite clears it). Whichever pass asks
+// first scans; later calls return at once, so every callee summary,
+// memoized across passes, sees the same boxes.
 func (l *typeLoader) prescanBoxes() {
+	if l.boxTypes != nil {
+		return
+	}
 	l.boxTypes = map[string]bool{}
 	l.boxCleared = map[string]bool{}
-
-	type clearRec struct{ base, field string }
-	var clears []clearRec
 	for _, pkg := range l.a.sortedPkgs() {
 		tp := l.check(pkg.path)
 		if tp == nil {
@@ -179,33 +182,36 @@ func (l *typeLoader) prescanBoxes() {
 		}
 		for _, f := range pkg.files {
 			ast.Inspect(f.ast, func(n ast.Node) bool {
-				switch v := n.(type) {
-				case *ast.CallExpr:
-					pathStr, name, isPkg := callTarget(f, v)
+				if call, ok := n.(*ast.CallExpr); ok {
+					pathStr, name, isPkg := callTarget(f, call)
 					if isPkg && isPath(pathStr, arenaPath) && name == "AcquireBox" {
-						if name := boxTypeName(tp.typeOf(v)); name != "" {
+						if name := boxTypeName(tp.typeOf(call)); name != "" {
 							l.boxTypes[name] = true
-						}
-					}
-				case *ast.AssignStmt:
-					if len(v.Lhs) != len(v.Rhs) {
-						return true
-					}
-					for i, lhs := range v.Lhs {
-						sel, ok := unparen(lhs).(*ast.SelectorExpr)
-						if !ok || !isNilExpr(tp, v.Rhs[i]) {
-							continue
-						}
-						if name := boxTypeName(tp.typeOf(sel.X)); name != "" {
-							clears = append(clears, clearRec{name, sel.Sel.Name})
 						}
 					}
 				}
 				return true
 			})
+			nilClears(tp, f.ast, func(key string) { l.boxCleared[key] = true })
 		}
 	}
-	for _, c := range clears {
-		l.boxCleared[c.base+"."+c.field] = true
-	}
+}
+
+// nilClears calls visit with "Type.field" for every "x.field = nil"
+// under n whose base x has a named type.
+func nilClears(tp *typedPkg, n ast.Node, visit func(key string)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			if sel, ok := unparen(lhs).(*ast.SelectorExpr); ok && isNilExpr(tp, as.Rhs[i]) {
+				if tn := boxTypeName(tp.typeOf(sel.X)); tn != "" {
+					visit(tn + "." + sel.Sel.Name)
+				}
+			}
+		}
+		return true
+	})
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,7 +78,7 @@ func TestLifetimesFixtureBad(t *testing.T) {
 		"read before first write",    // AllocUninit read-before-write
 		"package-level",              // global store
 		"sent on a channel",          // channel escape
-		"retained by",                // interprocedural escape summary
+		"retained by",                // interprocedural retention (callee summary)
 		"dynamic callee",             // opaque hand-off
 	} {
 		found := false
@@ -96,6 +97,30 @@ func TestLifetimesFixtureBad(t *testing.T) {
 	for _, s := range rep.Sites {
 		if s.Marker && s.Func != "Audited" {
 			t.Errorf("site in %s carries a marker; only Audited should", s.Func)
+		}
+	}
+}
+
+// TestLifetimesPassOrder: the races and lifetimes passes read one
+// memoized callee summary, and RunPasses runs races first. The
+// lifetimes report must not depend on whether the races pass built a
+// helper's summary before the lifetimes pass asked for it — ParkInBox's
+// parkIn parks a checkout in a box field that is only a transit once
+// the module-wide box prescan has run.
+func TestLifetimesPassOrder(t *testing.T) {
+	for _, fixture := range []string{"lifetimes-clean", "lifetimes-bad"} {
+		cfg := Config{Root: filepath.Join("testdata", "src", fixture)}
+		_, _, afterRaces, err := RunPasses(cfg, false, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := Lifetimes(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(afterRaces.Marshal(), alone.Marshal()) {
+			t.Errorf("%s: lifetimes report after races differs from lifetimes alone\n--- after races ---\n%s--- alone ---\n%s",
+				fixture, afterRaces, alone)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package lint
 
-// Interprocedural write-effect summaries for the races pass: when a
-// parallel region calls an in-module function, the region's safety
-// depends on what that function writes. effectOf summarizes a callee
-// once, in the loader's summary table (core.go):
+// Interprocedural callee summaries, shared by the races and lifetimes
+// passes: when a parallel region calls an in-module function, the
+// region's safety depends on what that function writes, and a checkout
+// handed to it lives only as long as nothing the function does keeps
+// it. effectOf summarizes a callee once, in the loader's summary table
+// (core.go), from one body walk:
 //
 //	paramPlain   the callee performs plain writes through memory
 //	             reachable from its parameters or receiver — the
@@ -13,6 +15,8 @@ package lint
 //	shared       the callee writes package-level state (or something
 //	             the summary cannot root) without synchronization;
 //	             calling it from a region is refused outright
+//	keeps        per parameter, the first store that keeps its memory
+//	             past the call — the lifetimes pass's question
 //
 // Writes the callee makes under a held mutex, writes to memory it
 // allocates itself, and atomic writes to shared state are all absent
@@ -21,6 +25,17 @@ package lint
 // pattern here is a driver handing closures to a parallel primitive,
 // and those closures' writes through the driver's parameters are
 // exactly what the caller needs to know about.
+//
+// Retention is coarse in the safe direction. Returning a parameter is
+// not retention: the caller keeps owning the memory. A parameter is
+// kept when it is sent on a channel, handed to a goroutine, stored
+// into a package-level variable, stored into a field of another
+// parameter's memory (unless that field is nil-cleared in the same
+// body, or is a box field cleared somewhere in the module — a transit,
+// see prescanBoxes), handed to a dynamic callee other than an
+// out-parameter contract (lifeMethodContracts) or a closure local to
+// the body, or kept by an in-module callee. The substrate packages
+// retain nothing by documented contract.
 
 import (
 	"fmt"
@@ -47,6 +62,17 @@ type writeEffect struct {
 	atomicIdx map[int]bool
 	plainAll  bool // an unattributed plain write: every position counts
 	atomicAll bool
+
+	keeps map[int]string // position -> why the callee keeps its memory
+}
+
+// kept reports why the callee keeps the memory at position idx past
+// the call, or "" when it lets go. A nil summary keeps nothing.
+func (e *writeEffect) kept(idx int) string {
+	if e == nil {
+		return ""
+	}
+	return e.keeps[idx]
 }
 
 // writesPlain reports whether the callee performs plain writes through
@@ -77,6 +103,7 @@ func (e *writeEffect) writesThrough(idx int) bool {
 // every write in the cycle is still seen by the activation that is
 // walking the body it sits in, so the empty answer hides nothing.
 func (l *typeLoader) effectOf(fn *types.Func) *writeEffect {
+	l.prescanBoxes() // retention reads the module's box clears
 	return l.effects.get(fn, &writeEffect{}, func() *writeEffect { return l.computeEffect(fn) })
 }
 
@@ -89,11 +116,16 @@ func (l *typeLoader) computeEffect(fn *types.Func) *writeEffect {
 	}
 	w := &effWalk{
 		l: l, tp: d.tp, f: d.f, fd: d.fd,
-		ff:     l.factsOf(d.tp, d.fd),
-		eff:    &writeEffect{},
-		params: d.tp.paramPositions(d.fd.Recv, d.fd.Type.Params),
+		ff:      l.factsOf(d.tp, d.fd),
+		eff:     &writeEffect{},
+		params:  d.tp.paramPositions(d.fd.Recv, d.fd.Type.Params),
+		cleared: map[string]bool{},
 	}
+	nilClears(d.tp, d.fd.Body, func(key string) { w.cleared[key] = true })
 	ast.Inspect(d.fd.Body, w.visit)
+	if isSubstrate(fn) {
+		w.eff.keeps = nil // documented contract: primitives retain nothing
+	}
 	return w.eff
 }
 
@@ -122,6 +154,11 @@ type effWalk struct {
 	litHanded map[types.Object]ast.Expr // region-closure handed params -> backing argument
 	inRoot    map[types.Object]bool     // rootOf cycle guard (swap chains)
 	locks     lockTracker               // writes under a held lock are the callee's business
+	cleared   map[string]bool           // "Type.field" pairs nil-cleared in this body
+	// carry widens aliasRoot while kept asks what a value may carry
+	// rather than whose memory it is: an append's elements and a
+	// received value's channel count too.
+	carry bool
 }
 
 // sources lists every expression obj was ever bound to — its root is
@@ -181,6 +218,13 @@ func (w *effWalk) visit(n ast.Node) bool {
 		for _, lhs := range v.Lhs {
 			w.write(lhs)
 		}
+		if len(v.Lhs) == len(v.Rhs) {
+			for i, lhs := range v.Lhs {
+				w.store(lhs, v.Rhs[i])
+			}
+		}
+	case *ast.SendStmt:
+		w.keep(v.Value, "sent on a channel")
 	case *ast.IncDecStmt:
 		w.write(v.X)
 	case *ast.DeferStmt:
@@ -192,6 +236,9 @@ func (w *effWalk) visit(n ast.Node) bool {
 		// literal; a dynamic launch hides writes we cannot see.
 		if _, ok := unparen(v.Call.Fun).(*ast.FuncLit); !ok {
 			w.sharedAt(v, "launches a goroutine through "+types.ExprString(v.Call.Fun))
+		}
+		for _, a := range v.Call.Args {
+			w.keep(a, "handed to a goroutine")
 		}
 	case *ast.CallExpr:
 		return !w.call(v)
@@ -336,6 +383,18 @@ func (w *effWalk) aliasRoot(e ast.Expr, depth int, ps map[int]bool) effKind {
 		return effShared
 	}
 	e = unparen(e)
+	if w.carry {
+		switch v := e.(type) {
+		case *ast.CallExpr:
+			for _, a := range v.Args {
+				w.keptAt(a, depth+1, ps)
+			}
+		case *ast.UnaryExpr:
+			if v.Op == token.ARROW {
+				w.aliasRoot(v.X, depth+1, ps)
+			}
+		}
+	}
 	if operand, fresh := w.tp.memoryOf(e); fresh {
 		return effLocal
 	} else if operand != nil {
@@ -400,6 +459,9 @@ func (w *effWalk) call(call *ast.CallExpr) bool {
 
 	c := resolveCall(w.tp, call, w.ff.soleValue)
 	fn, boundRecv := c.fn, c.recv
+	if c.delegated {
+		w.handOff(call)
+	}
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -412,26 +474,117 @@ func (w *effWalk) call(call *ast.CallExpr) bool {
 	}
 
 	// In-module sub-call: map the callee's summarized parameter writes
-	// through this call's arguments at the written positions only —
-	// read-only positions carry no write effect into this summary.
+	// and retentions through this call's arguments at the positions
+	// they reach only — read-only positions carry no write effect into
+	// this summary.
 	sub := w.l.effectOf(fn)
 	if sub.shared != "" && !w.locks.locked() {
 		w.sharedAt(call, "calls "+fn.Name()+", which "+sub.shared)
 	}
-	if sub.paramPlain || sub.paramAtomic {
-		for _, arg := range byRefArgs(w.tp, call, boundRecv) {
-			if !sub.writesThrough(arg.idx) {
-				continue
-			}
-			if sub.writesPlain(arg.idx) {
-				w.emitThrough(arg.expr, call, false)
-			}
-			if sub.writesAtomic(arg.idx) {
-				w.emitThrough(arg.expr, call, true)
-			}
+	for _, arg := range byRefArgs(w.tp, call, boundRecv) {
+		if why := sub.kept(arg.idx); why != "" {
+			w.keep(arg.expr, "via "+fn.Name()+": "+why)
+		}
+		if sub.writesPlain(arg.idx) {
+			w.emitThrough(arg.expr, call, false)
+		}
+		if sub.writesAtomic(arg.idx) {
+			w.emitThrough(arg.expr, call, true)
 		}
 	}
 	return false
+}
+
+// handOff keeps every reference argument of a call whose target is
+// chosen at run time — except under an out-parameter contract
+// (lifeMethodContracts) and for a literal or a func value local to
+// this body, whose closure bodies this walk covers.
+func (w *effWalk) handOff(call *ast.CallExpr) {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.FuncLit:
+		return
+	case *ast.SelectorExpr:
+		if lifeMethodContracts[fun.Sel.Name] {
+			return
+		}
+	case *ast.Ident:
+		if o, ok := w.tp.info.Uses[fun].(*types.Var); ok && o.Pos() >= w.fd.Pos() && o.Pos() <= w.fd.End() {
+			return
+		}
+	}
+	for _, a := range call.Args {
+		w.keep(a, "handed to dynamic callee "+types.ExprString(call.Fun))
+	}
+}
+
+// store records the retention a store of rhs into lhs causes: into a
+// package-level variable always; into a field of another parameter's
+// memory unless the field is a transit (nil-cleared in this body, or a
+// box field cleared elsewhere in the module). A local holder keeps
+// nothing until the holder itself escapes.
+func (w *effWalk) store(lhs, rhs ast.Expr) {
+	if isNilExpr(w.tp, rhs) {
+		return
+	}
+	switch lv := unparen(lhs).(type) {
+	case *ast.Ident:
+		if o := w.tp.info.Uses[lv]; o != nil && o.Parent() == w.tp.tpkg.Scope() {
+			w.keep(rhs, "stored into package-level "+lv.Name)
+		}
+	case *ast.SelectorExpr:
+		tn := boxTypeName(w.tp.typeOf(lv.X))
+		key := tn + "." + lv.Sel.Name
+		if w.cleared[key] || (w.l.boxTypes[tn] && w.l.boxCleared[key]) {
+			return
+		}
+		holders := w.keptBy(lv.X)
+		for pi := range w.keptBy(rhs) {
+			for hi := range holders {
+				if hi != pi { // a parameter stored into its own memory stays put
+					w.eff.keep(pi, "stored into "+key+", never cleared before reuse")
+					break
+				}
+			}
+		}
+	}
+}
+
+// keep records that the callee keeps whatever parameter memory e may
+// carry.
+func (w *effWalk) keep(e ast.Expr, why string) {
+	for pi := range w.keptBy(e) {
+		w.eff.keep(pi, why)
+	}
+}
+
+func (e *writeEffect) keep(idx int, why string) {
+	if e.keeps == nil {
+		e.keeps = map[int]string{}
+	}
+	if e.keeps[idx] == "" {
+		e.keeps[idx] = why
+	}
+}
+
+// keptBy returns the parameter positions whose memory the value of e
+// may carry — the one rooting rule retention uses.
+func (w *effWalk) keptBy(e ast.Expr) map[int]bool {
+	ps := map[int]bool{}
+	w.keptAt(e, 0, ps)
+	return ps
+}
+
+// keptAt adds to ps the positions aliasRoot finds for e, widened to a
+// call's arguments, for reference-carrying values only: an int derived
+// from len(p) carries nothing.
+func (w *effWalk) keptAt(e ast.Expr, depth int, ps map[int]bool) {
+	if t := w.tp.typeOf(e); t != nil && !refCarrying(t) {
+		return
+	}
+	carry := w.carry
+	w.carry = true
+	w.aliasRoot(e, depth, ps)
+	w.carry = carry
 }
 
 // emitThrough folds a write through the memory an expression evaluates
@@ -483,14 +636,15 @@ type effArg struct {
 	idx  int // callee parameter position (receiver = recvIdx)
 }
 
-// byRefArgs lists the expressions a call could write through: the
-// method receiver (boundRecv when a method value carries it invisibly)
-// and every argument whose type carries references
-// (pointer, slice, map, interface), each tagged with the callee
-// parameter position it lands in. Function-typed arguments are
-// excluded — they are delegated callees, not written-to memory — and
-// so are *Worker handles: a callee's writes to its worker's scheduling
-// state are the scheduler's synchronized business, not user state.
+// byRefArgs lists the expressions a call could write through or hand
+// over: the method receiver (boundRecv when a method value carries it
+// invisibly) and every argument whose type carries references
+// (refCarrying: a struct wrapping a slice included), each tagged with
+// the callee parameter position it lands in. Function-typed arguments
+// are excluded — they are delegated callees, not written-to memory —
+// and so are *Worker handles: a callee's writes to its worker's
+// scheduling state are the scheduler's synchronized business, not user
+// state.
 func byRefArgs(tp *typedPkg, call *ast.CallExpr, boundRecv ast.Expr) []effArg {
 	var out []effArg
 	var sig *types.Signature
@@ -506,11 +660,10 @@ func byRefArgs(tp *typedPkg, call *ast.CallExpr, boundRecv ast.Expr) []effArg {
 	}
 	for ai, arg := range call.Args {
 		t := tp.typeOf(arg)
-		if t == nil || isWorkerNamed(t) {
+		if t == nil || isWorkerNamed(t) || !refCarrying(t) {
 			continue
 		}
-		switch t.Underlying().(type) {
-		case *types.Pointer, *types.Slice, *types.Map, *types.Interface:
+		if _, isFunc := t.Underlying().(*types.Signature); !isFunc {
 			out = append(out, effArg{expr: arg, idx: argPosition(sig, ai)})
 		}
 	}
@@ -518,4 +671,35 @@ func byRefArgs(tp *typedPkg, call *ast.CallExpr, boundRecv ast.Expr) []effArg {
 		out = append(out, effArg{expr: boundRecv, idx: recvIdx})
 	}
 	return out
+}
+
+// refCarrying reports whether values of a type can carry a reference
+// to memory the caller owns.
+func refCarrying(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Slice, *types.Pointer, *types.Map, *types.Chan, *types.Interface, *types.Signature:
+		return true
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if refCarrying(u.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Array:
+		return refCarrying(u.Elem())
+	}
+	return false
+}
+
+// isSubstrate reports whether a resolved callee lives in one of the
+// substrate packages whose primitives are non-retaining by documented
+// contract (they fill out-params for the duration of the call).
+func isSubstrate(fn *types.Func) bool {
+	pkg := fn.Pkg()
+	if pkg == nil {
+		return true // builtins, error methods: no retention possible
+	}
+	p := pkg.Path()
+	return isPath(p, corePath) || isPath(p, schedPath) || isPath(p, mqPath) ||
+		isPath(p, specforPath) || isPath(p, arenaPath)
 }

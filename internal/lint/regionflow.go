@@ -681,10 +681,10 @@ func (lw *lifeWalk) call(call *ast.CallExpr) *valDesc {
 	// eff is the callee's retention verdict per argument; a callee that
 	// retains nothing uses the memory for the duration of the call
 	// (filling out-params) and lets go.
-	var eff *escEffect
+	var eff *writeEffect
 	switch {
 	case fn != nil && lw.l.a.inModule(fn) && !isSubstrate(fn):
-		eff = lw.l.escapeOf(fn) // in-module helper: memoized escape summary
+		eff = lw.l.effectOf(fn) // in-module helper: the memoized callee summary
 	case fn != nil:
 		// Substrate contract: core/sched/mq/specfor/arena primitives are
 		// documented non-retaining. Outside the module (stdlib) nothing
@@ -707,8 +707,8 @@ func (lw *lifeWalk) call(call *ast.CallExpr) *valDesc {
 		return nil
 	}
 	each(func(co *checkout, ca carg) {
-		if ep := eff.param(ca.pos); ep != nil && ep.retains {
-			lw.refuse(co, ca.expr, "retained by "+fn.Name()+": "+ep.why)
+		if why := eff.kept(ca.pos); why != "" {
+			lw.refuse(co, ca.expr, "retained by "+fn.Name()+": "+why)
 		} else {
 			fillCheckout(co)
 		}

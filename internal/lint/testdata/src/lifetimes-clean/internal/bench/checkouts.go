@@ -99,3 +99,16 @@ func sumOf(xs []int32) int32 {
 	}
 	return s
 }
+
+// ParkInBox: the region body hands a checkout to a helper that parks
+// it in a box-typed parameter's field, which BoxTransit clears before
+// the box is reused. The races pass summarizes parkIn before the
+// lifetimes pass asks it, so the box prescan must already be done.
+func ParkInBox(w *core.Worker, a *arena.Arena, b *scanBox, n int) {
+	core.ForRange(w, 0, n, 1, func(i int) {
+		tmp := arena.AllocUninit[int32](a, 4)
+		parkIn(b, tmp)
+	})
+}
+
+func parkIn(b *scanBox, xs []int32) { b.dst = xs }

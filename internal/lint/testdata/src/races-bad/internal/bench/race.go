@@ -36,3 +36,17 @@ func appendShared(w *core.Worker, buf []int32, n int) {
 		_ = tmp
 	})
 }
+
+// probeView wraps a shared slice; probeFill writes through the struct
+// argument into the slice's memory.
+type probeView struct{ xs []int32 }
+
+func probeFill(v probeView, i int) { v.xs[i] = 1 }
+
+// structWrapped hands every task the same wrapped slice: each call
+// writes xs[0].
+func structWrapped(w *core.Worker, xs []int32, n int) {
+	core.ForRange(w, 0, n, 0, func(i int) {
+		probeFill(probeView{xs}, 0)
+	})
+}

@@ -1,14 +1,17 @@
-// Package pbbsio reads and writes the Problem Based Benchmark Suite's
-// text file formats, so this reproduction can exchange inputs with the
-// original C++ PBBS and the Rust RPB:
+// Package pbbsio writes the Problem Based Benchmark Suite's text file
+// formats, so this reproduction can hand inputs to the original C++
+// PBBS and the Rust RPB, and reads the one format a program here takes
+// in (rpbgen -in):
 //
 //	sequenceInt                 "sequenceInt" header, one integer per line
-//	AdjacencyGraph              offsets then edge targets (CSR)
+//	AdjacencyGraph              offsets then edge targets (CSR); read and written
 //	WeightedAdjacencyGraph      offsets, targets, then edge weights
 //	pbbs_sequencePoint2d        x y pairs, one point per line
 //
-// All readers validate structure (counts, ranges) and return typed
-// errors rather than panicking on malformed files.
+// The reader validates structure (counts, ranges, order) and returns
+// errors rather than panicking on malformed files; the counts a header
+// claims reserve no more than a capped capacity until the entries that
+// back them arrive.
 package pbbsio
 
 import (
@@ -20,6 +23,10 @@ import (
 	"repro/internal/graph"
 	"repro/internal/seqgen"
 )
+
+// headerCap caps the capacity a header's counts reserve before any
+// entry arrives: a 37-byte file may claim two billion vertices.
+const headerCap = 1 << 16
 
 // Format headers as PBBS writes them.
 const (
@@ -67,18 +74,6 @@ func (sc *scanner) nextInt() (int64, error) {
 	return v, nil
 }
 
-func (sc *scanner) nextFloat() (float64, error) {
-	tok, err := sc.next()
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseFloat(tok, 64)
-	if err != nil {
-		return 0, fmt.Errorf("pbbsio: line %d: %w", sc.line, err)
-	}
-	return v, nil
-}
-
 func expectHeader(sc *scanner, want string) error {
 	got, err := sc.next()
 	if err != nil {
@@ -102,31 +97,6 @@ func WriteSequenceInt(w io.Writer, xs []uint32) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadSequenceInt parses a PBBS sequenceInt file.
-func ReadSequenceInt(r io.Reader) ([]uint32, error) {
-	sc := newScanner(r)
-	sc.s.Split(bufio.ScanWords)
-	if err := expectHeader(sc, HeaderSequenceInt); err != nil {
-		return nil, err
-	}
-	var out []uint32
-	for {
-		tok, err := sc.next()
-		if err != nil {
-			if len(out) > 0 || err == io.EOF {
-				break
-			}
-			break
-		}
-		v, perr := strconv.ParseUint(tok, 10, 32)
-		if perr != nil {
-			return nil, fmt.Errorf("pbbsio: line %d: %w", sc.line, perr)
-		}
-		out = append(out, uint32(v))
-	}
-	return out, nil
 }
 
 // WriteAdjacencyGraph writes g in PBBS AdjacencyGraph format: header,
@@ -163,11 +133,7 @@ func ReadAdjacencyGraph(r io.Reader) (*graph.Graph, error) {
 	if n < 0 || m < 0 || n > 1<<31-2 || m > 1<<31-2 {
 		return nil, fmt.Errorf("pbbsio: implausible sizes n=%d m=%d", n, m)
 	}
-	g := &graph.Graph{
-		N:    int32(n),
-		Offs: make([]int32, n+1),
-		Adj:  make([]int32, m),
-	}
+	g := &graph.Graph{N: int32(n), Offs: make([]int32, 0, min(n, headerCap)+1)}
 	prev := int64(0)
 	for v := int64(0); v < n; v++ {
 		off, err := sc.nextInt()
@@ -177,10 +143,11 @@ func ReadAdjacencyGraph(r io.Reader) (*graph.Graph, error) {
 		if off < prev || off > m {
 			return nil, fmt.Errorf("pbbsio: offset %d of vertex %d out of order", off, v)
 		}
-		g.Offs[v] = int32(off)
+		g.Offs = append(g.Offs, int32(off))
 		prev = off
 	}
-	g.Offs[n] = int32(m)
+	g.Offs = append(g.Offs, int32(m))
+	g.Adj = make([]int32, 0, min(m, headerCap))
 	for e := int64(0); e < m; e++ {
 		t, err := sc.nextInt()
 		if err != nil {
@@ -189,7 +156,7 @@ func ReadAdjacencyGraph(r io.Reader) (*graph.Graph, error) {
 		if t < 0 || t >= n {
 			return nil, fmt.Errorf("pbbsio: edge target %d out of range", t)
 		}
-		g.Adj[e] = int32(t)
+		g.Adj = append(g.Adj, int32(t))
 	}
 	return g, nil
 }
@@ -212,64 +179,6 @@ func WriteWeightedAdjacencyGraph(w io.Writer, g *graph.WGraph) error {
 	return bw.Flush()
 }
 
-// ReadWeightedAdjacencyGraph parses a WeightedAdjacencyGraph file.
-func ReadWeightedAdjacencyGraph(r io.Reader) (*graph.WGraph, error) {
-	sc := newScanner(r)
-	sc.s.Split(bufio.ScanWords)
-	if err := expectHeader(sc, HeaderWeightedAdj); err != nil {
-		return nil, err
-	}
-	n, err := sc.nextInt()
-	if err != nil {
-		return nil, err
-	}
-	m, err := sc.nextInt()
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 || m < 0 || n > 1<<31-2 || m > 1<<31-2 {
-		return nil, fmt.Errorf("pbbsio: implausible sizes n=%d m=%d", n, m)
-	}
-	g := &graph.WGraph{
-		Graph: graph.Graph{N: int32(n), Offs: make([]int32, n+1), Adj: make([]int32, m)},
-		Wgt:   make([]uint32, m),
-	}
-	prev := int64(0)
-	for v := int64(0); v < n; v++ {
-		off, err := sc.nextInt()
-		if err != nil {
-			return nil, err
-		}
-		if off < prev || off > m {
-			return nil, fmt.Errorf("pbbsio: offset %d of vertex %d out of order", off, v)
-		}
-		g.Offs[v] = int32(off)
-		prev = off
-	}
-	g.Offs[n] = int32(m)
-	for e := int64(0); e < m; e++ {
-		t, err := sc.nextInt()
-		if err != nil {
-			return nil, err
-		}
-		if t < 0 || t >= n {
-			return nil, fmt.Errorf("pbbsio: edge target %d out of range", t)
-		}
-		g.Adj[e] = int32(t)
-	}
-	for e := int64(0); e < m; e++ {
-		wt, err := sc.nextInt()
-		if err != nil {
-			return nil, err
-		}
-		if wt < 0 || wt > 1<<32-1 {
-			return nil, fmt.Errorf("pbbsio: weight %d out of range", wt)
-		}
-		g.Wgt[e] = uint32(wt)
-	}
-	return g, nil
-}
-
 // WritePoints2D writes points in pbbs_sequencePoint2d format.
 func WritePoints2D(w io.Writer, pts []seqgen.Point) error {
 	bw := bufio.NewWriter(w)
@@ -278,30 +187,4 @@ func WritePoints2D(w io.Writer, pts []seqgen.Point) error {
 		fmt.Fprintln(bw, p.X, p.Y)
 	}
 	return bw.Flush()
-}
-
-// ReadPoints2D parses a pbbs_sequencePoint2d file.
-func ReadPoints2D(r io.Reader) ([]seqgen.Point, error) {
-	sc := newScanner(r)
-	sc.s.Split(bufio.ScanWords)
-	if err := expectHeader(sc, HeaderSequencePoint); err != nil {
-		return nil, err
-	}
-	var out []seqgen.Point
-	for {
-		xs, err := sc.next()
-		if err != nil {
-			break
-		}
-		x, perr := strconv.ParseFloat(xs, 64)
-		if perr != nil {
-			return nil, fmt.Errorf("pbbsio: line %d: %w", sc.line, perr)
-		}
-		y, err := sc.nextFloat()
-		if err != nil {
-			return nil, fmt.Errorf("pbbsio: dangling x coordinate: %w", err)
-		}
-		out = append(out, seqgen.Point{X: x, Y: y})
-	}
-	return out, nil
 }

@@ -2,72 +2,50 @@ package pbbsio
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/seqgen"
 )
 
-func TestSequenceIntRoundTrip(t *testing.T) {
-	xs := []uint32{0, 5, 4294967295, 17}
+// checkWrite runs one writer and compares its exact output.
+func checkWrite(t *testing.T, write func(*bytes.Buffer) error, want string) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSequenceInt(&buf, xs); err != nil {
+	if err := write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), HeaderSequenceInt+"\n") {
-		t.Fatalf("missing header: %q", buf.String()[:20])
-	}
-	got, err := ReadSequenceInt(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(xs) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range xs {
-		if got[i] != xs[i] {
-			t.Fatalf("got %v, want %v", got, xs)
-		}
+	if buf.String() != want {
+		t.Errorf("wrote %q, want %q", buf.String(), want)
 	}
 }
 
-func TestSequenceIntPropertyRoundTrip(t *testing.T) {
-	f := func(xs []uint32) bool {
-		var buf bytes.Buffer
-		if err := WriteSequenceInt(&buf, xs); err != nil {
-			return false
-		}
-		got, err := ReadSequenceInt(&buf)
-		if err != nil || len(got) != len(xs) {
-			return false
-		}
-		for i := range xs {
-			if got[i] != xs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
+func TestWriteSequenceInt(t *testing.T) {
+	checkWrite(t, func(b *bytes.Buffer) error { return WriteSequenceInt(b, []uint32{0, 5, 4294967295, 17}) },
+		"sequenceInt\n0\n5\n4294967295\n17\n")
 }
 
-func TestSequenceIntBadHeader(t *testing.T) {
-	if _, err := ReadSequenceInt(strings.NewReader("wrongHeader\n1\n")); err == nil {
-		t.Fatal("accepted bad header")
+func TestWriteWeightedAdjacencyGraph(t *testing.T) {
+	g := &graph.WGraph{
+		Graph: graph.Graph{N: 3, Offs: []int32{0, 1, 2, 3}, Adj: []int32{1, 2, 0}},
+		Wgt:   []uint32{7, 9, 4294967295},
 	}
+	checkWrite(t, func(b *bytes.Buffer) error { return WriteWeightedAdjacencyGraph(b, g) },
+		"WeightedAdjacencyGraph\n3\n3\n0\n1\n2\n1\n2\n0\n7\n9\n4294967295\n")
 }
 
-func TestSequenceIntBadValue(t *testing.T) {
-	if _, err := ReadSequenceInt(strings.NewReader("sequenceInt\n1\nxyz\n")); err == nil {
-		t.Fatal("accepted non-numeric value")
-	}
-	if _, err := ReadSequenceInt(strings.NewReader("sequenceInt\n-5\n")); err == nil {
-		t.Fatal("accepted negative value for uint32 sequence")
-	}
+func TestWritePoints2D(t *testing.T) {
+	pts := []seqgen.Point{{X: 1.5, Y: -2}, {X: 0, Y: 3.25e-7}}
+	checkWrite(t, func(b *bytes.Buffer) error { return WritePoints2D(b, pts) },
+		"pbbs_sequencePoint2d\n1.5 -2\n0 3.25e-07\n")
+}
+
+func TestEmptySequences(t *testing.T) {
+	checkWrite(t, func(b *bytes.Buffer) error { return WriteSequenceInt(b, nil) }, "sequenceInt\n")
+	checkWrite(t, func(b *bytes.Buffer) error { return WritePoints2D(b, nil) }, "pbbs_sequencePoint2d\n")
 }
 
 func graphsEqual(a, b *graph.Graph) bool {
@@ -88,12 +66,10 @@ func graphsEqual(a, b *graph.Graph) bool {
 }
 
 func TestAdjacencyGraphRoundTrip(t *testing.T) {
-	g := graph.BuildCSR(nil, 4, []graph.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 3, To: 0}})
-	var buf bytes.Buffer
-	if err := WriteAdjacencyGraph(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAdjacencyGraph(&buf)
+	g := &graph.Graph{N: 4, Offs: []int32{0, 2, 3, 3, 4}, Adj: []int32{1, 2, 3, 0}}
+	const want = "AdjacencyGraph\n4\n4\n0\n2\n3\n3\n1\n2\n3\n0\n"
+	checkWrite(t, func(b *bytes.Buffer) error { return WriteAdjacencyGraph(b, g) }, want)
+	got, err := ReadAdjacencyGraph(strings.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,82 +110,21 @@ func TestAdjacencyGraphRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestWeightedAdjacencyRoundTrip(t *testing.T) {
-	g := graph.BuildWCSR(nil, 3, []graph.WEdge{{From: 0, To: 1, W: 7}, {From: 1, To: 2, W: 9}, {From: 2, To: 0, W: 1}})
-	var buf bytes.Buffer
-	if err := WriteWeightedAdjacencyGraph(&buf, g); err != nil {
-		t.Fatal(err)
+// TestAdjacencyGraphHeaderClaim: the counts a header claims are backed
+// only by the entries that follow. A header-only file claiming 2^24
+// vertices and edges must be refused having allocated under 1 MB, not
+// the 128 MiB of offsets and targets the claim would reserve.
+func TestAdjacencyGraphHeaderClaim(t *testing.T) {
+	const claim = 1 << 24
+	in := strings.NewReader(fmt.Sprintf("%s\n%d\n%d\n", HeaderAdjacency, claim, claim))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadAdjacencyGraph(in)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a header with no entries behind it")
 	}
-	got, err := ReadWeightedAdjacencyGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(&g.Graph, &got.Graph) {
-		t.Fatal("weighted graph structure mismatch")
-	}
-	for e := range g.Wgt {
-		if g.Wgt[e] != got.Wgt[e] {
-			t.Fatalf("weight %d mismatch", e)
-		}
-	}
-}
-
-func TestWeightedAdjacencyRejectsMalformed(t *testing.T) {
-	if _, err := ReadWeightedAdjacencyGraph(strings.NewReader("WeightedAdjacencyGraph\n1\n1\n0\n0\n-3\n")); err == nil {
-		t.Fatal("accepted negative weight")
-	}
-	if _, err := ReadWeightedAdjacencyGraph(strings.NewReader("AdjacencyGraph\n1\n0\n0\n")); err == nil {
-		t.Fatal("accepted unweighted header")
-	}
-}
-
-func TestPoints2DRoundTrip(t *testing.T) {
-	pts := seqgen.KuzminPoints(nil, 500, 4)
-	var buf bytes.Buffer
-	if err := WritePoints2D(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPoints2D(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(pts) {
-		t.Fatalf("got %d points, want %d", len(got), len(pts))
-	}
-	for i := range pts {
-		if got[i] != pts[i] {
-			t.Fatalf("point %d: %v != %v", i, got[i], pts[i])
-		}
-	}
-}
-
-func TestPoints2DRejectsMalformed(t *testing.T) {
-	if _, err := ReadPoints2D(strings.NewReader("pbbs_sequencePoint2d\n1.5\n")); err == nil {
-		t.Fatal("accepted dangling coordinate")
-	}
-	if _, err := ReadPoints2D(strings.NewReader("pbbs_sequencePoint2d\nab cd\n")); err == nil {
-		t.Fatal("accepted non-numeric coordinates")
-	}
-	if _, err := ReadPoints2D(strings.NewReader("bogus\n")); err == nil {
-		t.Fatal("accepted bad header")
-	}
-}
-
-func TestEmptySequences(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSequenceInt(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSequenceInt(&buf)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty sequence: %v %v", got, err)
-	}
-	buf.Reset()
-	if err := WritePoints2D(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	pts, err := ReadPoints2D(&buf)
-	if err != nil || len(pts) != 0 {
-		t.Fatalf("empty points: %v %v", pts, err)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("rejecting a header-only claim allocated %d bytes, want under 1 MB", got)
 	}
 }
