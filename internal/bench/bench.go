@@ -151,14 +151,6 @@ type Result struct {
 	Reps    int
 }
 
-// Key returns "bench-input", the label format of the paper's figures.
-func (r Result) Key() string {
-	if r.Input == "" {
-		return r.Bench
-	}
-	return r.Bench + "-" + r.Input
-}
-
 // Measure runs an instance reps times under the given variant and
 // thread count, verifying each run, and returns the mean wall-clock
 // seconds. For the library variant, threads == 0 means "run

@@ -121,17 +121,6 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestResultKey(t *testing.T) {
-	r := Result{Bench: "mis", Input: "road"}
-	if r.Key() != "mis-road" {
-		t.Fatalf("Key = %q", r.Key())
-	}
-	r.Input = ""
-	if r.Key() != "mis" {
-		t.Fatalf("Key = %q", r.Key())
-	}
-}
-
 func TestScaleSizes(t *testing.T) {
 	if TextSize(ScaleTest) >= TextSize(ScaleSmall) || TextSize(ScaleSmall) >= TextSize(ScaleDefault) {
 		t.Fatal("text sizes not increasing")

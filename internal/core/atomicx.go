@@ -79,9 +79,6 @@ func (s *ShardedLocks) With(i int, f func()) {
 	s.Unlock(i)
 }
 
-// Shards returns the number of shards.
-func (s *ShardedLocks) Shards() int { return len(s.locks) }
-
 func ceilPow2Int(v int) int {
 	if v <= 1 {
 		return 1

@@ -14,6 +14,13 @@ var testPool = NewPool(4)
 func on(f func(w *Worker)) { testPool.Do(f) }
 
 func TestRunDefaultPool(t *testing.T) {
+	// The default pool lives for the process; the test that creates it
+	// closes it, or the binary ends with its workers still parked.
+	t.Cleanup(func() {
+		if p := defaultPool.Swap(nil); p != nil {
+			p.Close()
+		}
+	})
 	var ran atomic.Bool
 	Run(func(w *Worker) { ran.Store(true) })
 	if !ran.Load() {

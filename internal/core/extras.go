@@ -74,9 +74,6 @@ func (f *Future[T]) Wait(w *Worker) T {
 	return f.result
 }
 
-// Ready reports whether the future has completed (non-blocking).
-func (f *Future[T]) Ready() bool { return f.done.Load() }
-
 // Pipeline runs a linear chain of stages over n sequence indices, with
 // stage s processing item i strictly after stage s-1 processed item i
 // and after stage s processed item i-1 (the classic pipeline pattern,

@@ -11,15 +11,12 @@ func TestAsyncWaitBasic(t *testing.T) {
 		if got := f.Wait(w); got != 42 {
 			t.Errorf("Wait = %d", got)
 		}
-		if !f.Ready() {
-			t.Error("future not ready after Wait")
-		}
 	})
 }
 
 func TestAsyncSequentialPath(t *testing.T) {
 	f := Async[string](nil, func(*Worker) string { return "done" })
-	if !f.Ready() || f.Wait(nil) != "done" {
+	if !f.done.Load() || f.Wait(nil) != "done" {
 		t.Fatal("nil-worker future misbehaved")
 	}
 }

@@ -209,15 +209,6 @@ func Sites() []Site {
 	return out
 }
 
-// ResetSites clears the site registry and conflict log (used by tests).
-func ResetSites() {
-	siteMu.Lock()
-	defer siteMu.Unlock()
-	siteSet = map[string]Site{}
-	siteOrder = nil
-	siteConflicts = nil
-}
-
 // Census summarizes the declared sites: per-pattern site counts and the
 // per-benchmark set of patterns used.
 type Census struct {

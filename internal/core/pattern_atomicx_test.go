@@ -40,8 +40,8 @@ func TestIrregularClassification(t *testing.T) {
 }
 
 func TestSiteRegistryAndCensus(t *testing.T) {
-	ResetSites()
-	defer ResetSites()
+	resetSites()
+	defer resetSites()
 	DeclareSite("foo", "scatter", SngInd)
 	DeclareSite("foo", "scatter", SngInd) // idempotent
 	DeclareSite("foo", "scan", Block)
@@ -104,8 +104,8 @@ func TestWriteMin64AndMax32(t *testing.T) {
 
 func TestShardedLocksGuardIncrements(t *testing.T) {
 	locks := NewShardedLocks(64)
-	if locks.Shards() != 64 {
-		t.Fatalf("shards = %d", locks.Shards())
+	if len(locks.locks) != 64 {
+		t.Fatalf("shards = %d", len(locks.locks))
 	}
 	counts := make([]int, 256) // plain ints: only safe under the locks
 	on(func(w *Worker) {
@@ -126,10 +126,10 @@ func TestShardedLocksGuardIncrements(t *testing.T) {
 }
 
 func TestShardedLocksRoundsUp(t *testing.T) {
-	if NewShardedLocks(5).Shards() != 8 {
+	if len(NewShardedLocks(5).locks) != 8 {
 		t.Fatal("shards not rounded to power of two")
 	}
-	if NewShardedLocks(0).Shards() != 1 {
+	if len(NewShardedLocks(0).locks) != 1 {
 		t.Fatal("zero shards should clamp to 1")
 	}
 }

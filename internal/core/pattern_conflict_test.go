@@ -2,11 +2,20 @@ package core
 
 import "testing"
 
+// resetSites clears the site registry and conflict log.
+func resetSites() {
+	siteMu.Lock()
+	defer siteMu.Unlock()
+	siteSet = map[string]Site{}
+	siteOrder = nil
+	siteConflicts = nil
+}
+
 // TestDeclareSiteConflict covers the registry's three re-declaration
 // outcomes: new site, idempotent repeat, and conflicting pattern.
 func TestDeclareSiteConflict(t *testing.T) {
-	ResetSites()
-	defer ResetSites()
+	resetSites()
+	defer resetSites()
 
 	if err := DeclareSite("x", "shared write", SngInd); err != nil {
 		t.Fatalf("first declaration: %v", err)
@@ -38,8 +47,8 @@ func TestDeclareSiteConflict(t *testing.T) {
 		t.Fatalf("sites = %v, want single SngInd site", sites)
 	}
 
-	ResetSites()
+	resetSites()
 	if got := SiteConflicts(); len(got) != 0 {
-		t.Fatalf("conflicts survive ResetSites: %v", got)
+		t.Fatalf("conflicts survive resetSites: %v", got)
 	}
 }

@@ -65,9 +65,6 @@ func NewMesh(pts []Point, extraPts int, superRadius float64) *Mesh {
 	return m
 }
 
-// NumInput returns the number of original input points.
-func (m *Mesh) NumInput() int { return m.nInput }
-
 // SuperVertex reports whether vertex v belongs to the super-triangle.
 func (m *Mesh) SuperVertex(v int32) bool {
 	return v >= m.super && v < m.super+3
@@ -179,18 +176,13 @@ func (m *Mesh) anyLive() int32 {
 	return NoTri
 }
 
-// Cavity collects, by breadth-first search from start, the connected
-// set of live triangles whose circumcircles contain p. It returns
-// (nil, false) when the cavity exceeds maxSize or p does not see every
-// edge of its boundary from inside. The search only reads mesh state.
-func (m *Mesh) Cavity(p Point, start int32, maxSize int) ([]int32, bool) {
-	return m.cavityInto(make([]int32, 0, 8), p, start, maxSize)
-}
-
-// cavityInto is Cavity appending into dst[:0]: the cavity never grows
-// past maxSize, so a dst with that capacity is never reallocated, and
-// a caller can hand each concurrent search its own window of one
-// buffer.
+// cavityInto collects into dst[:0], by breadth-first search from start,
+// the connected set of live triangles whose circumcircles contain p. It
+// returns (nil, false) when the cavity exceeds maxSize or p does not
+// see every edge of its boundary from inside. The search only reads
+// mesh state. The cavity never grows past maxSize, so a dst with that
+// capacity is never reallocated, and a caller can hand each concurrent
+// search its own window of one buffer.
 func (m *Mesh) cavityInto(dst []int32, p Point, start int32, maxSize int) ([]int32, bool) {
 	cav := append(dst[:0], start)
 	inCav := func(t int32) bool {

@@ -32,8 +32,8 @@ type Builder struct {
 	cur  []int32 // per-vertex fill cursor during the scatter
 	g    Graph
 	wg   WGraph
-	cg   CGraph  // compressed form (Compress / BuildC)
-	cwg  CWGraph // weighted compressed form (CompressW / BuildWC)
+	cg   CGraph  // compressed form (Compress)
+	cwg  CWGraph // weighted compressed form (CompressW)
 	ctg  CGraph  // compressed transpose, its own stream (CompressTranspose)
 }
 

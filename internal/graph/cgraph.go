@@ -463,15 +463,3 @@ func compressInto(w *core.Worker, g *Graph, dst *CGraph) {
 		}
 	}
 }
-
-// BuildC builds the compressed CSR form of a directed edge list: a
-// sorted plain build followed by the certified encoder. The plain form
-// remains available in the Builder (the next Build invalidates both).
-func (b *Builder) BuildC(w *core.Worker, n int32, edges []Edge) *CGraph {
-	return b.Compress(w, b.BuildSorted(w, n, edges))
-}
-
-// BuildWC is BuildC for weighted edge lists.
-func (b *Builder) BuildWC(w *core.Worker, n int32, edges []WEdge) *CWGraph {
-	return b.CompressW(w, b.BuildWSorted(w, n, edges))
-}

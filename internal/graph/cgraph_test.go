@@ -142,7 +142,7 @@ func TestCompressMatchesPlainOnInputs(t *testing.T) {
 			sym := Symmetrize(nil, edges)
 			var b, cb Builder
 			g := b.BuildSorted(nil, n, sym)
-			c := cb.BuildC(nil, n, sym)
+			c := cb.Compress(nil, cb.BuildSorted(nil, n, sym))
 			checkCompressedEquivalence(t, g, c)
 		})
 	}
@@ -154,7 +154,7 @@ func TestCompressWeightedAlignsWeights(t *testing.T) {
 	wedges := AddWeights(nil, sym, 1<<16, 0xce2)
 	var b, cb Builder
 	wg := b.BuildWSorted(nil, n, wedges)
-	cw := cb.BuildWC(nil, n, wedges)
+	cw := cb.CompressW(nil, cb.BuildWSorted(nil, n, wedges))
 	checkCompressedEquivalence(t, &wg.Graph, &cw.CGraph)
 	buf := make([]int32, cw.MaxDegree())
 	for v := int32(0); v < n; v++ {
@@ -171,7 +171,7 @@ func TestFindFirstInMatchesScan(t *testing.T) {
 	sym := Symmetrize(nil, edges)
 	var b, cb Builder
 	g := b.BuildSorted(nil, n, sym)
-	c := cb.BuildC(nil, n, sym)
+	c := cb.Compress(nil, cb.BuildSorted(nil, n, sym))
 	words := (int(n) + 63) / 64
 	r := rand.New(rand.NewSource(0xff2))
 	for trial := 0; trial < 20; trial++ {
@@ -218,7 +218,7 @@ func TestFindFirstInGroupBoundaries(t *testing.T) {
 		}
 		var b, cb Builder
 		g := b.BuildSorted(nil, n, edges)
-		c := cb.BuildC(nil, n, edges)
+		c := cb.Compress(nil, cb.BuildSorted(nil, n, edges))
 		words := (int(n) + 63) / 64
 		bm := make([]uint64, words)
 		probe := func() {
@@ -248,7 +248,7 @@ func TestCompressTransposeSeparateStreams(t *testing.T) {
 	var b, tb, solo Builder
 	g := b.BuildSorted(nil, n, sym)
 	cg := b.Compress(nil, g)
-	ref := solo.BuildC(nil, n, sym) // forward-only compress for comparison
+	ref := solo.Compress(nil, solo.BuildSorted(nil, n, sym)) // forward-only compress for comparison
 	tg := tb.Transpose(nil, g)
 	SortAdjacency(nil, tg)
 	ctg := b.CompressTranspose(nil, tg)
@@ -279,7 +279,7 @@ func TestShardsCoverAndAlign(t *testing.T) {
 	edges, n := edgesFor(nil, InputLink, ScaleTest, 0x5a)
 	sym := Symmetrize(nil, edges)
 	var cb Builder
-	c := cb.BuildC(nil, n, sym)
+	c := cb.Compress(nil, cb.BuildSorted(nil, n, sym))
 	shards := c.Shards
 	if len(shards) == 0 {
 		t.Fatal("no shards")
@@ -323,7 +323,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 			edges, n := edgesFor(w, InputRMAT, ScaleTest, 0xdef)
 			sym := Symmetrize(w, edges)
 			var b, tb Builder
-			c := b.BuildC(w, n, sym)
+			c := b.Compress(w, b.BuildSorted(w, n, sym))
 			tg := tb.Transpose(w, &b.g)
 			SortAdjacency(w, tg)
 			ct := b.CompressTranspose(w, tg)
@@ -406,7 +406,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	edges, n := edgesFor(nil, InputRMAT, ScaleTest, 0xbad)
 	sym := Symmetrize(nil, edges)
 	var cb Builder
-	c := cb.BuildC(nil, n, sym)
+	c := cb.Compress(nil, cb.BuildSorted(nil, n, sym))
 	if err := c.Validate(); err != nil {
 		t.Fatalf("valid stream rejected: %v", err)
 	}

@@ -24,7 +24,6 @@ const emptyKey = uint64(0)
 type Set struct {
 	slots []atomic.Uint64
 	mask  uint64
-	count atomic.Int64
 }
 
 // NewSet creates a set with capacity for about n keys (load factor 1/2).
@@ -52,7 +51,6 @@ func (s *Set) Insert(k uint64) bool {
 		}
 		if cur == emptyKey {
 			if s.slots[i].CompareAndSwap(emptyKey, ek) {
-				s.count.Add(1)
 				return true
 			}
 			// Lost the race: re-examine the same slot (it may now hold k).
@@ -65,36 +63,13 @@ func (s *Set) Insert(k uint64) bool {
 	panic("hashtable.Set: table full")
 }
 
-// Contains reports whether k is present. Phase-concurrent: callers must
-// not run Contains concurrently with Insert if they need linearizable
-// answers.
-func (s *Set) Contains(k uint64) bool {
-	ek := encode(k)
-	i := seqgen.Hash64(k) & s.mask
-	for probes := uint64(0); probes <= s.mask; probes++ {
-		cur := s.slots[i].Load()
-		if cur == ek {
-			return true
-		}
-		if cur == emptyKey {
-			return false
-		}
-		i = (i + 1) & s.mask
-	}
-	return false
-}
-
 // Reset empties the set in place, reusing the slot array, so round-
 // based callers can keep one table across rounds instead of allocating
 // a fresh one (docs/MEMORY.md). Quiescent use only: no concurrent
-// Insert/Contains may be in flight.
+// Insert may be in flight.
 func (s *Set) Reset() {
 	clear(s.slots)
-	s.count.Store(0)
 }
-
-// Len returns the number of keys inserted.
-func (s *Set) Len() int { return int(s.count.Load()) }
 
 // Capacity returns the number of slots.
 func (s *Set) Capacity() int { return len(s.slots) }
@@ -127,10 +102,9 @@ func (s *Set) LiveMask(lo, hi int) uint64 {
 // by histogram-style kernels: InsertAdd finds-or-creates the key's slot
 // and atomically adds to its counter.
 type CountMap struct {
-	keys  []atomic.Uint64
-	vals  []atomic.Int64
-	mask  uint64
-	count atomic.Int64
+	keys []atomic.Uint64
+	vals []atomic.Int64
+	mask uint64
 }
 
 // NewCountMap creates a map with capacity for about n distinct keys.
@@ -158,7 +132,6 @@ func (m *CountMap) InsertAdd(k uint64, delta int64) {
 		}
 		if cur == emptyKey {
 			if m.keys[i].CompareAndSwap(emptyKey, ek) {
-				m.count.Add(1)
 				m.vals[i].Add(delta)
 				return
 			}
@@ -171,33 +144,6 @@ func (m *CountMap) InsertAdd(k uint64, delta int64) {
 	}
 	panic("hashtable.CountMap: table full")
 }
-
-// Get returns the counter of k (0 when absent). Quiescent use.
-func (m *CountMap) Get(k uint64) int64 {
-	ek := encode(k)
-	i := seqgen.Hash64(k) & m.mask
-	for probes := uint64(0); probes <= m.mask; probes++ {
-		cur := m.keys[i].Load()
-		if cur == ek {
-			return m.vals[i].Load()
-		}
-		if cur == emptyKey {
-			return 0
-		}
-		i = (i + 1) & m.mask
-	}
-	return 0
-}
-
-// Reset empties the map in place, reusing both arrays. Quiescent use.
-func (m *CountMap) Reset() {
-	clear(m.keys)
-	clear(m.vals)
-	m.count.Store(0)
-}
-
-// Len returns the number of distinct keys.
-func (m *CountMap) Len() int { return int(m.count.Load()) }
 
 // Capacity returns the number of slots.
 func (m *CountMap) Capacity() int { return len(m.keys) }

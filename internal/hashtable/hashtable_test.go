@@ -8,6 +8,33 @@ import (
 	"repro/internal/core"
 )
 
+// setKeys counts a quiescent set's keys slot by slot: a key stored in
+// two slots counts twice.
+func setKeys(s *Set) map[uint64]int {
+	keys := map[uint64]int{}
+	for i := 0; i < s.Capacity(); i++ {
+		if k, ok := s.SlotKey(i); ok {
+			keys[k]++
+		}
+	}
+	return keys
+}
+
+// mapCounts reads a quiescent count map's counters slot by slot; a key
+// stored in two slots fails the test that reads it.
+func mapCounts(t *testing.T, m *CountMap) map[uint64]int64 {
+	counts := map[uint64]int64{}
+	for i := 0; i < m.Capacity(); i++ {
+		if k, c, ok := m.Slot(i); ok {
+			if _, dup := counts[k]; dup {
+				t.Errorf("key %d stored twice", k)
+			}
+			counts[k] = c
+		}
+	}
+	return counts
+}
+
 func TestSetInsertContains(t *testing.T) {
 	s := NewSet(100)
 	if !s.Insert(42) {
@@ -16,11 +43,8 @@ func TestSetInsertContains(t *testing.T) {
 	if s.Insert(42) {
 		t.Fatal("second insert should report present")
 	}
-	if !s.Contains(42) || s.Contains(43) {
-		t.Fatal("contains wrong")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("len = %d", s.Len())
+	if keys := setKeys(s); keys[42] != 1 || len(keys) != 1 {
+		t.Fatalf("keys = %v, want 42 once", keys)
 	}
 }
 
@@ -29,7 +53,7 @@ func TestSetZeroKeyUsable(t *testing.T) {
 	if !s.Insert(0) {
 		t.Fatal("key 0 insert failed")
 	}
-	if !s.Contains(0) {
+	if setKeys(s)[0] != 1 {
 		t.Fatal("key 0 not found")
 	}
 	if s.Insert(0) {
@@ -129,8 +153,8 @@ func TestSetConcurrentInsertExactDedup(t *testing.T) {
 	if wins != n/3 {
 		t.Fatalf("winning inserts = %d, want %d", wins, n/3)
 	}
-	if s.Len() != n/3 {
-		t.Fatalf("len = %d, want %d", s.Len(), n/3)
+	if keys := setKeys(s); len(keys) != n/3 {
+		t.Fatalf("len = %d, want %d", len(keys), n/3)
 	}
 }
 
@@ -144,12 +168,13 @@ func TestSetMatchesMapProperty(t *testing.T) {
 			}
 			ref[k] = true
 		}
-		for _, k := range keys {
-			if !s.Contains(k) {
+		got := setKeys(s)
+		for k, c := range got {
+			if c != 1 || !ref[k] {
 				return false
 			}
 		}
-		return s.Len() == len(ref)
+		return len(got) == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -161,11 +186,8 @@ func TestCountMapBasics(t *testing.T) {
 	m.InsertAdd(5, 2)
 	m.InsertAdd(5, 3)
 	m.InsertAdd(0, 1)
-	if m.Get(5) != 5 || m.Get(0) != 1 || m.Get(99) != 0 {
-		t.Fatalf("counts wrong: %d %d %d", m.Get(5), m.Get(0), m.Get(99))
-	}
-	if m.Len() != 2 {
-		t.Fatalf("len = %d", m.Len())
+	if got := mapCounts(t, m); got[5] != 5 || got[0] != 1 || len(got) != 2 {
+		t.Fatalf("counts = %v, want 5:5 0:1", got)
 	}
 }
 
@@ -180,8 +202,8 @@ func TestCountMapConcurrentTotals(t *testing.T) {
 			m.InsertAdd(uint64(i%distinct), 1)
 		})
 	})
-	if m.Len() != distinct {
-		t.Fatalf("distinct = %d, want %d", m.Len(), distinct)
+	if got := len(mapCounts(t, m)); got != distinct {
+		t.Fatalf("distinct = %d, want %d", got, distinct)
 	}
 	var total int64
 	for i := 0; i < m.Capacity(); i++ {
@@ -209,12 +231,13 @@ func TestCountMapMatchesMapProperty(t *testing.T) {
 			m.InsertAdd(uint64(k), 1)
 			ref[uint64(k)]++
 		}
+		got := mapCounts(t, m)
 		for k, v := range ref {
-			if m.Get(k) != v {
+			if got[k] != v {
 				return false
 			}
 		}
-		return m.Len() == len(ref)
+		return len(got) == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

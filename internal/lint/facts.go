@@ -6,8 +6,8 @@ package lint
 // parameter aliases, and the named-closure tables of the region
 // enumerators all start from "which statements give this variable a
 // value, and where else is it mentioned". One walk records that; each
-// pass keeps only the judgement it builds on top (single-definition
-// freshness, worst-of-all-bindings rooting, stability, ...).
+// pass keeps only the judgement it builds on top (worst-of-all-bindings
+// rooting, single-definition index folding, stability, ...).
 
 import (
 	"go/ast"

@@ -102,7 +102,7 @@ func (rc *regionCheck) taskDetailUncached(obj types.Object) taskRes {
 		return taskRes{}
 	}
 	fx := rc.fact(obj)
-	if fx.def == nil || fx.assigns > 0 || !rc.local(obj) {
+	if fx.def == nil || fx.assigns > 0 || !rc.owns(obj) {
 		return taskRes{}
 	}
 	def := fx.def
@@ -354,8 +354,7 @@ func (rc *regionCheck) matchUniqueHandout(e ast.Expr) bool {
 			return false
 		}
 	}
-	obj := rc.tp.objOf(base)
-	return obj != nil && rc.memClass(obj, steps) == memShared
+	return rc.path(base, steps, nil) == memShared
 }
 
 // matchWorkerID matches w.ID() on the invocation's own worker: two
@@ -397,7 +396,7 @@ func (rc *regionCheck) affine(e ast.Expr) (*affine, bool) {
 // foldable reports whether an identifier can be replaced by its
 // single straight-line definition.
 func (rc *regionCheck) foldable(obj types.Object) bool {
-	if !rc.local(obj) {
+	if !rc.owns(obj) {
 		return false
 	}
 	fx := rc.fact(obj)
@@ -414,7 +413,7 @@ func (rc *regionCheck) foldIdent(e ast.Expr, allowShrink bool) ast.Expr {
 			return e
 		}
 		obj := rc.tp.objOf(id)
-		if !rc.local(obj) {
+		if !rc.owns(obj) {
 			return e
 		}
 		fx := rc.fact(obj)
@@ -433,7 +432,7 @@ func (rc *regionCheck) foldIdent(e ast.Expr, allowShrink bool) ast.Expr {
 // concurrent invocation of the region.
 func (rc *regionCheck) invariantTerm(t *affTerm) bool {
 	if t.obj != nil {
-		if rc.local(t.obj) {
+		if rc.owns(t.obj) {
 			return false // unfoldable local: varies within the region
 		}
 		return rc.fact(t.obj).assigns == 0

@@ -114,3 +114,20 @@ func Audited(a *arena.Arena, n int, sink func([]int32)) {
 	sink(buf)
 	a.Release(m)
 }
+
+type wrapHolder struct{ xs []int32 }
+
+var wrapped []wrapHolder
+
+// WrappedEscape hands the checkout to a helper that keeps it wrapped in
+// a struct literal, in a package-level slice.
+func WrappedEscape(a *arena.Arena, n int) {
+	m := a.Mark()
+	buf := arena.Alloc[int32](a, n)
+	stashWrapped(buf)
+	a.Release(m)
+}
+
+func stashWrapped(xs []int32) {
+	wrapped = append(wrapped, wrapHolder{xs})
+}

@@ -28,8 +28,8 @@ func TestPushBatchPopBatchRoundTrip(t *testing.T) {
 		}
 	}
 	m.PushBatch(items)
-	if m.Len() != n {
-		t.Fatalf("Len = %d, want %d", m.Len(), n)
+	if int(m.size.Load()) != n {
+		t.Fatalf("Len = %d, want %d", int(m.size.Load()), n)
 	}
 	seen := make([]bool, n)
 	dst := make([]Item, k)
@@ -69,8 +69,8 @@ func TestPopBatchRespectsDestinationLength(t *testing.T) {
 func TestPushBatchEmptyIsNoop(t *testing.T) {
 	m := New(2)
 	m.PushBatch(nil)
-	if m.Len() != 0 {
-		t.Fatalf("Len = %d after empty PushBatch", m.Len())
+	if int(m.size.Load()) != 0 {
+		t.Fatalf("Len = %d after empty PushBatch", int(m.size.Load()))
 	}
 	st := m.Stats()
 	if st.LockAcquires != 0 {
@@ -283,8 +283,8 @@ func TestResetEmptiesAndZeroes(t *testing.T) {
 	}
 	m.PopBatch(make([]Item, 40))
 	m.Reset()
-	if m.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", m.Len())
+	if int(m.size.Load()) != 0 {
+		t.Fatalf("Len after Reset = %d", int(m.size.Load()))
 	}
 	if it, ok := m.Pop(); ok {
 		t.Fatalf("Pop after Reset returned %+v", it)
@@ -338,8 +338,8 @@ func TestProcessBatchOnReusesQueue(t *testing.T) {
 					t.Errorf("workers=%d drive %d: counters %+v do not add up to %d items", workers, drive, st, drive*tree)
 					return
 				}
-				if m.Len() != 0 {
-					t.Errorf("workers=%d drive %d left %d items queued", workers, drive, m.Len())
+				if int(m.size.Load()) != 0 {
+					t.Errorf("workers=%d drive %d left %d items queued", workers, drive, int(m.size.Load()))
 					return
 				}
 			}

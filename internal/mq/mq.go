@@ -296,9 +296,6 @@ func (m *MultiQueue) Reset() {
 	m.stats = counters{}
 }
 
-// Len returns the approximate number of queued items.
-func (m *MultiQueue) Len() int { return int(m.size.Load()) }
-
 // Stats returns a snapshot of the operation counters, including
 // everything the slots of finished drives folded in.
 func (m *MultiQueue) Stats() Stats { return m.stats.snapshot() }

@@ -68,8 +68,8 @@ func TestMultiQueueLosesNothing(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		m.Push(Item{Pri: i, Val: i})
 	}
-	if m.Len() != n {
-		t.Fatalf("Len = %d", m.Len())
+	if int(m.size.Load()) != n {
+		t.Fatalf("Len = %d", int(m.size.Load()))
 	}
 	seen := make([]bool, n)
 	for i := 0; i < n; i++ {

@@ -16,6 +16,7 @@ package pbbsio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -36,25 +37,43 @@ const (
 	HeaderSequencePoint = "pbbs_sequencePoint2d"
 )
 
-// scanner wraps bufio.Scanner with line counting for error reporting.
+// scanner reads whitespace-separated tokens, counting the lines they
+// sit on for error reporting.
 type scanner struct {
-	s    *bufio.Scanner
-	line int
+	s       *bufio.Scanner
+	line    int // line of the last token read
+	skipped int // newlines consumed since it
 }
 
 func newScanner(r io.Reader) *scanner {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 1<<16), 1<<24)
-	return &scanner{s: s}
+	sc := &scanner{s: bufio.NewScanner(r), line: 1}
+	sc.s.Buffer(make([]byte, 1<<16), 1<<24)
+	sc.s.Split(sc.words)
+	return sc
+}
+
+// words is bufio.ScanWords that counts the newlines it consumes: those
+// in front of a token move line to the token's, the one delimiting it
+// counts toward the next.
+func (sc *scanner) words(data []byte, atEOF bool) (int, []byte, error) {
+	adv, tok, err := bufio.ScanWords(data, atEOF)
+	nl := bytes.Count(data[:adv], []byte{'\n'})
+	if tok == nil {
+		sc.skipped += nl
+		return adv, tok, err
+	}
+	trailing := 0
+	if data[adv-1] == '\n' {
+		trailing = 1
+	}
+	sc.line += sc.skipped + nl - trailing
+	sc.skipped = trailing
+	return adv, tok, err
 }
 
 func (sc *scanner) next() (string, error) {
-	for sc.s.Scan() {
-		sc.line++
-		tok := sc.s.Text()
-		if tok != "" {
-			return tok, nil
-		}
+	if sc.s.Scan() {
+		return sc.s.Text(), nil
 	}
 	if err := sc.s.Err(); err != nil {
 		return "", err
@@ -118,7 +137,6 @@ func WriteAdjacencyGraph(w io.Writer, g *graph.Graph) error {
 // ReadAdjacencyGraph parses a PBBS AdjacencyGraph file into CSR form.
 func ReadAdjacencyGraph(r io.Reader) (*graph.Graph, error) {
 	sc := newScanner(r)
-	sc.s.Split(bufio.ScanWords)
 	if err := expectHeader(sc, HeaderAdjacency); err != nil {
 		return nil, err
 	}

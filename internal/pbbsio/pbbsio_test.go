@@ -110,6 +110,22 @@ func TestAdjacencyGraphRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestAdjacencyGraphErrorLine: a parse error names the line the bad
+// token sits on, however the tokens are spread over lines.
+func TestAdjacencyGraphErrorLine(t *testing.T) {
+	cases := map[string]string{
+		"AdjacencyGraph 2 1 0 x":            "pbbsio: line 1:",
+		"AdjacencyGraph\n2 1\n0 x\n1\n":     "pbbsio: line 3:",
+		"AdjacencyGraph\n\n2\n1\n0\n\n x\n": "pbbsio: line 7:",
+	}
+	for data, want := range cases {
+		_, err := ReadAdjacencyGraph(strings.NewReader(data))
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%q: error %v, want prefix %q", data, err, want)
+		}
+	}
+}
+
 // TestAdjacencyGraphHeaderClaim: the counts a header claims are backed
 // only by the entries that follow. A header-only file claiming 2^24
 // vertices and edges must be refused having allocated under 1 MB, not

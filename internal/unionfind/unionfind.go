@@ -21,9 +21,6 @@ func New(n int32) *UF {
 	return u
 }
 
-// Len returns the number of elements.
-func (u *UF) Len() int { return len(u.parent) }
-
 // Reset returns every element to its own singleton set, reusing the
 // parent array, so round-based callers can keep one forest across
 // rounds instead of allocating a fresh one (docs/MEMORY.md). Quiescent
@@ -77,14 +74,3 @@ func (u *UF) Union(a, b int32) bool {
 // SameSet reports whether a and b are currently in the same set. It is
 // only stable when no unions run concurrently.
 func (u *UF) SameSet(a, b int32) bool { return u.Find(a) == u.Find(b) }
-
-// Components counts the current number of sets (quiescent use only).
-func (u *UF) Components() int {
-	n := 0
-	for i := range u.parent {
-		if u.parent[i].Load() == int32(i) {
-			n++
-		}
-	}
-	return n
-}
