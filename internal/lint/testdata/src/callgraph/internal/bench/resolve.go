@@ -91,3 +91,25 @@ func keepB(p []int, n int) {
 	kept = p
 	keepA(p, n-1)
 }
+
+// Results: what a callee returns decides whether its callers may count
+// the call's result as memory derived from the arguments.
+func retParam(p []int) []int { return p[1:] }
+
+func retKept(p []int) []int {
+	if len(p) > 0 {
+		return p
+	}
+	return kept
+}
+
+func retNamed(p []int) (out []int) {
+	out = kept
+	return
+}
+
+func retInLit(p []int) []int {
+	get := func() []int { return kept }
+	_ = get
+	return append(p, 1)
+}
