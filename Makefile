@@ -47,7 +47,10 @@ race:
 
 # Fuzz smoke: run FuzzCodecRoundTrip — group-varint rows, group-skip
 # probes, shard assembly — FuzzSymmetrize — the integer-sort
-# Symmetrize against its comparison-sort reference — FuzzArrayAgainstNaive
+# Symmetrize against its comparison-sort reference — FuzzBuild — the
+# CSR counting sort under Build, BuildW and Transpose against a
+# sequential stable reference, rows in input order at every worker
+# count — FuzzArrayAgainstNaive
 # — the packed-key prefix-doubling suffix array, sequential and on a
 # pool, unchecked and checked, against DC3 and a comparison sort —
 # FuzzBWTRoundTrip, FuzzSortAgainstSlices — the branch-free quicksort
@@ -65,6 +68,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run xxx -fuzz FuzzSymmetrize -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run xxx -fuzz FuzzBuild -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run xxx -fuzz FuzzArrayAgainstNaive -fuzztime $(FUZZTIME) ./internal/suffix/
 	$(GO) test -run xxx -fuzz FuzzBWTRoundTrip -fuzztime $(FUZZTIME) ./internal/suffix/
 	$(GO) test -run xxx -fuzz FuzzSortAgainstSlices -fuzztime $(FUZZTIME) ./internal/qsort/

@@ -80,7 +80,7 @@ func (h *histInstance) runLibrary(w *core.Worker) {
 	locals := arena.AllocUninit[int64](a, nb*histBuckets)
 	core.Chunks(w, h.keys, histBlockSize, func(ci int, chunk []uint32) {
 		local := locals[ci*histBuckets : (ci+1)*histBuckets]
-		clear(local)
+		clear(local) //lint:scared local is locals[ci*histBuckets:(ci+1)*histBuckets], chunk ci's own segment of the checkout
 		for _, k := range chunk {
 			local[int(k)%histBuckets]++ //lint:scared local is locals[ci*histBuckets:(ci+1)*histBuckets], chunk ci's own segment of the checkout; the index stays below histBuckets
 		}

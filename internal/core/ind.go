@@ -117,6 +117,10 @@ type uniqueCheck[I IndexInt] struct {
 
 func (c *uniqueCheck[I]) fail(e error) { c.err.CompareAndSwap(nil, &e) }
 
+// RunRange claims offsets[lo:hi] in the executing worker's lane, or in
+// the second pass merges lanes over words [lo, hi).
+//
+//lint:scared worker-owned lane: rows of c.lanes are indexed by the executing worker's ID and a worker runs one range at a time, so clear(lane) and claim's marks touch this worker's row only
 func (c *uniqueCheck[I]) RunRange(w *Worker, lo, hi int) {
 	if c.err.Load() != nil {
 		return
@@ -125,8 +129,6 @@ func (c *uniqueCheck[I]) RunRange(w *Worker, lo, hi int) {
 		c.mergeRange(lo, hi)
 		return
 	}
-	// The lane is this worker's alone: rows of c.lanes are indexed by
-	// the executing worker's ID, and a worker runs one range at a time.
 	id := w.ID()
 	lane := c.lanes[id*c.words : (id+1)*c.words]
 	if !c.used[id] {

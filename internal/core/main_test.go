@@ -1,6 +1,7 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -15,6 +16,11 @@ import (
 func TestMain(m *testing.M) {
 	before := runtime.NumGoroutine()
 	code := m.Run()
+	if fz := flag.Lookup("test.fuzz"); fz != nil && fz.Value.String() != "" {
+		// Fuzzing starts the testing package's own signal handler,
+		// which outlives m.Run: the check covers plain test runs.
+		os.Exit(code)
+	}
 	after := runtime.NumGoroutine()
 	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
 		time.Sleep(10 * time.Millisecond)

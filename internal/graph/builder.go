@@ -4,37 +4,39 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/core"
 )
 
-// Builder is a reusable degree-aware CSR construction pipeline: a
-// parallel counting sort of the edge list into adjacency slots. The
-// three phases exercise the suite's patterns — an AW degree count
-// (atomic increments racing per destination counter), a Block-disjoint
-// exclusive scan of the offsets (core.ScanExclusiveInto), and an AW
-// cursor scatter of edges into their slots.
+// Builder is a reusable CSR construction pipeline: a stable blocked
+// counting sort of the edge list into adjacency slots (csrSort). The
+// edge range is cut into fixed blocks; a Block pass counts each block's
+// keys into its own column of a vertex-major count matrix, one
+// exclusive scan (core.ScanExclusive) turns the matrix into write
+// cursors, and a scatter moves each block's edges through its own
+// cursors — SngInd with independence guaranteed by the scan, the shape
+// internal/radix uses. Every row therefore holds its edges in input
+// order, the same at every worker count, and no step is atomic.
 //
 // Before them one range-bodied pass validates the endpoints
 // (validateEdges), and the Sorted variants canonicalize every row after
 // them: slices.Sort for plain rows, sortRowW for weighted ones.
 //
-// All intermediate and output buffers live in the Builder and are
-// grown with core.EnsureLen, so repeated builds of same-shaped graphs
-// allocate no buffer, only a fixed handful of loop closures:
-// TestKernelsSteadyStateAllocs pins the count (row BuildCSR). A Build
-// invalidates the Graph returned by the previous Build on the same
-// Builder.
+// The output buffers live in the Builder and are grown with
+// core.EnsureLen. The sort's loop body comes from the calling worker's
+// box stack, and the count matrix is one allocation that is garbage
+// once the build returns, so nothing sort-sized outlives it. Repeated
+// builds of same-shaped graphs therefore allocate the matrix and the
+// validation pass's closures only: TestKernelsSteadyStateAllocs pins
+// the count (row BuildCSR). A Build invalidates the Graph returned by
+// the previous Build on the same Builder.
 type Builder struct {
-	degs []int32 // per-vertex out-degree, then scanned into offs
-	cur  []int32 // per-vertex fill cursor during the scatter
-	g    Graph
-	wg   WGraph
-	cg   CGraph  // compressed form (Compress)
-	cwg  CWGraph // weighted compressed form (CompressW)
-	ctg  CGraph  // compressed transpose, its own stream (CompressTranspose)
+	g   Graph
+	wg  WGraph
+	cg  CGraph  // compressed form (Compress)
+	cwg CWGraph // weighted compressed form (CompressW)
+	ctg CGraph  // compressed transpose, its own stream (CompressTranspose)
 }
 
 // edgeLimit bounds the edge count a Builder accepts: CSR offsets are
@@ -65,30 +67,149 @@ func validateEdges(w *core.Worker, n int32, m int, firstBad func(lo, hi int) int
 	}
 }
 
-// countAndScan runs the degree count over from-vertices and the offset
-// scan, leaving b.cur[v] = b.g.Offs[v] ready for the scatter, and
-// returns the edge total.
-func (b *Builder) countAndScan(w *core.Worker, n int32, deg func(i int) int32, m int) int32 {
-	b.degs = core.EnsureLen(b.degs, int(n))
-	core.Fill(w, b.degs, 0)
-	core.ForRange(w, 0, m, 0, func(i int) {
-		atomic.AddInt32(&b.degs[deg(i)], 1)
-	})
+// csrBlockMin is the fewest edges one block of csrSort covers. A block
+// covers max(csrBlockMin, 4n) edges, so the n × blocks count matrix
+// stays near a quarter of the edge count and the scan over it is small
+// beside the scatter. The rule depends on the edge and vertex counts
+// only, never on the worker count, so the blocks are the same on every
+// pool.
+const csrBlockMin = 1 << 16
+
+// Edge sources of csrSort.
+const (
+	fromEdges  uint8 = iota // Build: edge i is edges[i]
+	fromWEdges              // BuildW: edge i is wedges[i], its weight carried along
+	fromRows                // Transpose: entry i of row u of a CSR is the edge adjIn[i] -> u
+)
+
+// Phases of csrSort.
+const (
+	csrCount   uint8 = iota // over blocks: count each block's keys into its column
+	csrOffs                 // over vertices: Offs[v] is block 0's cursor of v
+	csrScatter              // over blocks: move each block's edges through its cursors
+)
+
+// csrSort is the loop body of the stable blocked counting sort that
+// builds every CSR here: edges [0, m) are keyed by source vertex (by
+// target for a transpose) and cut into nb blocks of bs edges. counts is
+// vertex-major, counts[v*nb+b] the number of block b's edges keyed v,
+// so one exclusive scan over it yields each (vertex, block) write
+// cursor, and block b owns the segment of row v between its cursor and
+// block b+1's.
+type csrSort struct {
+	edges         []Edge
+	wedges        []WEdge
+	offsIn, adjIn []int32
+	counts        []int32
+	offs, adj     []int32
+	wgt           []uint32
+	m, bs, nb     int
+	src, phase    uint8
+}
+
+func (s *csrSort) RunRange(_ *core.Worker, lo, hi int) {
+	counts, nb := s.counts, s.nb
+	if s.phase == csrOffs {
+		offs := s.offs
+		for v := lo; v < hi; v++ {
+			offs[v] = counts[v*nb]
+		}
+		return
+	}
+	edges, wedges, offsIn, adjIn, adj, wgt, src := s.edges, s.wedges, s.offsIn, s.adjIn, s.adj, s.wgt, s.src
+	scatter := s.phase == csrScatter
+	for b := lo; b < hi; b++ {
+		blo, bhi := b*s.bs, min((b+1)*s.bs, s.m)
+		u := int32(0)
+		if src == fromRows {
+			// The row holding entry blo: the last u with offsIn[u] <= blo,
+			// past any empty rows the walk below skips.
+			r, found := slices.BinarySearch(offsIn, int32(blo))
+			if !found {
+				r--
+			}
+			u = int32(r)
+		}
+		for i := blo; i < bhi; i++ {
+			var k, v int32
+			switch src {
+			case fromEdges:
+				k, v = edges[i].From, edges[i].To
+			case fromWEdges:
+				k, v = wedges[i].From, wedges[i].To
+			default:
+				for offsIn[u+1] <= int32(i) {
+					u++
+				}
+				k, v = adjIn[i], u
+			}
+			c := int(k)*nb + b
+			at := counts[c]
+			counts[c] = at + 1 //lint:scared vertex-major matrix: column b is block b's alone, and b lies in this invocation's own [lo, hi)
+			if scatter {
+				adj[at] = v //lint:scared counting-sort scatter: counts[k*nb+b] starts at the exclusive scan of the matrix, so block b owns a segment of row k no other block's cursor enters
+				if wgt != nil {
+					wgt[at] = wedges[i].W //lint:scared same slot as adj[at] above: block b's own segment of row k
+				}
+			}
+		}
+	}
+}
+
+// run executes one phase over [0, hi), hi blocks or vertices.
+func (s *csrSort) run(w *core.Worker, phase uint8, hi, grain int) {
+	s.phase = phase
+	if w == nil || hi <= 1 {
+		s.RunRange(nil, 0, hi)
+		return
+	}
+	w.ForBody(0, hi, grain, s)
+}
+
+// sortInto runs the counting sort of in's m edges over n vertices into
+// b.g.Offs and b.g.Adj, and into b.wg.Wgt for weighted edges. The loop
+// body is checked out of w's box stack and returned before sortInto
+// is.
+func (b *Builder) sortInto(w *core.Worker, n int32, in csrSort) {
+	bs := max(csrBlockMin, 4*int(n))
+	nb := max((in.m+bs-1)/bs, 1)
+	s := new(csrSort)
+	if w != nil {
+		s = arena.AcquireBox[csrSort](w)
+	}
+	*s = in
+	// The matrix is made, not checked out of w's arena: an arena keeps
+	// every slab it grows for the life of its pool, so m/4 + n counters
+	// would stay resident beside the graphs they built.
+	s.counts = make([]int32, int(n)*nb)
+	s.bs, s.nb = bs, nb
+	core.CountDynamic(core.Block)
+	s.run(w, csrCount, nb, 1)
+	total := core.ScanExclusive(w, s.counts)
+	b.g.N = n
 	b.g.Offs = core.EnsureLen(b.g.Offs, int(n)+1)
-	total := core.ScanExclusiveInto(w, b.g.Offs[:n], b.degs[:n])
 	b.g.Offs[n] = total
-	b.cur = core.EnsureLen(b.cur, int(n))
-	offs := b.g.Offs
-	core.ForRange(w, 0, int(n), 0, func(v int) {
-		b.cur[v] = offs[v]
-	})
-	return total
+	b.g.Adj = core.EnsureLen(b.g.Adj, int(total))
+	s.offs, s.adj = b.g.Offs, b.g.Adj
+	if in.src == fromWEdges {
+		b.wg.Wgt = core.EnsureLen(b.wg.Wgt, int(total))
+		s.wgt = b.wg.Wgt
+	}
+	core.CountDynamic(core.Stride)
+	s.run(w, csrOffs, int(n), 0)
+	core.CountDynamic(core.SngInd)
+	s.run(w, csrScatter, nb, 1)
+	*s = csrSort{}
+	if w != nil {
+		arena.ReleaseBox(w, s)
+	}
 }
 
 // Build constructs a CSR graph from a directed edge list into the
-// Builder's reusable buffers. The returned *Graph aliases those buffers
-// and is valid until the next Build/BuildW on this Builder. Endpoints
-// are validated up front; an out-of-range edge panics naming it.
+// Builder's reusable buffers. Each row lists its edges' targets in
+// input order. The returned *Graph aliases those buffers and is valid
+// until the next Build/BuildW on this Builder. Endpoints are validated
+// up front; an out-of-range edge panics naming it.
 func (b *Builder) Build(w *core.Worker, n int32, edges []Edge) *Graph {
 	validateEdges(w, n, len(edges), func(lo, hi int) int {
 		for i, e := range edges[lo:hi] {
@@ -98,21 +219,14 @@ func (b *Builder) Build(w *core.Worker, n int32, edges []Edge) *Graph {
 		}
 		return -1
 	}, func(i int) (int32, int32) { return edges[i].From, edges[i].To })
-	total := b.countAndScan(w, n, func(i int) int32 { return edges[i].From }, len(edges))
-	b.g.N = n
-	b.g.Adj = core.EnsureLen(b.g.Adj, int(total))
-	adj, cur := b.g.Adj, b.cur
-	core.ForRange(w, 0, len(edges), 0, func(i int) {
-		e := edges[i]
-		slot := atomic.AddInt32(&cur[e.From], 1) - 1
-		adj[slot] = e.To //lint:scared counting-sort scatter: cur[v] starts at the exclusive-scan offset, so slots are unique within v's segment
-	})
+	b.sortInto(w, n, csrSort{src: fromEdges, edges: edges, m: len(edges)})
 	return &b.g
 }
 
 // BuildW constructs a weighted CSR graph from a weighted edge list into
-// the Builder's reusable buffers. The returned *WGraph aliases those
-// buffers and is valid until the next Build/BuildW on this Builder.
+// the Builder's reusable buffers, each row in input order with its
+// weights alongside. The returned *WGraph aliases those buffers and is
+// valid until the next Build/BuildW on this Builder.
 func (b *Builder) BuildW(w *core.Worker, n int32, edges []WEdge) *WGraph {
 	validateEdges(w, n, len(edges), func(lo, hi int) int {
 		for i, e := range edges[lo:hi] {
@@ -122,27 +236,17 @@ func (b *Builder) BuildW(w *core.Worker, n int32, edges []WEdge) *WGraph {
 		}
 		return -1
 	}, func(i int) (int32, int32) { return edges[i].From, edges[i].To })
-	total := b.countAndScan(w, n, func(i int) int32 { return edges[i].From }, len(edges))
-	b.g.N = n
-	b.g.Adj = core.EnsureLen(b.g.Adj, int(total))
-	b.wg.Wgt = core.EnsureLen(b.wg.Wgt, int(total))
-	adj, wgt, cur := b.g.Adj, b.wg.Wgt, b.cur
-	core.ForRange(w, 0, len(edges), 0, func(i int) {
-		e := edges[i]
-		slot := atomic.AddInt32(&cur[e.From], 1) - 1
-		adj[slot] = e.To //lint:scared counting-sort scatter: cur[v] starts at the exclusive-scan offset, so slots are unique within v's segment
-		wgt[slot] = e.W
-	})
+	b.sortInto(w, n, csrSort{src: fromWEdges, wedges: edges, m: len(edges)})
 	b.wg.Graph = b.g
 	return &b.wg
 }
 
-// BuildSorted is Build followed by SortAdjacency: the counting-sort
-// scatter's slot order depends on atomic-increment interleaving, so a
-// plain Build is deterministic only up to within-row permutation;
-// sorting every row canonicalizes the layout. Sorted rows are also the
-// precondition of the Compress encoder (gaps must be non-negative) and
-// of intersection-style kernels (triangle counting, ROADMAP).
+// BuildSorted is Build followed by SortAdjacency: a Build keeps each
+// row in input order, and sorting every row canonicalizes the layout
+// whatever that order was; the rows of a sorted edge list arrive
+// sorted, the sort's cheap case. Sorted rows are the precondition of
+// the Compress encoder (gaps must be non-negative) and of
+// intersection-style kernels (triangle counting).
 func (b *Builder) BuildSorted(w *core.Worker, n int32, edges []Edge) *Graph {
 	g := b.Build(w, n, edges)
 	SortAdjacency(w, g)
@@ -191,11 +295,11 @@ func rowKey(adj []int32, wgt []uint32, i int) uint64 {
 	return uint64(uint32(adj[i]))<<32 | uint64(wgt[i])
 }
 
-// sortRowW co-sorts one (neighbor, weight) row by rowKey. A Build of a
-// sorted edge list leaves a row out of order only where the scatter's
-// atomic cursors interleaved, so most rows return from the first scan;
-// short rows are sorted by insertion, and longer ones as packed keys in
-// scratch checked out of a (the executing worker's arena).
+// sortRowW co-sorts one (neighbor, weight) row by rowKey. A BuildW of
+// an edge list sorted by (From, To, W) leaves every row sorted, so such
+// rows return from the first scan; short rows are sorted by insertion,
+// and longer ones as packed keys in scratch checked out of a (the
+// executing worker's arena).
 func sortRowW(a *arena.Arena, adj []int32, wgt []uint32) {
 	n := len(adj)
 	sorted := true
@@ -227,24 +331,14 @@ func sortRowW(a *arena.Arena, adj []int32, wgt []uint32) {
 }
 
 // Transpose builds the reverse graph of g (every edge u->v becomes
-// v->u) with the same counting-sort pipeline, into this Builder's
-// buffers. Bottom-up BFS steps scan it to find any parent among a
-// vertex's in-neighbors. For symmetric graphs the transpose equals the
-// graph; builders of undirected inputs may share one CSR for both
-// directions instead. g must not alias this Builder's own buffers —
-// transpose with a second Builder.
+// v->u) with the same counting sort, into this Builder's buffers. The
+// sort walks g's entries in order, so sources arrive ascending and
+// every row of the transpose comes out sorted. Bottom-up BFS steps scan
+// it to find any parent among a vertex's in-neighbors. For symmetric
+// graphs the transpose equals the graph; builders of undirected inputs
+// may share one CSR for both directions instead. g must not alias this
+// Builder's own buffers — transpose with a second Builder.
 func (b *Builder) Transpose(w *core.Worker, g *Graph) *Graph {
-	adjIn := g.Adj
-	b.countAndScan(w, g.N, func(i int) int32 { return adjIn[i] }, int(g.M()))
-	b.g.N = g.N
-	b.g.Adj = core.EnsureLen(b.g.Adj, int(g.M()))
-	adj, cur := b.g.Adj, b.cur
-	offsIn := g.Offs
-	core.ForRange(w, 0, int(g.N), 0, func(u int) {
-		for _, v := range adjIn[offsIn[u]:offsIn[u+1]] {
-			slot := atomic.AddInt32(&cur[v], 1) - 1
-			adj[slot] = int32(u) //lint:scared counting-sort scatter: cur[v] starts at the exclusive-scan offset, so slots are unique within v's segment
-		}
-	})
+	b.sortInto(w, g.N, csrSort{src: fromRows, offsIn: g.Offs, adjIn: g.Adj, m: int(g.M())})
 	return &b.g
 }

@@ -193,3 +193,122 @@ func TestBuilderNamesFirstBadEdgeInParallel(t *testing.T) {
 		}
 	}
 }
+
+// stableCSR is the sequential reference of the CSR counting sort: edge
+// i lands in row keys[i] after every earlier edge of that row, with
+// vals[i] (and wgts[i], when wgts is not nil) as its entry.
+func stableCSR(n int32, keys, vals []int32, wgts []uint32) (offs, adj []int32, wgt []uint32) {
+	rows := make([][]int, n)
+	for i, k := range keys {
+		rows[k] = append(rows[k], i)
+	}
+	offs = make([]int32, 0, n+1)
+	for _, row := range rows {
+		offs = append(offs, int32(len(adj)))
+		for _, i := range row {
+			adj = append(adj, vals[i])
+			if wgts != nil {
+				wgt = append(wgt, wgts[i])
+			}
+		}
+	}
+	return append(offs, int32(len(adj))), adj, wgt
+}
+
+// shuffledWEdges draws m weighted edges over n vertices in no order.
+// Targets come from a third of the ids and weights from four values, so
+// rows repeat targets and whole edges repeat.
+func shuffledWEdges(n int32, m int, seed uint64) []WEdge {
+	rng := seqgen.NewRng(seed)
+	edges := make([]WEdge, m)
+	for i := range edges {
+		d := uint64(3 * i)
+		edges[i] = WEdge{From: int32(rng.Intn(d, int(n))), To: int32(rng.Intn(d+1, int(n)/3+1)), W: uint32(rng.Intn(d+2, 4))}
+	}
+	return edges
+}
+
+// checkInputOrder compares Build, BuildW and the Transpose of the built
+// graph with stableCSR on a nil worker and on every shared pool: rows
+// come out in input order, the same at every worker count, and the
+// transpose's rows, whose sources arrive ascending, come out sorted.
+func checkInputOrder(t *testing.T, name string, n int32, wedges []WEdge) {
+	t.Helper()
+	m := len(wedges)
+	edges := make([]Edge, m)
+	from, to, ws := make([]int32, m), make([]int32, m), make([]uint32, m)
+	for i, e := range wedges {
+		edges[i] = Edge{From: e.From, To: e.To}
+		from[i], to[i], ws[i] = e.From, e.To, e.W
+	}
+	offs, adj, wgt := stableCSR(n, from, to, ws)
+	var src []int32
+	for u := range n {
+		for range offs[u+1] - offs[u] {
+			src = append(src, u)
+		}
+	}
+	toffs, tadj, _ := stableCSR(n, adj, src, nil)
+	same := func(what, workers string, g *Graph, offs, adj []int32) {
+		t.Helper()
+		if g.N != n || !slices.Equal(g.Offs[:n+1], offs) || !slices.Equal(g.Adj[:g.M()], adj) {
+			t.Fatalf("%s, %s: %s differs from the stable reference", name, workers, what)
+		}
+	}
+	check := func(workers string, w *core.Worker) {
+		t.Helper()
+		var b, wb, tb Builder
+		g := b.Build(w, n, edges)
+		same("Build", workers, g, offs, adj)
+		wg := wb.BuildW(w, n, wedges)
+		same("BuildW", workers, &wg.Graph, offs, adj)
+		if !slices.Equal(wg.Wgt[:m], wgt) {
+			t.Fatalf("%s, %s: BuildW weights differ from the stable reference", name, workers)
+		}
+		tg := tb.Transpose(w, g)
+		same("Transpose", workers, tg, toffs, tadj)
+		for v := range n {
+			if !slices.IsSorted(tg.Neighbors(v)) {
+				t.Fatalf("%s, %s: transpose row %d is not sorted", name, workers, v)
+			}
+		}
+	}
+	check("nil worker", nil)
+	for _, p := range symPools {
+		p.pool.Do(func(w *core.Worker) { check(p.name, w) })
+	}
+}
+
+// TestBuildKeepsInputOrder covers one block, several blocks of
+// csrBlockMin edges, and blocks of 4n edges when n is large.
+func TestBuildKeepsInputOrder(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int32
+		m    int
+	}{
+		{"no edges", 5, 0},
+		{"one vertex", 1, 100},
+		{"one block", 40, 1000},
+		{"four blocks", 1000, 3*csrBlockMin + 123},
+		{"blocks of 4n", 40000, 10*40000 + 7},
+	} {
+		checkInputOrder(t, c.name, c.n, shuffledWEdges(c.n, c.m, uint64(c.m)))
+	}
+	// Every edge twice, the copies a block apart.
+	twice := shuffledWEdges(300, csrBlockMin, 9)
+	checkInputOrder(t, "every edge twice", 300, append(twice, twice...))
+}
+
+// FuzzBuild draws a shuffled edge list from the seed, up to three
+// blocks of edges, and compares Build, BuildW and Transpose with the
+// stable reference at every worker count.
+func FuzzBuild(f *testing.F) {
+	f.Add(uint64(0), uint16(0), uint32(0))
+	f.Add(uint64(1), uint16(40), uint32(1000))
+	f.Add(uint64(2), uint16(999), uint32(2*csrBlockMin+5))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, mRaw uint32) {
+		n := int32(nRaw%5000) + 1
+		checkInputOrder(t, "fuzz", n, shuffledWEdges(n, int(mRaw%(3*csrBlockMin)), seed))
+	})
+}

@@ -52,8 +52,8 @@ func (g *WGraph) WNeighbors(v int32) ([]int32, []uint32) {
 }
 
 // BuildCSR builds a CSR graph from a directed edge list with a
-// one-shot Builder; see Builder for the counting-sort pipeline and the
-// 0-alloc reusable form.
+// one-shot Builder, each row in input order; see Builder for the
+// counting sort and the reusable form.
 func BuildCSR(w *core.Worker, n int32, edges []Edge) *Graph {
 	var b Builder
 	return b.Build(w, n, edges)

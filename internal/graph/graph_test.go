@@ -7,10 +7,6 @@ import (
 	"repro/internal/core"
 )
 
-var testPool = core.NewPool(4)
-
-func on(f func(w *core.Worker)) { testPool.Do(f) }
-
 func TestBuildCSRSmall(t *testing.T) {
 	edges := []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 0}}
 	var g *Graph

@@ -53,15 +53,6 @@ func checkSymmetrize(t *testing.T, name string, edges []Edge) {
 	}
 }
 
-var symPools = []struct {
-	name string
-	pool *core.Pool
-}{
-	{"1 worker", core.NewPool(1)},
-	{"2 workers", core.NewPool(2)},
-	{"8 workers", core.NewPool(8)},
-}
-
 func TestSymmetrizeMatchesReference(t *testing.T) {
 	for _, name := range GraphInputs {
 		edges, _ := edgesFor(nil, name, ScaleTest, 0x5e1)

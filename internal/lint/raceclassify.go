@@ -353,10 +353,14 @@ func (rc *regionCheck) bulkWrite(at ast.Node, dst ast.Expr, what string) {
 	}
 	target := types.ExprString(dst)
 	base, steps, ok := peelTarget(dst)
+	// The write lands in dst's elements: it is rooted as the element
+	// write dst[i] = … would be (dst stands in for the index), never as
+	// an assignment to the variable that names dst.
+	elem := append(steps, targetStep{index: dst, of: dst})
 	switch {
 	case !ok:
 		rc.refuse(at, target, "%s into unresolved destination %s", what, target)
-	case rc.owned(rc.path(base, steps, nil), "handed chunk", at, target), rc.guarded(at, target):
+	case rc.owned(rc.path(base, elem, nil), "handed chunk", at, target), rc.guarded(at, target):
 	default:
 		rc.refuse(at, target, "%s into shared %s: destination range not provably task-owned", what, target)
 	}
@@ -370,7 +374,7 @@ func (rc *regionCheck) bulkWrite(at ast.Node, dst ast.Expr, what string) {
 // verdicts.
 func (rc *regionCheck) argWrite(ev writeEvent) {
 	arg, target := ev.target, types.ExprString(ev.target)
-	base, steps, ok := peelTarget(arg)
+	_, _, ok := peelTarget(arg)
 	switch {
 	case rc.joinDisjointSlice(arg):
 		rc.site(RaceWorkerLocal, "join-disjoint-slices", arg, target)
@@ -378,7 +382,7 @@ func (rc *regionCheck) argWrite(ev writeEvent) {
 		rc.site(RaceIndexDisjoint, "block-scaled", arg, target)
 	case !ok:
 		rc.refuse(arg, target, "passes %s to %s, which writes through its parameters", target, ev.via.Name())
-	case rc.path(base, steps, nil) != memShared:
+	case rc.root(arg, 0, nil) != memShared:
 		// task-owned memory: the callee's writes stay in the invocation
 	case ev.atomic && !ev.plain:
 		rc.site(RaceAtomic, ev.op, arg, target)

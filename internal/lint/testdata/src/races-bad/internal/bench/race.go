@@ -142,3 +142,24 @@ func appendedWrapped(w *core.Worker, xs []int32, n int) {
 		vs[0][0] = 1
 	})
 }
+
+// clearShared clears the same shared slice from every task: clear is
+// a bulk write like copy.
+func clearShared(w *core.Worker, xs []int32, n int) {
+	core.ForRange(w, 0, n, 0, func(i int) {
+		clear(xs)
+	})
+}
+
+func fillAt(dst []int32, i int) { dst[i] = 1 }
+
+// copiedAlias writes xs through a local copy of its header, once by a
+// callee and once by copy: the call-write target is rooted by its
+// value, not as a write of the variable tmp itself.
+func copiedAlias(w *core.Worker, xs []int32, n int) {
+	core.ForRange(w, 0, n, 0, func(i int) {
+		tmp := xs
+		fillAt(tmp, 0)
+		copy(tmp, xs[1:])
+	})
+}

@@ -87,7 +87,7 @@ type writeEvent struct {
 
 // callWrites reports through yield the writes one call performs: the
 // atomic target of a synchronization call, the destination of copy,
-// append, delete and the standard-library mutators, and, for an
+// append, clear, delete and the standard-library mutators, and, for an
 // in-module callee, its summary mapped through the call's by-reference
 // arguments. yield returns false to stop. delegated reports a call
 // whose target is chosen at run time: the callee owns its writes.
@@ -102,7 +102,7 @@ func (l *typeLoader) callWrites(tp *typedPkg, f *fileInfo, ff *funcFacts, call *
 		if _, builtin := tp.info.Uses[id].(*types.Builtin); builtin {
 			// append(x, ...) writes into x's backing array whenever x
 			// has spare capacity, wherever the result is bound.
-			if id.Name == "copy" || id.Name == "append" || id.Name == "delete" {
+			if id.Name == "copy" || id.Name == "append" || id.Name == "clear" || id.Name == "delete" {
 				yield(writeEvent{target: call.Args[0], op: id.Name, plain: true})
 			}
 			return false
@@ -331,8 +331,11 @@ func (r *rooting) sources(obj types.Object, steps []targetStep) (srcs []ast.Expr
 			return nil, false
 		case !b.define && selfDerived(r.tp, b.rhs, obj):
 			// x = append(x, ...) and x = x[i:j] rebind x to the same
-			// underlying memory: no new root but what is appended.
-			srcs = append(srcs, appendedRefs(r.tp, b.rhs)...)
+			// underlying memory: no new root but what is appended, and
+			// that only below x's element slots, not in them.
+			if len(steps) != 1 {
+				srcs = append(srcs, appendedRefs(r.tp, b.rhs)...)
+			}
 		default:
 			srcs = append(srcs, b.rhs)
 		}
