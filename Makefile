@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build check test lint certs certify-update races-update lifetimes-update race fuzz-smoke bench report figures inputs clean
+.PHONY: build check test lint certs certify-update races-update lifetimes-update race fuzz-smoke bench report figures inputs loc clean
 
 build:
 	$(GO) build ./...
@@ -90,6 +90,14 @@ figures:
 # Export PBBS-format inputs for interchange with C++ PBBS / Rust RPB.
 inputs:
 	$(GO) run ./cmd/rpbgen -scale small -out ./inputs
+
+# Code size per package, the measure ROADMAP.md tracks: non-blank
+# lines that are not // comments, in non-test .go files outside
+# testdata, then the module total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort | \
+		xargs awk '!/^[[:space:]]*$$/ && !/^[[:space:]]*\/\// { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; t++ } \
+		END { for (d in n) printf "%6d  %s\n", n[d], d; printf "%6d  total\n", t }' | sort -k2
 
 clean:
 	rm -rf ./inputs

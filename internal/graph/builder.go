@@ -121,9 +121,9 @@ func (s *csrSort) RunRange(_ *core.Worker, lo, hi int) {
 	for b := lo; b < hi; b++ {
 		blo, bhi := b*s.bs, min((b+1)*s.bs, s.m)
 		u := int32(0)
-		if src == fromRows {
-			// The row holding entry blo: the last u with offsIn[u] <= blo,
-			// past any empty rows the walk below skips.
+		if src == fromRows && scatter {
+			// The scatter's source row of entry blo: the last u with
+			// offsIn[u] <= blo; counting needs only the key adjIn[i].
 			r, found := slices.BinarySearch(offsIn, int32(blo))
 			if !found {
 				r--
@@ -138,7 +138,7 @@ func (s *csrSort) RunRange(_ *core.Worker, lo, hi int) {
 			case fromWEdges:
 				k, v = wedges[i].From, wedges[i].To
 			default:
-				for offsIn[u+1] <= int32(i) {
+				for scatter && offsIn[u+1] <= int32(i) {
 					u++
 				}
 				k, v = adjIn[i], u

@@ -18,6 +18,7 @@ var uncalledAllowed = map[string]string{
 	"internal/suffix.BWTDecodeSequential":    "test oracle: the sequential decode BWTDecode is checked against",
 	"internal/suffix.BWTDecode":              "test oracle: the library decode the bench kernel's directBWTDecode is checked against",
 	"internal/suffix/suffixtest.Cases":       "test helper package: the texts the suffix and bench tests share",
+	"internal/leakcheck.Main":                "test helper package: the goroutine-leak TestMain of the packages whose tests start pools",
 	"(*internal/geom.Mesh).CheckDelaunay":    "test oracle: the empty-circumcircle check every mesh test ends with",
 	"(*internal/geom.Mesh).RefineSequential": "test oracle: the one-point-at-a-time refinement Refine is checked against",
 	"(*internal/arena.Arena).Reset":          "the arena's generation bump, which stales live marks: the lifetimes pass models it and the arena tests pin it",

@@ -308,7 +308,7 @@ func (env affineEnv) into(a *affine, e ast.Expr, scale int64, depth int) bool {
 // identifier) first.
 type targetStep struct {
 	index ast.Expr // non-nil for x[i]
-	of    ast.Expr // x[i]: the indexed operand x
+	of    ast.Expr // the operand x of x[i] and x.f
 	field string   // non-empty for x.f
 	star  bool     // *x
 }
@@ -326,7 +326,7 @@ func peelTarget(e ast.Expr) (*ast.Ident, []targetStep, bool) {
 			steps = append(steps, targetStep{index: v.Index, of: v.X})
 			e = v.X
 		case *ast.SelectorExpr:
-			steps = append(steps, targetStep{field: v.Sel.Name})
+			steps = append(steps, targetStep{field: v.Sel.Name, of: v.X})
 			e = v.X
 		case *ast.StarExpr:
 			steps = append(steps, targetStep{star: true})

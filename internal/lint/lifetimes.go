@@ -9,10 +9,11 @@ package lint
 // Every value originating from arena.Alloc / AllocUninit / AcquireBox
 // (and every slice re-derived from one by slicing, aliasing, RowInto-
 // style out-params, or struct field stores) is tracked through an
-// intraprocedural dataflow (regionflow.go) that asks the memoized
+// intraprocedural dataflow (regionflow.go), a sink of the shared write
+// decisions (writes.go): the call dispatcher, which asks the memoized
 // callee summary the races pass also reads (raceeffect.go) whether a
-// helper keeps what it is handed, and each checkout's fate is
-// classified:
+// helper keeps what it is handed, and the one store rule the summary
+// keeps by as well. Each checkout's fate is classified:
 //
 //	released-in-scope  a covering Mark is Released (LIFO, on all
 //	                   paths — a deferred Release covers panic edges)
@@ -42,7 +43,8 @@ package lint
 // approximates dominance, calls into the substrate packages are
 // non-retaining by documented contract, in-module helpers get real
 // retention summaries, and dynamic callees refuse unless an out-param
-// contract (lifeMethodContracts) covers them.
+// contract (lifeMethodContracts) covers them or they are closures local
+// to the function.
 
 import (
 	"fmt"
@@ -129,20 +131,17 @@ func (a *analysis) lifetimes() *LifeReport {
 	sortSites(rep.Sites)
 	for i := range rep.Sites {
 		s := &rep.Sites[i]
+		if s.Origin != "Release" {
+			rep.Checkouts++
+		}
 		switch s.Class {
 		case LifeReleased:
-			rep.Checkouts++
 			rep.Released++
 		case LifeRegionConfined:
-			rep.Checkouts++
 			rep.RegionConfined++
 		case LifeWorkerConfined:
-			rep.Checkouts++
 			rep.WorkerConfined++
 		default:
-			if s.Origin != "Release" {
-				rep.Checkouts++
-			}
 			rep.Refused++
 			if !s.Marker {
 				rep.Unexplained++

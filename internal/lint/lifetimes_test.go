@@ -101,6 +101,44 @@ func TestLifetimesFixtureBad(t *testing.T) {
 	}
 }
 
+// TestLifetimesEscapeTwins pins that the flow walk and the callee
+// summary judge a store alike: every escape shape in lifetimes-bad is
+// refused both inline, by the walk, and through its helper twin, by
+// the summary, and both refusals name the same store.
+func TestLifetimesEscapeTwins(t *testing.T) {
+	rep, err := Lifetimes(Config{Root: filepath.Join("testdata", "src", "lifetimes-bad")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := map[string]LifeSite{}
+	for _, s := range rep.Sites {
+		sites[s.Func] = s
+	}
+	for _, twin := range []struct{ inline, helper string }{
+		{"AppendEscape", "HelperEscape"},
+		{"AppendLocalEscape", "HelperAppendEscape"},
+		{"ElementEscape", "HelperElementEscape"},
+		{"FieldEscape", "HelperFieldEscape"},
+		{"CopyEscape", "HelperCopyEscape"},
+		{"ResliceEscape", "HelperResliceEscape"},
+		{"AliasEscape", "HelperAliasEscape"},
+		{"PointerEscape", "HelperPointerEscape"},
+		{"LiteralEscape", "HelperLiteralEscape"},
+		{"RangeEscape", "HelperRangeEscape"},
+		{"CommaOKEscape", "HelperCommaOKEscape"},
+	} {
+		in, via := sites[twin.inline], sites[twin.helper]
+		if in.Class != LifeRefused || via.Class != LifeRefused {
+			t.Errorf("%s: %s inline, %s through %s; want both refused", twin.inline, in.Class, via.Class, twin.helper)
+			continue
+		}
+		store := strings.TrimSuffix(in.Reason, ": outlives every region")
+		if !strings.HasPrefix(via.Reason, "retained by ") || !strings.HasSuffix(via.Reason, ": "+store) {
+			t.Errorf("%s: inline refusal %q and helper refusal %q name different stores", twin.inline, in.Reason, via.Reason)
+		}
+	}
+}
+
 // TestLifetimesPassOrder: the races and lifetimes passes read one
 // memoized callee summary, and RunPasses runs races first. The
 // lifetimes report must not depend on whether the races pass built a

@@ -352,11 +352,7 @@ func (rc *regionCheck) bulkWrite(at ast.Node, dst ast.Expr, what string) {
 		return
 	}
 	target := types.ExprString(dst)
-	base, steps, ok := peelTarget(dst)
-	// The write lands in dst's elements: it is rooted as the element
-	// write dst[i] = … would be (dst stands in for the index), never as
-	// an assignment to the variable that names dst.
-	elem := append(steps, targetStep{index: dst, of: dst})
+	base, elem, ok := peelElem(dst)
 	switch {
 	case !ok:
 		rc.refuse(at, target, "%s into unresolved destination %s", what, target)

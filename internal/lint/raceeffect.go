@@ -31,13 +31,12 @@ package lint
 // Retention is coarse in the safe direction. Returning a parameter is
 // not retention: the caller keeps owning the memory. A parameter is
 // kept when it is sent on a channel, handed to a goroutine, stored
-// into a package-level variable, stored into a field of another
-// parameter's memory (unless that field is nil-cleared in the same
-// body, or is a box field cleared somewhere in the module — a transit,
-// see prescanBoxes), handed to a dynamic callee other than an
-// out-parameter contract (lifeMethodContracts) or a closure local to
-// the body, or kept by an in-module callee. The substrate packages
-// retain nothing by documented contract.
+// where the one store rule says a store keeps (writes.go keeps: a
+// package-level variable, or memory below another parameter or shared
+// state, unless through a cleared transit field), handed to a dynamic
+// callee the hand-off rule keeps (writes.go handOff), or kept by an
+// in-module callee. The substrate packages retain nothing by
+// documented contract.
 
 import (
 	"fmt"
@@ -74,11 +73,8 @@ type writeEffect struct {
 }
 
 // kept reports why the callee keeps the memory at position idx past
-// the call, or "" when it lets go. A nil summary keeps nothing.
+// the call, or "" when it lets go.
 func (e *writeEffect) kept(idx int) string {
-	if e == nil {
-		return ""
-	}
 	return e.keeps[idx]
 }
 
@@ -117,17 +113,19 @@ func (l *typeLoader) computeEffect(fn *types.Func) *writeEffect {
 		return &writeEffect{shared: "body of " + fn.Name() + " not available to the analysis"}
 	}
 	w := &effWalk{
-		rooting: rooting{l: l, tp: d.tp, f: d.f, ff: l.factsOf(d.tp, d.fd)},
-		fd:      d.fd,
-		eff:     &writeEffect{},
-		params:  d.tp.paramPositions(d.fd.Recv, d.fd.Type.Params),
-		cleared: map[string]bool{},
+		rooting: rooting{l: l, tp: d.tp, f: d.f, ff: l.factsOf(d.tp, d.fd),
+			frame: funcFrame(d.tp.paramPositions(d.fd.Recv, d.fd.Type.Params)), cleared: map[string]bool{},
+			lits: map[types.Object][]ast.Expr{}},
+		fd:  d.fd,
+		eff: &writeEffect{},
 	}
-	w.frame = w
 	nilClears(d.tp, d.fd.Body, func(key string) { w.cleared[key] = true })
 	ast.Inspect(d.fd.Body, w.visit)
-	if isSubstrate(fn) {
-		w.eff.keeps = nil // documented contract: primitives retain nothing
+	// The substrate packages' primitives fill out-params for the
+	// duration of the call and retain nothing, by documented contract.
+	if p := fn.Pkg().Path(); isPath(p, corePath) || isPath(p, schedPath) || isPath(p, mqPath) ||
+		isPath(p, specforPath) || isPath(p, arenaPath) {
+		w.eff.keeps = nil
 	}
 	return w.eff
 }
@@ -140,26 +138,9 @@ func (l *typeLoader) computeEffect(fn *types.Func) *writeEffect {
 // calls' write events in the callee's frame and folds them into eff.
 type effWalk struct {
 	rooting
-	fd      *ast.FuncDecl
-	eff     *writeEffect
-	params  map[types.Object]int // param object -> position (receiver = recvIdx)
-	locks   lockTracker          // writes under a held lock are the callee's business
-	cleared map[string]bool      // "Type.field" pairs nil-cleared in this body
-}
-
-// owns reports everything but package-level state: a callee's
-// variables are its own, or its caller's through a parameter.
-func (w *effWalk) owns(obj types.Object) bool {
-	p := obj.Parent()
-	return p == nil || p.Parent() != types.Universe
-}
-
-func (w *effWalk) handed(obj types.Object, ps map[int]bool) bool {
-	idx, isParam := w.params[obj]
-	if isParam && ps != nil {
-		ps[idx] = true
-	}
-	return isParam
+	fd    *ast.FuncDecl
+	eff   *writeEffect
+	locks lockTracker // writes under a held lock are the callee's business
 }
 
 // visit is the single-pass effect walk. Statement order is approximate
@@ -176,7 +157,9 @@ func (w *effWalk) visit(n ast.Node) bool {
 		}
 		if len(v.Lhs) == len(v.Rhs) {
 			for i, lhs := range v.Lhs {
-				w.store(lhs, v.Rhs[i])
+				if base, steps, ok := peelTarget(lhs); ok {
+					w.store(base, steps, v.Rhs[i])
+				}
 			}
 		}
 	case *ast.SendStmt:
@@ -202,9 +185,13 @@ func (w *effWalk) visit(n ast.Node) bool {
 		if w.locks.op(w.tp, v, false) {
 			return false
 		}
-		w.claimRegionLits(v)
+		w.claimLits(v)
 		if w.l.callWrites(w.tp, w.f, w.ff, v, func(ev writeEvent) bool { return w.callWrite(v, ev) }) {
-			w.handOff(v)
+			if why := handOff(w.tp, w.ff, v); why != "" {
+				for _, a := range v.Args {
+					w.keep(a, why)
+				}
+			}
 		}
 	}
 	return true
@@ -262,6 +249,11 @@ func (w *effWalk) callWrite(call *ast.CallExpr, ev writeEvent) bool {
 	if ev.kept != "" {
 		w.keep(ev.target, "via "+ev.via.Name()+": "+ev.kept)
 	}
+	if base, steps, ok := peelElem(ev.target); ok {
+		for _, v := range ev.stored {
+			w.store(base, steps, v)
+		}
+	}
 	for _, atomic := range []bool{false, true} {
 		if atomic && ev.atomic || !atomic && ev.plain {
 			ps := map[int]bool{}
@@ -311,55 +303,15 @@ func (w *effWalk) sharedAt(at ast.Node, what string) {
 	w.eff.shared = fmt.Sprintf("%s at %s:%d", what, w.f.rel, pos.Line)
 }
 
-// handOff keeps every reference argument of a call whose target is
-// chosen at run time — except under an out-parameter contract
-// (lifeMethodContracts) and for a literal or a func value local to
-// this body, whose closure bodies this walk covers.
-func (w *effWalk) handOff(call *ast.CallExpr) {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.FuncLit:
-		return
-	case *ast.SelectorExpr:
-		if lifeMethodContracts[fun.Sel.Name] {
-			return
-		}
-	case *ast.Ident:
-		if o, ok := w.tp.info.Uses[fun].(*types.Var); ok && o.Pos() >= w.fd.Pos() && o.Pos() <= w.fd.End() {
-			return
-		}
-	}
-	for _, a := range call.Args {
-		w.keep(a, "handed to dynamic callee "+types.ExprString(call.Fun))
-	}
-}
-
-// store records the retention a store of rhs into lhs causes: into a
-// package-level variable always; into a field of another parameter's
-// memory unless the field is a transit (nil-cleared in this body, or a
-// box field cleared elsewhere in the module). A local holder keeps
-// nothing until the holder itself escapes.
-func (w *effWalk) store(lhs, rhs ast.Expr) {
-	if isNilExpr(w.tp, rhs) {
-		return
-	}
-	switch lv := unparen(lhs).(type) {
-	case *ast.Ident:
-		if o := w.tp.info.Uses[lv]; o != nil && o.Parent() == w.tp.tpkg.Scope() {
-			w.keep(rhs, "stored into package-level "+lv.Name)
-		}
-	case *ast.SelectorExpr:
-		tn := boxTypeName(w.tp.typeOf(lv.X))
-		key := tn + "." + lv.Sel.Name
-		if w.cleared[key] || (w.l.boxTypes[tn] && w.l.boxCleared[key]) {
-			return
-		}
-		holders := w.keptBy(lv.X)
+// store records the retention a store of rhs through the access path
+// steps from base causes, by the one store rule (keeps): a parameter
+// stored into its own memory stays put.
+func (w *effWalk) store(base *ast.Ident, steps []targetStep, rhs ast.Expr) {
+	holders := map[int]bool{}
+	if why, _ := w.keeps(base, steps, holders); why != "" {
 		for pi := range w.keptBy(rhs) {
-			for hi := range holders {
-				if hi != pi { // a parameter stored into its own memory stays put
-					w.eff.keep(pi, "stored into "+key+", never cleared before reuse")
-					break
-				}
+			if len(holders) != 1 || !holders[pi] {
+				w.eff.keep(pi, why)
 			}
 		}
 	}
@@ -390,11 +342,20 @@ func (w *effWalk) keptBy(e ast.Expr) map[int]bool {
 	return ps
 }
 
-// claimRegionLits registers, before Inspect descends into the literal
-// bodies, the closure parameters at a core primitive's handed
-// positions: they alias elements of the primitive's out argument and
-// root through it.
-func (w *effWalk) claimRegionLits(call *ast.CallExpr) {
+// claimLits registers, before Inspect descends into the literal
+// bodies, the closure parameters whose memory the call decides: at a
+// core primitive's handed positions they alias elements of the
+// primitive's out argument, and a literal invoked in place receives
+// its arguments (a variadic parameter all the trailing ones).
+func (w *effWalk) claimLits(call *ast.CallExpr) {
+	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
+		objs := w.tp.paramObjs(lit.Type.Params)
+		for i, arg := range call.Args {
+			p := objs[min(i, len(objs)-1)]
+			w.lits[p] = append(w.lits[p], arg)
+		}
+		return
+	}
 	_, prim := primitiveOf(w.f, call)
 	if prim == nil || len(prim.handed) == 0 || len(call.Args) <= prim.bodies[0] {
 		return
@@ -404,24 +365,7 @@ func (w *effWalk) claimRegionLits(call *ast.CallExpr) {
 		return
 	}
 	for _, hi := range prim.handed {
-		if obj := w.tp.paramAt(lit.Type.Params, hi); obj != nil {
-			if w.lits == nil {
-				w.lits = map[types.Object]ast.Expr{}
-			}
-			w.lits[obj] = call.Args[prim.out]
-		}
+		p := w.tp.paramAt(lit.Type.Params, hi)
+		w.lits[p] = append(w.lits[p], call.Args[prim.out])
 	}
-}
-
-// isSubstrate reports whether a resolved callee lives in one of the
-// substrate packages whose primitives are non-retaining by documented
-// contract (they fill out-params for the duration of the call).
-func isSubstrate(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return true // builtins, error methods: no retention possible
-	}
-	p := pkg.Path()
-	return isPath(p, corePath) || isPath(p, schedPath) || isPath(p, mqPath) ||
-		isPath(p, specforPath) || isPath(p, arenaPath)
 }

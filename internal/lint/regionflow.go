@@ -14,21 +14,18 @@ package lint
 // like isort's syncScatter reads memory a helper call fills between
 // the definition and the first use, and walking at the definition
 // would refuse a read that can never happen uninitialized.
+//
+// The walk is the third sink of the shared write decisions (writes.go):
+// what a call writes and keeps comes from callWrites and handOff,
+// whether a store keeps what it stores from keeps, in the function's
+// own frame. It keeps only what is about time: marks, Release/Reset,
+// use after release, AllocUninit reads, and the region and goroutine
+// that own each checkout.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
-
-// lifeMethodContracts are out-parameter contracts for dynamic
-// (interface) callees the walk cannot summarize: the named method
-// fills its slice argument and returns an alias of it, retaining
-// nothing. RowInto/WRow are the Adjacency seam's row decoders.
-var lifeMethodContracts = map[string]bool{
-	"RowInto": true,
-	"WRow":    true,
-}
 
 // arenaRec is one tracked arena identity.
 type arenaRec struct {
@@ -100,20 +97,15 @@ func (v *valDesc) all() []*checkout {
 
 // lifeWalk is the per-function walk state.
 type lifeWalk struct {
-	l  *typeLoader
-	ff *funcFacts // def-use facts; resolves named closures
-	tp *typedPkg
-	f  *fileInfo
-	fd *ast.FuncDecl
+	rooting // the function's frame, for the store rule
+	fd      *ast.FuncDecl
 
 	regionByBody map[*ast.BlockStmt]*raceRegion
 
-	walked map[*ast.FuncLit]bool
+	walked    map[*ast.FuncLit]bool
+	deferring bool // walking a deferred call: its releases run at return
 
-	carriers map[types.Object]*checkout
-	holders  map[types.Object][]*checkout
-	marks    map[types.Object]*markRec
-	arenas   map[types.Object]*arenaRec
+	vals map[types.Object]*valDesc // what each variable carries
 
 	regionStack []*ast.BlockStmt
 	goStack     []*ast.BlockStmt
@@ -125,13 +117,12 @@ type lifeWalk struct {
 
 func newLifeWalk(l *typeLoader, ff *funcFacts, f *fileInfo, regions []*raceRegion) *lifeWalk {
 	lw := &lifeWalk{
-		l: l, ff: ff, tp: ff.tp, f: f, fd: ff.fd,
+		rooting: rooting{l: l, tp: ff.tp, f: f, ff: ff,
+			frame: funcFrame(ff.tp.paramPositions(ff.fd.Recv, ff.fd.Type.Params))},
+		fd:           ff.fd,
 		regionByBody: map[*ast.BlockStmt]*raceRegion{},
 		walked:       map[*ast.FuncLit]bool{},
-		carriers:     map[types.Object]*checkout{},
-		holders:      map[types.Object][]*checkout{},
-		marks:        map[types.Object]*markRec{},
-		arenas:       map[types.Object]*arenaRec{},
+		vals:         map[types.Object]*valDesc{},
 	}
 	for _, r := range regions {
 		lw.regionByBody[r.body] = r
@@ -187,16 +178,10 @@ func (lw *lifeWalk) stmt(s ast.Stmt) {
 	case *ast.ExprStmt:
 		lw.eval(v.X)
 	case *ast.DeclStmt:
-		if gd, ok := v.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if i < len(vs.Values) {
-						lw.bindIdent(name, lw.eval(vs.Values[i]), vs)
-					}
+		for _, spec := range v.Decl.(*ast.GenDecl).Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok {
+				for i, name := range vs.Names[:min(len(vs.Names), len(vs.Values))] {
+					lw.bindIdent(name, lw.eval(vs.Values[i]))
 				}
 			}
 		}
@@ -205,75 +190,56 @@ func (lw *lifeWalk) stmt(s ast.Stmt) {
 		if d != nil && d.co != nil && v.Value != nil {
 			lw.readCheck(d.co, v.X) // range-with-value reads elements
 		}
+		for _, x := range []ast.Expr{v.Key, v.Value} {
+			lw.bindLHS(x, lw.element(x, d), v) // nil binds nothing
+		}
 	case *ast.SendStmt:
 		lw.eval(v.Chan)
-		d := lw.eval(v.Value)
-		for _, co := range d.all() {
-			lw.refuse(co, v, "sent on a channel: the receiver outlives the checkout")
-		}
+		lw.escape(v.Value, v, "sent on a channel: the receiver outlives the checkout")
 	case *ast.ReturnStmt:
 		for _, res := range v.Results {
-			d := lw.eval(res)
-			for _, co := range d.all() {
-				lw.refuse(co, v, fmt.Sprintf("returned from %s: the caller outlives the checkout", lw.fd.Name.Name))
-			}
+			lw.escape(res, v, "returned from "+lw.fd.Name.Name+": the caller outlives the checkout")
 		}
 	case *ast.DeferStmt:
-		lw.deferred(v.Call)
+		// A deferred Release/ReleaseBox covers panic edges, so it
+		// proves release on all paths.
+		deferring := lw.deferring
+		lw.deferring = true
+		lw.eval(v.Call)
+		lw.deferring = deferring
 	case *ast.GoStmt:
 		lw.goStmt(v)
 	case *ast.IncDecStmt:
-		// carrier[i]++ reads then writes the element.
-		if ix, ok := unparen(v.X).(*ast.IndexExpr); ok {
-			if co := lw.carrierOf(ix.X); co != nil {
-				lw.readCheck(co, v)
-				co.written = true
-				lw.eval(ix.Index)
-				return
-			}
-		}
-		lw.eval(v.X)
+		lw.eval(v.X) // x[i]++ reads, then writes the element
+		lw.bindLHS(v.X, nil, v)
 	}
 }
 
-// deferred handles a defer statement: a deferred Release/ReleaseBox
-// covers panic edges, so it proves release on all paths.
-func (lw *lifeWalk) deferred(call *ast.CallExpr) {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && isNamed(lw.tp.typeOf(sel.X), arenaPath, "Arena") {
-		if sel.Sel.Name == "Release" && len(call.Args) == 1 {
-			if mr := lw.markOf(call.Args[0]); mr != nil {
-				mr.deferRel = true
-				return
-			}
-		}
+// escape refuses every checkout e carries: at n it leaves for where the
+// walk cannot follow it.
+func (lw *lifeWalk) escape(e ast.Expr, n ast.Node, why string) {
+	for _, co := range lw.eval(e).all() {
+		lw.refuse(co, n, why)
 	}
-	if pathStr, name, isPkg := callTarget(lw.f, call); isPkg && isPath(pathStr, arenaPath) &&
-		name == "ReleaseBox" && len(call.Args) == 2 {
-		if co := lw.carrierOf(call.Args[1]); co != nil && co.isBox {
-			co.deferRelB = true
-			return
-		}
-	}
-	lw.eval(call)
 }
 
-// goStmt walks a spawned goroutine body under a goroutine boundary.
+// goStmt walks a spawned goroutine body under a goroutine boundary,
+// its parameters bound to the arguments like an invoked literal's.
 func (lw *lifeWalk) goStmt(v *ast.GoStmt) {
-	if lit, ok := unparen(v.Call.Fun).(*ast.FuncLit); ok {
+	lit, ok := unparen(v.Call.Fun).(*ast.FuncLit)
+	if !ok {
 		for _, arg := range v.Call.Args {
-			lw.eval(arg)
+			lw.escape(arg, v, "handed to a new goroutine: escapes the spawning worker")
 		}
-		lw.goStack = append(lw.goStack, lit.Body)
-		lw.walkLit(lit)
-		lw.goStack = lw.goStack[:len(lw.goStack)-1]
 		return
 	}
+	descs := map[ast.Expr]*valDesc{}
 	for _, arg := range v.Call.Args {
-		d := lw.eval(arg)
-		for _, co := range d.all() {
-			lw.refuse(co, v, "handed to a new goroutine: escapes the spawning worker")
-		}
+		descs[arg] = lw.eval(arg)
 	}
+	lw.goStack = append(lw.goStack, lit.Body)
+	lw.invokeLit(lit, v.Call, descs)
+	lw.goStack = lw.goStack[:len(lw.goStack)-1]
 }
 
 // walkLit walks a closure body inline, once, under the region that
@@ -298,38 +264,25 @@ func (lw *lifeWalk) walkLit(lit *ast.FuncLit) {
 // ---------------------------------------------------------------------
 
 // assign is two-phase: evaluate every RHS first, then bind every LHS,
-// so swaps (src, dst = dst, src) rebind correctly.
+// so swaps (src, dst = dst, src) rebind correctly. A comma-ok form
+// binds its value to the first variable, a tuple call what it returns.
 func (lw *lifeWalk) assign(as *ast.AssignStmt) {
-	if len(as.Lhs) != len(as.Rhs) {
-		// Tuple call / comma-ok: evaluate, bind nothing trackable.
-		for _, r := range as.Rhs {
-			lw.eval(r)
-		}
-		return
-	}
-	descs := make([]*valDesc, len(as.Rhs))
-	nils := make([]bool, len(as.Rhs))
+	descs := make([]*valDesc, len(as.Lhs))
 	for i, r := range as.Rhs {
-		if isNilExpr(lw.tp, r) {
-			nils[i] = true
-			continue
-		}
-		// Defer named-closure walking: a FuncLit RHS is recorded (in
-		// litOf, built up front) but not walked here.
-		if _, isLit := unparen(r).(*ast.FuncLit); isLit {
-			continue
-		}
 		descs[i] = lw.eval(r)
 	}
 	for i, lhs := range as.Lhs {
-		lw.bindLHS(lhs, descs[i], nils[i], as)
+		lw.bindLHS(lhs, descs[i], as)
 	}
 }
 
-func (lw *lifeWalk) bindLHS(lhs ast.Expr, d *valDesc, isNil bool, at ast.Node) {
+// bindLHS binds one assignment target: a variable, an element fill of
+// a checkout, a transit through a local box's field, or a store.
+func (lw *lifeWalk) bindLHS(lhs ast.Expr, d *valDesc, at ast.Node) {
 	switch v := unparen(lhs).(type) {
 	case *ast.Ident:
-		lw.bindIdent(v, d, at)
+		lw.bindIdent(v, d)
+		return
 	case *ast.IndexExpr:
 		// carrier[i] = x: an element fill.
 		if co := lw.carrierOf(v.X); co != nil {
@@ -337,120 +290,80 @@ func (lw *lifeWalk) bindLHS(lhs ast.Expr, d *valDesc, isNil bool, at ast.Node) {
 			co.written = true
 		}
 		lw.eval(v.Index)
-		// Storing a carrier into somebody else's element memory.
-		for _, co := range d.all() {
-			if lw.carrierOf(v.X) == nil {
-				lw.refuse(co, at, "stored into indexed memory the pass cannot confine")
-			}
-		}
 	case *ast.SelectorExpr:
-		lw.bindField(v, d, isNil, at)
-	case *ast.StarExpr:
-		for _, co := range d.all() {
-			lw.refuse(co, at, "stored through a pointer the pass cannot confine")
+		// Transit through a local box: must be cleared (overwritten)
+		// before the box goes back through ReleaseBox.
+		if box := lw.carrierOf(v.X); box != nil && box.isBox {
+			delete(box.fields, v.Sel.Name)
+			for _, co := range d.all() {
+				if box.fields == nil {
+					box.fields = map[string]*checkout{}
+				}
+				box.fields[v.Sel.Name] = co
+				co.bindName(boxTypeName(lw.tp.typeOf(v.X)) + "." + v.Sel.Name)
+			}
+			return
 		}
+	}
+	if base, steps, ok := peelTarget(lhs); ok {
+		lw.store(base, steps, d.all(), at)
 	}
 }
 
-// bindIdent binds a value to a variable, refusing bindings that move a
-// checkout out of the scope that owns it.
-func (lw *lifeWalk) bindIdent(id *ast.Ident, d *valDesc, at ast.Node) {
-	if id.Name == "_" {
+// bindIdent binds a value to a variable: rebinding kills its old alias.
+func (lw *lifeWalk) bindIdent(id *ast.Ident, d *valDesc) {
+	obj := lw.tp.objOf(id)
+	if id.Name == "_" || obj == nil {
 		return
 	}
-	obj := lw.tp.info.Defs[id]
-	if obj == nil {
-		obj = lw.tp.info.Uses[id]
-	}
-	if obj == nil {
-		return
-	}
-	// Rebinding a variable kills its old alias.
-	delete(lw.carriers, obj)
-	delete(lw.holders, obj)
+	delete(lw.vals, obj)
 	if d == nil {
 		return
 	}
-	if d.mark != nil {
-		lw.marks[obj] = d.mark
-		return
-	}
-	if d.ar != nil {
-		lw.arenas[obj] = d.ar
-		return
-	}
-	cos := d.all()
-	if len(cos) == 0 {
-		return
-	}
-	// Escape checks: binding to a package-level variable, or to a
-	// variable declared outside the region/goroutine that owns the
-	// checkout, outlives the checkout.
-	pkgLevel := obj.Parent() == lw.tp.tpkg.Scope()
-	for _, co := range cos {
-		switch {
-		case pkgLevel:
-			lw.refuse(co, id, "stored into package-level "+id.Name+": outlives every region")
-		case co.regionBody != nil && !within(obj.Pos(), co.regionBody):
-			lw.refuse(co, id, "escapes its region: stored into "+id.Name+" declared outside the region body")
-		case co.goBody != nil && !within(obj.Pos(), co.goBody):
-			lw.refuse(co, id, "escapes its goroutine: stored into "+id.Name+" declared outside the worker goroutine")
-		}
-	}
+	lw.store(id, nil, d.all(), id)
 	if d.co != nil {
 		d.co.bindName(id.Name)
-		lw.carriers[obj] = d.co
-		if len(d.held) > 0 {
-			lw.holders[obj] = d.held
-		}
-		return
 	}
-	lw.holders[obj] = d.held
+	cp := *d
+	lw.vals[obj] = &cp
 }
 
-// bindField handles x.f = v: box transit stores, box-field handoffs,
-// clears, and refused escapes.
-func (lw *lifeWalk) bindField(sel *ast.SelectorExpr, d *valDesc, isNil bool, at ast.Node) {
-	base := unparen(sel.X)
-	baseCo := lw.carrierOf(base)
-	field := sel.Sel.Name
-
-	if isNil {
-		if baseCo != nil && baseCo.isBox {
-			delete(baseCo.fields, field)
-		}
-		return
-	}
-	cos := d.all()
+// store judges checkouts stored through the access path steps from
+// base (none: into base itself). A store the one store rule (writes.go
+// keeps) says keeps them is refused, and so is a store into a variable
+// declared outside the region or goroutine that owns them. A store
+// through a cleared box field hands them off worker-confined;
+// otherwise base holds them, and its own escape is judged where it
+// happens.
+func (lw *lifeWalk) store(base *ast.Ident, steps []targetStep, cos []*checkout, at ast.Node) {
 	if len(cos) == 0 {
 		return
 	}
-	// The base's type decides the store's fate.
-	tn := boxTypeName(lw.tp.typeOf(base))
+	why, transit := lw.keeps(base, steps, nil)
+	if why != "" && len(steps) == 0 {
+		why += ": outlives every region" // the frame owns every variable but package-level ones
+	}
+	obj := lw.tp.objOf(base)
 	for _, co := range cos {
 		switch {
-		case baseCo != nil && baseCo.isBox:
-			// Transit through a local box: must be cleared before the
-			// box goes back through ReleaseBox.
-			if baseCo.fields == nil {
-				baseCo.fields = map[string]*checkout{}
+		case why != "":
+			lw.refuse(co, at, why)
+		case transit != "":
+			if co.workerConf == "" {
+				co.workerConf = "handed off via " + transit + ", cleared before box reuse"
 			}
-			baseCo.fields[field] = co
-			co.bindName(tn + "." + field)
-		case tn != "" && lw.l.boxTypes[tn]:
-			// A box the caller owns (box-typed parameter): the handoff
-			// is worker-confined iff the module provably clears the
-			// field before the box is reused.
-			if lw.l.boxCleared[tn+"."+field] {
-				if co.workerConf == "" {
-					co.workerConf = "handed off via " + tn + "." + field + ", cleared before box reuse"
-				}
-				co.bindName(tn + "." + field)
-			} else {
-				lw.refuse(co, at, "stored into "+tn+"."+field+", never cleared before the box is reused")
+			co.bindName(transit)
+		case co.regionBody != nil && !within(obj.Pos(), co.regionBody):
+			lw.refuse(co, at, "escapes its region: stored into "+base.Name+" declared outside the region body")
+		case co.goBody != nil && !within(obj.Pos(), co.goBody):
+			lw.refuse(co, at, "escapes its goroutine: stored into "+base.Name+" declared outside the worker goroutine")
+		case len(steps) > 0:
+			d := lw.vals[obj]
+			if d == nil {
+				d = &valDesc{}
+				lw.vals[obj] = d
 			}
-		default:
-			lw.refuse(co, at, "stored into a field of "+types.ExprString(base)+": the pass cannot confine the target")
+			d.held = append(d.held[:len(d.held):len(d.held)], co)
 		}
 	}
 }
@@ -463,27 +376,12 @@ func (lw *lifeWalk) bindField(sel *ast.SelectorExpr, d *valDesc, isNil bool, at 
 // walk tracks one: a bound ident, a reslice of one, or a transit box
 // field.
 func (lw *lifeWalk) carrierOf(e ast.Expr) *checkout {
-	switch v := unparen(e).(type) {
-	case *ast.Ident:
-		if obj := lw.tp.info.Uses[v]; obj != nil {
-			return lw.carriers[obj]
+	if sel, ok := unparen(e).(*ast.SelectorExpr); ok {
+		if base := lw.carrierOf(sel.X); base != nil && base.isBox {
+			return base.fields[sel.Sel.Name]
 		}
-	case *ast.SliceExpr:
-		return lw.carrierOf(v.X)
-	case *ast.SelectorExpr:
-		if base := lw.carrierOf(v.X); base != nil && base.isBox {
-			return base.fields[v.Sel.Name]
-		}
-	}
-	return nil
-}
-
-// markOf resolves a Release argument to its mark.
-func (lw *lifeWalk) markOf(e ast.Expr) *markRec {
-	if id, ok := unparen(e).(*ast.Ident); ok {
-		if obj := lw.tp.info.Uses[id]; obj != nil {
-			return lw.marks[obj]
-		}
+	} else if d := lw.evalQuiet(e); d != nil {
+		return d.co
 	}
 	return nil
 }
@@ -519,24 +417,12 @@ func (lw *lifeWalk) readCheck(co *checkout, at ast.Node) {
 // what it aliases.
 func (lw *lifeWalk) eval(e ast.Expr) *valDesc {
 	switch v := unparen(e).(type) {
-	case nil:
-		return nil
 	case *ast.Ident:
-		obj := lw.tp.info.Uses[v]
-		if obj == nil {
-			return nil
-		}
-		if d := lw.evalQuiet(v); d != nil {
+		d := lw.evalQuiet(v)
+		if d != nil {
 			lw.useCheck(d.co, v) // mentioning a released carrier is already a use
-			return d
 		}
-		if mr := lw.marks[obj]; mr != nil {
-			return &valDesc{mark: mr}
-		}
-		if ar := lw.arenas[obj]; ar != nil {
-			return &valDesc{ar: ar}
-		}
-		return nil
+		return d
 	case *ast.CallExpr:
 		return lw.call(v)
 	case *ast.SliceExpr:
@@ -549,47 +435,44 @@ func (lw *lifeWalk) eval(e ast.Expr) *valDesc {
 		lw.eval(v.Index)
 		if d != nil && d.co != nil {
 			lw.readCheck(d.co, v)
-			return nil // an element value, not the carrier
 		}
-		return nil
-	case *ast.IndexListExpr:
-		return lw.eval(v.X)
+		return lw.element(v, d)
 	case *ast.SelectorExpr:
 		if co := lw.carrierOf(v); co != nil {
 			return &valDesc{co: co}
 		}
-		lw.eval(v.X)
-		return nil
+		return lw.element(v, lw.eval(v.X))
 	case *ast.UnaryExpr:
 		return lw.eval(v.X) // &composite passes holders through
 	case *ast.StarExpr:
-		lw.eval(v.X)
-		return nil
+		return lw.element(v, lw.eval(v.X))
 	case *ast.BinaryExpr:
 		lw.eval(v.X)
 		lw.eval(v.Y)
 		return nil
 	case *ast.CompositeLit:
-		var held []*checkout
+		d := &valDesc{}
 		for _, elt := range v.Elts {
-			ex := elt
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				ex = kv.Value
+				elt = kv.Value
 			}
-			d := lw.eval(ex)
-			held = append(held, d.all()...)
+			d.held = append(d.held, lw.eval(elt).all()...)
 		}
-		if len(held) > 0 {
-			return &valDesc{held: held}
-		}
-		return nil
+		return d
 	case *ast.TypeAssertExpr:
 		return lw.eval(v.X)
-	case *ast.FuncLit:
-		// Deferred: walked when handed to a call or invoked.
+	}
+	return nil // a literal is walked where it is invoked or handed on
+}
+
+// element is what a value e read out of memory that d describes
+// carries: an element, field or referent of a holder carries what the
+// holder holds, when e's type can carry a reference at all.
+func (lw *lifeWalk) element(e ast.Expr, d *valDesc) *valDesc {
+	if d == nil || len(d.held) == 0 || !holdsRef(lw.tp.info.TypeOf(e)) { // TypeOf: e may define a range variable
 		return nil
 	}
-	return nil
+	return &valDesc{held: d.held}
 }
 
 func (lw *lifeWalk) curGo() *ast.BlockStmt {
@@ -603,9 +486,12 @@ func (lw *lifeWalk) curGo() *ast.BlockStmt {
 // Calls
 // ---------------------------------------------------------------------
 
-// call classifies one call's lifetime effects: the arena API itself,
-// builtins, substrate contracts, summarized in-module helpers, and
-// dynamic callees.
+// call tracks one call: the arena API itself, closures walked inline
+// at their first reference, and every other answer from the shared
+// dispatcher (writes.go callWrites): a by-reference argument is filled,
+// or refused when the callee keeps it; the values a copy or append
+// stores go through the store rule; a call chosen at run time goes
+// through the hand-off rule.
 func (lw *lifeWalk) call(call *ast.CallExpr) *valDesc {
 	// Arena package API.
 	if pathStr, name, isPkg := callTarget(lw.f, call); isPkg && isPath(pathStr, arenaPath) {
@@ -615,111 +501,89 @@ func (lw *lifeWalk) call(call *ast.CallExpr) *valDesc {
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && isNamed(lw.tp.typeOf(sel.X), arenaPath, "Arena") {
 		return lw.arenaMethod(call, sel)
 	}
-	// Builtins.
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		if _, isB := lw.tp.info.Uses[id].(*types.Builtin); isB {
-			return lw.builtin(call, id.Name)
-		}
+	// What the receiver and each argument carry. A closure argument is
+	// walked here, its first reference, under the region the call
+	// creates if it is the region's body.
+	var recv ast.Expr
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		recv = sel.X
 	}
-
-	c := resolveCall(lw.tp, call, nil)
-	fn, delegated := c.fn, c.delegated
-
-	// Walk closure arguments at the call (first reference), under the
-	// region the call creates if this argument is its body.
+	inputs := append([]ast.Expr{recv}, call.Args...)
+	descs := map[ast.Expr]*valDesc{recv: lw.evalQuiet(recv)} // the receiver is used, not read
 	for _, arg := range call.Args {
 		if lit := lw.resolveLitArg(arg); lit != nil {
 			lw.walkLit(lit)
+		} else {
+			descs[arg] = lw.eval(arg)
 		}
 	}
-
-	// Receiver + arguments that alias or hold checkouts, each with the
-	// callee parameter position it lands in.
-	type carg struct {
-		expr ast.Expr
-		d    *valDesc
-		pos  int
-	}
-	var cargs []carg
-	var sig *types.Signature
-	if fn != nil {
-		sig, _ = fn.Type().(*types.Signature)
-	}
-	sel, bySel := unparen(call.Fun).(*ast.SelectorExpr)
-	if bySel {
-		if d := lw.evalQuiet(sel.X); d != nil && len(d.all()) > 0 {
-			cargs = append(cargs, carg{sel.X, d, recvIdx})
-		}
-	}
-	for i, arg := range call.Args {
-		if lw.resolveLitArg(arg) != nil {
-			continue
-		}
-		if d := lw.eval(arg); d != nil && len(d.all()) > 0 {
-			cargs = append(cargs, carg{arg, d, argPosition(sig, i)})
-		}
-	}
-	var named *ast.FuncLit // the local closure a delegated call invokes by name
-	id, byName := unparen(call.Fun).(*ast.Ident)
-	if byName && delegated {
-		if obj := lw.tp.info.Uses[id]; obj != nil {
-			named = lw.ff.litOf(obj)
-		}
-	}
-	if len(cargs) == 0 {
-		lw.walkLit(named) // direct invocation of a named closure with no tracked args
-		return nil
-	}
-
-	each := func(visit func(co *checkout, ca carg)) {
-		for _, ca := range cargs {
-			for _, co := range ca.d.all() {
-				visit(co, ca)
+	// hand fills what e carries (and what transits through a box it
+	// carries), or refuses it at n when why is set.
+	hand := func(e ast.Expr, why string, n ast.Node) {
+		for _, co := range descs[e].all() {
+			if why != "" {
+				lw.refuse(co, n, why)
+				continue
+			}
+			co.written = true
+			for _, h := range co.fields {
+				h.written = true
 			}
 		}
 	}
-	// eff is the callee's retention verdict per argument; a callee that
-	// retains nothing uses the memory for the duration of the call
-	// (filling out-params) and lets go.
-	var eff *writeEffect
-	switch {
-	case fn != nil && lw.l.a.inModule(fn) && !isSubstrate(fn):
-		eff = lw.l.effectOf(fn) // in-module helper: the memoized callee summary
-	case fn != nil:
-		// Substrate contract: core/sched/mq/specfor/arena primitives are
-		// documented non-retaining. Outside the module (stdlib) nothing
-		// knows of arenas: use without retention.
-	case !delegated:
-	case bySel && lifeMethodContracts[sel.Sel.Name]:
-		// A named out-param contract (RowInto, WRow) on an interface
-		// callee fills and aliases.
-	case named != nil:
-		lw.walkLit(named) // a named closure is walked inline
-	case byName:
-		each(func(co *checkout, _ carg) {
-			lw.refuse(co, call, "handed to dynamic callee "+id.Name+": the pass cannot see where it goes")
-		})
-		return nil
-	default:
-		each(func(co *checkout, _ carg) {
-			lw.refuse(co, call, "handed to a dynamic callee the pass cannot see through")
-		})
+	delegated := lw.l.callWrites(lw.tp, lw.f, lw.ff, call, func(ev writeEvent) bool {
+		switch {
+		case ev.op == "append": // writes past its destination's length, filling none of it
+		case ev.kept != "":
+			hand(ev.target, "retained by "+ev.via.Name()+": "+ev.kept, ev.target)
+		default:
+			hand(ev.target, "", ev.target)
+		}
+		if ev.op == "copy" { // copy reads its source's elements
+			lw.readCheck(lw.carrierOf(call.Args[1]), call.Args[1])
+		}
+		if base, steps, ok := peelElem(ev.target); ok {
+			for _, v := range ev.stored {
+				lw.store(base, steps, descs[v].all(), call)
+			}
+		}
+		return true
+	})
+	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
+		lw.invokeLit(lit, call, descs) // its body is walked with its parameters bound
 		return nil
 	}
-	each(func(co *checkout, ca carg) {
-		if why := eff.kept(ca.pos); why != "" {
-			lw.refuse(co, ca.expr, "retained by "+fn.Name()+": "+why)
-		} else {
-			fillCheckout(co)
+	if delegated {
+		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+			lw.walkLit(lw.ff.litOf(lw.tp.objOf(id))) // a local closure invoked by name
 		}
-	})
+		why := handOff(lw.tp, lw.ff, call)
+		if why != "" {
+			why += ": the pass cannot see where it goes"
+		}
+		for _, e := range inputs {
+			hand(e, why, call)
+		}
+	}
+	// append(x, ...) and a conversion T(x) share x's memory, and append
+	// carries what it stores.
+	if operand, _ := lw.tp.memoryOf(call); operand != nil {
+		res := valDesc{}
+		if d := descs[operand]; d != nil {
+			res = *d
+		}
+		for _, v := range storedRefs(lw.tp, call) {
+			res.held = append(res.held[:len(res.held):len(res.held)], descs[v].all()...)
+		}
+		return &res
+	}
 	// A slice-returning call on a carrier argument returns an alias of
 	// it (EnsureLen, RowInto).
 	if t := lw.tp.typeOf(call); t != nil {
 		if _, isSlice := t.Underlying().(*types.Slice); isSlice {
-			for _, ca := range cargs {
-				if ca.d.co != nil {
-					return &valDesc{co: ca.d.co}
+			for _, e := range inputs {
+				if d := descs[e]; d != nil && d.co != nil {
+					return &valDesc{co: d.co}
 				}
 			}
 		}
@@ -727,14 +591,27 @@ func (lw *lifeWalk) call(call *ast.CallExpr) *valDesc {
 	return nil
 }
 
-// fillCheckout marks a checkout written by a call, including the
-// checkouts in transit through a box's fields: handing the box to a
-// primitive (ForBody(0, n, 1, b)) is what fills them.
-func fillCheckout(co *checkout) {
-	co.written = true
-	for _, h := range co.fields {
-		h.written = true
+// invokeLit walks a literal invoked in place with each parameter bound
+// to what its argument carries (a variadic parameter holds what all its
+// arguments carry), so the body judges them like the caller's values.
+func (lw *lifeWalk) invokeLit(lit *ast.FuncLit, call *ast.CallExpr, descs map[ast.Expr]*valDesc) {
+	var names []*ast.Ident
+	for _, field := range lit.Type.Params.List {
+		names = append(names, field.Names...)
 	}
+	variadic := lw.tp.typeOf(lit).(*types.Signature).Variadic() && !call.Ellipsis.IsValid()
+	for i, name := range names {
+		if !variadic || i < len(names)-1 {
+			lw.bindIdent(name, descs[call.Args[i]])
+			continue
+		}
+		d := &valDesc{}
+		for _, arg := range call.Args[i:] {
+			d.held = append(d.held, descs[arg].all()...)
+		}
+		lw.bindIdent(name, d)
+	}
+	lw.walkLit(lit)
 }
 
 // evalQuiet resolves an expression's descriptor without firing read
@@ -742,14 +619,7 @@ func fillCheckout(co *checkout) {
 func (lw *lifeWalk) evalQuiet(e ast.Expr) *valDesc {
 	switch v := unparen(e).(type) {
 	case *ast.Ident:
-		if obj := lw.tp.info.Uses[v]; obj != nil {
-			if co := lw.carriers[obj]; co != nil {
-				return &valDesc{co: co, held: lw.holders[obj]}
-			}
-			if hs := lw.holders[obj]; hs != nil {
-				return &valDesc{held: hs}
-			}
-		}
+		return lw.vals[lw.tp.info.Uses[v]]
 	case *ast.SliceExpr:
 		return lw.evalQuiet(v.X)
 	}
@@ -799,6 +669,10 @@ func (lw *lifeWalk) arenaCall(call *ast.CallExpr, name string) *valDesc {
 		if co == nil || !co.isBox {
 			return nil
 		}
+		if lw.deferring {
+			co.deferRelB = true
+			return nil
+		}
 		for f, held := range co.fields {
 			if held.class == "" && !held.released {
 				lw.refuse(held, call, "still reachable through "+co.boxType+"."+f+" when the box was released for reuse")
@@ -840,8 +714,13 @@ func (lw *lifeWalk) arenaMethod(call *ast.CallExpr, sel *ast.SelectorExpr) *valD
 		if len(call.Args) != 1 {
 			return nil
 		}
-		mr := lw.markOf(call.Args[0])
-		if mr == nil {
+		d := lw.evalQuiet(call.Args[0])
+		if d == nil || d.mark == nil {
+			return nil
+		}
+		mr := d.mark
+		if lw.deferring {
+			mr.deferRel = true
 			return nil
 		}
 		name := types.ExprString(call.Args[0])
@@ -878,59 +757,14 @@ func (lw *lifeWalk) arenaMethod(call *ast.CallExpr, sel *ast.SelectorExpr) *valD
 // arenaOf resolves an arena expression to its tracked identity,
 // synthesizing one for untracked shapes (parameters, fields).
 func (lw *lifeWalk) arenaOf(e ast.Expr) *arenaRec {
-	if id, ok := unparen(e).(*ast.Ident); ok {
-		if obj := lw.tp.info.Uses[id]; obj != nil {
-			if ar := lw.arenas[obj]; ar != nil {
-				return ar
-			}
-			ar := &arenaRec{}
-			lw.arenas[obj] = ar
-			return ar
-		}
-	}
 	if d := lw.eval(e); d != nil && d.ar != nil {
 		return d.ar
 	}
-	return &arenaRec{}
-}
-
-// builtin handles the builtins that touch checkout memory.
-func (lw *lifeWalk) builtin(call *ast.CallExpr, name string) *valDesc {
-	switch name {
-	case "clear":
-		if len(call.Args) == 1 {
-			if co := lw.carrierOf(call.Args[0]); co != nil {
-				co.written = true
-				return nil
-			}
-		}
-	case "copy":
-		if len(call.Args) == 2 {
-			if src := lw.carrierOf(call.Args[1]); src != nil {
-				lw.readCheck(src, call.Args[1])
-			}
-			if dst := lw.carrierOf(call.Args[0]); dst != nil {
-				dst.written = true
-			}
-			return nil
-		}
-	case "append":
-		if len(call.Args) >= 1 {
-			if co := lw.carrierOf(call.Args[0]); co != nil {
-				lw.readCheck(co, call.Args[0])
-				for _, a := range call.Args[1:] {
-					lw.eval(a)
-				}
-				return &valDesc{co: co}
-			}
-		}
-	case "len", "cap":
-		return nil // neutral: no element access
+	ar := &arenaRec{}
+	if id, ok := unparen(e).(*ast.Ident); ok && lw.tp.info.Uses[id] != nil {
+		lw.vals[lw.tp.info.Uses[id]] = &valDesc{ar: ar}
 	}
-	for _, a := range call.Args {
-		lw.eval(a)
-	}
-	return nil
+	return ar
 }
 
 // ---------------------------------------------------------------------
@@ -941,21 +775,12 @@ func (lw *lifeWalk) builtin(call *ast.CallExpr, name string) *valDesc {
 // reached the end of the function unclassified.
 func (lw *lifeWalk) finalize() {
 	for _, co := range lw.cos {
-		if co.class == "" && co.mark != nil && co.mark.deferRel && !co.released {
-			co.released, co.releasedBy = true, "Release"
-			settle(co, LifeReleased, "deferred: covers panic edges")
-		}
-		if co.class == "" && co.isBox && co.deferRelB && !co.released {
-			co.released, co.releasedBy = true, "ReleaseBox"
-			settle(co, LifeReleased, "deferred ReleaseBox: covers panic edges")
-		}
-	}
-	for _, co := range lw.cos {
-		if co.class != "" {
-			lw.emit(co)
-			continue
-		}
 		switch {
+		case co.class != "":
+		case co.mark != nil && co.mark.deferRel:
+			settle(co, LifeReleased, "deferred: covers panic edges")
+		case co.isBox && co.deferRelB:
+			settle(co, LifeReleased, "deferred ReleaseBox: covers panic edges")
 		case co.workerConf != "":
 			co.class, co.detail = LifeWorkerConfined, co.workerConf
 		case co.regionBody != nil:

@@ -112,3 +112,17 @@ func ParkInBox(w *core.Worker, a *arena.Arena, b *scanBox, n int) {
 }
 
 func parkIn(b *scanBox, xs []int32) { b.dst = xs }
+
+// LocalHolder: a checkout appended into a local holder and read back
+// through it; the holder never escapes, so the checkout is released in
+// scope like any other.
+func LocalHolder(a *arena.Arena, n int) int32 {
+	m := a.Mark()
+	buf := arena.Alloc[int32](a, n)
+	var rows [][]int32
+	rows = append(rows, buf)
+	row := rows[0]
+	v := row[0] + rows[0][1]
+	a.Release(m)
+	return v
+}

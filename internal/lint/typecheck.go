@@ -47,13 +47,14 @@ type typeLoader struct {
 	nnSums  summaryTable[*types.Func, bool]         // non-negativity (nnsummary.go)
 	effects summaryTable[*types.Func, *writeEffect] // write effects and retention (raceeffect.go)
 
-	// The module-wide box prescan (prescanBoxes), read by the callee
-	// summary's retention and by the lifetimes walk. boxTypes are the
-	// named types instantiated in arena.AcquireBox[T] anywhere in the
-	// module, keyed by type name: per-worker reusable state a checkout
-	// may legitimately transit through. boxCleared records "Type.field"
-	// pairs assigned nil somewhere in the module — the clearing half of
-	// a box-field handoff. A checkout stored into a box field of a
+	// The module-wide box prescan (prescanBoxes), read by the store
+	// rule (writes.go keeps) under the callee summary's retention and
+	// the lifetimes walk. boxTypes are the named types instantiated in
+	// arena.AcquireBox[T] anywhere in the module, keyed by type name:
+	// per-worker reusable state a checkout may legitimately transit
+	// through. boxCleared records "Type.field" pairs assigned nil
+	// somewhere in the module — the clearing half of a box-field
+	// handoff. A checkout stored into a box field of a
 	// *parameter* is worker-confined only when the field is provably
 	// cleared before the box is reused.
 	boxTypes, boxCleared map[string]bool

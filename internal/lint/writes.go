@@ -1,12 +1,17 @@
 package lint
 
-// The two decisions every write judgement rests on, made once for the
-// races pass's region verdicts (raceclassify.go) and the callee
-// summary (raceeffect.go): which calls write what (callWrites), and
-// whose memory a write lands in (rooting). Each pass is a sink of
-// both. The region sink adds what only a region can prove — handed
-// slots, index disjointness, block windows, join branches, held locks;
-// the summary sink folds the events into a writeEffect.
+// The decisions every write judgement rests on, made once for the
+// races pass's region verdicts (raceclassify.go), the callee summary
+// (raceeffect.go) and the lifetimes flow walk (regionflow.go): which
+// calls write what (callWrites), whose memory a write lands in
+// (rooting), whether a store keeps what it stores past the frame
+// (keeps), and what a call whose target is chosen at run time keeps
+// (handOff). Each pass is a sink of them. The region sink adds what
+// only a region can prove — handed slots, index disjointness, block
+// windows, join branches, held locks; the summary sink folds the
+// events into a writeEffect; the lifetimes sink adds what is about
+// time — marks, releases, uninitialized reads, region and goroutine
+// ownership.
 
 import (
 	"go/ast"
@@ -83,6 +88,9 @@ type writeEvent struct {
 	atomic bool   // a sync/atomic write
 	kept   string // why via keeps the argument's memory past the call
 	shared string // why via writes shared state; such an event has no target
+	// stored are the values a copy or append stores into target's
+	// elements when those carry references (storedRefs).
+	stored []ast.Expr
 }
 
 // callWrites reports through yield the writes one call performs: the
@@ -103,7 +111,7 @@ func (l *typeLoader) callWrites(tp *typedPkg, f *fileInfo, ff *funcFacts, call *
 			// append(x, ...) writes into x's backing array whenever x
 			// has spare capacity, wherever the result is bound.
 			if id.Name == "copy" || id.Name == "append" || id.Name == "clear" || id.Name == "delete" {
-				yield(writeEvent{target: call.Args[0], op: id.Name, plain: true})
+				yield(writeEvent{target: call.Args[0], op: id.Name, plain: true, stored: storedRefs(tp, call)})
 			}
 			return false
 		}
@@ -227,6 +235,25 @@ type memFrame interface {
 	handed(obj types.Object, ps map[int]bool) bool
 }
 
+// funcFrame is the frame of one function body, keyed by its parameter
+// objects with their positions (receiver = recvIdx): everything but
+// package-level state is the function's own, or its caller's through a
+// parameter.
+type funcFrame map[types.Object]int
+
+func (fr funcFrame) owns(obj types.Object) bool {
+	p := obj.Parent()
+	return p == nil || p.Parent() != types.Universe
+}
+
+func (fr funcFrame) handed(obj types.Object, ps map[int]bool) bool {
+	idx, isParam := fr[obj]
+	if isParam && ps != nil {
+		ps[idx] = true
+	}
+	return isParam
+}
+
 // rooting classifies whose memory an expression's value or a write
 // target lands in, for one frame. A variable's root is the worst root
 // over everything it was ever bound to; the parameter positions that
@@ -237,15 +264,18 @@ type rooting struct {
 	f     *fileInfo
 	ff    *funcFacts // def-use facts: every binding of every local
 	frame memFrame
-	// lits maps closure parameters at a core primitive's handed
-	// positions to the primitive's out argument, whose elements they
-	// alias.
-	lits   map[types.Object]ast.Expr
+	// lits maps closure parameters to the memory a call hands them: a
+	// core primitive's out argument, whose elements they alias, or the
+	// arguments of a literal invoked in place.
+	lits   map[types.Object][]ast.Expr
 	inRoot map[types.Object]bool // rootVar cycle guard (swap chains)
 	// carry widens root while retention asks what a value may carry
 	// rather than whose memory it is: a call's arguments and a
 	// received value's channel count too.
 	carry bool
+	// cleared holds the "Type.field" pairs the frame's body nil-clears:
+	// transits for keeps, beside the module's cleared box fields.
+	cleared map[string]bool
 }
 
 // path roots a write through the access path steps from base:
@@ -281,8 +311,12 @@ func (r *rooting) rootVar(obj types.Object, steps []targetStep, depth int, ps ma
 		// region primitive hands them memory (lits).
 		return memFresh
 	}
-	if back, ok := r.lits[obj]; ok {
-		return r.root(back, depth+1, ps)
+	if backs, ok := r.lits[obj]; ok {
+		kind := memFresh
+		for _, back := range backs {
+			kind = max(kind, r.root(back, depth+1, ps))
+		}
+		return kind
 	}
 	srcs, ok := r.sources(obj, steps)
 	if !ok {
@@ -334,7 +368,7 @@ func (r *rooting) sources(obj types.Object, steps []targetStep) (srcs []ast.Expr
 			// underlying memory: no new root but what is appended, and
 			// that only below x's element slots, not in them.
 			if len(steps) != 1 {
-				srcs = append(srcs, appendedRefs(r.tp, b.rhs)...)
+				srcs = append(srcs, storedRefs(r.tp, b.rhs)...)
 			}
 		default:
 			srcs = append(srcs, b.rhs)
@@ -384,18 +418,19 @@ func extends(steps, prefix []targetStep) bool {
 	return true
 }
 
-// appendedRefs returns the values append(x, ...) adds when its
-// elements carry references: like a literal's elements, they keep
-// their roots inside x's memory.
-func appendedRefs(tp *typedPkg, e ast.Expr) []ast.Expr {
+// storedRefs returns the values append(x, ...) and copy(x, src) store
+// into x's elements when those carry references (src, and a spread
+// argument, stand for their elements): like a literal's elements, they
+// keep their roots inside x's memory.
+func storedRefs(tp *typedPkg, e ast.Expr) []ast.Expr {
 	call, ok := unparen(e).(*ast.CallExpr)
 	if !ok || len(call.Args) < 2 {
 		return nil
 	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); !ok || id.Name != "append" {
+	if id, ok := unparen(call.Fun).(*ast.Ident); !ok || id.Name != "append" && id.Name != "copy" {
 		return nil
 	}
-	if t := tp.typeOf(call); t == nil {
+	if t := tp.typeOf(call.Args[0]); t == nil {
 		return nil
 	} else if sl, ok := t.Underlying().(*types.Slice); !ok || !holdsRef(sl.Elem()) {
 		return nil
@@ -454,7 +489,7 @@ func (r *rooting) root(e ast.Expr, depth int, ps map[int]bool) memKind {
 		return memFresh
 	} else if operand != nil {
 		kind := r.root(operand, depth+1, ps)
-		for _, el := range appendedRefs(r.tp, e) {
+		for _, el := range storedRefs(r.tp, e) {
 			kind = max(kind, r.root(el, depth+1, ps))
 		}
 		return kind
@@ -549,4 +584,185 @@ func perInvocationParam(t types.Type) bool {
 		return true
 	}
 	return isWorkerNamed(t)
+}
+
+// ---------------------------------------------------------------------
+// Whether a store keeps what it stores
+// ---------------------------------------------------------------------
+
+// keeps reports why a store through the access path steps from base
+// keeps the stored value past the frame, or "" when it does not. A
+// store keeps when it lands in a variable the frame does not own
+// (package-level state), or below a variable, in memory rooted outside
+// the frame — handed or shared — or in frame memory base is not the
+// only name of (soleName): a field that is no cleared transit, an
+// element, a pointer's target. A store into memory only base names
+// keeps nothing by itself: base carries the value, and its own escape
+// is judged where it happens. transit names the field a store passes
+// through when it is nil-cleared in the frame's body, or is a box field
+// cleared somewhere in the module (prescanBoxes); ps gathers the
+// parameter positions the written memory roots at.
+func (r *rooting) keeps(base *ast.Ident, steps []targetStep, ps map[int]bool) (why, transit string) {
+	if obj := r.tp.objOf(base); obj != nil && !r.frame.owns(obj) {
+		return "stored into package-level " + base.Name, ""
+	}
+	if len(steps) == 0 {
+		return "", "" // the frame's own variable holds it (or _ drops it)
+	}
+	last := steps[len(steps)-1]
+	key := ""
+	if last.field != "" {
+		tn := boxTypeName(r.tp.typeOf(last.of))
+		key = tn + "." + last.field
+		if r.cleared[key] || r.l.boxTypes[tn] && r.l.boxCleared[key] {
+			return "", key
+		}
+	}
+	switch {
+	case r.path(base, steps, ps) < memHanded && r.soleName(r.tp.objOf(base), steps):
+		return "", ""
+	case key != "":
+		return "stored into " + key + ", never cleared before reuse", ""
+	case last.star:
+		return "stored through a pointer the pass cannot confine", ""
+	}
+	return "stored into indexed memory the pass cannot confine", ""
+}
+
+// soleName reports whether obj is the only name of the memory a store
+// through steps below it lands in, so that obj alone carries what is
+// stored. Only the first step may cross out of obj's storage, into a
+// referent obj allocates at most once (the zero value, make, new, a
+// literal) or rebinds to itself (append(obj, …), obj[i:j]); and no
+// mention of obj may hand its memory on (handsOn).
+func (r *rooting) soleName(obj types.Object, steps []targetStep) bool {
+	for i := 1; i < len(steps); i++ {
+		if crossesStorage(r.tp.typeOf(steps[i].of), steps[i:i+1]) {
+			return false // into memory obj merely holds
+		}
+	}
+	vf := r.ff.of(obj)
+	if obj != nil && crossesStorage(obj.Type(), steps[:1]) {
+		allocs := 0
+		for _, b := range vf.binds {
+			v := unparen(b.value())
+			if u, ok := v.(*ast.UnaryExpr); ok && u.Op == token.AND {
+				v = unparen(u.X)
+			}
+			_, fresh := r.tp.memoryOf(v)
+			_, lit := v.(*ast.CompositeLit)
+			switch {
+			case fresh || lit || b.zeroValue():
+				allocs++
+			case b.define || v == nil || !selfDerived(r.tp, v, obj):
+				return false
+			}
+		}
+		if allocs > 1 {
+			return false
+		}
+	}
+	for _, oc := range vf.occs {
+		if oc.bind == nil && r.handsOn(obj, oc.id) {
+			return false
+		}
+	}
+	return true
+}
+
+// handsOn reports whether the mention id of obj hands obj's memory to a
+// second name: an address, a reslice, a type assertion or a method
+// receiver taken along its access path, or obj's own reference used
+// other than to rebind obj to itself, in a comparison or a range, or as
+// an operand of len, cap, copy, clear, delete or an append spread.
+func (r *rooting) handsOn(obj types.Object, id *ast.Ident) bool {
+	var cur ast.Expr = id
+	bare := true // cur is obj itself, parenthesized or not
+	for p, _ := r.ff.parent[cur].(ast.Expr); p != nil && innerOperand(p) == cur; p, _ = r.ff.parent[cur].(ast.Expr) {
+		switch v := p.(type) {
+		case *ast.UnaryExpr, *ast.SliceExpr, *ast.TypeAssertExpr:
+			return !bare || !r.rebinds(obj, p)
+		case *ast.SelectorExpr:
+			if sel, ok := r.tp.info.Selections[v]; !ok || sel.Kind() != types.FieldVal {
+				return true
+			}
+		}
+		_, isParen := p.(*ast.ParenExpr)
+		bare, cur = bare && isParen, p
+	}
+	switch obj.Type().Underlying().(type) {
+	case *types.Struct, *types.Array, *types.Basic:
+		return false // a copy of obj's storage
+	}
+	if !bare {
+		return false // a copy of a value in obj's memory
+	}
+	switch p := r.ff.parent[cur].(type) {
+	case *ast.RangeStmt, *ast.BinaryExpr:
+		return false
+	case *ast.CallExpr:
+		fn, _ := unparen(p.Fun).(*ast.Ident)
+		if _, builtin := r.tp.info.Uses[fn].(*types.Builtin); builtin {
+			switch fn.Name {
+			case "len", "cap", "copy", "clear", "delete":
+				return false
+			case "append":
+				return p.Args[0] == cur && !r.rebinds(obj, p) || p.Args[0] != cur && !p.Ellipsis.IsValid()
+			}
+		}
+	}
+	return true
+}
+
+// rebinds reports whether obj is bound to e, as in obj = append(obj,
+// …) and obj = obj[i:j].
+func (r *rooting) rebinds(obj types.Object, e ast.Expr) bool {
+	for _, b := range r.ff.of(obj).binds {
+		if b.value() == e {
+			return true
+		}
+	}
+	return false
+}
+
+// peelElem is peelTarget for the elements of dst, the memory a copy,
+// append or clear writes: rooted as the element write dst[i] = … would
+// be (dst stands in for the index), never as an assignment to the
+// variable that names dst.
+func peelElem(dst ast.Expr) (*ast.Ident, []targetStep, bool) {
+	base, steps, ok := peelTarget(dst)
+	return base, append(steps, targetStep{index: dst, of: dst}), ok
+}
+
+// ---------------------------------------------------------------------
+// What a call chosen at run time keeps
+// ---------------------------------------------------------------------
+
+// lifeMethodContracts are out-parameter contracts for dynamic
+// (interface) callees no summary covers: the named method fills its
+// slice argument and returns an alias of it, retaining nothing.
+// RowInto/WRow are the Adjacency seam's row decoders.
+var lifeMethodContracts = map[string]bool{
+	"RowInto": true,
+	"WRow":    true,
+}
+
+// handOff reports why a call whose target is chosen at run time
+// (callWrites' delegated) keeps its by-reference arguments, or "" when
+// it lets them go: under an out-parameter contract, and into a literal
+// or a closure local to the body, which the walk covers itself.
+func handOff(tp *typedPkg, ff *funcFacts, call *ast.CallExpr) string {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.FuncLit:
+		return ""
+	case *ast.SelectorExpr:
+		if lifeMethodContracts[fun.Sel.Name] {
+			return ""
+		}
+	case *ast.Ident:
+		if ff.litOf(tp.objOf(fun)) != nil {
+			return ""
+		}
+	}
+	return "handed to dynamic callee " + types.ExprString(call.Fun)
 }
