@@ -56,6 +56,8 @@ race:
 # FuzzBWTRoundTrip, FuzzSortAgainstSlices — the branch-free quicksort
 # leaf against slices.Sort — FuzzReduceBlocks — float reductions on
 # a pool and sequentially against a blocked reference, bit for bit —
+# FuzzCountSort — the counting-sort engine's slots and offsets against
+# a sequential stable counting sort at every worker count —
 # FuzzTriangulate — duplicates, collinear runs and cocircular rings
 # triangulated and refined on a two-worker pool, mesh invariants after
 # each — and FuzzReadAdjacencyGraph — the one reader of outside input
@@ -73,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBWTRoundTrip -fuzztime $(FUZZTIME) ./internal/suffix/
 	$(GO) test -run xxx -fuzz FuzzSortAgainstSlices -fuzztime $(FUZZTIME) ./internal/qsort/
 	$(GO) test -run xxx -fuzz FuzzReduceBlocks -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run xxx -fuzz FuzzCountSort -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzTriangulate -fuzztime $(FUZZTIME) ./internal/geom/
 	$(GO) test -run xxx -fuzz FuzzReadAdjacencyGraph -fuzztime $(FUZZTIME) ./internal/pbbsio/
 

@@ -59,7 +59,7 @@ func main() {
 	}
 
 	if *stats {
-		report.Table2(os.Stdout, sc)
+		core.Run(func(w *core.Worker) { report.Table2(os.Stdout, w, sc) })
 		return
 	}
 

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/report"
 )
 
@@ -41,7 +42,7 @@ func main() {
 		run  func() error
 	}{
 		{"table1", func() error { report.Table1(out); return nil }},
-		{"table2", func() error { report.Table2(out, sc); return nil }},
+		{"table2", func() error { core.Run(func(w *core.Worker) { report.Table2(out, w, sc) }); return nil }},
 		{"table3", func() error { report.Table3(out); return nil }},
 		{"fig3", func() error { report.Fig3(out); return nil }},
 		{"fig4", func() error {

@@ -113,9 +113,9 @@ func TestKernelsSteadyStateAllocs(t *testing.T) {
 	pr.SetWant(PROracle(cg, ctg, 20))
 	check("pr-rmat compressed", &Instance{RunLibrary: pr.Run, Reset: pr.Reset, Verify: pr.Verify}, 120)
 
-	// CSR construction through a reused Builder: the counting sort's
-	// loop body is checked out and returned every round, so what is
-	// left is its count matrix and the validation pass's closures.
+	// CSR construction through a reused Builder: core.CountSort's box
+	// is checked out and returned every round, so what is left is its
+	// count matrix and the validation pass's closures.
 	const n = 1 << 10
 	sym := graph.Symmetrize(nil, graph.RMAT(nil, 10, 6, 0xc5a))
 	var bld graph.Builder
@@ -128,5 +128,5 @@ func TestKernelsSteadyStateAllocs(t *testing.T) {
 			}
 			return nil
 		},
-	}, 5)
+	}, 4)
 }

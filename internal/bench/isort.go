@@ -33,89 +33,40 @@ type isortInstance struct {
 
 func (s *isortInstance) reset() { copy(s.keys, s.orig) }
 
-// Phases of isortPass.
-const (
-	isortPhaseCount uint8 = iota
-	isortPhasePositions
-)
-
-// isortPass is the reusable per-pass loop body: phase isortPhaseCount
-// histograms each block's digits into the digit-major count matrix;
-// phase isortPhasePositions (after the matrix has been scanned into
-// cursors) records every element's destination. A box, so steady-state
-// passes build no closures.
+// isortPass is the caller's side of one digit pass (core.CountSort):
+// both halves key element i by the digit of keys[i] at shift, and the
+// place half records the slot its block's cursor hands out as pos[i],
+// the element's destination.
 type isortPass struct {
-	keys   []uint32
-	pos    []int32
-	counts []int32
-	n, nb  int
-	shift  uint
-	phase  uint8
+	keys  []uint32
+	pos   []int32
+	shift uint
 }
 
-func (p *isortPass) RunRange(_ *core.Worker, blo, bhi int) {
-	keys, pos, counts, nb, shift := p.keys, p.pos, p.counts, p.nb, p.shift
-	for b := blo; b < bhi; b++ {
-		lo, hi := b*isortBlock, (b+1)*isortBlock
-		if hi > p.n {
-			hi = p.n
-		}
-		if p.phase == isortPhaseCount {
-			var local [isortRadix]int32
-			for i := lo; i < hi; i++ {
-				local[(keys[i]>>shift)&(isortRadix-1)]++
-			}
-			for d := 0; d < isortRadix; d++ {
-				counts[d*nb+b] = local[d] //lint:scared digit-major matrix: b lies in this invocation's own [blo, bhi) and b < nb, so d*nb+b is distinct for every (d, b)
-			}
-		} else {
-			var cursor [isortRadix]int32
-			for d := 0; d < isortRadix; d++ {
-				cursor[d] = counts[d*nb+b]
-			}
-			for i := lo; i < hi; i++ {
-				d := (keys[i] >> shift) & (isortRadix - 1)
-				pos[i] = cursor[d]
-				cursor[d]++
-			}
-		}
+func (p *isortPass) CountRange(c core.Counter, lo, hi int) {
+	keys, shift := p.keys, p.shift
+	for i := lo; i < hi; i++ {
+		c.Add(int(keys[i]>>shift) & (isortRadix - 1))
 	}
 }
 
-// isortPositions computes, for one digit pass, the destination position
-// of every element (stable counting order) into p.pos.
-func isortPositions(w *core.Worker, p *isortPass, keys []uint32, shift uint) {
-	p.keys, p.shift = keys, shift
-	p.phase = isortPhaseCount
-	core.CountDynamic(core.Block)
-	if w == nil || p.nb <= 1 {
-		p.RunRange(nil, 0, p.nb)
-	} else {
-		w.ForBody(0, p.nb, 1, p)
-	}
-	core.ScanExclusive(w, p.counts)
-	p.phase = isortPhasePositions
-	core.CountDynamic(core.Stride)
-	if w == nil || p.nb <= 1 {
-		p.RunRange(nil, 0, p.nb)
-	} else {
-		w.ForBody(0, p.nb, 1, p)
+func (p *isortPass) PlaceRange(c core.Cursor, lo, hi int) {
+	keys, pos, shift := p.keys, p.pos, p.shift
+	for i := lo; i < hi; i++ {
+		pos[i] = c.Next(int(keys[i]>>shift) & (isortRadix - 1))
 	}
 }
 
 func (s *isortInstance) runLibrary(w *core.Worker) {
 	n := len(s.keys)
-	nb := (n + isortBlock - 1) / isortBlock
-	// Round scratch: positions, ping-pong buffer, and the count matrix
-	// all come from the worker's arena; the pass body rides a box.
+	// Round scratch: positions and the ping-pong buffer come from the
+	// worker's arena, the count matrix from core.CountSort's.
 	a := arena.Of(w)
 	am := a.Mark()
 	pos := arena.AllocUninit[int32](a, n)
 	buf := arena.AllocUninit[uint32](a, n)
-	pass := arena.AcquireBox[isortPass](w)
+	var pass isortPass
 	pass.pos = pos
-	pass.counts = arena.AllocUninit[int32](a, isortRadix*nb)
-	pass.n, pass.nb = n, nb
 	src, dst := s.keys, buf
 	passes := (s.bits + isortDigitBits - 1) / isortDigitBits
 	mode := core.GetMode()
@@ -127,7 +78,9 @@ func (s *isortInstance) runLibrary(w *core.Worker) {
 		}
 	}
 	for p := 0; p < passes; p++ {
-		isortPositions(w, pass, src, uint(p*isortDigitBits))
+		pass.keys, pass.shift = src, uint(p*isortDigitBits)
+		core.CountDynamic(core.Stride)
+		core.CountSort(w, n, isortRadix, nil, pass)
 		if mode != core.ModeSynchronized {
 			// SngInd: under ModeChecked the positions are validated to be
 			// a permutation at run time (the paper's par_ind_iter_mut
@@ -144,8 +97,6 @@ func (s *isortInstance) runLibrary(w *core.Worker) {
 	if passes%2 == 1 {
 		core.CopyInto(w, s.keys, src)
 	}
-	pass.keys, pass.pos, pass.counts = nil, nil, nil
-	arena.ReleaseBox(w, pass)
 	a.Release(am)
 }
 

@@ -1,0 +1,9 @@
+package bench
+
+import (
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m, "bench", nil, nil) }

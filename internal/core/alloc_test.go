@@ -17,6 +17,11 @@ func TestPrimitivesSteadyStateAllocs(t *testing.T) {
 		perm[i] = int32(uint32(i) * 2654435761 % n)
 	}
 	xs, out := make([]int32, n), make([]int32, n)
+	bytes := make([]int32, n)
+	for i := range bytes {
+		bytes[i] = int32(i % 256)
+	}
+	byByte := keyedBody{keys: bytes, pos: make([]int32, n), k: 256}
 	var idx []int32
 	third := func(i int) bool { return i%3 == 0 }
 	thirdMask := func(lo, hi int) uint64 {
@@ -83,6 +88,12 @@ func TestPrimitivesSteadyStateAllocs(t *testing.T) {
 		}},
 		// The allocating form: exactly its fresh result slice.
 		{"PackIndex", 1, func(w *Worker) bool { return len(PackIndex(w, n, third)) == (n+2)/3 }},
+		// The matrix and the offsets are arena checkouts and the body
+		// rides the engine's box.
+		{"CountSort", 0, func(w *Worker) bool {
+			CountSort(w, n, 256, nil, byByte)
+			return byByte.pos[0] == 0 && byByte.pos[n-1] == n-1
+		}},
 		{"ScatterUnchecked", 0, func(w *Worker) bool {
 			ScatterUnchecked(w, out, perm, ones)
 			return out[perm[n-1]] == 1

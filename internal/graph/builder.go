@@ -10,12 +10,13 @@ import (
 )
 
 // Builder is a reusable CSR construction pipeline: a stable blocked
-// counting sort of the edge list into adjacency slots (csrSort). The
-// edge range is cut into fixed blocks; a Block pass counts each block's
-// keys into its own column of a vertex-major count matrix, one
-// exclusive scan (core.ScanExclusive) turns the matrix into write
-// cursors, and a scatter moves each block's edges through its own
-// cursors — SngInd with independence guaranteed by the scan, the shape
+// counting sort of the edge list into adjacency slots, one call of the
+// library's counting-sort engine (core.CountSort) with csrSort as its
+// body. The engine cuts the edge range into fixed blocks, counts each
+// block's keys into its own row of a block-major count matrix, scans it
+// key-major into write cursors — the row offsets fall out as its starts
+// — and the body moves each block's edges through its own cursors:
+// SngInd with independence guaranteed by the scan, the shape
 // internal/radix uses. Every row therefore holds its edges in input
 // order, the same at every worker count, and no step is atomic.
 //
@@ -24,13 +25,12 @@ import (
 // them: slices.Sort for plain rows, sortRowW for weighted ones.
 //
 // The output buffers live in the Builder and are grown with
-// core.EnsureLen. The sort's loop body comes from the calling worker's
-// box stack, and the count matrix is one allocation that is garbage
-// once the build returns, so nothing sort-sized outlives it. Repeated
-// builds of same-shaped graphs therefore allocate the matrix and the
-// validation pass's closures only: TestKernelsSteadyStateAllocs pins
-// the count (row BuildCSR). A Build invalidates the Graph returned by
-// the previous Build on the same Builder.
+// core.EnsureLen. The engine's box comes from the calling worker's box
+// stack and its count matrix from the worker's arena, so repeated
+// builds of same-shaped graphs allocate the validation pass's closures
+// only: TestKernelsSteadyStateAllocs pins the count (row BuildCSR). A
+// Build invalidates the Graph returned by the previous Build on the
+// same Builder.
 type Builder struct {
 	g   Graph
 	wg  WGraph
@@ -67,14 +67,6 @@ func validateEdges(w *core.Worker, n int32, m int, firstBad func(lo, hi int) int
 	}
 }
 
-// csrBlockMin is the fewest edges one block of csrSort covers. A block
-// covers max(csrBlockMin, 4n) edges, so the n × blocks count matrix
-// stays near a quarter of the edge count and the scan over it is small
-// beside the scatter. The rule depends on the edge and vertex counts
-// only, never on the worker count, so the blocks are the same on every
-// pool.
-const csrBlockMin = 1 << 16
-
 // Edge sources of csrSort.
 const (
 	fromEdges  uint8 = iota // Build: edge i is edges[i]
@@ -82,127 +74,78 @@ const (
 	fromRows                // Transpose: entry i of row u of a CSR is the edge adjIn[i] -> u
 )
 
-// Phases of csrSort.
-const (
-	csrCount   uint8 = iota // over blocks: count each block's keys into its column
-	csrOffs                 // over vertices: Offs[v] is block 0's cursor of v
-	csrScatter              // over blocks: move each block's edges through its cursors
-)
-
-// csrSort is the loop body of the stable blocked counting sort that
-// builds every CSR here: edges [0, m) are keyed by source vertex (by
-// target for a transpose) and cut into nb blocks of bs edges. counts is
-// vertex-major, counts[v*nb+b] the number of block b's edges keyed v,
-// so one exclusive scan over it yields each (vertex, block) write
-// cursor, and block b owns the segment of row v between its cursor and
-// block b+1's.
+// csrSort is the caller's side of the counting sort that builds every
+// CSR here (core.CountSort): edge i is keyed by its source vertex (by
+// its target for a transpose), and the place half writes its other
+// endpoint, and its weight, to the slot the block's cursor hands out.
 type csrSort struct {
 	edges         []Edge
 	wedges        []WEdge
 	offsIn, adjIn []int32
-	counts        []int32
-	offs, adj     []int32
+	adj           []int32
 	wgt           []uint32
-	m, bs, nb     int
-	src, phase    uint8
+	src           uint8
 }
 
-func (s *csrSort) RunRange(_ *core.Worker, lo, hi int) {
-	counts, nb := s.counts, s.nb
-	if s.phase == csrOffs {
-		offs := s.offs
-		for v := lo; v < hi; v++ {
-			offs[v] = counts[v*nb]
+func (s *csrSort) CountRange(c core.Counter, lo, hi int) {
+	switch s.src {
+	case fromEdges:
+		for _, e := range s.edges[lo:hi] {
+			c.Add(int(e.From))
 		}
-		return
-	}
-	edges, wedges, offsIn, adjIn, adj, wgt, src := s.edges, s.wedges, s.offsIn, s.adjIn, s.adj, s.wgt, s.src
-	scatter := s.phase == csrScatter
-	for b := lo; b < hi; b++ {
-		blo, bhi := b*s.bs, min((b+1)*s.bs, s.m)
-		u := int32(0)
-		if src == fromRows && scatter {
-			// The scatter's source row of entry blo: the last u with
-			// offsIn[u] <= blo; counting needs only the key adjIn[i].
-			r, found := slices.BinarySearch(offsIn, int32(blo))
-			if !found {
-				r--
-			}
-			u = int32(r)
+	case fromWEdges:
+		for _, e := range s.wedges[lo:hi] {
+			c.Add(int(e.From))
 		}
-		for i := blo; i < bhi; i++ {
-			var k, v int32
-			switch src {
-			case fromEdges:
-				k, v = edges[i].From, edges[i].To
-			case fromWEdges:
-				k, v = wedges[i].From, wedges[i].To
-			default:
-				for scatter && offsIn[u+1] <= int32(i) {
-					u++
-				}
-				k, v = adjIn[i], u
-			}
-			c := int(k)*nb + b
-			at := counts[c]
-			counts[c] = at + 1 //lint:scared vertex-major matrix: column b is block b's alone, and b lies in this invocation's own [lo, hi)
-			if scatter {
-				adj[at] = v //lint:scared counting-sort scatter: counts[k*nb+b] starts at the exclusive scan of the matrix, so block b owns a segment of row k no other block's cursor enters
-				if wgt != nil {
-					wgt[at] = wedges[i].W //lint:scared same slot as adj[at] above: block b's own segment of row k
-				}
-			}
+	default:
+		for _, k := range s.adjIn[lo:hi] {
+			c.Add(int(k))
 		}
 	}
 }
 
-// run executes one phase over [0, hi), hi blocks or vertices.
-func (s *csrSort) run(w *core.Worker, phase uint8, hi, grain int) {
-	s.phase = phase
-	if w == nil || hi <= 1 {
-		s.RunRange(nil, 0, hi)
-		return
+func (s *csrSort) PlaceRange(c core.Cursor, lo, hi int) {
+	adj, wgt, offsIn, adjIn := s.adj, s.wgt, s.offsIn, s.adjIn
+	switch s.src {
+	case fromEdges:
+		for _, e := range s.edges[lo:hi] {
+			adj[c.Next(int(e.From))] = e.To
+		}
+	case fromWEdges:
+		for _, e := range s.wedges[lo:hi] {
+			at := c.Next(int(e.From))
+			adj[at] = e.To
+			wgt[at] = e.W
+		}
+	default:
+		// The source row of entry lo: the last u with offsIn[u] <= lo.
+		r, found := slices.BinarySearch(offsIn, int32(lo))
+		if !found {
+			r--
+		}
+		u := int32(r)
+		for i := lo; i < hi; i++ {
+			for offsIn[u+1] <= int32(i) {
+				u++
+			}
+			adj[c.Next(int(adjIn[i]))] = u
+		}
 	}
-	w.ForBody(0, hi, grain, s)
 }
 
-// sortInto runs the counting sort of in's m edges over n vertices into
-// b.g.Offs and b.g.Adj, and into b.wg.Wgt for weighted edges. The loop
-// body is checked out of w's box stack and returned before sortInto
-// is.
-func (b *Builder) sortInto(w *core.Worker, n int32, in csrSort) {
-	bs := max(csrBlockMin, 4*int(n))
-	nb := max((in.m+bs-1)/bs, 1)
-	s := new(csrSort)
-	if w != nil {
-		s = arena.AcquireBox[csrSort](w)
-	}
-	*s = in
-	// The matrix is made, not checked out of w's arena: an arena keeps
-	// every slab it grows for the life of its pool, so m/4 + n counters
-	// would stay resident beside the graphs they built.
-	s.counts = make([]int32, int(n)*nb)
-	s.bs, s.nb = bs, nb
-	core.CountDynamic(core.Block)
-	s.run(w, csrCount, nb, 1)
-	total := core.ScanExclusive(w, s.counts)
+// sortInto runs the counting sort of s's m edges over n vertices into
+// b.g.Offs and b.g.Adj, and into b.wg.Wgt for weighted edges.
+func (b *Builder) sortInto(w *core.Worker, n int32, m int, s csrSort) {
 	b.g.N = n
 	b.g.Offs = core.EnsureLen(b.g.Offs, int(n)+1)
-	b.g.Offs[n] = total
-	b.g.Adj = core.EnsureLen(b.g.Adj, int(total))
-	s.offs, s.adj = b.g.Offs, b.g.Adj
-	if in.src == fromWEdges {
-		b.wg.Wgt = core.EnsureLen(b.wg.Wgt, int(total))
+	b.g.Adj = core.EnsureLen(b.g.Adj, m)
+	s.adj = b.g.Adj
+	if s.src == fromWEdges {
+		b.wg.Wgt = core.EnsureLen(b.wg.Wgt, m)
 		s.wgt = b.wg.Wgt
 	}
-	core.CountDynamic(core.Stride)
-	s.run(w, csrOffs, int(n), 0)
 	core.CountDynamic(core.SngInd)
-	s.run(w, csrScatter, nb, 1)
-	*s = csrSort{}
-	if w != nil {
-		arena.ReleaseBox(w, s)
-	}
+	core.CountSort(w, m, int(n), b.g.Offs, s)
 }
 
 // Build constructs a CSR graph from a directed edge list into the
@@ -219,7 +162,7 @@ func (b *Builder) Build(w *core.Worker, n int32, edges []Edge) *Graph {
 		}
 		return -1
 	}, func(i int) (int32, int32) { return edges[i].From, edges[i].To })
-	b.sortInto(w, n, csrSort{src: fromEdges, edges: edges, m: len(edges)})
+	b.sortInto(w, n, len(edges), csrSort{src: fromEdges, edges: edges})
 	return &b.g
 }
 
@@ -236,7 +179,7 @@ func (b *Builder) BuildW(w *core.Worker, n int32, edges []WEdge) *WGraph {
 		}
 		return -1
 	}, func(i int) (int32, int32) { return edges[i].From, edges[i].To })
-	b.sortInto(w, n, csrSort{src: fromWEdges, wedges: edges, m: len(edges)})
+	b.sortInto(w, n, len(edges), csrSort{src: fromWEdges, wedges: edges})
 	b.wg.Graph = b.g
 	return &b.wg
 }
@@ -339,6 +282,6 @@ func sortRowW(a *arena.Arena, adj []int32, wgt []uint32) {
 // may share one CSR for both directions instead. g must not alias this
 // Builder's own buffers — transpose with a second Builder.
 func (b *Builder) Transpose(w *core.Worker, g *Graph) *Graph {
-	b.sortInto(w, g.N, csrSort{src: fromRows, offsIn: g.Offs, adjIn: g.Adj, m: int(g.M())})
+	b.sortInto(w, g.N, int(g.M()), csrSort{src: fromRows, offsIn: g.Offs, adjIn: g.Adj})
 	return &b.g
 }

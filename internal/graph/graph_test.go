@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +310,25 @@ func BenchmarkBuildCSR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		on(func(w *core.Worker) { _ = BuildCSR(w, 1<<14, edges) })
+	}
+}
+
+// BenchmarkTranspose times Transpose followed by SortAdjacency, the
+// pipeline's transpose step, on a scale-15, edge-factor-16 R-MAT (1 M
+// symmetrized edges) at one and two workers. The transpose's rows come
+// out sorted, so the row sort only confirms them.
+func BenchmarkTranspose(b *testing.B) {
+	var src Builder
+	g := src.BuildSorted(nil, 1<<15, Symmetrize(nil, RMAT(nil, 15, 16, 1)))
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := core.NewPool(workers)
+			defer pool.Close()
+			var dst Builder
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.Do(func(w *core.Worker) { SortAdjacency(w, dst.Transpose(w, g)) })
+			}
+		})
 	}
 }

@@ -17,6 +17,12 @@ var (
 	}
 )
 
+// csrBlockMin is the fewest edges one block of the CSR counting sort
+// covers (core.CountSort's block rule, max(1<<14, 4n) edges), the unit
+// the Build tests size their edge lists in. It copies core's unexported
+// countSortBlockMin; core's TestCountSortBlockRule pins that value.
+const csrBlockMin = 1 << 14
+
 func on(f func(w *core.Worker)) { testPool.Do(f) }
 
 func TestMain(m *testing.M) { leakcheck.Main(m, "graph", startPools, closePools) }

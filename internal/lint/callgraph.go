@@ -142,6 +142,7 @@ func (a *analysis) buildIndex() {
 var bodyInterfaceMethods = map[string][]string{
 	"ForBody":   {"RunRange"},
 	"SpawnTask": {"RunTask"},
+	"CountSort": {"CountRange", "PlaceRange"},
 }
 
 // scanFuncBody fills fi.mask and fi.calls from the function body

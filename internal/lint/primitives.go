@@ -28,6 +28,11 @@ type primitive struct {
 	ranged bool  // body params (0, 1) are a handed disjoint subrange
 	lo, hi int   // arguments bounding the task-index space; lo 0 means it starts at zero
 	once   bool  // argument 0 is a body run exactly once, in place: no region, transparent to the prover
+	// halves maps each method of the body argument's type that the
+	// primitive runs concurrently over disjoint [lo, hi) blocks to the
+	// core type of its parameter 0, a handout the invocation alone owns.
+	// Each such method declaration is a region (races.go methodRegion).
+	halves map[string]string
 	// unmodeled says why a func-typed parameter is in no body position;
 	// docs/LINT.md's soundness caveats repeat it.
 	unmodeled string
@@ -136,6 +141,11 @@ var primitives = map[string]*primitive{
 	// RngInd — array[B[i]..B[i+1]] = f(): likewise.
 	"IndChunks":          {class: cRngInd, bodies: []int{3}, task: []int{0}, handed: []int{1}, out: 1, offsets: 2},
 	"IndChunksUnchecked": {class: cUncheckedRng, bodies: []int{3}, task: []int{0}, handed: []int{1}, out: 1, offsets: 2, twin: "IndChunks"},
+
+	// The counting-sort engine: the body's halves are regions, each
+	// block's Cursor hands out slots no other block's does (checked
+	// under ModeChecked).
+	"CountSort": {class: cSngInd, halves: map[string]string{"CountRange": "Counter", "PlaceRange": "Cursor"}},
 
 	// AW — the library's synchronization helpers; no worker argument.
 	"WriteMin32":      {class: cAWHelper, atomic: true},

@@ -12,7 +12,8 @@ package lint
 //	                [lo, hi) subrange (For / RunRange contract)
 //	block-owner     a loop variable over [t*B, t*B+B) for a
 //	                task-distinguishing t (two-pass blocked kernels)
-//	unique-handout  an atomic counter's Add(d)-d result
+//	unique-handout  an atomic counter's Add(d)-d result, or c.Next(k)
+//	                on the core.Cursor a CountSort half is handed
 //	worker-owned    w.ID() of the invocation's own worker
 //	residue-class   t + j*extent: distinct residues mod the region
 //	                extent, with t in [0, extent)
@@ -314,9 +315,20 @@ func (rc *regionCheck) invariantExpr(e ast.Expr) bool {
 }
 
 // matchUniqueHandout matches C.Add(d)-d / atomic.AddX(&C, d)-d for a
-// shared scalar atomic counter C: every evaluation yields a distinct
-// value.
+// shared scalar atomic counter C, and c.Next(k) on the region's own
+// handed core.Cursor: every evaluation yields a distinct value. The
+// cursor's is CountSort's contract — each block's cursor walks a
+// segment of each key's slots no other block's enters — which the
+// engine checks under ModeChecked.
 func (rc *regionCheck) matchUniqueHandout(e ast.Expr) bool {
+	if call, ok := rc.unwrapConv(e).(*ast.CallExpr); ok {
+		sel, isSel := call.Fun.(*ast.SelectorExpr)
+		if !isSel || sel.Sel.Name != "Next" || !isNamed(rc.tp.typeOf(sel.X), corePath, "Cursor") {
+			return false
+		}
+		id, isID := unparen(sel.X).(*ast.Ident)
+		return isID && rc.r.handed[rc.tp.objOf(id)]
+	}
 	sub, ok := rc.unwrapConv(e).(*ast.BinaryExpr)
 	if !ok || sub.Op != token.SUB {
 		return false

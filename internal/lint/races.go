@@ -341,8 +341,9 @@ func collectRegions(ff *funcFacts, f *fileInfo) []*raceRegion {
 	})
 
 	// A RangeBody's RunRange method is itself a region: sched.ForBody
-	// invokes it concurrently over disjoint subranges.
-	if r := runRangeRegion(tp, fd); r != nil {
+	// invokes it concurrently over disjoint subranges; so is each half
+	// of a core.CountSort body.
+	if r := methodRegion(tp, fd); r != nil {
 		regions = append(regions, r)
 	}
 
@@ -352,11 +353,14 @@ func collectRegions(ff *funcFacts, f *fileInfo) []*raceRegion {
 	return regions
 }
 
-// runRangeRegion recognizes a RunRange(w *Worker, lo, hi int) method
-// declaration (the sched.RangeBody contract) as a parallel region whose
-// lo/hi parameters are a handed disjoint subrange.
-func runRangeRegion(tp *typedPkg, fd *ast.FuncDecl) *raceRegion {
-	if fd.Recv == nil || fd.Name.Name != "RunRange" || fd.Type.Params == nil {
+// methodRegion recognizes a method declaration some scheduler or
+// library engine invokes concurrently over disjoint subranges [lo, hi)
+// of its last two parameters: RunRange(w *Worker, lo, hi int) (the
+// sched.RangeBody contract), its parameter 0 the invocation's worker,
+// and a half of a primitive's body (primitive.halves), its parameter 0
+// the invocation's own handout.
+func methodRegion(tp *typedPkg, fd *ast.FuncDecl) *raceRegion {
+	if fd.Recv == nil || fd.Type.Params == nil {
 		return nil
 	}
 	params := tp.paramObjs(fd.Type.Params)
@@ -367,9 +371,19 @@ func runRangeRegion(tp *typedPkg, fd *ast.FuncDecl) *raceRegion {
 		kind: "RangeBody.RunRange", at: fd.Pos(), body: fd.Body,
 		task:    map[types.Object]string{},
 		handed:  map[types.Object]bool{},
-		worker:  params[0],
 		rangeLo: params[1], rangeHi: params[2],
 		claimed: map[*ast.FuncLit]bool{},
 	}
-	return r
+	if fd.Name.Name == "RunRange" {
+		r.worker = params[0]
+		return r
+	}
+	for name, prim := range primitives {
+		if handout := prim.halves[fd.Name.Name]; handout != "" && isNamed(params[0].Type(), corePath, handout) {
+			r.kind = name + "." + fd.Name.Name
+			r.handed[params[0]] = true
+			return r
+		}
+	}
+	return nil
 }

@@ -202,3 +202,24 @@ func appendWindow(w *core.Worker, buf []int32, n, s int) {
 		_ = tmp
 	})
 }
+
+// cursorBody is a CountSort body whose place half writes each element
+// to the slot its block's own cursor hands out.
+type cursorBody struct{ keys, dst []int32 }
+
+func (b *cursorBody) CountRange(c core.Counter, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		c.Add(int(b.keys[i]))
+	}
+}
+
+func (b *cursorBody) PlaceRange(c core.Cursor, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		b.dst[c.Next(int(b.keys[i]))] = int32(i)
+	}
+}
+
+// CursorHandout: the counting-sort scatter, each slot handed out once.
+func CursorHandout(w *core.Worker, keys, dst []int32, k int) {
+	core.CountSort(w, len(keys), k, nil, cursorBody{keys: keys, dst: dst})
+}

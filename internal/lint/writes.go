@@ -57,20 +57,17 @@ func syncCall(tp *typedPkg, f *fileInfo, call *ast.CallExpr) (target ast.Expr, l
 		switch t := tp.typeOf(sel.X); {
 		case isNamed(t, atomicPath) && atomicWriteMethods[sel.Sel.Name]:
 			return sel.X, "atomic." + sel.Sel.Name, true
-		case isNamed(t, atomicPath), isNamed(t, syncPath, "Mutex", "RWMutex", "WaitGroup", "Cond", "Once"):
+		case isNamed(t, atomicPath), isNamed(t, syncPath, "Mutex", "RWMutex", "WaitGroup", "Cond", "Once", "Map"):
 			return nil, "", true
 		}
 	}
 	return nil, "", false
 }
 
-// stdlibMutators are standard-library functions that write through
-// their first argument; everything else out-of-module is assumed
-// read-only.
-var stdlibMutators = map[string]bool{
-	"sort.Slice": true, "sort.SliceStable": true, "sort.Sort": true,
-	"sort.Stable": true, "rand.Shuffle": true,
-}
+// stdlibReaders are the out-of-module functions known to write none of
+// their arguments; every other out-of-module callee writes through each
+// by-reference argument it is handed.
+var stdlibReaders = map[string]bool{"slices.BinarySearch": true}
 
 // ---------------------------------------------------------------------
 // Which calls write what
@@ -95,10 +92,12 @@ type writeEvent struct {
 
 // callWrites reports through yield the writes one call performs: the
 // atomic target of a synchronization call, the destination of copy,
-// append, clear, delete and the standard-library mutators, and, for an
-// in-module callee, its summary mapped through the call's by-reference
-// arguments. yield returns false to stop. delegated reports a call
-// whose target is chosen at run time: the callee owns its writes.
+// append, clear and delete, every by-reference argument of an
+// out-of-module callee but stdlibReaders, the receiver of a CountSort
+// handout, and, for any other in-module callee, its summary mapped
+// through the call's by-reference arguments. yield returns false to
+// stop. delegated reports a call whose target is chosen at run time:
+// the callee owns its writes.
 func (l *typeLoader) callWrites(tp *typedPkg, f *fileInfo, ff *funcFacts, call *ast.CallExpr, yield func(writeEvent) bool) (delegated bool) {
 	if target, label, ok := syncCall(tp, f, call); ok {
 		if target != nil {
@@ -125,8 +124,20 @@ func (l *typeLoader) callWrites(tp *typedPkg, f *fileInfo, ff *funcFacts, call *
 		return c.delegated
 	}
 	if !l.a.inModule(fn) {
-		if key := fn.Pkg().Name() + "." + fn.Name(); stdlibMutators[key] && len(call.Args) > 0 {
-			yield(writeEvent{target: call.Args[0], op: key, plain: true})
+		if key := fn.Pkg().Name() + "." + fn.Name(); !stdlibReaders[key] {
+			for _, arg := range byRefArgs(tp, call, c.recv) {
+				if !yield(writeEvent{target: arg.expr, op: key, plain: true}) {
+					return false
+				}
+			}
+		}
+		return false
+	}
+	// Counter.Add and Cursor.Next write the block's own row of the
+	// engine's matrix and nothing else: the handout they are called on.
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && isNamed(recv.Type(), corePath, "Counter", "Cursor") {
+		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+			yield(writeEvent{target: sel.X, op: "via " + fn.Name(), via: fn, plain: true})
 		}
 		return false
 	}

@@ -1,18 +1,20 @@
 // Package radix implements a parallel least-significant-digit radix
 // sort over 8-bit digits — the kernel under the isort benchmark and the
-// suffix-array construction. Each counting pass is the textbook PBBS
-// composition of the suite's patterns: a Block pass counting digit
-// occurrences per input chunk, a scan over the (digit, chunk) count
-// matrix, and a scatter in which each chunk writes its elements through
-// precomputed disjoint cursors — SngInd with independence guaranteed by
-// the scan (the algorithmic guarantee the paper's Sec 5.1 discusses).
+// suffix-array construction. Each counting pass is one call of the
+// library's counting-sort engine, core.CountSort: the pass body counts
+// each block's digits and then moves each element through its block's
+// own cursor, and the engine owns the (block, digit) count matrix, the
+// scan that turns it into cursors and the block rule between them — a
+// SngInd scatter with independence guaranteed by the scan (the
+// algorithmic guarantee the paper's Sec 5.1 discusses), checked under
+// core.ModeChecked.
 //
-// The per-pass histograms and the ping-pong buffers live in a reusable
-// Scratch (docs/MEMORY.md): SortPairs checks one out of the calling
-// worker's box stack, so repeated sorts on a pool — the steady state of
-// every benchmark round — allocate nothing once the scratch has grown
-// to the input size. Callers managing their own reuse can hold a
-// Scratch and call SortPairsScratch directly.
+// The ping-pong buffers live in a reusable Scratch (docs/MEMORY.md):
+// SortPairs checks one out of the calling worker's box stack, and the
+// engine takes its matrix from the worker's arena, so repeated sorts on
+// a pool — the steady state of every benchmark round — allocate nothing
+// once the scratch has grown to the input size. Callers managing their
+// own reuse can hold a Scratch and call SortPairsScratch directly.
 package radix
 
 import (
@@ -25,28 +27,13 @@ import (
 const digitBits = 8
 const radixSize = 1 << digitBits
 
-// blockSizeFor picks the per-chunk grain for counting passes.
-func blockSizeFor(n int) int {
-	bs := 1 << 14
-	if n < bs {
-		bs = n
-	}
-	if bs == 0 {
-		bs = 1
-	}
-	return bs
-}
-
 // Scratch holds the reusable memory of SortPairs: the ping-pong key and
-// value buffers, the (digit, chunk) count matrix, and the pass body —
-// plus, for SortPairsAt, the gathered values and their loop body.
-// A Scratch grows to the largest sort it has served and is reused
-// without shrinking. It is single-owner: one sort at a time.
+// value buffers, plus, for SortPairsAt, the gathered values and their
+// loop body. A Scratch grows to the largest sort it has served and is
+// reused without shrinking. It is single-owner: one sort at a time.
 type Scratch struct {
 	keyBuf   []uint64
 	valBuf   []int32
-	counts   []int32
-	body     passBody
 	gathered []int32
 	at       atBody
 }
@@ -91,7 +78,8 @@ func SortPairsScratch(w *core.Worker, keys []uint64, vals []int32, bits int, s *
 	}
 	for p := 0; p < passes; p++ {
 		shift := uint(p * digitBits)
-		countingPass(w, s, srcK, srcV, dstK, dstV, shift)
+		core.CountDynamic(core.SngInd)
+		core.CountSort(w, n, radixSize, nil, passBody{srcK: srcK, dstK: dstK, srcV: srcV, dstV: dstV, shift: shift})
 		srcK, dstK = dstK, srcK
 		srcV, dstV = dstV, srcV
 	}
@@ -103,90 +91,32 @@ func SortPairsScratch(w *core.Worker, keys []uint64, vals []int32, bits int, s *
 	}
 }
 
-// Phases of passBody.
-const (
-	passCount uint8 = iota
-	passScatter
-)
-
-// passBody is the reusable loop body for one counting-sort pass,
-// ranging over input blocks. Phase passCount histograms each block's
-// digits into the digit-major count matrix; phase passScatter (after
-// the matrix has been exclusive-scanned into write cursors) moves each
-// block's elements through its disjoint cursors.
+// passBody is the caller's side of one counting-sort pass
+// (core.CountSort): both halves key element i by the digit of srcK[i]
+// at shift, and the place half moves it, and its value, to the slot
+// the block's cursor hands out.
 type passBody struct {
 	srcK, dstK []uint64
 	srcV, dstV []int32
-	counts     []int32
-	n, bs, nb  int
 	shift      uint
-	phase      uint8
 }
 
-func (p *passBody) RunRange(_ *core.Worker, lo, hi int) {
-	srcK, dstK, srcV, dstV, counts, nb, shift := p.srcK, p.dstK, p.srcV, p.dstV, p.counts, p.nb, p.shift
-	for b := lo; b < hi; b++ {
-		blo := b * p.bs
-		bhi := blo + p.bs
-		if bhi > p.n {
-			bhi = p.n
-		}
-		if p.phase == passCount {
-			var local [radixSize]int32
-			for i := blo; i < bhi; i++ {
-				local[(srcK[i]>>shift)&(radixSize-1)]++
-			}
-			for d := 0; d < radixSize; d++ {
-				counts[d*nb+b] = local[d] //lint:scared digit-major matrix: b lies in this invocation's own [lo, hi) and b < nb, so d*nb+b is distinct for every (d, b)
-			}
-		} else {
-			var cursor [radixSize]int32
-			for d := 0; d < radixSize; d++ {
-				cursor[d] = counts[d*nb+b]
-			}
-			for i := blo; i < bhi; i++ {
-				d := (srcK[i] >> shift) & (radixSize - 1)
-				at := cursor[d]
-				cursor[d]++
-				dstK[at] = srcK[i] //lint:scared counting-sort scatter: cursor[d] starts at the exclusive scan of counts[d*nb+b], so block b owns a segment of digit d no other block's cursor enters
-				if srcV != nil {
-					dstV[at] = srcV[i] //lint:scared same slot as dstK[at] above: block b's own segment of digit d
-				}
-			}
-		}
+func (p *passBody) CountRange(c core.Counter, lo, hi int) {
+	srcK, shift := p.srcK, p.shift
+	for i := lo; i < hi; i++ {
+		c.Add(int(srcK[i]>>shift) & (radixSize - 1))
 	}
 }
 
-// countingPass performs one stable counting-sort pass on the digit at
-// shift, from src into dst, with all scratch drawn from s. With a
-// warmed scratch it allocates nothing.
-func countingPass(w *core.Worker, s *Scratch, srcK []uint64, srcV []int32, dstK []uint64, dstV []int32, shift uint) {
-	n := len(srcK)
-	bs := blockSizeFor(n)
-	nb := (n + bs - 1) / bs
-	// counts is digit-major: counts[d*nb + b] = occurrences of digit d
-	// in block b. Digit-major layout makes the global exclusive scan
-	// directly yield each (digit, block) write cursor.
-	s.counts = core.EnsureLen(s.counts, radixSize*nb)
-	b := &s.body
-	b.srcK, b.srcV, b.dstK, b.dstV = srcK, srcV, dstK, dstV
-	b.counts, b.n, b.bs, b.nb, b.shift = s.counts, n, bs, nb, shift
-	b.phase = passCount
-	core.CountDynamic(core.Block)
-	if w == nil || nb <= 1 {
-		b.RunRange(nil, 0, nb)
-	} else {
-		w.ForBody(0, nb, 1, b)
+func (p *passBody) PlaceRange(c core.Cursor, lo, hi int) {
+	srcK, dstK, srcV, dstV, shift := p.srcK, p.dstK, p.srcV, p.dstV, p.shift
+	for i := lo; i < hi; i++ {
+		at := c.Next(int(srcK[i]>>shift) & (radixSize - 1))
+		dstK[at] = srcK[i]
+		if srcV != nil {
+			dstV[at] = srcV[i]
+		}
 	}
-	core.ScanExclusive(w, s.counts)
-	b.phase = passScatter
-	core.CountDynamic(core.SngInd)
-	if w == nil || nb <= 1 {
-		b.RunRange(nil, 0, nb)
-	} else {
-		w.ForBody(0, nb, 1, b)
-	}
-	b.srcK, b.srcV, b.dstK, b.dstV, b.counts = nil, nil, nil, nil, nil
 }
 
 // SortPairsAt sorts the entries vals[at[0]], ..., vals[at[m-1]] among
@@ -204,12 +134,7 @@ func SortPairsAt(w *core.Worker, keys []uint64, vals, at []int32, bits int) {
 	if len(keys) != m {
 		panic("radix.SortPairsAt: keys/at length mismatch")
 	}
-	var s *Scratch
-	if w == nil {
-		s = new(Scratch)
-	} else {
-		s = arena.AcquireBox[Scratch](w)
-	}
+	s := arena.AcquireBox[Scratch](w)
 	b := &s.at
 	b.vals, b.at = vals, at
 	b.run(w, atCheck)
@@ -222,9 +147,7 @@ func SortPairsAt(w *core.Worker, keys []uint64, vals, at []int32, bits int) {
 		b.run(w, atWrite)
 	}
 	b.vals, b.at, b.g = nil, nil, nil
-	if w != nil {
-		arena.ReleaseBox(w, s)
-	}
+	arena.ReleaseBox(w, s)
 	if bad {
 		panic("radix.SortPairsAt: positions not strictly increasing inside vals")
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 )
 
-var testPool = core.NewPool(4)
+var testPool *core.Pool
 
 func on(f func(w *core.Worker)) { testPool.Do(f) }
 

@@ -28,7 +28,9 @@ func TestTable1ContainsAllBenchmarks(t *testing.T) {
 
 func TestTable2RendersThreeGraphs(t *testing.T) {
 	var sb strings.Builder
-	Table2(&sb, bench.ScaleTest)
+	pool := core.NewPool(2)
+	defer pool.Close()
+	pool.Do(func(w *core.Worker) { Table2(&sb, w, bench.ScaleTest) })
 	out := sb.String()
 	for _, g := range []string{"link", "rmat", "road"} {
 		if !strings.Contains(out, g) {

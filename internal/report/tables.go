@@ -53,18 +53,16 @@ func Table1(w io.Writer) {
 }
 
 // Table2 renders the input-graph statistics (paper Table 2) from the
-// generators at the given scale.
-func Table2(w io.Writer, scale bench.Scale) {
+// generators at the given scale, building each graph on wk.
+func Table2(w io.Writer, wk *core.Worker, scale bench.Scale) {
 	fmt.Fprintln(w, "Table 2: Input graphs and their characteristics")
 	fmt.Fprintf(w, "%-8s %-12s %-12s %-8s\n", "Name", "|V|", "|E|", "|E|/|V|")
-	core.Run(func(wk *core.Worker) {
-		for _, name := range graph.GraphInputs {
-			g := graph.LoadUndirected(wk, name, scale, 1)
-			// Table 2 counts each undirected edge once; CSR stores both
-			// directions.
-			fmt.Fprintf(w, "%-8s %-12d %-12d %-8.1f\n", name, g.N, g.M()/2, float64(g.M())/float64(g.N)/2)
-		}
-	})
+	for _, name := range graph.GraphInputs {
+		g := graph.LoadUndirected(wk, name, scale, 1)
+		// Table 2 counts each undirected edge once; CSR stores both
+		// directions.
+		fmt.Fprintf(w, "%-8s %-12d %-12d %-8.1f\n", name, g.N, g.M()/2, float64(g.M())/float64(g.N)/2)
+	}
 }
 
 // Table3 renders the studied patterns and their safety levels (paper

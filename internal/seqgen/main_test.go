@@ -1,0 +1,9 @@
+package seqgen
+
+import (
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m, "seqgen", nil, nil) }

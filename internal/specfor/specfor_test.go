@@ -8,7 +8,7 @@ import (
 	"repro/internal/seqgen"
 )
 
-var testPool = core.NewPool(4)
+var testPool *core.Pool
 
 func on(f func(w *core.Worker)) { testPool.Do(f) }
 

@@ -85,52 +85,33 @@ func BWTDecodeOpts(w *core.Worker, bwt []byte, checked bool) []byte {
 
 // lfMapping computes the LF map: lf[i] is the row reached by one
 // backward step in the BWT, equal to the stable-sorted position of
-// bwt[i]. It is one counting-sort pass: per-block character counts, an
-// exclusive scan over the (char, block) matrix, and disjoint cursor
-// assignment per block.
+// bwt[i]. It is one counting-sort pass (core.CountSort) keyed by
+// character, with the slots recorded instead of moved to.
 func lfMapping(w *core.Worker, bwt []byte) []int32 {
-	n := len(bwt)
-	bs := 1 << 14
-	if n < bs {
-		bs = n
-	}
-	nb := (n + bs - 1) / bs
-	counts := make([]int32, 256*nb)
-	core.ForBlocks(w, 0, nb, 1, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := b*bs, (b+1)*bs
-			if hi > n {
-				hi = n
-			}
-			var local [256]int32
-			for i := lo; i < hi; i++ {
-				local[bwt[i]]++
-			}
-			for c := 0; c < 256; c++ {
-				counts[c*nb+b] = local[c]
-			}
-		}
-	})
-	core.ScanExclusive(w, counts)
-	lf := make([]int32, n)
-	core.ForBlocks(w, 0, nb, 1, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := b*bs, (b+1)*bs
-			if hi > n {
-				hi = n
-			}
-			var cursor [256]int32
-			for c := 0; c < 256; c++ {
-				cursor[c] = counts[c*nb+b]
-			}
-			for i := lo; i < hi; i++ {
-				c := bwt[i]
-				lf[i] = cursor[c]
-				cursor[c]++
-			}
-		}
-	})
+	lf := make([]int32, len(bwt))
+	core.CountDynamic(core.Stride)
+	core.CountSort(w, len(bwt), 256, nil, lfBody{bwt: bwt, lf: lf})
 	return lf
+}
+
+// lfBody is lfMapping's side of the counting sort: row i is keyed by
+// its character, and its slot is lf[i].
+type lfBody struct {
+	bwt []byte
+	lf  []int32
+}
+
+func (b *lfBody) CountRange(c core.Counter, lo, hi int) {
+	for _, ch := range b.bwt[lo:hi] {
+		c.Add(int(ch))
+	}
+}
+
+func (b *lfBody) PlaceRange(c core.Cursor, lo, hi int) {
+	bwt, lf := b.bwt, b.lf
+	for i := lo; i < hi; i++ {
+		lf[i] = c.Next(int(bwt[i]))
+	}
 }
 
 // BWTDecodeSequential is the straightforward sequential inverse BWT —

@@ -10,7 +10,7 @@ import (
 // Native fuzz targets. Under plain `go test` the seed corpus runs as
 // regression tests; `go test -fuzz=FuzzX` explores further.
 
-var fuzzPool = core.NewPool(2)
+var fuzzPool *core.Pool
 
 func FuzzArrayAgainstNaive(f *testing.F) {
 	f.Add([]byte("banana"))

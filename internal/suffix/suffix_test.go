@@ -11,7 +11,7 @@ import (
 	"repro/internal/suffix/suffixtest"
 )
 
-var testPool = core.NewPool(4)
+var testPool *core.Pool
 
 func on(f func(w *core.Worker)) { testPool.Do(f) }
 
