@@ -1,15 +1,16 @@
 package lint
 
-// The interprocedural core the typed passes share. Offset provenance
-// (summary.go), non-negativity (nnsummary.go) and the callee summary
-// (raceeffect.go: write effects for races, retention for lifetimes)
-// each answer a different question about a callee, but they need the
-// same four things
-// to ask it: where the callee is declared (declOf), a memo that cuts
-// recursion (summaryTable), which function a call expression invokes
-// (resolveCall), and where its parameters sit (paramObjs). A pass
-// supplies only its summary key, its value type, the transfer function
-// that builds one summary, and the answer a recursive query gets.
+// The interprocedural core the typed passes share. Two summary engines
+// answer questions about a callee: the prover's helper summary
+// (summary.go: what a returned slice is proved to be, and whether every
+// returned integer is non-negative) and the callee summary
+// (raceeffect.go: write effects for races, retention for lifetimes).
+// They need the same four things to ask: where the callee is declared
+// (declOf), a memo that cuts recursion (summaryTable), which function a
+// call expression invokes (resolveCall), and where its parameters sit
+// (paramObjs). An engine supplies only its summary key, its value type,
+// the transfer function that builds one summary, and the answer a
+// recursive query gets.
 
 import (
 	"go/ast"
@@ -76,26 +77,36 @@ func (l *typeLoader) eachFunc(visit func(tp *typedPkg, f *fileInfo, fd *ast.Func
 // recursion: a query that re-enters a key still being built gets the
 // pass's cycle answer instead of recursing forever. Whether that answer
 // may be optimistic depends on what a wrong guess costs, so each pass
-// chooses and documents its own at the get call.
+// chooses and documents its own at the get call. A summary built
+// against a cycle answer, directly or through another such summary, is
+// marked cyclic: built from another entry into the cycle, it may read
+// differently, so a pass that may not lean on a guess refuses it.
 type summaryTable[K comparable, V any] struct {
 	done     map[K]V
 	inflight map[K]bool
+	cyclic   map[K]bool
+	leaned   bool // the build under way has met a cycle answer
 }
 
 func (t *summaryTable[K, V]) get(key K, cycle V, build func() V) V {
 	if v, ok := t.done[key]; ok {
+		t.leaned = t.leaned || t.cyclic[key]
 		return v
 	}
 	if t.inflight[key] {
+		t.leaned = true
 		return cycle
 	}
 	if t.done == nil {
-		t.done, t.inflight = map[K]V{}, map[K]bool{}
+		t.done, t.inflight, t.cyclic = map[K]V{}, map[K]bool{}, map[K]bool{}
 	}
 	t.inflight[key] = true
-	defer delete(t.inflight, key)
+	outer := t.leaned
+	t.leaned = false
 	v := build()
-	t.done[key] = v
+	delete(t.inflight, key)
+	t.done[key], t.cyclic[key] = v, t.leaned
+	t.leaned = outer || t.leaned
 	return v
 }
 
@@ -164,9 +175,10 @@ type callee struct {
 	// syntax.
 	recv ast.Expr
 	// delegated reports a call whose target is chosen at run time — a
-	// func-typed value, an interface method, an immediately-invoked
-	// literal. The callee owns its effects; each pass decides what an
-	// opaque hand-off costs.
+	// func-typed value, an element of a container of funcs, a call's
+	// result, an interface method, an immediately-invoked literal. The
+	// callee owns its effects; each pass decides what an opaque hand-off
+	// costs.
 	delegated bool
 }
 
@@ -176,8 +188,12 @@ type callee struct {
 // the generic declaration). binding, when non-nil, supplies the single
 // expression a func-typed local was bound to, so a call through a
 // method value or a named function bound once resolves to that
-// function; without one the call stays delegated.
+// function; without one the call stays delegated. Conversions and
+// builtins resolve to nothing and are not delegated.
 func resolveCall(tp *typedPkg, call *ast.CallExpr, binding func(types.Object) ast.Expr) callee {
+	if tp.isConversion(call) {
+		return callee{}
+	}
 	fun := unparen(call.Fun)
 	switch v := fun.(type) {
 	case *ast.IndexExpr:
@@ -191,10 +207,8 @@ func resolveCall(tp *typedPkg, call *ast.CallExpr, binding func(types.Object) as
 		id = v
 	case *ast.SelectorExpr:
 		id = v.Sel
-	case *ast.FuncLit:
-		return callee{delegated: true}
 	default:
-		return callee{}
+		return callee{delegated: true}
 	}
 	switch obj := tp.objOf(id).(type) {
 	case *types.Func:
@@ -203,10 +217,9 @@ func resolveCall(tp *typedPkg, call *ast.CallExpr, binding func(types.Object) as
 		}
 		return callee{fn: obj}
 	case *types.Var:
-		if _, isSig := obj.Type().Underlying().(*types.Signature); !isSig {
-			return callee{}
-		}
-		if fun == ast.Expr(id) && binding != nil {
+		// A func-typed variable, or a container of funcs whose element
+		// fs[i] the instantiation strip above took for fs.
+		if _, isSig := obj.Type().Underlying().(*types.Signature); isSig && fun == ast.Expr(id) && binding != nil {
 			if c := boundFunc(tp, binding(obj)); c.fn != nil {
 				return c
 			}

@@ -62,6 +62,8 @@ func TestResolveCall(t *testing.T) {
 		{call: "func literal", delegated: true},
 		{call: "h.get", fn: "get"},
 		{call: "asmStub", fn: "asmStub"},
+		{call: "fs[0]", delegated: true},
+		{call: "int64"},
 	}
 	calls := map[string]*ast.CallExpr{}
 	ast.Inspect(d.fd.Body, func(n ast.Node) bool {
@@ -151,15 +153,20 @@ func TestDeclOf(t *testing.T) {
 
 // TestSummaryTable pins the memo-plus-inflight discipline itself: a
 // query that re-enters a key being built gets the cycle answer, every
-// key is built once, and a second query does not recompute.
+// key is built once, a second query does not recompute, and every key
+// that met a cycle answer, directly or through another key, is cyclic
+// while one that met none is not.
 func TestSummaryTable(t *testing.T) {
 	var tbl summaryTable[string, int]
 	builds := 0
-	next := map[string]string{"a": "b", "b": "a"}
+	next := map[string]string{"a": "b", "b": "a", "c": "a", "d": "e"}
 	var get func(k string) int
 	get = func(k string) int {
 		return tbl.get(k, -1, func() int {
 			builds++
+			if next[k] == "" {
+				return 0
+			}
 			return get(next[k]) + 1
 		})
 	}
@@ -175,6 +182,13 @@ func TestSummaryTable(t *testing.T) {
 	if len(tbl.inflight) != 0 {
 		t.Errorf("inflight set not drained: %v", tbl.inflight)
 	}
+	get("c")
+	get("d")
+	for k, want := range map[string]bool{"a": true, "b": true, "c": true, "d": false, "e": false} {
+		if tbl.cyclic[k] != want {
+			t.Errorf("cyclic[%s] = %v, want %v", k, tbl.cyclic[k], want)
+		}
+	}
 }
 
 // TestCycleAnswers runs each pass's summary over a recursive fixture
@@ -187,18 +201,18 @@ func TestCycleAnswers(t *testing.T) {
 	l, tp := coreFixture(t)
 	fn := func(name string) *types.Func { return fixtureFunc(t, tp, name) }
 
-	sum := l.summaryFor(fn("recOffsets"), 0, core.SngInd, "unique+bounds")
+	sum := l.summaryFor(fn("recOffsets"), 0, core.SngInd)
 	if sum.ok || !strings.Contains(sum.reason, "recursive; summaries do not cross back edges") {
 		t.Errorf("provenance summary of recOffsets = ok %v, reason %q; want a back-edge refusal", sum.ok, sum.reason)
 	}
-	if again := l.summaryFor(fn("recOffsets"), 0, core.SngInd, "unique+bounds"); again != sum {
+	if again := l.summaryFor(fn("recOffsets"), 0, core.SngInd); again != sum {
 		t.Error("provenance summary recomputed on the second query")
 	}
 
-	if l.nnSummaryFor(fn("recSize")) {
+	if l.nonNegative(fn("recSize")) {
 		t.Error("non-negativity summary of recSize = proven; the back edge must answer unproven")
 	}
-	if !l.nnSummaryFor(fn("flatSize")) {
+	if !l.nonNegative(fn("flatSize")) {
 		t.Error("non-negativity summary of flatSize = unproven; the non-recursive control must prove")
 	}
 
@@ -244,11 +258,12 @@ func TestEffectReturns(t *testing.T) {
 	}
 }
 
-// TestExprEqVariants pins what separates the two equality forms, which
-// no committed artifact does: the races pass's exprEq compares
-// expressions inside one region iteration and equates any two mentions
-// of one object; the prover's compares across program points and must
-// refuse a variable that is reassigned in between.
+// TestExprEqVariants pins what separates the two forms of the one
+// equality, which no committed artifact does: the races pass's exprEq
+// compares expressions inside one region iteration and equates any two
+// mentions of one object; the prover's cross-point form compares across
+// program points and must refuse a variable that is reassigned in
+// between.
 func TestExprEqVariants(t *testing.T) {
 	l, tp := coreFixture(t)
 	d := l.declOf(fixtureFunc(t, tp, "restated"))
@@ -267,10 +282,10 @@ func TestExprEqVariants(t *testing.T) {
 	if !exprEq(tp, sums[0], sums[1]) {
 		t.Error("exprEq(n+m, n+m) = false; same-point equality compares by object")
 	}
-	if p.exprEq(sums[0], sums[1]) {
-		t.Error("prover.exprEq(n+m, n+m) = true across n++; n is not stable")
+	if p.cmp.eq(sums[0], sums[1]) {
+		t.Error("cross-point exprCmp.eq(n+m, n+m) = true across n++; n is not stable")
 	}
-	if !p.exprEq(sums[0].Y, sums[1].Y) {
-		t.Error("prover.exprEq(m, m) = false; an unassigned parameter is stable")
+	if !p.cmp.eq(sums[0].Y, sums[1].Y) {
+		t.Error("cross-point exprCmp.eq(m, m) = false; an unassigned parameter is stable")
 	}
 }

@@ -3,8 +3,9 @@ package lint
 // The expression toolkit under the typed passes: syntactic helpers that
 // every engine needs in exactly one form — paren stripping, constant
 // folding, affine decomposition, access paths and whether they leave a
-// variable's storage, canonical keys, named-type tests, and mutex
-// tracking along a source-ordered walk.
+// variable's storage, canonical keys, structural equality (at one
+// program point or across two), builtin recognition, named-type tests,
+// and mutex tracking along a source-ordered walk.
 
 import (
 	"fmt"
@@ -475,52 +476,111 @@ func lockLabel(s string) string {
 	return string(out)
 }
 
-// exprEq is structural expression equality with identifiers compared by
-// resolved object. It compares two expressions evaluated at the same
-// program point (one region iteration); whether the operands hold still
-// in between is the caller's separate invariance argument. The
-// provenance prover compares across program points and so has its own
-// stricter form (prover.exprEq: stable objects only, no selectors).
-func exprEq(tp *typedPkg, a, b ast.Expr) bool {
-	a, b = unparen(a), unparen(b)
+// exprEq is structural expression equality at one program point (one
+// region iteration), identifiers compared by resolved object: whether
+// the operands hold still between two points is the caller's separate
+// invariance argument.
+func exprEq(tp *typedPkg, a, b ast.Expr) bool { return exprCmp{tp: tp}.eq(a, b) }
+
+// exprCmp is the one structural expression equality. Constants compare
+// by integer value (no other constant equals anything), identifiers by
+// resolved object, everything else shape by shape. The same-point form
+// (exprEq) leaves cross nil. The cross-point form, which compares
+// expressions evaluated at two program points, sets it to the
+// provenance prover of the function the points sit in: it equates a
+// variable only when the prover finds it stable (one value for the
+// whole function), refuses any load through memory or call that can
+// change in between (a selector, an index, a receive, a call other than
+// a builtin or a conversion), and normalizes each operand first (norm).
+type exprCmp struct {
+	tp    *typedPkg
+	cross *prover
+}
+
+// norm strips parentheses and, in the cross-point form, integer to
+// integer conversions, and replaces len(x) of a variable allocated with
+// length L by L. (Stripping conversions assumes values fit the narrower
+// type — a documented caveat; offsets that overflow int32 fail the
+// run-time check too.)
+func (c exprCmp) norm(e ast.Expr) ast.Expr {
+	for depth := 0; depth < 8; depth++ {
+		e = unparen(e)
+		call, ok := e.(*ast.CallExpr)
+		if !ok || c.cross == nil || len(call.Args) != 1 {
+			return e
+		}
+		switch {
+		case c.tp.isConversion(call) && isIntType(c.tp.typeOf(call.Fun)) && isIntType(c.tp.typeOf(call.Args[0])):
+			e = call.Args[0]
+		case builtinOf(c.tp, call) == "len":
+			id, isID := unparen(call.Args[0]).(*ast.Ident)
+			if !isID || c.cross.makeLen(c.tp.objOf(id)) == nil {
+				return e
+			}
+			e = c.cross.makeLen(c.tp.objOf(id))
+		default:
+			return e
+		}
+	}
+	return e
+}
+
+func (c exprCmp) eq(a, b ast.Expr) bool {
+	a, b = c.norm(a), c.norm(b)
+	if ca, cb := c.tp.constVal(a), c.tp.constVal(b); ca != nil || cb != nil {
+		return ca != nil && cb != nil && constant.Compare(constant.ToInt(ca), token.EQL, constant.ToInt(cb))
+	}
+	cross := c.cross != nil
 	switch av := a.(type) {
 	case *ast.Ident:
 		bv, ok := b.(*ast.Ident)
 		if !ok {
 			return false
 		}
-		if ao, bo := tp.objOf(av), tp.objOf(bv); ao != nil && bo != nil {
-			return ao == bo
+		ao := c.tp.objOf(av)
+		if _, isVar := ao.(*types.Var); isVar && cross && !c.cross.stableObj(ao) {
+			return false
 		}
-		return av.Name == bv.Name
+		return ao != nil && ao == c.tp.objOf(bv)
 	case *ast.SelectorExpr:
 		bv, ok := b.(*ast.SelectorExpr)
-		return ok && av.Sel.Name == bv.Sel.Name && exprEq(tp, av.X, bv.X)
-	case *ast.BasicLit:
-		bv, ok := b.(*ast.BasicLit)
-		return ok && av.Kind == bv.Kind && av.Value == bv.Value
+		return ok && !cross && av.Sel.Name == bv.Sel.Name && c.eq(av.X, bv.X)
 	case *ast.BinaryExpr:
 		bv, ok := b.(*ast.BinaryExpr)
-		return ok && av.Op == bv.Op && exprEq(tp, av.X, bv.X) && exprEq(tp, av.Y, bv.Y)
+		return ok && av.Op == bv.Op && c.eq(av.X, bv.X) && c.eq(av.Y, bv.Y)
 	case *ast.CallExpr:
 		bv, ok := b.(*ast.CallExpr)
-		if !ok || len(av.Args) != len(bv.Args) || !exprEq(tp, av.Fun, bv.Fun) {
+		if !ok || len(av.Args) != len(bv.Args) || !c.eq(av.Fun, bv.Fun) ||
+			cross && builtinOf(c.tp, av) == "" && !c.tp.isConversion(av) {
 			return false
 		}
 		for i := range av.Args {
-			if !exprEq(tp, av.Args[i], bv.Args[i]) {
+			if !c.eq(av.Args[i], bv.Args[i]) {
 				return false
 			}
 		}
 		return true
 	case *ast.IndexExpr:
 		bv, ok := b.(*ast.IndexExpr)
-		return ok && exprEq(tp, av.X, bv.X) && exprEq(tp, av.Index, bv.Index)
+		return ok && !cross && c.eq(av.X, bv.X) && c.eq(av.Index, bv.Index)
 	case *ast.UnaryExpr:
 		bv, ok := b.(*ast.UnaryExpr)
-		return ok && av.Op == bv.Op && exprEq(tp, av.X, bv.X)
+		return ok && av.Op == bv.Op && !(cross && av.Op == token.ARROW) && c.eq(av.X, bv.X)
 	}
 	return false
+}
+
+// builtinOf names the builtin a call invokes (len, copy, append, ...,
+// and unsafe's), "" for any other call.
+func builtinOf(tp *typedPkg, call *ast.CallExpr) string {
+	id, _ := unparen(call.Fun).(*ast.Ident)
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	if b, ok := tp.info.Uses[id].(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
 }
 
 // ---------------------------------------------------------------------

@@ -182,10 +182,9 @@ func (l *typeLoader) prescanBoxes() {
 		for _, f := range pkg.files {
 			ast.Inspect(f.ast, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					pathStr, name, isPkg := callTarget(f, call)
-					if isPkg && isPath(pathStr, arenaPath) && name == "AcquireBox" {
-						if name := boxTypeName(tp.typeOf(call)); name != "" {
-							l.boxTypes[name] = true
+					if name, _ := arenaCheckout(f, call); name == "AcquireBox" {
+						if tn := boxTypeName(tp.typeOf(call)); tn != "" {
+							l.boxTypes[tn] = true
 						}
 					}
 				}

@@ -30,7 +30,11 @@ package lint
 //
 // The analysis is deliberately refusal-biased: any definition, alias,
 // escape, or context it does not recognize refuses the site (soundness
-// caveats are listed in docs/LINT.md).
+// caveats are listed in docs/LINT.md). It is a client of the shared
+// analysis core: which body a use runs in comes from the region map
+// (races.go collectRegions), what a call does with an argument from the
+// one dispatcher (writes.go callWrites), expression equality from
+// exprs.go; what is its own is specific to offsets.
 
 import (
 	"fmt"
@@ -39,6 +43,7 @@ import (
 	"go/token"
 	"go/types"
 	"slices"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -61,37 +66,12 @@ type fillShape struct {
 }
 
 // loopCtx is one loop enclosing a node; fill is non-nil when the loop
-// is a recognized fill shape.
+// is a recognized fill shape. region is set for a core primitive's
+// per-task body, whose loop node is the call.
 type loopCtx struct {
-	node ast.Node // *ast.ForStmt, *ast.RangeStmt, or a primitive's *ast.CallExpr
-	fill *fillShape
-	// handedLo/handedHi are a ranged body's subrange parameters (a
-	// ForBlocks body's) and lo/hi the call's bounds arguments. The
-	// body's `for i := lo; i < hi; i++` is not a loop of its own: with
-	// the call it iterates i over the call's whole [lo, hi), and absorb
-	// folds it into this context as the fill.
-	handedLo, handedHi types.Object
-	lo, hi             ast.Expr
-}
-
-// absorb folds a ForStmt over the handed subrange into the ForBlocks
-// context around it, reporting whether fs was that loop.
-func (l *loopCtx) absorb(p *prover, fs *ast.ForStmt) bool {
-	inner := p.seqFill(fs)
-	if l.handedLo == nil || l.fill != nil || inner == nil ||
-		p.identObj(inner.lo) != l.handedLo || p.identObj(inner.hi) != l.handedHi {
-		return false
-	}
-	l.fill = &fillShape{loopVar: inner.loopVar, lo: l.lo, hi: l.hi}
-	return true
-}
-
-// identObj resolves a plain identifier to its object, nil otherwise.
-func (p *prover) identObj(e ast.Expr) types.Object {
-	if id, ok := unparen(e).(*ast.Ident); ok {
-		return p.tp.objOf(id)
-	}
-	return nil
+	node   ast.Node // *ast.ForStmt, *ast.RangeStmt, or a primitive's *ast.CallExpr
+	fill   *fillShape
+	region *raceRegion
 }
 
 func (l loopCtx) begin() token.Pos { return l.node.Pos() }
@@ -116,31 +96,45 @@ func (c evCtx) innerFill() (*fillShape, loopCtx, bool) {
 }
 
 // ctxOf computes the execution context for a node from its ancestor
-// path. Closures are resolved against the modeled primitives:
-// core.Run's body runs once (transparent), per-task bodies of ForRange
-// and friends count as loops (ForRange's with a fill shape, ForBlocks'
-// once the loop over its handed subrange is absorbed), anything else is
-// unbound.
+// path. Closures are bound by the races pass's region map
+// (collectRegions): a core primitive's body written at its call is a
+// loop over the call's index space — a fill when the call spells out lo
+// and hi, directly (ForRange) or once the body's loop over its handed
+// [lo, hi) folds into it (ForBlocks) — and core.Run's body runs once,
+// in place. Every other closure is unbound: a body handed by name (its
+// text is not where it runs, and the scan proof orders writes by
+// position), a Join, Worker.For, go or MultiQueue body, and the rest.
 func (p *prover) ctxOf(path []ast.Node) evCtx {
 	var c evCtx
 	for i, n := range path {
 		switch v := n.(type) {
 		case *ast.ForStmt:
-			if n := len(c.loops); n > 0 && c.loops[n-1].absorb(p, v) {
-				continue
+			fill := p.seqFill(v)
+			if k := len(c.loops); k > 0 && fill != nil {
+				if l := &c.loops[k-1]; l.fill == nil && l.region != nil && l.region.lo != nil && l.region.rangeLo != nil &&
+					p.isVar(fill.lo, l.region.rangeLo) && p.isVar(fill.hi, l.region.rangeHi) {
+					l.fill = &fillShape{loopVar: fill.loopVar, lo: l.region.lo, hi: l.region.hi}
+					continue
+				}
 			}
-			c.loops = append(c.loops, loopCtx{node: v, fill: p.seqFill(v)})
+			c.loops = append(c.loops, loopCtx{node: v, fill: fill})
 		case *ast.RangeStmt:
 			c.loops = append(c.loops, loopCtx{node: v, fill: p.rangeFill(v)})
 		case *ast.IfStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 			c.cond = true
 		case *ast.FuncLit:
-			lc, transparent, ok := p.closureCtx(v, path[:i])
-			switch {
-			case ok && transparent:
-				// core.Run body: executes once, in place.
-			case ok:
-				c.loops = append(c.loops, lc)
+			call, _ := path[i-1].(*ast.CallExpr)
+			switch r := p.regions[v.Body]; {
+			case call != nil && r != nil && strings.HasPrefix(r.kind, "core."):
+				l := loopCtx{node: call, region: r}
+				if r.lo != nil && len(r.task) == 1 {
+					for task := range r.task { // ForRange's index: a fill over the call's [lo, hi)
+						l.fill = &fillShape{loopVar: task, lo: r.lo, hi: r.hi}
+					}
+				}
+				c.loops = append(c.loops, l)
+			case call != nil && slices.Index(call.Args, ast.Expr(v)) == 0 && p.runsOnce(call):
+				// core.Run's body: executes once, in place.
 			default:
 				c.unbound = true
 			}
@@ -149,50 +143,17 @@ func (p *prover) ctxOf(path []ast.Node) evCtx {
 	return c
 }
 
-// closureCtx resolves a FuncLit against its parent call. transparent
-// reports a run-once body (core.Run); otherwise the returned loopCtx
-// models a per-task body.
-func (p *prover) closureCtx(lit *ast.FuncLit, path []ast.Node) (lc loopCtx, transparent, ok bool) {
-	if len(path) == 0 {
-		return loopCtx{}, false, false
-	}
-	call, isCall := path[len(path)-1].(*ast.CallExpr)
-	if !isCall {
-		return loopCtx{}, false, false
-	}
-	argIdx := -1
-	for i, a := range call.Args {
-		if a == lit {
-			argIdx = i
-		}
-	}
-	if argIdx < 0 {
-		return loopCtx{}, false, false
-	}
+// runsOnce reports a call to a primitive whose argument 0 is a body run
+// exactly once, in place.
+func (p *prover) runsOnce(call *ast.CallExpr) bool {
 	_, prim := primitiveOf(p.f, call)
-	switch {
-	case prim == nil:
-		return loopCtx{}, false, false
-	case prim.once && argIdx == 0:
-		return loopCtx{}, true, true
-	case !slices.Contains(prim.bodies, argIdx):
-		return loopCtx{}, false, false
-	}
-	lc = loopCtx{node: call}
-	// Only a body whose index space the call spells out in full, lo and
-	// hi both (ForRange, ForBlocks), can be a complete fill.
-	if prim.lo > 0 && prim.hi < len(call.Args) {
-		lc.lo, lc.hi = call.Args[prim.lo], call.Args[prim.hi]
-		switch {
-		case prim.ranged:
-			lc.handedLo, lc.handedHi = p.tp.paramAt(lit.Type.Params, 0), p.tp.paramAt(lit.Type.Params, 1)
-		case len(prim.task) > 0:
-			if obj := p.tp.paramAt(lit.Type.Params, prim.task[0]); obj != nil {
-				lc.fill = &fillShape{loopVar: obj, lo: lc.lo, hi: lc.hi}
-			}
-		}
-	}
-	return lc, false, true
+	return prim != nil && prim.once
+}
+
+// isVar reports whether e is a plain mention of obj.
+func (p *prover) isVar(e ast.Expr, obj types.Object) bool {
+	id, ok := unparen(e).(*ast.Ident)
+	return ok && p.tp.objOf(id) == obj
 }
 
 // seqFill recognizes `for i := lo; i < hi; i++`.
@@ -264,16 +225,23 @@ type prover struct {
 	fd     *ast.FuncDecl
 	loader *typeLoader // interprocedural summaries and shared facts
 
-	ff   *funcFacts
-	uses map[types.Object][]*use // usesOf's memo
+	ff      *funcFacts
+	regions map[*ast.BlockStmt]*raceRegion // the parallel bodies, by body
+	cmp     exprCmp                        // cross-point expression equality
+	uses    map[types.Object][]*use        // usesOf's memo
 
 	nn     map[types.Object]bool // non-negativity fixpoint (lazy)
 	nnDone bool
 }
 
 func newProver(a *analysis, tp *typedPkg, f *fileInfo, fd *ast.FuncDecl, loader *typeLoader) *prover {
-	return &prover{a: a, tp: tp, f: f, fd: fd, loader: loader,
-		ff: loader.factsOf(tp, fd), uses: map[types.Object][]*use{}}
+	p := &prover{a: a, tp: tp, f: f, fd: fd, loader: loader,
+		ff: loader.factsOf(tp, fd), regions: map[*ast.BlockStmt]*raceRegion{}, uses: map[types.Object][]*use{}}
+	for _, r := range collectRegions(p.ff, f) {
+		p.regions[r.body] = r
+	}
+	p.cmp = exprCmp{tp: tp, cross: p}
+	return p
 }
 
 func (p *prover) pos(pos token.Pos) token.Position { return p.a.fset.Position(pos) }
@@ -297,9 +265,8 @@ func (p *prover) usesOf(obj types.Object) []*use {
 	}
 	var us []*use
 	for _, oc := range p.ff.of(obj).occs {
-		path := p.ff.pathTo(oc.id)
-		u := p.classifyUse(oc, obj, path)
-		u.pos, u.ctx = oc.id.Pos(), p.ctxOf(path)
+		u := p.classifyUse(oc, obj)
+		u.pos, u.ctx = oc.id.Pos(), p.ctxOf(p.ff.pathTo(oc.id))
 		us = append(us, u)
 	}
 	p.uses[obj] = us
@@ -320,7 +287,7 @@ func isContainer(obj types.Object) bool {
 // definition/assignment tracking (reads are always benign); containers
 // get the strict treatment — any context not in the model poisons the
 // variable.
-func (p *prover) classifyUse(oc *occurrence, obj types.Object, path []ast.Node) *use {
+func (p *prover) classifyUse(oc *occurrence, obj types.Object) *use {
 	if b := oc.bind; b != nil {
 		u := &use{kind: useAssign, op: b.op, rhs: b.rhs, resIdx: b.resIdx, tupleLhs: b.lhs}
 		if b.define {
@@ -331,84 +298,68 @@ func (p *prover) classifyUse(oc *occurrence, obj types.Object, path []ast.Node) 
 		}
 		return u
 	}
-	parent := path[len(path)-1]
-	switch par := parent.(type) {
+	container := isContainer(obj)
+	switch par := p.ff.parent[oc.id].(type) {
 	case *ast.AssignStmt, *ast.ValueSpec:
-		if isContainer(obj) {
-			return &use{kind: useOther, why: "aliased through a second slice header"}
+		if container {
+			return other("aliased through a second slice header")
 		}
-		return &use{kind: useRead}
-	case *ast.RangeStmt:
-		return &use{kind: useRead} // range operand: elements are copied
 	case *ast.UnaryExpr:
 		if par.Op == token.AND {
-			return &use{kind: useOther, why: "address taken"}
+			return other("address taken")
 		}
-		return &use{kind: useRead}
+	case *ast.IndexExpr:
+		if container && par.X == oc.id {
+			return p.elemUse(par)
+		}
+	case *ast.CallExpr:
+		if container {
+			return p.callUse(oc.id, false, par)
+		}
+	case *ast.SliceExpr:
+		if call, ok := p.ff.parent[par].(*ast.CallExpr); container && ok && isFrom1(par) {
+			return p.callUse(par, true, call)
+		}
+		if container {
+			return other("re-sliced (aliases the backing array)")
+		}
+	case *ast.RangeStmt, *ast.BinaryExpr, *ast.ReturnStmt:
+		// Elements are copied, x == nil and friends, and the caller's
+		// mutation happens after fd returns.
+	default:
+		if container {
+			return other("used in an unmodeled context")
+		}
 	}
-	if !isContainer(obj) {
-		return &use{kind: useRead}
-	}
-	return p.classifyContainerUse(oc.id, parent, path)
+	return &use{kind: useRead}
 }
 
-// classifyContainerUse handles the container-specific contexts: element
-// writes, modeled calls, and the aliasing escapes.
-func (p *prover) classifyContainerUse(id *ast.Ident, parent ast.Node, path []ast.Node) *use {
-	switch par := parent.(type) {
-	case *ast.IndexExpr:
-		if par.X != id {
-			return &use{kind: useRead} // used as an index: a read
-		}
-		if len(path) < 2 {
-			return &use{kind: useRead}
-		}
-		switch gp := path[len(path)-2].(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range gp.Lhs {
-				if lhs != par {
-					continue
-				}
-				u := &use{kind: useElemWrite, op: gp.Tok, index: par.Index}
-				if len(gp.Lhs) == len(gp.Rhs) {
-					u.rhs = gp.Rhs[i]
-				} else {
-					return &use{kind: useOther, why: "element assigned from a multi-value expression"}
-				}
-				return u
-			}
-			return &use{kind: useRead}
-		case *ast.IncDecStmt:
-			if gp.X == par {
-				u := &use{kind: useElemWrite, op: token.INC, index: par.Index}
-				if gp.Tok == token.DEC {
-					u.op = token.DEC
-				}
-				return u
-			}
-			return &use{kind: useRead}
-		case *ast.UnaryExpr:
-			if gp.Op == token.AND {
-				return &use{kind: useOther, why: "address of an element taken"}
-			}
-			return &use{kind: useRead}
-		}
-		return &use{kind: useRead}
-	case *ast.CallExpr:
-		return p.classifyCallUse(id, id, false, par, path)
-	case *ast.SliceExpr:
-		if par.X == id && isFrom1(par) && len(path) >= 2 {
-			if call, ok := path[len(path)-2].(*ast.CallExpr); ok {
-				return p.classifyCallUse(par, id, true, call, path[:len(path)-1])
+func other(why string) *use { return &use{kind: useOther, why: why} }
+
+// elemUse classifies x[i] for a container x: an element write, or a
+// read.
+func (p *prover) elemUse(ix *ast.IndexExpr) *use {
+	switch st := p.ff.parent[ix].(type) {
+	case *ast.AssignStmt:
+		for i, lhs := range st.Lhs {
+			switch {
+			case lhs != ix:
+			case len(st.Lhs) != len(st.Rhs):
+				return other("element assigned from a multi-value expression")
+			default:
+				return &use{kind: useElemWrite, op: st.Tok, index: ix.Index, rhs: st.Rhs[i]}
 			}
 		}
-		return &use{kind: useOther, why: "re-sliced (aliases the backing array)"}
-	case *ast.BinaryExpr:
-		return &use{kind: useRead} // x == nil and friends
-	case *ast.ReturnStmt:
-		return &use{kind: useRead} // caller mutation happens after fd returns
+	case *ast.IncDecStmt:
+		if st.X == ix {
+			return &use{kind: useElemWrite, op: st.Tok, index: ix.Index}
+		}
+	case *ast.UnaryExpr:
+		if st.Op == token.AND {
+			return other("address of an element taken")
+		}
 	}
-	return &use{kind: useOther, why: "used in an unmodeled context"}
+	return &use{kind: useRead}
 }
 
 // isFrom1 matches the two-index slice x[1:].
@@ -420,152 +371,115 @@ func isFrom1(se *ast.SliceExpr) bool {
 	return ok && lit.Kind == token.INT && lit.Value == "1"
 }
 
-// classifyCallUse resolves a container appearing as a call argument
-// against the modeled primitives.
-func (p *prover) classifyCallUse(argNode ast.Expr, id *ast.Ident, from1 bool, call *ast.CallExpr, path []ast.Node) *use {
-	if name, ok := p.builtinName(call); ok {
-		if name == "len" || name == "cap" {
+// callUse classifies a container passed to a call as arg (x, or x[1:]
+// with from1). The primitive table's prover roles and radix's permuting
+// sorts come first. Any other call answers through the shared
+// dispatcher (writes.go callWrites): an argument the callee writes or
+// keeps refuses, and so does one handed to a call chosen at run time,
+// to a call whose result may carry it (the shared rooting rule roots a
+// call's result at its reference inputs), to a callee that writes what
+// its summary cannot root, to a substrate primitive (whose summary
+// drops what its callbacks do with the memory it hands them) or to a
+// callee whose summary leaned on a recursive cycle's guess. Anything
+// else only reads. CopyInto needs its reads row: it copies through one
+// body holding dst and src, which the callee summary roots at the
+// worse of the two.
+func (p *prover) callUse(arg ast.Expr, from1 bool, call *ast.CallExpr) *use {
+	if p.tp.isConversion(call) {
+		return other("converted to another type")
+	}
+	i := slices.Index(call.Args, arg)
+	if name, prim := primitiveOf(p.f, call); prim != nil && i > 0 { // a role the row leaves at 0 matches no argument
+		switch {
+		case i == prim.scans:
+			return &use{kind: useScanArg, from1: from1, callName: name, scanLHS: p.scanResultObj(call)}
+		case i == prim.permutes && !from1:
+			return &use{kind: usePermuteArg, callName: name}
+		case i == prim.reads:
 			return &use{kind: useRead}
-		}
-		if name == "copy" && len(call.Args) == 2 && call.Args[1] == argNode {
-			return &use{kind: useRead} // copy source: read-only
-		}
-		return &use{kind: useOther, why: "passed to builtin " + name}
-	}
-	if tv, ok := p.tp.info.Types[call.Fun]; ok && tv.IsType() {
-		return &use{kind: useOther, why: "converted to another type"}
-	}
-	argIdx := -1
-	for i, a := range call.Args {
-		if a == argNode {
-			argIdx = i
+		case i == prim.offsets && !from1:
+			return &use{kind: useOffsetsArg, callName: name}
+		case i == prim.out && prim.offsets > 0 && !from1:
+			return other("written through core." + name + " (it is the scatter target)")
 		}
 	}
-	pathStr, name, isPkg := callTarget(p.f, call)
-	if !isPkg || argIdx < 0 {
-		return &use{kind: useOther, why: "passed to an unmodeled call"}
+	// SortPairsAt permutes its vals among the positions at lists, which it
+	// validates as strictly increasing before it writes.
+	if pathStr, name, isPkg := callTarget(p.f, call); isPkg && isPath(pathStr, radixPath) && !from1 &&
+		(name == "SortPairs" && (i == 1 || i == 2) || name == "SortPairsAt" && i == 2) {
+		return &use{kind: usePermuteArg, callName: name}
+	}
+	why, shared := "", ""
+	delegated := p.loader.callWrites(p.tp, p.f, p.ff, call, func(ev writeEvent) bool {
+		callee := ev.op
+		if ev.via != nil {
+			callee = ev.via.Name()
+		}
+		switch {
+		case ev.shared != "":
+			shared = "passed to " + callee + ", which " + ev.shared
+		case ev.target != arg:
+		case ev.kept != "":
+			why = "kept by " + callee + ": " + ev.kept
+		case ev.plain || ev.atomic:
+			why = "written through " + callee
+		case ev.via == nil:
+		case isSubstrate(ev.via.Pkg().Path()):
+			why = "passed to " + ev.via.Pkg().Name() + "." + callee
+		case p.loader.effects.cyclic[ev.via]:
+			why = "passed to " + callee + ", whose summary leans on a recursive cycle"
+		}
+		return why == ""
+	})
+	if why == "" {
+		why = shared
 	}
 	switch {
-	case isPath(pathStr, corePath):
-		// A role the row leaves at 0 must not match an argument there.
-		if prim := primitives[name]; prim != nil && argIdx > 0 {
-			switch {
-			case argIdx == prim.scans:
-				return &use{kind: useScanArg, from1: from1, callName: name,
-					scanLHS: p.scanResultObj(call, path)}
-			case argIdx == prim.permutes && !from1:
-				return &use{kind: usePermuteArg, callName: name}
-			case argIdx == prim.reads:
-				return &use{kind: useRead}
-			case argIdx == prim.offsets && !from1:
-				return &use{kind: useOffsetsArg, callName: name}
-			case argIdx == prim.out && prim.offsets > 0 && !from1:
-				return &use{kind: useOther, why: "written through core." + name + " (it is the scatter target)"}
-			}
-		}
-		return &use{kind: useOther, why: "passed to core." + name}
-	case isPath(pathStr, radixPath) && name == "SortPairs" && (argIdx == 1 || argIdx == 2) && !from1:
-		return &use{kind: usePermuteArg, callName: "SortPairs"}
-	case isPath(pathStr, radixPath) && name == "SortPairsAt" && argIdx == 2 && !from1:
-		// vals: permuted among the positions at lists, which SortPairsAt
-		// validates as strictly increasing before it writes.
-		return &use{kind: usePermuteArg, callName: "SortPairsAt"}
+	case why != "":
+		return other(why)
+	case delegated:
+		return other("passed to " + types.ExprString(call.Fun) + ", a call chosen at run time")
+	case carriesRef(p.tp.typeOf(call)):
+		return other("passed to " + types.ExprString(call.Fun) + ", whose result may carry it")
 	}
-	return &use{kind: useOther, why: fmt.Sprintf("passed to %s.%s", pathStr, name)}
+	return &use{kind: useRead}
 }
 
-// builtinName reports a call to a builtin (len, cap, copy, ...).
-func (p *prover) builtinName(call *ast.CallExpr) (string, bool) {
-	id, ok := unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return "", false
+// carriesRef reports whether a call's result, or any of its results,
+// can carry a reference.
+func carriesRef(t types.Type) bool {
+	if tu, ok := t.(*types.Tuple); ok {
+		for i := 0; i < tu.Len(); i++ {
+			if refCarrying(tu.At(i).Type()) {
+				return true
+			}
+		}
+		return false
 	}
-	if b, isB := p.tp.objOf(id).(*types.Builtin); isB {
-		return b.Name(), true
-	}
-	return "", false
+	return t != nil && refCarrying(t)
 }
 
 // scanResultObj finds the variable a scan call's returned total is
 // bound to: `total := core.ScanInclusive(...)`.
-func (p *prover) scanResultObj(call *ast.CallExpr, path []ast.Node) types.Object {
-	for i := len(path) - 1; i >= 0; i-- {
-		assign, ok := path[i].(*ast.AssignStmt)
-		if !ok {
-			continue
+func (p *prover) scanResultObj(call *ast.CallExpr) types.Object {
+	if as, ok := p.ff.parent[call].(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
+		if id, ok := as.Lhs[0].(*ast.Ident); ok {
+			return p.tp.objOf(id)
 		}
-		if len(assign.Lhs) != 1 || len(assign.Rhs) != 1 || assign.Rhs[0] != call {
-			return nil
-		}
-		id, ok := assign.Lhs[0].(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		return p.tp.objOf(id)
 	}
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// Canonical expressions and structural equality.
-
-// canon normalizes an expression for comparison: parentheses and
-// integer→integer conversions are stripped, and len(x) of a variable
-// whose single definition is make(..., L) with a stable header is
-// replaced by L. (Stripping conversions assumes values fit the
-// narrower type — a documented caveat; offsets that overflow int32
-// fail the run-time check too.)
-func (p *prover) canon(e ast.Expr) ast.Expr {
-	for depth := 0; depth < 8; depth++ {
-		switch v := e.(type) {
-		case *ast.ParenExpr:
-			e = v.X
-			continue
-		case *ast.CallExpr:
-			if len(v.Args) == 1 {
-				if isIntType(p.tp.typeOf(v.Fun)) && isIntType(p.tp.typeOf(v.Args[0])) && p.tp.isConversion(v) {
-					e = v.Args[0]
-					continue
-				}
-			}
-			if name, ok := p.builtinName(v); ok && name == "len" && len(v.Args) == 1 {
-				if id, isID := unparen(v.Args[0]).(*ast.Ident); isID {
-					if L := p.makeLen(p.tp.objOf(id)); L != nil {
-						e = L
-						continue
-					}
-				}
-			}
-		}
-		return e
+// sliceAlloc returns the length of a make or arena slice checkout
+// (arenaCheckout) and whether its contents start zeroed — not for
+// AllocUninit, whose garbage from earlier generations cannot seed the
+// zero-init side of the scan proof; nil when call is neither.
+func (p *prover) sliceAlloc(call *ast.CallExpr) (ast.Expr, bool) {
+	if builtinOf(p.tp, call) == "make" && len(call.Args) >= 2 {
+		return call.Args[1], true
 	}
-	return e
-}
-
-// allocLen recognizes the make-equivalent allocation forms and returns
-// the length expression: the builtin make(T, L), and the per-worker
-// scratch checkouts arena.Alloc[T](a, L) (zeroed, exactly like make)
-// and arena.AllocUninit[T](a, L) (length L, but contents are garbage
-// from earlier generations — zeroed=false, so it cannot seed the
-// zero-init side of the scan proof).
-func (p *prover) allocLen(call *ast.CallExpr) (length ast.Expr, zeroed, ok bool) {
-	if name, isB := p.builtinName(call); isB {
-		if name == "make" && len(call.Args) >= 2 {
-			return call.Args[1], true, true
-		}
-		return nil, false, false
-	}
-	pathStr, name, isPkg := callTarget(p.f, call)
-	if !isPkg || !isPath(pathStr, arenaPath) || len(call.Args) != 2 {
-		return nil, false, false
-	}
-	switch name {
-	case "Alloc":
-		return call.Args[1], true, true
-	case "AllocUninit":
-		return call.Args[1], false, true
-	}
-	return nil, false, false
+	name, length := arenaCheckout(p.f, call)
+	return length, name == "Alloc"
 }
 
 // makeLen returns the length expression of obj's defining allocation
@@ -583,10 +497,8 @@ func (p *prover) makeLen(obj types.Object) ast.Expr {
 	if !ok {
 		return nil
 	}
-	if L, _, isAlloc := p.allocLen(call); isAlloc {
-		return L
-	}
-	return nil
+	L, _ := p.sliceAlloc(call)
+	return L
 }
 
 // stableObj reports whether a variable provably holds one value for the
@@ -598,36 +510,6 @@ func (p *prover) stableObj(obj types.Object) bool {
 		return false
 	}
 	return f.param || p.simpleDef(obj) != nil
-}
-
-// exprEq is canonical structural equality: constants compare by value,
-// identifiers by object (which must be stable), composites structurally.
-func (p *prover) exprEq(x, y ast.Expr) bool {
-	x, y = p.canon(x), p.canon(y)
-	if cx, cy := p.tp.constVal(x), p.tp.constVal(y); cx != nil || cy != nil {
-		return cx != nil && cy != nil && constant.Compare(constant.ToInt(cx), token.EQL, constant.ToInt(cy))
-	}
-	switch xv := x.(type) {
-	case *ast.Ident:
-		yv, ok := y.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		ox, oy := p.tp.objOf(xv), p.tp.objOf(yv)
-		return ox != nil && ox == oy && p.stableObj(ox)
-	case *ast.BinaryExpr:
-		yv, ok := y.(*ast.BinaryExpr)
-		return ok && xv.Op == yv.Op && p.exprEq(xv.X, yv.X) && p.exprEq(xv.Y, yv.Y)
-	case *ast.CallExpr:
-		yv, ok := y.(*ast.CallExpr)
-		if !ok || len(xv.Args) != 1 || len(yv.Args) != 1 {
-			return false
-		}
-		nx, okx := p.builtinName(xv)
-		ny, oky := p.builtinName(yv)
-		return okx && oky && nx == ny && p.exprEq(xv.Args[0], yv.Args[0])
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------
@@ -644,7 +526,7 @@ type affineForm struct {
 // the shared affine parser over canonical expressions, accepted only
 // when the loop variable is the sole atom.
 func (p *prover) parseAffine(e ast.Expr, loopVar types.Object) (affineForm, bool) {
-	sum, ok := affineEnv{tp: p.tp, norm: p.canon}.parse(e)
+	sum, ok := affineEnv{tp: p.tp, norm: p.cmp.norm}.parse(e)
 	if !ok {
 		return affineForm{}, false
 	}
@@ -661,7 +543,7 @@ func (p *prover) parseAffine(e ast.Expr, loopVar types.Object) (affineForm, bool
 // parseReverse matches the descending identity B-1-i (or (B-1)-i) for a
 // fill over [0, B): a permutation of [0, B) like the identity.
 func (p *prover) parseReverse(e ast.Expr, loopVar types.Object, bound ast.Expr) bool {
-	be, ok := p.canon(e).(*ast.BinaryExpr)
+	be, ok := p.cmp.norm(e).(*ast.BinaryExpr)
 	if !ok || be.Op != token.SUB {
 		return false
 	}
@@ -669,9 +551,9 @@ func (p *prover) parseReverse(e ast.Expr, loopVar types.Object, bound ast.Expr) 
 	if !ok || p.tp.objOf(id) != loopVar {
 		return false
 	}
-	lhs, ok := p.canon(be.X).(*ast.BinaryExpr)
+	lhs, ok := p.cmp.norm(be.X).(*ast.BinaryExpr)
 	if ok && lhs.Op == token.SUB {
-		if one, isC := p.tp.constInt(lhs.Y); isC && one == 1 && p.exprEq(lhs.X, bound) {
+		if one, isC := p.tp.constInt(lhs.Y); isC && one == 1 && p.cmp.eq(lhs.X, bound) {
 			return true
 		}
 	}
@@ -706,55 +588,40 @@ func (p *prover) ensureNN() {
 		if f.addrTaken || f.param || def == nil {
 			continue
 		}
-		if isContainer(obj) {
-			if !isIntElem(obj.Type()) || f.assigns() > 0 {
-				continue
-			}
-			if !p.zeroInitContainer(def.rhs) {
-				continue
-			}
-			ok := true
-			var d []ast.Expr
-			for _, u := range p.usesOf(obj) {
-				switch u.kind {
-				case useDef, useRead, useScanArg, usePermuteArg, useOffsetsArg:
-				case useElemWrite:
-					switch u.op {
-					case token.ASSIGN, token.ADD_ASSIGN, token.MUL_ASSIGN:
-						d = append(d, u.rhs)
-					case token.INC:
-					default:
-						ok = false
-					}
-				default:
-					ok = false
-				}
-			}
-			if ok {
-				p.nn[obj] = true
-				deps[obj] = d
-			}
-			continue
-		}
-		if !isIntType(obj.Type()) {
-			continue
-		}
-		ok := true
-		var d []ast.Expr
-		if def.rhs != nil {
-			d = append(d, def.rhs)
-		}
-		for _, w := range f.binds {
-			if w.define {
-				continue
-			}
-			switch w.op {
+		ok, d := true, []ast.Expr{}
+		write := func(op token.Token, rhs ast.Expr) {
+			switch op {
 			case token.ASSIGN, token.ADD_ASSIGN, token.MUL_ASSIGN:
-				d = append(d, w.rhs)
+				d = append(d, rhs)
 			case token.INC:
 			default:
 				ok = false
 			}
+		}
+		switch {
+		case isContainer(obj):
+			if !isIntElem(obj.Type()) || f.assigns() > 0 || !p.zeroInitContainer(def.rhs) {
+				continue
+			}
+			for _, u := range p.usesOf(obj) {
+				switch u.kind {
+				case useDef, useRead, useScanArg, usePermuteArg, useOffsetsArg:
+				case useElemWrite:
+					write(u.op, u.rhs)
+				default:
+					ok = false
+				}
+			}
+		case isIntType(obj.Type()):
+			for _, w := range f.binds {
+				if w.define && w.rhs != nil {
+					d = append(d, w.rhs)
+				} else if !w.define {
+					write(w.op, w.rhs)
+				}
+			}
+		default:
+			continue
 		}
 		if ok {
 			p.nn[obj] = true
@@ -788,8 +655,8 @@ func (p *prover) zeroInitContainer(def ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	_, zeroed, isAlloc := p.allocLen(call)
-	return isAlloc && zeroed
+	_, zeroed := p.sliceAlloc(call)
+	return zeroed
 }
 
 func isIntElem(t types.Type) bool {
@@ -805,7 +672,7 @@ func isIntElem(t types.Type) bool {
 // nnExpr proves an expression non-negative under the current
 // assumption set.
 func (p *prover) nnExpr(e ast.Expr) bool {
-	e = p.canon(e)
+	e = p.cmp.norm(e)
 	if v := p.tp.constVal(e); v != nil {
 		return constant.Sign(constant.ToInt(v)) >= 0
 	}
@@ -814,15 +681,9 @@ func (p *prover) nnExpr(e ast.Expr) bool {
 	}
 	switch v := e.(type) {
 	case *ast.Ident:
-		obj := p.tp.objOf(v)
-		return obj != nil && p.nn[obj]
+		return p.nn[p.tp.objOf(v)]
 	case *ast.IndexExpr:
-		id, ok := unparen(v.X).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		obj := p.tp.objOf(id)
-		return obj != nil && p.nn[obj]
+		return p.nnVar(v.X)
 	case *ast.BinaryExpr:
 		switch v.Op {
 		case token.ADD, token.MUL, token.QUO, token.REM, token.AND, token.SHR, token.OR:
@@ -833,30 +694,30 @@ func (p *prover) nnExpr(e ast.Expr) bool {
 			return p.nnExpr(v.X)
 		}
 	case *ast.CallExpr:
-		if name, ok := p.builtinName(v); ok && (name == "len" || name == "cap") {
+		if name := builtinOf(p.tp, v); name == "len" || name == "cap" {
 			return true
 		}
 		if _, prim := primitiveOf(p.f, v); prim != nil && prim.scans > 0 && prim.scans < len(v.Args) {
 			arg := unparen(v.Args[prim.scans])
 			if se, isSE := arg.(*ast.SliceExpr); isSE {
-				arg = unparen(se.X)
+				arg = se.X
 			}
-			if id, isID := arg.(*ast.Ident); isID {
-				obj := p.tp.objOf(id)
-				return obj != nil && p.nn[obj]
-			}
-			return false
+			return p.nnVar(arg)
 		}
-		// An in-module helper whose non-negativity summary proves
-		// every return value >= 0 regardless of its arguments
-		// (nnsummary.go) — the hook that lets a prefix sum over
-		// `sizes[i] = encRowSize(...)` stay monotone without inlining
-		// the size computation.
-		if fn := resolveCall(p.tp, v, nil).fn; fn != nil && p.loader.nnSummaryFor(fn) {
+		// An in-module helper whose summary proves every value it
+		// returns >= 0, whatever its arguments (summary.go).
+		if fn := resolveCall(p.tp, v, nil).fn; fn != nil && p.loader.nonNegative(fn) {
 			return true
 		}
 	}
 	return false
+}
+
+// nnVar reports whether e names a variable the fixpoint keeps
+// non-negative.
+func (p *prover) nnVar(e ast.Expr) bool {
+	id, ok := unparen(e).(*ast.Ident)
+	return ok && p.nn[p.tp.objOf(id)]
 }
 
 // ---------------------------------------------------------------------
@@ -881,7 +742,7 @@ func (p *prover) denotEq(a, b lenDenot) bool {
 		return aok && bok && av == bv
 	}
 	if a.expr != nil && b.expr != nil {
-		return p.exprEq(a.expr, b.expr)
+		return p.cmp.eq(a.expr, b.expr)
 	}
 	if a.expr == nil && b.expr == nil {
 		return a.lenOf != nil && a.lenOf == b.lenOf && p.stableObj(a.lenOf)
@@ -894,16 +755,10 @@ func (p *prover) denotEq(a, b lenDenot) bool {
 		return false
 	}
 	if M := p.makeLen(o); M != nil {
-		return p.exprEq(e, M)
+		return p.cmp.eq(e, M)
 	}
-	if call, ok := p.canon(e).(*ast.CallExpr); ok && len(call.Args) == 1 {
-		if nm, isB := p.builtinName(call); isB && nm == "len" {
-			if id, isID := unparen(call.Args[0]).(*ast.Ident); isID {
-				return p.tp.objOf(id) == o && p.stableObj(o)
-			}
-		}
-	}
-	return false
+	call, ok := p.cmp.norm(e).(*ast.CallExpr)
+	return ok && builtinOf(p.tp, call) == "len" && len(call.Args) == 1 && p.isVar(call.Args[0], o) && p.stableObj(o)
 }
 
 // denotConst evaluates a length denotation to a constant.
@@ -918,7 +773,7 @@ func (p *prover) denotConst(d lenDenot) (int64, bool) {
 	if e == nil {
 		return 0, false
 	}
-	return p.tp.constInt(p.canon(e))
+	return p.tp.constInt(p.cmp.norm(e))
 }
 
 // ---------------------------------------------------------------------
@@ -949,12 +804,12 @@ type provePoint struct {
 // boundSink receives the proved domain bound of an offsets proof.
 type boundSink interface {
 	// matchLen accepts the proved bound (the filled/packed/permuted
-	// domain length). ok=false with empty why means a bound mismatch
-	// (the proof supplies its own message); non-empty why is a hard
-	// refusal (e.g. the target length cannot be resolved).
-	matchLen(p *prover, bound lenDenot) (ok bool, why string)
-	// matchTotal accepts a scan proof's returned-total variable.
-	matchTotal(p *prover, total types.Object) (ok bool, why string)
+	// domain length) with "", or returns why not: mismatch, the proof's
+	// own message, when the bound differs, or a hard refusal (the target
+	// length cannot be resolved).
+	matchLen(p *prover, bound lenDenot, mismatch string) string
+	// matchTotal is matchLen for a scan proof's returned-total variable.
+	matchTotal(p *prover, total types.Object, mismatch string) string
 	// constOutLen resolves the target length to a constant, for proofs
 	// that need a concrete range check (non-identity affine fills).
 	constOutLen(p *prover) (int64, bool, string)
@@ -963,25 +818,20 @@ type boundSink interface {
 // siteSink checks the bound against a real call site's target slice.
 type siteSink struct{ s *targetSite }
 
-func (k *siteSink) matchLen(p *prover, bound lenDenot) (bool, string) {
+func (k *siteSink) matchLen(p *prover, bound lenDenot, mismatch string) string {
 	outLen, why := p.outDenot(k.s)
-	if why != "" {
-		return false, why
+	if why == "" && !p.denotEq(outLen, bound) {
+		return mismatch
 	}
-	return p.denotEq(outLen, bound), ""
+	return why
 }
 
-func (k *siteSink) matchTotal(p *prover, total types.Object) (bool, string) {
+func (k *siteSink) matchTotal(p *prover, total types.Object, mismatch string) string {
 	outLen, why := p.outDenot(k.s)
-	if why != "" {
-		return false, why
+	if why == "" && (outLen.expr == nil || !p.isVar(p.cmp.norm(outLen.expr), total)) {
+		return mismatch
 	}
-	if outLen.expr != nil {
-		if id, isID := p.canon(outLen.expr).(*ast.Ident); isID && p.tp.objOf(id) == total {
-			return true, ""
-		}
-	}
-	return false, ""
+	return why
 }
 
 func (k *siteSink) constOutLen(p *prover) (int64, bool, string) {
@@ -1001,14 +851,14 @@ type captureSink struct {
 	total    types.Object
 }
 
-func (k *captureSink) matchLen(p *prover, bound lenDenot) (bool, string) {
+func (k *captureSink) matchLen(p *prover, bound lenDenot, mismatch string) string {
 	k.bound, k.hasBound = bound, true
-	return true, ""
+	return ""
 }
 
-func (k *captureSink) matchTotal(p *prover, total types.Object) (bool, string) {
+func (k *captureSink) matchTotal(p *prover, total types.Object, mismatch string) string {
 	k.total = total
-	return true, ""
+	return ""
 }
 
 func (k *captureSink) constOutLen(p *prover) (int64, bool, string) {
@@ -1119,7 +969,7 @@ func (p *prover) proveVar(pt *provePoint, offID *ast.Ident) siteProof {
 			if _, prim := primitiveOf(p.f, call); prim != nil && prim.packs {
 				return p.provePackIndex(pt, offID.Name, def, call, writes, scans, permutes)
 			}
-			if _, zeroed, isAlloc := p.allocLen(call); isAlloc {
+			if length, zeroed := p.sliceAlloc(call); length != nil {
 				switch {
 				case len(scans) > 0:
 					if !zeroed {
@@ -1164,12 +1014,8 @@ func (p *prover) provePackIndex(pt *provePoint, name string, def *use, pack *ast
 	if len(pack.Args) < 2 {
 		return refusal("PackIndex call has an unexpected shape")
 	}
-	ok, why := pt.sink.matchLen(p, lenDenot{expr: pack.Args[1]})
-	if why != "" {
+	if why := pt.sink.matchLen(p, lenDenot{expr: pack.Args[1]}, "cannot prove len(target) equals the PackIndex domain bound"); why != "" {
 		return refusal("%s", why)
-	}
-	if !ok {
-		return refusal("cannot prove len(target) equals the PackIndex domain bound")
 	}
 	return siteProof{
 		ok: true, source: "packindex", property: pt.property,
@@ -1213,7 +1059,7 @@ func (p *prover) checkIdentityFill(name string, obj types.Object, writes []*use)
 	if fill == nil {
 		return nil, refusal("the loop filling %q has an unrecognized shape", name)
 	}
-	idxID, ok := p.canon(w.index).(*ast.Ident)
+	idxID, ok := p.cmp.norm(w.index).(*ast.Ident)
 	if !ok || p.tp.objOf(idxID) != fill.loopVar {
 		return nil, refusal("the fill index into %q is not the loop variable", name)
 	}
@@ -1268,14 +1114,9 @@ func (p *prover) proveAffine(pt *provePoint, name string, obj types.Object, writ
 	if !p.dominates(lc.end(), pt) {
 		return refusal("call site does not strictly follow the fill loop")
 	}
-	identity := rev || (aff.a == 1 && aff.c == 0)
-	if identity {
-		ok, why := pt.sink.matchLen(p, bound)
-		if why != "" {
+	if rev || (aff.a == 1 && aff.c == 0) {
+		if why := pt.sink.matchLen(p, bound, fmt.Sprintf("cannot prove len(target) covers the filled range of %q", name)); why != "" {
 			return refusal("%s", why)
-		}
-		if !ok {
-			return refusal("cannot prove len(target) covers the filled range of %q", name)
 		}
 	} else {
 		bv, bok := p.denotConst(bound)
@@ -1331,12 +1172,8 @@ func (p *prover) provePermutation(pt *provePoint, name string, obj types.Object,
 	if !p.dominates(lc.end(), pt) {
 		return refusal("call site does not strictly follow the identity fill")
 	}
-	ok, why := pt.sink.matchLen(p, bound)
-	if why != "" {
+	if why := pt.sink.matchLen(p, bound, fmt.Sprintf("cannot prove len(target) covers the permuted range of %q", name)); why != "" {
 		return refusal("%s", why)
-	}
-	if !ok {
-		return refusal("cannot prove len(target) covers the permuted range of %q", name)
 	}
 	return siteProof{
 		ok: true, source: "permutation", property: pt.property,
@@ -1410,12 +1247,8 @@ func (p *prover) proveScan(pt *provePoint, name string, obj types.Object, writes
 	if total == nil || !p.stableObj(total) {
 		return refusal("the scan's returned total is not bound to a stable variable")
 	}
-	okBound, why := pt.sink.matchTotal(p, total)
-	if why != "" {
+	if why := pt.sink.matchTotal(p, total, fmt.Sprintf("cannot prove len(target) equals the scan's returned total %q", total.Name())); why != "" {
 		return refusal("%s", why)
-	}
-	if !okBound {
-		return refusal("cannot prove len(target) equals the scan's returned total %q", total.Name())
 	}
 	form := "offsets"
 	if scan.from1 {
@@ -1434,7 +1267,7 @@ func (p *prover) proveScan(pt *provePoint, name string, obj types.Object, writes
 // indexAtLeastOne proves a write index >= 1: a constant, or a*i+c with
 // a >= 0, c >= 1 over a loop variable starting at a non-negative bound.
 func (p *prover) indexAtLeastOne(w *use) bool {
-	if v, ok := p.tp.constInt(p.canon(w.index)); ok {
+	if v, ok := p.tp.constInt(p.cmp.norm(w.index)); ok {
 		return v >= 1
 	}
 	fill, _, ok := w.ctx.innerFill()

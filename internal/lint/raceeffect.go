@@ -96,10 +96,11 @@ func (e *writeEffect) writesAtomic(idx int) bool {
 }
 
 // effectOf returns fn's memoized write effect. Recursive cycles
-// resolve optimistically (the first activation summarizes the rest of
-// the body; a cycle participant's own frame contributes nothing extra):
-// every write in the cycle is still seen by the activation that is
-// walking the body it sits in, so the empty answer hides nothing.
+// resolve optimistically: a query that re-enters a function still being
+// summarized reads the empty effect. A summary built on that answer may
+// miss writes (an inner member of the cycle reads as its partners'
+// empty answer), so the table marks it cyclic (summaryTable), and the
+// prover refuses to read one.
 func (l *typeLoader) effectOf(fn *types.Func) *writeEffect {
 	l.prescanBoxes() // retention reads the module's box clears
 	return l.effects.get(fn, &writeEffect{}, func() *writeEffect { return l.computeEffect(fn) })
@@ -121,13 +122,19 @@ func (l *typeLoader) computeEffect(fn *types.Func) *writeEffect {
 	}
 	nilClears(d.tp, d.fd.Body, func(key string) { w.cleared[key] = true })
 	ast.Inspect(d.fd.Body, w.visit)
-	// The substrate packages' primitives fill out-params for the
-	// duration of the call and retain nothing, by documented contract.
-	if p := fn.Pkg().Path(); isPath(p, corePath) || isPath(p, schedPath) || isPath(p, mqPath) ||
-		isPath(p, specforPath) || isPath(p, arenaPath) {
+	if isSubstrate(fn.Pkg().Path()) {
 		w.eff.keeps = nil
 	}
 	return w.eff
+}
+
+// isSubstrate reports a substrate package, whose primitives fill
+// out-params for the duration of the call and retain nothing, by
+// documented contract. Their summaries carry no retention, and so say
+// nothing of what a callback does with the memory a primitive hands it.
+func isSubstrate(path string) bool {
+	return isPath(path, corePath) || isPath(path, schedPath) || isPath(path, mqPath) ||
+		isPath(path, specforPath) || isPath(path, arenaPath)
 }
 
 // ---------------------------------------------------------------------
@@ -362,6 +369,10 @@ func (w *effWalk) claimLits(call *ast.CallExpr) {
 	}
 	lit, ok := unparen(call.Args[prim.bodies[0]]).(*ast.FuncLit)
 	if !ok {
+		// A body the walk cannot see may write through every element
+		// handed to it.
+		ps := map[int]bool{}
+		w.emit(w.root(call.Args[prim.out], 0, ps), call, false, ps)
 		return
 	}
 	for _, hi := range prim.handed {

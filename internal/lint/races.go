@@ -180,6 +180,7 @@ type raceRegion struct {
 	handed  map[types.Object]bool   // params handing exclusively owned memory
 	rangeLo types.Object            // handed subrange bounds (Worker.For, RunRange)
 	rangeHi types.Object
+	lo, hi  ast.Expr       // a core primitive's bounds arguments, when it spells out both
 	worker  types.Object   // the invocation's *Worker param
 	extent  ast.Expr       // task-index space size when the range starts at 0
 	sibling *ast.BlockStmt // Join: the other branch
@@ -283,6 +284,9 @@ func collectRegions(ff *funcFacts, f *fileInfo) []*raceRegion {
 						if prim.hi > 0 && prim.hi < len(v.Args) &&
 							(prim.lo == 0 || isZeroExpr(v.Args[prim.lo])) {
 							r.extent = v.Args[prim.hi]
+						}
+						if prim.lo > 0 && prim.hi < len(v.Args) {
+							r.lo, r.hi = v.Args[prim.lo], v.Args[prim.hi]
 						}
 					}
 					add(r, lit)

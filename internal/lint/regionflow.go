@@ -4,7 +4,8 @@ package lint
 // over arena checkouts. Lexical order approximates dominance (the same
 // bargain the certify and races passes strike): a statement is assumed
 // to execute after the one above it, loops execute their body once,
-// and both branches of an if are walked in order. The walk is
+// and both branches of an if-else start from the bindings before it and
+// merge what they bind (branches). The walk is
 // refusal-biased — anything it cannot prove confined is refused with a
 // proof-chain reason — so the approximation errs toward noise, never
 // toward silence.
@@ -23,8 +24,10 @@ package lint
 // that own each checkout.
 
 import (
+	"cmp"
 	"go/ast"
 	"go/types"
+	"maps"
 )
 
 // arenaRec is one tracked arena identity.
@@ -240,6 +243,34 @@ func (lw *lifeWalk) goStmt(v *ast.GoStmt) {
 	lw.goStack = append(lw.goStack, lit.Body)
 	lw.invokeLit(lit, v.Call, descs)
 	lw.goStack = lw.goStack[:len(lw.goStack)-1]
+}
+
+// branches walks an if statement's two branches from the same bindings
+// and keeps, where they merge, what either bound: a checkout one branch
+// takes is the one a release after the merge returns, whatever the
+// other branch binds in its place.
+func (lw *lifeWalk) branches(then *ast.BlockStmt, els ast.Stmt) {
+	before := maps.Clone(lw.vals)
+	walkStmts(lw, then.List)
+	after := lw.vals
+	lw.vals = before
+	walkStmt(lw, els)
+	for obj, a := range after {
+		b := lw.vals[obj]
+		if a == b {
+			continue
+		}
+		d := *a
+		if b != nil {
+			d = valDesc{co: cmp.Or(b.co, a.co), mark: cmp.Or(b.mark, a.mark), ar: cmp.Or(b.ar, a.ar)}
+			for _, co := range append(a.all(), b.all()...) {
+				if co != d.co {
+					d.held = append(d.held, co)
+				}
+			}
+		}
+		lw.vals[obj] = &d
+	}
 }
 
 // walkLit walks a closure body inline, once, under the region that
@@ -494,6 +525,9 @@ func (lw *lifeWalk) curGo() *ast.BlockStmt {
 // through the hand-off rule.
 func (lw *lifeWalk) call(call *ast.CallExpr) *valDesc {
 	// Arena package API.
+	if name, n := arenaCheckout(lw.f, call); name != "" {
+		return lw.checkout(call, name, n)
+	}
 	if pathStr, name, isPkg := callTarget(lw.f, call); isPkg && isPath(pathStr, arenaPath) {
 		return lw.arenaCall(call, name)
 	}
@@ -640,27 +674,9 @@ func (lw *lifeWalk) resolveLitArg(arg ast.Expr) *ast.FuncLit {
 	return nil
 }
 
-// arenaCall handles the arena package-level API.
+// arenaCall handles the rest of the arena package-level API.
 func (lw *lifeWalk) arenaCall(call *ast.CallExpr, name string) *valDesc {
 	switch name {
-	case "Alloc", "AllocUninit":
-		if len(call.Args) < 1 {
-			return nil
-		}
-		ar := lw.arenaOf(call.Args[0])
-		lw.eval(call.Args[1])
-		co := lw.newCheckout(call, name, ar)
-		co.uninit = name == "AllocUninit"
-		co.written = name == "Alloc" // Alloc zeroes
-		if n := len(ar.stack); n > 0 {
-			co.mark = ar.stack[n-1]
-		}
-		return &valDesc{co: co}
-	case "AcquireBox":
-		co := lw.newCheckout(call, name, &arenaRec{})
-		co.isBox, co.written = true, true
-		co.boxType = boxTypeName(lw.tp.typeOf(call))
-		return &valDesc{co: co}
 	case "ReleaseBox":
 		if len(call.Args) != 2 {
 			return nil
@@ -690,15 +706,28 @@ func (lw *lifeWalk) arenaCall(call *ast.CallExpr, name string) *valDesc {
 	return nil
 }
 
-// newCheckout starts tracking one checkout, owned by the innermost
-// region and goroutine being walked.
-func (lw *lifeWalk) newCheckout(call *ast.CallExpr, origin string, ar *arenaRec) *checkout {
-	co := &checkout{origin: origin, node: call, expr: "_", ar: ar, goBody: lw.curGo()}
-	if n := len(lw.regionStack); n > 0 {
-		co.regionBody = lw.regionStack[n-1]
+// checkout starts tracking one checkout (arenaCheckout: n is the
+// length of a slice form, nil for a box), owned by the innermost region
+// and goroutine being walked.
+func (lw *lifeWalk) checkout(call *ast.CallExpr, origin string, n ast.Expr) *valDesc {
+	co := &checkout{origin: origin, node: call, expr: "_", ar: &arenaRec{}, goBody: lw.curGo()}
+	if n == nil {
+		co.isBox, co.written = true, true
+		co.boxType = boxTypeName(lw.tp.typeOf(call))
+	} else {
+		co.ar = lw.arenaOf(call.Args[0])
+		lw.eval(n)
+		co.uninit = origin == "AllocUninit"
+		co.written = origin == "Alloc" // Alloc zeroes
+		if k := len(co.ar.stack); k > 0 {
+			co.mark = co.ar.stack[k-1]
+		}
+	}
+	if k := len(lw.regionStack); k > 0 {
+		co.regionBody = lw.regionStack[k-1]
 	}
 	lw.cos = append(lw.cos, co)
-	return co
+	return &valDesc{co: co}
 }
 
 // arenaMethod handles Mark / Release / Reset on an arena value.

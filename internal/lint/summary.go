@@ -1,22 +1,35 @@
 package lint
 
-// Interprocedural function summaries for the offset-provenance engine.
-// When a certification site's offsets come straight out of an in-module
+// Interprocedural helper summaries for the offset-provenance engine,
+// one memo and one build for the two questions the prover asks of an
+// in-module helper.
+//
+// Offsets. When a certification site's offsets come straight out of a
 // helper — offsets := descending(n), offs, total := buckets(w, keys) —
-// the intraprocedural prover used to refuse at the call boundary. The
-// summary builder instead locates the helper's declaration, re-runs the
+// the summary builder locates the helper's declaration, re-runs the
 // provenance proof on the returned slice at the helper's single return
 // statement (with a capture sink instead of a site sink), and expresses
 // the proved domain bound in terms the caller can check: a constant, a
 // parameter, the length of a slice parameter, or a sibling result (the
-// scan proof's returned total). Summaries are memoized per
-// (function, result, pattern) on the type loader, so helper-of-helper
-// chains resolve naturally and recursion is cut off.
+// scan proof's returned total).
 //
+// Non-negativity. The scan proof demands that every value written into
+// the offsets before the prefix sum is provably >= 0, and real encoders
+// compute those values in a helper — the compressed-CSR builder fills
+// `offsets[v+1] = int64(encRowSize(v, row))` three calls deep in the
+// codec. nnExpr asks whether every value the helper returns is
+// non-negative, whatever its arguments: the same fixpoint (ensureNN)
+// runs inside the helper and checks each return with nnExpr there.
+// Parameters are never in the helper's assumption set unless unsigned,
+// so a "yes" holds for all inputs.
+//
+// Summaries are memoized per (function, result, question) on the type
+// loader, so helper-of-helper chains resolve naturally. The one cycle
+// answer is "unproven", a refusal for both questions: a proof that
+// leaned on its own conclusion would certify an unchecked scatter.
 // Everything stays refusal-biased: variadic helpers, helpers with
 // multiple or conditional returns, bounds not expressible in the
-// helper's own parameters, and method values whose receiver state the
-// engine cannot see are all refused with a chained reason.
+// helper's own parameters, and receiver state are all refused.
 
 import (
 	"fmt"
@@ -42,9 +55,10 @@ type boundRef struct {
 	c    int64 // boundConst value
 }
 
-// sumKey identifies one memoized summary. The pattern matters because
-// the proof forms accept different patterns (a scan proof certifies
-// RngInd only, a permutation proof SngInd only).
+// sumKey identifies one memoized summary: a helper's result and the
+// question asked of it. The pattern matters because the proof forms
+// accept different patterns (a scan proof certifies RngInd only, a
+// permutation proof SngInd only); pattern 0 asks for non-negativity.
 type sumKey struct {
 	fn      *types.Func
 	res     int
@@ -76,7 +90,7 @@ func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *as
 		return siteProof{}, false
 	}
 	fnName := fn.Name()
-	sum := p.loader.summaryFor(fn, def.resIdx, pt.pattern, pt.property)
+	sum := p.loader.summaryFor(fn, def.resIdx, pt.pattern)
 	if !sum.ok {
 		return refusal("offsets %q := %s(...): %s", name, fnName, sum.reason), true
 	}
@@ -87,26 +101,21 @@ func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *as
 	// Map the helper-relative bound into the caller and check it: each
 	// arm names the caller-side bound, what a mismatch means, and the
 	// proof line a match earns.
-	var (
-		ok                       bool
-		why, mismatch, boundLine string
-	)
-	switch k := sum.bound.k; sum.bound.kind {
+	var why, boundLine string
+	k := sum.bound.k
+	if (sum.bound.kind == boundParam || sum.bound.kind == boundLenParam) && k >= len(call.Args) {
+		return refusal("the %s call has fewer arguments than its signature expects", fnName), true
+	}
+	switch sum.bound.kind {
 	case boundConst:
-		ok, why = pt.sink.matchLen(p, lenDenot{cval: sum.bound.c, hasC: true})
-		mismatch = fmt.Sprintf("cannot prove len(target) equals %s's constant domain bound %d", fnName, sum.bound.c)
+		why = pt.sink.matchLen(p, lenDenot{cval: sum.bound.c, hasC: true},
+			fmt.Sprintf("cannot prove len(target) equals %s's constant domain bound %d", fnName, sum.bound.c))
 		boundLine = fmt.Sprintf("len(target) == %s's constant domain bound %d: every offset is in bounds", fnName, sum.bound.c)
 	case boundParam:
-		if k >= len(call.Args) {
-			return refusal("the %s call has fewer arguments than its signature expects", fnName), true
-		}
-		ok, why = pt.sink.matchLen(p, lenDenot{expr: call.Args[k]})
-		mismatch = fmt.Sprintf("cannot prove len(target) equals the bound passed to %s (argument %d)", fnName, k+1)
+		why = pt.sink.matchLen(p, lenDenot{expr: call.Args[k]},
+			fmt.Sprintf("cannot prove len(target) equals the bound passed to %s (argument %d)", fnName, k+1))
 		boundLine = fmt.Sprintf("len(target) == the domain bound passed to %s (argument %d): every offset is in bounds", fnName, k+1)
 	case boundLenParam:
-		if k >= len(call.Args) {
-			return refusal("the %s call has fewer arguments than its signature expects", fnName), true
-		}
 		argID, isID := unparen(call.Args[k]).(*ast.Ident)
 		if !isID {
 			return refusal("the slice whose length bounds %s's output (argument %d) is not a simple variable at the call", fnName, k+1), true
@@ -115,8 +124,8 @@ func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *as
 		if argObj == nil || !p.stableObj(argObj) {
 			return refusal("the slice whose length bounds %s's output (argument %d) does not have a stable header", fnName, k+1), true
 		}
-		ok, why = pt.sink.matchLen(p, lenDenot{lenOf: argObj})
-		mismatch = fmt.Sprintf("cannot prove len(target) equals len(%s) passed to %s", argID.Name, fnName)
+		why = pt.sink.matchLen(p, lenDenot{lenOf: argObj},
+			fmt.Sprintf("cannot prove len(target) equals len(%s) passed to %s", argID.Name, fnName))
 		boundLine = fmt.Sprintf("len(target) == len(%s) passed to %s: every offset is in bounds", argID.Name, fnName)
 	case boundResult:
 		if def.tupleLhs == nil || k >= len(def.tupleLhs) {
@@ -130,17 +139,11 @@ func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *as
 		if sibObj == nil || !p.stableObj(sibObj) {
 			return refusal("%s's bounding total %q is not a stable variable", fnName, sibID.Name), true
 		}
-		ok, why = pt.sink.matchTotal(p, sibObj)
-		mismatch = fmt.Sprintf("cannot prove len(target) equals %s's returned total %q", fnName, sibID.Name)
+		why = pt.sink.matchTotal(p, sibObj, fmt.Sprintf("cannot prove len(target) equals %s's returned total %q", fnName, sibID.Name))
 		boundLine = fmt.Sprintf("len(target) == %s's returned total %q: boundaries are in bounds", fnName, sibID.Name)
-	default:
-		return refusal("%s's summary has an unmapped bound", fnName), true
 	}
 	if why != "" {
 		return refusal("%s", why), true
-	}
-	if !ok {
-		return refusal("%s", mismatch), true
 	}
 
 	chain := []string{fmt.Sprintf("offsets %q := %s(...) at line %d: certified by the interprocedural summary of %s (declared at line %d)",
@@ -153,17 +156,20 @@ func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *as
 }
 
 // summaryFor computes (memoized) the summary for result res of the
-// in-module function fn under the given pattern; a non-ok summary
-// carries the refusal reason. The cycle answer is a
-// refusal: a proof that leaned on its own conclusion would certify an
-// unchecked scatter, so summaries never cross back edges.
-func (l *typeLoader) summaryFor(fn *types.Func, res int, pattern core.Pattern, property string) *fnSummary {
+// in-module function fn under the given pattern (0: non-negativity); a
+// non-ok summary carries the refusal reason. A recursive query gets the
+// cycle answer, a refusal: summaries never cross back edges.
+func (l *typeLoader) summaryFor(fn *types.Func, res int, pattern core.Pattern) *fnSummary {
 	return l.sums.get(sumKey{fn: fn, res: res, pattern: pattern},
 		refusedSummary("helper %s is recursive; summaries do not cross back edges", fn.Name()),
-		func() *fnSummary { return l.buildSummary(fn, res, pattern, property) })
+		func() *fnSummary { return l.buildSummary(fn, res, pattern) })
 }
 
-func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern, property string) *fnSummary {
+// nonNegative reports whether fn provably returns only non-negative
+// values, whatever its arguments; false means unproven, never negative.
+func (l *typeLoader) nonNegative(fn *types.Func) bool { return l.summaryFor(fn, 0, 0).ok }
+
+func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern) *fnSummary {
 	name := fn.Name()
 	sig, _ := fn.Type().(*types.Signature)
 	if sig == nil {
@@ -175,7 +181,10 @@ func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern,
 	if sig.Results().Len() <= res {
 		return refusedSummary("helper %s does not return a value at position %d", name, res+1)
 	}
-	if _, isSlice := sig.Results().At(res).Type().Underlying().(*types.Slice); !isSlice {
+	if pattern == 0 && (sig.Recv() != nil || sig.Results().Len() != 1 || !isIntType(sig.Results().At(0).Type())) {
+		return refusedSummary("helper %s has a receiver, whose state is not modeled, or no single integer result", name)
+	}
+	if _, isSlice := sig.Results().At(res).Type().Underlying().(*types.Slice); !isSlice && pattern != 0 {
 		return refusedSummary("helper %s's result %d is not a slice", name, res+1)
 	}
 
@@ -186,6 +195,9 @@ func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern,
 	tp, fd := d.tp, d.fd
 
 	sp := newProver(l.a, tp, d.f, fd, l)
+	if pattern == 0 {
+		return &fnSummary{ok: sp.returnsNonNeg()}
+	}
 
 	// Exactly one return statement, in straight-line context, with the
 	// full result list spelled out.
@@ -214,7 +226,7 @@ func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern,
 	}
 
 	cap := &captureSink{}
-	pt := &provePoint{pos: ret.Pos(), ctx: retCtx, pattern: pattern, property: property, sink: cap}
+	pt := &provePoint{pos: ret.Pos(), ctx: retCtx, pattern: pattern, sink: cap}
 	proof := sp.proveVar(pt, retID)
 	if !proof.ok {
 		return refusedSummary("inside %s, %s", name, proof.reason)
@@ -273,28 +285,32 @@ func (p *prover) boundToRef(bound lenDenot, paramIdx map[types.Object]int) (boun
 	if bound.expr == nil {
 		return boundRef{}, false
 	}
-	e := p.canon(bound.expr)
-	if id, isID := e.(*ast.Ident); isID {
-		obj := p.tp.objOf(id)
-		if obj == nil || !p.stableObj(obj) {
-			return boundRef{}, false
-		}
-		if k, isParam := paramIdx[obj]; isParam {
-			return boundRef{kind: boundParam, k: k}, true
-		}
-		return boundRef{}, false
+	e, kind := p.cmp.norm(bound.expr), boundParam
+	if call, isCall := e.(*ast.CallExpr); isCall && builtinOf(p.tp, call) == "len" && len(call.Args) == 1 {
+		e, kind = unparen(call.Args[0]), boundLenParam
 	}
-	if call, isCall := e.(*ast.CallExpr); isCall && len(call.Args) == 1 {
-		if nm, isB := p.builtinName(call); isB && nm == "len" {
-			if id, isID := unparen(call.Args[0]).(*ast.Ident); isID {
-				obj := p.tp.objOf(id)
-				if obj != nil && p.stableObj(obj) {
-					if k, isParam := paramIdx[obj]; isParam {
-						return boundRef{kind: boundLenParam, k: k}, true
-					}
-				}
-			}
+	if id, isID := e.(*ast.Ident); isID && p.stableObj(p.tp.objOf(id)) {
+		if k, isParam := paramIdx[p.tp.objOf(id)]; isParam {
+			return boundRef{kind: kind, k: k}, true
 		}
 	}
 	return boundRef{}, false
+}
+
+// returnsNonNeg reports whether every return of the function itself,
+// not of a literal inside it, proves non-negative under its fixpoint.
+func (p *prover) returnsNonNeg() bool {
+	p.ensureNN()
+	returns, allNN := 0, true
+	ast.Inspect(p.fd.Body, func(n ast.Node) bool {
+		if _, isLit := n.(*ast.FuncLit); isLit {
+			return false
+		}
+		if r, isRet := n.(*ast.ReturnStmt); isRet {
+			returns++
+			allNN = allNN && len(r.Results) == 1 && p.nnExpr(r.Results[0])
+		}
+		return true
+	})
+	return returns > 0 && allNN
 }

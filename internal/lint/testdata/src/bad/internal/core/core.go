@@ -110,3 +110,15 @@ func ScatterUnchecked[T any, I IndexInt](w *Worker, out []T, offsets []I, vals [
 		out[offsets[i]] = vals[i]
 	}
 }
+
+func ForEachIdx[T any](w *Worker, xs []T, grain int, f func(i int, x *T)) {
+	for i := range xs {
+		f(i, &xs[i])
+	}
+}
+
+func Chunks[T any](w *Worker, xs []T, size int, f func(ci int, chunk []T)) {
+	for ci := 0; ci*size < len(xs); ci++ {
+		f(ci, xs[ci*size:min((ci+1)*size, len(xs))])
+	}
+}

@@ -26,7 +26,7 @@ func identity[T any](v T) T { return v }
 // refuse, not pretend it is absent.
 func asmStub(x int) int
 
-func resolveShapes(c *counter, s shaper, h *holder[int]) {
+func resolveShapes(c *counter, s shaper, h *holder[int], fs []func()) {
 	plain()
 	strings.ToUpper("x")
 	core.Run(nil)
@@ -38,6 +38,8 @@ func resolveShapes(c *counter, s shaper, h *holder[int]) {
 	func() {}()
 	h.get()
 	asmStub(1)
+	fs[0]()
+	_ = int64(len(fs))
 }
 
 // restated reads n on both sides of a reassignment: the two reads name

@@ -152,6 +152,26 @@ func certBlocks(w *core.Worker, vals []uint32) []uint32 {
 	return dst
 }
 
+// certHelperRead — proof form P2 with the offsets handed to an in-module
+// helper between the fill and the scatter: the callee summary says
+// offsetSum only reads them, and its int result carries nothing.
+func certHelperRead(w *core.Worker, n int) (int, []uint32) {
+	dst := make([]uint32, n)
+	off := make([]int32, n)
+	core.ForRange(w, 0, n, 0, func(i int) { off[i] = int32(i) })
+	sum := offsetSum(off)
+	core.IndForEachUnchecked(w, dst, off, func(i int, slot *uint32) { *slot = uint32(i) })
+	return sum, dst
+}
+
+func offsetSum(xs []int32) int {
+	s := 0
+	for _, x := range xs {
+		s += int(x)
+	}
+	return s
+}
+
 func init() {
 	core.DeclareSite("cert", "pack offsets build", core.Block)
 	core.DeclareSite("cert", "affine fill", core.Stride)

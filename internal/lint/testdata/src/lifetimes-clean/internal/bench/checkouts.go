@@ -126,3 +126,18 @@ func LocalHolder(a *arena.Arena, n int) int32 {
 	a.Release(m)
 	return v
 }
+
+// MergedBox: the box is a checkout on one branch and a fresh value on
+// the other, released unconditionally where the branches merge; the
+// release returns the checkout the first branch took.
+func MergedBox(w *core.Worker, n int) int {
+	var b *scanBox
+	if w != nil {
+		b = arena.AcquireBox[scanBox](w)
+	} else {
+		b = new(scanBox)
+	}
+	b.dst = nil
+	arena.ReleaseBox(w, b)
+	return n
+}

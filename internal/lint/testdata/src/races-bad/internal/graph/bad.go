@@ -61,3 +61,16 @@ func Audited(w *core.Worker, out []int32, idx []int32, n int) {
 		out[idx[i]] = int32(i) //lint:scared fixture: duplicate-free idx established by the generator
 	})
 }
+
+// HelperNamedBody: every task hands the whole shared slice to a helper
+// that runs ForEachIdx over it with a body its summary cannot see; the
+// summary counts the handed slice as written.
+func HelperNamedBody(w *core.Worker, out []int32, n int) {
+	core.ForRange(w, 0, n, 0, func(i int) {
+		bumpEach(w, out)
+	})
+}
+
+func bumpOne(i int, p *int32) { *p = int32(i) }
+
+func bumpEach(w *core.Worker, xs []int32) { core.ForEachIdx(w, xs, 0, bumpOne) }

@@ -223,3 +223,14 @@ func (b *cursorBody) PlaceRange(c core.Cursor, lo, hi int) {
 func CursorHandout(w *core.Worker, keys, dst []int32, k int) {
 	core.CountSort(w, len(keys), k, nil, cursorBody{keys: keys, dst: dst})
 }
+
+// arrayWindow copies into slices of arrays: of one declared in the
+// region body, the task's own memory, which makes no site, and of the
+// element ForEachIdx hands the task, a worker-local row.
+func arrayWindow(w *core.Worker, rows [][4]int32, src []int32) {
+	core.ForEachIdx(w, rows, 0, func(i int, row *[4]int32) {
+		var acc [4]int32
+		copy(acc[:], src)
+		copy(row[:], acc[:])
+	})
+}

@@ -43,8 +43,7 @@ type typeLoader struct {
 	indexed map[string]bool
 	facts   map[*ast.FuncDecl]*funcFacts // factsOf's memo
 
-	sums    summaryTable[sumKey, *fnSummary]        // offset provenance (summary.go)
-	nnSums  summaryTable[*types.Func, bool]         // non-negativity (nnsummary.go)
+	sums    summaryTable[sumKey, *fnSummary]        // the prover's helper summaries (summary.go)
 	effects summaryTable[*types.Func, *writeEffect] // write effects and retention (raceeffect.go)
 
 	// The module-wide box prescan (prescanBoxes), read by the store

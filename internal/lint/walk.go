@@ -14,6 +14,12 @@ type stmtVisitor interface {
 	expr(ast.Expr)
 }
 
+// brancher is a stmtVisitor that walks the two branches of an if-else
+// itself, from the same state, and merges what they leave.
+type brancher interface {
+	branches(then *ast.BlockStmt, els ast.Stmt)
+}
+
 func walkStmts(v stmtVisitor, list []ast.Stmt) {
 	for _, s := range list {
 		walkStmt(v, s)
@@ -32,6 +38,10 @@ func walkStmt(v stmtVisitor, s ast.Stmt) {
 	case *ast.IfStmt:
 		walkStmt(v, s.Init)
 		v.expr(s.Cond)
+		if b, ok := v.(brancher); ok && s.Else != nil {
+			b.branches(s.Body, s.Else)
+			return
+		}
 		walkStmts(v, s.Body.List)
 		walkStmt(v, s.Else)
 	case *ast.ForStmt:

@@ -105,15 +105,13 @@ func (l *typeLoader) callWrites(tp *typedPkg, f *fileInfo, ff *funcFacts, call *
 		}
 		return false
 	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok && len(call.Args) > 0 {
-		if _, builtin := tp.info.Uses[id].(*types.Builtin); builtin {
-			// append(x, ...) writes into x's backing array whenever x
-			// has spare capacity, wherever the result is bound.
-			if id.Name == "copy" || id.Name == "append" || id.Name == "clear" || id.Name == "delete" {
-				yield(writeEvent{target: call.Args[0], op: id.Name, plain: true, stored: storedRefs(tp, call)})
-			}
-			return false
+	if name := builtinOf(tp, call); name != "" {
+		// append(x, ...) writes into x's backing array whenever x has
+		// spare capacity, wherever the result is bound.
+		if name == "copy" || name == "append" || name == "clear" || name == "delete" {
+			yield(writeEvent{target: call.Args[0], op: name, plain: true, stored: storedRefs(tp, call)})
 		}
+		return false
 	}
 	// A func-typed local bound exactly once to a method value resolves
 	// to the method, with the bound receiver written through like any
@@ -218,6 +216,23 @@ func holdsRef(t types.Type) bool {
 	}
 	_, isFunc := t.Underlying().(*types.Signature)
 	return !isFunc
+}
+
+// arenaCheckout recognizes a checkout from the arena package — the
+// slice forms Alloc[T](a, n), zeroed like make, and AllocUninit[T](a,
+// n), holding what earlier generations left, and the box form
+// AcquireBox[T](w) — and returns its name and, for a slice form, the
+// length argument. name is "" for any other call.
+func arenaCheckout(f *fileInfo, call *ast.CallExpr) (name string, length ast.Expr) {
+	pathStr, name, isPkg := callTarget(f, call)
+	switch {
+	case !isPkg || !isPath(pathStr, arenaPath):
+	case (name == "Alloc" || name == "AllocUninit") && len(call.Args) == 2:
+		return name, call.Args[1]
+	case name == "AcquireBox":
+		return name, nil
+	}
+	return "", nil
 }
 
 // ---------------------------------------------------------------------
@@ -534,13 +549,11 @@ func (r *rooting) root(e ast.Expr, depth int, ps map[int]bool) memKind {
 		}
 		return kind
 	case *ast.CallExpr:
-		if pathStr, name, isPkg := callTarget(r.f, v); isPkg && isPath(pathStr, arenaPath) {
-			switch name {
-			case "Alloc", "AllocUninit", "AcquireBox":
-				return memCheckout
-			case "Of":
-				return memFresh // the worker's own arena
-			}
+		if name, _ := arenaCheckout(r.f, v); name != "" {
+			return memCheckout
+		}
+		if pathStr, name, isPkg := callTarget(r.f, v); isPkg && isPath(pathStr, arenaPath) && name == "Of" {
+			return memFresh // the worker's own arena
 		}
 		// A call result is rooted at the worst of the call's reference
 		// inputs, the receiver and by-reference arguments, the worker
@@ -712,14 +725,11 @@ func (r *rooting) handsOn(obj types.Object, id *ast.Ident) bool {
 	case *ast.RangeStmt, *ast.BinaryExpr:
 		return false
 	case *ast.CallExpr:
-		fn, _ := unparen(p.Fun).(*ast.Ident)
-		if _, builtin := r.tp.info.Uses[fn].(*types.Builtin); builtin {
-			switch fn.Name {
-			case "len", "cap", "copy", "clear", "delete":
-				return false
-			case "append":
-				return p.Args[0] == cur && !r.rebinds(obj, p) || p.Args[0] != cur && !p.Ellipsis.IsValid()
-			}
+		switch builtinOf(r.tp, p) {
+		case "len", "cap", "copy", "clear", "delete":
+			return false
+		case "append":
+			return p.Args[0] == cur && !r.rebinds(obj, p) || p.Args[0] != cur && !p.Ellipsis.IsValid()
 		}
 	}
 	return true
@@ -739,8 +749,12 @@ func (r *rooting) rebinds(obj types.Object, e ast.Expr) bool {
 // peelElem is peelTarget for the elements of dst, the memory a copy,
 // append or clear writes: rooted as the element write dst[i] = … would
 // be (dst stands in for the index), never as an assignment to the
-// variable that names dst.
+// variable that names dst. The elements of x[lo:hi] are x's: a slice of
+// a local array writes the array's own storage.
 func peelElem(dst ast.Expr) (*ast.Ident, []targetStep, bool) {
+	if sl, ok := unparen(dst).(*ast.SliceExpr); ok {
+		dst = sl.X
+	}
 	base, steps, ok := peelTarget(dst)
 	return base, append(steps, targetStep{index: dst, of: dst}), ok
 }
