@@ -10,15 +10,17 @@ import (
 )
 
 // sort — comparison sort (PBBS sample sort): sample splitters, classify
-// elements into buckets with a blocked count/scan/scatter (disjoint by
-// construction), then sort each bucket. Bucket boundaries come from the
-// scan as an offsets array, and per-bucket sorting is expressed through
-// the RngInd adapter — exactly the paper's observation that "sort only
-// has RngInd, so is comfortable to express but not fearless". Modes:
-// checked uses core.IndChunks (cheap monotonicity validation), others
-// use the unchecked variant. Both variants sort a bucket with
-// qsort.Sort, a branch-free quicksort, as RPB's leaf is Rust's
-// sort_unstable.
+// elements into buckets with the library's blocked counting sort
+// (core.CountSort, disjoint by construction), then sort each bucket.
+// Bucket boundaries are the engine's starts, an offsets array, and
+// per-bucket sorting is expressed through the RngInd adapter — exactly
+// the paper's observation that "sort only has RngInd, so is comfortable
+// to express but not fearless". Modes: checked uses core.IndChunks
+// (cheap monotonicity validation), others use the unchecked variant.
+// Both variants sort a bucket with qsort.Sort, a branch-free quicksort,
+// as RPB's leaf is Rust's sort_unstable. runDirect hand-rolls the same
+// count, scan and scatter on plain goroutines, in blocks of sortBlock —
+// CountSort's own block for 256 keys, max(2^14, 4·256).
 
 const sortBuckets = 256
 const sortOversample = 16
@@ -55,6 +57,31 @@ func classify(splitters []uint32, x uint32) int {
 	return base
 }
 
+// sortPass is the caller's side of the bucket pass (core.CountSort):
+// the count half classifies keys[i] among the splitters and records its
+// bucket in bucketOf[i], and the place half moves keys[i] to the slot
+// its block's cursor hands out for that bucket.
+type sortPass struct {
+	keys, splitters, buf []uint32
+	bucketOf             []uint8
+}
+
+func (p *sortPass) CountRange(c core.Counter, lo, hi int) {
+	keys, splitters, bucketOf := p.keys, p.splitters, p.bucketOf
+	for i := lo; i < hi; i++ {
+		bk := classify(splitters, keys[i])
+		bucketOf[i] = uint8(bk)
+		c.Add(bk)
+	}
+}
+
+func (p *sortPass) PlaceRange(c core.Cursor, lo, hi int) {
+	keys, buf, bucketOf := p.keys, p.buf, p.bucketOf
+	for i := lo; i < hi; i++ {
+		buf[c.Next(int(bucketOf[i]))] = keys[i]
+	}
+}
+
 func (s *sortInstance) runLibrary(w *core.Worker) {
 	n := len(s.keys)
 	if n <= sortBlock {
@@ -63,9 +90,9 @@ func (s *sortInstance) runLibrary(w *core.Worker) {
 	}
 	// Every round buffer below is a checkout from the worker's arena
 	// (docs/MEMORY.md); after warm-up the steady state allocates nothing.
-	// counts and offsets use the zeroed Alloc — the scan proof's
-	// zero-init precondition — while the fully-overwritten buffers take
-	// the uninitialized form.
+	// offsets uses the zeroed Alloc — the scan proof's zero-init
+	// precondition — while the fully-overwritten buffers take the
+	// uninitialized form.
 	a := arena.Of(w)
 	am := a.Mark()
 	// Sample and pick splitters (RO).
@@ -82,65 +109,18 @@ func (s *sortInstance) runLibrary(w *core.Worker) {
 	for i := range splitters {
 		splitters[i] = samples[(i+1)*sortOversample]
 	}
-	// Blocked classify + count (Block).
-	nb := (n + sortBlock - 1) / sortBlock
-	counts := arena.Alloc[int32](a, sortBuckets*nb)
-	bucketOf := arena.AllocUninit[uint8](a, n)
-	core.ForBlocks(w, 0, nb, 1, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := b*sortBlock, (b+1)*sortBlock
-			if hi > n {
-				hi = n
-			}
-			var local [sortBuckets]int32
-			for i := lo; i < hi; i++ {
-				bk := classify(splitters, keys[i])
-				bucketOf[i] = uint8(bk)
-				local[bk]++
-			}
-			for d := 0; d < sortBuckets; d++ {
-				counts[d*nb+b] = local[d]
-			}
-		}
-	})
-	// Bucket boundaries by prefix sum: offsets[d+1] accumulates bucket
-	// d's total over all blocks, and the inclusive scan over offsets[1:]
-	// turns the totals into start positions (offsets[0] stays 0). This
-	// shape — zero-initialized buffer, non-negative pre-scan fill, one
-	// scan, no writes after — is exactly the monotone+bounds provenance
-	// the certifier proves, so the RngInd adapter below runs unchecked
-	// under certificate.
+	// Classify, count and scatter into bucket order: one blocked
+	// counting sort (core.CountSort), whose cursors hand every block a
+	// segment of each bucket no other block enters. offsets comes back
+	// as the buckets' starts — exclusive prefix sums of non-negative
+	// counts, offsets[sortBuckets] = n — the scan provenance the
+	// certifier proves, so the RngInd adapter below runs unchecked under
+	// certificate.
 	offsets := arena.Alloc[int32](a, sortBuckets+1)
-	core.ForBlocks(w, 0, sortBuckets, 0, func(dlo, dhi int) {
-		for d := dlo; d < dhi; d++ {
-			var t int32
-			for b := 0; b < nb; b++ {
-				t += counts[d*nb+b]
-			}
-			offsets[d+1] = t
-		}
-	})
-	total := core.ScanInclusive(w, offsets[1:])
-	core.ScanExclusive(w, counts)
-	// Scatter into bucket order (disjoint cursor ranges per block).
-	buf := arena.AllocUninit[uint32](a, total)
-	core.ForBlocks(w, 0, nb, 1, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := b*sortBlock, (b+1)*sortBlock
-			if hi > n {
-				hi = n
-			}
-			var cursor [sortBuckets]int32
-			for d := 0; d < sortBuckets; d++ {
-				cursor[d] = counts[d*nb+b]
-			}
-			for i := lo; i < hi; i++ {
-				d := bucketOf[i]
-				buf[cursor[d]] = keys[i] //lint:scared counting-sort scatter: cursor[d] starts at the exclusive scan of counts[d*nb+b], so block b owns a segment of bucket d no other block's cursor enters
-				cursor[d]++
-			}
-		}
-	})
+	bucketOf := arena.AllocUninit[uint8](a, n)
+	buf := arena.AllocUninit[uint32](a, n)
+	core.CountDynamic(core.Stride)
+	core.CountSort(w, n, sortBuckets, offsets, sortPass{keys: keys, splitters: splitters, buf: buf, bucketOf: bucketOf})
 	// Sort each bucket through the RngInd adapter.
 	sortChunk := func(_ int, chunk []uint32) { qsort.Sort(chunk) }
 	if core.GetMode() == core.ModeChecked {

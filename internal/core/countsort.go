@@ -152,13 +152,13 @@ func (s *countSort[B, P]) pass(w *Worker, phase uint8, hi int) {
 // key and starts[k] is n — exactly a CSR's offsets — and the place half
 // has handed out every slot in [0, n) once: element i's slot is below
 // element j's whenever i's key is smaller, or the keys are equal and
-// i < j. starts must have length k+1, or be nil to leave the offsets to
-// the engine. The elements are cut into blocks of max(16384, 4k), by n
-// and k alone. body is copied into a box of the calling worker's and,
-// for up to 256 keys, the matrix is checked out of its arena, so a
-// steady-state call on a pool allocates nothing. The engine counts its
-// count half as one Block use in the run-time census; the place half's
-// pattern is the caller's write, so the caller counts it.
+// i < j. starts has length k+1, or is nil for a caller that needs no
+// offsets; any other length panics. The elements are cut into blocks of
+// max(16384, 4k), by n and k alone. body is copied into a box of the
+// calling worker's and, for up to 256 keys, the matrix is checked out
+// of its arena, so a steady-state call on a pool allocates nothing. The
+// engine counts its count half as one Block use in the run-time census;
+// the place half's pattern is the caller's write, so the caller counts it.
 //
 // Under ModeChecked the engine checks, once the place half is done,
 // that every block drew exactly the slots it counted, one compare per
@@ -166,8 +166,8 @@ func (s *countSort[B, P]) pass(w *Worker, phase uint8, hi int) {
 // not: a place half that keys an element unlike the count half would
 // otherwise write into another block's segment.
 func CountSort[B any, P countSortBody[B]](w *Worker, n, k int, starts []int32, body B) {
-	if int64(n) > math.MaxInt32 {
-		panic(fmt.Sprintf("core.CountSort: %d elements exceed the int32 slot limit", n))
+	if int64(n) > math.MaxInt32 || starts != nil && len(starts) != k+1 {
+		panic(fmt.Sprintf("core.CountSort: n = %d (at most %d), len(starts) = %d (want k+1 = %d, or nil)", n, math.MaxInt32, len(starts), k+1))
 	}
 	s := arena.AcquireBox[countSort[B, P]](w)
 	s.body = body

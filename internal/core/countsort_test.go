@@ -173,3 +173,22 @@ func TestCountSortBlockRule(t *testing.T) {
 		}
 	}
 }
+
+// TestCountSortStartsLength passes starts one longer and one shorter
+// than k+1: either must panic naming both lengths. A longer starts
+// would otherwise come back with a zero tail past starts[k] = n, no
+// longer monotone, and a shorter one die on a bare index.
+func TestCountSortStartsLength(t *testing.T) {
+	const k = 3
+	keys := []int32{0, 1, 1, 2}
+	for _, size := range []int{k + 3, k} {
+		var msg string
+		func() {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			CountSort(nil, len(keys), k, make([]int32, size), keyedBody{keys: keys, pos: make([]int32, len(keys)), k: k})
+		}()
+		if want := fmt.Sprintf("len(starts) = %d (want k+1 = %d", size, k+1); !strings.Contains(msg, want) {
+			t.Errorf("CountSort with %d-long starts for k=%d: got %q, want a panic containing %q", size, k, msg, want)
+		}
+	}
+}

@@ -28,7 +28,8 @@ func checkGolden(t *testing.T, name, got string) {
 
 // TestCertifyClean pins the positive fixtures: every proof form the
 // prover accepts (packindex, affine-fill, permutation — through a sort
-// or radix.SortPairsAt — and scan) certifies its unchecked site, an
+// or radix.SortPairsAt — and scan, through core.CountSort's starts and
+// a helper's returned total too) certifies its unchecked site, an
 // in-module helper that only reads the offsets leaves them certified,
 // the checked affine scatter is elidable-check, and the one
 // intraprocedurally-invisible site (offsets arriving as a parameter) is
@@ -40,8 +41,8 @@ func TestCertifyClean(t *testing.T) {
 	}
 	checkGolden(t, "certify-clean.golden", rep.String())
 
-	if rep.Certified != 9 || rep.Elidable != 2 || rep.Refused != 1 {
-		t.Errorf("counts = %d certified, %d elidable, %d refused; want 9/2/1",
+	if rep.Certified != 11 || rep.Elidable != 2 || rep.Refused != 1 {
+		t.Errorf("counts = %d certified, %d elidable, %d refused; want 11/2/1",
 			rep.Certified, rep.Elidable, rep.Refused)
 	}
 	sources := map[string]bool{}
@@ -86,9 +87,10 @@ func TestCertifyBad(t *testing.T) {
 		"passed to core.ForEachIdx",
 		"passed to core.Chunks",
 		"passed to zapFirst, which writes through unmodeled expression",
-		"passed to zeroRest, whose summary leans on a recursive cycle",
+		"written through zeroRest",
 		"written through eachOf",
 		"written through bumpAll",
+		"equals the scan's total, n, the count passed to core.CountSort",
 	} {
 		found := false
 		for _, s := range rep.Sites {

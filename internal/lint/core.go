@@ -75,39 +75,69 @@ func (l *typeLoader) eachFunc(visit func(tp *typedPkg, f *fileInfo, fd *ast.Func
 
 // summaryTable memoizes one pass's function summaries and cuts
 // recursion: a query that re-enters a key still being built gets the
-// pass's cycle answer instead of recursing forever. Whether that answer
-// may be optimistic depends on what a wrong guess costs, so each pass
-// chooses and documents its own at the get call. A summary built
-// against a cycle answer, directly or through another such summary, is
-// marked cyclic: built from another entry into the cycle, it may read
-// differently, so a pass that may not lean on a guess refuses it.
+// key's latest answer in its cycle, at first the pass's cycle answer.
+// The cycle's entry, its first member built, rebuilds the cycle until
+// same finds no member's answer changed, and only then keeps every
+// member's. From the least answer and a build that only grows, that is
+// the least fixpoint, whichever member is asked first. A nil same takes
+// every answer as settled, so the cycle answer is final and must be
+// pessimistic (the prover's: a proof may not lean on itself).
 type summaryTable[K comparable, V any] struct {
-	done     map[K]V
-	inflight map[K]bool
-	cyclic   map[K]bool
-	leaned   bool // the build under way has met a cycle answer
+	same  func(a, b V) bool
+	done  map[K]V
+	guess map[K]V   // a cycle member's latest answer while its cycle iterates
+	at    map[K]int // a key being built -> its frame's index on stack
+	stack []*cycleFrame[K]
+}
+
+// cycleFrame is one build under way: the lowest stack index it has
+// re-entered (its own + 1 when none) and, in the current round, whether
+// a member's answer changed and the members built.
+type cycleFrame[K comparable] struct {
+	low     int
+	changed bool
+	members []K
 }
 
 func (t *summaryTable[K, V]) get(key K, cycle V, build func() V) V {
 	if v, ok := t.done[key]; ok {
-		t.leaned = t.leaned || t.cyclic[key]
 		return v
 	}
-	if t.inflight[key] {
-		t.leaned = true
-		return cycle
-	}
 	if t.done == nil {
-		t.done, t.inflight, t.cyclic = map[K]V{}, map[K]bool{}, map[K]bool{}
+		t.done, t.guess, t.at = map[K]V{}, map[K]V{}, map[K]int{}
 	}
-	t.inflight[key] = true
-	outer := t.leaned
-	t.leaned = false
-	v := build()
-	delete(t.inflight, key)
-	t.done[key], t.cyclic[key] = v, t.leaned
-	t.leaned = outer || t.leaned
-	return v
+	if _, ok := t.guess[key]; !ok {
+		t.guess[key] = cycle
+	}
+	if i, ok := t.at[key]; ok {
+		top := t.stack[len(t.stack)-1]
+		top.low = min(top.low, i)
+		return t.guess[key]
+	}
+	d, fr := len(t.stack), &cycleFrame[K]{}
+	t.stack, t.at[key] = append(t.stack, fr), d
+	defer func() { t.stack = t.stack[:d]; delete(t.at, key) }()
+	for {
+		*fr = cycleFrame[K]{low: d + 1}
+		v := build()
+		fr.changed = fr.changed || t.same != nil && !t.same(t.guess[key], v)
+		t.guess[key] = v
+		if fr.low < d { // a member: the cycle's entry, further down, rebuilds it
+			up := t.stack[d-1]
+			up.low, up.changed = min(up.low, fr.low), up.changed || fr.changed
+			up.members = append(append(up.members, key), fr.members...)
+			return v
+		}
+		if fr.low > d || !fr.changed {
+			for _, m := range append(fr.members, key) {
+				if g, ok := t.guess[m]; ok { // a member built twice is kept once
+					t.done[m] = g
+					delete(t.guess, m)
+				}
+			}
+			return v
+		}
+	}
 }
 
 // recvIdx is the pseudo-position of a method receiver among a

@@ -151,15 +151,16 @@ func TestDeclOf(t *testing.T) {
 	}
 }
 
-// TestSummaryTable pins the memo-plus-inflight discipline itself: a
-// query that re-enters a key being built gets the cycle answer, every
-// key is built once, a second query does not recompute, and every key
-// that met a cycle answer, directly or through another key, is cyclic
-// while one that met none is not.
+// TestSummaryTable pins the memo-plus-cycle discipline itself. With no
+// same function a query that re-enters a key being built gets the cycle
+// answer, which is final: every key is built once and a second query
+// does not recompute. With one, each cycle iterates to its fixpoint: a
+// key's value is the largest base it reaches, whichever key of a cycle
+// is asked first, and the fixpoint is kept for every member.
 func TestSummaryTable(t *testing.T) {
 	var tbl summaryTable[string, int]
 	builds := 0
-	next := map[string]string{"a": "b", "b": "a", "c": "a", "d": "e"}
+	next := map[string]string{"a": "b", "b": "a"}
 	var get func(k string) int
 	get = func(k string) int {
 		return tbl.get(k, -1, func() int {
@@ -179,14 +180,33 @@ func TestSummaryTable(t *testing.T) {
 	if get("a"); builds != 2 {
 		t.Errorf("%d builds for 2 keys: a repeated query recomputed", builds)
 	}
-	if len(tbl.inflight) != 0 {
-		t.Errorf("inflight set not drained: %v", tbl.inflight)
-	}
-	get("c")
-	get("d")
-	for k, want := range map[string]bool{"a": true, "b": true, "c": true, "d": false, "e": false} {
-		if tbl.cyclic[k] != want {
-			t.Errorf("cyclic[%s] = %v, want %v", k, tbl.cyclic[k], want)
+
+	// x -> y -> z -> x and y -> y, with w reaching the cycle and v a
+	// chain outside it; z's base is the largest.
+	base := map[string]int{"x": 1, "y": 2, "z": 7, "w": 0, "v": 3, "u": 4}
+	edges := map[string][]string{"x": {"y"}, "y": {"y", "z"}, "z": {"x"}, "w": {"x"}, "v": {"u"}}
+	want := map[string]int{"x": 7, "y": 7, "z": 7, "w": 7, "v": 4, "u": 4}
+	for _, first := range []string{"x", "y", "z", "w", "v"} {
+		fix := summaryTable[string, int]{same: func(a, b int) bool { return a == b }}
+		var reach func(k string) int
+		reach = func(k string) int {
+			return fix.get(k, 0, func() int {
+				v := base[k]
+				for _, n := range edges[k] {
+					v = max(v, reach(n))
+				}
+				return v
+			})
+		}
+		reach(first)
+		for k, w := range want {
+			if got := reach(k); got != w {
+				t.Errorf("asked %s first: %s = %d, want %d", first, k, got, w)
+			}
+		}
+		if len(fix.done) != len(want) || len(fix.guess) != 0 || len(fix.at)+len(fix.stack) != 0 {
+			t.Errorf("asked %s first: %d keys kept, %d guesses, %d frames left; want %d, 0, 0",
+				first, len(fix.done), len(fix.guess), len(fix.stack), len(want))
 		}
 	}
 }

@@ -2,8 +2,11 @@ package lint
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -186,5 +189,32 @@ func TestLifetimesRepo(t *testing.T) {
 	}
 	if string(committed) != string(rep.Marshal()) {
 		t.Error("committed lint-lifetimes.json is stale (run make lifetimes-update)")
+	}
+}
+
+// TestLintDocLifetimesCensus: docs/LINT.md quotes the lifetimes census
+// of this module ("The repo's own census: …"), which must say what the
+// committed lint-lifetimes.json says.
+func TestLintDocLifetimesCensus(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "LINT.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quote := regexp.MustCompile(`The repo's own census: (\d+) regions, (\d+) marks, (\d+) checkouts — (\d+) released-in-scope, (\d+) worker-confined, (\d+) refused`).
+		FindStringSubmatch(strings.Join(strings.Fields(string(doc)), " "))
+	if quote == nil {
+		t.Fatal(`docs/LINT.md has no "The repo's own census: N regions, N marks, N checkouts — N released-in-scope, N worker-confined, N refused" line`)
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "lint-lifetimes.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art struct{ Regions, Marks, Checkouts, Released, WorkerConfined, Refused int }
+	if err := json.Unmarshal(raw, &art); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(art.Regions, art.Marks, art.Checkouts, art.Released, art.WorkerConfined, art.Refused)
+	if got := strings.Join(quote[1:], " "); got != want {
+		t.Errorf("docs/LINT.md quotes regions, marks, checkouts, released, worker-confined, refused as %s; lint-lifetimes.json says %s", got, want)
 	}
 }

@@ -48,6 +48,7 @@ type primitive struct {
 
 	// The prover's vocabulary (provenance.go).
 	scans    int  // slice argument prefix-summed in place, total returned
+	total    int  // argument the scan's total equals, where none is returned
 	permutes int  // slice argument reordered in place
 	reads    int  // slice argument only read, by contract
 	packs    bool // the result is strictly increasing and unique in [0, n)
@@ -144,8 +145,10 @@ var primitives = map[string]*primitive{
 
 	// The counting-sort engine: the body's halves are regions, each
 	// block's Cursor hands out slots no other block's does (checked
-	// under ModeChecked).
-	"CountSort": {class: cSngInd, halves: map[string]string{"CountRange": "Counter", "PlaceRange": "Cursor"}},
+	// under ModeChecked). Block, as the engine counts itself: the place
+	// write's pattern is the caller's to declare. starts comes back as
+	// the exclusive prefix sums of non-negative counts, starts[k] = n.
+	"CountSort": {class: cBlock, halves: map[string]string{"CountRange": "Counter", "PlaceRange": "Cursor"}, scans: 3, total: 1},
 
 	// AW — the library's synchronization helpers; no worker argument.
 	"WriteMin32":      {class: cAWHelper, atomic: true},

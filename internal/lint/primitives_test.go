@@ -111,7 +111,7 @@ func tableProblems(table map[string]*primitive, sigs map[string]*types.Signature
 				bad(name, "%s position %d is %s, want slice", role, pos, at(pos))
 			}
 		}
-		for role, pos := range map[string]int{"lo": p.lo, "hi": p.hi} {
+		for role, pos := range map[string]int{"lo": p.lo, "hi": p.hi, "total": p.total} {
 			if pos > 0 && at(pos) != "other" {
 				bad(name, "%s position %d is %s, want a scalar", role, pos, at(pos))
 			}

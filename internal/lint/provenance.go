@@ -201,18 +201,18 @@ const (
 
 // use is one classified occurrence of a tracked variable.
 type use struct {
-	kind     useKind
-	pos      token.Pos
-	ctx      evCtx
-	rhs      ast.Expr    // def / assign / elem-write value
-	op       token.Token // elem-write operator (ASSIGN, ADD_ASSIGN, INC, DEC)
-	index    ast.Expr    // elem-write index
-	from1    bool        // scan over x[1:]
-	callName string      // scan / permute primitive name
-	scanLHS  types.Object
-	resIdx   int        // tuple define: which result this variable binds
-	tupleLhs []ast.Expr // tuple define: the full Lhs list (sibling results)
-	why      string     // useOther reason
+	kind      useKind
+	pos       token.Pos
+	ctx       evCtx
+	rhs       ast.Expr    // def / assign / elem-write value
+	op        token.Token // elem-write operator (ASSIGN, ADD_ASSIGN, INC, DEC)
+	index     ast.Expr    // elem-write index
+	from1     bool        // scan over x[1:]
+	callName  string      // scan / permute primitive name
+	scanTotal ast.Expr    // what the scan's total equals (scanTotal)
+	resIdx    int         // tuple define: which result this variable binds
+	tupleLhs  []ast.Expr  // tuple define: the full Lhs list (sibling results)
+	why       string      // useOther reason
 }
 
 // ---------------------------------------------------------------------
@@ -378,9 +378,8 @@ func isFrom1(se *ast.SliceExpr) bool {
 // keeps refuses, and so does one handed to a call chosen at run time,
 // to a call whose result may carry it (the shared rooting rule roots a
 // call's result at its reference inputs), to a callee that writes what
-// its summary cannot root, to a substrate primitive (whose summary
-// drops what its callbacks do with the memory it hands them) or to a
-// callee whose summary leaned on a recursive cycle's guess. Anything
+// its summary cannot root, or to a substrate primitive (whose summary
+// drops what its callbacks do with the memory it hands them). Anything
 // else only reads. CopyInto needs its reads row: it copies through one
 // body holding dst and src, which the callee summary roots at the
 // worse of the two.
@@ -392,7 +391,7 @@ func (p *prover) callUse(arg ast.Expr, from1 bool, call *ast.CallExpr) *use {
 	if name, prim := primitiveOf(p.f, call); prim != nil && i > 0 { // a role the row leaves at 0 matches no argument
 		switch {
 		case i == prim.scans:
-			return &use{kind: useScanArg, from1: from1, callName: name, scanLHS: p.scanResultObj(call)}
+			return &use{kind: useScanArg, from1: from1, callName: name, scanTotal: p.scanTotal(call, prim)}
 		case i == prim.permutes && !from1:
 			return &use{kind: usePermuteArg, callName: name}
 		case i == prim.reads:
@@ -426,8 +425,6 @@ func (p *prover) callUse(arg ast.Expr, from1 bool, call *ast.CallExpr) *use {
 		case ev.via == nil:
 		case isSubstrate(ev.via.Pkg().Path()):
 			why = "passed to " + ev.via.Pkg().Name() + "." + callee
-		case p.loader.effects.cyclic[ev.via]:
-			why = "passed to " + callee + ", whose summary leans on a recursive cycle"
 		}
 		return why == ""
 	})
@@ -459,12 +456,16 @@ func carriesRef(t types.Type) bool {
 	return t != nil && refCarrying(t)
 }
 
-// scanResultObj finds the variable a scan call's returned total is
-// bound to: `total := core.ScanInclusive(...)`.
-func (p *prover) scanResultObj(call *ast.CallExpr) types.Object {
+// scanTotal finds what a scan call's total equals: the argument the
+// row names (CountSort's n), else the variable its returned total is
+// bound to (`total := core.ScanInclusive(...)`), or nil.
+func (p *prover) scanTotal(call *ast.CallExpr, prim *primitive) ast.Expr {
+	if prim.total > 0 {
+		return call.Args[prim.total]
+	}
 	if as, ok := p.ff.parent[call].(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
 		if id, ok := as.Lhs[0].(*ast.Ident); ok {
-			return p.tp.objOf(id)
+			return id
 		}
 	}
 	return nil
@@ -808,8 +809,6 @@ type boundSink interface {
 	// own message, when the bound differs, or a hard refusal (the target
 	// length cannot be resolved).
 	matchLen(p *prover, bound lenDenot, mismatch string) string
-	// matchTotal is matchLen for a scan proof's returned-total variable.
-	matchTotal(p *prover, total types.Object, mismatch string) string
 	// constOutLen resolves the target length to a constant, for proofs
 	// that need a concrete range check (non-identity affine fills).
 	constOutLen(p *prover) (int64, bool, string)
@@ -821,14 +820,6 @@ type siteSink struct{ s *targetSite }
 func (k *siteSink) matchLen(p *prover, bound lenDenot, mismatch string) string {
 	outLen, why := p.outDenot(k.s)
 	if why == "" && !p.denotEq(outLen, bound) {
-		return mismatch
-	}
-	return why
-}
-
-func (k *siteSink) matchTotal(p *prover, total types.Object, mismatch string) string {
-	outLen, why := p.outDenot(k.s)
-	if why == "" && (outLen.expr == nil || !p.isVar(p.cmp.norm(outLen.expr), total)) {
 		return mismatch
 	}
 	return why
@@ -848,16 +839,10 @@ func (k *siteSink) constOutLen(p *prover) (int64, bool, string) {
 type captureSink struct {
 	bound    lenDenot
 	hasBound bool
-	total    types.Object
 }
 
 func (k *captureSink) matchLen(p *prover, bound lenDenot, mismatch string) string {
 	k.bound, k.hasBound = bound, true
-	return ""
-}
-
-func (k *captureSink) matchTotal(p *prover, total types.Object, mismatch string) string {
-	k.total = total
 	return ""
 }
 
@@ -1243,11 +1228,15 @@ func (p *prover) proveScan(pt *provePoint, name string, obj types.Object, writes
 	if !p.dominates(scan.pos, pt) {
 		return refusal("call site does not strictly follow the scan")
 	}
-	total := scan.scanLHS
-	if total == nil || !p.stableObj(total) {
-		return refusal("the scan's returned total is not bound to a stable variable")
+	total := scan.scanTotal
+	if id, isID := total.(*ast.Ident); total == nil || isID && !p.stableObj(p.tp.objOf(id)) {
+		return refusal("the scan's total is not bound to a stable variable")
 	}
-	if why := pt.sink.matchTotal(p, total, fmt.Sprintf("cannot prove len(target) equals the scan's returned total %q", total.Name())); why != "" {
+	bound := fmt.Sprintf("returned total %q", types.ExprString(total))
+	if primitives[scan.callName].total > 0 {
+		bound = types.ExprString(total) + ", the count passed to core." + scan.callName
+	}
+	if why := pt.sink.matchLen(p, lenDenot{expr: total}, "cannot prove len(target) equals the scan's total, "+bound); why != "" {
 		return refusal("%s", why)
 	}
 	form := "offsets"
@@ -1259,7 +1248,7 @@ func (p *prover) proveScan(pt *provePoint, name string, obj types.Object, writes
 		chain: []string{
 			fmt.Sprintf("offsets %q starts zeroed and every pre-scan write is non-negative", name),
 			fmt.Sprintf("core.%s over %s at line %d: prefix sums of non-negative values are monotone", scan.callName, form, p.line(scan.pos)),
-			fmt.Sprintf("no mutation after the scan; len(target) == returned total %q: boundaries are in bounds", total.Name()),
+			fmt.Sprintf("no mutation after the scan; len(target) == %s: boundaries are in bounds", bound),
 		},
 	}
 }

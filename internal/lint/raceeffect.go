@@ -43,6 +43,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // writeEffect is one function's summarized write behavior. The
@@ -78,6 +79,17 @@ func (e *writeEffect) kept(idx int) string {
 	return e.keeps[idx]
 }
 
+// sameShape reports whether two effects write and keep the same
+// positions, whatever their reasons say: a reason may quote a cycle
+// partner's, so it can grow every round of a fixpoint that has settled.
+func (e *writeEffect) sameShape(o *writeEffect) bool {
+	return e.paramPlain == o.paramPlain && e.paramAtomic == o.paramAtomic &&
+		e.plainAll == o.plainAll && e.atomicAll == o.atomicAll &&
+		(e.shared == "") == (o.shared == "") && (e.returns == "") == (o.returns == "") &&
+		maps.Equal(e.plainIdx, o.plainIdx) && maps.Equal(e.atomicIdx, o.atomicIdx) &&
+		maps.EqualFunc(e.keeps, o.keeps, func(string, string) bool { return true })
+}
+
 // writesPlain reports whether the callee performs plain writes through
 // the parameter at position idx.
 func (e *writeEffect) writesPlain(idx int) bool {
@@ -95,12 +107,11 @@ func (e *writeEffect) writesAtomic(idx int) bool {
 	return e.atomicAll || len(e.atomicIdx) == 0 || e.atomicIdx[idx]
 }
 
-// effectOf returns fn's memoized write effect. Recursive cycles
-// resolve optimistically: a query that re-enters a function still being
-// summarized reads the empty effect. A summary built on that answer may
-// miss writes (an inner member of the cycle reads as its partners'
-// empty answer), so the table marks it cyclic (summaryTable), and the
-// prover refuses to read one.
+// effectOf returns fn's memoized write effect. A recursive cycle is
+// iterated to its fixpoint (summaryTable): a query that re-enters a
+// function still being summarized reads its latest effect, the empty
+// one at first, and the cycle is rebuilt until no member's effect
+// grows, so every member's summary is exact, whichever is asked first.
 func (l *typeLoader) effectOf(fn *types.Func) *writeEffect {
 	l.prescanBoxes() // retention reads the module's box clears
 	return l.effects.get(fn, &writeEffect{}, func() *writeEffect { return l.computeEffect(fn) })

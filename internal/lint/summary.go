@@ -139,7 +139,7 @@ func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *as
 		if sibObj == nil || !p.stableObj(sibObj) {
 			return refusal("%s's bounding total %q is not a stable variable", fnName, sibID.Name), true
 		}
-		why = pt.sink.matchTotal(p, sibObj, fmt.Sprintf("cannot prove len(target) equals %s's returned total %q", fnName, sibID.Name))
+		why = pt.sink.matchLen(p, lenDenot{expr: sibID}, fmt.Sprintf("cannot prove len(target) equals %s's returned total %q", fnName, sibID.Name))
 		boundLine = fmt.Sprintf("len(target) == %s's returned total %q: boundaries are in bounds", fnName, sibID.Name)
 	}
 	if why != "" {
@@ -232,33 +232,19 @@ func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern)
 		return refusedSummary("inside %s, %s", name, proof.reason)
 	}
 
-	// Express the captured bound against the helper's signature.
-	var bound boundRef
-	paramIdx := tp.paramPositions(nil, fd.Type.Params)
-	switch {
-	case cap.total != nil:
-		j := -1
-		for i, r := range ret.Results {
-			if i == res {
-				continue
-			}
-			if id, ok := unparen(r).(*ast.Ident); ok && tp.objOf(id) == cap.total {
-				j = i
-				break
-			}
-		}
-		if j < 0 {
-			return refusedSummary("helper %s's scan total is not returned alongside the offsets", name)
-		}
-		bound = boundRef{kind: boundResult, k: j}
-	case cap.hasBound:
-		b, ok := sp.boundToRef(cap.bound, paramIdx)
-		if !ok {
-			return refusedSummary("helper %s's domain bound is not expressible in its parameters", name)
-		}
-		bound = b
-	default:
+	// Express the captured bound against the helper's signature: its
+	// parameters, or a result returned alongside (a scan's total).
+	if !cap.hasBound {
 		return refusedSummary("helper %s's proof produced no domain bound", name)
+	}
+	bound, ok := sp.boundToRef(cap.bound, tp.paramPositions(nil, fd.Type.Params))
+	for j, r := range ret.Results {
+		if !ok && j != res && cap.bound.expr != nil && sp.cmp.eq(r, cap.bound.expr) {
+			bound, ok = boundRef{kind: boundResult, k: j}, true
+		}
+	}
+	if !ok {
+		return refusedSummary("helper %s's domain bound is not expressible in its parameters or results", name)
 	}
 
 	return &fnSummary{ok: true, source: proof.source, chain: proof.chain, bound: bound,

@@ -120,9 +120,9 @@ func firstOf(xs []int32) []int32 { return xs }
 func zapFirst(xs []int32) { firstOf(xs)[0] = 7 }
 
 // refuseRecursiveWriter and refuseRecursiveEntry: zeroHead and zeroRest
-// call each other. Summarized from zeroHead first, zeroRest's summary is
-// built against the empty answer a recursive query gets, so it reads as
-// writing nothing although it writes through zeroHead.
+// call each other. Summarized from zeroHead first, zeroRest's summary
+// still writes through zeroHead: the callee summary iterates the cycle
+// to its fixpoint instead of keeping the empty answer a re-entry gets.
 func refuseRecursiveWriter(w *core.Worker, n int) []uint32 {
 	dst := make([]uint32, n)
 	off := make([]int32, n)

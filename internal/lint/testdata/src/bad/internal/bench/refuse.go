@@ -129,3 +129,30 @@ func init() {
 	core.DeclareSite("refuse", "refused scatter", core.SngInd)
 	core.DeclareSite("refuse", "refused chunks", core.RngInd)
 }
+
+// refuseCountSortLength: core.CountSort's starts end at n, the count it
+// is passed, but the target is one longer, so the last chunk ends short
+// of it: the bound the scan proof needs does not hold.
+func refuseCountSortLength(w *core.Worker, vals []uint32) []uint32 {
+	n := len(vals)
+	starts := make([]int32, 8+1)
+	out := make([]uint32, n+1)
+	core.CountSort(w, n, 8, starts, lowBits{vals: vals, out: out})
+	core.IndChunksUnchecked(w, out, starts, func(i int, chunk []uint32) {})
+	return out
+}
+
+// lowBits keys each value by its three low bits.
+type lowBits struct{ vals, out []uint32 }
+
+func (b *lowBits) CountRange(c core.Counter, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		c.Add(int(b.vals[i] & 7))
+	}
+}
+
+func (b *lowBits) PlaceRange(c core.Cursor, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		b.out[c.Next(int(b.vals[i]&7))] = b.vals[i]
+	}
+}

@@ -122,3 +122,28 @@ func Chunks[T any](w *Worker, xs []T, size int, f func(ci int, chunk []T)) {
 		f(ci, xs[ci*size:min((ci+1)*size, len(xs))])
 	}
 }
+
+type Counter struct{ row []int32 }
+
+func (c Counter) Add(k int) { c.row[k]++ }
+
+type Cursor struct{ row []int32 }
+
+func (c Cursor) Next(k int) int32 {
+	at := c.row[k]
+	c.row[k] = at + 1
+	return at
+}
+
+type CountSortBody interface {
+	CountRange(c Counter, lo, hi int)
+	PlaceRange(c Cursor, lo, hi int)
+}
+
+// CountSort stands in for the counting-sort engine: starts comes back
+// as the exclusive prefix sums of the keys' counts, starts[k] = n.
+func CountSort[B any, P interface {
+	*B
+	CountSortBody
+}](w *Worker, n, k int, starts []int32, body B) {
+}

@@ -179,3 +179,56 @@ func init() {
 	core.DeclareSite("cert", "certified scatter", core.SngInd)
 	core.DeclareSite("cert", "certified chunks", core.RngInd)
 }
+
+// certCountSort — proof form P4 through the counting-sort engine: the
+// buckets' starts come back from core.CountSort as the exclusive prefix
+// sums of non-negative counts with starts[k] = n, the element count it
+// is passed, and the target is sized by that n.
+func certCountSort(w *core.Worker, vals []uint32) []uint32 {
+	n := len(vals)
+	starts := make([]int32, 8+1)
+	out := make([]uint32, n)
+	core.CountSort(w, n, 8, starts, byLowBits{vals: vals, out: out})
+	core.IndChunksUnchecked(w, out, starts, func(i int, chunk []uint32) {
+		for j := range chunk {
+			chunk[j] = uint32(i)
+		}
+	})
+	return out
+}
+
+// byLowBits keys each value by its three low bits.
+type byLowBits struct{ vals, out []uint32 }
+
+func (b *byLowBits) CountRange(c core.Counter, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		c.Add(int(b.vals[i] & 7))
+	}
+}
+
+func (b *byLowBits) PlaceRange(c core.Cursor, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		b.out[c.Next(int(b.vals[i]&7))] = b.vals[i]
+	}
+}
+
+// certScanTotal — proof form P4 through a helper's summary: bucketEnds
+// returns its offsets with the scan's total beside them, and the target
+// is sized by that returned total.
+func certScanTotal(w *core.Worker, n int) []uint32 {
+	offsets, total := bucketEnds(w, n)
+	out := make([]uint32, total)
+	core.IndChunksUnchecked(w, out, offsets, func(i int, chunk []uint32) {
+		for j := range chunk {
+			chunk[j] = uint32(i)
+		}
+	})
+	return out
+}
+
+func bucketEnds(w *core.Worker, n int) ([]int32, int32) {
+	offsets := make([]int32, n+1)
+	core.ForRange(w, 0, n, 0, func(d int) { offsets[d+1] = 1 })
+	total := core.ScanInclusive(w, offsets[1:])
+	return offsets, total
+}

@@ -155,3 +155,28 @@ func TestBit(bm []uint64, i int32) bool {
 func CopyInto[T any](w *Worker, dst, src []T) {
 	copy(dst, src)
 }
+
+type Counter struct{ row []int32 }
+
+func (c Counter) Add(k int) { c.row[k]++ }
+
+type Cursor struct{ row []int32 }
+
+func (c Cursor) Next(k int) int32 {
+	at := c.row[k]
+	c.row[k] = at + 1
+	return at
+}
+
+type CountSortBody interface {
+	CountRange(c Counter, lo, hi int)
+	PlaceRange(c Cursor, lo, hi int)
+}
+
+// CountSort stands in for the counting-sort engine: starts comes back
+// as the exclusive prefix sums of the keys' counts, starts[k] = n.
+func CountSort[B any, P interface {
+	*B
+	CountSortBody
+}](w *Worker, n, k int, starts []int32, body B) {
+}

@@ -163,3 +163,55 @@ func copiedAlias(w *core.Worker, xs []int32, n int) {
 		copy(tmp, xs[1:])
 	})
 }
+
+// headZ and restZ call each other, and so do headY and restY; only the
+// heads write. A region calling either member on the shared out writes
+// out, whichever member the callee summary meets first: the cycle is
+// iterated to its fixpoint, so the inner member's summary is not left
+// at the empty answer its re-entry read.
+func headZ(xs []int32) {
+	if len(xs) > 1 {
+		restZ(xs[1:])
+	}
+	xs[0] = 0
+}
+
+func restZ(ys []int32) { headZ(ys) }
+
+func headFirst(w *core.Worker, out []int32, n int) {
+	core.ForRange(w, 0, n, 0, func(i int) { headZ(out) })
+	core.ForRange(w, 0, n, 0, func(i int) { restZ(out) })
+}
+
+func headY(xs []int32) {
+	if len(xs) > 1 {
+		restY(xs[1:])
+	}
+	xs[0] = 0
+}
+
+func restY(ys []int32) { headY(ys) }
+
+func restFirst(w *core.Worker, out []int32, n int) {
+	core.ForRange(w, 0, n, 0, func(i int) { restY(out) })
+	core.ForRange(w, 0, n, 0, func(i int) { headY(out) })
+}
+
+// swapA and swapB call each other with their two slices swapped, so
+// swapA writes b on the second turn: a region calling swapA on a fresh
+// buffer and the shared out writes out.
+func swapA(a, b []int32, d int) {
+	if d > 0 {
+		swapB(b, a, d-1)
+	}
+	a[0] = 1
+}
+
+func swapB(a, b []int32, d int) { swapA(a, b, d) }
+
+func swapped(w *core.Worker, out []int32, n int) {
+	core.ForRange(w, 0, n, 0, func(i int) {
+		buf := make([]int32, 1)
+		swapA(buf, out, 2)
+	})
+}

@@ -69,6 +69,7 @@ func newTypeLoader(a *analysis) *typeLoader {
 		decls:    map[*types.Func]*funcDecl{},
 		indexed:  map[string]bool{},
 		facts:    map[*ast.FuncDecl]*funcFacts{},
+		effects:  summaryTable[*types.Func, *writeEffect]{same: (*writeEffect).sameShape},
 	}
 }
 

@@ -106,8 +106,14 @@ func TestFig5bRuns(t *testing.T) {
 	if err := Fig5b(&sb, Fig5Config{Scale: bench.ScaleTest, Threads: 2, Reps: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "hist-exponential") {
-		t.Errorf("Fig 5b missing hist:\n%s", sb.String())
+	out := sb.String()
+	for _, row := range []string{"hist-exponential", "isort-exponential"} {
+		if !strings.Contains(out, row) {
+			t.Errorf("Fig 5b missing %s:\n%s", row, out)
+		}
+	}
+	if strings.Contains(out, "bw-wiki") {
+		t.Errorf("Fig 5b times bw, which reads no ModeSynchronized:\n%s", out)
 	}
 }
 
