@@ -34,13 +34,13 @@ certs:
 	$(GO) run ./cmd/rpblint -certify -races -lifetimes
 
 certify-update:
-	$(GO) run ./cmd/rpblint -certify -write-certs
+	$(GO) run ./cmd/rpblint -certify -write
 
 races-update:
-	$(GO) run ./cmd/rpblint -races -write-races
+	$(GO) run ./cmd/rpblint -races -write
 
 lifetimes-update:
-	$(GO) run ./cmd/rpblint -lifetimes -write-lifetimes
+	$(GO) run ./cmd/rpblint -lifetimes -write
 
 race:
 	$(GO) test -race ./...

@@ -185,40 +185,78 @@ func TestCLIRpblint(t *testing.T) {
 		t.Errorf("bad-fixture diagnostics missing file:line: %s", bad)
 	}
 
-	// Pass flags combine: every requested pass runs, and two stale
-	// artifacts given together are both reported.
-	staleCerts := filepath.Join(t.TempDir(), "certs.json")
-	staleRaces := filepath.Join(t.TempDir(), "races.json")
-	for _, p := range []string{staleCerts, staleRaces} {
-		if err := os.WriteFile(p, []byte("{}\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	both, err := exec.Command(bin, "-certify", "-races", "-certs", staleCerts, "-races-file", staleRaces).CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-		t.Fatalf("stale artifacts: want exit code 1, got %v\n%s", err, both)
-	}
-	for _, p := range []string{staleCerts, staleRaces} {
-		if !strings.Contains(string(both), p+" is stale") {
-			t.Errorf("stale artifact %s not reported:\n%s", p, both)
-		}
-	}
-
 	// A pass describes the whole module, so it takes no package filter:
 	// one used to truncate the certificate file to the filtered sites.
 	filtered, err := exec.Command(bin, "-certify", "./internal/graph").CombinedOutput()
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(filtered), "usage:") {
 		t.Fatalf("-certify with a package: want exit code 2 and a usage line, got %v\n%s", err, filtered)
 	}
-	written := filepath.Join(t.TempDir(), "certs.json")
-	run(t, bin, "-certify", "-write-certs", "-certs", written)
-	got, err := os.ReadFile(written)
-	committed, cerr := os.ReadFile("lint-certs.json")
-	if cerr != nil {
-		t.Fatal(cerr)
+
+	// The artifact checks run on a copy of the clean fixture module, so
+	// no committed file is touched.
+	fixture := filepath.Join("internal", "lint", "testdata", "src", "clean")
+	root := copyTree(t, fixture)
+	certs := filepath.Join(root, "lint-certs.json")
+	races := filepath.Join(root, "lint-races.json")
+
+	// Pass flags combine: every requested pass runs, and two stale
+	// artifacts given together are both reported.
+	for _, p := range []string{certs, races} {
+		if err := os.WriteFile(p, []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	want := strings.Count(string(committed), `"primitive"`)
-	if n := strings.Count(string(got), `"primitive"`); err != nil || n != want {
-		t.Errorf("-certify -write-certs wrote %d sites (err %v), want the committed lint-certs.json's %d", n, err, want)
+	both, err := exec.Command(bin, "-root", root, "-certify", "-races").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("stale artifacts: want exit code 1, got %v\n%s", err, both)
 	}
+	for _, p := range []string{certs, races} {
+		if !strings.Contains(string(both), p+" is stale") {
+			t.Errorf("stale artifact %s not reported:\n%s", p, both)
+		}
+	}
+
+	// -write rewrites the artifact of the pass requested: the copy's
+	// certificate file is the committed fixture's again.
+	run(t, bin, "-root", root, "-certify", "-write")
+	got, err := os.ReadFile(certs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(fixture, "lint-certs.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("-certify -write wrote\n%s\nwant the committed fixture's\n%s", got, want)
+	}
+}
+
+// copyTree copies the directory tree at src into a temp dir and returns
+// the copy's path.
+func copyTree(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, rel)
+		if d.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(target, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
 }

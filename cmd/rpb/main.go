@@ -26,11 +26,12 @@ func main() {
 		variant   = flag.String("variant", "rpb", "rpb (library) or direct (hand-rolled baseline)")
 		mode      = flag.String("mode", "unchecked", "unchecked, checked, or synchronized")
 		threads   = flag.Int("threads", 4, "worker count (0 = run library variant sequentially)")
-		scale     = flag.String("scale", "small", "input scale: test, small, or default")
 		reps      = flag.Int("reps", 3, "repetitions (mean reported)")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		dyn       = flag.Bool("dyn", false, "print per-pattern primitive invocation counts after the run")
 	)
+	sc := bench.ScaleSmall
+	flag.Var(&sc, "scale", "input scale: test, small, or default")
 	flag.Parse()
 
 	if *list {
@@ -64,26 +65,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	var sc bench.Scale
-	switch *scale {
-	case "test":
-		sc = bench.ScaleTest
-	case "small":
-		sc = bench.ScaleSmall
-	case "default":
-		sc = bench.ScaleDefault
-	default:
-		fmt.Fprintf(os.Stderr, "rpb: unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
-
+	var m core.Mode
 	switch *mode {
 	case "unchecked":
-		core.SetMode(core.ModeUnchecked)
+		m = core.ModeUnchecked
 	case "checked":
-		core.SetMode(core.ModeChecked)
+		m = core.ModeChecked
 	case "synchronized":
-		core.SetMode(core.ModeSynchronized)
+		m = core.ModeSynchronized
 	default:
 		fmt.Fprintf(os.Stderr, "rpb: unknown mode %q\n", *mode)
 		os.Exit(2)
@@ -95,19 +84,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Printf("preparing %s-%s at scale %s...\n", spec.Name, in, *scale)
+	fmt.Printf("preparing %s-%s at scale %s...\n", spec.Name, in, sc)
 	inst := spec.Make(in, sc)
 	if *dyn {
 		core.ResetDynamicCounts()
 		defer core.EnableDynamicCensus(core.EnableDynamicCensus(true))
 	}
-	secs, err := bench.Measure(inst, v, *threads, *reps)
+	secs, err := bench.Measure(inst, v, m, *threads, *reps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rpb:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("%s-%s variant=%s mode=%s threads=%d reps=%d: %.4fs (verified)\n",
-		spec.Name, in, v, core.GetMode(), *threads, *reps, secs)
+		spec.Name, in, v, m, *threads, *reps, secs)
 	if *dyn {
 		counts := core.DynamicCounts()
 		for _, p := range core.Patterns {

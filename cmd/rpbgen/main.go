@@ -23,26 +23,14 @@ import (
 func main() {
 	var (
 		stats  = flag.Bool("stats", false, "print Table 2 graph statistics")
-		scale  = flag.String("scale", "small", "input scale: test, small, or default")
 		what   = flag.String("what", "all", "input family: graphs, text, seq, points, all")
 		seed   = flag.Uint64("seed", 1, "generator seed")
 		outDir = flag.String("out", "", "write inputs as PBBS-format files into this directory")
 		inFile = flag.String("in", "", "summarize an existing PBBS AdjacencyGraph file and exit")
 	)
+	sc := bench.ScaleSmall
+	flag.Var(&sc, "scale", "input scale: test, small, or default")
 	flag.Parse()
-
-	var sc bench.Scale
-	switch *scale {
-	case "test":
-		sc = bench.ScaleTest
-	case "small":
-		sc = bench.ScaleSmall
-	case "default":
-		sc = bench.ScaleDefault
-	default:
-		fmt.Fprintf(os.Stderr, "rpbgen: unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
 
 	if *inFile != "" {
 		f, err := os.Open(*inFile)

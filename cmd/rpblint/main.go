@@ -7,10 +7,8 @@
 //
 // Usage:
 //
-//	rpblint [-root dir] [-json] [-census] [-certs file] [packages...]
-//	rpblint -certify [-write-certs] [-certs file]
-//	rpblint -races [-write-races] [-races-file file]
-//	rpblint -lifetimes [-write-lifetimes] [-lifetimes-file file]
+//	rpblint [-root dir] [-json] [-census] [-v] [packages...]
+//	rpblint [-root dir] [-json] -certify|-races|-lifetimes... [-write]
 //
 // Packages are directory patterns relative to the module root
 // ("./...", "./internal/bench", "examples/..."); with none given the
@@ -21,11 +19,11 @@
 // The three certification passes share one artifact discipline:
 // -certify proves offset provenance (lint-certs.json), -races proves
 // parallel-write exclusivity (lint-races.json), -lifetimes proves
-// arena-checkout confinement (lint-lifetimes.json). Each renders its
-// report, then either rewrites its committed artifact (-write-<pass>)
-// or byte-compares against it and fails when stale; an unexplained
-// refusal (no //lint:scared marker) anywhere in the module fails
-// regardless of staleness. The pass flags combine: every requested pass
+// arena-checkout confinement (lint-lifetimes.json); each artifact lives
+// at the module root. Each renders its report, then either rewrites its
+// committed artifact (-write) or byte-compares against it and fails
+// when stale; an unexplained refusal (no //lint:scared marker) anywhere
+// in the module fails regardless of staleness. The pass flags combine: every requested pass
 // runs, in the order above, over one parsed and type-checked module,
 // and the exit status is the worst of them. Exit status: 0 clean, 1
 // diagnostics / stale or unexplained certificates, 2 usage or analysis
@@ -54,13 +52,7 @@ func main() {
 		races     = flag.Bool("races", false, "run the parallel-write certification pass")
 		lifetimes = flag.Bool("lifetimes", false, "run the arena lifetime certification pass")
 
-		certsFile = flag.String("certs", "lint-certs.json", "certificate file, relative to the module root")
-		racesFile = flag.String("races-file", "lint-races.json", "race-certificate file, relative to the module root")
-		lifeFile  = flag.String("lifetimes-file", "lint-lifetimes.json", "lifetime-certificate file, relative to the module root")
-
-		writeCerts = flag.Bool("write-certs", false, "with -certify: rewrite the certificate file instead of comparing")
-		writeRaces = flag.Bool("write-races", false, "with -races: rewrite the race-certificate file instead of comparing")
-		writeLife  = flag.Bool("write-lifetimes", false, "with -lifetimes: rewrite the lifetime-certificate file instead of comparing")
+		write = flag.Bool("write", false, "rewrite the artifact of each requested pass instead of comparing")
 	)
 	flag.Parse()
 
@@ -78,7 +70,7 @@ func main() {
 	// code path; each contributes only its report and refusal count.
 	if *certify || *races || *lifetimes {
 		if flag.NArg() > 0 {
-			fmt.Fprintln(os.Stderr, "rpblint: -certify, -races and -lifetimes analyse the whole module and take no packages\nusage: rpblint -certify|-races|-lifetimes [-write-<pass>] [-root dir]")
+			fmt.Fprintln(os.Stderr, "rpblint: -certify, -races and -lifetimes analyse the whole module and take no packages\nusage: rpblint -certify|-races|-lifetimes [-write] [-root dir]")
 			os.Exit(2)
 		}
 		certs, rr, lr, err := lint.RunPasses(lint.Config{Root: r}, *certify, *races, *lifetimes)
@@ -88,21 +80,21 @@ func main() {
 		}
 		status := 0
 		if certs != nil {
-			status = max(status, finishPass(r, *certsFile, *writeCerts, *asJSON, "-certify -write-certs",
+			status = max(status, finishPass(r, "lint-certs.json", *write, *asJSON, "-certify",
 				passOut{artifact: certs.Marshal(), text: certs.String()}))
 		}
 		if rr != nil {
-			status = max(status, finishPass(r, *racesFile, *writeRaces, *asJSON, "-races -write-races",
+			status = max(status, finishPass(r, "lint-races.json", *write, *asJSON, "-races",
 				passOut{artifact: rr.Marshal(), text: rr.String(), unexplained: rr.Unexplained}))
 		}
 		if lr != nil {
-			status = max(status, finishPass(r, *lifeFile, *writeLife, *asJSON, "-lifetimes -write-lifetimes",
+			status = max(status, finishPass(r, "lint-lifetimes.json", *write, *asJSON, "-lifetimes",
 				passOut{artifact: lr.Marshal(), text: lr.String(), unexplained: lr.Unexplained}))
 		}
 		os.Exit(status)
 	}
 
-	rep, err := lint.Run(lint.Config{Root: r, Dirs: flag.Args(), CertsFile: certsPath(r, *certsFile)})
+	rep, err := lint.Run(lint.Config{Root: r, Dirs: flag.Args()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rpblint:", err)
 		os.Exit(2)
@@ -149,11 +141,11 @@ type passOut struct {
 
 // finishPass applies the shared artifact discipline to one pass's
 // output: print the report, then rewrite the committed file
-// (write=true) or byte-compare against it. It returns the pass's exit
-// status: 1 when the file is stale or missing, or — regardless of
-// staleness — when unexplained refusals remain; 2 when the file cannot
-// be written.
-func finishPass(root, file string, write, asJSON bool, updateHint string, out passOut) int {
+// <root>/<file> (write=true) or byte-compare against it. It returns the
+// pass's exit status: 1 when the file is stale or missing, or —
+// regardless of staleness — when unexplained refusals remain; 2 when
+// the file cannot be written.
+func finishPass(root, file string, write, asJSON bool, passFlag string, out passOut) int {
 	if asJSON {
 		os.Stdout.Write(out.artifact)
 	} else {
@@ -166,10 +158,7 @@ func finishPass(root, file string, write, asJSON bool, updateHint string, out pa
 		status = 1
 	}
 
-	path := file
-	if !filepath.IsAbs(path) {
-		path = filepath.Join(root, path)
-	}
+	path := filepath.Join(root, file)
 	if write {
 		if err := os.WriteFile(path, out.artifact, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "rpblint:", err)
@@ -181,29 +170,15 @@ func finishPass(root, file string, write, asJSON bool, updateHint string, out pa
 	committed, err := os.ReadFile(path)
 	switch {
 	case err != nil:
-		fmt.Fprintf(os.Stderr, "rpblint: no committed certificate file %s (run rpblint %s)\n", path, updateHint)
+		fmt.Fprintf(os.Stderr, "rpblint: no committed certificate file %s (run rpblint %s -write)\n", path, passFlag)
 		return 1
 	case !bytes.Equal(committed, out.artifact):
-		fmt.Fprintf(os.Stderr, "rpblint: %s is stale (run rpblint %s and commit the result)\n", path, updateHint)
+		fmt.Fprintf(os.Stderr, "rpblint: %s is stale (run rpblint %s -write and commit the result)\n", path, passFlag)
 		return 1
 	case status == 0:
 		fmt.Fprintf(os.Stderr, "rpblint: %s is current\n", path)
 	}
 	return status
-}
-
-// certsPath resolves the -certs flag against the module root. The
-// default value maps to the empty string so lint.Run treats a missing
-// file as "no certificates" rather than an error; an explicit -certs
-// must exist.
-func certsPath(root, certs string) string {
-	if certs == "lint-certs.json" {
-		return ""
-	}
-	if filepath.IsAbs(certs) {
-		return certs
-	}
-	return filepath.Join(root, certs)
 }
 
 // findRoot walks up from the working directory to the nearest go.mod.
@@ -213,22 +188,13 @@ func findRoot() (string, error) {
 		return "", err
 	}
 	for {
-		if _, err := os.Stat(dir + "/go.mod"); err == nil {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
 			return dir, nil
 		}
-		parent := dir[:max(0, lastSlash(dir))]
-		if parent == "" || parent == dir {
+		parent := filepath.Dir(dir)
+		if parent == dir {
 			return "", fmt.Errorf("no go.mod found above %s", dir)
 		}
 		dir = parent
 	}
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' || s[i] == '\\' {
-			return i
-		}
-	}
-	return -1
 }

@@ -2,7 +2,6 @@
 //
 //	rpbreport -what <artifact>|all
 //	          [-scale test|small|default] [-threads N] [-reps N]
-//	          [-benches sort,hist,...]
 //
 // `rpbreport -h` lists the artifact names; an unknown one exits 2. Each
 // output block names the paper artifact it reproduces and, where the
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -23,18 +21,14 @@ import (
 
 func main() {
 	var (
-		scale   = flag.String("scale", "small", "input scale: test, small, or default")
 		threads = flag.Int("threads", runtime.GOMAXPROCS(0), "parallel thread count (the paper's 24-core point)")
 		reps    = flag.Int("reps", 3, "repetitions per measurement")
-		benches = flag.String("benches", "", "comma-separated benchmark subset for fig4 (default: all)")
 
-		sc     bench.Scale
-		subset []string
-		out    = os.Stdout
+		sc  = bench.ScaleSmall
+		out = os.Stdout
 	)
-	fig5 := func() report.Fig5Config {
-		return report.Fig5Config{Scale: sc, Threads: *threads, Reps: *reps}
-	}
+	flag.Var(&sc, "scale", "input scale: test, small, or default")
+	cfg := func() report.Config { return report.Config{Scale: sc, Threads: *threads, Reps: *reps} }
 	// The one list of artifacts: -what's help text, its validation and
 	// the order of `-what all` all come from here.
 	artifacts := []struct {
@@ -45,17 +39,10 @@ func main() {
 		{"table2", func() error { core.Run(func(w *core.Worker) { report.Table2(out, w, sc) }); return nil }},
 		{"table3", func() error { report.Table3(out); return nil }},
 		{"fig3", func() error { report.Fig3(out); return nil }},
-		{"fig4", func() error {
-			return report.Fig4(out, report.Fig4Config{
-				Scale: sc, Threads: *threads, Reps: *reps, Benches: subset,
-			})
-		}},
-		{"fig5a", func() error { return report.Fig5a(out, fig5()) }},
-		{"fig5b", func() error { return report.Fig5b(out, fig5()) }},
-		{"fig6", func() error {
-			report.Fig6(out, report.Fig6Config{Threads: *threads, Reps: *reps})
-			return nil
-		}},
+		{"fig4", func() error { return report.Fig4(out, cfg()) }},
+		{"fig5a", func() error { return report.Fig5a(out, cfg()) }},
+		{"fig5b", func() error { return report.Fig5b(out, cfg()) }},
+		{"fig6", func() error { report.Fig6(out, cfg()); return nil }},
 		{"dyncensus", func() error { return report.DynCensus(out, sc, *threads) }},
 		{"fearreport", func() error { return report.FearReport(out, "") }},
 		{"sched", func() error {
@@ -67,7 +54,7 @@ func main() {
 		}},
 		{"graph", func() error { return report.GraphReport(out, sc, *threads) }},
 		{"coverage", func() error { report.Coverage(out); return nil }},
-		{"certs", func() error { return report.Certs(out, fig5()) }},
+		{"certs", func() error { return report.Certs(out, cfg()) }},
 		{"races", func() error { return report.RacesReport(out) }},
 		{"lifetimes", func() error { return report.LifetimesReport(out) }},
 	}
@@ -78,21 +65,6 @@ func main() {
 	names += "all"
 	what := flag.String("what", "all", "artifact: "+names)
 	flag.Parse()
-
-	switch *scale {
-	case "test":
-		sc = bench.ScaleTest
-	case "small":
-		sc = bench.ScaleSmall
-	case "default":
-		sc = bench.ScaleDefault
-	default:
-		fmt.Fprintf(os.Stderr, "rpbreport: unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
-	if *benches != "" {
-		subset = strings.Split(*benches, ",")
-	}
 
 	matched := false
 	for _, a := range artifacts {

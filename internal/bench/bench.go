@@ -140,24 +140,16 @@ const (
 	VariantDirect Variant = "direct"
 )
 
-// Result is one timed measurement.
-type Result struct {
-	Bench   string
-	Input   string
-	Variant Variant
-	Mode    core.Mode
-	Threads int
-	Seconds float64
-	Reps    int
-}
-
-// Measure runs an instance reps times under the given variant and
-// thread count, verifying each run, and returns the mean wall-clock
-// seconds. For the library variant, threads == 0 means "run
-// sequentially on the calling goroutine" (the paper's 1-thread
-// side-steps-the-runtime configuration uses threads == 1, which still
-// spins up a 1-worker pool).
-func Measure(inst *Instance, v Variant, threads, reps int) (float64, error) {
+// Measure runs an instance reps times under the given variant, mode
+// and thread count, verifying each run, and returns the mean wall-clock
+// seconds. The mode holds for these reps only: the caller's mode is
+// back when Measure returns, on error too. For the library variant,
+// threads == 0 means "run sequentially on the calling goroutine" (the
+// paper's 1-thread side-steps-the-runtime configuration uses
+// threads == 1, which still spins up a 1-worker pool).
+func Measure(inst *Instance, v Variant, mode core.Mode, threads, reps int) (float64, error) {
+	defer core.SetMode(core.GetMode())
+	core.SetMode(mode)
 	if reps < 1 {
 		reps = 1
 	}

@@ -46,25 +46,26 @@ func TestFind(t *testing.T) {
 // correctness test: every benchmark, on every input, runs and verifies
 // under (a) the library expression sequentially, (b) the library
 // expression on a small pool, and (c) the direct baseline with 3
-// threads.
+// threads and with 0, which every baseline reads as one.
 func TestEveryBenchmarkEveryVariantVerifies(t *testing.T) {
-	core.SetMode(core.ModeUnchecked)
 	for _, spec := range All() {
 		for _, input := range spec.Inputs {
 			inst := spec.Make(input, ScaleTest)
 			t.Run(spec.Name+"-"+input+"-seq", func(t *testing.T) {
-				if _, err := Measure(inst, VariantLibrary, 0, 1); err != nil {
+				if _, err := Measure(inst, VariantLibrary, core.ModeUnchecked, 0, 1); err != nil {
 					t.Fatal(err)
 				}
 			})
 			t.Run(spec.Name+"-"+input+"-pool", func(t *testing.T) {
-				if _, err := Measure(inst, VariantLibrary, 3, 1); err != nil {
+				if _, err := Measure(inst, VariantLibrary, core.ModeUnchecked, 3, 1); err != nil {
 					t.Fatal(err)
 				}
 			})
 			t.Run(spec.Name+"-"+input+"-direct", func(t *testing.T) {
-				if _, err := Measure(inst, VariantDirect, 3, 1); err != nil {
-					t.Fatal(err)
+				for _, threads := range []int{3, 0} {
+					if _, err := Measure(inst, VariantDirect, core.ModeUnchecked, threads, 1); err != nil {
+						t.Fatalf("threads=%d: %v", threads, err)
+					}
 				}
 			})
 		}
@@ -74,14 +75,12 @@ func TestEveryBenchmarkEveryVariantVerifies(t *testing.T) {
 // TestModesProduceIdenticalResults runs every benchmark under all three
 // expression modes; verification ties them to one oracle.
 func TestModesProduceIdenticalResults(t *testing.T) {
-	defer core.SetMode(core.ModeUnchecked)
 	for _, spec := range All() {
 		input := spec.Inputs[0]
 		inst := spec.Make(input, ScaleTest)
 		for _, mode := range []core.Mode{core.ModeUnchecked, core.ModeChecked, core.ModeSynchronized} {
 			t.Run(spec.Name+"-"+mode.String(), func(t *testing.T) {
-				core.SetMode(mode)
-				if _, err := Measure(inst, VariantLibrary, 2, 1); err != nil {
+				if _, err := Measure(inst, VariantLibrary, mode, 2, 1); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -89,10 +88,49 @@ func TestModesProduceIdenticalResults(t *testing.T) {
 	}
 }
 
+// TestMeasureRestoresMode: the library expression sees the mode Measure
+// is given on every rep, and the caller's mode is back afterwards, also
+// when verification fails.
+func TestMeasureRestoresMode(t *testing.T) {
+	defer core.SetMode(core.GetMode())
+	for _, fail := range []bool{false, true} {
+		var seen []core.Mode
+		inst := &Instance{
+			RunLibrary: func(*core.Worker) { seen = append(seen, core.GetMode()) },
+			Verify: func() error {
+				if fail {
+					return fmt.Errorf("planted failure")
+				}
+				return nil
+			},
+		}
+		core.SetMode(core.ModeSynchronized)
+		_, err := Measure(inst, VariantLibrary, core.ModeChecked, 0, 3)
+		if (err != nil) != fail {
+			t.Fatalf("fail=%v: err = %v", fail, err)
+		}
+		wantReps := 3
+		if fail {
+			wantReps = 1
+		}
+		if len(seen) != wantReps {
+			t.Fatalf("fail=%v: %d reps ran, want %d", fail, len(seen), wantReps)
+		}
+		for rep, m := range seen {
+			if m != core.ModeChecked {
+				t.Errorf("fail=%v: rep %d ran under %v, want checked", fail, rep, m)
+			}
+		}
+		if m := core.GetMode(); m != core.ModeSynchronized {
+			t.Errorf("fail=%v: mode after Measure = %v, want the caller's synchronized", fail, m)
+		}
+	}
+}
+
 func TestMeasureRejectsUnknownVariant(t *testing.T) {
 	spec, _ := Find("hist")
 	inst := spec.Make("exponential", ScaleTest)
-	if _, err := Measure(inst, Variant("bogus"), 1, 1); err == nil {
+	if _, err := Measure(inst, Variant("bogus"), core.ModeUnchecked, 1, 1); err == nil {
 		t.Fatal("expected error for unknown variant")
 	}
 }
@@ -100,7 +138,7 @@ func TestMeasureRejectsUnknownVariant(t *testing.T) {
 func TestMeasureRepsAveraged(t *testing.T) {
 	spec, _ := Find("hist")
 	inst := spec.Make("exponential", ScaleTest)
-	secs, err := Measure(inst, VariantLibrary, 0, 3)
+	secs, err := Measure(inst, VariantLibrary, core.ModeUnchecked, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +224,7 @@ func TestMeasureSurfacesVerificationFailure(t *testing.T) {
 		RunDirect:  func(int) {},
 		Verify:     func() error { return fmt.Errorf("planted failure") },
 	}
-	if _, err := Measure(inst, VariantLibrary, 0, 1); err == nil {
+	if _, err := Measure(inst, VariantLibrary, core.ModeUnchecked, 0, 1); err == nil {
 		t.Fatal("verification failure swallowed")
 	} else if !strings.Contains(err.Error(), "planted failure") {
 		t.Fatalf("error lost cause: %v", err)
@@ -199,7 +237,7 @@ func TestMeasureResetCalledPerRep(t *testing.T) {
 		RunLibrary: func(*core.Worker) {},
 		Reset:      func() { resets++ },
 	}
-	if _, err := Measure(inst, VariantLibrary, 0, 3); err != nil {
+	if _, err := Measure(inst, VariantLibrary, core.ModeUnchecked, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if resets != 3 {

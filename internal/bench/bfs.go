@@ -277,10 +277,10 @@ func (b *bfsInstance[A]) bottomUpStep(w *core.Worker, nd uint32) bfsCnt {
 	})
 }
 
-// run is the MultiQueue expression (direct mode): one vertex per queue
-// operation, kept as the paper's Sec 6 baseline. Each slot decodes into
-// its own persistent scratch row, indexed by the task's slot id.
+// run is the MultiQueue expression (direct mode), the paper's Sec 6
+// baseline. Each slot decodes into its own persistent scratch row.
 func (b *bfsInstance[A]) run(nWorkers int) {
+	nWorkers = max(nWorkers, 1) // mq.Process reads 0 as a default-size pool
 	scratch := slotRows(&b.dscratch, nWorkers, b.maxDeg)
 	atomic.StoreUint32(&b.dist[b.src], 0)
 	seeds := []mq.Item{{Pri: 0, Val: uint64(b.src)}}

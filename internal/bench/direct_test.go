@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/seqgen"
 	"repro/internal/suffix"
 	"repro/internal/suffix/suffixtest"
@@ -160,11 +161,11 @@ func TestVariantsAgreeOnMISStatus(t *testing.T) {
 	// and direct variants must produce the identical independent set.
 	spec, _ := Find("mis")
 	instA := spec.Make("road", ScaleTest)
-	if _, err := Measure(instA, VariantLibrary, 3, 1); err != nil {
+	if _, err := Measure(instA, VariantLibrary, core.ModeUnchecked, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	instB := spec.Make("road", ScaleTest)
-	if _, err := Measure(instB, VariantDirect, 3, 1); err != nil {
+	if _, err := Measure(instB, VariantDirect, core.ModeUnchecked, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Both instances share the same generated graph and priorities
@@ -188,7 +189,7 @@ func TestDirectSortMatchesOracle(t *testing.T) {
 	}
 	inst := spec.Make("exponential", ScaleTest)
 	for _, threads := range []int{1, 2, 4} {
-		if _, err := Measure(inst, VariantDirect, threads, 1); err != nil {
+		if _, err := Measure(inst, VariantDirect, core.ModeUnchecked, threads, 1); err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
 	}

@@ -143,9 +143,9 @@ func (s *ssspInstance[A]) runDelta(nWorkers int) {
 	p.Do(s.runDeltaOn)
 }
 
-// run is the relaxed-Dijkstra direct expression: exact distances as
-// priorities, one vertex per queue operation.
+// run is the relaxed-Dijkstra direct expression, one vertex per op.
 func (s *ssspInstance[A]) run(nWorkers int) {
+	nWorkers = max(nWorkers, 1) // mq.Process reads 0 as a default-size pool
 	scratch := slotRows(&s.dscratch, nWorkers, s.maxDeg)
 	atomic.StoreUint32(&s.dist[s.src], 0)
 	seeds := []mq.Item{{Pri: 0, Val: uint64(s.src)}}

@@ -1,6 +1,11 @@
 package graph
 
-import "repro/internal/core"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/core"
+)
 
 // InputScale selects how large the standard inputs are. The paper's
 // graphs (Table 2) have 24M-101M vertices; this reproduction defaults to
@@ -16,6 +21,21 @@ const (
 	// ScaleDefault is the evaluation scale: millions of edges.
 	ScaleDefault
 )
+
+var scaleNames = []string{"test", "small", "default"}
+
+// String names the scale as the tools' -scale flag spells it.
+func (s InputScale) String() string { return scaleNames[s] }
+
+// Set parses a scale name, so an InputScale is a flag.Value.
+func (s *InputScale) Set(name string) error {
+	i := slices.Index(scaleNames, name)
+	if i < 0 {
+		return fmt.Errorf("unknown scale %q (want test, small or default)", name)
+	}
+	*s = InputScale(i)
+	return nil
+}
 
 // Input names the three standard graph inputs of Table 2.
 const (

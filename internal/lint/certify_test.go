@@ -40,6 +40,15 @@ func TestCertifyClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "certify-clean.golden", rep.String())
+	// The fixture's plain lint run reads its certificate file for
+	// containment, so the file must be what the pass derives.
+	committed, err := os.ReadFile(filepath.Join("testdata", "src", "clean", "lint-certs.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(committed) != string(rep.Marshal()) {
+		t.Error("testdata/src/clean/lint-certs.json is stale (run rpblint -root internal/lint/testdata/src/clean -certify -write)")
+	}
 
 	if rep.Certified != 11 || rep.Elidable != 2 || rep.Refused != 1 {
 		t.Errorf("counts = %d certified, %d elidable, %d refused; want 11/2/1",
@@ -136,9 +145,9 @@ func TestCertifyRepo(t *testing.T) {
 	// the same staleness contract `make certs` enforces in CI.
 	committed, err := os.ReadFile(filepath.Join("..", "..", "lint-certs.json"))
 	if err != nil {
-		t.Fatalf("missing committed lint-certs.json: %v (run make certify-update)", err)
+		t.Fatalf("missing committed lint-certs.json: %v (run rpblint -certify -write)", err)
 	}
 	if string(committed) != string(rep.Marshal()) {
-		t.Error("committed lint-certs.json is stale (run make certify-update)")
+		t.Error("committed lint-certs.json is stale (run rpblint -certify -write)")
 	}
 }

@@ -185,10 +185,10 @@ func TestLifetimesRepo(t *testing.T) {
 	}
 	committed, err := os.ReadFile(filepath.Join("..", "..", "lint-lifetimes.json"))
 	if err != nil {
-		t.Fatalf("missing committed lint-lifetimes.json: %v (run make lifetimes-update)", err)
+		t.Fatalf("missing committed lint-lifetimes.json: %v (run rpblint -lifetimes -write)", err)
 	}
 	if string(committed) != string(rep.Marshal()) {
-		t.Error("committed lint-lifetimes.json is stale (run make lifetimes-update)")
+		t.Error("committed lint-lifetimes.json is stale (run rpblint -lifetimes -write)")
 	}
 }
 

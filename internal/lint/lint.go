@@ -151,10 +151,6 @@ type Config struct {
 	// diagnostics for; empty means the whole module. The certification
 	// passes ignore it: an artifact describes the whole module.
 	Dirs []string
-	// CertsFile points at a lint-certs.json whose proved sites the
-	// containment rules accept. Empty means <Root>/lint-certs.json,
-	// loaded when present.
-	CertsFile string
 }
 
 // newAnalysis parses the module under cfg.Root and builds the function
@@ -207,29 +203,22 @@ func RunPasses(cfg Config, certify, races, lifetimes bool) (certs *CertReport, r
 	return certs, rr, lr, nil
 }
 
-// loadCertIndex loads the certificate file the containment rules
-// consult. An explicitly configured path must parse; the default path
-// is best-effort (no certificates simply means no coverage — `make
-// certify` is what keeps the committed file honest).
+// loadCertIndex loads <Root>/lint-certs.json, whose proved sites the
+// containment rules accept. It is best-effort: a missing file means no
+// certificates, hence no coverage — `make certs` is what keeps the
+// committed file honest.
 func (a *analysis) loadCertIndex(cfg Config) error {
 	root := cfg.Root
 	if root == "" {
 		root = "."
 	}
-	path := cfg.CertsFile
-	explicit := path != ""
-	if !explicit {
-		path = filepath.Join(root, "lint-certs.json")
-	}
+	path := filepath.Join(root, "lint-certs.json")
 	certs, err := LoadCerts(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
 	if err != nil {
-		if !explicit && os.IsNotExist(err) {
-			return nil
-		}
-		if !explicit {
-			return fmt.Errorf("lint: unreadable %s (regenerate with rpblint -certify -write-certs): %w", path, err)
-		}
-		return err
+		return fmt.Errorf("lint: unreadable %s (regenerate with rpblint -certify -write): %w", path, err)
 	}
 	a.certs = certs.index()
 	return nil

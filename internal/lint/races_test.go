@@ -117,9 +117,9 @@ func TestRacesRepo(t *testing.T) {
 	}
 	committed, err := os.ReadFile(filepath.Join("..", "..", "lint-races.json"))
 	if err != nil {
-		t.Fatalf("missing committed lint-races.json: %v (run make races-update)", err)
+		t.Fatalf("missing committed lint-races.json: %v (run rpblint -races -write)", err)
 	}
 	if string(committed) != string(rep.Marshal()) {
-		t.Error("committed lint-races.json is stale (run make races-update)")
+		t.Error("committed lint-races.json is stale (run rpblint -races -write)")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/lint"
 )
@@ -100,13 +99,8 @@ func lintModule[R any](pass func(lint.Config) (*R, error)) (*R, error) {
 // every bench with a certified site, the checked-mode vs unchecked-mode
 // wall time, i.e. the Fig 5 check cost a certificate removes without
 // giving up the safety argument.
-func Certs(w io.Writer, cfg Fig5Config) error {
-	if cfg.Reps < 1 {
-		cfg.Reps = 1
-	}
-	if cfg.Threads < 1 {
-		cfg.Threads = 4
-	}
+func Certs(w io.Writer, cfg Config) error {
+	cfg = cfg.withDefaults()
 	rep, err := lintModule(lint.Certify)
 	if err != nil {
 		return err
@@ -128,28 +122,15 @@ func Certs(w io.Writer, cfg Fig5Config) error {
 	benches := t.print(w, "bench", 8, false)
 
 	fmt.Fprintf(w, "\nCheck cost elided by certificates at %d threads (cf. Fig 5a)\n", cfg.Threads)
-	fmt.Fprintf(w, "%-8s %14s %14s %10s\n", "bench", "checked(s)", "certified(s)", "ratio")
+	var certified []string
 	for _, name := range benches {
-		if t.rows[name][0] == 0 {
-			continue // no certified site
+		if t.rows[name][0] > 0 {
+			certified = append(certified, name)
 		}
-		spec, err := bench.Find(name)
-		if err != nil {
-			return err
-		}
-		inst := spec.Make(spec.Inputs[0], cfg.Scale)
-		core.SetMode(core.ModeChecked)
-		ch, err := bench.Measure(inst, bench.VariantLibrary, cfg.Threads, cfg.Reps)
-		if err != nil {
-			core.SetMode(core.ModeUnchecked)
-			return fmt.Errorf("%s checked: %w", name, err)
-		}
-		core.SetMode(core.ModeUnchecked)
-		un, err := bench.Measure(inst, bench.VariantLibrary, cfg.Threads, cfg.Reps)
-		if err != nil {
-			return fmt.Errorf("%s certified: %w", name, err)
-		}
-		fmt.Fprintf(w, "%-8s %14.4f %14.4f %10.2f\n", name, ch, un, ch/un)
+	}
+	if err := modePair(w, cfg, certified, false, core.ModeChecked,
+		"bench", "certified(s)", "checked(s)", "ratio"); err != nil {
+		return err
 	}
 	fmt.Fprintln(w, "(certified mode = unchecked under certificate: same code the proof covers)")
 	return nil

@@ -31,14 +31,13 @@ func DynCensus(w io.Writer, scale bench.Scale, threads int) error {
 	}
 	fmt.Fprintf(w, " %8s\n", "irreg%")
 	totals := map[core.Pattern]int64{}
-	core.SetMode(core.ModeUnchecked)
 	prev := core.EnableDynamicCensus(true)
 	defer core.EnableDynamicCensus(prev)
 	for _, spec := range bench.All() {
 		input := spec.Inputs[0]
 		inst := spec.Make(input, scale)
 		core.ResetDynamicCounts()
-		if _, err := bench.Measure(inst, bench.VariantLibrary, threads, 1); err != nil {
+		if _, err := bench.Measure(inst, bench.VariantLibrary, core.ModeUnchecked, threads, 1); err != nil {
 			return fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		counts := core.DynamicCounts()

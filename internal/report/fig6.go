@@ -20,12 +20,10 @@ import (
 // goroutines are cheaper than OS threads, so instead of crashing it is
 // merely catastrophically slow and memory-hungry — it therefore runs on
 // a capped element count and reports the cap.
-type Fig6Config struct {
-	N       int // vector length (default 1<<21)
-	TaskCap int // max elements for goroutine-per-task (default 1<<16)
-	Threads int
-	Reps    int
-}
+const (
+	fig6N       = 1 << 21 // vector length
+	fig6TaskCap = 1 << 16 // max elements for goroutine-per-task
+)
 
 type fig6Row struct {
 	name    string
@@ -137,39 +135,22 @@ func timeIt(reps int, f func()) float64 {
 	return best
 }
 
-// Fig6 runs the five variants and renders run times plus LoC.
-func Fig6(w io.Writer, cfg Fig6Config) {
-	if cfg.N <= 0 {
-		cfg.N = 1 << 21
-	}
-	if cfg.TaskCap <= 0 {
-		cfg.TaskCap = 1 << 16
-	}
-	if cfg.Threads < 1 {
-		cfg.Threads = 4
-	}
-	if cfg.Reps < 1 {
-		cfg.Reps = 3
-	}
+// Fig6 runs the five variants and renders run times plus LoC; it
+// ignores cfg.Scale.
+func Fig6(w io.Writer, cfg Config) {
+	cfg = cfg.withDefaults()
 	pool := core.NewPool(cfg.Threads)
 	defer pool.Close()
 
 	var rows []fig6Row
-	v := fig6Vector(cfg.N)
+	v := fig6Vector(fig6N)
 	rows = append(rows, fig6Row{"serial (Listing 11)", 3,
 		timeIt(cfg.Reps, func() { serialHash(v) }), ""})
 
-	nTask := cfg.N
-	note := ""
-	if nTask > cfg.TaskCap {
-		nTask = cfg.TaskCap
-		note = fmt.Sprintf("capped at n=%d: goroutine-per-task explodes at scale (paper: panic)", nTask)
-	}
-	vt := fig6Vector(nTask)
-	perTask := timeIt(cfg.Reps, func() { perTaskHash(vt) })
-	if nTask < cfg.N {
-		perTask *= float64(cfg.N) / float64(nTask) // extrapolate per-element cost
-	}
+	// Time the capped vector, then extrapolate the per-element cost.
+	vt := fig6Vector(fig6TaskCap)
+	perTask := timeIt(cfg.Reps, func() { perTaskHash(vt) }) * fig6N / fig6TaskCap
+	note := fmt.Sprintf("capped at n=%d: goroutine-per-task explodes at scale (paper: panic)", fig6TaskCap)
 	rows = append(rows, fig6Row{"goroutine per task (Listing 13)", 8, perTask, note})
 
 	rows = append(rows, fig6Row{"goroutine per core (Listing 14)", 15,
@@ -181,7 +162,7 @@ func Fig6(w io.Writer, cfg Fig6Config) {
 			pool.Do(func(wk *core.Worker) { workStealHash(wk, v) })
 		}), ""})
 
-	fmt.Fprintf(w, "Fig 6: hash microbenchmark, n=%d, %d threads (best of %d)\n", cfg.N, cfg.Threads, cfg.Reps)
+	fmt.Fprintf(w, "Fig 6: hash microbenchmark, n=%d, %d threads (best of %d)\n", fig6N, cfg.Threads, cfg.Reps)
 	fmt.Fprintf(w, "%-36s %10s %6s  %s\n", "variant", "time(s)", "LoC", "notes")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-36s %10.4f %6d  %s\n", r.name, r.seconds, r.loc, r.note)

@@ -67,30 +67,28 @@ func TestFig3ReportsIrregularShare(t *testing.T) {
 
 func TestFig4RunsOnTinyInputs(t *testing.T) {
 	var sb strings.Builder
-	err := Fig4(&sb, Fig4Config{
-		Scale:   bench.ScaleTest,
-		Threads: 2,
-		Reps:    1,
-		Benches: []string{"hist", "isort"},
-	})
-	if err != nil {
+	if err := Fig4(&sb, Config{Scale: bench.ScaleTest, Threads: 2, Reps: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	if !strings.Contains(out, "Fig 4(a)") || !strings.Contains(out, "Fig 4(b)") {
 		t.Errorf("Fig 4 output incomplete:\n%s", out)
 	}
-	if !strings.Contains(out, "hist-exponential") {
-		t.Errorf("Fig 4 missing bench rows:\n%s", out)
+	for _, spec := range bench.All() {
+		for _, input := range spec.Inputs {
+			if n := strings.Count(out, "\n"+spec.Name+"-"+input+" "); n != 2 {
+				t.Errorf("Fig 4 has %d rows for %s-%s, want one per table:\n%s", n, spec.Name, input, out)
+			}
+		}
 	}
-	if !strings.Contains(out, "gmean") {
-		t.Error("Fig 4 missing gmean")
+	if strings.Count(out, "gmean") != 2 {
+		t.Error("Fig 4 missing a gmean line")
 	}
 }
 
 func TestFig5aRuns(t *testing.T) {
 	var sb strings.Builder
-	if err := Fig5a(&sb, Fig5Config{Scale: bench.ScaleTest, Threads: 2, Reps: 1}); err != nil {
+	if err := Fig5a(&sb, Config{Scale: bench.ScaleTest, Threads: 2, Reps: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -103,7 +101,7 @@ func TestFig5aRuns(t *testing.T) {
 
 func TestFig5bRuns(t *testing.T) {
 	var sb strings.Builder
-	if err := Fig5b(&sb, Fig5Config{Scale: bench.ScaleTest, Threads: 2, Reps: 1}); err != nil {
+	if err := Fig5b(&sb, Config{Scale: bench.ScaleTest, Threads: 2, Reps: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -119,7 +117,7 @@ func TestFig5bRuns(t *testing.T) {
 
 func TestFig6Runs(t *testing.T) {
 	var sb strings.Builder
-	Fig6(&sb, Fig6Config{N: 1 << 14, TaskCap: 1 << 12, Threads: 2, Reps: 1})
+	Fig6(&sb, Config{Threads: 2, Reps: 1})
 	out := sb.String()
 	for _, v := range []string{"serial", "goroutine per task", "goroutine per core",
 		"mutex job queue", "work stealing"} {

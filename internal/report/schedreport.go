@@ -33,7 +33,6 @@ func SchedReport(w io.Writer, scale bench.Scale, benchName string, workerCounts 
 	if err != nil {
 		return err
 	}
-	core.SetMode(core.ModeUnchecked)
 	fmt.Fprintf(w, "Scheduler characterization on %s-%s\n", spec.Name, spec.Inputs[0])
 	fmt.Fprintf(w, "%-8s %10s %8s %8s %8s %10s %9s %8s %12s\n",
 		"workers", "executed", "stolen", "splits", "parked", "wake-skips", "overflows", "steal%", "splits/stolen")
