@@ -13,14 +13,15 @@ import (
 	"testing"
 )
 
-// buildTool compiles ./cmd/<name> into a temp dir and returns the path.
-func buildTool(t *testing.T, name string) string {
+// buildTool compiles the main package at pkg (a ./-relative path) into
+// a temp dir and returns the binary's path.
+func buildTool(t *testing.T, pkg string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
+	cmd := exec.Command("go", "build", "-o", bin, pkg)
 	cmd.Env = os.Environ()
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build %s: %v\n%s", name, err, out)
+		t.Fatalf("build %s: %v\n%s", pkg, err, out)
 	}
 	return bin
 }
@@ -38,7 +39,7 @@ func TestCLIRpb(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI test skipped in -short mode")
 	}
-	bin := buildTool(t, "rpb")
+	bin := buildTool(t, "./cmd/rpb")
 
 	list := run(t, bin, "-list")
 	for _, name := range []string{"bw", "sssp", "dr"} {
@@ -76,7 +77,7 @@ func TestCLIRpbgenExportImport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI test skipped in -short mode")
 	}
-	bin := buildTool(t, "rpbgen")
+	bin := buildTool(t, "./cmd/rpbgen")
 	dir := t.TempDir()
 
 	out := run(t, bin, "-scale", "test", "-what", "graphs", "-out", dir)
@@ -103,7 +104,7 @@ func TestCLIRpbreportArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI test skipped in -short mode")
 	}
-	bin := buildTool(t, "rpbreport")
+	bin := buildTool(t, "./cmd/rpbreport")
 	out := run(t, bin, "-what", "table1")
 	if !strings.Contains(out, "Table 1") || !strings.Contains(out, "sssp") {
 		t.Errorf("table1 output wrong: %s", out)
@@ -143,7 +144,7 @@ func TestCLIRpblint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI test skipped in -short mode")
 	}
-	bin := buildTool(t, "rpblint")
+	bin := buildTool(t, "./cmd/rpblint")
 
 	// The repo itself is clean: exit 0.
 	out := run(t, bin, "./...")
@@ -259,4 +260,27 @@ func copyTree(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	return dst
+}
+
+// TestExamplesRun builds and runs every examples/* main the way the
+// README invites a user to: each must exit 0 and print something.
+func TestExamplesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI test skipped in -short mode")
+	}
+	dirs, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		t.Run(d.Name(), func(t *testing.T) {
+			bin := buildTool(t, "./examples/"+d.Name())
+			if out := run(t, bin); strings.TrimSpace(out) == "" {
+				t.Errorf("%s printed nothing", d.Name())
+			}
+		})
+	}
 }

@@ -15,8 +15,10 @@ import (
 // Main is a package's TestMain: it counts the goroutines, calls start
 // (the package's shared pools), runs the tests, calls stop, and exits
 // with the tests' code, or with 1 when they passed but goroutines
-// outlive them. Close does not wait for a pool's workers to exit, so
-// they get until a deadline to go. start and stop may be nil.
+// outlive them. Close returns only after a pool's workers have exited,
+// but the testing package's own runner goroutines can still be exiting
+// when m.Run returns, so they get until a deadline to go. start and
+// stop may be nil.
 func Main(m *testing.M, pkg string, start, stop func()) {
 	before := runtime.NumGoroutine()
 	if start != nil {

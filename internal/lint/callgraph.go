@@ -141,7 +141,6 @@ func (a *analysis) buildIndex() {
 // type's method entirely.
 var bodyInterfaceMethods = map[string][]string{
 	"ForBody":   {"RunRange"},
-	"SpawnTask": {"RunTask"},
 	"CountSort": {"CountRange", "PlaceRange"},
 }
 

@@ -128,9 +128,6 @@ var primitives = map[string]*primitive{
 	// D&C — fork/join recursion.
 	"Sort":   {class: cDC, permutes: 1},
 	"SortBy": {class: cDC, bodies: []int{2}, permutes: 1},
-	"Async":  {class: cDC, bodies: []int{1}},
-	"Pipeline": {class: cDC,
-		unmodeled: "stages (argument 2) is a slice of closures, not a closure argument: no region is enumerated for a stage and its writes are not classified"},
 
 	// SngInd — array[B[i]] = f(): comfortable checked, scared unchecked.
 	"IndForEach":          {class: cSngInd, bodies: []int{3}, task: []int{0}, handed: []int{1}, out: 1, offsets: 2},

@@ -284,16 +284,8 @@ func (rc *regionCheck) classifyCall(call *ast.CallExpr) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if isWorkerNamed(rc.tp.typeOf(sel.X)) {
 			switch sel.Sel.Name {
-			case "For", "ForBody", "Join", "SpawnTask":
+			case "For", "ForBody", "Join":
 				return // fork points: bodies are regions of their own
-			case "Spawn":
-				tgt := ""
-				if len(call.Args) > 0 {
-					tgt = types.ExprString(call.Args[0])
-				}
-				rc.refuse(call, tgt,
-					"task spawned through %s is resolved dynamically; its writes are not in a lexical region", tgt)
-				return
 			}
 		}
 	}

@@ -332,10 +332,6 @@ func collectRegions(ff *funcFacts, f *fileInfo) []*raceRegion {
 						r.sibling = pair[1].Body
 					}
 				}
-			case name == "SpawnTask" && len(v.Args) == 1:
-				if lit := resolveLit(v.Args[0]); lit != nil {
-					fork(lit)
-				}
 			}
 		}
 	}

@@ -10,8 +10,6 @@ func (w *Worker) ID() int { return w.id }
 
 func (w *Worker) Join(fa, fb func(w *Worker)) { fa(w); fb(w) }
 
-func (w *Worker) SpawnTask(f func(w *Worker)) { f(w) }
-
 func (w *Worker) For(lo, hi, grain int, body func(w *Worker, lo, hi int)) {
 	body(w, lo, hi)
 }

@@ -9,8 +9,7 @@ import (
 // Reinders & Robison's "Structured Parallel Programming", RPB exercises
 // 14. This artifact reproduces the inventory, mapping each present
 // pattern to where it manifests in this codebase, and marking the
-// paper's absent ones — two of which (pipeline, futures) this
-// reproduction implements as extensions.
+// paper's absent ones as not implemented.
 
 // PatternCoverage is one row of the Sec 7.1 inventory.
 type PatternCoverage struct {
@@ -36,9 +35,9 @@ var McCoolPatterns = []PatternCoverage{
 	{"segmentation", true, "core.IndChunks; sort buckets"},
 	{"category reduction", true, "hist bucket merge; dedup hash table"},
 	{"workpile", true, "mq.Process worker loops (bfs, sssp)"},
-	{"pipeline", false, "extension: core.Pipeline (extras.go)"},
+	{"pipeline", false, "not implemented"},
 	{"superscalar sequences", false, "not implemented"},
-	{"futures", false, "extension: core.Async/Future (extras.go)"},
+	{"futures", false, "not implemented"},
 	{"speculative selection", false, "not implemented"},
 	{"expand", false, "not implemented"},
 	{"term graph rewriting", false, "not implemented"},

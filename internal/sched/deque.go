@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // dequeCapacity is the fixed capacity of each worker's deque. Fork-join
 // recursion pushes at most O(depth) outstanding tasks per chain, so a deep
-// deque combined with the injector-overflow path in Worker.Spawn is ample.
+// deque combined with the injector-overflow path in Worker.spawn is ample.
 const dequeCapacity = 1 << 13
 
 // deque is a Chase-Lev work-stealing deque with a fixed-size circular
@@ -26,13 +26,13 @@ type deque struct {
 	_      [56]byte
 	steals atomic.Int64 // successful steals from this deque, ever
 	_      [56]byte
-	tasks  [dequeCapacity]atomic.Pointer[Task]
+	tasks  [dequeCapacity]atomic.Pointer[task]
 }
 
 // PushBottom adds t at the bottom of the deque. It returns false when the
 // deque is full, in which case the caller must route the task elsewhere.
 // Only the owning worker may call PushBottom.
-func (d *deque) PushBottom(t *Task) bool {
+func (d *deque) PushBottom(t *task) bool {
 	b := d.bottom.Load()
 	top := d.top.Load()
 	if b-top >= dequeCapacity {
@@ -45,7 +45,7 @@ func (d *deque) PushBottom(t *Task) bool {
 
 // PopBottom removes and returns the most recently pushed task, or nil when
 // the deque is empty. Only the owning worker may call PopBottom.
-func (d *deque) PopBottom() *Task {
+func (d *deque) PopBottom() *task {
 	b := d.bottom.Load() - 1
 	d.bottom.Store(b)
 	top := d.top.Load()
@@ -70,7 +70,7 @@ func (d *deque) PopBottom() *Task {
 // empty or the steal race was lost. Any worker may call Steal. A
 // successful steal bumps the deque's raid counter, which the owner reads
 // as the "my deque was raided" demand hint driving lazy splitting.
-func (d *deque) Steal() *Task {
+func (d *deque) Steal() *task {
 	top := d.top.Load()
 	b := d.bottom.Load()
 	if top >= b {

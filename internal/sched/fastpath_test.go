@@ -99,9 +99,9 @@ func TestWakeSkipTelemetry(t *testing.T) {
 	var ran atomic.Int64
 	p.Do(func(w *Worker) {
 		for i := 0; i < 100; i++ {
-			w.SpawnTask(func(*Worker) { ran.Add(1) })
+			spawnFunc(w, func(*Worker) { ran.Add(1) })
 		}
-		w.HelpUntil(func() bool { return ran.Load() == 100 })
+		helpUntil(w, func() bool { return ran.Load() == 100 })
 	})
 	var skips int64
 	for _, s := range p.Stats() {
@@ -120,9 +120,9 @@ func TestOverflowTelemetry(t *testing.T) {
 	var done atomic.Int64
 	p.Do(func(w *Worker) {
 		for i := 0; i < n; i++ {
-			w.SpawnTask(func(*Worker) { done.Add(1) })
+			spawnFunc(w, func(*Worker) { done.Add(1) })
 		}
-		w.HelpUntil(func() bool { return done.Load() == n })
+		helpUntil(w, func() bool { return done.Load() == n })
 	})
 	var overflows int64
 	for _, s := range p.Stats() {

@@ -111,7 +111,7 @@ func (w *Worker) forBodySplit(lo, mid, hi, grain int, body RangeBody) {
 	jf.fb = fr.fn
 	jf.tp.Store(nil)
 	jf.state.Store(framePending)
-	w.Spawn(&jf.task)
+	w.spawn(&jf.task)
 	leftPanic := w.forBodyLeft(lo, mid, grain, body)
 	w.waitFrame(jf)
 	rightPanic := jf.tp.Load()

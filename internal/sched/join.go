@@ -45,7 +45,7 @@ const (
 
 // joinFrame is the bookkeeping record for one Join: the stealable branch,
 // a completion latch, and a panic slot in a single struct, plus a
-// pre-built trampoline Task bound to the frame. Frames live in a
+// pre-built trampoline task bound to the frame. Frames live in a
 // per-worker cache indexed by Join nesting depth — joins on one worker
 // nest in strict LIFO order (a Join returns only after its branch
 // completed, and any Join started while helping is strictly deeper) — so
@@ -60,7 +60,7 @@ type joinFrame struct {
 	fb    func(w *Worker) // branch offered to thieves; nil between Joins
 	state atomic.Uint32   // framePending until fb has run
 	tp    atomic.Pointer[TaskPanic]
-	task  Task // trampoline: runs fb via the frame; built once per frame
+	task  task // trampoline: runs fb via the frame; built once per frame
 }
 
 // run executes the frame's branch and flips the completion latch. It may
@@ -110,7 +110,7 @@ func (w *Worker) Join(fa, fb func(w *Worker)) {
 	f.fb = fb
 	f.tp.Store(nil)
 	f.state.Store(framePending)
-	w.Spawn(&f.task)
+	w.spawn(&f.task)
 	faPanic := capture(fa, w)
 	w.waitFrame(f)
 	fbPanic := f.tp.Load()
@@ -144,30 +144,6 @@ func (w *Worker) waitFrame(f *joinFrame) {
 		if other != nil {
 			w.nExecuted.Add(1)
 			(*other)(w)
-			continue
-		}
-		runtime.Gosched()
-	}
-}
-
-// SpawnTask schedules f to run asynchronously on the pool (a closure
-// convenience over Spawn).
-func (w *Worker) SpawnTask(f func(w *Worker)) {
-	t := Task(f)
-	w.Spawn(&t)
-}
-
-// HelpUntil executes available pool work until cond() reports true. It
-// is the waiting discipline of Join exposed for user-level
-// synchronization (futures): the waiter makes progress on other tasks
-// instead of blocking. cond must eventually be satisfied by work
-// reachable from the pool (a task that only completes outside the pool
-// can stall the helper on nested waits).
-func (w *Worker) HelpUntil(cond func() bool) {
-	for !cond() {
-		if t := w.next(); t != nil {
-			w.nExecuted.Add(1)
-			(*t)(w)
 			continue
 		}
 		runtime.Gosched()

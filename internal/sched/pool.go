@@ -4,7 +4,7 @@
 //
 // The fast path is demand-driven (see docs/SCHED.md): For runs ranges
 // sequentially and splits only on observed demand, Join reuses per-worker
-// stack-discipline join frames instead of allocating, and Spawn skips the
+// stack-discipline join frames instead of allocating, and spawn skips the
 // pool mutex entirely when no worker is parked.
 //
 // This is the runtime substrate under the parallel-patterns library in
@@ -17,24 +17,25 @@ import (
 	"sync/atomic"
 )
 
-// Task is a unit of work executed by a pool worker. The worker executing
+// task is a unit of work executed by a pool worker. The worker executing
 // the task is passed in so the task can spawn and join subtasks.
-type Task func(w *Worker)
+type task func(w *Worker)
 
 // Pool is a work-stealing pool of worker goroutines.
 type Pool struct {
 	workers []*Worker
 
 	mu       sync.Mutex
-	injector []*Task // overflow + external-submission queue (LIFO)
+	injector []*task // overflow + external-submission queue (LIFO)
 	parked   []*Worker
 	closed   bool
+	running  sync.WaitGroup // one count per worker goroutine still in run
 
 	// ninject mirrors len(injector) so idle probes and parking re-checks
 	// can observe queued external work without taking the mutex.
 	_       [64]byte
 	ninject atomic.Int64
-	// nparked mirrors len(parked). Publishers (Spawn, inject) read it to
+	// nparked mirrors len(parked). Publishers (spawn, inject) read it to
 	// skip the wake path when nobody is parked — the contention-free
 	// wakeup fast path — so it lives on its own cache line.
 	_       [56]byte
@@ -42,7 +43,7 @@ type Pool struct {
 	_       [60]byte
 }
 
-// Worker is a single pool worker. Worker methods (Spawn, Join, For) may
+// Worker is a single pool worker. Worker methods (Join, For, ForBody) may
 // be called only from code running on this worker.
 type Worker struct {
 	pool *Pool
@@ -133,6 +134,7 @@ func NewPool(n int) *Pool {
 		}
 		p.workers[i] = w
 	}
+	p.running.Add(n)
 	for _, w := range p.workers {
 		go w.run()
 	}
@@ -142,8 +144,10 @@ func NewPool(n int) *Pool {
 // Workers returns the number of workers in the pool.
 func (p *Pool) Workers() int { return len(p.workers) }
 
-// Close shuts the pool down. Tasks still queued are dropped; callers must
-// ensure all Do calls have returned before closing.
+// Close shuts the pool down and returns once every worker goroutine has
+// exited. Tasks still queued are dropped; callers must ensure all Do
+// calls have returned before closing, and must not call Close from a
+// pool worker, which would wait on itself.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
@@ -157,15 +161,23 @@ func (p *Pool) Close() {
 		default:
 		}
 	}
+	p.running.Wait()
 }
 
 // Do runs f on some pool worker and waits for it (and only it) to return.
 // Do must be called from outside the pool; pool tasks that need nested
 // parallelism should use Worker.Join or Worker.For instead. A panic in
-// f (or in a joined subtask) is re-raised from Do as a *TaskPanic.
+// f (or in a joined subtask) is re-raised from Do as a *TaskPanic. Do
+// on a closed pool panics: no worker is left to run f.
 func (p *Pool) Do(f func(w *Worker)) {
+	p.mu.Lock()
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
+		panic("sched: Do on a closed pool")
+	}
 	done := make(chan *TaskPanic, 1)
-	t := Task(func(w *Worker) {
+	t := task(func(w *Worker) {
 		done <- capture(f, w)
 	})
 	p.inject(&t)
@@ -175,17 +187,17 @@ func (p *Pool) Do(f func(w *Worker)) {
 }
 
 // inject adds a task to the global queue and wakes a parked worker.
-func (p *Pool) inject(t *Task) {
+func (p *Pool) inject(t *task) {
 	p.pushInjector(t)
 	p.wakeOne()
 }
 
 // pushInjector appends t to the global queue. It is the single audited
 // path for every task that bypasses a worker deque: external submissions
-// (Do) and deque-overflow spills from Worker.Spawn both land here. The
+// (Do) and deque-overflow spills from Worker.spawn both land here. The
 // ninject bump must happen before the caller consults nparked, pairing
 // with the announce-then-recheck order in parkUntilWork.
-func (p *Pool) pushInjector(t *Task) {
+func (p *Pool) pushInjector(t *task) {
 	p.mu.Lock()
 	p.injector = append(p.injector, t)
 	p.ninject.Add(1)
@@ -193,12 +205,12 @@ func (p *Pool) pushInjector(t *Task) {
 }
 
 // popInjector removes a task from the global queue, or returns nil.
-func (p *Pool) popInjector() *Task {
+func (p *Pool) popInjector() *task {
 	if p.ninject.Load() == 0 {
 		return nil
 	}
 	p.mu.Lock()
-	var t *Task
+	var t *task
 	if n := len(p.injector); n > 0 {
 		t = p.injector[n-1]
 		p.injector[n-1] = nil
@@ -252,9 +264,9 @@ func (w *Worker) Scratch() any { return w.scratch }
 // created per-worker arena. Owner-only.
 func (w *Worker) SetScratch(s any) { w.scratch = s }
 
-// Spawn schedules t to run asynchronously on the pool. The caller is
+// spawn schedules t to run asynchronously on the pool. The caller is
 // responsible for tracking completion (Join does this automatically).
-func (w *Worker) Spawn(t *Task) {
+func (w *Worker) spawn(t *task) {
 	if !w.deque.PushBottom(t) {
 		// Deque full: spill to the global queue through the one audited
 		// overflow path.
@@ -267,7 +279,7 @@ func (w *Worker) Spawn(t *Task) {
 }
 
 // next finds the next task to run: own deque, then injector, then steal.
-func (w *Worker) next() *Task {
+func (w *Worker) next() *task {
 	if t := w.deque.PopBottom(); t != nil {
 		return t
 	}
@@ -278,7 +290,7 @@ func (w *Worker) next() *Task {
 }
 
 // trySteal attempts a few rounds of random-victim stealing.
-func (w *Worker) trySteal() *Task {
+func (w *Worker) trySteal() *task {
 	n := len(w.pool.workers)
 	if n <= 1 {
 		return nil
@@ -372,6 +384,7 @@ func (w *Worker) parkUntilWork() bool {
 
 // run is the worker main loop.
 func (w *Worker) run() {
+	defer w.pool.running.Done()
 	idleSpins := 0
 	for {
 		t := w.next()

@@ -8,11 +8,11 @@ import (
 
 func TestDequeLIFOOwner(t *testing.T) {
 	var d deque
-	mk := func(i int) *Task {
-		t := Task(func(*Worker) { _ = i })
+	mk := func(i int) *task {
+		t := task(func(*Worker) { _ = i })
 		return &t
 	}
-	tasks := []*Task{mk(1), mk(2), mk(3)}
+	tasks := []*task{mk(1), mk(2), mk(3)}
 	for _, tk := range tasks {
 		if !d.PushBottom(tk) {
 			t.Fatal("push failed on empty deque")
@@ -31,8 +31,8 @@ func TestDequeLIFOOwner(t *testing.T) {
 
 func TestDequeStealFIFO(t *testing.T) {
 	var d deque
-	mk := func() *Task {
-		t := Task(func(*Worker) {})
+	mk := func() *task {
+		t := task(func(*Worker) {})
 		return &t
 	}
 	a, b := mk(), mk()
@@ -51,7 +51,7 @@ func TestDequeStealFIFO(t *testing.T) {
 
 func TestDequeFull(t *testing.T) {
 	var d deque
-	tk := Task(func(*Worker) {})
+	tk := task(func(*Worker) {})
 	for i := 0; i < dequeCapacity; i++ {
 		if !d.PushBottom(&tk) {
 			t.Fatalf("push %d failed before capacity", i)
@@ -90,7 +90,7 @@ func TestDequeConcurrentStealers(t *testing.T) {
 	pushed := 0
 	for pushed < n {
 		i := pushed
-		tk := Task(func(*Worker) { counts[i].Add(1) })
+		tk := task(func(*Worker) { counts[i].Add(1) })
 		if d.PushBottom(&tk) {
 			pushed++
 		}

@@ -1,9 +1,32 @@
 package sched
 
 import (
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// spawnFunc queues f as a detached task on w's deque, or on the
+// injector when the deque is full; the caller waits with helpUntil.
+func spawnFunc(w *Worker, f func(w *Worker)) {
+	t := task(f)
+	w.spawn(&t)
+}
+
+// helpUntil runs pool work on w until cond reports true, the way
+// Join's waitFrame does for one frame.
+func helpUntil(w *Worker, cond func() bool) {
+	for !cond() {
+		if t := w.next(); t != nil {
+			w.nExecuted.Add(1)
+			(*t)(w)
+			continue
+		}
+		runtime.Gosched()
+	}
+}
 
 func TestSpawnTaskManyComplete(t *testing.T) {
 	p := NewPool(4)
@@ -12,9 +35,9 @@ func TestSpawnTaskManyComplete(t *testing.T) {
 	var done atomic.Int64
 	p.Do(func(w *Worker) {
 		for i := 0; i < n; i++ {
-			w.SpawnTask(func(*Worker) { done.Add(1) })
+			spawnFunc(w, func(*Worker) { done.Add(1) })
 		}
-		w.HelpUntil(func() bool { return done.Load() == n })
+		helpUntil(w, func() bool { return done.Load() == n })
 	})
 	if done.Load() != n {
 		t.Fatalf("completed %d of %d spawned tasks", done.Load(), n)
@@ -30,9 +53,9 @@ func TestSpawnOverflowsToInjector(t *testing.T) {
 	var done atomic.Int64
 	p.Do(func(w *Worker) {
 		for i := 0; i < n; i++ {
-			w.SpawnTask(func(*Worker) { done.Add(1) })
+			spawnFunc(w, func(*Worker) { done.Add(1) })
 		}
-		w.HelpUntil(func() bool { return done.Load() == n })
+		helpUntil(w, func() bool { return done.Load() == n })
 	})
 	if done.Load() != n {
 		t.Fatalf("completed %d of %d tasks across deque overflow", done.Load(), n)
@@ -40,14 +63,14 @@ func TestSpawnOverflowsToInjector(t *testing.T) {
 }
 
 func TestHelpUntilDrivesOwnDeque(t *testing.T) {
-	// With one worker, the spawned task can only run if HelpUntil
+	// With one worker, the spawned task can only run if helpUntil
 	// executes it from the worker's own deque.
 	p := NewPool(1)
 	defer p.Close()
 	var hit atomic.Bool
 	p.Do(func(w *Worker) {
-		w.SpawnTask(func(*Worker) { hit.Store(true) })
-		w.HelpUntil(func() bool { return hit.Load() })
+		spawnFunc(w, func(*Worker) { hit.Store(true) })
+		helpUntil(w, func() bool { return hit.Load() })
 	})
 	if !hit.Load() {
 		t.Fatal("task never ran")
@@ -226,9 +249,9 @@ func TestPoolStatsAccounting(t *testing.T) {
 	var done atomic.Int64
 	p.Do(func(w *Worker) {
 		for i := 0; i < tasks; i++ {
-			w.SpawnTask(func(*Worker) { done.Add(1) })
+			spawnFunc(w, func(*Worker) { done.Add(1) })
 		}
-		w.HelpUntil(func() bool { return done.Load() == tasks })
+		helpUntil(w, func() bool { return done.Load() == tasks })
 	})
 	stats := p.Stats()
 	if len(stats) != 3 {
@@ -252,4 +275,45 @@ func TestCloseIdempotent(t *testing.T) {
 	p.Do(func(w *Worker) {})
 	p.Close()
 	p.Close() // second close must not panic or hang
+}
+
+// Do on a closed pool must panic, not queue a task that no worker is
+// left to run and block on it for good.
+func TestDoOnClosedPoolPanics(t *testing.T) {
+	p := NewPool(2)
+	p.Close()
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		p.Do(func(*Worker) {})
+	}()
+	select {
+	case r := <-got:
+		if msg, _ := r.(string); !strings.Contains(msg, "closed pool") {
+			t.Fatalf("Do on a closed pool raised %v, want a panic naming the closed pool", r)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Do on a closed pool still blocked after 2s")
+	}
+}
+
+// Close must return only after every worker has left its run loop: a
+// detached task still running when Close is called finishes first.
+// (A goroutine count cannot show this: a worker that has signalled its
+// exit is still counted until its goroutine is torn down.)
+func TestCloseWaitsForWorkers(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		p := NewPool(4)
+		var finished atomic.Bool
+		p.Do(func(w *Worker) {
+			spawnFunc(w, func(*Worker) {
+				time.Sleep(10 * time.Millisecond)
+				finished.Store(true)
+			})
+		})
+		p.Close()
+		if !finished.Load() {
+			t.Fatalf("cycle %d: Close returned while a worker was still running a task", i)
+		}
+	}
 }
